@@ -606,18 +606,31 @@ func BenchmarkTraceEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlapTransformation measures the trace-builder cost on a CG
-// run (event log -> three traces).
+// BenchmarkOverlapTransformation measures the overlap trace builders
+// (event log -> chunked trace) on 32-rank CG and BT runs at 3 chunks, the
+// per-spec rebuild a chunk-count axis pays. CI's bench-regression job
+// gates its ns/op.
 func BenchmarkOverlapTransformation(b *testing.B) {
-	entry, _ := apps.ByName("cg", benchRanks)
-	run, err := tracer.Trace("cg", benchRanks, tracer.DefaultConfig(), entry.App.Kernel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if run.BaseTrace() == nil || run.OverlapReal() == nil || run.OverlapIdeal() == nil {
-			b.Fatal("nil trace")
+	const ranks, chunks = 32, 3
+	for _, app := range []string{"cg", "bt"} {
+		entry, _ := apps.ByName(app, ranks)
+		run, err := tracer.Trace(app, ranks, tracer.DefaultConfig(), entry.App.Kernel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run = run.WithChunks(chunks)
+		for _, fl := range []struct {
+			name  string
+			build func() *trace.Trace
+		}{{"real", run.OverlapReal}, {"ideal", run.OverlapIdeal}} {
+			b.Run(fmt.Sprintf("%s/%d/%s", app, ranks, fl.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if fl.build() == nil {
+						b.Fatal("nil trace")
+					}
+				}
+			})
 		}
 	}
 }

@@ -116,6 +116,11 @@ type Manager struct {
 	// digests than its memory bound, and a long-lived daemon must not
 	// accumulate a program per digest ever swept.
 	progs *lruCache[*sim.Program]
+	// compiling single-flights program compilation per digest: concurrent
+	// misses on one digest wait for the first compile and share its
+	// program. Guarded by progMu.
+	progMu    sync.Mutex
+	compiling map[string]*progCompile
 
 	// points is the point-level scenario cache: completed grid points
 	// keyed by per-point spec digests, consulted by the planner before
@@ -195,27 +200,55 @@ func (m *Manager) unqueue() {
 // program immediately.
 const maxCompiledPrograms = 1024
 
+// progCompile is one in-flight compilation; done closes once prog and
+// err are set.
+type progCompile struct {
+	done chan struct{}
+	prog *sim.Program
+	err  error
+}
+
 // compiledTrace returns the replay program for a stored trace, compiling
-// on a cache miss. Concurrent misses on one digest may compile twice;
-// both compilations yield equivalent immutable programs.
+// on a cache miss. Concurrent misses on one digest compile once: later
+// callers wait for the first and share its program.
 func (m *Manager) compiledTrace(digest string, tr *trace.Trace) (*sim.Program, error) {
 	if prog, ok := m.progs.Get(digest); ok {
 		return prog, nil
 	}
-	prog, err := sim.Compile(tr)
-	if err != nil {
-		return nil, err
+	m.progMu.Lock()
+	if c, ok := m.compiling[digest]; ok {
+		m.progMu.Unlock()
+		<-c.done
+		return c.prog, c.err
 	}
-	m.progs.Put(digest, prog)
-	// Re-validate after the Put: if the trace was deleted from the store
-	// while we compiled, its eviction hook fired before the program
-	// existed and would have deleted nothing — drop the entry now so a
-	// deleted trace's program is never pinned. (An eviction that races
-	// past this check fires the hook after our Put and wins anyway.)
-	if !m.store.ContainsTrace(digest) {
-		m.progs.Delete(digest)
+	// A compile may have finished between the Get above and the lock: it
+	// fills the cache before leaving the in-flight table.
+	if prog, ok := m.progs.Get(digest); ok {
+		m.progMu.Unlock()
+		return prog, nil
 	}
-	return prog, nil
+	c := &progCompile{done: make(chan struct{})}
+	m.compiling[digest] = c
+	m.progMu.Unlock()
+
+	c.prog, c.err = sim.Compile(tr)
+	if c.err == nil {
+		m.progs.Put(digest, c.prog)
+		// Re-validate after the Put: if the trace was deleted from the
+		// store while we compiled, its eviction hook fired before the
+		// program existed and would have deleted nothing — drop the entry
+		// now so a deleted trace's program is never pinned. (An eviction
+		// that races past this check fires the hook after our Put and wins
+		// anyway.)
+		if !m.store.ContainsTrace(digest) {
+			m.progs.Delete(digest)
+		}
+	}
+	m.progMu.Lock()
+	delete(m.compiling, digest)
+	m.progMu.Unlock()
+	close(c.done)
+	return c.prog, c.err
 }
 
 // traceCompiler adapts compiledTrace to the scenario planner's
@@ -272,6 +305,7 @@ func NewManager(opts Options) (*Manager, error) {
 		cache:        newResultCache(entries),
 		log:          logger,
 		progs:        newLRU[*sim.Program](maxCompiledPrograms),
+		compiling:    make(map[string]*progCompile),
 		start:        time.Now(),
 		slots:        make(chan struct{}, eng.Workers()),
 		queueDepth:   depth,

@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -213,6 +215,60 @@ func traceWithInstr(instr int64) *trace.Trace {
 	t.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 1, Bytes: 800, MsgID: 1})
 	t.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 500})
 	return t
+}
+
+// TestCompiledTraceSingleFlight: concurrent misses on one stored digest
+// compile once and every caller gets the same program.
+func TestCompiledTraceSingleFlight(t *testing.T) {
+	store, err := NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := NewManager(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A ring long enough that compiling it outlasts the goroutines'
+	// start-up, so their misses overlap.
+	const ranks, iters = 16, 2000
+	tr := trace.New("sf-test", "base", ranks)
+	for r := 0; r < ranks; r++ {
+		for i := 0; i < iters; i++ {
+			tr.Append(r, trace.Record{Kind: trace.KindCompute, Instr: 100})
+			tr.Append(r, trace.Record{Kind: trace.KindISend, Peer: (r + 1) % ranks, Tag: 1, Bytes: 64, MsgID: int64(i)})
+			tr.Append(r, trace.Record{Kind: trace.KindRecv, Peer: (r + ranks - 1) % ranks, Tag: 1, Bytes: 64, MsgID: int64(i)})
+		}
+	}
+	d, err := store.PutTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 16
+	progs := make([]*sim.Program, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			prog, err := mgr.compiledTrace(d, tr)
+			if err != nil {
+				t.Error(err)
+			}
+			progs[i] = prog
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("caller %d got program %p, caller 0 got %p", i, p, progs[0])
+		}
+	}
+	if !mgr.CompiledProgramCached(d) {
+		t.Fatal("program not cached after the compile")
+	}
 }
 
 // TestStoreEvictionDropsCompiledPrograms is the ROADMAP bugfix: the

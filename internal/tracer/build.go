@@ -1,6 +1,8 @@
 package tracer
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -29,65 +31,186 @@ import (
 // per buffer; the builder enforces it by draining un-consumed chunk waits
 // just before the buffer's next reception, and a final WaitAll at the end
 // of each rank.
+//
+// Every build reads a chunk-independent comm skeleton of each rank log
+// (commSkeleton), computed once per Log and shared by every WithChunks /
+// WithConfig variant; logs and skeletons are immutable after Trace. Cost
+// model per rank: BaseTrace and OverlapIdeal walk only the skeleton,
+// O(comm events). OverlapReal (and OverlapSelective for its non-ideal
+// buffers) adds exactly one forward scan of the log, O(events) time, with
+// O(comm events × chunks) extra memory for the per-chunk schedule — no
+// per-access lists.
+
+// commSkeleton is the chunk-independent communication structure of one
+// rank log: its comm events in program order and, per tracked array, which
+// of them are the array's sends and receive instances. Its size grows with
+// comm events, not with load/store events.
+type commSkeleton struct {
+	// slots holds every comm event (EvSend, EvISend, EvRecv, EvIRecvPost,
+	// EvRecvWait, EvSendRaw, EvRecvRaw) in program order.
+	slots []commSlot
+	// prevStrict[s] / nextStrict[s] delimit the computation bursts around
+	// slot s for the ideal variant: the nearest comm times strictly below
+	// and above its own (0 before the first, FinalClock after the last).
+	// Consecutive comm events at the same virtual instant (a halo-exchange
+	// phase, a collective's internal steps) belong to one communication
+	// phase and must not collapse the burst to zero length.
+	prevStrict, nextStrict []int64
+	// sends[a] lists the slots of array a's EvSend/EvISend events.
+	sends [][]int
+	// recvs[a] lists array a's receive instances in posting order.
+	recvs [][]recvInst
+}
+
+// commSlot is one comm event: its index in Log.Events and, for EvRecv /
+// EvIRecvPost, which receive instance of its array it posts (else -1).
+type commSlot struct {
+	ev, inst int
+}
+
+// recvInst pairs a receive's posting slot with the slot at which the data
+// became available on the rank: for blocking receives both are the EvRecv
+// itself, for non-blocking ones the EvIRecvPost and its EvRecvWait (the
+// post itself when never waited).
+type recvInst struct {
+	post, wait int
+	// loadFrom is the event index at which the instance's consumption
+	// window opens: the latest wait of this or any earlier instance of the
+	// array. The window closes at the next instance's post.
+	loadFrom int
+}
+
+// skeleton returns the log's comm skeleton, computing it on first use.
+func (l *Log) skeleton() *commSkeleton {
+	l.skelOnce.Do(func() { l.skel = newCommSkeleton(l) })
+	return l.skel
+}
+
+func newCommSkeleton(l *Log) *commSkeleton {
+	nArr := len(l.ArrayLens)
+	s := &commSkeleton{sends: make([][]int, nArr), recvs: make([][]recvInst, nArr)}
+	type posted struct{ arr, inst int }
+	unwaited := map[int]posted{} // tracked irecv handle -> its receive instance
+	for i, e := range l.Events {
+		slot, inst := len(s.slots), -1
+		switch e.Kind {
+		case EvSend, EvISend:
+			s.sends[e.Arr] = append(s.sends[e.Arr], slot)
+		case EvRecv, EvIRecvPost:
+			inst = len(s.recvs[e.Arr])
+			s.recvs[e.Arr] = append(s.recvs[e.Arr], recvInst{post: slot, wait: slot})
+			if e.Kind == EvIRecvPost {
+				unwaited[e.Handle] = posted{e.Arr, inst}
+			}
+		case EvRecvWait:
+			if p, ok := unwaited[e.Handle]; ok {
+				s.recvs[p.arr][p.inst].wait = slot
+				delete(unwaited, e.Handle)
+			}
+		case EvSendRaw, EvRecvRaw:
+		default:
+			continue
+		}
+		s.slots = append(s.slots, commSlot{ev: i, inst: inst})
+	}
+	for _, insts := range s.recvs {
+		from := -1
+		for j := range insts {
+			from = max(from, s.slots[insts[j].wait].ev)
+			insts[j].loadFrom = from
+		}
+	}
+	n := len(s.slots)
+	s.prevStrict = make([]int64, n)
+	s.nextStrict = make([]int64, n)
+	t := func(k int) int64 { return l.Events[s.slots[k].ev].T }
+	for k := 1; k < n; k++ {
+		if t(k-1) < t(k) {
+			s.prevStrict[k] = t(k - 1)
+		} else {
+			s.prevStrict[k] = s.prevStrict[k-1]
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		switch {
+		case k == n-1:
+			s.nextStrict[k] = l.FinalClock
+		case t(k+1) > t(k):
+			s.nextStrict[k] = t(k + 1)
+		default:
+			s.nextStrict[k] = s.nextStrict[k+1]
+		}
+	}
+	return s
+}
+
+// rankWriter accumulates one rank's records, splitting compute bursts at
+// every emitted event.
+type rankWriter struct {
+	recs  []trace.Record
+	lastT int64
+}
+
+func (w *rankWriter) reset() {
+	w.recs = w.recs[:0]
+	w.lastT = 0
+}
+
+func (w *rankWriter) compute(to int64) {
+	if to > w.lastT {
+		w.recs = append(w.recs, trace.Record{Kind: trace.KindCompute, Instr: to - w.lastT})
+		w.lastT = to
+	}
+}
+
+func (w *rankWriter) emit(rec trace.Record) { w.recs = append(w.recs, rec) }
+
+// records returns an exact-size copy of the rank's records (nil when
+// there are none), leaving the writer's buffer for reuse by the next rank.
+func (w *rankWriter) records() []trace.Record {
+	if len(w.recs) == 0 {
+		return nil
+	}
+	return slices.Clone(w.recs)
+}
 
 // BaseTrace builds the non-overlapped trace of the original execution.
 func (r *Run) BaseTrace() *trace.Trace {
 	tr := trace.New(r.Name, "base", r.NumRanks)
+	var w rankWriter
 	for rank, log := range r.Logs {
-		var lastT int64
+		w.reset()
 		var msgSeq int64
-		emitCompute := func(to int64) {
-			if to > lastT {
-				tr.Append(rank, trace.Record{Kind: trace.KindCompute, Instr: to - lastT})
-				lastT = to
-			}
-		}
 		anyIRecv := false
-		for _, e := range log.Events {
+		for _, s := range log.skeleton().slots {
+			e := &log.Events[s.ev]
+			w.compute(e.T)
+			rec := trace.Record{Peer: e.Peer, Tag: e.Tag, Bytes: int64(e.Elems) * r.Cfg.ElemBytes}
 			switch e.Kind {
 			case EvSend, EvSendRaw:
-				emitCompute(e.T)
-				msgSeq++
-				tr.Append(rank, trace.Record{
-					Kind: trace.KindSend, Peer: e.Peer, Tag: e.Tag,
-					Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
-					MsgID: msgID(rank, msgSeq),
-				})
+				rec.Kind = trace.KindSend
 			case EvISend:
-				emitCompute(e.T)
-				msgSeq++
-				tr.Append(rank, trace.Record{
-					Kind: trace.KindISend, Peer: e.Peer, Tag: e.Tag,
-					Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
-					MsgID: msgID(rank, msgSeq),
-				})
+				rec.Kind = trace.KindISend
 			case EvRecv, EvRecvRaw:
-				emitCompute(e.T)
-				msgSeq++
-				tr.Append(rank, trace.Record{
-					Kind: trace.KindRecv, Peer: e.Peer, Tag: e.Tag,
-					Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
-					MsgID: msgID(rank, msgSeq),
-				})
+				rec.Kind = trace.KindRecv
 			case EvIRecvPost:
-				emitCompute(e.T)
-				msgSeq++
+				rec.Kind = trace.KindIRecv
+				rec.Handle = e.Handle
 				anyIRecv = true
-				tr.Append(rank, trace.Record{
-					Kind: trace.KindIRecv, Peer: e.Peer, Tag: e.Tag,
-					Bytes:  int64(e.Elems) * r.Cfg.ElemBytes,
-					Handle: e.Handle, MsgID: msgID(rank, msgSeq),
-				})
 			case EvRecvWait:
-				emitCompute(e.T)
-				tr.Append(rank, trace.Record{Kind: trace.KindWait, Handle: e.Handle})
+				w.emit(trace.Record{Kind: trace.KindWait, Handle: e.Handle})
+				continue
 			}
+			msgSeq++
+			rec.MsgID = msgID(rank, msgSeq)
+			w.emit(rec)
 		}
-		emitCompute(log.FinalClock)
+		w.compute(log.FinalClock)
 		if anyIRecv {
 			// Defensive drain should an application have skipped a wait.
-			tr.Append(rank, trace.Record{Kind: trace.KindWaitAll})
+			w.emit(trace.Record{Kind: trace.KindWaitAll})
 		}
+		tr.Ranks[rank].Records = w.records()
 	}
 	return tr
 }
@@ -139,298 +262,271 @@ func (r *Run) BufferNames() []string {
 	return out
 }
 
-// synthOp is a chunk ISend or chunk Wait scheduled at virtual time t.
-// minEv gates emission: the op may only be emitted once the merge walk has
-// processed the original event with that index, which keeps a chunk Wait
-// scheduled at exactly its receive's timestamp behind the IRecv that
-// defines its handle. ISends carry minEv -1 (no gate).
-type synthOp struct {
-	t     int64
-	minEv int
-	rec   trace.Record
+// arrayPlan is the chunk-dependent layout of one array's chunk schedule.
+// The schedule is one flat slice in array-major order — the array's sends
+// then its receive instances, k chunks each — which is also the order the
+// synthetic ops are numbered in, so msgSeq and handle numbering follow
+// from the offsets.
+type arrayPlan struct {
+	n, k   int
+	ideal  bool
+	off    int   // first schedule entry
+	seq    int64 // messages numbered before the array's first
+	handle int   // chunk IRecv handles numbered before the array's first
 }
 
-// irecvSpec is one chunk IRecv to insert at a replaced receive event.
-type irecvSpec struct {
-	rec trace.Record
+// synthOp is a chunk ISend or chunk Wait scheduled at virtual time t; id
+// is its schedule entry, which indexes its record and breaks time ties in
+// plan order. minEv gates emission: the op may only be emitted once the
+// merge walk has processed the original event with that index, which keeps
+// a chunk Wait scheduled at exactly its receive's timestamp behind the
+// IRecv that defines its handle. ISends carry minEv -1 (no gate).
+type synthOp struct {
+	t         int64
+	minEv, id int
+}
+
+// overlapBuilder holds the scratch buffers of one overlap build, reused
+// across its ranks.
+type overlapBuilder struct {
+	cfg      Config
+	idealFor func(bufferName string) bool
+	plans    []arrayPlan
+	ops      []synthOp      // the chunk schedule, in plan order until sorted
+	recs     []trace.Record // synthetic record per plan index
+	win      []accessWindow // per array, during the access scan
+	w        rankWriter
 }
 
 func (r *Run) buildOverlap(flavor string, idealFor func(bufferName string) bool) *trace.Trace {
 	tr := trace.New(r.Name, flavor, r.NumRanks)
+	b := overlapBuilder{cfg: r.Cfg, idealFor: idealFor}
 	for rank, log := range r.Logs {
-		r.buildRankOverlap(tr, rank, log, idealFor)
+		tr.Ranks[rank].Records = b.rank(rank, log)
 	}
 	return tr
 }
 
-func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor func(string) bool) {
+// rank builds one rank's overlapped record stream.
+func (b *overlapBuilder) rank(rank int, log *Log) []trace.Record {
+	sk := log.skeleton()
 	events := log.Events
+	scan := b.plan(log, sk)
 
-	// Pass 0: index per-array send/receive event positions, per-array
-	// access lists, and the positions of all comm events (for the ideal
-	// variant's burst boundaries).
-	type access struct {
-		evIdx int
-		t     int64
-		idx   int
+	// Lay out the schedule in plan order: every chunk starts at its
+	// interval bound (real) or at its uniform slot in the burst (ideal).
+	b.ops = b.ops[:0]
+	b.recs = b.recs[:0]
+	schedule := func(t int64, minEv int, rec trace.Record) {
+		b.ops = append(b.ops, synthOp{t: t, minEv: minEv, id: len(b.ops)})
+		b.recs = append(b.recs, rec)
 	}
-	nArr := len(log.ArrayLens)
-	// A receive instance pairs the posting event with the event at which
-	// the data became available on the rank: for blocking receives both
-	// are the EvRecv itself, for non-blocking ones the EvIRecvPost and
-	// its EvRecvWait.
-	type recvInst struct {
-		postIdx, waitIdx int
+	for a := range b.plans {
+		p := &b.plans[a]
+		for j, slot := range sk.sends[a] {
+			e := &events[sk.slots[slot].ev]
+			id := msgID(rank, p.seq+int64(j)+1) + 500_000 // offset avoids clashing with base ids
+			start := int64(0)
+			if j > 0 {
+				start = events[sk.slots[sk.sends[a][j-1]].ev].T
+			}
+			if p.ideal {
+				start = sk.prevStrict[slot]
+			}
+			for c := 0; c < p.k; c++ {
+				t := start
+				if p.ideal {
+					t = start + (e.T-start)*int64(c+1)/int64(p.k)
+				}
+				schedule(t, -1, trace.Record{
+					Kind: trace.KindISend, Peer: e.Peer, Tag: e.Tag, Chunk: c,
+					Bytes: b.cfg.ChunkBytes(p.n, p.k, c), MsgID: id,
+				})
+			}
+		}
+		insts := sk.recvs[a]
+		for j, inst := range insts {
+			postEv := sk.slots[inst.post].ev
+			end := log.FinalClock
+			if j+1 < len(insts) {
+				end = events[sk.slots[insts[j+1].post].ev].T
+			}
+			waitT := events[sk.slots[inst.wait].ev].T
+			if p.ideal {
+				end = sk.nextStrict[inst.wait]
+			}
+			h := p.handle + j*p.k
+			for c := 0; c < p.k; c++ {
+				t := end
+				if p.ideal {
+					t = waitT + (end-waitT)*int64(c)/int64(p.k)
+				}
+				schedule(t, postEv, trace.Record{Kind: trace.KindWait, Handle: h + c + 1})
+			}
+		}
 	}
-	sendsOf := make([][]int, nArr) // EvSend/EvISend event indices per array
-	recvsOf := make([][]recvInst, nArr)
-	storesOf := make([][]access, nArr)
-	loadsOf := make([][]access, nArr)
-	pendingWait := map[int]int{} // tracked irecv handle -> recvsOf position (by array)
-	pendingArr := map[int]int{}  // tracked irecv handle -> array id
-	var commTimes []int64        // times of all comm events in program order
-	commIdxBefore := make([]int, len(events))
-	for i, e := range events {
-		commIdxBefore[i] = len(commTimes)
+	if scan {
+		b.scanAccesses(log, sk)
+	}
+	// Order the synthetic ops by time; the plan index breaks ties, so the
+	// order equals a stable sort of the plan-ordered ops.
+	slices.SortFunc(b.ops, func(x, y synthOp) int {
+		if c := cmp.Compare(x.t, y.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.id, y.id)
+	})
+
+	b.merge(rank, log, sk)
+	return b.w.records()
+}
+
+// plan lays out the rank's chunk schedule per array and reports whether
+// any array needs the measured access pattern (a scan of the log).
+func (b *overlapBuilder) plan(log *Log, sk *commSkeleton) (scan bool) {
+	b.plans = b.plans[:0]
+	off, seq, handle := 0, int64(0), 0
+	for a, n := range log.ArrayLens {
+		ns, nr := len(sk.sends[a]), len(sk.recvs[a])
+		p := arrayPlan{n: n, k: b.cfg.ChunkCount(n), off: off, seq: seq, handle: handle}
+		if ns+nr > 0 {
+			p.ideal = b.idealFor(log.ArrayNames[a])
+			scan = scan || !p.ideal
+		}
+		b.plans = append(b.plans, p)
+		off += (ns + nr) * p.k
+		seq += int64(ns + nr)
+		handle += nr * p.k
+	}
+	return scan
+}
+
+// accessWindow is one array's open production and consumption windows
+// during the access scan: the schedule index of chunk 0 of the send that
+// the array's stores feed and of the receive instance whose loads it
+// consumes, -1 when there is none (or the array is ideal).
+type accessWindow struct {
+	n, k         int
+	store, load  int
+	loadFrom     int // event index at which the load window opens
+	sends, recvs int // sends passed, receive instances posted
+}
+
+// scanAccesses folds the measured access pattern into the schedule of the
+// non-ideal arrays in one forward pass over the log: chunk c of send j
+// leaves at its last store after send j-1, chunk c of receive instance j
+// is waited at its first load within the instance's consumption window.
+// Stores after an array's final send and loads before its first
+// receive's window feed no message.
+func (b *overlapBuilder) scanAccesses(log *Log, sk *commSkeleton) {
+	b.win = b.win[:0]
+	for a, p := range b.plans {
+		w := accessWindow{n: p.n, k: p.k, store: -1, load: -1}
+		if !p.ideal && len(sk.sends[a]) > 0 {
+			w.store = p.off
+		}
+		b.win = append(b.win, w)
+	}
+	ops := b.ops
+	for i := range log.Events {
+		e := &log.Events[i]
 		switch e.Kind {
-		case EvSend, EvISend:
-			sendsOf[e.Arr] = append(sendsOf[e.Arr], i)
-			commTimes = append(commTimes, e.T)
-		case EvRecv:
-			recvsOf[e.Arr] = append(recvsOf[e.Arr], recvInst{postIdx: i, waitIdx: i})
-			commTimes = append(commTimes, e.T)
-		case EvIRecvPost:
-			recvsOf[e.Arr] = append(recvsOf[e.Arr], recvInst{postIdx: i, waitIdx: i})
-			pendingWait[e.Handle] = len(recvsOf[e.Arr]) - 1
-			pendingArr[e.Handle] = e.Arr
-			commTimes = append(commTimes, e.T)
-		case EvRecvWait:
-			if pos, ok := pendingWait[e.Handle]; ok {
-				recvsOf[pendingArr[e.Handle]][pos].waitIdx = i
-				delete(pendingWait, e.Handle)
-				delete(pendingArr, e.Handle)
-			}
-			commTimes = append(commTimes, e.T)
-		case EvSendRaw, EvRecvRaw:
-			commTimes = append(commTimes, e.T)
-		case EvStore:
-			storesOf[e.Arr] = append(storesOf[e.Arr], access{evIdx: i, t: e.T, idx: e.Idx})
 		case EvLoad:
-			loadsOf[e.Arr] = append(loadsOf[e.Arr], access{evIdx: i, t: e.T, idx: e.Idx})
-		}
-	}
-	// Burst boundaries for the ideal variant: the producing/consuming
-	// computation burst is delimited by the nearest comm events at a
-	// *strictly different* time. Consecutive comm events at the same
-	// virtual instant (a halo-exchange phase, a collective's internal
-	// steps) belong to one communication phase and must not collapse the
-	// burst to zero length. Precomputed in O(n).
-	prevStrict := make([]int64, len(commTimes))
-	nextStrict := make([]int64, len(commTimes))
-	for k := range commTimes {
-		if k == 0 {
-			prevStrict[k] = 0
-		} else if commTimes[k-1] < commTimes[k] {
-			prevStrict[k] = commTimes[k-1]
-		} else {
-			prevStrict[k] = prevStrict[k-1]
-		}
-	}
-	for k := len(commTimes) - 1; k >= 0; k-- {
-		if k == len(commTimes)-1 {
-			nextStrict[k] = log.FinalClock
-		} else if commTimes[k+1] > commTimes[k] {
-			nextStrict[k] = commTimes[k+1]
-		} else {
-			nextStrict[k] = nextStrict[k+1]
-		}
-	}
-	prevCommTime := func(evIdx int) int64 {
-		// The comm event at evIdx occupies slot commIdxBefore[evIdx].
-		return prevStrict[commIdxBefore[evIdx]]
-	}
-	nextCommTime := func(evIdx int) int64 {
-		return nextStrict[commIdxBefore[evIdx]]
-	}
-
-	// Pass 1: plan synthetic chunk ISends and Waits, plus the IRecv
-	// inserts at each replaced receive.
-	var synth []synthOp
-	irecvAt := map[int][]irecvSpec{} // original event index -> chunk irecvs
-	handleCounter := 0
-	var msgSeq int64
-
-	for a := 0; a < nArr; a++ {
-		n := log.ArrayLens[a]
-		k := r.Cfg.ChunkCount(n)
-		ideal := idealFor(log.ArrayNames[a])
-
-		// Sends: chunk c leaves at its last update (real) or uniformly
-		// through the producing burst (ideal).
-		si := 0 // cursor into storesOf[a]
-		for j, evIdx := range sendsOf[a] {
-			e := events[evIdx]
-			msgSeq++
-			id := msgID(rank, msgSeq) + 500_000 // offset avoids clashing with base ids
-			prevSendIdx := -1
-			if j > 0 {
-				prevSendIdx = sendsOf[a][j-1]
-			}
-			last := make([]int64, k)
-			intervalStart := int64(0)
-			if j > 0 {
-				intervalStart = events[prevSendIdx].T
-			}
-			for c := range last {
-				last[c] = intervalStart
-			}
-			for si < len(storesOf[a]) && storesOf[a][si].evIdx < evIdx {
-				acc := storesOf[a][si]
-				si++
-				if acc.evIdx <= prevSendIdx {
-					continue
-				}
-				c := ChunkOf(n, k, acc.idx)
-				if acc.t > last[c] {
-					last[c] = acc.t
+			if w := &b.win[e.Arr]; w.load >= 0 && i >= w.loadFrom {
+				t := &ops[w.load+ChunkOf(w.n, w.k, e.Idx)].t
+				if e.T < *t {
+					*t = e.T
 				}
 			}
-			if ideal {
-				burstStart := prevCommTime(evIdx)
-				for c := 0; c < k; c++ {
-					last[c] = burstStart + (e.T-burstStart)*int64(c+1)/int64(k)
+		case EvStore:
+			if w := &b.win[e.Arr]; w.store >= 0 {
+				t := &ops[w.store+ChunkOf(w.n, w.k, e.Idx)].t
+				if e.T > *t {
+					*t = e.T
 				}
 			}
-			for c := 0; c < k; c++ {
-				synth = append(synth, synthOp{
-					t:     last[c],
-					minEv: -1,
-					rec: trace.Record{
-						Kind: trace.KindISend, Peer: e.Peer, Tag: e.Tag, Chunk: c,
-						Bytes: r.Cfg.ChunkBytes(n, k, c), MsgID: id,
-					},
-				})
-			}
-		}
-
-		// Receives: chunk IRecvs post where the original receive was
-		// posted; chunk c's Wait sits at its first load (real) or
-		// uniformly across the consuming burst (ideal); chunks never
-		// loaded drain at the end of the consumption interval.
-		li := 0 // cursor into loadsOf[a]
-		for j, inst := range recvsOf[a] {
-			post := events[inst.postIdx]
-			waitT := events[inst.waitIdx].T
-			msgSeq++
-			id := msgID(rank, msgSeq) + 500_000
-			nextPostIdx := len(events)
-			intervalEnd := log.FinalClock
-			if j+1 < len(recvsOf[a]) {
-				nextPostIdx = recvsOf[a][j+1].postIdx
-				intervalEnd = events[nextPostIdx].T
-			}
-			first := make([]int64, k)
-			for c := range first {
-				first[c] = intervalEnd
-			}
-			for li < len(loadsOf[a]) && loadsOf[a][li].evIdx < inst.waitIdx {
-				li++ // loads before this receive belong to the previous interval
-			}
-			for li < len(loadsOf[a]) && loadsOf[a][li].evIdx < nextPostIdx {
-				acc := loadsOf[a][li]
-				li++
-				c := ChunkOf(n, k, acc.idx)
-				if acc.t < first[c] {
-					first[c] = acc.t
+		case EvSend, EvISend:
+			w := &b.win[e.Arr]
+			w.sends++
+			if w.store >= 0 {
+				w.store += w.k
+				if w.sends == len(sk.sends[e.Arr]) {
+					w.store = -1
 				}
 			}
-			if ideal {
-				burstEnd := nextCommTime(inst.waitIdx)
-				for c := 0; c < k; c++ {
-					first[c] = waitT + (burstEnd-waitT)*int64(c)/int64(k)
-				}
+		case EvRecv, EvIRecvPost:
+			w, p := &b.win[e.Arr], &b.plans[e.Arr]
+			if !p.ideal {
+				w.load = p.off + (len(sk.sends[e.Arr])+w.recvs)*p.k
+				w.loadFrom = sk.recvs[e.Arr][w.recvs].loadFrom
 			}
-			specs := make([]irecvSpec, k)
-			for c := 0; c < k; c++ {
-				handleCounter++
-				h := handleCounter
-				specs[c] = irecvSpec{rec: trace.Record{
-					Kind: trace.KindIRecv, Peer: post.Peer, Tag: post.Tag, Chunk: c,
-					Bytes: r.Cfg.ChunkBytes(n, k, c), Handle: h, MsgID: id,
-				}}
-				synth = append(synth, synthOp{
-					t:     first[c],
-					minEv: inst.postIdx,
-					rec:   trace.Record{Kind: trace.KindWait, Handle: h},
-				})
-			}
-			irecvAt[inst.postIdx] = specs
+			w.recvs++
 		}
 	}
-	sort.SliceStable(synth, func(i, j int) bool { return synth[i].t < synth[j].t })
+}
 
-	// Pass 2: merge the original comm events with the synthetic schedule,
-	// splitting compute bursts at every injection point.
-	var lastT int64
-	var rawSeq int64
-	emitCompute := func(to int64) {
-		if to > lastT {
-			tr.Append(rank, trace.Record{Kind: trace.KindCompute, Instr: to - lastT})
-			lastT = to
-		}
-	}
-	si := 0
+// merge walks the rank's comm events, interleaving the time-sorted
+// synthetic schedule and splitting compute bursts at every injection
+// point.
+func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
+	w := &b.w
+	w.reset()
+	next := 0
 	// flush emits synthetic ops scheduled strictly before upTo, plus ops
 	// at exactly upTo whose gating event (minEv) has been processed. On
 	// an equal-time gate the cursor stops — head-of-line order at a
 	// single virtual instant is immaterial to the reconstruction.
 	flush := func(upTo int64, curEv int) {
-		for si < len(synth) && (synth[si].t < upTo || (synth[si].t == upTo && synth[si].minEv <= curEv)) {
-			emitCompute(synth[si].t)
-			tr.Append(rank, synth[si].rec)
-			si++
+		for next < len(b.ops) {
+			op := b.ops[next]
+			if op.t > upTo || (op.t == upTo && op.minEv > curEv) {
+				return
+			}
+			w.compute(op.t)
+			w.emit(b.recs[op.id])
+			next++
 		}
 	}
-	for i, e := range events {
+	var rawSeq int64
+	for _, s := range sk.slots {
+		i := s.ev
+		e := &log.Events[i]
 		switch e.Kind {
-		case EvSend, EvISend:
-			flush(e.T, i)
-			emitCompute(e.T)
+		case EvSend, EvISend, EvRecvWait:
 			// The original send is fully replaced by the already-flushed
-			// chunk ISends.
-		case EvRecvWait:
+			// chunk ISends; the original completion wait dissolves into
+			// the per-chunk Waits at the chunks' first use.
 			flush(e.T, i)
-			emitCompute(e.T)
-			// The original completion wait dissolves into the per-chunk
-			// Waits at the chunks' first use.
+			w.compute(e.T)
 		case EvRecv, EvIRecvPost:
 			flush(e.T, i-1)
-			emitCompute(e.T)
-			for _, spec := range irecvAt[i] {
-				tr.Append(rank, spec.rec)
+			w.compute(e.T)
+			p := &b.plans[e.Arr]
+			id := msgID(rank, p.seq+int64(len(sk.sends[e.Arr])+s.inst)+1) + 500_000
+			h := p.handle + s.inst*p.k
+			for c := 0; c < p.k; c++ {
+				w.emit(trace.Record{
+					Kind: trace.KindIRecv, Peer: e.Peer, Tag: e.Tag, Chunk: c,
+					Bytes: b.cfg.ChunkBytes(p.n, p.k, c), Handle: h + c + 1, MsgID: id,
+				})
 			}
 			flush(e.T, i)
-		case EvSendRaw:
+		case EvSendRaw, EvRecvRaw:
 			flush(e.T, i)
-			emitCompute(e.T)
+			w.compute(e.T)
 			rawSeq++
-			tr.Append(rank, trace.Record{
-				Kind: trace.KindSend, Peer: e.Peer, Tag: e.Tag,
-				Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
-				MsgID: msgID(rank, rawSeq) + 800_000,
-			})
-		case EvRecvRaw:
-			flush(e.T, i)
-			emitCompute(e.T)
-			rawSeq++
-			tr.Append(rank, trace.Record{
-				Kind: trace.KindRecv, Peer: e.Peer, Tag: e.Tag,
-				Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
+			kind := trace.KindSend
+			if e.Kind == EvRecvRaw {
+				kind = trace.KindRecv
+			}
+			w.emit(trace.Record{
+				Kind: kind, Peer: e.Peer, Tag: e.Tag,
+				Bytes: int64(e.Elems) * b.cfg.ElemBytes,
 				MsgID: msgID(rank, rawSeq) + 800_000,
 			})
 		}
 	}
-	flush(log.FinalClock, len(events))
-	emitCompute(log.FinalClock)
-	tr.Append(rank, trace.Record{Kind: trace.KindWaitAll})
+	flush(log.FinalClock, len(log.Events))
+	w.compute(log.FinalClock)
+	w.emit(trace.Record{Kind: trace.KindWaitAll})
 }

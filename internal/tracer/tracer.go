@@ -108,7 +108,10 @@ type Event struct {
 	Handle int
 }
 
-// Log is the complete event stream of one rank.
+// Log is the complete event stream of one rank. A Log and its comm
+// skeleton (the chunk-independent index the trace builders read, filled
+// once per Log) are immutable after Trace; every run variant derived with
+// WithChunks or WithConfig shares both.
 type Log struct {
 	Rank       int
 	Events     []Event
@@ -117,6 +120,9 @@ type Log struct {
 	ArrayLens []int
 	// ArrayNames maps array id to the name given at NewArray.
 	ArrayNames []string
+
+	skelOnce sync.Once
+	skel     *commSkeleton
 }
 
 // Run is the output of tracing one application execution.
@@ -189,6 +195,7 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 			log.ArrayLens[i] = len(a.data)
 			log.ArrayNames[i] = a.name
 		}
+		log.skeleton() // index the comm structure while the ranks run in parallel
 		mu.Lock()
 		run.Logs[mp.Rank()] = log
 		mu.Unlock()
@@ -431,15 +438,10 @@ func (c Config) ChunkBytes(n, kTotal, k int) int64 {
 	return int64(hi-lo) * c.ElemBytes
 }
 
-// ChunkOf returns which chunk element idx belongs to.
+// ChunkOf returns which chunk element idx (0 <= idx < n) belongs to.
 func ChunkOf(n, kTotal, idx int) int {
-	// Inverse of ChunkBounds: chunk k holds [k*n/kTotal, (k+1)*n/kTotal).
-	k := (idx*kTotal + kTotal - 1) / n
-	for k > 0 && idx < k*n/kTotal {
-		k--
-	}
-	for (k+1)*n/kTotal <= idx {
-		k++
-	}
-	return k
+	// Inverse of ChunkBounds: chunk k holds [k*n/kTotal, (k+1)*n/kTotal),
+	// so idx lies in the largest k with floor(k*n/kTotal) <= idx, i.e.
+	// k*n < (idx+1)*kTotal.
+	return ((idx+1)*kTotal - 1) / n
 }

@@ -83,6 +83,18 @@ func TestChunkOfInvertsBounds(t *testing.T) {
 	}
 }
 
+func TestChunkOfMatchesOracle(t *testing.T) {
+	for n := 1; n <= 300; n++ {
+		for k := 1; k <= 12 && k <= n; k++ {
+			for idx := 0; idx < n; idx++ {
+				if got, want := ChunkOf(n, k, idx), refChunkOf(n, k, idx); got != want {
+					t.Fatalf("ChunkOf(%d, %d, %d)=%d, oracle %d", n, k, idx, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestClockAdvancesWithComputeAndAccesses(t *testing.T) {
 	run, err := Trace("clock", 1, DefaultConfig(), func(p *Proc) {
 		a := p.NewArray("a", 10)
