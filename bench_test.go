@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -573,22 +574,49 @@ func BenchmarkSimHierarchical(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerInstrumentation measures the per-access tracking cost.
+// BenchmarkTracerInstrumentation measures the per-access tracking cost:
+// "toy" is a 1-rank, 2048-event log that stays in cache, "bt/32" the
+// 5M-event BT run whose logs stream through memory, reported with the
+// bytes allocated per recorded event. CI's bench-regression job gates
+// bt/32's ns/op.
 func BenchmarkTracerInstrumentation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := tracer.Trace("bench", 1, tracer.DefaultConfig(), func(p *tracer.Proc) {
-			a := p.NewArray("buf", 1024)
-			for j := 0; j < 1024; j++ {
-				a.Store(j, float64(j))
+	b.Run("toy", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, err := tracer.Trace("bench", 1, tracer.DefaultConfig(), func(p *tracer.Proc) {
+				a := p.NewArray("buf", 1024)
+				for j := 0; j < 1024; j++ {
+					a.Store(j, float64(j))
+				}
+				for j := 0; j < 1024; j++ {
+					_ = a.Load(j)
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			for j := 0; j < 1024; j++ {
-				_ = a.Load(j)
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
-	}
+	})
+	b.Run("bt/32", func(b *testing.B) {
+		const ranks = 32
+		entry, _ := apps.ByName("bt", ranks)
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		events := 0
+		for i := 0; i < b.N; i++ {
+			run, err := tracer.Trace("bt", ranks, tracer.DefaultConfig(), entry.App.Kernel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events = 0
+			for _, log := range run.Logs {
+				events += len(log.Events)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(events), "B/event")
+	})
 }
 
 // BenchmarkTraceEncodeDecode measures the text codec round trip.

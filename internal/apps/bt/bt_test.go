@@ -71,8 +71,8 @@ func TestFourCopyPasses(t *testing.T) {
 	}
 	loads := map[int]int{}
 	for _, e := range run.Logs[0].Events {
-		if e.Kind == tracer.EvLoad && e.Arr == inID {
-			loads[e.Idx]++
+		if e.Kind == tracer.EvLoad && e.Arr() == inID {
+			loads[e.Idx()]++
 		}
 	}
 	// Phases with consumption: all but the very first.

@@ -35,7 +35,7 @@ func TestDegenerateGridsSkipMissingDimensions(t *testing.T) {
 	}
 	run := traceIt(t, 2, cfg)
 	for _, e := range run.Logs[0].Events {
-		if e.Kind == tracer.EvISend && e.Peer == 0 {
+		if e.Kind == tracer.EvISend && run.Logs[0].Comm(e).Peer == 0 {
 			t.Fatalf("self send: %+v", e)
 		}
 	}

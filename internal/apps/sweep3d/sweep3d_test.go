@@ -123,8 +123,8 @@ func TestBufferRevisits(t *testing.T) {
 		t.Fatal("outflow-east not found")
 	}
 	for _, e := range run.Logs[0].Events {
-		if e.Kind == tracer.EvStore && e.Arr == eastID {
-			stores[e.Idx]++
+		if e.Kind == tracer.EvStore && e.Arr() == eastID {
+			stores[e.Idx()]++
 		}
 	}
 	wantMin := cfg.Iterations * cfg.AccumPasses

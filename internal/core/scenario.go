@@ -1019,19 +1019,14 @@ func (x *scenarioExec) compile(ranks, chunks int, f Flavor) (*sim.Program, strin
 		return prog, digest, err
 	}
 	if x.sc.Traces != nil && chunks == x.sc.Tracer.Chunks {
-		// The shared cache builds, validates, and compiles each flavor
-		// once per (app, ranks, config) — across scenarios, not just
-		// within this one.
+		// The shared cache builds, validates, compiles, and digests each
+		// flavor once per (app, ranks, config) — across scenarios, not
+		// just within this one.
 		app, err := x.appFor(ranks)
 		if err != nil {
 			return nil, "", err
 		}
-		tr, prog, err := x.sc.Traces.CompiledTrace(app.Name, ranks, x.sc.Tracer, app.Kernel, string(f))
-		if err != nil {
-			return nil, "", err
-		}
-		digest, err := trace.Digest(tr)
-		return prog, digest, err
+		return x.sc.Traces.CompiledProgram(app.Name, ranks, x.sc.Tracer, app.Kernel, string(f))
 	}
 	run, err := x.runFor(ranks)
 	if err != nil {

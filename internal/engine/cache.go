@@ -40,17 +40,19 @@ type traceEntry struct {
 	err  error
 
 	// compiled memoizes, per flavor, the built trace together with its
-	// replay program, so repeated sweeps over one cached run share one
-	// trace build, one validation, and one compilation.
+	// replay program and content digest, so repeated sweeps over one
+	// cached run share one trace build, one validation, one compilation,
+	// and one digest.
 	compiledMu sync.Mutex
 	compiled   map[string]*compiledFlavor
 }
 
 type compiledFlavor struct {
-	once sync.Once
-	tr   *trace.Trace
-	prog *sim.Program
-	err  error
+	once   sync.Once
+	tr     *trace.Trace
+	prog   *sim.Program
+	digest string
+	err    error
 }
 
 // NewTraceCache returns an empty cache.
@@ -99,10 +101,32 @@ const (
 // later caller — the entry point for sweep paths that replay one flavour
 // many times.
 func (c *TraceCache) CompiledTrace(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*trace.Trace, *sim.Program, error) {
+	cf, err := c.compile(name, ranks, cfg, kernel, flavor)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cf.tr, cf.prog, nil
+}
+
+// CompiledProgram returns one flavor's compiled replay program together
+// with the content digest of its trace (trace.Digest), both memoized with
+// the flavor like CompiledTrace: callers that key results by trace digest
+// hash each flavor once, not once per request.
+func (c *TraceCache) CompiledProgram(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*sim.Program, string, error) {
+	cf, err := c.compile(name, ranks, cfg, kernel, flavor)
+	if err != nil {
+		return nil, "", err
+	}
+	return cf.prog, cf.digest, nil
+}
+
+// compile resolves the memo of one (triple, flavor), tracing, building,
+// validating, compiling, and digesting on first use.
+func (c *TraceCache) compile(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*compiledFlavor, error) {
 	ent := c.entry(name, ranks, cfg)
 	run, err := ent.trace(name, ranks, cfg, kernel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var build func() *trace.Trace
 	switch flavor {
@@ -113,7 +137,7 @@ func (c *TraceCache) CompiledTrace(name string, ranks int, cfg tracer.Config, ke
 	case FlavorIdeal:
 		build = run.OverlapIdeal
 	default:
-		return nil, nil, fmt.Errorf("engine: unknown trace flavor %q", flavor)
+		return nil, fmt.Errorf("engine: unknown trace flavor %q", flavor)
 	}
 	ent.compiledMu.Lock()
 	if ent.compiled == nil {
@@ -136,9 +160,17 @@ func (c *TraceCache) CompiledTrace(name string, ranks int, cfg tracer.Config, ke
 			cf.err = err
 			return
 		}
-		cf.tr, cf.prog = tr, prog
+		digest, err := trace.Digest(tr)
+		if err != nil {
+			cf.err = err
+			return
+		}
+		cf.tr, cf.prog, cf.digest = tr, prog, digest
 	})
-	return cf.tr, cf.prog, cf.err
+	if cf.err != nil {
+		return nil, cf.err
+	}
+	return cf, nil
 }
 
 // Len reports how many distinct runs the cache holds (including cached

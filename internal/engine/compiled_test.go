@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/tracer"
 )
 
@@ -69,6 +70,37 @@ func TestCompiledTraceMemoizes(t *testing.T) {
 		t.Fatal("base and overlap-real flavours share one program")
 	}
 	if _, _, err := c.CompiledTrace("compiled-app", 2, cfg, compiledKernel, "bogus"); err == nil {
+		t.Fatal("unknown flavor accepted")
+	}
+}
+
+// TestCompiledProgramDigestMemoized: every flavor's memoized digest is
+// trace.Digest of its memoized trace, and CompiledProgram shares the
+// program CompiledTrace returns.
+func TestCompiledProgramDigestMemoized(t *testing.T) {
+	c := NewTraceCache()
+	cfg := tracer.DefaultConfig()
+	for _, flavor := range []string{FlavorBase, FlavorReal, FlavorIdeal} {
+		prog, digest, err := c.CompiledProgram("compiled-app-digest", 2, cfg, compiledKernel, flavor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, trProg, err := c.CompiledTrace("compiled-app-digest", 2, cfg, compiledKernel, flavor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := trace.Digest(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if digest != want {
+			t.Errorf("%s: memoized digest %s, trace.Digest %s", flavor, digest, want)
+		}
+		if prog != trProg {
+			t.Errorf("%s: CompiledProgram and CompiledTrace returned distinct programs", flavor)
+		}
+	}
+	if _, _, err := c.CompiledProgram("compiled-app-digest", 2, cfg, compiledKernel, "bogus"); err == nil {
 		t.Fatal("unknown flavor accepted")
 	}
 }

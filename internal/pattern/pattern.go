@@ -108,15 +108,15 @@ func collectTracks(run *tracer.Run) [][]*bufferTrack {
 		for _, e := range log.Events {
 			switch e.Kind {
 			case tracer.EvSend, tracer.EvISend, tracer.EvCollSend:
-				tracks[e.Arr].sendMarks = append(tracks[e.Arr].sendMarks, e.T)
+				tracks[e.Arr()].sendMarks = append(tracks[e.Arr()].sendMarks, e.T)
 			case tracer.EvRecv, tracer.EvRecvWait, tracer.EvCollRecv:
 				// For non-blocking receives the data becomes available
 				// at the completion wait, so that is the interval mark.
-				tracks[e.Arr].recvMarks = append(tracks[e.Arr].recvMarks, e.T)
+				tracks[e.Arr()].recvMarks = append(tracks[e.Arr()].recvMarks, e.T)
 			case tracer.EvStore:
-				tracks[e.Arr].stores = append(tracks[e.Arr].stores, accessRec{t: e.T, idx: e.Idx})
+				tracks[e.Arr()].stores = append(tracks[e.Arr()].stores, accessRec{t: e.T, idx: e.Idx()})
 			case tracer.EvLoad:
-				tracks[e.Arr].loads = append(tracks[e.Arr].loads, accessRec{t: e.T, idx: e.Idx})
+				tracks[e.Arr()].loads = append(tracks[e.Arr()].loads, accessRec{t: e.T, idx: e.Idx()})
 			}
 		}
 		out[rank] = tracks
@@ -272,16 +272,14 @@ func Analyze(run *tracer.Run) *Analysis {
 			si := 0
 			for j := 1; j < len(tk.sendMarks); j++ {
 				start, end := tk.sendMarks[j-1], tk.sendMarks[j]
-				var stores []accessRec
 				for si < len(tk.stores) && tk.stores[si].t <= start {
 					si++
 				}
 				k := si
 				for k < len(tk.stores) && tk.stores[k].t <= end {
-					stores = append(stores, tk.stores[k])
 					k++
 				}
-				if f, q, h, w, ok := productionIntervalStats(tk, stores, start, end); ok {
+				if f, q, h, w, ok := productionIntervalStats(tk, tk.stores[si:k], start, end); ok {
 					acc := prodAcc[tk.name]
 					if acc == nil {
 						acc = &accum{}
@@ -295,16 +293,14 @@ func Analyze(run *tracer.Run) *Analysis {
 			li := 0
 			for j := 0; j+1 < len(tk.recvMarks); j++ {
 				start, end := tk.recvMarks[j], tk.recvMarks[j+1]
-				var loads []accessRec
 				for li < len(tk.loads) && tk.loads[li].t <= start {
 					li++
 				}
 				k := li
 				for k < len(tk.loads) && tk.loads[k].t <= end {
-					loads = append(loads, tk.loads[k])
 					k++
 				}
-				if nth, q, h, ok := consumptionIntervalStats(tk, loads, start, end); ok {
+				if nth, q, h, ok := consumptionIntervalStats(tk, tk.loads[li:k], start, end); ok {
 					acc := consAcc[tk.name]
 					if acc == nil {
 						acc = &accum{}

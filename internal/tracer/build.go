@@ -2,6 +2,8 @@ package tracer
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -39,7 +41,9 @@ import (
 // O(comm events). OverlapReal (and OverlapSelective for its non-ideal
 // buffers) adds exactly one forward scan of the log, O(events) time, with
 // O(comm events × chunks) extra memory for the per-chunk schedule — no
-// per-access lists.
+// per-access lists. That scan streams the log's 16-byte Events; comm
+// details come from the log's side table (Log.comms), read only at comm
+// events.
 
 // commSkeleton is the chunk-independent communication structure of one
 // rank log: its comm events in program order and, per tracked array, which
@@ -93,19 +97,20 @@ func newCommSkeleton(l *Log) *commSkeleton {
 	unwaited := map[int]posted{} // tracked irecv handle -> its receive instance
 	for i, e := range l.Events {
 		slot, inst := len(s.slots), -1
-		switch e.Kind {
+		switch a := e.arr; e.Kind {
 		case EvSend, EvISend:
-			s.sends[e.Arr] = append(s.sends[e.Arr], slot)
+			s.sends[a] = append(s.sends[a], slot)
 		case EvRecv, EvIRecvPost:
-			inst = len(s.recvs[e.Arr])
-			s.recvs[e.Arr] = append(s.recvs[e.Arr], recvInst{post: slot, wait: slot})
+			inst = len(s.recvs[a])
+			s.recvs[a] = append(s.recvs[a], recvInst{post: slot, wait: slot})
 			if e.Kind == EvIRecvPost {
-				unwaited[e.Handle] = posted{e.Arr, inst}
+				unwaited[l.comms[e.op].Handle] = posted{int(a), inst}
 			}
 		case EvRecvWait:
-			if p, ok := unwaited[e.Handle]; ok {
+			h := l.comms[e.op].Handle
+			if p, ok := unwaited[h]; ok {
 				s.recvs[p.arr][p.inst].wait = slot
-				delete(unwaited, e.Handle)
+				delete(unwaited, h)
 			}
 		case EvSendRaw, EvRecvRaw:
 		default:
@@ -184,8 +189,9 @@ func (r *Run) BaseTrace() *trace.Trace {
 		anyIRecv := false
 		for _, s := range log.skeleton().slots {
 			e := &log.Events[s.ev]
+			c := &log.comms[e.op]
 			w.compute(e.T)
-			rec := trace.Record{Peer: e.Peer, Tag: e.Tag, Bytes: int64(e.Elems) * r.Cfg.ElemBytes}
+			rec := trace.Record{Peer: c.Peer, Tag: c.Tag, Bytes: int64(c.Elems) * r.Cfg.ElemBytes}
 			switch e.Kind {
 			case EvSend, EvSendRaw:
 				rec.Kind = trace.KindSend
@@ -195,10 +201,10 @@ func (r *Run) BaseTrace() *trace.Trace {
 				rec.Kind = trace.KindRecv
 			case EvIRecvPost:
 				rec.Kind = trace.KindIRecv
-				rec.Handle = e.Handle
+				rec.Handle = c.Handle
 				anyIRecv = true
 			case EvRecvWait:
-				w.emit(trace.Record{Kind: trace.KindWait, Handle: e.Handle})
+				w.emit(trace.Record{Kind: trace.KindWait, Handle: c.Handle})
 				continue
 			}
 			msgSeq++
@@ -248,8 +254,8 @@ func (r *Run) BufferNames() []string {
 		for _, e := range log.Events {
 			switch e.Kind {
 			case EvSend, EvISend, EvRecv, EvIRecvPost, EvCollSend, EvCollRecv:
-				if e.Arr >= 0 && e.Arr < len(log.ArrayNames) {
-					seen[log.ArrayNames[e.Arr]] = true
+				if a := e.Arr(); a >= 0 && a < len(log.ArrayNames) {
+					seen[log.ArrayNames[a]] = true
 				}
 			}
 		}
@@ -325,6 +331,7 @@ func (b *overlapBuilder) rank(rank int, log *Log) []trace.Record {
 		p := &b.plans[a]
 		for j, slot := range sk.sends[a] {
 			e := &events[sk.slots[slot].ev]
+			cm := &log.comms[e.op]
 			id := msgID(rank, p.seq+int64(j)+1) + 500_000 // offset avoids clashing with base ids
 			start := int64(0)
 			if j > 0 {
@@ -339,7 +346,7 @@ func (b *overlapBuilder) rank(rank int, log *Log) []trace.Record {
 					t = start + (e.T-start)*int64(c+1)/int64(p.k)
 				}
 				schedule(t, -1, trace.Record{
-					Kind: trace.KindISend, Peer: e.Peer, Tag: e.Tag, Chunk: c,
+					Kind: trace.KindISend, Peer: cm.Peer, Tag: cm.Tag, Chunk: c,
 					Bytes: b.cfg.ChunkBytes(p.n, p.k, c), MsgID: id,
 				})
 			}
@@ -406,10 +413,39 @@ func (b *overlapBuilder) plan(log *Log, sk *commSkeleton) (scan bool) {
 // the array's stores feed and of the receive instance whose loads it
 // consumes, -1 when there is none (or the array is ideal).
 type accessWindow struct {
-	n, k         int
+	chunk        chunkMap
 	store, load  int
 	loadFrom     int // event index at which the load window opens
 	sends, recvs int // sends passed, receive instances posted
+}
+
+// chunkMap is ChunkOf(n, k, ·) for one array, with the division by n
+// replaced where exact by a multiply-high with its reciprocal: for 32-bit
+// x and 2 <= n < 2^32, x/n is the high word of x·(⌊(2^64-1)/n⌋+1)
+// (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
+// 2019). The dividend (idx+1)·k-1 stays below n·k, so the reciprocal
+// applies whenever n·k <= 2^32.
+type chunkMap struct {
+	n, k  uint64
+	recip uint64 // 0: divide
+}
+
+func newChunkMap(n, k int) chunkMap {
+	m := chunkMap{n: uint64(n), k: uint64(k)}
+	if n >= 2 && m.n*m.k <= 1<<32 {
+		m.recip = math.MaxUint64/m.n + 1
+	}
+	return m
+}
+
+// of returns the chunk of element idx (0 <= idx < n).
+func (m chunkMap) of(idx uint32) int {
+	x := (uint64(idx)+1)*m.k - 1
+	if m.recip == 0 {
+		return int(x / m.n)
+	}
+	q, _ := bits.Mul64(x, m.recip)
+	return int(q)
 }
 
 // scanAccesses folds the measured access pattern into the schedule of the
@@ -421,7 +457,7 @@ type accessWindow struct {
 func (b *overlapBuilder) scanAccesses(log *Log, sk *commSkeleton) {
 	b.win = b.win[:0]
 	for a, p := range b.plans {
-		w := accessWindow{n: p.n, k: p.k, store: -1, load: -1}
+		w := accessWindow{chunk: newChunkMap(p.n, p.k), store: -1, load: -1}
 		if !p.ideal && len(sk.sends[a]) > 0 {
 			w.store = p.off
 		}
@@ -432,33 +468,33 @@ func (b *overlapBuilder) scanAccesses(log *Log, sk *commSkeleton) {
 		e := &log.Events[i]
 		switch e.Kind {
 		case EvLoad:
-			if w := &b.win[e.Arr]; w.load >= 0 && i >= w.loadFrom {
-				t := &ops[w.load+ChunkOf(w.n, w.k, e.Idx)].t
+			if w := &b.win[e.arr]; w.load >= 0 && i >= w.loadFrom {
+				t := &ops[w.load+w.chunk.of(e.op)].t
 				if e.T < *t {
 					*t = e.T
 				}
 			}
 		case EvStore:
-			if w := &b.win[e.Arr]; w.store >= 0 {
-				t := &ops[w.store+ChunkOf(w.n, w.k, e.Idx)].t
+			if w := &b.win[e.arr]; w.store >= 0 {
+				t := &ops[w.store+w.chunk.of(e.op)].t
 				if e.T > *t {
 					*t = e.T
 				}
 			}
 		case EvSend, EvISend:
-			w := &b.win[e.Arr]
+			w := &b.win[e.arr]
 			w.sends++
 			if w.store >= 0 {
-				w.store += w.k
-				if w.sends == len(sk.sends[e.Arr]) {
+				w.store += int(w.chunk.k)
+				if w.sends == len(sk.sends[e.arr]) {
 					w.store = -1
 				}
 			}
 		case EvRecv, EvIRecvPost:
-			w, p := &b.win[e.Arr], &b.plans[e.Arr]
+			w, p := &b.win[e.arr], &b.plans[e.arr]
 			if !p.ideal {
-				w.load = p.off + (len(sk.sends[e.Arr])+w.recvs)*p.k
-				w.loadFrom = sk.recvs[e.Arr][w.recvs].loadFrom
+				w.load = p.off + (len(sk.sends[e.arr])+w.recvs)*p.k
+				w.loadFrom = sk.recvs[e.arr][w.recvs].loadFrom
 			}
 			w.recvs++
 		}
@@ -491,6 +527,7 @@ func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
 	for _, s := range sk.slots {
 		i := s.ev
 		e := &log.Events[i]
+		cm := &log.comms[e.op]
 		switch e.Kind {
 		case EvSend, EvISend, EvRecvWait:
 			// The original send is fully replaced by the already-flushed
@@ -501,12 +538,12 @@ func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
 		case EvRecv, EvIRecvPost:
 			flush(e.T, i-1)
 			w.compute(e.T)
-			p := &b.plans[e.Arr]
-			id := msgID(rank, p.seq+int64(len(sk.sends[e.Arr])+s.inst)+1) + 500_000
+			p := &b.plans[e.arr]
+			id := msgID(rank, p.seq+int64(len(sk.sends[e.arr])+s.inst)+1) + 500_000
 			h := p.handle + s.inst*p.k
 			for c := 0; c < p.k; c++ {
 				w.emit(trace.Record{
-					Kind: trace.KindIRecv, Peer: e.Peer, Tag: e.Tag, Chunk: c,
+					Kind: trace.KindIRecv, Peer: cm.Peer, Tag: cm.Tag, Chunk: c,
 					Bytes: b.cfg.ChunkBytes(p.n, p.k, c), Handle: h + c + 1, MsgID: id,
 				})
 			}
@@ -520,8 +557,8 @@ func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
 				kind = trace.KindRecv
 			}
 			w.emit(trace.Record{
-				Kind: kind, Peer: e.Peer, Tag: e.Tag,
-				Bytes: int64(e.Elems) * b.cfg.ElemBytes,
+				Kind: kind, Peer: cm.Peer, Tag: cm.Tag,
+				Bytes: int64(cm.Elems) * b.cfg.ElemBytes,
 				MsgID: msgID(rank, rawSeq) + 800_000,
 			})
 		}

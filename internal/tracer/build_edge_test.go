@@ -10,36 +10,54 @@ import (
 	"repro/internal/trace"
 )
 
-// Hand-built log events. Times are absolute virtual instants.
-func evStore(t int64, arr, idx int) Event { return Event{T: t, Kind: EvStore, Arr: arr, Idx: idx} }
-func evLoad(t int64, arr, idx int) Event  { return Event{T: t, Kind: EvLoad, Arr: arr, Idx: idx} }
-func evSend(t int64, arr, peer, elems int) Event {
-	return Event{T: t, Kind: EvSend, Arr: arr, Peer: peer, Tag: 1, Elems: elems}
+// edgeEv is a hand-built log event in wide form; logOf packs it through
+// the encoder that Proc records with. Times are absolute virtual instants.
+type edgeEv struct {
+	t        int64
+	kind     EvKind
+	arr, idx int
+	c        Comm
 }
-func evISend(t int64, arr, peer, elems int) Event {
-	return Event{T: t, Kind: EvISend, Arr: arr, Peer: peer, Tag: 2, Elems: elems}
+
+func evStore(t int64, arr, idx int) edgeEv { return edgeEv{t: t, kind: EvStore, arr: arr, idx: idx} }
+func evLoad(t int64, arr, idx int) edgeEv  { return edgeEv{t: t, kind: EvLoad, arr: arr, idx: idx} }
+func evSend(t int64, arr, peer, elems int) edgeEv {
+	return edgeEv{t: t, kind: EvSend, arr: arr, c: Comm{Peer: peer, Tag: 1, Elems: elems}}
 }
-func evRecv(t int64, arr, peer, elems int) Event {
-	return Event{T: t, Kind: EvRecv, Arr: arr, Peer: peer, Tag: 1, Elems: elems}
+func evISend(t int64, arr, peer, elems int) edgeEv {
+	return edgeEv{t: t, kind: EvISend, arr: arr, c: Comm{Peer: peer, Tag: 2, Elems: elems}}
 }
-func evPost(t int64, arr, peer, elems, h int) Event {
-	return Event{T: t, Kind: EvIRecvPost, Arr: arr, Peer: peer, Tag: 2, Elems: elems, Handle: h}
+func evRecv(t int64, arr, peer, elems int) edgeEv {
+	return edgeEv{t: t, kind: EvRecv, arr: arr, c: Comm{Peer: peer, Tag: 1, Elems: elems}}
 }
-func evWait(t int64, arr, h int) Event { return Event{T: t, Kind: EvRecvWait, Arr: arr, Handle: h} }
-func evRaw(t int64, kind EvKind, peer int) Event {
-	return Event{T: t, Kind: kind, Arr: -1, Peer: peer, Tag: 9, Elems: 1}
+func evPost(t int64, arr, peer, elems, h int) edgeEv {
+	return edgeEv{t: t, kind: EvIRecvPost, arr: arr, c: Comm{Peer: peer, Tag: 2, Elems: elems, Handle: h}}
 }
-func evColl(t int64, kind EvKind, arr, elems int) Event {
-	return Event{T: t, Kind: kind, Arr: arr, Peer: -1, Elems: elems}
+func evWait(t int64, arr, h int) edgeEv {
+	return edgeEv{t: t, kind: EvRecvWait, arr: arr, c: Comm{Handle: h}}
+}
+func evRaw(t int64, kind EvKind, peer int) edgeEv {
+	return edgeEv{t: t, kind: kind, arr: -1, c: Comm{Peer: peer, Tag: 9, Elems: 1}}
+}
+func evColl(t int64, kind EvKind, arr, elems int) edgeEv {
+	return edgeEv{t: t, kind: kind, arr: arr, c: Comm{Peer: -1, Elems: elems}}
 }
 
 // logOf builds a fresh log over arrays of the given lengths.
-func logOf(rank int, final int64, lens []int, evs ...Event) *Log {
+func logOf(rank int, final int64, lens []int, evs ...edgeEv) *Log {
 	names := make([]string, len(lens))
 	for i := range lens {
 		names[i] = fmt.Sprintf("a%d", i)
 	}
-	return &Log{Rank: rank, Events: evs, FinalClock: final, ArrayLens: lens, ArrayNames: names}
+	var enc encoder
+	for _, e := range evs {
+		if e.kind == EvStore || e.kind == EvLoad {
+			enc.access(e.t, e.kind, e.arr, e.idx)
+		} else {
+			enc.comm(e.t, e.kind, e.arr, e.c)
+		}
+	}
+	return &Log{Rank: rank, Events: enc.events(), comms: enc.comms, FinalClock: final, ArrayLens: lens, ArrayNames: names}
 }
 
 // checkAgainstOracle compares every builder with the two-pass oracle at
@@ -137,9 +155,9 @@ func randomLog(rng *rand.Rand, rank int) *Log {
 	for i := range lens {
 		lens[i] = 1 + rng.Intn(12)
 	}
-	var evs []Event
+	var evs []edgeEv
 	var clock int64
-	var open []Event // posted, not yet waited
+	var open []edgeEv // posted, not yet waited
 	handle := 0
 	for i, n := 0, 10+rng.Intn(120); i < n; i++ {
 		if rng.Intn(3) == 0 {
@@ -165,7 +183,7 @@ func randomLog(rng *rand.Rand, rank int) *Log {
 			open = append(open, p)
 		case r == 15 && len(open) > 0:
 			k := rng.Intn(len(open))
-			evs = append(evs, evWait(clock, open[k].Arr, open[k].Handle))
+			evs = append(evs, evWait(clock, open[k].arr, open[k].c.Handle))
 			open = append(open[:k], open[k+1:]...)
 		case r == 15:
 			evs = append(evs, evWait(clock, a, 1000+rng.Intn(3)))
@@ -195,7 +213,7 @@ func TestBuildersMatchOracleOnRandomLogs(t *testing.T) {
 func freshCopy(r *Run) *Run {
 	v := r.WithConfig(r.Cfg)
 	for i, l := range r.Logs {
-		v.Logs[i] = &Log{Rank: l.Rank, Events: l.Events, FinalClock: l.FinalClock,
+		v.Logs[i] = &Log{Rank: l.Rank, Events: l.Events, comms: l.comms, FinalClock: l.FinalClock,
 			ArrayLens: l.ArrayLens, ArrayNames: l.ArrayNames}
 	}
 	return v

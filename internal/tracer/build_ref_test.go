@@ -9,7 +9,8 @@ import (
 // This file keeps the previous two-pass trace builder as a test oracle:
 // the production builders in build.go must reproduce its output byte for
 // byte (build_equiv_test.go, build_edge_test.go). The bodies below are
-// the old builder and its ChunkOf verbatim, with only the names changed.
+// the old builder and its ChunkOf verbatim, with only the names changed
+// and event fields read through the dense Event's accessors and Log.Comm.
 
 // refChunkOf is the oracle's ChunkOf.
 func refChunkOf(n, kTotal, idx int) int {
@@ -43,24 +44,24 @@ func (r *Run) RefBaseTrace() *trace.Trace {
 				emitCompute(e.T)
 				msgSeq++
 				tr.Append(rank, trace.Record{
-					Kind: trace.KindSend, Peer: e.Peer, Tag: e.Tag,
-					Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
+					Kind: trace.KindSend, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
+					Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
 					MsgID: msgID(rank, msgSeq),
 				})
 			case EvISend:
 				emitCompute(e.T)
 				msgSeq++
 				tr.Append(rank, trace.Record{
-					Kind: trace.KindISend, Peer: e.Peer, Tag: e.Tag,
-					Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
+					Kind: trace.KindISend, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
+					Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
 					MsgID: msgID(rank, msgSeq),
 				})
 			case EvRecv, EvRecvRaw:
 				emitCompute(e.T)
 				msgSeq++
 				tr.Append(rank, trace.Record{
-					Kind: trace.KindRecv, Peer: e.Peer, Tag: e.Tag,
-					Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
+					Kind: trace.KindRecv, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
+					Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
 					MsgID: msgID(rank, msgSeq),
 				})
 			case EvIRecvPost:
@@ -68,13 +69,13 @@ func (r *Run) RefBaseTrace() *trace.Trace {
 				msgSeq++
 				anyIRecv = true
 				tr.Append(rank, trace.Record{
-					Kind: trace.KindIRecv, Peer: e.Peer, Tag: e.Tag,
-					Bytes:  int64(e.Elems) * r.Cfg.ElemBytes,
-					Handle: e.Handle, MsgID: msgID(rank, msgSeq),
+					Kind: trace.KindIRecv, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
+					Bytes:  int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
+					Handle: log.Comm(e).Handle, MsgID: msgID(rank, msgSeq),
 				})
 			case EvRecvWait:
 				emitCompute(e.T)
-				tr.Append(rank, trace.Record{Kind: trace.KindWait, Handle: e.Handle})
+				tr.Append(rank, trace.Record{Kind: trace.KindWait, Handle: log.Comm(e).Handle})
 			}
 		}
 		emitCompute(log.FinalClock)
@@ -144,29 +145,29 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 		commIdxBefore[i] = len(commTimes)
 		switch e.Kind {
 		case EvSend, EvISend:
-			sendsOf[e.Arr] = append(sendsOf[e.Arr], i)
+			sendsOf[e.Arr()] = append(sendsOf[e.Arr()], i)
 			commTimes = append(commTimes, e.T)
 		case EvRecv:
-			recvsOf[e.Arr] = append(recvsOf[e.Arr], recvInst{postIdx: i, waitIdx: i})
+			recvsOf[e.Arr()] = append(recvsOf[e.Arr()], recvInst{postIdx: i, waitIdx: i})
 			commTimes = append(commTimes, e.T)
 		case EvIRecvPost:
-			recvsOf[e.Arr] = append(recvsOf[e.Arr], recvInst{postIdx: i, waitIdx: i})
-			pendingWait[e.Handle] = len(recvsOf[e.Arr]) - 1
-			pendingArr[e.Handle] = e.Arr
+			recvsOf[e.Arr()] = append(recvsOf[e.Arr()], recvInst{postIdx: i, waitIdx: i})
+			pendingWait[log.Comm(e).Handle] = len(recvsOf[e.Arr()]) - 1
+			pendingArr[log.Comm(e).Handle] = e.Arr()
 			commTimes = append(commTimes, e.T)
 		case EvRecvWait:
-			if pos, ok := pendingWait[e.Handle]; ok {
-				recvsOf[pendingArr[e.Handle]][pos].waitIdx = i
-				delete(pendingWait, e.Handle)
-				delete(pendingArr, e.Handle)
+			if pos, ok := pendingWait[log.Comm(e).Handle]; ok {
+				recvsOf[pendingArr[log.Comm(e).Handle]][pos].waitIdx = i
+				delete(pendingWait, log.Comm(e).Handle)
+				delete(pendingArr, log.Comm(e).Handle)
 			}
 			commTimes = append(commTimes, e.T)
 		case EvSendRaw, EvRecvRaw:
 			commTimes = append(commTimes, e.T)
 		case EvStore:
-			storesOf[e.Arr] = append(storesOf[e.Arr], access{evIdx: i, t: e.T, idx: e.Idx})
+			storesOf[e.Arr()] = append(storesOf[e.Arr()], access{evIdx: i, t: e.T, idx: e.Idx()})
 		case EvLoad:
-			loadsOf[e.Arr] = append(loadsOf[e.Arr], access{evIdx: i, t: e.T, idx: e.Idx})
+			loadsOf[e.Arr()] = append(loadsOf[e.Arr()], access{evIdx: i, t: e.T, idx: e.Idx()})
 		}
 	}
 	// Burst boundaries for the ideal variant: the producing/consuming
@@ -256,7 +257,7 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 					t:     last[c],
 					minEv: -1,
 					rec: trace.Record{
-						Kind: trace.KindISend, Peer: e.Peer, Tag: e.Tag, Chunk: c,
+						Kind: trace.KindISend, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag, Chunk: c,
 						Bytes: r.Cfg.ChunkBytes(n, k, c), MsgID: id,
 					},
 				})
@@ -305,7 +306,7 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 				handleCounter++
 				h := handleCounter
 				specs[c] = refIrecvSpec{rec: trace.Record{
-					Kind: trace.KindIRecv, Peer: post.Peer, Tag: post.Tag, Chunk: c,
+					Kind: trace.KindIRecv, Peer: log.Comm(post).Peer, Tag: log.Comm(post).Tag, Chunk: c,
 					Bytes: r.Cfg.ChunkBytes(n, k, c), Handle: h, MsgID: id,
 				}}
 				synth = append(synth, refSynthOp{
@@ -365,8 +366,8 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 			emitCompute(e.T)
 			rawSeq++
 			tr.Append(rank, trace.Record{
-				Kind: trace.KindSend, Peer: e.Peer, Tag: e.Tag,
-				Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
+				Kind: trace.KindSend, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
+				Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
 				MsgID: msgID(rank, rawSeq) + 800_000,
 			})
 		case EvRecvRaw:
@@ -374,8 +375,8 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 			emitCompute(e.T)
 			rawSeq++
 			tr.Append(rank, trace.Record{
-				Kind: trace.KindRecv, Peer: e.Peer, Tag: e.Tag,
-				Bytes: int64(e.Elems) * r.Cfg.ElemBytes,
+				Kind: trace.KindRecv, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
+				Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
 				MsgID: msgID(rank, rawSeq) + 800_000,
 			})
 		}

@@ -41,7 +41,7 @@ func TestNonblockingEventsRecorded(t *testing.T) {
 		switch e.Kind {
 		case EvIRecvPost:
 			posts++
-			if e.Elems != 16 || e.Handle == 0 {
+			if c := run.Logs[0].Comm(e); c.Elems != 16 || c.Handle == 0 {
 				t.Errorf("bad post event: %+v", e)
 			}
 		case EvRecvWait:

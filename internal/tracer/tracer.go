@@ -25,6 +25,7 @@ package tracer
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/mpi"
@@ -94,18 +95,108 @@ const (
 	EvRecvWait
 )
 
-// Event is one instrumentation record. T is the rank's virtual time, in
-// instructions, when the event occurred.
+// Event is one instrumentation record, packed into 16 bytes: rank logs are
+// almost all loads and stores, so the log streams at memory bandwidth. T
+// is the rank's virtual time, in instructions, when the event occurred.
+// The array id and the 32-bit operand are read through Arr and Idx; a comm
+// event's or collective marker's operand indexes its Log's side table
+// instead, read through Log.Comm.
 type Event struct {
-	T     int64
-	Kind  EvKind
-	Arr   int // array id, -1 for raw transfers
-	Idx   int // element index (EvStore/EvLoad)
-	Peer  int // partner rank (comm events)
+	T    int64
+	Kind EvKind
+	arr  int16  // array id, -1 for raw transfers
+	op   uint32 // element index (EvStore/EvLoad), else the Log.comms index
+}
+
+// Packed ranges of an Event: array ids in [0, maxArrays), element indices
+// in [0, maxElems). NewArray panics beyond them, so Trace fails with an
+// error instead of recording truncated values.
+const (
+	maxArrays = math.MaxInt16 + 1
+	maxElems  = math.MaxUint32 + 1
+)
+
+// Arr returns the event's array id, -1 for raw transfers.
+func (e Event) Arr() int { return int(e.arr) }
+
+// Idx returns the element index of an EvStore or EvLoad event, 0 for
+// other kinds.
+func (e Event) Idx() int {
+	if e.Kind != EvStore && e.Kind != EvLoad {
+		return 0
+	}
+	return int(e.op)
+}
+
+// Comm is the side-table entry of one comm event or collective marker.
+type Comm struct {
+	Peer  int // partner rank, -1 for collective markers
 	Tag   int
 	Elems int // element count of the transfer or marked buffer
 	// Handle pairs EvIRecvPost with its EvRecvWait (rank-local).
 	Handle int
+}
+
+// encoder is the one writer of the dense layout: every Proc records
+// through it, and nothing else packs an Event. It fills fixed-capacity
+// blocks (doubling up to encMaxBlock events) and joins them once into an
+// exact-size log, so recording N events allocates about 2N, not the ~5N
+// that growing one slice by append costs, and the kept log wastes no
+// capacity.
+type encoder struct {
+	block []Event   // the block being filled
+	full  [][]Event // filled blocks, in order
+	comms []Comm
+}
+
+const (
+	encMinBlock = 1 << 10
+	encMaxBlock = 1 << 16
+)
+
+func (w *encoder) push(e Event) {
+	if len(w.block) == cap(w.block) {
+		w.spill()
+	}
+	w.block = append(w.block, e)
+}
+
+// spill retires the filled block and starts the next, twice as large.
+func (w *encoder) spill() {
+	n := encMinBlock
+	if c := cap(w.block); c > 0 {
+		w.full = append(w.full, w.block)
+		n = min(2*c, encMaxBlock)
+	}
+	w.block = make([]Event, 0, n)
+}
+
+// access appends a load or store of element idx of array arr.
+func (w *encoder) access(t int64, kind EvKind, arr, idx int) {
+	w.push(Event{T: t, Kind: kind, arr: int16(arr), op: uint32(idx)})
+}
+
+// comm appends a comm event or collective marker of array arr (-1 for raw
+// transfers) with its side-table entry.
+func (w *encoder) comm(t int64, kind EvKind, arr int, c Comm) {
+	w.push(Event{T: t, Kind: kind, arr: int16(arr), op: uint32(len(w.comms))})
+	w.comms = append(w.comms, c)
+}
+
+// events returns everything recorded, in order, as one exact-size slice.
+func (w *encoder) events() []Event {
+	n := len(w.block)
+	for _, b := range w.full {
+		n += len(b)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	for _, b := range w.full {
+		out = append(out, b...)
+	}
+	return append(out, w.block...)
 }
 
 // Log is the complete event stream of one rank. A Log and its comm
@@ -121,8 +212,19 @@ type Log struct {
 	// ArrayNames maps array id to the name given at NewArray.
 	ArrayNames []string
 
+	comms    []Comm // side table of the comm events and collective markers
 	skelOnce sync.Once
 	skel     *commSkeleton
+}
+
+// Comm returns the peer, tag, element count and handle recorded with a
+// comm event or collective marker of this log; loads and stores carry
+// none and return the zero Comm.
+func (l *Log) Comm(e Event) Comm {
+	if e.Kind == EvStore || e.Kind == EvLoad {
+		return Comm{}
+	}
+	return l.comms[e.op]
 }
 
 // Run is the output of tracing one application execution.
@@ -167,7 +269,7 @@ type Proc struct {
 	mp       *mpi.Proc
 	cfg      Config
 	clock    int64
-	events   []Event
+	enc      encoder
 	arrays   []*Array
 	seq      int // collective sequence counter
 	irecvSeq int // tracked non-blocking receive handles
@@ -186,10 +288,11 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 		app(p)
 		log := &Log{
 			Rank:       mp.Rank(),
-			Events:     p.events,
+			Events:     p.enc.events(),
 			FinalClock: p.clock,
 			ArrayLens:  make([]int, len(p.arrays)),
 			ArrayNames: make([]string, len(p.arrays)),
+			comms:      p.enc.comms,
 		}
 		for i, a := range p.arrays {
 			log.ArrayLens[i] = len(a.data)
@@ -223,10 +326,12 @@ func (p *Proc) Compute(n int64) {
 	}
 }
 
-func (p *Proc) record(e Event) {
-	e.T = p.clock
-	p.events = append(p.events, e)
-}
+// record logs a load or store at the current virtual time.
+func (p *Proc) record(kind EvKind, arr, idx int) { p.enc.access(p.clock, kind, arr, idx) }
+
+// recordComm logs a comm event or collective marker at the current
+// virtual time.
+func (p *Proc) recordComm(kind EvKind, arr int, c Comm) { p.enc.comm(p.clock, kind, arr, c) }
 
 // ---------------------------------------------------------------------------
 // Tracked arrays
@@ -241,8 +346,13 @@ type Array struct {
 	data []float64
 }
 
-// NewArray allocates a tracked buffer of n elements.
+// NewArray allocates a tracked buffer of n elements. It panics when the
+// rank's array count or n exceeds what an Event can hold.
 func (p *Proc) NewArray(name string, n int) *Array {
+	if len(p.arrays) >= maxArrays || int64(n) > maxElems {
+		panic(fmt.Sprintf("tracer: array %q (#%d, %d elements) exceeds the event log's range of %d arrays of %d elements",
+			name, len(p.arrays), n, maxArrays, int64(maxElems)))
+	}
 	a := &Array{p: p, id: len(p.arrays), name: name, data: make([]float64, n)}
 	p.arrays = append(p.arrays, a)
 	return a
@@ -257,17 +367,18 @@ func (a *Array) Name() string { return a.name }
 // Load reads element i, recording the access and charging LoadCost
 // instructions.
 func (a *Array) Load(i int) float64 {
+	v := a.data[i] // bounds-check before recording
 	a.p.clock += a.p.cfg.LoadCost
-	a.p.record(Event{Kind: EvLoad, Arr: a.id, Idx: i})
-	return a.data[i]
+	a.p.record(EvLoad, a.id, i)
+	return v
 }
 
 // Store writes element i, recording the access and charging StoreCost
 // instructions.
 func (a *Array) Store(i int, v float64) {
+	a.data[i] = v // bounds-check before recording
 	a.p.clock += a.p.cfg.StoreCost
-	a.p.record(Event{Kind: EvStore, Arr: a.id, Idx: i})
-	a.data[i] = v
+	a.p.record(EvStore, a.id, i)
 }
 
 // Data exposes the raw storage without instrumentation. Use it only for
@@ -283,13 +394,13 @@ func (a *Array) Data() []float64 { return a.data }
 // chunked. Tracked sends must be received by Recv into a tracked array of
 // the same length on the destination rank.
 func (p *Proc) Send(dst, tag int, a *Array) {
-	p.record(Event{Kind: EvSend, Arr: a.id, Peer: dst, Tag: tag, Elems: len(a.data)})
+	p.recordComm(EvSend, a.id, Comm{Peer: dst, Tag: tag, Elems: len(a.data)})
 	p.mp.Send(dst, tag, a.data)
 }
 
 // Recv receives a tracked array previously sent with Send.
 func (p *Proc) Recv(a *Array, src, tag int) {
-	p.record(Event{Kind: EvRecv, Arr: a.id, Peer: src, Tag: tag, Elems: len(a.data)})
+	p.recordComm(EvRecv, a.id, Comm{Peer: src, Tag: tag, Elems: len(a.data)})
 	p.mp.Recv(a.data, src, tag)
 }
 
@@ -299,7 +410,7 @@ func (p *Proc) Recv(a *Array, src, tag int) {
 // completion wait is needed (double buffering is assumed throughout, as in
 // the paper).
 func (p *Proc) Isend(dst, tag int, a *Array) {
-	p.record(Event{Kind: EvISend, Arr: a.id, Peer: dst, Tag: tag, Elems: len(a.data)})
+	p.recordComm(EvISend, a.id, Comm{Peer: dst, Tag: tag, Elems: len(a.data)})
 	p.mp.Send(dst, tag, a.data)
 }
 
@@ -317,7 +428,7 @@ type RecvReq struct {
 func (p *Proc) Irecv(a *Array, src, tag int) *RecvReq {
 	p.irecvSeq++
 	h := p.irecvSeq
-	p.record(Event{Kind: EvIRecvPost, Arr: a.id, Peer: src, Tag: tag, Elems: len(a.data), Handle: h})
+	p.recordComm(EvIRecvPost, a.id, Comm{Peer: src, Tag: tag, Elems: len(a.data), Handle: h})
 	return &RecvReq{p: p, req: p.mp.Irecv(a.data, src, tag), arr: a, handle: h}
 }
 
@@ -327,20 +438,20 @@ func (r *RecvReq) Wait() {
 		return
 	}
 	r.waited = true
-	r.p.record(Event{Kind: EvRecvWait, Arr: r.arr.id, Handle: r.handle})
+	r.p.recordComm(EvRecvWait, r.arr.id, Comm{Handle: r.handle})
 	r.req.Wait()
 }
 
 // SendRaw transfers an untracked buffer: traced as a plain (unchunkable)
 // message. Collectives use this path internally.
 func (p *Proc) SendRaw(dst, tag int, data []float64) {
-	p.record(Event{Kind: EvSendRaw, Arr: -1, Peer: dst, Tag: tag, Elems: len(data)})
+	p.recordComm(EvSendRaw, -1, Comm{Peer: dst, Tag: tag, Elems: len(data)})
 	p.mp.Send(dst, tag, data)
 }
 
 // RecvRaw receives an untracked buffer.
 func (p *Proc) RecvRaw(buf []float64, src, tag int) {
-	p.record(Event{Kind: EvRecvRaw, Arr: -1, Peer: src, Tag: tag, Elems: len(buf)})
+	p.recordComm(EvRecvRaw, -1, Comm{Peer: src, Tag: tag, Elems: len(buf)})
 	p.mp.Recv(buf, src, tag)
 }
 
@@ -402,8 +513,8 @@ func (p *Proc) ReduceScatter(buf, out []float64, op mpi.Op) {
 // markers delimit the production interval of `in` and the consumption
 // interval of `out` for the pattern analyzer.
 func (p *Proc) AllreduceTracked(in, out *Array, op mpi.Op) {
-	p.record(Event{Kind: EvCollSend, Arr: in.id, Peer: -1, Elems: len(in.data)})
-	p.record(Event{Kind: EvCollRecv, Arr: out.id, Peer: -1, Elems: len(out.data)})
+	p.recordComm(EvCollSend, in.id, Comm{Peer: -1, Elems: len(in.data)})
+	p.recordComm(EvCollRecv, out.id, Comm{Peer: -1, Elems: len(out.data)})
 	mpi.Allreduce(rawAdapter{p}, in.data, out.data, op, p.nextSeq())
 }
 

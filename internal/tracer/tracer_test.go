@@ -95,6 +95,36 @@ func TestChunkOfMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestChunkMapMatchesChunkOf: the reciprocal form the access scan uses
+// equals ChunkOf exhaustively on small arrays and at both ends of the
+// 32-bit range, where it must switch between reciprocal and division.
+func TestChunkMapMatchesChunkOf(t *testing.T) {
+	check := func(n, k, idx int) {
+		t.Helper()
+		if got, want := newChunkMap(n, k).of(uint32(idx)), ChunkOf(n, k, idx); got != want {
+			t.Fatalf("chunkMap(%d, %d).of(%d)=%d, ChunkOf %d", n, k, idx, got, want)
+		}
+	}
+	for n := 1; n <= 300; n++ {
+		for k := 1; k <= 12 && k <= n; k++ {
+			for idx := 0; idx < n; idx++ {
+				check(n, k, idx)
+			}
+		}
+	}
+	for _, nk := range [][2]int{{1<<32 - 1, 1}, {1 << 31, 2}, {1<<31 + 1, 2}, {1 << 30, 4}, {1<<30 + 7, 4}, {1<<32 - 1, 4}, {3<<30 + 5, 64}} {
+		n, k := nk[0], nk[1]
+		for _, idx := range []int{0, 1, n / 3, n/k - 1, n / k, n / 2, n - 2, n - 1} {
+			check(n, k, idx)
+		}
+		for c := 0; c < k; c++ {
+			lo, hi := ChunkBounds(n, k, c)
+			check(n, k, lo)
+			check(n, k, hi-1)
+		}
+	}
+}
+
 func TestClockAdvancesWithComputeAndAccesses(t *testing.T) {
 	run, err := Trace("clock", 1, DefaultConfig(), func(p *Proc) {
 		a := p.NewArray("a", 10)
@@ -128,10 +158,10 @@ func TestEventLogRecordsAccesses(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("events=%d, want 2", len(evs))
 	}
-	if evs[0].Kind != EvStore || evs[0].Idx != 2 || evs[0].T != 11 {
+	if evs[0].Kind != EvStore || evs[0].Idx() != 2 || evs[0].T != 11 {
 		t.Errorf("store event: %+v", evs[0])
 	}
-	if evs[1].Kind != EvLoad || evs[1].Idx != 2 || evs[1].T != 12 {
+	if evs[1].Kind != EvLoad || evs[1].Idx() != 2 || evs[1].T != 12 {
 		t.Errorf("load event: %+v", evs[1])
 	}
 	if run.Logs[0].ArrayNames[0] != "buf" || run.Logs[0].ArrayLens[0] != 4 {
@@ -165,7 +195,7 @@ func TestTrackedSendRecvMovesData(t *testing.T) {
 			switch e.Kind {
 			case EvSend:
 				sends++
-				if e.Elems != 8 || e.Peer != 1 || e.Tag != 3 {
+				if c := log.Comm(e); c.Elems != 8 || c.Peer != 1 || c.Tag != 3 {
 					t.Errorf("send event: %+v", e)
 				}
 			case EvRecv:
