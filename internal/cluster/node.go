@@ -2,14 +2,14 @@ package cluster
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"fmt"
 	"log/slog"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // Tuning defaults. K doubles as bucket capacity and replication factor
@@ -67,7 +67,11 @@ type Node struct {
 	pingWait time.Duration
 	tr       Transport
 	table    *RoutingTable
-	blobs    *blobStore
+	// blobs is the bounded local value store: replicated blobs, least
+	// recently used evicted first, so a node holds the hot slice of its
+	// key range and quietly forgets the cold tail (content addressing
+	// makes re-derivation safe).
+	blobs    *lru.Cache[blob]
 	log      *slog.Logger
 	draining atomic.Bool
 	exec     atomic.Pointer[Executor]
@@ -104,7 +108,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(discardHandler{})
+		log = slog.New(slog.DiscardHandler)
 	}
 	n := &Node{
 		name:     cfg.Name,
@@ -113,7 +117,7 @@ func NewNode(cfg Config) (*Node, error) {
 		alpha:    alpha,
 		pingWait: pingWait,
 		tr:       cfg.Transport,
-		blobs:    newBlobStore(maxBlobs),
+		blobs:    lru.New[blob](maxBlobs),
 		log:      log,
 	}
 	n.table = NewRoutingTable(n.self.ID, k, n.evictionPing)
@@ -171,21 +175,21 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 	case OpPing:
 		// The response envelope is the whole answer.
 	case OpStore:
-		if resp.Draining && !n.blobs.Has(req.Key) {
+		if resp.Draining && !n.blobs.Contains(req.Key) {
 			// Fresh keys are refused while draining; re-replication of
 			// keys already held stays welcome so nothing regresses.
 			resp.Err = "cluster: node draining, not accepting new keys"
 			return resp
 		}
-		n.blobs.Put(req.Key, req.Kind, req.Value)
+		n.blobs.Put(req.Key, blob{req.Kind, req.Value})
 		resp.Stored = true
 	case OpFindNode:
 		resp.Contacts = n.table.KClosest(KeyID(req.Key), n.k)
 	case OpFindValue:
-		if v, kind, ok := n.blobs.Get(req.Key); ok {
+		if b, ok := n.blobs.Get(req.Key); ok {
 			resp.Found = true
-			resp.Value = v
-			resp.Kind = kind
+			resp.Value = b.value
+			resp.Kind = b.kind
 			return resp
 		}
 		resp.Contacts = n.table.KClosest(KeyID(req.Key), n.k)
@@ -420,7 +424,7 @@ func (n *Node) Store(ctx context.Context, key, kind string, value []byte) int {
 	for _, c := range n.Owners(key) {
 		if c.ID == n.self.ID {
 			if !n.draining.Load() {
-				n.blobs.Put(key, kind, value)
+				n.blobs.Put(key, blob{kind, value})
 				stored++
 			}
 			continue
@@ -441,7 +445,7 @@ func (n *Node) Store(ctx context.Context, key, kind string, value []byte) int {
 // iterative find-value across the cluster. A remote hit is cached
 // locally (the cooperative-cache read-through).
 func (n *Node) Get(ctx context.Context, key string) ([]byte, string, bool) {
-	if v, kind, ok := n.blobs.Get(key); ok {
+	if v, kind, ok := n.GetCached(key); ok {
 		return v, kind, true
 	}
 	if n.table.Len() == 0 {
@@ -451,17 +455,20 @@ func (n *Node) Get(ctx context.Context, key string) ([]byte, string, bool) {
 	if resp == nil || !resp.Found {
 		return nil, "", false
 	}
-	n.blobs.Put(key, resp.Kind, resp.Value)
+	n.blobs.Put(key, blob{resp.Kind, resp.Value})
 	return resp.Value, resp.Kind, true
 }
 
 // Has reports whether the key is in the local blob store.
-func (n *Node) Has(key string) bool { return n.blobs.Has(key) }
+func (n *Node) Has(key string) bool { return n.blobs.Contains(key) }
 
 // GetCached returns a locally held value without touching the network —
 // for callers that have a cheaper plan than a cluster lookup when the
 // blob is not already here (e.g. computing a self-owned grid point).
-func (n *Node) GetCached(key string) ([]byte, string, bool) { return n.blobs.Get(key) }
+func (n *Node) GetCached(key string) ([]byte, string, bool) {
+	b, ok := n.blobs.Get(key)
+	return b.value, b.kind, ok
+}
 
 // Exec runs an opaque request on a specific peer — the cross-node
 // singleflight's forwarding edge. The callee's executor errors come
@@ -513,104 +520,22 @@ func (n *Node) Status() Status {
 		K:        n.k,
 		Peers:    peers,
 	}
-	keys := n.blobs.Keys()
-	st.StoredKeys = len(keys)
 	st.KeysByKind = map[string]int{}
-	for _, k := range keys {
-		st.KeysByKind[k.kind]++
-		if n.Owner(k.key).ID == n.self.ID {
+	n.blobs.Range(func(key string, b blob) {
+		st.StoredKeys++
+		st.KeysByKind[b.kind]++
+		if n.Owner(key).ID == n.self.ID {
 			st.OwnedKeys++
 		}
-	}
+	})
 	if len(st.KeysByKind) == 0 {
 		st.KeysByKind = nil
 	}
 	return st
 }
 
-// ---------------------------------------------------------------------------
-// Local blob store
-
-// blobKey pairs a stored key with its kind label (status reporting).
-type blobKey struct{ key, kind string }
-
-// blobStore is the bounded local value store: an LRU over replicated
-// blobs, so a node holds the hot slice of its key range and quietly
-// forgets the cold tail (content addressing makes re-derivation safe).
-type blobStore struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+// blob is one value of the local store with its kind label.
+type blob struct {
+	kind  string
+	value []byte
 }
-
-type blobEntry struct {
-	key, kind string
-	value     []byte
-}
-
-func newBlobStore(max int) *blobStore {
-	return &blobStore{max: max, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-func (s *blobStore) Put(key, kind string, value []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*blobEntry).kind = kind
-		el.Value.(*blobEntry).value = value
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.items[key] = s.ll.PushFront(&blobEntry{key: key, kind: kind, value: value})
-	for s.ll.Len() > s.max {
-		el := s.ll.Back()
-		s.ll.Remove(el)
-		delete(s.items, el.Value.(*blobEntry).key)
-	}
-}
-
-func (s *blobStore) Get(key string) ([]byte, string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return nil, "", false
-	}
-	s.ll.MoveToFront(el)
-	e := el.Value.(*blobEntry)
-	return e.value, e.kind, true
-}
-
-func (s *blobStore) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.items[key]
-	return ok
-}
-
-func (s *blobStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.items)
-}
-
-func (s *blobStore) Keys() []blobKey {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]blobKey, 0, len(s.items))
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*blobEntry)
-		out = append(out, blobKey{key: e.key, kind: e.kind})
-	}
-	return out
-}
-
-// discardHandler is a slog.Handler that drops everything (the library
-// default, so embedders stay quiet unless they opt in).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }

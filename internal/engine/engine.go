@@ -123,24 +123,10 @@ type JobObserver func(JobEvent)
 // values are not comparable).
 type obsEntry struct{ fn JobObserver }
 
-// SetObserver replaces the engine's whole observer set with fn (nil
-// clears it) — the legacy single-hook semantics. To compose with hooks
-// installed by other layers, use AddObserver instead.
-func (e *Engine) SetObserver(fn JobObserver) {
-	e.obsMu.Lock()
-	defer e.obsMu.Unlock()
-	if fn == nil {
-		e.observers.Store(nil)
-		return
-	}
-	list := []*obsEntry{{fn: fn}}
-	e.observers.Store(&list)
-}
-
 // AddObserver appends fn to the engine's observer chain — every
 // observer sees every event — and returns a function that removes
-// exactly this registration. Unlike SetObserver it never evicts hooks
-// installed by other layers.
+// exactly this registration, leaving hooks installed by other layers in
+// place.
 func (e *Engine) AddObserver(fn JobObserver) (remove func()) {
 	entry := &obsEntry{fn: fn}
 	e.obsMu.Lock()

@@ -56,7 +56,7 @@ func TestObserverSeesEveryJob(t *testing.T) {
 	var mu sync.Mutex
 	starts, dones := map[int]int{}, map[int]int{}
 	var failedSeen int
-	e.SetObserver(func(ev JobEvent) {
+	remove := e.AddObserver(func(ev JobEvent) {
 		mu.Lock()
 		defer mu.Unlock()
 		if ev.Done {
@@ -88,7 +88,7 @@ func TestObserverSeesEveryJob(t *testing.T) {
 	}
 
 	// Removing the observer stops notifications but keeps counters.
-	e.SetObserver(nil)
+	remove()
 	if _, err := Map(context.Background(), e, 3, func(ctx context.Context, i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestAddObserverComposes is the satellite requirement: multiple
-// observers coexist, each sees every event, removal detaches exactly one
-// registration, and SetObserver keeps its replace-all semantics.
+// TestAddObserverComposes: multiple observers coexist, each sees every
+// event, and removal detaches exactly one registration.
 func TestAddObserverComposes(t *testing.T) {
 	e := New(2)
-	var a, b, c atomic.Int64
+	var a, b atomic.Int64
 	removeA := e.AddObserver(func(ev JobEvent) {
 		if ev.Done {
 			a.Add(1)
@@ -49,32 +48,6 @@ func TestAddObserverComposes(t *testing.T) {
 	if b.Load() != 8 {
 		t.Fatalf("after removeB: b=%d, want 8", b.Load())
 	}
-
-	// SetObserver replaces the whole chain (legacy semantics)...
-	e.AddObserver(func(ev JobEvent) {
-		if ev.Done {
-			a.Add(1)
-		}
-	})
-	e.SetObserver(func(ev JobEvent) {
-		if ev.Done {
-			c.Add(1)
-		}
-	})
-	run(4)
-	if a.Load() != 5 || c.Load() != 4 {
-		t.Fatalf("after SetObserver: a=%d c=%d, want 5/4", a.Load(), c.Load())
-	}
-	// ...and AddObserver composes on top of a SetObserver hook.
-	e.AddObserver(func(ev JobEvent) {
-		if ev.Done {
-			b.Add(1)
-		}
-	})
-	run(1)
-	if c.Load() != 5 || b.Load() != 9 {
-		t.Fatalf("after compose: c=%d b=%d, want 5/9", c.Load(), b.Load())
-	}
 }
 
 // TestJobEventDurations checks that Done events carry the execution
@@ -83,7 +56,7 @@ func TestJobEventDurations(t *testing.T) {
 	e := New(2)
 	before := telemetry.Default().Counter("engine_jobs_started_total", "").Value()
 	var sawElapsed atomic.Bool
-	e.SetObserver(func(ev JobEvent) {
+	remove := e.AddObserver(func(ev JobEvent) {
 		if ev.Done && ev.Elapsed >= 2*time.Millisecond {
 			sawElapsed.Store(true)
 		}
@@ -91,6 +64,7 @@ func TestJobEventDurations(t *testing.T) {
 			t.Errorf("negative durations: %+v", ev)
 		}
 	})
+	defer remove()
 	_, err := Map(context.Background(), e, 4, func(ctx context.Context, i int) (int, error) {
 		time.Sleep(3 * time.Millisecond)
 		return i, nil

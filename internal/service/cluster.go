@@ -100,7 +100,8 @@ func (m *Manager) Cluster() *cluster.Node { return m.node }
 
 // clusterExecutor is the node's Executor: peers send ScenarioRequests
 // here (whole forwarded specs and pinned single points alike), and the
-// manager runs them with full singleflight/cache semantics.
+// manager serves them through the same identity and execution steps as
+// local work, admitted fromPeer.
 func (m *Manager) clusterExecutor() cluster.Executor {
 	return func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
 		if kind != ExecKindScenario {
@@ -114,60 +115,25 @@ func (m *Manager) clusterExecutor() cluster.Executor {
 			return nil, fmt.Errorf("service: cluster exec payload: %w", err)
 		}
 		m.fetchScenarioArtifacts(ctx, req)
-		return m.runInline(ctx, req)
+		t, err := m.prepare(req)
+		if err != nil {
+			return nil, err
+		}
+		j, fresh, err := m.begin(t, fromPeer)
+		switch {
+		case err != nil:
+			// A draining owner refuses fresh work: the peer falls back to
+			// computing locally, so refusing strands no one.
+			return nil, err
+		case !fresh:
+			return j.Wait(ctx)
+		}
+		// Cancel the job if the serving RPC is abandoned; singleflight
+		// attachers share the outcome either way, as with local jobs.
+		stop := context.AfterFunc(ctx, j.cancel)
+		defer stop()
+		return m.execute(j, t, fromPeer, nil)
 	}
-}
-
-// runInline executes a request on the calling goroutine with the
-// manager's usual identity semantics — singleflight attach, result
-// cache, cache fill before inflight detach — but without the slot
-// gate. Cluster-forwarded work must not wait for slots: a slot-holding
-// job on node A may be waiting on node B whose slot-holding job waits
-// on A, and with one worker per node that cycle would deadlock. The
-// engine's own semaphore still bounds actual simulation parallelism.
-func (m *Manager) runInline(ctx context.Context, req Request) ([]byte, error) {
-	t, err := req.prepare(m)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	if j, ok := m.inflight[t.key]; ok {
-		m.deduped++
-		m.mu.Unlock()
-		return j.Wait(ctx)
-	}
-	if b, ok := m.cache.Get(t.key); ok {
-		m.mu.Unlock()
-		return b, nil
-	}
-	if m.draining {
-		// Peers fall back to computing locally, so refusing here never
-		// strands anyone — while accepting would admit new computation to
-		// a manager trying to flush.
-		m.mu.Unlock()
-		return nil, ErrDraining
-	}
-	j := m.newJobLocked(t, false)
-	m.inflight[t.key] = j
-	m.mu.Unlock()
-	// Cancel the job if the serving RPC is abandoned; singleflight
-	// attachers share the outcome either way, as with local jobs.
-	stop := context.AfterFunc(ctx, j.cancel)
-	defer stop()
-	j.markRunning()
-	out, err := t.run(j.ctx, m)
-	var payload []byte
-	if err == nil {
-		payload, err = json.Marshal(out)
-	}
-	if err == nil {
-		m.cache.Put(t.key, payload)
-	}
-	m.mu.Lock()
-	delete(m.inflight, t.key)
-	m.mu.Unlock()
-	j.complete(payload, err)
-	return payload, err
 }
 
 // fetchScenarioArtifacts read-throughs any artifacts a peer's spec
@@ -215,71 +181,52 @@ func (m *Manager) fetchScenarioArtifacts(ctx context.Context, req ScenarioReques
 // ---------------------------------------------------------------------------
 // Outbound: forwarding whole specs
 
-// forwardPlan is a decided forward: where the spec's owner lives and
-// the serialized request to send there.
-type forwardPlan struct {
-	owner   cluster.Contact
-	payload []byte
-}
-
-// forwardTarget decides whether a freshly admitted job should forward
-// to a remote owner node instead of running here. Only scenario
-// requests forward (the gridded workhorse with a faithful wire form);
-// the legacy per-kind sweeps run wherever they land.
-func (m *Manager) forwardTarget(req Request, t *task, forward bool) (forwardPlan, bool) {
-	if !forward || m.node == nil || t.kind != KindScenario {
-		return forwardPlan{}, false
+// forward runs a slotted job on the node that owns its spec digest,
+// holding no local slot — the owner's engine does the work — and reports
+// whether the owner answered. A scenario reply is the owner's bytes
+// verbatim; a per-kind reply renders here from the owner's scenario
+// result, byte-identical to rendering it from a local run. Any failure
+// leaves the job to run locally: the forward is an optimization for
+// cluster-wide exactly-once, never a requirement for availability.
+func (m *Manager) forward(j *Job, t *task) ([]byte, bool) {
+	if m.node == nil {
+		return nil, false
 	}
-	sr, ok := req.(ScenarioRequest)
-	if !ok {
-		if p, isPtr := req.(*ScenarioRequest); isPtr {
-			sr, ok = *p, true
+	owner := m.node.Owner(t.digest)
+	if owner.ID == m.node.Self().ID {
+		return nil, false
+	}
+	payload, err := json.Marshal(t.req)
+	if err != nil {
+		return nil, false
+	}
+	j.markRunning()
+	out, err := m.node.Exec(j.ctx, owner, ExecKindScenario, payload)
+	if err == nil && t.kind != KindScenario {
+		var res core.ScenarioResult
+		if err = json.Unmarshal(out, &res); err == nil {
+			if res.SpecDigest != t.digest || len(res.Points) != t.sc.GridSize() {
+				err = fmt.Errorf("service: owner answered spec %s with %d points", res.SpecDigest, len(res.Points))
+			} else {
+				out, err = t.reply(&res)
+			}
 		}
 	}
-	if !ok {
-		return forwardPlan{}, false
-	}
-	owner := m.node.Owner(t.key)
-	if owner.ID == m.node.Self().ID {
-		return forwardPlan{}, false
-	}
-	payload, err := json.Marshal(sr)
-	if err != nil {
-		return forwardPlan{}, false
-	}
-	return forwardPlan{owner: owner, payload: payload}, true
-}
-
-// runForwarded drives a job whose spec another node owns: execute it
-// there (holding no local slot — the owner's engine does the work) and
-// serve the returned bytes verbatim, so responses are byte-identical
-// wherever the spec lands. Any forward failure falls back to the
-// ordinary local run; the forward is an optimization for cluster-wide
-// exactly-once, never a requirement for availability.
-func (m *Manager) runForwarded(j *Job, t *task, plan forwardPlan) {
-	j.markRunning()
-	out, err := m.node.Exec(j.ctx, plan.owner, ExecKindScenario, plan.payload)
 	if err != nil {
 		mClusterForwards.With("fallback").Inc()
 		m.log.LogAttrs(context.Background(), slog.LevelWarn, "cluster forward failed, running locally",
 			slog.String("job_id", j.ID()),
-			slog.String("spec_digest", t.key),
-			slog.String("owner", plan.owner.Addr),
+			slog.String("spec_digest", t.digest),
+			slog.String("owner", owner.Addr),
 			slog.String("error", err.Error()))
-		m.run(j, t)
-		return
+		return nil, false
 	}
 	mClusterForwards.With("ok").Inc()
-	m.unqueue()
-	m.cache.Put(t.key, out)
-	m.mu.Lock()
-	delete(m.inflight, t.key)
-	m.mu.Unlock()
-	j.complete(out, nil)
 	m.log.LogAttrs(context.Background(), slog.LevelInfo, "job served by owner node",
 		slog.String("job_id", j.ID()),
-		slog.String("spec_digest", t.key),
-		slog.String("owner", plan.owner.Addr))
+		slog.String("spec_digest", t.digest),
+		slog.String("owner", owner.Addr))
+	return out, true
 }
 
 // ---------------------------------------------------------------------------
@@ -311,7 +258,8 @@ func (m *Manager) clusterPrefetchPoints(ctx context.Context, r ScenarioRequest, 
 		}
 		// A replicated copy already on this node is free to use whether or
 		// not we own the point.
-		if pt, ok := m.decodeCachedPoint(k.Digest); ok {
+		b, kind, ok := m.node.GetCached(k.Digest)
+		if pt, ok := decodePoint(k.Digest, b, kind, ok); ok {
 			m.points.Put(k.Digest, pt)
 			mClusterPointHits.Inc()
 			continue
@@ -331,14 +279,12 @@ func (m *Manager) clusterPrefetchPoints(ctx context.Context, r ScenarioRequest, 
 	wg.Wait()
 }
 
-// decodeCachedPoint reads a point blob already replicated to this node.
-func (m *Manager) decodeCachedPoint(digest string) (core.ScenarioPoint, bool) {
-	b, kind, ok := m.node.GetCached(digest)
-	if !ok || kind != BlobPoint {
-		return core.ScenarioPoint{}, false
-	}
+// decodePoint accepts a point blob only if it is the point stored under
+// its key: a misfiled or stale blob must never be served as another
+// grid point's row.
+func decodePoint(digest string, b []byte, kind string, ok bool) (core.ScenarioPoint, bool) {
 	var pt core.ScenarioPoint
-	if err := json.Unmarshal(b, &pt); err != nil {
+	if !ok || kind != BlobPoint || json.Unmarshal(b, &pt) != nil || pt.Digest != digest {
 		return core.ScenarioPoint{}, false
 	}
 	return pt, true
@@ -348,13 +294,11 @@ func (m *Manager) decodeCachedPoint(digest string) (core.ScenarioPoint, bool) {
 // lookup first (someone may have computed it already), then an exec on
 // its owner with the pinned single-point spec.
 func (m *Manager) fetchRemotePoint(ctx context.Context, r ScenarioRequest, k core.PointKey, owner cluster.Contact) {
-	if b, kind, ok := m.node.Get(ctx, k.Digest); ok && kind == BlobPoint {
-		var pt core.ScenarioPoint
-		if json.Unmarshal(b, &pt) == nil {
-			m.points.Put(k.Digest, pt)
-			mClusterPointHits.Inc()
-			return
-		}
+	b, kind, ok := m.node.Get(ctx, k.Digest)
+	if pt, ok := decodePoint(k.Digest, b, kind, ok); ok {
+		m.points.Put(k.Digest, pt)
+		mClusterPointHits.Inc()
+		return
 	}
 	preq, err := pinnedScenarioRequest(r, k.Coords)
 	if err != nil {

@@ -9,6 +9,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"sync"
@@ -100,36 +101,63 @@ func gridSpec() service.ScenarioRequest {
 // identical to a standalone manager's, a rerun against each other node
 // is served from the cooperative cache with zero new engine jobs
 // cluster-wide, and the computed points land in the DHT as replicated
-// blobs.
+// blobs. The per-kind endpoints ride the same path: an analysis and a
+// bandwidth sweep are byte-identical too, and so are their reruns.
 func TestClusterScenarioByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	req := gridSpec()
+	preset := &service.PlatformSpec{Preset: "marenostrum-4x"}
+	inputs := []struct {
+		name string
+		call func(*client.Client) ([]byte, error)
+	}{
+		{"scenario", func(cl *client.Client) ([]byte, error) { return cl.ScenarioRaw(ctx, req) }},
+		{"analyze", func(cl *client.Client) ([]byte, error) {
+			return cl.AnalyzeRaw(ctx, service.AnalyzeRequest{App: "cg", Ranks: 8, Platform: preset})
+		}},
+		{"bandwidth sweep", func(cl *client.Client) ([]byte, error) {
+			sweep, err := cl.SweepBandwidth(ctx, service.BandwidthSweepRequest{
+				App: "cg", Ranks: 8, Platform: preset, Bandwidths: []float64{125, 500, 2000},
+			})
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(sweep)
+		}},
+	}
 
 	_, standalone := newService(t, 2)
-	want, err := standalone.ScenarioRaw(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	want := make([][]byte, len(inputs))
+	for i, in := range inputs {
+		var err error
+		if want[i], err = in.call(standalone); err != nil {
+			t.Fatalf("standalone %s: %v", in.name, err)
+		}
 	}
 
 	mgrs, cls := newTestCluster(t, 3)
-	first, err := cls[0].ScenarioRaw(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, first) {
-		t.Fatalf("clustered scenario differs from standalone:\n%s\n%s", want, first)
+	for i, in := range inputs {
+		first, err := in.call(cls[0])
+		if err != nil {
+			t.Fatalf("clustered %s: %v", in.name, err)
+		}
+		if !bytes.Equal(want[i], first) {
+			t.Fatalf("clustered %s differs from standalone:\n%s\n%s", in.name, want[i], first)
+		}
 	}
 	after := totalStarted(mgrs)
-	// The same spec against the two other nodes: the owner's result
-	// cache answers through the forward path, so no engine anywhere
-	// starts a job.
+	// The same requests against the two other nodes: the owner's result
+	// and point caches answer through the forward path, so no engine
+	// anywhere starts a job.
 	for i := 1; i < 3; i++ {
-		got, err := cls[i].ScenarioRaw(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("rerun via node %d not byte-identical", i)
+		for k, in := range inputs {
+			got, err := in.call(cls[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want[k], got) {
+				t.Fatalf("%s rerun via node %d not byte-identical", in.name, i)
+			}
 		}
 	}
 	if now := totalStarted(mgrs); now != after {
@@ -150,6 +178,88 @@ func TestClusterScenarioByteIdentical(t *testing.T) {
 			t.Fatalf("point blobs not replicated: %d cluster-wide, want 12", points)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestClusterRejectsMisfiledPointBlob: a valid point blob replicated
+// under another point's key — a misfiled or stale replica — is never
+// served as that point's row; the grid still returns standalone bytes.
+func TestClusterRejectsMisfiledPointBlob(t *testing.T) {
+	ctx := context.Background()
+	req := gridSpec()
+	_, standalone := newService(t, 2)
+	want, err := standalone.ScenarioRaw(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res core.ScenarioResult
+	if err := json.Unmarshal(want, &res); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(res.Points[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrs, cls := newTestCluster(t, 3)
+	for _, pt := range res.Points[1:] {
+		if n := mgrs[0].Cluster().Store(ctx, pt.Digest, service.BlobPoint, blob); n != 3 {
+			t.Fatalf("misfiled blob reached %d of 3 nodes", n)
+		}
+	}
+	got, err := cls[0].ScenarioRaw(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("misfiled point blob served as a grid row:\n%s\n%s", want, got)
+	}
+}
+
+// TestClusterForwardRejectsMalformedOwnerResult: a per-kind request
+// forwarded to an owner whose answer has the spec's digest and point
+// count but no measurements falls back to running locally — the same
+// bytes as standalone — instead of crashing the node on render.
+func TestClusterForwardRejectsMalformedOwnerResult(t *testing.T) {
+	ctx := context.Background()
+	bandwidths := []float64{125, 500, 2000}
+	sweep := service.BandwidthSweepRequest{App: "cg", Ranks: 4, Bandwidths: bandwidths}
+	_, standalone := newService(t, 2)
+	want, err := standalone.SweepBandwidth(ctx, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scen, err := standalone.Scenario(ctx, service.ScenarioRequest{
+		App: "cg", Ranks: 4,
+		Flavors: []string{"overlap-real"},
+		Axes:    []core.Axis{core.BandwidthAxis(bandwidths...)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus, err := json.Marshal(core.ScenarioResult{
+		ScenarioHeader: core.ScenarioHeader{SpecDigest: scen.SpecDigest},
+		Points:         make([]core.ScenarioPoint, len(bandwidths)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrs, cls := newTestCluster(t, 3)
+	for _, m := range mgrs {
+		m.Cluster().SetExecutor(func(context.Context, string, []byte) ([]byte, error) { return bogus, nil })
+	}
+	owner := mgrs[0].Cluster().Owner(scen.SpecDigest)
+	i := 0
+	for mgrs[i].Cluster().Self().ID == owner.ID {
+		i++
+	}
+	got, err := cls[i].SweepBandwidth(ctx, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(got)
+	if !bytes.Equal(wantJSON, gotJSON) {
+		t.Fatalf("sweep after a malformed owner answer differs from standalone:\n%s\n%s", wantJSON, gotJSON)
 	}
 }
 

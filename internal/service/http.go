@@ -81,9 +81,9 @@ type Health struct {
 //	GET    /v1/jobs/{id}         poll one job (result inlined when done)
 //	DELETE /v1/jobs/{id}         cancel one job
 //
-// The four per-kind POST endpoints are spec translators over the same
-// scenario planner POST /v1/scenarios drives; their request and response
-// formats are unchanged.
+// The four per-kind POST endpoints are adapters over the scenario path
+// POST /v1/scenarios takes (request.go): same keys, caches, forwarding,
+// and planner, with their request and response formats unchanged.
 //
 // POST /v1/scenarios additionally streams: with Accept:
 // application/x-ndjson (and without ?async=1, which takes precedence),
@@ -205,28 +205,14 @@ func NewHandler(m *Manager) http.Handler {
 
 	submit := func(w http.ResponseWriter, r *http.Request, req Request) {
 		job, err := m.Submit(req)
+		if rejected(m, w, r, err) {
+			return
+		}
 		if err != nil {
-			if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining) {
-				m.log.LogAttrs(r.Context(), slog.LevelWarn, "submission rejected",
-					slog.String("request_id", RequestID(r.Context())),
-					slog.String("error", err.Error()))
-				status := http.StatusTooManyRequests
-				if errors.Is(err, ErrDraining) {
-					status = http.StatusServiceUnavailable
-				}
-				w.Header().Set("Retry-After", "1")
-				writeError(w, status, err)
-				return
-			}
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		m.log.LogAttrs(r.Context(), slog.LevelInfo, "job submitted",
-			slog.String("request_id", RequestID(r.Context())),
-			slog.String("job_id", job.ID()),
-			slog.String("kind", job.Kind()),
-			slog.String("spec_digest", job.Key()),
-			slog.Bool("cached", job.Cached()))
+		logSubmitted(m, r, job)
 		if async, _ := strconv.ParseBool(r.URL.Query().Get("async")); async {
 			writeJSON(w, http.StatusAccepted, job.Status(false))
 			return
@@ -258,34 +244,10 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		submit(w, r, req)
 	})
-	mux.HandleFunc("POST /v1/analyze", func(w http.ResponseWriter, r *http.Request) {
-		var req AnalyzeRequest
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		submit(w, r, req)
-	})
-	mux.HandleFunc("POST /v1/whatif", func(w http.ResponseWriter, r *http.Request) {
-		var req WhatIfRequest
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		submit(w, r, req)
-	})
-	mux.HandleFunc("POST /v1/sweep/bandwidth", func(w http.ResponseWriter, r *http.Request) {
-		var req BandwidthSweepRequest
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		submit(w, r, req)
-	})
-	mux.HandleFunc("POST /v1/sweep/mapping", func(w http.ResponseWriter, r *http.Request) {
-		var req MappingSweepRequest
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		submit(w, r, req)
-	})
+	mux.HandleFunc("POST /v1/analyze", submitBody[AnalyzeRequest](submit))
+	mux.HandleFunc("POST /v1/whatif", submitBody[WhatIfRequest](submit))
+	mux.HandleFunc("POST /v1/sweep/bandwidth", submitBody[BandwidthSweepRequest](submit))
+	mux.HandleFunc("POST /v1/sweep/mapping", submitBody[MappingSweepRequest](submit))
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		jobs := m.Jobs()
@@ -328,6 +290,46 @@ func NewHandler(m *Manager) http.Handler {
 	}
 
 	return instrument(mux, m.log)
+}
+
+// submitBody is the handler of a per-kind endpoint: decode its body
+// strictly, then submit it.
+func submitBody[R Request](submit func(http.ResponseWriter, *http.Request, Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if decodeRequest(w, r, &req) {
+			submit(w, r, req)
+		}
+	}
+}
+
+// rejected answers a refused admission — 429 while the queue is full,
+// 503 while draining, both with Retry-After — and reports whether err
+// was one.
+func rejected(m *Manager, w http.ResponseWriter, r *http.Request, err error) bool {
+	if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrDraining) {
+		return false
+	}
+	m.log.LogAttrs(r.Context(), slog.LevelWarn, "submission rejected",
+		slog.String("request_id", RequestID(r.Context())),
+		slog.String("error", err.Error()))
+	status := http.StatusTooManyRequests
+	if errors.Is(err, ErrDraining) {
+		status = http.StatusServiceUnavailable
+	}
+	w.Header().Set("Retry-After", "1")
+	writeError(w, status, err)
+	return true
+}
+
+// logSubmitted ties the request's ID to the job serving it.
+func logSubmitted(m *Manager, r *http.Request, j *Job) {
+	m.log.LogAttrs(r.Context(), slog.LevelInfo, "job submitted",
+		slog.String("request_id", RequestID(r.Context())),
+		slog.String("job_id", j.ID()),
+		slog.String("kind", j.Kind()),
+		slog.String("spec_digest", j.Key()),
+		slog.Bool("cached", j.Cached()))
 }
 
 // wantsNDJSON reports whether the request's Accept header selects the

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/lru"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -98,7 +98,7 @@ type Options struct {
 type Manager struct {
 	eng   *engine.Engine
 	store *Store
-	cache *resultCache
+	cache *lru.Cache[[]byte] // marshalled replies by task key
 	log   *slog.Logger
 	start time.Time
 	// slots bounds how many jobs execute concurrently. The engine's own
@@ -115,7 +115,7 @@ type Manager struct {
 	// once. LRU-bounded because a disk-tier store can resolve more
 	// digests than its memory bound, and a long-lived daemon must not
 	// accumulate a program per digest ever swept.
-	progs *lruCache[*sim.Program]
+	progs *lru.Cache[*sim.Program]
 	// compiling single-flights program compilation per digest: concurrent
 	// misses on one digest wait for the first compile and share its
 	// program. Guarded by progMu.
@@ -128,7 +128,7 @@ type Manager struct {
 	// cache — that one answers identical specs byte-for-byte, this one
 	// lets overlapping specs resume each other's grids. Nil when
 	// disabled.
-	points *lruCache[core.ScenarioPoint]
+	points *lru.Cache[core.ScenarioPoint]
 
 	// queueDepth bounds how many jobs may wait for a slot (0 = no bound).
 	queueDepth int
@@ -155,7 +155,9 @@ type Manager struct {
 }
 
 // scenarioPointStore adapts the point LRU to the planner's PointCache.
-type scenarioPointStore struct{ c *lruCache[core.ScenarioPoint] }
+type scenarioPointStore struct {
+	c *lru.Cache[core.ScenarioPoint]
+}
 
 func (s scenarioPointStore) GetPoint(d string) (core.ScenarioPoint, bool) { return s.c.Get(d) }
 func (s scenarioPointStore) PutPoint(d string, pt core.ScenarioPoint)     { s.c.Put(d, pt) }
@@ -297,14 +299,14 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	logger := opts.Logger
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = slog.New(slog.DiscardHandler)
 	}
 	m := &Manager{
 		eng:          eng,
 		store:        store,
-		cache:        newResultCache(entries),
+		cache:        lru.New[[]byte](entries),
 		log:          logger,
-		progs:        newLRU[*sim.Program](maxCompiledPrograms),
+		progs:        lru.New[*sim.Program](maxCompiledPrograms),
 		compiling:    make(map[string]*progCompile),
 		start:        time.Now(),
 		slots:        make(chan struct{}, eng.Workers()),
@@ -314,7 +316,7 @@ func NewManager(opts Options) (*Manager, error) {
 		inflight:     make(map[string]*Job),
 	}
 	if pointEntries > 0 {
-		m.points = newLRU[core.ScenarioPoint](pointEntries)
+		m.points = lru.New[core.ScenarioPoint](pointEntries)
 	}
 	// Tie the compiled-program cache to the store's capacity: a trace
 	// evicted (or deleted) from the store drops its program instead of
@@ -332,6 +334,62 @@ func (m *Manager) Engine() *engine.Engine { return m.eng }
 // Store returns the manager's artifact store.
 func (m *Manager) Store() *Store { return m.store }
 
+// task is a prepared request: the scenario it runs (req as a wire spec
+// a forward can send, sc resolved), the spec digest the cluster routes
+// it on, and render, which builds the reply from the scenario result.
+// key is the result-cache and singleflight key: the digest, with "#kind"
+// appended for a per-kind reply — its own cache entry, while its points
+// are shared with the scenario's.
+type task struct {
+	kind, key, digest string
+	req               ScenarioRequest
+	sc                *core.Scenario
+	render            func(*core.ScenarioResult) any
+}
+
+// prepare validates a request once and resolves it into its task.
+func (m *Manager) prepare(req Request) (*task, error) {
+	t, err := req.translate(m)
+	if err != nil {
+		return nil, err
+	}
+	if t.sc, t.digest, err = t.req.spec(m); err != nil {
+		return nil, err
+	}
+	t.key = t.digest
+	if t.kind != KindScenario {
+		t.key += "#" + t.kind
+	}
+	return t, nil
+}
+
+// reply renders and marshals the task's wire body. A result shaped
+// other than the render expects can only come from a peer's bytes; it
+// is an error, not a crash.
+func (t *task) reply(res *core.ScenarioResult) (b []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: render %s reply: %v", t.kind, r)
+		}
+	}()
+	return json.Marshal(t.render(res))
+}
+
+// admission is how a fresh job reaches execution.
+type admission int
+
+const (
+	// slotted: a local job takes an admission-queue place (ErrQueueFull
+	// beyond the bound), then forwards to its digest's owner or waits for
+	// an execution slot.
+	slotted admission = iota
+	// fromPeer: work a peer sent this node, its owner, takes no queue
+	// place or slot and never forwards, so two saturated nodes waiting on
+	// each other cannot deadlock (the engine's semaphore still bounds
+	// simulation).
+	fromPeer
+)
+
 // Submit prepares and schedules a request. Three outcomes:
 //
 //   - result cache hit: the returned job is already done, carrying the
@@ -342,61 +400,125 @@ func (m *Manager) Store() *Store { return m.store }
 //     admission queue is full, which fails with ErrQueueFull (cache hits
 //     and singleflight attaches are never rejected: they cost no slot).
 //
-// Validation and reference-resolution errors surface synchronously.
-//
-// In a cluster there is a fourth outcome: a scenario spec whose digest
-// another node owns is forwarded there (runForwarded, cluster.go) and
-// the returned bytes are served and cached verbatim — the cross-node
+// Validation and reference-resolution errors surface synchronously. In
+// a cluster a new job whose spec digest another node owns runs there
+// and its bytes are served and cached here — the cross-node
 // singleflight. The returned Job looks the same either way.
 func (m *Manager) Submit(req Request) (*Job, error) {
-	return m.submit(req, true)
-}
-
-// submit is Submit with the forwarding decision explicit: the cluster
-// executor resubmits received work with forward=false so ownership
-// routing never cycles — the owner always computes locally.
-func (m *Manager) submit(req Request, forward bool) (*Job, error) {
-	t, err := req.prepare(m)
+	t, err := m.prepare(req)
 	if err != nil {
 		return nil, err
 	}
+	j, fresh, err := m.begin(t, slotted)
+	if fresh {
+		go m.execute(j, t, slotted, nil)
+	}
+	return j, err
+}
+
+// begin is the serve protocol's identity step, shared by Submit, the
+// NDJSON stream, and the cluster executor: attach to an identical job in
+// flight, else answer from the result cache with a born-done job, else —
+// unless draining, or (slotted) the admission queue is full — register a
+// fresh job in flight. fresh reports the last case: the caller must then
+// execute the job. Singleflight is checked before the cache under one
+// lock: a job's result may be landing in the cache while it is in
+// flight, but execute fills the cache before the job leaves the table,
+// so no window lets identical work rerun.
+func (m *Manager) begin(t *task, mode admission) (j *Job, fresh bool, err error) {
 	m.mu.Lock()
-	// Singleflight before cache: while a job is in flight its result may
-	// be landing in the cache concurrently, but attaching to the job is
-	// always correct. Once it left the inflight table its result is
-	// cached (run() fills the cache before detaching), so the two checks
-	// under one lock leave no window where identical work reruns.
+	defer m.mu.Unlock()
 	if j, ok := m.inflight[t.key]; ok {
 		m.deduped++
-		m.mu.Unlock()
-		return j, nil
+		return j, false, nil
 	}
 	if b, ok := m.cache.Get(t.key); ok {
 		j := m.newJobLocked(t, true)
-		m.mu.Unlock()
 		j.complete(b, nil)
-		return j, nil
+		return j, false, nil
 	}
 	if m.draining {
-		m.mu.Unlock()
-		return nil, ErrDraining
+		return nil, false, ErrDraining
 	}
-	if !m.admitLocked() {
-		m.mu.Unlock()
-		return nil, ErrQueueFull
+	if mode == slotted && !m.admitLocked() {
+		return nil, false, ErrQueueFull
 	}
-	j := m.newJobLocked(t, false)
+	j = m.newJobLocked(t, false)
 	m.inflight[t.key] = j
-	m.mu.Unlock()
-	if plan, ok := m.forwardTarget(req, t, forward); ok {
-		go m.runForwarded(j, t, plan)
-	} else {
-		go m.run(j, t)
-	}
-	return j, nil
+	return j, true, nil
 }
 
-// newJobLocked registers a fresh job; m.mu must be held.
+// execute is the serve protocol's execution step for a job begin
+// registered fresh: obtain its bytes (see compute), fill the cache before
+// leaving the in-flight table, and complete the job. run, when set,
+// computes the bytes in place of the task's own scenario run — the
+// stream writes its frames from it.
+func (m *Manager) execute(j *Job, t *task, mode admission, run func(context.Context) ([]byte, error)) ([]byte, error) {
+	payload, err := m.compute(j, t, mode, run)
+	if err == nil {
+		m.cache.Put(t.key, payload)
+	}
+	m.mu.Lock()
+	delete(m.inflight, t.key)
+	m.mu.Unlock()
+	j.complete(payload, err)
+	attrs := []slog.Attr{
+		slog.String("job_id", j.ID()),
+		slog.String("kind", j.Kind()),
+		slog.String("state", string(j.State())),
+		slog.Duration("elapsed", time.Since(j.created)),
+	}
+	level := slog.LevelInfo
+	if err != nil {
+		level = slog.LevelWarn
+		attrs = append(attrs, slog.String("error", err.Error()))
+	}
+	m.log.LogAttrs(context.Background(), level, "job finished", attrs...)
+	return payload, err
+}
+
+// compute obtains a job's bytes. A slotted job first forwards to its
+// spec digest's owner (cluster.go) and, when that is another node that
+// answers, serves its bytes; otherwise it waits for an execution slot —
+// or for cancellation while queued. Then the job runs here.
+func (m *Manager) compute(j *Job, t *task, mode admission, run func(context.Context) ([]byte, error)) ([]byte, error) {
+	admitted := time.Now()
+	if mode == slotted {
+		if out, ok := m.forward(j, t); ok {
+			m.unqueue()
+			return out, nil
+		}
+		select {
+		case m.slots <- struct{}{}:
+			m.unqueue()
+			mQueueWait.ObserveSince(admitted)
+			defer func() { <-m.slots }()
+		case <-j.ctx.Done():
+			m.unqueue()
+			return nil, j.ctx.Err()
+		}
+	}
+	j.markRunning()
+	m.log.LogAttrs(j.ctx, slog.LevelInfo, "job running",
+		slog.String("job_id", j.ID()),
+		slog.String("kind", j.Kind()),
+		slog.String("spec_digest", j.Key()),
+		slog.Duration("queue_wait", time.Since(admitted)))
+	if run != nil {
+		return run(j.ctx)
+	}
+	// In a cluster, resolve remote-owned grid points first: the planner
+	// then schedules engine work only for the points this node owns
+	// (cluster.go; no-op standalone).
+	m.clusterPrefetchPoints(j.ctx, t.req, t.sc)
+	res, err := core.RunScenario(j.ctx, m.eng, *t.sc)
+	if err != nil {
+		return nil, err
+	}
+	return t.reply(res)
+}
+
+// newJobLocked registers a job; m.mu must be held.
 func (m *Manager) newJobLocked(t *task, cached bool) *Job {
 	m.seq++
 	ctx, cancel := context.WithCancel(context.Background())
@@ -418,74 +540,25 @@ func (m *Manager) newJobLocked(t *task, cached bool) *Job {
 }
 
 // pruneLocked evicts the oldest finished jobs beyond maxRetainedJobs.
+// In-flight jobs are skipped, and the scan stops at the last eviction
+// it needs, so a full table costs one step per submit, not a walk.
 func (m *Manager) pruneLocked() {
-	if len(m.order) <= maxRetainedJobs {
+	excess := len(m.order) - maxRetainedJobs
+	if excess <= 0 {
 		return
 	}
 	kept := m.order[:0]
-	excess := len(m.order) - maxRetainedJobs
-	for _, id := range m.order {
-		j := m.jobs[id]
-		if excess > 0 && j.Finished() {
+	i := 0
+	for ; excess > 0 && i < len(m.order); i++ {
+		id := m.order[i]
+		if m.jobs[id].Finished() {
 			delete(m.jobs, id)
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
-	m.order = kept
-}
-
-// run executes one job and publishes its result.
-func (m *Manager) run(j *Job, t *task) {
-	// Wait for an execution slot — or for cancellation while queued.
-	admitted := time.Now()
-	select {
-	case m.slots <- struct{}{}:
-		m.unqueue()
-		mQueueWait.ObserveSince(admitted)
-		defer func() { <-m.slots }()
-	case <-j.ctx.Done():
-		m.unqueue()
-		m.mu.Lock()
-		delete(m.inflight, t.key)
-		m.mu.Unlock()
-		j.complete(nil, j.ctx.Err())
-		m.log.LogAttrs(context.Background(), slog.LevelInfo, "job cancelled while queued",
-			slog.String("job_id", j.ID()), slog.String("kind", j.Kind()))
-		return
-	}
-	j.markRunning()
-	m.log.LogAttrs(j.ctx, slog.LevelInfo, "job running",
-		slog.String("job_id", j.ID()),
-		slog.String("kind", j.Kind()),
-		slog.String("spec_digest", j.Key()),
-		slog.Duration("queue_wait", time.Since(admitted)))
-	out, err := t.run(j.ctx, m)
-	var payload []byte
-	if err == nil {
-		payload, err = json.Marshal(out)
-	}
-	if err == nil {
-		// Fill the cache before leaving the inflight table (see Submit).
-		m.cache.Put(t.key, payload)
-	}
-	m.mu.Lock()
-	delete(m.inflight, t.key)
-	m.mu.Unlock()
-	j.complete(payload, err)
-	attrs := []slog.Attr{
-		slog.String("job_id", j.ID()),
-		slog.String("kind", j.Kind()),
-		slog.String("state", string(j.State())),
-		slog.Duration("elapsed", time.Since(j.created)),
-	}
-	level := slog.LevelInfo
-	if err != nil {
-		level = slog.LevelWarn
-		attrs = append(attrs, slog.String("error", err.Error()))
-	}
-	m.log.LogAttrs(context.Background(), level, "job finished", attrs...)
+	m.order = append(kept, m.order[i:]...)
 }
 
 // Drain stops admitting new computations and waits for every in-flight
@@ -669,7 +742,8 @@ func (j *Job) ID() string { return j.id }
 // Kind returns the request kind ("analyze", ...).
 func (j *Job) Kind() string { return j.kind }
 
-// Key returns the canonical request digest the job computes.
+// Key returns the key the job is served under: its spec digest, with
+// "#<kind>" appended for a per-kind endpoint's reply.
 func (j *Job) Key() string { return j.key }
 
 // Cached reports whether the job was answered from the result cache.

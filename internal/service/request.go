@@ -2,9 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -15,14 +12,16 @@ import (
 	"repro/internal/tracer"
 )
 
-// Every request below is a *spec translator*: prepare validates the wire
-// body, translates it into a core.Scenario, and renders the scenario
-// result back into the endpoint's legacy wire type — so the four
-// per-kind endpoints and POST /v1/scenarios share one planner, one
-// compile-once program path, and one grid executor, while their response
-// formats (and cache keys) stay exactly as published.
+// Every request is served as a scenario. POST /v1/scenarios bodies are
+// scenario specs already; the four per-kind bodies below are *adapters*:
+// translate turns the wire body into the ScenarioRequest it asks for
+// plus a render function that builds the endpoint's published wire body
+// from the scenario result. Everything between — validation, the spec
+// digest key, singleflight, caching, admission, cluster forwarding, and
+// point-cache resume — is the one path in manager.go.
 
-// Request kinds, used as job labels and in canonical keys.
+// Request kinds, used as job labels and as the suffix that keeps a
+// per-kind reply's cache entry apart from its scenario's.
 const (
 	KindAnalyze        = "analyze"
 	KindWhatIf         = "whatif"
@@ -51,47 +50,14 @@ type PlatformSpec struct {
 	Inline json.RawMessage `json:"inline,omitempty"`
 }
 
-// Request is one unit of submittable work. The concrete types below are
-// the wire request bodies of the daemon's POST endpoints.
+// Request is one unit of submittable work. The concrete types below and
+// ScenarioRequest are the wire request bodies of the daemon's POST
+// endpoints.
 type Request interface {
-	// prepare validates the request against the manager's registries,
-	// resolves references (platform specs, trace digests), and compiles
-	// the executable task with its canonical cache key.
-	prepare(m *Manager) (*task, error)
-}
-
-// task is a prepared request: a canonical key plus the work function.
-type task struct {
-	kind string
-	key  string
-	run  func(ctx context.Context, m *Manager) (any, error)
-}
-
-// canonicalRequest is what a legacy request digests through: every field
-// that changes the result, nothing that doesn't. Platforms and traces
-// appear as content digests, so equivalent spellings (preset name vs
-// uploaded JSON vs explicit mapping list) collapse to one key. Scenario
-// requests digest through core.Scenario.CanonicalJSON instead.
-type canonicalRequest struct {
-	Kind           string        `json:"kind"`
-	App            string        `json:"app,omitempty"`
-	Ranks          int           `json:"ranks,omitempty"`
-	Tracer         tracer.Config `json:"tracer"`
-	Flavor         string        `json:"flavor,omitempty"`
-	TraceDigest    string        `json:"trace_digest,omitempty"`
-	PlatformDigest string        `json:"platform_digest"`
-	Bandwidths     []float64     `json:"bandwidths,omitempty"`
-	Mappings       []string      `json:"mappings,omitempty"`
-}
-
-// key digests the canonical request.
-func (c canonicalRequest) key() (string, error) {
-	b, err := json.Marshal(c)
-	if err != nil {
-		return "", fmt.Errorf("service: canonicalize request: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	// translate validates what is particular to the wire body and
+	// returns the task's kind, the scenario it asks for, and how its
+	// reply renders from the scenario result; prepare does the rest.
+	translate(m *Manager) (*task, error)
 }
 
 // tracerConfig lifts a request's chunk count to the full tracer
@@ -119,9 +85,9 @@ func appEntry(app string, ranks int) (core.App, error) {
 	return entry.App, nil
 }
 
-// resolvePlatform turns a spec into a validated platform sized for ranks,
-// registers it in the artifact store, and returns it with its digest.
-func (m *Manager) resolvePlatform(spec *PlatformSpec, app string, ranks int) (network.Platform, string, error) {
+// resolvePlatform turns a spec into a validated platform sized for ranks
+// and registers it in the artifact store.
+func (m *Manager) resolvePlatform(spec *PlatformSpec, app string, ranks int) (network.Platform, error) {
 	var plat network.Platform
 	selectors := 0
 	if spec != nil {
@@ -137,39 +103,39 @@ func (m *Manager) resolvePlatform(spec *PlatformSpec, app string, ranks int) (ne
 	}
 	switch {
 	case selectors > 1:
-		return network.Platform{}, "", fmt.Errorf("service: platform spec sets %d of preset/digest/inline, want at most one", selectors)
+		return network.Platform{}, fmt.Errorf("service: platform spec sets %d of preset/digest/inline, want at most one", selectors)
 	case spec == nil || selectors == 0:
 		plat = network.TestbedFor(app, ranks).Platform()
 	case spec.Preset != "":
 		p, err := network.PlatformPreset(spec.Preset, ranks)
 		if err != nil {
-			return network.Platform{}, "", err
+			return network.Platform{}, err
 		}
 		plat = p
 	case spec.Digest != "":
 		p, err := m.store.GetPlatform(spec.Digest)
 		if err != nil {
-			return network.Platform{}, "", err
+			return network.Platform{}, err
 		}
 		plat = p
 	default: // inline
 		p, err := network.ReadAnyPlatform(bytes.NewReader(spec.Inline))
 		if err != nil {
-			return network.Platform{}, "", err
+			return network.Platform{}, err
 		}
 		plat = p
 	}
 	if plat.Processors < ranks {
-		return network.Platform{}, "", fmt.Errorf("service: platform has %d processors, request needs %d", plat.Processors, ranks)
+		return network.Platform{}, fmt.Errorf("service: platform has %d processors, request needs %d", plat.Processors, ranks)
 	}
 	digest, err := m.store.PutPlatform(plat)
 	if err != nil {
-		return network.Platform{}, "", err
+		return network.Platform{}, err
 	}
 	// Cluster members replicate resolved platforms so peers can serve
 	// specs referencing the digest (no-op standalone; see cluster.go).
 	m.replicatePlatform(digest, plat)
-	return plat, digest, nil
+	return plat, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -184,46 +150,16 @@ type AnalyzeRequest struct {
 	Platform *PlatformSpec `json:"platform,omitempty"`
 }
 
-func (r AnalyzeRequest) prepare(m *Manager) (*task, error) {
-	app, err := appEntry(r.App, r.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	tCfg, err := tracerConfig(r.Chunks)
-	if err != nil {
-		return nil, err
-	}
-	plat, platDigest, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	key, err := canonicalRequest{
-		Kind:           KindAnalyze,
-		App:            r.App,
-		Ranks:          r.Ranks,
-		Tracer:         tCfg,
-		PlatformDigest: platDigest,
-	}.key()
-	if err != nil {
-		return nil, err
-	}
-	// The spec translation: a zero-axis report-output scenario is exactly
-	// one full analysis; its single point carries the wire report.
-	sc := core.Scenario{
-		App: app, Ranks: r.Ranks, Tracer: tCfg, Platform: plat,
-		Output: core.OutputReport,
-	}
+// translate: a zero-axis report-output scenario is exactly one full
+// analysis; its single point carries the wire report.
+func (r AnalyzeRequest) translate(*Manager) (*task, error) {
 	return &task{
 		kind: KindAnalyze,
-		key:  key,
-		run: func(ctx context.Context, m *Manager) (any, error) {
-			sc.Traces = m.eng.Traces()
-			res, err := core.RunScenario(ctx, m.eng, sc)
-			if err != nil {
-				return nil, err
-			}
-			return res.Points[0].Report, nil
+		req: ScenarioRequest{
+			App: r.App, Ranks: r.Ranks, Chunks: r.Chunks, Platform: r.Platform,
+			Output: string(core.OutputReport),
 		},
+		render: func(res *core.ScenarioResult) any { return res.Points[0].Report },
 	}, nil
 }
 
@@ -239,44 +175,14 @@ type WhatIfRequest struct {
 	Platform *PlatformSpec `json:"platform,omitempty"`
 }
 
-func (r WhatIfRequest) prepare(m *Manager) (*task, error) {
-	app, err := appEntry(r.App, r.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	tCfg, err := tracerConfig(r.Chunks)
-	if err != nil {
-		return nil, err
-	}
-	plat, platDigest, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	key, err := canonicalRequest{
-		Kind:           KindWhatIf,
-		App:            r.App,
-		Ranks:          r.Ranks,
-		Tracer:         tCfg,
-		PlatformDigest: platDigest,
-	}.key()
-	if err != nil {
-		return nil, err
-	}
-	sc := core.Scenario{
-		App: app, Ranks: r.Ranks, Tracer: tCfg, Platform: plat,
-		Output: core.OutputWhatIf,
-	}
+func (r WhatIfRequest) translate(*Manager) (*task, error) {
 	return &task{
 		kind: KindWhatIf,
-		key:  key,
-		run: func(ctx context.Context, m *Manager) (any, error) {
-			sc.Traces = m.eng.Traces()
-			res, err := core.RunScenario(ctx, m.eng, sc)
-			if err != nil {
-				return nil, err
-			}
-			return res.Points[0].WhatIf, nil
+		req: ScenarioRequest{
+			App: r.App, Ranks: r.Ranks, Chunks: r.Chunks, Platform: r.Platform,
+			Output: string(core.OutputWhatIf),
 		},
+		render: func(res *core.ScenarioResult) any { return res.Points[0].WhatIf },
 	}, nil
 }
 
@@ -301,150 +207,46 @@ type BandwidthSweepRequest struct {
 	Bandwidths []float64     `json:"bandwidths_mbps"`
 }
 
-func (r BandwidthSweepRequest) prepare(m *Manager) (*task, error) {
+// translate: a one-flavour finish scenario over a bandwidth axis. In
+// trace mode the stored trace's own flavour is the only one.
+func (r BandwidthSweepRequest) translate(*Manager) (*task, error) {
 	if len(r.Bandwidths) == 0 {
 		return nil, fmt.Errorf("service: bandwidth sweep needs bandwidths_mbps")
 	}
-	if len(r.Bandwidths) > maxSweepPoints {
-		return nil, fmt.Errorf("service: %d sweep points, limit %d", len(r.Bandwidths), maxSweepPoints)
+	sr := ScenarioRequest{
+		App: r.App, Ranks: r.Ranks, Chunks: r.Chunks, Trace: r.Trace, Platform: r.Platform,
+		Axes:   []core.Axis{core.BandwidthAxis(r.Bandwidths...)},
+		Output: string(core.OutputFinish),
 	}
-	for _, bw := range r.Bandwidths {
-		if bw <= 0 {
-			return nil, fmt.Errorf("service: bandwidth %g MB/s, must be positive", bw)
-		}
-	}
-	if (r.App == "") == (r.Trace == "") {
-		return nil, fmt.Errorf("service: bandwidth sweep needs exactly one of app or trace")
-	}
-	bandwidths := append([]float64(nil), r.Bandwidths...)
-
-	if r.Trace != "" {
+	switch {
+	case r.Trace != "" && (r.Flavor != "" || r.Ranks != 0 || r.Chunks != 0):
 		// A stored trace is already one flavour at one chunking on fixed
 		// ranks; accepting the app-mode knobs and ignoring them would
 		// silently serve a different sweep than the client asked for.
-		if r.Flavor != "" || r.Ranks != 0 || r.Chunks != 0 {
-			return nil, fmt.Errorf("service: trace-mode bandwidth sweep does not take flavor, ranks, or chunks")
-		}
-		tr, err := m.store.GetTrace(r.Trace)
-		if err != nil {
-			return nil, err
-		}
-		plat, platDigest, err := m.resolvePlatform(r.Platform, tr.Name, tr.NumRanks)
-		if err != nil {
-			return nil, err
-		}
-		key, err := canonicalRequest{
-			Kind:           KindBandwidthSweep,
-			TraceDigest:    r.Trace,
-			Tracer:         tracer.DefaultConfig(), // irrelevant in trace mode, pinned for key stability
-			PlatformDigest: platDigest,
-			Bandwidths:     bandwidths,
-		}.key()
-		if err != nil {
-			return nil, err
-		}
-		digest := r.Trace
-		sc := core.Scenario{
-			Trace: tr, TraceDigest: digest, Platform: plat,
-			Axes:   []core.Axis{core.BandwidthAxis(bandwidths...)},
-			Output: core.OutputFinish,
-		}
-		return &task{
-			kind: KindBandwidthSweep,
-			key:  key,
-			run: func(ctx context.Context, m *Manager) (any, error) {
-				// Stored traces compile once per digest through the
-				// manager's program cache; every sweep of this trace after
-				// the first replays the cached program.
-				sc.CompileTrace = m.traceCompiler(digest)
-				res, err := core.RunScenario(ctx, m.eng, sc)
-				if err != nil {
-					return nil, err
-				}
-				return &core.WireBandwidthSweep{
-					App:            tr.Name,
-					Flavor:         tr.Flavor,
-					TraceDigest:    digest,
-					PlatformDigest: platDigest,
-					Points:         sweepPointsFrom(bandwidths, res),
-				}, nil
-			},
-		}, nil
-	}
-
-	app, err := appEntry(r.App, r.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	tCfg, err := tracerConfig(r.Chunks)
-	if err != nil {
-		return nil, err
-	}
-	flavor := core.Flavor(r.Flavor)
-	if r.Flavor == "" {
-		flavor = core.FlavorReal
-	}
-	switch flavor {
-	case core.FlavorBase, core.FlavorReal, core.FlavorIdeal:
-	default:
-		return nil, fmt.Errorf("service: unknown flavor %q", r.Flavor)
-	}
-	plat, platDigest, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	key, err := canonicalRequest{
-		Kind:           KindBandwidthSweep,
-		App:            r.App,
-		Ranks:          r.Ranks,
-		Tracer:         tCfg,
-		Flavor:         string(flavor),
-		PlatformDigest: platDigest,
-		Bandwidths:     bandwidths,
-	}.key()
-	if err != nil {
-		return nil, err
-	}
-	sc := core.Scenario{
-		App: app, Ranks: r.Ranks, Tracer: tCfg, Platform: plat,
-		Flavors: []core.Flavor{flavor},
-		Axes:    []core.Axis{core.BandwidthAxis(bandwidths...)},
-		Output:  core.OutputFinish,
+		return nil, fmt.Errorf("service: trace-mode bandwidth sweep does not take flavor, ranks, or chunks")
+	case r.Trace == "" && r.Flavor == "":
+		sr.Flavors = []string{string(core.FlavorReal)}
+	case r.Trace == "":
+		sr.Flavors = []string{r.Flavor}
 	}
 	return &task{
 		kind: KindBandwidthSweep,
-		key:  key,
-		run: func(ctx context.Context, m *Manager) (any, error) {
-			// The engine's trace cache builds, validates, and compiles the
-			// flavour once; requests for the same app triple share it.
-			sc.Traces = m.eng.Traces()
-			res, err := core.RunScenario(ctx, m.eng, sc)
-			if err != nil {
-				return nil, err
-			}
-			traceDigest := ""
-			if len(res.Points) > 0 {
-				traceDigest = res.Points[0].Flavors[0].TraceDigest
+		req:  sr,
+		render: func(res *core.ScenarioResult) any {
+			f := res.Points[0].Flavors[0]
+			points := make([]core.WireSweepPoint, len(res.Points))
+			for i, pt := range res.Points {
+				points[i] = core.WireSweepPoint{BandwidthMBps: r.Bandwidths[i], FinishSec: pt.Flavors[0].FinishSec}
 			}
 			return &core.WireBandwidthSweep{
-				App:            r.App,
-				Flavor:         string(flavor),
-				TraceDigest:    traceDigest,
-				PlatformDigest: platDigest,
-				Points:         sweepPointsFrom(bandwidths, res),
-			}, nil
+				App:            res.App,
+				Flavor:         string(f.Flavor),
+				TraceDigest:    f.TraceDigest,
+				PlatformDigest: res.PlatformDigest,
+				Points:         points,
+			}
 		},
 	}, nil
-}
-
-// sweepPointsFrom renders a bandwidth-axis scenario result into the
-// legacy sweep-point list, in input bandwidth order.
-func sweepPointsFrom(bandwidths []float64, res *core.ScenarioResult) []core.WireSweepPoint {
-	points := make([]core.WireSweepPoint, len(res.Points))
-	for i, pt := range res.Points {
-		points[i] = core.WireSweepPoint{BandwidthMBps: bandwidths[i], FinishSec: pt.Flavors[0].FinishSec}
-	}
-	return points
 }
 
 // ---------------------------------------------------------------------------
@@ -463,13 +265,14 @@ type MappingSweepRequest struct {
 	Mappings []string `json:"mappings,omitempty"`
 }
 
-func (r MappingSweepRequest) prepare(m *Manager) (*task, error) {
-	app, err := appEntry(r.App, r.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	tCfg, err := tracerConfig(r.Chunks)
-	if err != nil {
+// translate: a base/overlap-real traffic scenario over a mapping axis.
+// The axis carries each placement's materialized rank→node table, not
+// its spelling: "block" and its explicit node list are one placement and
+// share one key. Points are labelled with the request's own spellings
+// (a cached reply keeps its first submitter's), and the scenario keeps
+// the client's platform selector so a peer resolves it itself.
+func (r MappingSweepRequest) translate(m *Manager) (*task, error) {
+	if _, err := appEntry(r.App, r.Ranks); err != nil {
 		return nil, err
 	}
 	specs := r.Mappings
@@ -479,12 +282,12 @@ func (r MappingSweepRequest) prepare(m *Manager) (*task, error) {
 	if len(specs) > maxSweepPoints {
 		return nil, fmt.Errorf("service: %d mappings, limit %d", len(specs), maxSweepPoints)
 	}
-	plat, platDigest, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
+	plat, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
 	if err != nil {
 		return nil, err
 	}
-	mappings := make([]network.Mapping, len(specs))
-	canonical := make([]string, len(specs))
+	labels := make([]string, len(specs))
+	tables := make([]string, len(specs))
 	for i, s := range specs {
 		mp, err := network.ParseMapping(s)
 		if err != nil {
@@ -494,44 +297,23 @@ func (r MappingSweepRequest) prepare(m *Manager) (*task, error) {
 		if err := mapped.Validate(); err != nil {
 			return nil, fmt.Errorf("service: mapping %q: %w", s, err)
 		}
-		mappings[i] = mp
-		// Key by the materialized rank→node table, not the spelling:
-		// "block" and its explicit node list are the same placement and
-		// must share one cache entry. (The cached payload labels points
-		// with the first submitter's spelling.)
-		canonical[i] = network.ExplicitMapping(mapped.NodeTable()).String()
-	}
-	key, err := canonicalRequest{
-		Kind:           KindMappingSweep,
-		App:            r.App,
-		Ranks:          r.Ranks,
-		Tracer:         tCfg,
-		PlatformDigest: platDigest,
-		Mappings:       canonical,
-	}.key()
-	if err != nil {
-		return nil, err
-	}
-	sc := core.Scenario{
-		App: app, Ranks: r.Ranks, Tracer: tCfg, Platform: plat,
-		Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal},
-		Axes:    []core.Axis{core.MappingAxis(specs...)},
-		Output:  core.OutputTraffic,
+		labels[i] = mp.String()
+		tables[i] = network.ExplicitMapping(mapped.NodeTable()).String()
 	}
 	return &task{
 		kind: KindMappingSweep,
-		key:  key,
-		run: func(ctx context.Context, m *Manager) (any, error) {
-			sc.Traces = m.eng.Traces()
-			res, err := core.RunScenario(ctx, m.eng, sc)
-			if err != nil {
-				return nil, err
-			}
-			pts := make([]core.WireMappingPoint, len(res.Points))
+		req: ScenarioRequest{
+			App: r.App, Ranks: r.Ranks, Chunks: r.Chunks, Platform: r.Platform,
+			Flavors: []string{string(core.FlavorBase), string(core.FlavorReal)},
+			Axes:    []core.Axis{core.MappingAxis(tables...)},
+			Output:  string(core.OutputTraffic),
+		},
+		render: func(res *core.ScenarioResult) any {
+			points := make([]core.WireMappingPoint, len(res.Points))
 			for i, pt := range res.Points {
 				base, real := pt.Flavors[0], pt.Flavors[1]
-				pts[i] = core.WireMappingPoint{
-					Mapping:       mappings[i].String(),
+				points[i] = core.WireMappingPoint{
+					Mapping:       labels[i],
 					BaseFinishSec: base.FinishSec,
 					RealFinishSec: real.FinishSec,
 					SpeedupReal:   metrics.Speedup(base.FinishSec, real.FinishSec),
@@ -540,11 +322,11 @@ func (r MappingSweepRequest) prepare(m *Manager) (*task, error) {
 				}
 			}
 			return &core.WireMappingSweep{
-				App:            r.App,
-				Ranks:          r.Ranks,
-				PlatformDigest: platDigest,
-				Points:         pts,
-			}, nil
+				App:            res.App,
+				Ranks:          res.Ranks,
+				PlatformDigest: res.PlatformDigest,
+				Points:         points,
+			}
 		},
 	}, nil
 }

@@ -47,29 +47,16 @@ type ScenarioRequest struct {
 	Degradations *faults.Spec `json:"degradations,omitempty"`
 }
 
-func (r ScenarioRequest) prepare(m *Manager) (*task, error) {
-	sc, key, err := r.spec(m)
-	if err != nil {
-		return nil, err
-	}
-	return &task{
-		kind: KindScenario,
-		key:  key,
-		run: func(ctx context.Context, m *Manager) (any, error) {
-			// In a cluster, resolve remote-owned grid points first: the
-			// planner then schedules engine work only for the points this
-			// node owns (cluster.go; no-op standalone).
-			m.clusterPrefetchPoints(ctx, r, sc)
-			return core.RunScenario(ctx, m.eng, *sc)
-		},
-	}, nil
+// translate: a scenario request is its own scenario, and its reply is
+// the scenario result itself.
+func (r ScenarioRequest) translate(*Manager) (*task, error) {
+	return &task{kind: KindScenario, req: r, render: func(res *core.ScenarioResult) any { return res }}, nil
 }
 
-// spec translates the wire request into the planner's scenario plus its
-// canonical digest (the cache key). Both the batch path (prepare) and
-// the streaming path build on it, so the two serve the same study under
-// the same key — and both run with the manager's point-level resume
-// store attached.
+// spec resolves the wire request into the planner's scenario plus its
+// canonical digest — the key every request is served under (prepare),
+// batch or streamed, scenario or per-kind — with the manager's
+// point-level resume store attached.
 func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 	if (r.App == "") == (r.Trace == "") {
 		return nil, "", fmt.Errorf("service: scenario needs exactly one of app or trace")
@@ -105,7 +92,7 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 		// cache, so repeated scenarios over one stored trace compile it
 		// once — and eviction from the store drops the program too.
 		sc.CompileTrace = m.traceCompiler(digest)
-		plat, _, err := m.resolvePlatform(r.Platform, tr.Name, tr.NumRanks)
+		plat, err := m.resolvePlatform(r.Platform, tr.Name, tr.NumRanks)
 		if err != nil {
 			return nil, "", err
 		}
@@ -133,7 +120,7 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 				}
 			}
 		}
-		plat, _, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
+		plat, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
 		if err != nil {
 			return nil, "", err
 		}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/tracer"
@@ -91,18 +92,21 @@ func TestScenarioCrossProductCached(t *testing.T) {
 }
 
 // TestAnalyzeIsScenarioTranslation: POST /v1/analyze serves exactly the
-// report a zero-axis report-output scenario embeds in its single point.
+// report a zero-axis report-output scenario embeds in its single point,
+// and that scenario then resumes from the analysis's cached point.
 func TestAnalyzeIsScenarioTranslation(t *testing.T) {
-	_, cl := newService(t, 2)
+	mgr, cl := newService(t, 2)
 	ctx := context.Background()
 	legacy, err := cl.AnalyzeRaw(ctx, service.AnalyzeRequest{App: "cg", Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := mgr.Engine().Stats()
 	raw, err := cl.ScenarioRaw(ctx, service.ScenarioRequest{App: "cg", Ranks: 4, Output: "report"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertNoNewJobs(t, mgr, before)
 	var res rawScenarioResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
@@ -116,9 +120,10 @@ func TestAnalyzeIsScenarioTranslation(t *testing.T) {
 }
 
 // TestWhatIfIsScenarioTranslation: POST /v1/whatif == the scenario
-// point's whatif payload, byte for byte.
+// point's whatif payload, byte for byte, and the scenario costs no new
+// engine jobs.
 func TestWhatIfIsScenarioTranslation(t *testing.T) {
-	_, cl := newService(t, 2)
+	mgr, cl := newService(t, 2)
 	ctx := context.Background()
 	wi, err := cl.WhatIf(ctx, service.WhatIfRequest{App: "cg", Ranks: 4})
 	if err != nil {
@@ -128,10 +133,12 @@ func TestWhatIfIsScenarioTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := mgr.Engine().Stats()
 	raw, err := cl.ScenarioRaw(ctx, service.ScenarioRequest{App: "cg", Ranks: 4, Output: "whatif"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertNoNewJobs(t, mgr, before)
 	var res rawScenarioResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
@@ -145,9 +152,10 @@ func TestWhatIfIsScenarioTranslation(t *testing.T) {
 }
 
 // TestBandwidthSweepIsScenarioTranslation: the legacy sweep response is
-// reconstructible byte-for-byte from a bandwidth-axis scenario.
+// reconstructible byte-for-byte from a bandwidth-axis scenario, which
+// resumes every point from the sweep's.
 func TestBandwidthSweepIsScenarioTranslation(t *testing.T) {
-	_, cl := newService(t, 2)
+	mgr, cl := newService(t, 2)
 	ctx := context.Background()
 	bandwidths := []float64{50, 250, 1000}
 	legacy, err := cl.SweepBandwidth(ctx, service.BandwidthSweepRequest{
@@ -160,6 +168,7 @@ func TestBandwidthSweepIsScenarioTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := mgr.Engine().Stats()
 	scen, err := cl.Scenario(ctx, service.ScenarioRequest{
 		App: "cg", Ranks: 4,
 		Flavors: []string{"overlap-real"},
@@ -168,6 +177,7 @@ func TestBandwidthSweepIsScenarioTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertNoNewJobs(t, mgr, before)
 	rebuilt := &core.WireBandwidthSweep{
 		App:            scen.App,
 		Flavor:         string(scen.Points[0].Flavors[0].Flavor),
@@ -186,6 +196,17 @@ func TestBandwidthSweepIsScenarioTranslation(t *testing.T) {
 	}
 	if !bytes.Equal(legacyJSON, rebuiltJSON) {
 		t.Fatalf("legacy bandwidth sweep differs from scenario translation:\n%s\n%s", legacyJSON, rebuiltJSON)
+	}
+}
+
+// assertNoNewJobs fails the test if the manager's engine started jobs
+// since before: the per-kind endpoints share the scenario path's point
+// cache, so the equivalent scenario after a per-kind call simulates
+// nothing.
+func assertNoNewJobs(t *testing.T, mgr *service.Manager, before engine.Stats) {
+	t.Helper()
+	if after := mgr.Engine().Stats(); after.Started != before.Started {
+		t.Fatalf("equivalent scenario started %d engine jobs after the per-kind call", after.Started-before.Started)
 	}
 }
 

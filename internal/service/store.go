@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/network"
 	"repro/internal/trace"
 )
@@ -44,20 +44,14 @@ var ErrStoreFull = errors.New("service: artifact store full")
 type Store struct {
 	dir string
 
-	mu         sync.Mutex
-	traces     map[string]*list.Element // digest → traceOrder element
-	traceOrder *list.List               // front = most recently used
-	platforms  map[string]network.Platform
-	// capTraces bounds the trace memory tier (maxStoredTraces; tests
+	// mu orders the compound memory-tier updates (a put's capacity check,
+	// a disk promotion, a delete) against each other.
+	mu sync.Mutex
+	// traces is the trace memory tier, bounded by maxStoredTraces (tests
 	// lower it to exercise eviction).
-	capTraces    int
+	traces       *lru.Cache[*trace.Trace]
+	platforms    map[string]network.Platform
 	onTraceEvict func(digest string)
-}
-
-// storedTrace is one memory-tier entry.
-type storedTrace struct {
-	digest string
-	tr     *trace.Trace
 }
 
 // NewStore returns a store with a memory tier and, when dir is non-empty,
@@ -69,11 +63,9 @@ func NewStore(dir string) (*Store, error) {
 		}
 	}
 	return &Store{
-		dir:        dir,
-		traces:     make(map[string]*list.Element),
-		traceOrder: list.New(),
-		platforms:  make(map[string]network.Platform),
-		capTraces:  maxStoredTraces,
+		dir:       dir,
+		traces:    lru.New[*trace.Trace](maxStoredTraces),
+		platforms: make(map[string]network.Platform),
 	}, nil
 }
 
@@ -85,34 +77,6 @@ func (s *Store) OnTraceEvict(fn func(digest string)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onTraceEvict = fn
-}
-
-// insertTraceLocked adds a trace to the memory tier, evicting the least
-// recently used entries beyond capacity when a disk tier backs them.
-// It returns the evicted digests; the caller fires the hook after
-// unlocking. With no disk tier the memory tier is authoritative and a
-// full tier is the caller's error.
-func (s *Store) insertTraceLocked(digest string, t *trace.Trace) (evicted []string, err error) {
-	if _, seen := s.traces[digest]; seen {
-		return nil, nil
-	}
-	if len(s.traces) >= s.capTraces {
-		if s.dir == "" {
-			return nil, fmt.Errorf("%w: %d traces", ErrStoreFull, s.capTraces)
-		}
-		for len(s.traces) >= s.capTraces {
-			last := s.traceOrder.Back()
-			if last == nil {
-				break
-			}
-			old := last.Value.(*storedTrace)
-			s.traceOrder.Remove(last)
-			delete(s.traces, old.digest)
-			evicted = append(evicted, old.digest)
-		}
-	}
-	s.traces[digest] = s.traceOrder.PushFront(&storedTrace{digest: digest, tr: t})
-	return evicted, nil
 }
 
 // fireEvictions invokes the eviction hook for each digest; call without
@@ -155,16 +119,9 @@ func (s *Store) PutTrace(t *trace.Trace) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	if _, seen := s.traces[digest]; seen {
-		s.mu.Unlock()
+	if s.traces.Contains(digest) {
 		return digest, nil
 	}
-	if s.dir == "" && len(s.traces) >= s.capTraces {
-		s.mu.Unlock()
-		return "", fmt.Errorf("%w: %d traces", ErrStoreFull, s.capTraces)
-	}
-	s.mu.Unlock()
 	if s.dir != "" {
 		var buf bytes.Buffer
 		if err := trace.WriteBinary(&buf, t); err != nil {
@@ -175,7 +132,16 @@ func (s *Store) PutTrace(t *trace.Trace) (string, error) {
 		}
 	}
 	s.mu.Lock()
-	evicted, err := s.insertTraceLocked(digest, t)
+	var evicted []string
+	switch {
+	case s.traces.Contains(digest):
+	case s.dir == "" && s.traces.Full():
+		// With no disk tier the memory tier is authoritative: at capacity
+		// it refuses the put instead of evicting data.
+		err = fmt.Errorf("%w: %d traces", ErrStoreFull, s.traces.Len())
+	default:
+		evicted = s.traces.Put(digest, t)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return "", err
@@ -191,14 +157,9 @@ func (s *Store) GetTrace(digest string) (*trace.Trace, error) {
 	if !trace.ValidDigest(digest) {
 		return nil, fmt.Errorf("service: malformed trace digest %q", digest)
 	}
-	s.mu.Lock()
-	if el, ok := s.traces[digest]; ok {
-		s.traceOrder.MoveToFront(el)
-		t := el.Value.(*storedTrace).tr
-		s.mu.Unlock()
+	if t, ok := s.traces.Get(digest); ok {
 		return t, nil
 	}
-	s.mu.Unlock()
 	if s.dir == "" {
 		return nil, fmt.Errorf("service: unknown trace %s", digest)
 	}
@@ -229,7 +190,7 @@ func (s *Store) GetTrace(digest string) (*trace.Trace, error) {
 	// skipping the promotion keeps a deleted trace from resurrecting
 	// through the open file descriptor we just read it from.
 	if _, statErr := os.Stat(s.tracePath(digest)); statErr == nil {
-		evicted, _ = s.insertTraceLocked(digest, t) // disk-backed: never errors
+		evicted = s.traces.Put(digest, t)
 	}
 	s.mu.Unlock()
 	s.fireEvictions(evicted)
@@ -259,11 +220,7 @@ func (s *Store) DeleteTrace(digest string) (bool, error) {
 		}
 	}
 	s.mu.Lock()
-	el, inMemory := s.traces[digest]
-	if inMemory {
-		s.traceOrder.Remove(el)
-		delete(s.traces, digest)
-	}
+	inMemory := s.traces.Delete(digest)
 	s.mu.Unlock()
 	if inMemory || onDisk {
 		s.fireEvictions([]string{digest})
@@ -357,9 +314,7 @@ func (s *Store) SetTraceCapacity(n int) {
 	if n <= 0 {
 		panic("service: trace capacity must be positive")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.capTraces = n
+	s.traces.SetCapacity(n)
 }
 
 // TraceDigests lists the digests of every stored trace, sorted — the
@@ -368,11 +323,7 @@ func (s *Store) SetTraceCapacity(n int) {
 // though it left memory.
 func (s *Store) TraceDigests() []string {
 	seen := map[string]bool{}
-	s.mu.Lock()
-	for d := range s.traces {
-		seen[d] = true
-	}
-	s.mu.Unlock()
+	s.traces.Range(func(d string, _ *trace.Trace) { seen[d] = true })
 	if s.dir != "" {
 		if names, err := filepath.Glob(filepath.Join(s.dir, "sha256-*.dimbin")); err == nil {
 			for _, name := range names {
@@ -393,12 +344,7 @@ func (s *Store) TraceDigests() []string {
 }
 
 // HasTrace reports whether the digest is resident in the memory tier.
-func (s *Store) HasTrace(digest string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.traces[digest]
-	return ok
-}
+func (s *Store) HasTrace(digest string) bool { return s.traces.Contains(digest) }
 
 // ContainsTrace reports whether the digest lives in either tier —
 // memory, or (when configured) the disk tier. Dependent caches use it to
@@ -418,7 +364,7 @@ func (s *Store) ContainsTrace(digest string) bool {
 func (s *Store) Counts() (traces, platforms int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.traces), len(s.platforms)
+	return s.traces.Len(), len(s.platforms)
 }
 
 // quarantine moves a disk artifact that failed verification aside as

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/lru"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -351,7 +352,7 @@ func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 }
 
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
+	c := lru.New[[]byte](2)
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
 	if _, ok := c.Get("a"); !ok {
@@ -372,7 +373,7 @@ func TestResultCacheLRU(t *testing.T) {
 		t.Fatalf("hits/misses = %d/%d, want 3/1", hits, misses)
 	}
 
-	disabled := newResultCache(-1)
+	disabled := lru.New[[]byte](-1)
 	disabled.Put("x", []byte("1"))
 	if _, ok := disabled.Get("x"); ok {
 		t.Fatal("disabled cache cached")

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"time"
 
 	"repro/internal/core"
 )
@@ -70,14 +67,6 @@ func writeFrame(w http.ResponseWriter, name string, payload []byte) error {
 	return nil
 }
 
-func writeErrorFrame(w http.ResponseWriter, err error) {
-	msg, merr := json.Marshal(err.Error())
-	if merr != nil {
-		return
-	}
-	writeFrame(w, "error", msg)
-}
-
 // splitScenarioPayload decomposes a cached batch payload back into its
 // header bytes and raw point payloads. The header re-marshal is exact:
 // ScenarioHeader carries no floats, so unmarshal∘marshal is the
@@ -125,48 +114,20 @@ func (a *payloadAssembler) finish() []byte {
 	return a.buf.Bytes()
 }
 
-// grantScenarioStream decides how a streaming scenario request is
-// served, under the same singleflight/cache/admission discipline as
-// Submit. Outcomes:
-//
-//   - cached spec: a born-done job plus the cached payload to replay;
-//   - identical request in flight: the existing job to wait on (its
-//     payload replays once it completes);
-//   - otherwise a fresh job the caller owns: it must acquire a slot,
-//     run the stream, and complete the job — or ErrQueueFull when the
-//     admission queue is at capacity.
-func (m *Manager) grantScenarioStream(key string) (j *Job, payload []byte, owner bool, err error) {
-	t := &task{kind: KindScenario, key: key}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.inflight[key]; ok {
-		m.deduped++
-		return j, nil, false, nil
-	}
-	if b, ok := m.cache.Get(key); ok {
-		j := m.newJobLocked(t, true)
-		j.complete(b, nil)
-		return j, b, false, nil
-	}
-	if m.draining {
-		return nil, nil, false, ErrDraining
-	}
-	if !m.admitLocked() {
-		return nil, nil, false, ErrQueueFull
-	}
-	j = m.newJobLocked(t, false)
-	m.inflight[key] = j
-	return j, nil, true, nil
-}
-
-// streamScenario serves POST /v1/scenarios as NDJSON.
+// streamScenario serves POST /v1/scenarios as NDJSON through the same
+// identity and execution steps as Submit. A cached or in-flight spec
+// replays its completed payload; a fresh one streams its points as the
+// planner emits them — the 200 header goes out only once the request
+// holds an execution slot, so a full queue answers 429 with no frames —
+// unless its digest's owner serves it, in which case the owner's bytes
+// replay like a cached payload.
 func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, req ScenarioRequest) {
-	sc, key, err := req.spec(m)
+	t, err := m.prepare(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hdr, err := sc.Header()
+	hdr, err := t.sc.Header()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -176,117 +137,64 @@ func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, req Scen
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	j, cachedPayload, owner, err := m.grantScenarioStream(key)
-	if err != nil {
-		// Queue full or draining: tell the client to back off and retry
-		// (against the restarted server, in the draining case).
-		status := http.StatusTooManyRequests
-		if errors.Is(err, ErrDraining) {
-			status = http.StatusServiceUnavailable
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, status, err)
+	j, fresh, err := m.begin(t, slotted)
+	if rejected(m, w, r, err) {
 		return
 	}
-	if !owner {
-		if cachedPayload == nil {
-			// Attached to an in-flight computation: its completed payload
-			// replays as one burst of frames.
-			if cachedPayload, err = j.Wait(r.Context()); err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
+	logSubmitted(m, r, j)
+	var payload []byte
+	if !fresh {
+		if payload, err = j.Wait(r.Context()); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
 		}
-		streamPayload(w, j, cachedPayload)
+		streamPayload(w, j, payload)
 		return
 	}
-
 	// Fresh execution, owned by this request goroutine. The client
 	// vanishing cancels the job; the job's context is what the planner
 	// watches.
 	stop := context.AfterFunc(r.Context(), j.cancel)
 	defer stop()
-
-	// In a cluster, a spec whose digest another node owns streams from
-	// the owner's bytes: execute it there (no local slot held), cache the
-	// payload, and replay it as frames — byte-identical to streaming it
-	// here. Forward failures fall through to the local run.
-	if plan, ok := m.forwardTarget(req, &task{kind: KindScenario, key: key}, true); ok {
-		j.markRunning()
-		if out, err := m.node.Exec(j.ctx, plan.owner, ExecKindScenario, plan.payload); err == nil {
-			mClusterForwards.With("ok").Inc()
-			m.unqueue()
-			m.cache.Put(key, out)
-			m.mu.Lock()
-			delete(m.inflight, key)
-			m.mu.Unlock()
-			j.complete(out, nil)
-			streamPayload(w, j, out)
-			return
+	var asm *payloadAssembler // set once this request streams the run itself
+	payload, err = m.execute(j, t, slotted, func(ctx context.Context) ([]byte, error) {
+		w.Header().Set("Content-Type", NDJSONContentType)
+		w.Header().Set("X-Job-Id", j.ID())
+		w.Header().Set("X-Cache", cacheHeader(j))
+		w.WriteHeader(http.StatusOK)
+		if err := writeFrame(w, "header", hdrJSON); err != nil {
+			// The client is gone; finish bookkeeping without streaming.
+			j.cancel()
 		}
-		mClusterForwards.With("fallback").Inc()
-	}
-
-	admitted := time.Now()
-	select {
-	case m.slots <- struct{}{}:
-		m.unqueue()
-		mQueueWait.ObserveSince(admitted)
-		defer func() { <-m.slots }()
-	case <-j.ctx.Done():
-		m.unqueue()
-		m.mu.Lock()
-		delete(m.inflight, key)
-		m.mu.Unlock()
-		j.complete(nil, j.ctx.Err())
-		writeError(w, http.StatusInternalServerError, j.ctx.Err())
-		return
-	}
-	j.markRunning()
-	m.log.LogAttrs(r.Context(), slog.LevelInfo, "scenario stream running",
-		slog.String("request_id", RequestID(r.Context())),
-		slog.String("job_id", j.ID()),
-		slog.String("spec_digest", key),
-		slog.Duration("queue_wait", time.Since(admitted)))
-
-	w.Header().Set("Content-Type", NDJSONContentType)
-	w.Header().Set("X-Job-Id", j.ID())
-	w.Header().Set("X-Cache", cacheHeader(j))
-	w.WriteHeader(http.StatusOK)
-	if err := writeFrame(w, "header", hdrJSON); err != nil {
-		// The client is gone; finish bookkeeping without streaming.
-		j.cancel()
-	}
-	asm := newPayloadAssembler(hdrJSON)
-	// Resolve remote-owned grid points through the cluster before the
-	// planner schedules anything (no-op standalone; see cluster.go).
-	m.clusterPrefetchPoints(j.ctx, req, sc)
-	_, err = core.RunScenarioStream(j.ctx, m.eng, *sc, func(pt core.ScenarioPoint) error {
-		ptJSON, err := json.Marshal(pt)
+		asm = newPayloadAssembler(hdrJSON)
+		// Resolve remote-owned grid points through the cluster before the
+		// planner schedules anything (no-op standalone; see cluster.go).
+		m.clusterPrefetchPoints(ctx, req, t.sc)
+		_, err := core.RunScenarioStream(ctx, m.eng, *t.sc, func(pt core.ScenarioPoint) error {
+			ptJSON, err := json.Marshal(pt)
+			if err != nil {
+				return err
+			}
+			asm.point(ptJSON)
+			return writeFrame(w, "point", ptJSON)
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		asm.point(ptJSON)
-		return writeFrame(w, "point", ptJSON)
+		return asm.finish(), nil
 	})
-	if err != nil {
-		m.mu.Lock()
-		delete(m.inflight, key)
-		m.mu.Unlock()
-		j.complete(nil, err)
-		writeErrorFrame(w, err)
-		return
+	switch {
+	case asm == nil && err != nil: // cancelled while queued
+		writeError(w, http.StatusInternalServerError, err)
+	case asm == nil: // served by the digest's owner
+		streamPayload(w, j, payload)
+	case err != nil:
+		msg, _ := json.Marshal(err.Error()) // a string always marshals
+		writeFrame(w, "error", msg)
+	default:
+		done, _ := json.Marshal(StreamDone{Points: asm.points})
+		writeFrame(w, "done", done)
 	}
-	payload := asm.finish()
-	// Fill the cache before leaving the inflight table, like run() does:
-	// a later identical spec replays these exact bytes.
-	m.cache.Put(key, payload)
-	m.mu.Lock()
-	delete(m.inflight, key)
-	m.mu.Unlock()
-	j.complete(payload, nil)
-	done, _ := json.Marshal(StreamDone{Points: asm.points})
-	writeFrame(w, "done", done)
 }
 
 // streamPayload replays a completed batch payload as NDJSON frames —
