@@ -531,6 +531,54 @@ func BenchmarkSimCompiledReplay(b *testing.B) {
 			b.ReportMetric(float64(records), "records/replay")
 		})
 	}
+	// Real 256-rank programs on 2 shards: most windows of sweep3d and pop
+	// have one busy shard, the regime where waking a worker per window
+	// used to cost more than the window's events.
+	fat256, err := network.PlatformPreset("fatnode-smp", 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, app := range []string{"sweep3d", "pop"} {
+		b.Run("fatnode256-"+app+"-shards2", func(b *testing.B) {
+			prog := fatnode256Program(b, app)
+			arena := sim.NewArena()
+			if _, err := arena.RunProgramShards(fat256, prog, 2); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := arena.RunProgramShards(fat256, prog, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(prog.Records()), "records/replay")
+		})
+	}
+}
+
+// fatnode256Programs memoizes fatnode256Program across the -count
+// repetitions of a benchmark run.
+var fatnode256Programs = map[string]*sim.Program{}
+
+// fatnode256Program traces app at 256 ranks and compiles its overlap-real
+// trace, once per test binary.
+func fatnode256Program(b *testing.B, app string) *sim.Program {
+	b.Helper()
+	if prog, ok := fatnode256Programs[app]; ok {
+		return prog
+	}
+	entry, _ := apps.ByName(app, 256)
+	run, err := tracer.Trace(app, 256, tracer.DefaultConfig(), entry.App.Kernel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := sim.Compile(run.OverlapReal())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fatnode256Programs[app] = prog
+	return prog
 }
 
 // BenchmarkSimHierarchical measures the hierarchical replay path on the

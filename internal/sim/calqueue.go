@@ -2,12 +2,15 @@ package sim
 
 // Calendar event queue: the replay's priority queue, replacing the 4-ary
 // heap of the first compiled-replay engine. Events hash into time buckets
-// of a fixed width; each bucket stays sorted (descending by eventBefore),
-// so a pop inspects only the tail of the cursor's bucket instead of
-// sifting a heap. In the common regime — O(1) bucket occupancy — push and
-// pop are constant-time, and even the degenerate lockstep case (dozens of
-// same-time events in one bucket) costs one binary search plus a short
-// memmove per push instead of a full min-scan per pop.
+// of a fixed width; each bucket keeps its events sorted ascending by
+// eventBefore from a head index, so a pop inspects and advances only the
+// head of the cursor's bucket instead of sifting a heap. In the common
+// regime — O(1) bucket occupancy — push and pop are constant-time. The
+// degenerate lockstep case (hundreds of same-time events in one bucket
+// at 256 ranks) stays cheap too: such bursts are mostly pushed in
+// increasing key order and append; any other push binary-searches the
+// live run and shifts whichever side of the insertion point is shorter,
+// the left side moving into the dead gap before the head.
 //
 // The queue is EXACT: pops follow the static eventBefore order bit-for-bit
 // no matter how the buckets are sized. Each event records its placement
@@ -29,8 +32,8 @@ package sim
 //     a was clamped to a cursor beyond b's year while b was resident —
 //     contradicting invariant 2.) Hence popping by increasing year, and
 //     by eventBefore within a year, is the global eventBefore order — and
-//     a bucket's eventBefore-minimum (its sorted tail) is also its
-//     minimum year, so qualification checks the tail alone.
+//     a bucket's eventBefore-minimum (its sorted head) is also its
+//     minimum year, so qualification checks the head alone.
 //
 // When the cursor's year is empty the scan walks forward; if a full cycle
 // over the buckets finds nothing (the replay jumped a time gap larger
@@ -51,9 +54,9 @@ const (
 )
 
 type eventQueue struct {
-	buckets [][]event // each sorted descending by eventBefore; min at the tail
-	mask    int       // len(buckets)-1; bucket count is a power of two
-	inv     float64   // 1/width
+	buckets []bucket
+	mask    int     // len(buckets)-1; bucket count is a power of two
+	inv     float64 // 1/width
 	width   float64
 	cur     int64 // absolute (unwrapped) year of the scan cursor
 	n       int
@@ -66,18 +69,26 @@ type eventQueue struct {
 	rebuilds int64 // redistributions
 }
 
+// bucket is one calendar slot: ev[head:] holds its live events sorted
+// ascending by eventBefore, ev[:head] is the dead gap left by pops. An
+// empty bucket always has head 0.
+type bucket struct {
+	ev   []event
+	head int
+}
+
 // reset empties the queue, keeping every bucket's capacity. Width and
 // bucket count persist too: consecutive replays of the same program see
 // the same event-time distribution, so the steady state rebuilds nothing.
 func (q *eventQueue) reset() {
 	if q.buckets == nil {
-		q.buckets = make([][]event, 1)
+		q.buckets = make([]bucket, 1)
 		q.mask = 0
 		q.width = 1
 		q.inv = 1
 	}
 	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
+		q.buckets[i] = bucket{ev: q.buckets[i].ev[:0]}
 	}
 	q.cur = 0
 	q.n = 0
@@ -98,23 +109,58 @@ func (q *eventQueue) yearOf(t float64) int64 {
 	return int64(f)
 }
 
-// insertSorted places e into a descending-sorted bucket: binary search for
-// the first resident ordering before e, shift, insert. eventBefore is a
-// total order over live events, so no equal-keys tie exists to break.
-func insertSorted(b []event, e event) []event {
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if eventBefore(&b[mid], &e) {
-			hi = mid
-		} else {
-			lo = mid + 1
+// insert places e into the bucket's sorted run. An event ordering after
+// every resident appends. Otherwise a binary search finds the first
+// resident ordering after e, and whichever side of that point is shorter
+// shifts by one: the left side into the gap before the head, the right
+// side into a slot appended at the end. A full slice whose head has
+// passed its middle compacts before it appends, so a bucket that never
+// empties reuses its dead gap at amortized O(1) per pop instead of
+// growing. eventBefore is a total order over live events, so no
+// equal-keys tie exists to break.
+func (b *bucket) insert(e event) {
+	ev, h := b.ev, b.head
+	n := len(ev)
+	i := n
+	if n > h && !eventBefore(&ev[n-1], &e) {
+		lo, hi := h, n-1 // ev[n-1] orders after e
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if eventBefore(&e, &ev[mid]) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		i = lo
+		if h > 0 && i-h < n-i {
+			copy(ev[h-1:], ev[h:i])
+			ev[i-1] = e
+			b.head = h - 1
+			return
 		}
 	}
-	b = append(b, event{})
-	copy(b[lo+1:], b[lo:])
-	b[lo] = e
-	return b
+	if n == cap(ev) && 2*h > n {
+		n = copy(ev, ev[h:])
+		ev, i, b.head = ev[:n], i-h, 0
+	}
+	ev = append(ev, e)
+	if i < n {
+		copy(ev[i+1:], ev[i:n])
+		ev[i] = e
+	}
+	b.ev = ev
+}
+
+// popHead removes and returns the bucket's minimum event. The bucket
+// must be non-empty.
+func (b *bucket) popHead() event {
+	e := b.ev[b.head]
+	b.head++
+	if b.head == len(b.ev) {
+		b.ev, b.head = b.ev[:0], 0
+	}
+	return e
 }
 
 // push enqueues an event, recording its placement year.
@@ -124,8 +170,7 @@ func (q *eventQueue) push(e event) {
 		y = q.cur
 	}
 	e.year = y
-	slot := int(y) & q.mask
-	q.buckets[slot] = insertSorted(q.buckets[slot], e)
+	q.buckets[int(y)&q.mask].insert(e)
 	q.n++
 	if q.n > cqGrowFactor*len(q.buckets) && len(q.buckets) < cqMaxBuckets {
 		q.rebuild(len(q.buckets) * 2)
@@ -133,17 +178,17 @@ func (q *eventQueue) push(e event) {
 }
 
 // scan advances the cursor to the first year holding an event and returns
-// its bucket slot; the slot's tail is the global eventBefore-minimum. The
+// its bucket slot; the slot's head is the global eventBefore-minimum. The
 // queue must be non-empty.
 func (q *eventQueue) scan() int {
 	for {
 		minYear := int64(cqFarFuture + 1)
 		for cycle := 0; cycle <= q.mask; cycle++ {
 			s := int(q.cur) & q.mask
-			if b := q.buckets[s]; len(b) > 0 {
-				// The tail is the bucket's minimum event and (invariant 3)
+			if b := &q.buckets[s]; len(b.ev) > 0 {
+				// The head is the bucket's minimum event and (invariant 3)
 				// its minimum year.
-				if y := b[len(b)-1].year; y <= q.cur {
+				if y := b.ev[b.head].year; y <= q.cur {
 					return s
 				} else if y < minYear {
 					minYear = y
@@ -162,11 +207,7 @@ func (q *eventQueue) scan() int {
 // pop removes and returns the eventBefore-minimum event. The queue must
 // be non-empty.
 func (q *eventQueue) pop() event {
-	slot := q.scan()
-	b := q.buckets[slot]
-	last := len(b) - 1
-	e := b[last]
-	q.buckets[slot] = b[:last]
+	e := q.buckets[q.scan()].popHead()
 	q.n--
 	q.popped++
 	return e
@@ -179,14 +220,11 @@ func (q *eventQueue) popBefore(bound *event, hasBound bool) (event, bool) {
 	if q.n == 0 {
 		return event{}, false
 	}
-	slot := q.scan()
-	b := q.buckets[slot]
-	last := len(b) - 1
-	if hasBound && !eventBefore(&b[last], bound) {
+	b := &q.buckets[q.scan()]
+	if hasBound && !eventBefore(&b.ev[b.head], bound) {
 		return event{}, false
 	}
-	e := b[last]
-	q.buckets[slot] = b[:last]
+	e := b.popHead()
 	q.n--
 	q.popped++
 	return e, true
@@ -198,8 +236,8 @@ func (q *eventQueue) peek() (event, bool) {
 	if q.n == 0 {
 		return event{}, false
 	}
-	b := q.buckets[q.scan()]
-	return b[len(b)-1], true
+	b := &q.buckets[q.scan()]
+	return b.ev[b.head], true
 }
 
 // rebuild redistributes every event over nb buckets (a power of two),
@@ -214,7 +252,8 @@ func (q *eventQueue) rebuild(nb int) {
 	minT, maxT := 0.0, 0.0
 	first := true
 	for i := range q.buckets {
-		for _, e := range q.buckets[i] {
+		b := &q.buckets[i]
+		for _, e := range b.ev[b.head:] {
 			if first {
 				minT, maxT = e.t, e.t
 				first = false
@@ -228,10 +267,10 @@ func (q *eventQueue) rebuild(nb int) {
 			}
 			q.scratch = append(q.scratch, e)
 		}
-		q.buckets[i] = q.buckets[i][:0]
+		*b = bucket{ev: b.ev[:0]}
 	}
 	if nb > len(q.buckets) {
-		grown := make([][]event, nb)
+		grown := make([]bucket, nb)
 		copy(grown, q.buckets)
 		q.buckets = grown
 	}
@@ -256,7 +295,6 @@ func (q *eventQueue) rebuild(nb int) {
 			y = q.cur
 		}
 		e.year = y
-		slot := int(y) & q.mask
-		q.buckets[slot] = insertSorted(q.buckets[slot], e)
+		q.buckets[int(y)&q.mask].insert(e)
 	}
 }

@@ -1,0 +1,5 @@
+package sim
+
+// RequireIdentical exposes the field-by-field byte-identity check to the
+// external test package, which replays the real applications.
+var RequireIdentical = requireIdentical

@@ -23,13 +23,18 @@ import (
 // Execution alternates two phases over the shared static event order of
 // eventBefore (sim.go):
 //
-//   - parallel phase: every shard concurrently drains its local queue of
-//     events ordering strictly before the coordinator's queue head (the
-//     conservative window). A rank walk that reaches an inter-node
-//     instruction parks and emits its continuation to the shard outbox.
+//   - parallel phase: every busy shard — one holding an event that orders
+//     strictly before the coordinator's queue head (the conservative
+//     window) — drains those events from its local queue. The coordinator
+//     drains the first busy shard itself and wakes a worker goroutine for
+//     each other one, so a window with one busy shard wakes nobody. A
+//     rank walk that reaches an inter-node instruction parks and emits
+//     its continuation to the shard outbox.
 //   - serial phase: the coordinator drains global events while its head
 //     orders before every shard's local head, executing inter-node
-//     transfers and any rank walks it unblocks inline.
+//     transfers and any rank walks it unblocks inline. Shard queues only
+//     grow during the phase, so their earliest head is found once and
+//     lowered as the coordinator routes events into them.
 //
 // The two bounds make the schedule conservative: a shard never runs ahead
 // of a global event that could wake one of its ranks, and the coordinator
@@ -51,7 +56,7 @@ type shard struct {
 	id     int32
 	q      eventQueue
 	outbox []event       // events emitted during a parallel phase for other owners
-	work   chan struct{} // round signal; closed to stop the worker
+	work   chan struct{} // window signal to the shard's worker; closed and cleared by stop
 }
 
 // pdesState is the arena's sharded-replay machinery, reused across
@@ -64,12 +69,16 @@ type pdesState struct {
 	wg          sync.WaitGroup
 	bound       event // parallel-phase window bound (the global queue head)
 	hasBound    bool
+	busy        []int // shards with an event inside the current window
+	lmin        event // earliest shard head during a serial phase
+	hasLmin     bool
 
 	// Phase flight record, coordinator-owned and measured at the phase
 	// barriers (two clock reads per window, amortized over all shards, so
 	// the recording cost is invisible next to the barrier itself). Zeroed
 	// by start, harvested per replay (see stats.go).
 	windows      int64 // parallel windows run (horizon advances)
+	concurrent   int64 // windows with two or more busy shards
 	serialPhases int64 // coordinator drains of the global stream
 	parNanos     int64 // wall time inside parallel phases
 	serNanos     int64 // wall time inside serial phases
@@ -79,7 +88,8 @@ type pdesState struct {
 // push their own events locally and emit everything else to their outbox
 // (drained by the coordinator at the phase barrier); the coordinator
 // pushes global events to the arena queue and shard events straight into
-// the — parked — shard's queue.
+// the — parked — shard's queue, lowering the serial phase's earliest
+// shard head.
 func (sh *shard) route(a *ReplayArena, e event) {
 	owner := a.eventOwner(&e)
 	if sh.id >= 0 {
@@ -92,8 +102,12 @@ func (sh *shard) route(a *ReplayArena, e event) {
 	}
 	if owner < 0 {
 		a.evq.push(e)
-	} else {
-		a.pdes.shards[owner].q.push(e)
+		return
+	}
+	pd := &a.pdes
+	pd.shards[owner].q.push(e)
+	if !pd.hasLmin || eventBefore(&e, &pd.lmin) {
+		pd.lmin, pd.hasLmin = e, true
 	}
 }
 
@@ -122,19 +136,31 @@ func (a *ReplayArena) eventOwner(e *event) int32 {
 	return pd.rankShard[rank]
 }
 
-// worker is a shard's goroutine: one conservative window per signal.
-func (sh *shard) worker(a *ReplayArena) {
+// drain runs the shard's part of the current window: every local event
+// ordering before the bound. The coordinator and the shard's worker call
+// it alike; the result does not depend on which goroutine runs it.
+func (sh *shard) drain(a *ReplayArena) {
 	pd := &a.pdes
-	for range sh.work {
-		for {
-			e, ok := sh.q.popBefore(&pd.bound, pd.hasBound)
-			if !ok {
-				break
-			}
-			a.dispatch(e, sh)
+	for {
+		e, ok := sh.q.popBefore(&pd.bound, pd.hasBound)
+		if !ok {
+			return
 		}
+		a.dispatch(e, sh)
+	}
+}
+
+// worker is a shard's goroutine: one window per signal on work, each
+// acknowledged on pd.wg, and one last acknowledgement when stop closes
+// work. The channel is passed in rather than read from sh, because stop
+// clears sh.work and a worker may first be scheduled after that.
+func (sh *shard) worker(a *ReplayArena, work <-chan struct{}) {
+	pd := &a.pdes
+	for range work {
+		sh.drain(a)
 		pd.wg.Done()
 	}
+	pd.wg.Done()
 }
 
 // EffectiveShards resolves a requested shard count against the platform
@@ -218,50 +244,33 @@ func (a *ReplayArena) replayShards(p network.Platform, prog *Program, n int) (*R
 	for r := 0; r < prog.numRanks; r++ {
 		pd.coord.route(a, event{t: 0, kind: evAdvance, a: int32(r)})
 	}
-	// Phase clock: one running mark, advanced at each phase end, so a
-	// phase costs a single clock read. The inter-phase scheduling scan is
-	// attributed to the phase it decides — a deliberate approximation
-	// that keeps the recording invisible next to the phase barrier.
-	mark := time.Now()
+	// Phase clock: one running mark on the replay's monotonic clock,
+	// advanced at each phase end, so a phase costs a single clock read.
+	// The inter-phase scheduling scan is attributed to the phase it
+	// decides — a deliberate approximation that keeps the recording
+	// invisible next to the phase barrier.
+	mark := time.Since(a.replayStart).Nanoseconds()
 	for {
+		// One peek per shard decides the phase: the busy shards hold an
+		// event inside the window; when there are none, the earliest
+		// shard head bounds the serial phase.
 		head, hasHead := a.evq.peek()
-		// Parallel phase: run when any shard holds an event inside the
-		// window.
-		run := false
+		pd.busy = pd.busy[:0]
+		pd.hasLmin = false
 		for i := range pd.shards {
-			sh := &pd.shards[i]
-			if sh.q.len() == 0 {
-				continue
+			lh, ok := pd.shards[i].q.peek()
+			switch {
+			case !ok:
+			case !hasHead || eventBefore(&lh, &head):
+				pd.busy = append(pd.busy, i)
+			case !pd.hasLmin || eventBefore(&lh, &pd.lmin):
+				pd.lmin, pd.hasLmin = lh, true
 			}
-			if hasHead {
-				if lh, ok := sh.q.peek(); ok && !eventBefore(&lh, &head) {
-					continue
-				}
-			}
-			run = true
-			break
 		}
-		if run {
-			pd.bound, pd.hasBound = head, hasHead
-			pd.wg.Add(len(pd.shards))
-			for i := range pd.shards {
-				pd.shards[i].work <- struct{}{}
-			}
-			pd.wg.Wait()
-			for i := range pd.shards {
-				sh := &pd.shards[i]
-				for _, e := range sh.outbox {
-					if owner := a.eventOwner(&e); owner < 0 {
-						a.evq.push(e)
-					} else {
-						pd.shards[owner].q.push(e)
-					}
-				}
-				sh.outbox = sh.outbox[:0]
-			}
-			pd.windows++
-			now := time.Now()
-			pd.parNanos += now.Sub(mark).Nanoseconds()
+		if len(pd.busy) > 0 {
+			pd.window(a, head, hasHead)
+			now := time.Since(a.replayStart).Nanoseconds()
+			pd.parNanos += now - mark
 			mark = now
 			continue
 		}
@@ -270,33 +279,53 @@ func (a *ReplayArena) replayShards(p network.Platform, prog *Program, n int) (*R
 		}
 		// Serial phase: drain global events while the coordinator's head
 		// orders before every local head. Processing may push local
-		// events (waking a shard's rank), which tightens the bound and
-		// hands control back to the parallel phase.
+		// events (waking a shard's rank), which lowers lmin and hands
+		// control back to the parallel phase.
 		pd.serialPhases++
-		for a.evq.len() > 0 {
-			gh, _ := a.evq.peek()
-			ahead := true
-			for i := range pd.shards {
-				if lh, ok := pd.shards[i].q.peek(); ok && eventBefore(&lh, &gh) {
-					ahead = false
-					break
-				}
-			}
-			if !ahead {
+		for {
+			e, ok := a.evq.popBefore(&pd.lmin, pd.hasLmin)
+			if !ok {
 				break
 			}
-			a.dispatch(a.evq.pop(), &pd.coord)
+			a.dispatch(e, &pd.coord)
 		}
-		now := time.Now()
-		pd.serNanos += now.Sub(mark).Nanoseconds()
+		now := time.Since(a.replayStart).Nanoseconds()
+		pd.serNanos += now - mark
 		mark = now
 	}
 	return a.finishReplay()
 }
 
+// window runs one parallel phase over the busy shards: workers drain all
+// but the first, which the coordinator drains itself, and after the
+// barrier the coordinator routes every outbox.
+func (pd *pdesState) window(a *ReplayArena, head event, hasHead bool) {
+	pd.bound, pd.hasBound = head, hasHead
+	others := pd.busy[1:]
+	if len(others) > 0 {
+		pd.concurrent++
+		pd.wg.Add(len(others))
+		for _, i := range others {
+			pd.shards[i].work <- struct{}{}
+		}
+	}
+	pd.shards[pd.busy[0]].drain(a)
+	pd.wg.Wait()
+	for _, i := range pd.busy {
+		sh := &pd.shards[i]
+		for _, e := range sh.outbox {
+			pd.coord.route(a, e)
+		}
+		sh.outbox = sh.outbox[:0]
+	}
+	pd.windows++
+}
+
 // start prepares the shard partition for one replay and launches the
 // workers. Nodes split into n contiguous blocks; every rank, intra-node
-// stream, and node-local pool follows its node's shard.
+// stream, and node-local pool follows its node's shard. Shard 0 gets no
+// worker: when it is busy it is the first busy shard, which the
+// coordinator drains itself.
 func (pd *pdesState) start(a *ReplayArena, n int) {
 	prog, p := a.prog, a.plat
 	pd.rankShard = grow(pd.rankShard, prog.numRanks)
@@ -319,23 +348,28 @@ func (pd *pdesState) start(a *ReplayArena, n int) {
 		}
 	}
 	pd.coord.id = -1
-	pd.windows, pd.serialPhases = 0, 0
+	pd.windows, pd.concurrent, pd.serialPhases = 0, 0, 0
 	pd.parNanos, pd.serNanos = 0, 0
 	for i := range pd.shards {
 		sh := &pd.shards[i]
 		sh.q.reset()
 		sh.outbox = sh.outbox[:0]
-		sh.work = make(chan struct{})
-		go sh.worker(a)
+		if i > 0 {
+			sh.work = make(chan struct{})
+			go sh.worker(a, sh.work)
+		}
 	}
 }
 
-// stop shuts the shard workers down after a replay.
+// stop shuts the shard workers down after a replay and returns once
+// every one of them has exited.
 func (pd *pdesState) stop() {
-	for i := range pd.shards {
+	pd.wg.Add(len(pd.shards) - 1)
+	for i := 1; i < len(pd.shards); i++ {
 		close(pd.shards[i].work)
 		pd.shards[i].work = nil
 	}
+	pd.wg.Wait()
 }
 
 // shardable reports whether sharded replay can engage at all for the

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/network"
@@ -11,16 +12,39 @@ import (
 
 // allocRing builds the bench-shaped ring-exchange trace (also used by the
 // !race-gated allocation pins).
-func allocRing(n, iters int) *trace.Trace {
+func allocRing(n, iters int) *trace.Trace { return nodeRings(1, n, iters) }
+
+// nodeRings builds one ring exchange inside each of nodes blocks of per
+// consecutive ranks: on a block-mapped platform with per ranks a node,
+// no message crosses the interconnect.
+func nodeRings(nodes, per, iters int) *trace.Trace {
+	n := nodes * per
 	tr := trace.New("ring", "base", n)
 	for it := 0; it < iters; it++ {
 		for r := 0; r < n; r++ {
-			next := (r + 1) % n
-			prev := (r + n - 1) % n
+			base := r / per * per
+			next := base + (r-base+1)%per
+			prev := base + (r-base+per-1)%per
 			tr.Append(r, trace.Record{Kind: trace.KindCompute, Instr: 100_000})
 			tr.Append(r, trace.Record{Kind: trace.KindISend, Peer: next, Tag: it, Bytes: 10_000})
 			tr.Append(r, trace.Record{Kind: trace.KindRecv, Peer: prev, Tag: it, Bytes: 10_000})
 		}
+	}
+	return tr
+}
+
+// pingPong builds a two-rank ping-pong: rank 0 computes and sends, rank
+// 1 receives, computes and answers. With one rank per node the two ranks
+// take turns, so no conservative window ever has two busy shards.
+func pingPong(iters int) *trace.Trace {
+	tr := trace.New("pingpong", "base", 2)
+	for it := 0; it < iters; it++ {
+		tr.Append(0, trace.Record{Kind: trace.KindCompute, Instr: 100_000})
+		tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: it, Bytes: 1_000})
+		tr.Append(0, trace.Record{Kind: trace.KindRecv, Peer: 1, Tag: it, Bytes: 1_000})
+		tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: it, Bytes: 1_000})
+		tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 100_000})
+		tr.Append(1, trace.Record{Kind: trace.KindSend, Peer: 0, Tag: it, Bytes: 1_000})
 	}
 	return tr
 }
@@ -291,4 +315,37 @@ func TestEqualTimeCrossShard(t *testing.T) {
 		}
 	}
 	checkShardsIdentical(t, "symmetric", pdesPlatform(n, 4), tr, []int{2, 4})
+}
+
+// TestShardWorkersExitWhenNeverWoken replays a ping-pong whose windows
+// never have two busy shards: the coordinator drains every window itself
+// and the worker goroutine is never signalled. Each replay must still
+// stop its worker, so after 200 replays the goroutine count is back at
+// its starting value.
+func TestShardWorkersExitWhenNeverWoken(t *testing.T) {
+	prog, err := Compile(pingPong(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := pdesPlatform(2, 2)
+	serial, err := RunProgram(plat, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := NewArena()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		got, err := arena.RunProgramShards(plat, prog, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := arena.LastStats(); st.Shards != 2 || st.Windows == 0 || st.ConcurrentWindows != 0 {
+			t.Fatalf("replay %d: %d shards, %d windows, %d concurrent; want 2 shards, no concurrent window",
+				i, st.Shards, st.Windows, st.ConcurrentWindows)
+		}
+		requireIdentical(t, "pingpong", serial, got)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d before 200 sharded replays, %d after", before, after)
+	}
 }

@@ -32,6 +32,10 @@ type ReplayStats struct {
 	// Windows counts conservative parallel windows (each one horizon
 	// advance: shards drained everything below the global queue head).
 	Windows int64
+	// ConcurrentWindows counts the windows in which two or more shards
+	// had events: the only windows that wake a worker goroutine and can
+	// use a second core.
+	ConcurrentWindows int64
 	// SerialPhases counts coordinator drains of the global stream.
 	SerialPhases int64
 	// ParallelNanos / SerialNanos split the sharded replay's wall time
@@ -59,6 +63,7 @@ var (
 
 	mPDESReplays       = telemetry.Default().Counter("sim_pdes_replays_total", "replays executed on the sharded (PDES) path")
 	mPDESWindows       = telemetry.Default().Counter("sim_pdes_windows_total", "conservative parallel windows (horizon advances)")
+	mPDESConcurrent    = telemetry.Default().Counter("sim_pdes_concurrent_windows_total", "conservative windows in which two or more shards had events")
 	mPDESSerialPhases  = telemetry.Default().Counter("sim_pdes_serial_phases_total", "coordinator drains of the global event stream")
 	mPDESParallelSecs  = telemetry.Default().CounterScale("sim_pdes_parallel_seconds_total", "wall time spent in PDES parallel phases", 1e-9)
 	mPDESSerialSecs    = telemetry.Default().CounterScale("sim_pdes_serial_seconds_total", "wall time spent in PDES serial (coordinator) phases", 1e-9)
@@ -93,6 +98,7 @@ func (a *ReplayArena) harvestStats() {
 	if st.Shards > 1 {
 		pd := &a.pdes
 		st.Windows = pd.windows
+		st.ConcurrentWindows = pd.concurrent
 		st.SerialPhases = pd.serialPhases
 		st.ParallelNanos = pd.parNanos
 		st.SerialNanos = pd.serNanos
@@ -118,6 +124,7 @@ func (a *ReplayArena) harvestStats() {
 	if st.Shards > 1 {
 		mPDESReplays.Inc()
 		mPDESWindows.AddInt(st.Windows)
+		mPDESConcurrent.AddInt(st.ConcurrentWindows)
 		mPDESSerialPhases.AddInt(st.SerialPhases)
 		mPDESParallelSecs.AddInt(st.ParallelNanos)
 		mPDESSerialSecs.AddInt(st.SerialNanos)

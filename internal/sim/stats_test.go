@@ -3,7 +3,9 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/network"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 func TestReplayStatsSerial(t *testing.T) {
@@ -105,13 +107,58 @@ func TestReplayStatsTelemetryFamilies(t *testing.T) {
 	snap := telemetry.Default().Snapshot()
 	for _, name := range []string{
 		"sim_replays_total", "sim_replay_events_total", "sim_replay_seconds",
-		"sim_pdes_replays_total", "sim_pdes_windows_total",
+		"sim_pdes_replays_total", "sim_pdes_windows_total", "sim_pdes_concurrent_windows_total",
 		"sim_pdes_parallel_seconds_total", "sim_pdes_serial_seconds_total",
 		"sim_pdes_shard_events_total",
 	} {
 		m := snap.Find(name)
 		if m == nil || len(m.Samples) == 0 {
 			t.Fatalf("metric %s missing from snapshot", name)
+		}
+	}
+}
+
+// TestReplayStatsConcurrentWindows pins the count of windows that can use
+// a second core, and its harvest into telemetry. Rings confined to each
+// of 4 nodes never wait on the coordinator, so their one window has all
+// 4 shards busy; a ring over the same 4 nodes mixes windows with one busy
+// shard and windows with several; the two ranks of a ping-pong across 2
+// nodes take turns, so none of its windows is concurrent.
+func TestReplayStatsConcurrentWindows(t *testing.T) {
+	const (
+		none = iota
+		some
+		all
+	)
+	cases := []struct {
+		name   string
+		tr     *trace.Trace
+		plat   network.Platform
+		shards int
+		want   int
+	}{
+		{"node-rings", nodeRings(4, 8, 12), pdesPlatform(32, 4), 4, all},
+		{"ring", allocRing(32, 12), pdesPlatform(32, 4), 4, some},
+		{"pingpong", pingPong(20), pdesPlatform(2, 2), 2, none},
+	}
+	counter := telemetry.Default().Counter("sim_pdes_concurrent_windows_total", "")
+	for _, tc := range cases {
+		prog, err := Compile(tc.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewArena()
+		before := counter.Value()
+		if _, err := a.RunProgramShards(tc.plat, prog, tc.shards); err != nil {
+			t.Fatal(err)
+		}
+		st := a.LastStats()
+		cw, w := st.ConcurrentWindows, st.Windows
+		if ok := w > 0 && (tc.want == none && cw == 0 || tc.want == some && cw > 0 && cw < w || tc.want == all && cw == w); !ok {
+			t.Fatalf("%s: %d of %d windows concurrent", tc.name, cw, w)
+		}
+		if got := counter.Value() - before; got != uint64(cw) {
+			t.Fatalf("%s: sim_pdes_concurrent_windows_total advanced %d, want %d", tc.name, got, cw)
 		}
 	}
 }
