@@ -1,6 +1,9 @@
 // Service benchmarks: the HTTP serving path end to end — client →
 // httptest server → handler → job manager → engine — measuring what the
-// caching layer buys. Record the results into BENCH_service.json.
+// caching layer buys. ns/op does not transfer across machines, so compare
+// runs made on one host; the committed end-to-end numbers for the same
+// handler are the cold-specs and cached-mix workloads of
+// bench/baseline.json (bash bench/run.sh).
 //
 //	go test -run '^$' -bench BenchmarkService -benchtime=5x .
 package repro

@@ -51,7 +51,7 @@ func analyze(b *testing.B, name string, ranks int) *core.Report {
 	if !ok {
 		b.Fatalf("unknown app %q", name)
 	}
-	rep, err := core.Analyze(entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+	rep, err := core.Analyze(context.Background(), nil, entry.App, ranks, network.TestbedFor(name, ranks).Platform(), tracer.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func BenchmarkAblationChunkCount(b *testing.B) {
 			cfg.Chunks = chunks
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, network.TestbedFor("cg", benchRanks), cfg)
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks).Platform(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -274,7 +274,7 @@ func BenchmarkAblationBuses(b *testing.B) {
 			cfg := network.TestbedFor("sweep3d", benchRanks).WithBuses(buses)
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, cfg, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -297,7 +297,7 @@ func BenchmarkAblationPorts(b *testing.B) {
 			cfg.OutPorts = ports
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, cfg, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -319,7 +319,7 @@ func BenchmarkAblationCongestion(b *testing.B) {
 			cfg.CongestionFactor = cf
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, cfg, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -341,7 +341,7 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 			cfg.EagerThresholdBytes = thr
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, cfg, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -363,7 +363,7 @@ func BenchmarkAblationMessageScale(b *testing.B) {
 			entry, _ := apps.ByNameScaled("cg", benchRanks, apps.Scale{SizeScale: scale, IterScale: 1})
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, network.TestbedFor("cg", benchRanks), tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks).Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -386,17 +386,17 @@ func BenchmarkAblationMessageScale(b *testing.B) {
 // asserted byte-identical to the serial reference before measuring.
 func BenchmarkEngineParallelSweep(b *testing.B) {
 	entry, _ := apps.ByName("cg", benchRanks)
-	netCfg := network.TestbedFor("cg", benchRanks)
+	plat := network.TestbedFor("cg", benchRanks).Platform()
 	tCfg := tracer.DefaultConfig()
 	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32}
 	ctx := context.Background()
 	eng := engine.New(0) // GOMAXPROCS workers
 
-	serialPts, err := core.ChunkSweepSerial(entry.App, benchRanks, netCfg, tCfg, counts)
+	serialPts, err := core.ChunkSweepSerial(entry.App, benchRanks, plat, tCfg, counts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	parallelPts, err := core.ChunkSweepWith(ctx, eng, entry.App, benchRanks, netCfg, tCfg, counts)
+	parallelPts, err := core.ChunkSweep(ctx, eng, entry.App, benchRanks, plat, tCfg, counts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func BenchmarkEngineParallelSweep(b *testing.B) {
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ChunkSweepSerial(entry.App, benchRanks, netCfg, tCfg, counts); err != nil {
+			if _, err := core.ChunkSweepSerial(entry.App, benchRanks, plat, tCfg, counts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -415,7 +415,7 @@ func BenchmarkEngineParallelSweep(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ChunkSweepWith(ctx, eng, entry.App, benchRanks, netCfg, tCfg, counts); err != nil {
+			if _, err := core.ChunkSweep(ctx, eng, entry.App, benchRanks, plat, tCfg, counts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -445,7 +445,7 @@ func ringTrace(n, iters int, instr, bytes int64) *trace.Trace {
 // measures the amortized sweep path.
 func BenchmarkSimulatorReplay(b *testing.B) {
 	tr := ringTrace(32, 50, 100_000, 10_000)
-	cfg := network.Testbed(32)
+	plat := network.Testbed(32).Platform()
 	records := 0
 	for r := range tr.Ranks {
 		records += len(tr.Ranks[r].Records)
@@ -453,7 +453,7 @@ func BenchmarkSimulatorReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg, tr); err != nil {
+		if _, err := sim.Run(plat, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -610,7 +610,7 @@ func BenchmarkSimHierarchical(b *testing.B) {
 			var intra int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := sim.RunOn(tc.plat, tr)
+				res, err := sim.Run(tc.plat, tr)
 				if err != nil {
 					b.Fatal(err)
 				}

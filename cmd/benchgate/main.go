@@ -2,17 +2,11 @@
 // ns/op between two benchmark runs and exits non-zero when any gated
 // benchmark regressed by more than the threshold.
 //
-// Two comparison modes:
+//	benchgate -old old.txt -new new.txt    # two `go test -bench` outputs
 //
-//	benchgate -old old.txt -new new.txt            # two `go test -bench` outputs
-//	benchgate -baseline BENCH_sim_multicore.json \
-//	          -group gomaxprocs=1 -new new.txt     # committed JSON baseline
-//
-// The two-file mode is what CI uses: it runs the gated benchmarks at
-// the merge base and at HEAD on the same runner, so the ratio is
-// machine-consistent. The JSON mode compares a fresh run against the
-// committed baseline — only meaningful on the machine that recorded it
-// (ns/op does not transfer across hosts; see the baseline's comment).
+// CI runs the gated benchmarks at the merge base and at HEAD on the same
+// runner, so the ratio is machine-consistent (ns/op does not transfer
+// across hosts).
 //
 // Each benchmark's ns/op is the minimum across -count repetitions (the
 // least-noisy estimator for a gate: the min is the run least disturbed
@@ -23,7 +17,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,36 +30,26 @@ import (
 func main() {
 	oldPath := flag.String("old", "", "baseline `go test -bench` output file")
 	newPath := flag.String("new", "", "candidate `go test -bench` output file")
-	baseline := flag.String("baseline", "", "committed baseline JSON (e.g. BENCH_sim_multicore.json); alternative to -old")
-	group := flag.String("group", "gomaxprocs=1", "benchmark group inside -baseline")
 	match := flag.String("match", "BenchmarkSimCompiledReplay|BenchmarkScenarioStream", "regexp of benchmark names to gate")
 	threshold := flag.Float64("threshold", 10, "maximum allowed ns/op regression in percent")
 	flag.Parse()
 
-	if err := run(*oldPath, *newPath, *baseline, *group, *match, *threshold, os.Stdout); err != nil {
+	if err := run(*oldPath, *newPath, *match, *threshold, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(oldPath, newPath, baseline, group, match string, threshold float64, w io.Writer) error {
-	if newPath == "" {
-		return fmt.Errorf("-new is required")
-	}
-	if (oldPath == "") == (baseline == "") {
-		return fmt.Errorf("exactly one of -old or -baseline is required")
+func run(oldPath, newPath, match string, threshold float64, w io.Writer) error {
+	if oldPath == "" || newPath == "" {
+		return fmt.Errorf("-old and -new are required")
 	}
 	re, err := regexp.Compile(match)
 	if err != nil {
 		return fmt.Errorf("-match: %w", err)
 	}
 
-	var old map[string]float64
-	if oldPath != "" {
-		old, err = readBenchFile(oldPath)
-	} else {
-		old, err = readBaselineJSON(baseline, group)
-	}
+	old, err := readBenchFile(oldPath)
 	if err != nil {
 		return err
 	}
@@ -154,8 +137,7 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 }
 
 // trimProcs strips the -<GOMAXPROCS> suffix go test appends when
-// GOMAXPROCS > 1, so names match across configurations and against the
-// committed JSON.
+// GOMAXPROCS > 1, so names match across configurations.
 func trimProcs(name string) string {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
@@ -165,30 +147,4 @@ func trimProcs(name string) string {
 		return name
 	}
 	return name[:i]
-}
-
-// readBaselineJSON extracts ns_per_op for one group of a committed
-// baseline file shaped like BENCH_sim_multicore.json.
-func readBaselineJSON(path, group string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc struct {
-		Benchmarks map[string]map[string]struct {
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	rows, ok := doc.Benchmarks[group]
-	if !ok {
-		return nil, fmt.Errorf("%s: no benchmark group %q", path, group)
-	}
-	out := make(map[string]float64, len(rows))
-	for name, row := range rows {
-		out[name] = row.NsPerOp
-	}
-	return out, nil
 }

@@ -68,7 +68,7 @@ func main() {
 
 	ctx := context.Background()
 	eng := engine.New(*workers)
-	rep, err := core.AnalyzeOn(ctx, eng, entry.App, *ranks, plat, tCfg)
+	rep, err := core.Analyze(ctx, eng, entry.App, *ranks, plat, tCfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
 		os.Exit(1)
@@ -108,7 +108,7 @@ func main() {
 		}
 	}
 	if *whatif {
-		wi, err := core.WhatIfOn(ctx, eng, entry.App, *ranks, plat, tCfg)
+		wi, err := core.WhatIf(ctx, eng, entry.App, *ranks, plat, tCfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "overlapsim: what-if: %v\n", err)
 			os.Exit(1)

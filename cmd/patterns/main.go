@@ -72,7 +72,7 @@ func main() {
 
 	// What the measured patterns are worth on the active platform: the
 	// three flavour replays run concurrently on the engine pool.
-	rep, err := core.AnalyzeRunOn(context.Background(), eng, run, plat)
+	rep, err := core.AnalyzeRun(context.Background(), eng, run, plat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "patterns: %v\n", err)
 		os.Exit(1)

@@ -90,7 +90,7 @@ func main() {
 		}
 		return
 	}
-	rep, err := core.AnalyzeOn(ctx, eng, entry.App, *ranks, plat, tracer.DefaultConfig())
+	rep, err := core.Analyze(ctx, eng, entry.App, *ranks, plat, tracer.DefaultConfig())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
 		os.Exit(1)
@@ -136,7 +136,7 @@ func main() {
 		// safe and stay within the -workers bound).
 		flavors := []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal}
 		swept, err := engine.Map(ctx, eng, len(flavors), func(ctx context.Context, i int) (*metrics.Series, error) {
-			return rep.BandwidthSweepWith(ctx, eng, flavors[i], list)
+			return rep.BandwidthSweep(ctx, eng, flavors[i], list)
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)

@@ -157,7 +157,7 @@ func main() {
 			}
 			return
 		}
-		res, err := sim.RunOn(plat, tr)
+		res, err := sim.Run(plat, tr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tracecat: replay: %v\n", err)
 			os.Exit(1)

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,21 +30,22 @@ import (
 
 func main() {
 	const ranks = 16
+	ctx := context.Background()
 	bandwidths := []float64{8, 31, 62, 125, 250, 500, 1000}
 
 	for _, entry := range apps.All(ranks) {
 		name := entry.App.Name
-		report, err := core.Analyze(entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+		report, err := core.Analyze(ctx, nil, entry.App, ranks, network.TestbedFor(name, ranks).Platform(), tracer.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("%-8s %12s %12s\n", "MB/s", "base (ms)", "ideal (ms)")
-		base, err := report.BandwidthSweep(core.FlavorBase, bandwidths)
+		base, err := report.BandwidthSweep(ctx, nil, core.FlavorBase, bandwidths)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ideal, err := report.BandwidthSweep(core.FlavorIdeal, bandwidths)
+		ideal, err := report.BandwidthSweep(ctx, nil, core.FlavorIdeal, bandwidths)
 		if err != nil {
 			log.Fatal(err)
 		}

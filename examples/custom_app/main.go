@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -107,7 +108,7 @@ func jacobi(p *tracer.Proc) {
 
 func main() {
 	app := core.App{Name: "jacobi1d", Kernel: jacobi}
-	report, err := core.Analyze(app, ranks, network.Testbed(ranks), tracer.DefaultConfig())
+	report, err := core.Analyze(context.Background(), nil, app, ranks, network.Testbed(ranks).Platform(), tracer.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 
 	// Replay the same traced execution under both placements. The app is
 	// traced once; the per-mapping replays fan out across the engine.
-	points, err := core.MappingSweep(entry.App, ranks, platform, tracer.DefaultConfig(),
+	points, err := core.MappingSweep(context.Background(), nil, entry.App, ranks, platform, tracer.DefaultConfig(),
 		[]network.Mapping{network.BlockMapping(), network.RoundRobinMapping()})
 	if err != nil {
 		log.Fatal(err)

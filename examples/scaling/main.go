@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 		fmt.Printf("%-8s %12s %14s %14s\n", "ranks", "base (ms)", "speedup real", "speedup ideal")
 		for _, ranks := range sizes {
 			entry, _ := apps.ByName(name, ranks)
-			rep, err := core.Analyze(entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+			rep, err := core.Analyze(context.Background(), nil, entry.App, ranks, network.TestbedFor(name, ranks).Platform(), tracer.DefaultConfig())
 			if err != nil {
 				log.Fatal(err)
 			}

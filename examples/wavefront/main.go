@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,9 +32,9 @@ import (
 func main() {
 	const ranks = 16
 	entry, _ := apps.ByName("sweep3d", ranks)
-	platform := network.TestbedFor("sweep3d", ranks)
+	platform := network.TestbedFor("sweep3d", ranks).Platform()
 
-	report, err := core.Analyze(entry.App, ranks, platform, tracer.DefaultConfig())
+	report, err := core.Analyze(context.Background(), nil, entry.App, ranks, platform, tracer.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -92,7 +93,7 @@ func analyzeApp(t *testing.T, name string, ranks int) *core.Report {
 	if !ok {
 		t.Fatalf("unknown app %q", name)
 	}
-	rep, err := core.Analyze(e.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+	rep, err := core.Analyze(context.Background(), nil, e.App, ranks, network.TestbedFor(name, ranks).Platform(), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatalf("analyze %s: %v", name, err)
 	}

@@ -13,7 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -47,18 +46,15 @@ const (
 type Report struct {
 	App   string
 	Ranks int
-	// Network is the flat projection of the platform (the interconnect
-	// link class), kept for legacy reporting paths.
-	Network network.Config
-	// Platform is the full (possibly hierarchical) platform the report
-	// was computed on; all re-replays (bandwidth searches, sweeps) use
-	// it. For flat analyses it is the degenerate one-rank-per-node form.
+	// Platform is the (possibly hierarchical) platform the report was
+	// computed on; all re-replays (bandwidth searches, sweeps) use it. For
+	// flat analyses it is the degenerate one-rank-per-node form.
 	Platform network.Platform
 
 	// Traces are the three generated traces (validated).
 	BaseTrace, RealTrace, IdealTrace *trace.Trace
 
-	// Results are the three reconstructed time behaviours on Network.
+	// Results are the three reconstructed time behaviours on Platform.
 	Base, Real, Ideal *sim.Result
 
 	// SpeedupReal and SpeedupIdeal compare overlapped flavours against
@@ -68,62 +64,18 @@ type Report struct {
 	// Patterns holds the Table II / Fig. 5 analysis.
 	Patterns *pattern.Analysis
 
-	// progs lazily caches the compiled replay program of each flavour, so
-	// the bandwidth searches and sweeps — which replay one flavour dozens
-	// of times on platform variants — compile it once.
-	progMu sync.Mutex
-	progs  map[Flavor]*sim.Program
-}
-
-// programOf returns the flavour's compiled replay program, compiling and
-// caching it on first use. Safe for concurrent use.
-func (r *Report) programOf(f Flavor) (*sim.Program, error) {
-	tr := r.TraceOf(f)
-	if tr == nil {
-		return nil, fmt.Errorf("core: unknown flavor %q", f)
-	}
-	r.progMu.Lock()
-	defer r.progMu.Unlock()
-	if prog, ok := r.progs[f]; ok {
-		return prog, nil
-	}
-	prog, err := sim.Compile(tr)
-	if err != nil {
-		return nil, err
-	}
-	if r.progs == nil {
-		r.progs = make(map[Flavor]*sim.Program, 3)
-	}
-	r.progs[f] = prog
-	return prog, nil
+	// progs holds the compiled replay program of each flavour.
+	// AnalyzeRun compiles each once and replays it for the Results; the
+	// bandwidth searches and sweeps, which replay one flavour dozens of
+	// times on platform variants, reuse it. Read-only after AnalyzeRun.
+	progs map[Flavor]*sim.Program
 }
 
 // Analyze traces the application once on ranks processes and reconstructs
 // the three execution flavours on the given platform. The three
-// build-and-replay jobs run concurrently on the default engine.
-func Analyze(app App, ranks int, netCfg network.Config, tCfg tracer.Config) (*Report, error) {
-	return AnalyzeWith(context.Background(), nil, app, ranks, netCfg, tCfg)
-}
-
-// AnalyzeWith is Analyze under an explicit context and engine (nil selects
-// the default engine).
-func AnalyzeWith(ctx context.Context, eng *engine.Engine, app App, ranks int, netCfg network.Config, tCfg tracer.Config) (*Report, error) {
-	if app.Kernel == nil {
-		return nil, fmt.Errorf("core: app %q has no kernel", app.Name)
-	}
-	if err := netCfg.Validate(); err != nil {
-		return nil, err
-	}
-	run, err := tracer.Trace(app.Name, ranks, tCfg, app.Kernel)
-	if err != nil {
-		return nil, fmt.Errorf("core: tracing %q: %w", app.Name, err)
-	}
-	return AnalyzeRun(ctx, eng, run, netCfg)
-}
-
-// AnalyzeOn is Analyze on a hierarchical platform: rank placement and the
-// intra/inter link split shape every replay.
-func AnalyzeOn(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*Report, error) {
+// build-and-replay jobs run concurrently on eng (nil selects the default
+// engine).
+func Analyze(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*Report, error) {
 	if app.Kernel == nil {
 		return nil, fmt.Errorf("core: app %q has no kernel", app.Name)
 	}
@@ -134,28 +86,20 @@ func AnalyzeOn(ctx context.Context, eng *engine.Engine, app App, ranks int, plat
 	if err != nil {
 		return nil, fmt.Errorf("core: tracing %q: %w", app.Name, err)
 	}
-	return AnalyzeRunOn(ctx, eng, run, plat)
+	return AnalyzeRun(ctx, eng, run, plat)
 }
 
 // AnalyzeRun reconstructs the three execution flavours of an
-// already-traced run on the given flat platform — the fan-out half of
-// Analyze. Callers that trace through the engine's shared cache
+// already-traced run on the given platform — the fan-out half of Analyze.
+// Callers that trace through the engine's shared cache
 // (engine.TraceCache) use it to analyze one traced execution under many
-// platforms without re-tracing.
-func AnalyzeRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, netCfg network.Config) (*Report, error) {
-	if err := netCfg.Validate(); err != nil {
-		return nil, err
-	}
-	return AnalyzeRunOn(ctx, eng, run, netCfg.Platform())
-}
-
-// AnalyzeRunOn is AnalyzeRun on a hierarchical platform. The per-flavour
-// trace builds and replays are one engine job each.
-func AnalyzeRunOn(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat network.Platform) (*Report, error) {
+// platforms without re-tracing. Each flavour's build, compile and replay
+// is one engine job.
+func AnalyzeRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat network.Platform) (*Report, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
-	rep := &Report{App: run.Name, Ranks: run.NumRanks, Network: plat.InterConfig(), Platform: plat}
+	rep := &Report{App: run.Name, Ranks: run.NumRanks, Platform: plat}
 	type flavorJob struct {
 		flavor Flavor
 		build  func() *trace.Trace
@@ -166,19 +110,24 @@ func AnalyzeRunOn(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat
 		{FlavorIdeal, run.OverlapIdeal},
 	}
 	type flavorOut struct {
-		tr  *trace.Trace
-		res *sim.Result
+		tr   *trace.Trace
+		prog *sim.Program
+		res  *sim.Result
 	}
 	outs, err := engine.Map(ctx, eng, len(jobs), func(ctx context.Context, i int) (flavorOut, error) {
 		tr := jobs[i].build()
 		if err := tr.Validate(); err != nil {
 			return flavorOut{}, fmt.Errorf("core: generated trace invalid: %w", err)
 		}
-		res, err := sim.RunOn(plat, tr)
+		prog, err := sim.Compile(tr)
 		if err != nil {
 			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", jobs[i].flavor, err)
 		}
-		return flavorOut{tr: tr, res: res}, nil
+		res, err := sim.ReplayInto(plat, prog, 1, new(sim.Result))
+		if err != nil {
+			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", jobs[i].flavor, err)
+		}
+		return flavorOut{tr: tr, prog: prog, res: res}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -186,6 +135,10 @@ func AnalyzeRunOn(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat
 	rep.BaseTrace, rep.Base = outs[0].tr, outs[0].res
 	rep.RealTrace, rep.Real = outs[1].tr, outs[1].res
 	rep.IdealTrace, rep.Ideal = outs[2].tr, outs[2].res
+	rep.progs = make(map[Flavor]*sim.Program, len(jobs))
+	for i, j := range jobs {
+		rep.progs[j.flavor] = outs[i].prog
+	}
 	rep.SpeedupReal = metrics.Speedup(rep.Base.FinishSec, rep.Real.FinishSec)
 	rep.SpeedupIdeal = metrics.Speedup(rep.Base.FinishSec, rep.Ideal.FinishSec)
 	rep.Patterns = pattern.Analyze(run)
@@ -221,23 +174,24 @@ func (r *Report) ResultOf(f Flavor) *sim.Result {
 	}
 }
 
-// FinishAt replays one flavour's trace on a modified flat platform and
-// returns its makespan. It powers the bandwidth sweeps of Fig. 6b/6c.
-func (r *Report) FinishAt(f Flavor, cfg network.Config) (float64, error) {
-	return r.FinishOn(f, cfg.Platform())
+// FinishOn replays one flavour on a modified platform and returns its
+// makespan. It powers the bandwidth sweeps of Fig. 6b/6c. The replay reuses
+// the flavour's compiled program and runs on a pooled arena, so search
+// loops (metrics.MinBandwidth probes this dozens of times) allocate no
+// per-replay simulator state.
+func (r *Report) FinishOn(f Flavor, plat network.Platform) (float64, error) {
+	prog, ok := r.progs[f]
+	if !ok {
+		return 0, fmt.Errorf("core: unknown flavor %q", f)
+	}
+	return replayFinish(plat, prog)
 }
 
-// FinishOn replays one flavour's trace on a modified hierarchical platform
-// and returns its makespan. The flavour's compiled program is cached on
-// the report and the replay runs on a pooled arena, so search loops
-// (metrics.MinBandwidth probes this dozens of times) pay for compilation
-// once and allocate no per-replay simulator state.
-func (r *Report) FinishOn(f Flavor, plat network.Platform) (float64, error) {
-	prog, err := r.programOf(f)
-	if err != nil {
-		return 0, err
-	}
-	return sim.ReplayFinish(plat, prog)
+// replayFinish replays prog serially on a pooled arena and returns its
+// makespan.
+func replayFinish(plat network.Platform, prog *sim.Program) (float64, error) {
+	s, err := sim.ReplaySummary(plat, prog, 1)
+	return s.FinishSec, err
 }
 
 // finishFunc adapts FinishOn to the metrics search interface, swapping
@@ -273,18 +227,12 @@ func (r *Report) EquivalentBandwidth(f Flavor, opts metrics.SearchOptions) (floa
 	return metrics.MinBandwidth(r.finishFunc(FlavorBase), target, opts)
 }
 
-// BandwidthSweep replays one flavour across the given bandwidths and
-// returns the finish-time series, the raw data behind the Fig. 6 plots.
-// The replay points run concurrently on the default engine.
-func (r *Report) BandwidthSweep(f Flavor, bandwidths []float64) (*metrics.Series, error) {
-	return r.BandwidthSweepWith(context.Background(), nil, f, bandwidths)
-}
-
-// BandwidthSweepWith is BandwidthSweep under an explicit context and
-// engine (nil selects the default engine): every bandwidth point replays
-// the shared flavour trace on one pool worker, and the series keeps the
+// BandwidthSweep replays one flavour across the given interconnect
+// bandwidths and returns the finish-time series, the raw data behind the
+// Fig. 6 plots. Every bandwidth point replays the flavour's program on one
+// worker of eng (nil selects the default engine), and the series keeps the
 // input bandwidth order.
-func (r *Report) BandwidthSweepWith(ctx context.Context, eng *engine.Engine, f Flavor, bandwidths []float64) (*metrics.Series, error) {
+func (r *Report) BandwidthSweep(ctx context.Context, eng *engine.Engine, f Flavor, bandwidths []float64) (*metrics.Series, error) {
 	fins, err := engine.Map(ctx, eng, len(bandwidths), func(ctx context.Context, i int) (float64, error) {
 		return r.FinishOn(f, r.Platform.WithInterBandwidth(bandwidths[i]))
 	})

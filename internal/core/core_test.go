@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,25 +33,24 @@ func pipelineKernel(n, iters int, work int64) func(p *tracer.Proc) {
 	}
 }
 
-func testNet(procs int) network.Config {
-	c := network.Testbed(procs)
-	return c
+func testNet(procs int) network.Platform {
+	return network.Testbed(procs).Platform()
 }
 
 func TestAnalyzeRejectsBadInputs(t *testing.T) {
-	if _, err := Analyze(App{Name: "x"}, 2, testNet(2), tracer.DefaultConfig()); err == nil {
+	if _, err := Analyze(context.Background(), nil, App{Name: "x"}, 2, testNet(2), tracer.DefaultConfig()); err == nil {
 		t.Fatal("nil kernel accepted")
 	}
 	bad := testNet(2)
 	bad.MIPS = 0
-	if _, err := Analyze(App{Name: "x", Kernel: pipelineKernel(8, 1, 1)}, 2, bad, tracer.DefaultConfig()); err == nil {
+	if _, err := Analyze(context.Background(), nil, App{Name: "x", Kernel: pipelineKernel(8, 1, 1)}, 2, bad, tracer.DefaultConfig()); err == nil {
 		t.Fatal("invalid network accepted")
 	}
 }
 
 func TestAnalyzePipeline(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 4, 200)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,31 +77,46 @@ func TestAnalyzePipeline(t *testing.T) {
 
 func TestReportAccessors(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(100, 2, 50)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	multi, err := network.PlatformPreset("marenostrum-4x", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []Flavor{FlavorBase, FlavorReal, FlavorIdeal} {
-		if rep.TraceOf(f) == nil || rep.ResultOf(f) == nil {
-			t.Fatalf("missing artifacts for flavor %s", f)
+	for _, plat := range []network.Platform{testNet(2), multi} {
+		rep, err := Analyze(context.Background(), nil, app, 2, plat, tracer.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rep.TraceOf("nope") != nil || rep.ResultOf("nope") != nil {
-		t.Fatal("unknown flavor should be nil")
+		for _, f := range []Flavor{FlavorBase, FlavorReal, FlavorIdeal} {
+			if rep.TraceOf(f) == nil || rep.ResultOf(f) == nil {
+				t.Fatalf("missing artifacts for flavor %s", f)
+			}
+			// The report keeps the programs it replayed: replaying one
+			// again on the report's own platform reproduces its result.
+			fin, err := rep.FinishOn(f, rep.Platform)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := rep.ResultOf(f).FinishSec; fin != want {
+				t.Fatalf("%s on %s: FinishOn %g, result %g", f, plat.Describe(), fin, want)
+			}
+		}
+		if rep.TraceOf("nope") != nil || rep.ResultOf("nope") != nil {
+			t.Fatal("unknown flavor should be nil")
+		}
 	}
 }
 
 func TestFinishAtHigherBandwidthIsFaster(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := rep.FinishAt(FlavorBase, rep.Network.WithBandwidth(10))
+	slow, err := rep.FinishOn(FlavorBase, rep.Platform.WithInterBandwidth(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := rep.FinishAt(FlavorBase, rep.Network.WithBandwidth(1000))
+	fast, err := rep.FinishOn(FlavorBase, rep.Platform.WithInterBandwidth(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +127,7 @@ func TestFinishAtHigherBandwidthIsFaster(t *testing.T) {
 
 func TestRelaxedBandwidthBelowReference(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +137,8 @@ func TestRelaxedBandwidthBelowReference(t *testing.T) {
 	}
 	// The overlapped run matches the base at most at the reference
 	// bandwidth; overlap-friendly pipelines tolerate much less.
-	if bw > rep.Network.BandwidthMBps {
-		t.Fatalf("relaxed bandwidth %g above reference %g", bw, rep.Network.BandwidthMBps)
+	if ref := rep.Platform.Inter.BandwidthMBps; bw > ref {
+		t.Fatalf("relaxed bandwidth %g above reference %g", bw, ref)
 	}
 	if _, err := rep.RelaxedBandwidth(FlavorBase, metrics.DefaultSearch()); err == nil {
 		t.Fatal("base flavor must be rejected")
@@ -132,7 +147,7 @@ func TestRelaxedBandwidthBelowReference(t *testing.T) {
 
 func TestEquivalentBandwidthAboveReference(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +157,8 @@ func TestEquivalentBandwidthAboveReference(t *testing.T) {
 	}
 	// Matching the overlapped run requires at least the reference
 	// bandwidth (possibly infinity).
-	if !math.IsInf(bw, 1) && bw < rep.Network.BandwidthMBps*0.9 {
-		t.Fatalf("equivalent bandwidth %g below reference %g", bw, rep.Network.BandwidthMBps)
+	if ref := rep.Platform.Inter.BandwidthMBps; !math.IsInf(bw, 1) && bw < ref*0.9 {
+		t.Fatalf("equivalent bandwidth %g below reference %g", bw, ref)
 	}
 	if _, err := rep.EquivalentBandwidth(FlavorBase, metrics.DefaultSearch()); err == nil {
 		t.Fatal("base flavor must be rejected")
@@ -152,11 +167,11 @@ func TestEquivalentBandwidthAboveReference(t *testing.T) {
 
 func TestBandwidthSweepMonotone(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(2000, 2, 100)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := rep.BandwidthSweep(FlavorBase, []float64{5, 25, 125, 625})
+	s, err := rep.BandwidthSweep(context.Background(), nil, FlavorBase, []float64{5, 25, 125, 625})
 	if err != nil {
 		t.Fatal(err)
 	}

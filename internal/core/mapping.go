@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/sim"
 	"repro/internal/tracer"
 )
 
@@ -32,17 +31,11 @@ type MappingPoint struct {
 }
 
 // MappingSweep replays the application under each rank→node mapping on the
-// given platform. Points run concurrently on the default engine.
-func MappingSweep(app App, ranks int, plat network.Platform, tCfg tracer.Config, mappings []network.Mapping) ([]MappingPoint, error) {
-	return MappingSweepWith(context.Background(), nil, app, ranks, plat, tCfg, mappings)
-}
-
-// MappingSweepWith is MappingSweep under an explicit context and engine
-// (nil selects the default engine). It is a thin wrapper over a scenario
-// spec — a mapping axis with traffic output — so the application is
-// traced once, each flavor compiles once, and the per-mapping replays
-// run on pooled arenas across the worker pool.
-func MappingSweepWith(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config, mappings []network.Mapping) ([]MappingPoint, error) {
+// given platform. It is a thin wrapper over a scenario spec — a mapping
+// axis with traffic output — so the application is traced once, each
+// flavor compiles once, and the per-mapping replays run on pooled arenas
+// across the workers of eng (nil selects the default engine).
+func MappingSweep(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config, mappings []network.Mapping) ([]MappingPoint, error) {
 	specs := make([]string, len(mappings))
 	for i, m := range mappings {
 		specs[i] = m.String()
@@ -91,15 +84,9 @@ type NodeCountPoint struct {
 
 // NodeCountSweep replays the application across cluster shapes: the same
 // ranks packed onto each of the given node counts under the platform's
-// mapping. Points run concurrently on the default engine.
-func NodeCountSweep(app App, ranks int, plat network.Platform, tCfg tracer.Config, nodeCounts []int) ([]NodeCountPoint, error) {
-	return NodeCountSweepWith(context.Background(), nil, app, ranks, plat, tCfg, nodeCounts)
-}
-
-// NodeCountSweepWith is NodeCountSweep under an explicit context and
-// engine (nil selects the default engine) — a thin wrapper over a
-// node-count-axis scenario spec.
-func NodeCountSweepWith(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config, nodeCounts []int) ([]NodeCountPoint, error) {
+// mapping. It is a thin wrapper over a node-count-axis scenario spec run
+// on eng (nil selects the default engine).
+func NodeCountSweep(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config, nodeCounts []int) ([]NodeCountPoint, error) {
 	for _, n := range nodeCounts {
 		if n <= 0 {
 			return nil, fmt.Errorf("core: node count %d", n)
@@ -127,92 +114,4 @@ func NodeCountSweepWith(ctx context.Context, eng *engine.Engine, app App, ranks 
 		}
 	}
 	return out, nil
-}
-
-// placementPrograms is the compiled (base, overlapped-real) trace pair a
-// placement sweep replays at every point.
-type placementPrograms struct {
-	base, real *sim.Program
-}
-
-// compilePlacementPrograms builds, validates, and compiles the two traces
-// once, so an N-point sweep replays N times but compiles twice.
-func compilePlacementPrograms(run *tracer.Run) (placementPrograms, error) {
-	base := run.BaseTrace()
-	if err := base.Validate(); err != nil {
-		return placementPrograms{}, err
-	}
-	basePg, err := sim.Compile(base)
-	if err != nil {
-		return placementPrograms{}, err
-	}
-	real := run.OverlapReal()
-	if err := real.Validate(); err != nil {
-		return placementPrograms{}, err
-	}
-	realPg, err := sim.Compile(real)
-	if err != nil {
-		return placementPrograms{}, err
-	}
-	return placementPrograms{base: basePg, real: realPg}, nil
-}
-
-// point measures one platform variant: both replays run on pooled arenas
-// and only scalar summaries are retained.
-func (p placementPrograms) point(plat network.Platform) (MappingPoint, error) {
-	if err := plat.Validate(); err != nil {
-		return MappingPoint{}, err
-	}
-	baseSum, err := sim.ReplaySummary(plat, p.base)
-	if err != nil {
-		return MappingPoint{}, fmt.Errorf("core: mapping %s base: %w", plat.Mapping, err)
-	}
-	realFin, err := sim.ReplayFinish(plat, p.real)
-	if err != nil {
-		return MappingPoint{}, fmt.Errorf("core: mapping %s real: %w", plat.Mapping, err)
-	}
-	return MappingPoint{
-		Mapping:       plat.Mapping,
-		BaseFinishSec: baseSum.FinishSec,
-		RealFinishSec: realFin,
-		SpeedupReal:   metrics.Speedup(baseSum.FinishSec, realFin),
-		IntraBytes:    baseSum.IntraBytes,
-		InterBytes:    baseSum.InterBytes,
-	}, nil
-}
-
-// PlacementReplayer replays one traced run's (base, overlapped-real) pair
-// across platform variants, compiling both traces exactly once — the
-// low-level primitive for drivers that manage their own traced runs
-// (cmd/experiments' mapping study); spec-driven sweeps go through
-// RunScenario instead.
-type PlacementReplayer struct {
-	progs placementPrograms
-}
-
-// NewPlacementReplayer builds, validates, and compiles the pair.
-func NewPlacementReplayer(run *tracer.Run) (*PlacementReplayer, error) {
-	progs, err := compilePlacementPrograms(run)
-	if err != nil {
-		return nil, err
-	}
-	return &PlacementReplayer{progs: progs}, nil
-}
-
-// Point measures one platform variant. Safe for concurrent use.
-func (p *PlacementReplayer) Point(plat network.Platform) (MappingPoint, error) {
-	return p.progs.point(plat)
-}
-
-// MappingPointOf replays the base and overlapped(real) traces of one
-// already-traced run on one platform variant — the unit of both sweeps,
-// exported for callers that reuse a run from the engine's trace cache.
-// Sweeping many variants should go through NewPlacementReplayer, which
-// compiles the pair once instead of per point.
-func MappingPointOf(run *tracer.Run, plat network.Platform) (MappingPoint, error) {
-	progs, err := compilePlacementPrograms(run)
-	if err != nil {
-		return MappingPoint{}, err
-	}
-	return progs.point(plat)
 }

@@ -25,7 +25,7 @@ func TestMappingSweepBlockVsRoundRobinDiffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := MappingSweep(cgApp(), ranks, plat, tracer.DefaultConfig(),
+	pts, err := MappingSweep(context.Background(), nil, cgApp(), ranks, plat, tracer.DefaultConfig(),
 		[]network.Mapping{network.BlockMapping(), network.RoundRobinMapping()})
 	if err != nil {
 		t.Fatal(err)
@@ -48,36 +48,6 @@ func TestMappingSweepBlockVsRoundRobinDiffers(t *testing.T) {
 	t.Logf("rr:    %s", FormatMappingPoints(pts[1:]))
 }
 
-// TestAnalyzeOnFlatMatchesAnalyze: the platform-aware analysis of a
-// degenerate platform must agree with the flat path (same traces, same
-// results — the pipelines share every stage).
-func TestAnalyzeOnFlatMatchesAnalyze(t *testing.T) {
-	const ranks = 4
-	cfg := network.TestbedFor("cg", ranks)
-	app := cgApp()
-	flat, err := Analyze(app, ranks, cfg, tracer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hier, err := AnalyzeOn(context.Background(), nil, app, ranks, cfg.Platform(), tracer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Base.FinishSec != hier.Base.FinishSec ||
-		flat.Real.FinishSec != hier.Real.FinishSec ||
-		flat.Ideal.FinishSec != hier.Ideal.FinishSec {
-		t.Fatalf("degenerate platform diverged: flat (%g, %g, %g) vs platform (%g, %g, %g)",
-			flat.Base.FinishSec, flat.Real.FinishSec, flat.Ideal.FinishSec,
-			hier.Base.FinishSec, hier.Real.FinishSec, hier.Ideal.FinishSec)
-	}
-	if !reflect.DeepEqual(flat.Base, hier.Base) {
-		t.Fatal("base results not byte-identical between flat and degenerate-platform analysis")
-	}
-	if flat.Network != hier.Network {
-		t.Fatalf("legacy Network view diverged: %+v vs %+v", flat.Network, hier.Network)
-	}
-}
-
 // TestNodeCountSweep packs 8 CG ranks onto 1, 2, 4, and 8 nodes: fewer
 // nodes keep more traffic on the fast intra links, so the base finish must
 // be non-increasing as the node count drops, and the traffic split must
@@ -88,7 +58,7 @@ func TestNodeCountSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := NodeCountSweepWith(context.Background(), engine.New(2), cgApp(), ranks, plat,
+	pts, err := NodeCountSweep(context.Background(), engine.New(2), cgApp(), ranks, plat,
 		tracer.DefaultConfig(), []int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +101,11 @@ func TestMappingSweepDeterministicAcrossEngines(t *testing.T) {
 	}
 	ctx := context.Background()
 	app := cgApp()
-	serial, err := MappingSweepWith(ctx, engine.New(1), app, ranks, plat, tracer.DefaultConfig(), mappings)
+	serial, err := MappingSweep(ctx, engine.New(1), app, ranks, plat, tracer.DefaultConfig(), mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MappingSweepWith(ctx, engine.New(4), app, ranks, plat, tracer.DefaultConfig(), mappings)
+	parallel, err := MappingSweep(ctx, engine.New(4), app, ranks, plat, tracer.DefaultConfig(), mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +116,7 @@ func TestMappingSweepDeterministicAcrossEngines(t *testing.T) {
 
 func TestNodeCountSweepRejectsBadCounts(t *testing.T) {
 	plat := network.Testbed(4).Platform()
-	if _, err := NodeCountSweep(cgApp(), 4, plat, tracer.DefaultConfig(), []int{2, 0}); err == nil {
+	if _, err := NodeCountSweep(context.Background(), nil, cgApp(), 4, plat, tracer.DefaultConfig(), []int{2, 0}); err == nil {
 		t.Fatal("zero node count accepted")
 	}
 }

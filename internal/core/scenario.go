@@ -233,6 +233,10 @@ const (
 	OutputReport OutputKind = "report"
 )
 
+// AppFactory builds the application configured for a given rank count
+// (kernels whose decomposition depends on the world size need this).
+type AppFactory func(ranks int) (App, error)
+
 // Scenario is the declarative spec of one study.
 //
 // The workload is either an application (App, or Factory when a ranks
@@ -261,12 +265,9 @@ type Scenario struct {
 	// TraceDigest optionally pins Trace's content address (computed when
 	// empty).
 	TraceDigest string
-	// Program optionally supplies Trace's compiled replay program (e.g.
-	// from a digest-keyed cache); when nil the scenario compiles it.
-	Program *sim.Program
 	// CompileTrace, when set, compiles Trace on demand — the hook the
 	// service layer uses to route compilation through its digest-keyed
-	// program cache. Ignored when Program is set.
+	// program cache; when nil the scenario compiles Trace itself.
 	CompileTrace func(*trace.Trace) (*sim.Program, error)
 
 	// Platform is the base platform every grid point starts from.
@@ -307,7 +308,7 @@ type Scenario struct {
 	// ReplayShards overrides the planner's intra-point parallelism choice
 	// for finish/traffic replays: 0 lets the planner decide by grid size,
 	// 1 forces serial replay, n > 1 requests n conservative-PDES shards
-	// per replay (sim.RunProgramShards; platforms that cannot shard fall
+	// per replay (sim.ReplaySummary; platforms that cannot shard fall
 	// back to serial). Sharded and serial replays are byte-identical, so
 	// this is pure scheduling — like Traces and PointCache it never
 	// enters the canonical digest.
@@ -1003,20 +1004,17 @@ func (x *scenarioExec) progFor(ranks, chunks int, f Flavor) (*sim.Program, strin
 }
 
 // compile resolves one program entry: trace-mode programs come from the
-// spec (or its CompileTrace hook), app-mode programs from the shared
-// trace cache when available, else from a private build of the flavor.
+// spec's CompileTrace hook (else a private compile), app-mode programs
+// from the shared trace cache when available, else from a private build
+// of the flavor.
 func (x *scenarioExec) compile(ranks, chunks int, f Flavor) (*sim.Program, string, error) {
 	if tr := x.sc.Trace; tr != nil {
-		digest := x.sc.TraceDigest // pinned by normalized()
-		switch {
-		case x.sc.Program != nil:
-			return x.sc.Program, digest, nil
-		case x.sc.CompileTrace != nil:
-			prog, err := x.sc.CompileTrace(tr)
-			return prog, digest, err
+		compile := sim.Compile
+		if x.sc.CompileTrace != nil {
+			compile = x.sc.CompileTrace
 		}
-		prog, err := sim.Compile(tr)
-		return prog, digest, err
+		prog, err := compile(tr)
+		return prog, x.sc.TraceDigest, err // digest pinned by normalized()
 	}
 	if x.sc.Traces != nil && chunks == x.sc.Tracer.Chunks {
 		// The shared cache builds, validates, compiles, and digests each

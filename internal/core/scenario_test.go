@@ -131,7 +131,7 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 	app := scenarioApp()
 	mappings := []network.Mapping{network.BlockMapping(), network.RoundRobinMapping()}
 
-	got, err := MappingSweepWith(context.Background(), engine.New(4), app, ranks, plat, tracer.DefaultConfig(), mappings)
+	got, err := MappingSweep(context.Background(), engine.New(4), app, ranks, plat, tracer.DefaultConfig(), mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 	want := make([]MappingPoint, 0, len(mappings))
 	for _, m := range mappings {
 		p := plat.WithMapping(m)
-		baseRes, err := sim.RunOn(p, run.BaseTrace())
+		baseRes, err := sim.Run(p, run.BaseTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		realRes, err := sim.RunOn(p, run.OverlapReal())
+		realRes, err := sim.Run(p, run.OverlapReal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,9 +181,9 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 func TestWhatIfIsScenarioTranslation(t *testing.T) {
 	const ranks = 4
 	app := scenarioApp()
-	cfg := network.TestbedFor("cg", ranks)
+	plat := network.TestbedFor("cg", ranks).Platform()
 
-	got, err := WhatIfWith(context.Background(), engine.New(2), app, ranks, cfg, tracer.DefaultConfig())
+	got, err := WhatIf(context.Background(), engine.New(2), app, ranks, plat, tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestWhatIfIsScenarioTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := WhatIfRunOn(context.Background(), engine.New(2), run, cfg.Platform())
+	want, err := WhatIfRun(context.Background(), engine.New(2), run, plat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,12 @@ import (
 	"repro/internal/tracer"
 )
 
-// Parameter-sweep studies built on the pipeline: chunk-count ablation and
-// strong-scaling runs. Both are embarrassingly parallel — every point is a
-// pure function of the traced run and its parameters — so they submit
-// their points to the experiment engine: the application is traced once,
-// the per-point trace rebuilds and replays fan out across the worker
-// pool, and results come back in input order, byte-identical to the
-// serial reference path.
+// The chunk-count ablation built on the pipeline. It is embarrassingly
+// parallel — every point is a pure function of the traced run and its
+// chunk count — so it submits its points to the experiment engine: the
+// application is traced once, the per-point trace rebuilds and replays fan
+// out across the worker pool, and results come back in input order,
+// byte-identical to the serial reference path.
 
 // ChunkPoint is one measurement of the chunk-count ablation.
 type ChunkPoint struct {
@@ -26,20 +25,14 @@ type ChunkPoint struct {
 }
 
 // ChunkSweep measures overlap speedups across chunk counts. The paper
-// fixes 4 chunks; the sweep quantifies that design choice. Points run
-// concurrently on the default engine.
-func ChunkSweep(app App, ranks int, netCfg network.Config, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
-	return ChunkSweepWith(context.Background(), nil, app, ranks, netCfg, tCfg, counts)
-}
-
-// ChunkSweepWith is ChunkSweep under an explicit context and engine (nil
-// selects the default engine). It is a thin wrapper over a scenario spec
-// — a chunks axis measuring all three flavors — so the application is
-// traced once, each chunk count rebuilds the overlapped traces from a
+// fixes 4 chunks; the sweep quantifies that design choice. It is a thin
+// wrapper over a scenario spec — a chunks axis measuring all three flavors
+// on eng (nil selects the default engine) — so the application is traced
+// once, each chunk count rebuilds the overlapped traces from a
 // copy-on-write variant of the shared run, the chunk-independent base
 // flavor compiles once, and every replay runs on a pooled arena.
-func ChunkSweepWith(ctx context.Context, eng *engine.Engine, app App, ranks int, netCfg network.Config, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
-	if err := netCfg.Validate(); err != nil {
+func ChunkSweep(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
+	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
 	for _, k := range counts {
@@ -48,7 +41,7 @@ func ChunkSweepWith(ctx context.Context, eng *engine.Engine, app App, ranks int,
 		}
 	}
 	res, err := RunScenario(ctx, eng, Scenario{
-		App: app, Ranks: ranks, Tracer: tCfg, Platform: netCfg.Platform(),
+		App: app, Ranks: ranks, Tracer: tCfg, Platform: plat,
 		Flavors: []Flavor{FlavorBase, FlavorReal, FlavorIdeal},
 		Axes:    []Axis{ChunksAxis(counts...)},
 		Output:  OutputFinish,
@@ -72,14 +65,14 @@ func ChunkSweepWith(ctx context.Context, eng *engine.Engine, app App, ranks int,
 // one goroutine, the original loop. It exists so determinism tests and
 // BenchmarkEngineParallelSweep can assert the engine path returns
 // byte-identical results while measuring its speedup.
-func ChunkSweepSerial(app App, ranks int, netCfg network.Config, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
-	run, baseFinish, err := chunkSweepPrelude(app, ranks, netCfg, tCfg, counts)
+func ChunkSweepSerial(app App, ranks int, plat network.Platform, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
+	run, baseFinish, err := chunkSweepPrelude(app, ranks, plat, tCfg, counts)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]ChunkPoint, 0, len(counts))
 	for _, k := range counts {
-		pt, err := chunkPoint(run, k, netCfg, baseFinish)
+		pt, err := chunkPoint(run, k, plat, baseFinish)
 		if err != nil {
 			return nil, err
 		}
@@ -88,12 +81,10 @@ func ChunkSweepSerial(app App, ranks int, netCfg network.Config, tCfg tracer.Con
 	return out, nil
 }
 
-// chunkSweepPrelude is the setup shared by the parallel and serial sweep
-// paths: validate inputs, trace the application once, and replay the
-// non-overlapped baseline. Keeping it single-sourced is what makes the
-// two paths byte-identical by construction.
-func chunkSweepPrelude(app App, ranks int, netCfg network.Config, tCfg tracer.Config, counts []int) (*tracer.Run, float64, error) {
-	if err := netCfg.Validate(); err != nil {
+// chunkSweepPrelude is the serial sweep's setup: validate inputs, trace
+// the application once, and replay the non-overlapped baseline.
+func chunkSweepPrelude(app App, ranks int, plat network.Platform, tCfg tracer.Config, counts []int) (*tracer.Run, float64, error) {
+	if err := plat.Validate(); err != nil {
 		return nil, 0, err
 	}
 	for _, k := range counts {
@@ -109,7 +100,7 @@ func chunkSweepPrelude(app App, ranks int, netCfg network.Config, tCfg tracer.Co
 	if err := base.Validate(); err != nil {
 		return nil, 0, err
 	}
-	baseRes, err := sim.Run(netCfg, base)
+	baseRes, err := sim.Run(plat, base)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -120,7 +111,7 @@ func chunkSweepPrelude(app App, ranks int, netCfg network.Config, tCfg tracer.Co
 // the same event log and replays them. The copy-on-write variant keeps
 // concurrent points from sharing a mutable Run header (the old
 // `kRun := *run` shallow copy aliased the log slices).
-func chunkPoint(run *tracer.Run, k int, netCfg network.Config, baseFinish float64) (ChunkPoint, error) {
+func chunkPoint(run *tracer.Run, k int, plat network.Platform, baseFinish float64) (ChunkPoint, error) {
 	kRun := run.WithChunks(k)
 	real := kRun.OverlapReal()
 	ideal := kRun.OverlapIdeal()
@@ -130,11 +121,11 @@ func chunkPoint(run *tracer.Run, k int, netCfg network.Config, baseFinish float6
 	if err := ideal.Validate(); err != nil {
 		return ChunkPoint{}, fmt.Errorf("core: chunks=%d ideal: %w", k, err)
 	}
-	realRes, err := sim.Run(netCfg, real)
+	realRes, err := sim.Run(plat, real)
 	if err != nil {
 		return ChunkPoint{}, err
 	}
-	idealRes, err := sim.Run(netCfg, ideal)
+	idealRes, err := sim.Run(plat, ideal)
 	if err != nil {
 		return ChunkPoint{}, err
 	}
@@ -143,44 +134,4 @@ func chunkPoint(run *tracer.Run, k int, netCfg network.Config, baseFinish float6
 		SpeedupReal:  metrics.Speedup(baseFinish, realRes.FinishSec),
 		SpeedupIdeal: metrics.Speedup(baseFinish, idealRes.FinishSec),
 	}, nil
-}
-
-// ScalePoint is one measurement of a strong-scaling study.
-type ScalePoint struct {
-	Ranks                     int
-	BaseFinishSec             float64
-	SpeedupReal, SpeedupIdeal float64
-}
-
-// AppFactory builds the application configured for a given rank count
-// (kernels whose decomposition depends on the world size need this).
-type AppFactory func(ranks int) (App, error)
-
-// ScalingStudy analyzes the application across rank counts on platforms
-// derived from cfgFor. Points run concurrently on the default engine.
-func ScalingStudy(factory AppFactory, rankCounts []int, cfgFor func(ranks int) network.Config, tCfg tracer.Config) ([]ScalePoint, error) {
-	return ScalingStudyWith(context.Background(), nil, factory, rankCounts, cfgFor, tCfg)
-}
-
-// ScalingStudyWith is ScalingStudy under an explicit context and engine
-// (nil selects the default engine). Each rank count is one job: trace,
-// build, and replay all three flavours.
-func ScalingStudyWith(ctx context.Context, eng *engine.Engine, factory AppFactory, rankCounts []int, cfgFor func(ranks int) network.Config, tCfg tracer.Config) ([]ScalePoint, error) {
-	return engine.Map(ctx, eng, len(rankCounts), func(ctx context.Context, i int) (ScalePoint, error) {
-		ranks := rankCounts[i]
-		app, err := factory(ranks)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-		rep, err := AnalyzeWith(ctx, eng, app, ranks, cfgFor(ranks), tCfg)
-		if err != nil {
-			return ScalePoint{}, fmt.Errorf("core: scaling at %d ranks: %w", ranks, err)
-		}
-		return ScalePoint{
-			Ranks:         ranks,
-			BaseFinishSec: rep.Base.FinishSec,
-			SpeedupReal:   rep.SpeedupReal,
-			SpeedupIdeal:  rep.SpeedupIdeal,
-		}, nil
-	})
 }

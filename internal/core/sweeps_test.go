@@ -1,15 +1,15 @@
 package core
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/network"
 	"repro/internal/tracer"
 )
 
 func TestChunkSweep(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 150)}
-	pts, err := ChunkSweep(app, 2, testNet(2), tracer.DefaultConfig(), []int{1, 2, 4, 8})
+	pts, err := ChunkSweep(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig(), []int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,29 +34,7 @@ func TestChunkSweep(t *testing.T) {
 
 func TestChunkSweepRejectsBadCount(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(100, 1, 10)}
-	if _, err := ChunkSweep(app, 2, testNet(2), tracer.DefaultConfig(), []int{0}); err == nil {
+	if _, err := ChunkSweep(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig(), []int{0}); err == nil {
 		t.Fatal("chunk count 0 accepted")
-	}
-}
-
-func TestScalingStudy(t *testing.T) {
-	factory := func(ranks int) (App, error) {
-		return App{Name: "pipe", Kernel: pipelineKernel(1000, 2, 100)}, nil
-	}
-	pts, err := ScalingStudy(factory, []int{2, 2}, func(r int) network.Config { return testNet(r) }, tracer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points=%d", len(pts))
-	}
-	for _, p := range pts {
-		if p.BaseFinishSec <= 0 || p.SpeedupReal <= 0 {
-			t.Fatalf("degenerate point: %+v", p)
-		}
-	}
-	// Determinism: identical configurations give identical results.
-	if pts[0] != pts[1] {
-		t.Fatalf("nondeterministic study: %+v vs %+v", pts[0], pts[1])
 	}
 }

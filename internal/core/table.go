@@ -7,9 +7,9 @@ import (
 )
 
 // The one point-table renderer behind every sweep's text output: the
-// mapping, node-count, and chunk sweep formatters and the scenario
-// result renderer all feed it, so study tables stay visually uniform
-// and a new study only declares columns.
+// mapping and node-count sweep formatters and the scenario result renderer
+// all feed it, so study tables stay visually uniform and a new study only
+// declares columns.
 
 // TableColumn is one column of a point table.
 type TableColumn struct {
@@ -101,22 +101,4 @@ func FormatNodeCountPoints(pts []NodeCountPoint) string {
 		rows[i] = placementRow(strconv.Itoa(p.Nodes), p.BaseFinishSec, p.RealFinishSec, p.SpeedupReal, p.IntraBytes, p.InterBytes)
 	}
 	return FormatPointTable(placementColumns(TableColumn{Name: "nodes", Width: 8}), rows)
-}
-
-// FormatChunkPoints renders a chunk-count ablation as a table.
-func FormatChunkPoints(pts []ChunkPoint) string {
-	cols := []TableColumn{
-		{Name: "chunks", Width: 8},
-		{Name: "speedup real", Width: 14},
-		{Name: "speedup ideal", Width: 14},
-	}
-	rows := make([][]string, len(pts))
-	for i, p := range pts {
-		rows[i] = []string{
-			strconv.Itoa(p.Chunks),
-			fmt.Sprintf("%.3f", p.SpeedupReal),
-			fmt.Sprintf("%.3f", p.SpeedupIdeal),
-		}
-	}
-	return FormatPointTable(cols, rows)
 }

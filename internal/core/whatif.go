@@ -33,37 +33,18 @@ type BufferPotential struct {
 	GainOverReal float64
 }
 
-// WhatIf runs the per-buffer idealization study for an application. It
-// traces the application once and replays len(buffers)+2 traces, fanning
-// the replays out across the default engine.
-func WhatIf(app App, ranks int, netCfg network.Config, tCfg tracer.Config) (*WhatIfReport, error) {
-	return WhatIfWith(context.Background(), nil, app, ranks, netCfg, tCfg)
-}
-
-// WhatIfWith is WhatIf under an explicit context and engine (nil selects
-// the default engine) — a thin wrapper over a what-if-output scenario
-// spec with no sweep axes.
-func WhatIfWith(ctx context.Context, eng *engine.Engine, app App, ranks int, netCfg network.Config, tCfg tracer.Config) (*WhatIfReport, error) {
-	if err := netCfg.Validate(); err != nil {
-		return nil, err
-	}
-	return whatIfScenario(ctx, eng, app, ranks, netCfg.Platform(), tCfg)
-}
-
-// WhatIfOn is WhatIf on a hierarchical platform.
-func WhatIfOn(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*WhatIfReport, error) {
+// WhatIf runs the per-buffer idealization study for an application on the
+// given platform under eng (nil selects the default engine). It is a thin
+// wrapper over a what-if-output scenario spec with no sweep axes: the
+// application is traced once and len(buffers)+2 traces replay across the
+// engine.
+func WhatIf(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*WhatIfReport, error) {
 	if app.Kernel == nil {
 		return nil, fmt.Errorf("core: app %q has no kernel", app.Name)
 	}
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
-	return whatIfScenario(ctx, eng, app, ranks, plat, tCfg)
-}
-
-// whatIfScenario runs the zero-axis what-if scenario both entry points
-// wrap and converts its single point back to the report form.
-func whatIfScenario(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*WhatIfReport, error) {
 	res, err := RunScenario(ctx, eng, Scenario{
 		App: app, Ranks: ranks, Tracer: tCfg, Platform: plat, Output: OutputWhatIf,
 	})
@@ -82,15 +63,7 @@ func whatIfScenario(ctx context.Context, eng *engine.Engine, app App, ranks int,
 // WhatIfRun is the fan-out half of WhatIf for an already-traced run —
 // the entry point for callers that trace through the engine's shared
 // cache and reuse one run across several studies.
-func WhatIfRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, netCfg network.Config) (*WhatIfReport, error) {
-	if err := netCfg.Validate(); err != nil {
-		return nil, err
-	}
-	return WhatIfRunOn(ctx, eng, run, netCfg.Platform())
-}
-
-// WhatIfRunOn is WhatIfRun on a hierarchical platform.
-func WhatIfRunOn(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat network.Platform) (*WhatIfReport, error) {
+func WhatIfRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat network.Platform) (*WhatIfReport, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
@@ -108,7 +81,7 @@ func WhatIfRunOn(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat 
 		if err != nil {
 			return 0, err
 		}
-		return sim.ReplayFinish(plat, prog)
+		return replayFinish(plat, prog)
 	})
 	if err != nil {
 		return nil, err
@@ -130,7 +103,7 @@ func WhatIfRunOn(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat 
 		if err != nil {
 			return BufferPotential{}, fmt.Errorf("core: compiling selective %q: %w", name, err)
 		}
-		fin, err := sim.ReplayFinish(plat, prog)
+		fin, err := replayFinish(plat, prog)
 		if err != nil {
 			return BufferPotential{}, fmt.Errorf("core: replaying selective %q: %w", name, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func twoBufferKernel(n, iters int, work int64) func(p *tracer.Proc) {
 
 func TestWhatIfRanksBuffers(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(2000, 3, 100)}
-	rep, err := WhatIf(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := WhatIf(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,11 @@ func TestWhatIfSelectiveBounds(t *testing.T) {
 	// all-ideal makespans (allowing a little slack for chunk scheduling
 	// noise).
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(1500, 3, 80)}
-	full, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	full, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := WhatIf(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := WhatIf(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestWhatIfSelectiveBounds(t *testing.T) {
 
 func TestWhatIfFormat(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(500, 2, 50)}
-	rep, err := WhatIf(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := WhatIf(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestWhatIfRejectsBadNetwork(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(100, 1, 10)}
 	bad := testNet(2)
 	bad.MIPS = 0
-	if _, err := WhatIf(app, 2, bad, tracer.DefaultConfig()); err == nil {
+	if _, err := WhatIf(context.Background(), nil, app, 2, bad, tracer.DefaultConfig()); err == nil {
 		t.Fatal("invalid network accepted")
 	}
 }

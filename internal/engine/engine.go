@@ -22,8 +22,8 @@
 // never blocks waiting for a pool slot. It opportunistically hands jobs to
 // free workers and otherwise runs them inline on its own goroutine. A job
 // may therefore call Map on the same engine — directly or through any of
-// the context-free convenience wrappers in package core — without risking
-// a pool whose every worker waits on sub-jobs. The cost is that each
+// package core's studies, which take an engine (nil selects Default) —
+// without risking a pool whose every worker waits on sub-jobs. The cost is that each
 // concurrently-submitting goroutine may execute at most one job itself, so
 // total parallelism is bounded by Workers plus the number of concurrent
 // Map callers (each of which would otherwise sit idle).

@@ -235,23 +235,6 @@ func (c Config) Platform() Platform {
 	}
 }
 
-// InterConfig projects the platform onto the flat Config vocabulary using
-// the interconnect link class — the view legacy reporting paths print.
-func (p Platform) InterConfig() Config {
-	return Config{
-		Processors:          p.Processors,
-		LatencySec:          p.Inter.LatencySec,
-		BandwidthMBps:       p.Inter.BandwidthMBps,
-		Buses:               p.Buses,
-		InPorts:             p.InPorts,
-		OutPorts:            p.OutPorts,
-		MIPS:                p.MIPS,
-		EagerThresholdBytes: p.EagerThresholdBytes,
-		RelativeSpeed:       p.RelativeSpeed,
-		CongestionFactor:    p.CongestionFactor,
-	}
-}
-
 // Validate reports the first implausible parameter.
 func (p Platform) Validate() error {
 	switch {

@@ -24,9 +24,6 @@ func TestConfigPlatformDegenerate(t *testing.T) {
 			t.Fatalf("rank %d on node %d", r, p.NodeOf(r))
 		}
 	}
-	if got := p.InterConfig(); got != cfg {
-		t.Fatalf("InterConfig round trip: got %+v want %+v", got, cfg)
-	}
 }
 
 func TestMappingPolicies(t *testing.T) {

@@ -17,7 +17,7 @@ func pingResult(t *testing.T) *sim.Result {
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 100_000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 500_000})
 	cfg := network.Config{Processors: 2, LatencySec: 1e-5, BandwidthMBps: 100, MIPS: 1000, EagerThresholdBytes: -1, RelativeSpeed: 1}
-	res, err := sim.Run(cfg, tr)
+	res, err := sim.Run(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

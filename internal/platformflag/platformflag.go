@@ -73,7 +73,7 @@ func Register(fs *flag.FlagSet) *Flags {
 
 // ReplayShards returns the -replay-shards setting: the intra-replay
 // parallelism the commands pass through to the scenario planner
-// (core.Scenario.ReplayShards) or to sim.RunProgramShards directly.
+// (core.Scenario.ReplayShards).
 // Sharded and serial replays are byte-identical; the flag is pure
 // scheduling.
 func (f *Flags) ReplayShards() int { return *f.shards }

@@ -75,7 +75,7 @@ func TestEndToEndCachedByteIdentical(t *testing.T) {
 	// and flavours, down to the marshalled bytes.
 	entry, _ := apps.ByName("cg", 4)
 	plat := network.TestbedFor("cg", 4).Platform()
-	rep, err := core.AnalyzeOn(ctx, mgr.Engine(), entry.App, 4, plat, tracer.DefaultConfig())
+	rep, err := core.Analyze(ctx, mgr.Engine(), entry.App, 4, plat, tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestReplayAllocsHardFaulted(t *testing.T) {
 }
 
 // TestPooledReplayAllocs pins the sweep primitive: after warm-up,
-// ReplayFinish on a pooled arena must not allocate per point.
+// ReplaySummary on a pooled arena must not allocate per point.
 func TestPooledReplayAllocs(t *testing.T) {
 	tr := allocRing(8, 20)
 	prog, err := Compile(tr)
@@ -101,12 +101,12 @@ func TestPooledReplayAllocs(t *testing.T) {
 	}
 	plat := network.Testbed(8).Platform()
 	for i := 0; i < 3; i++ {
-		if _, err := ReplayFinish(plat, prog); err != nil {
+		if _, err := ReplaySummary(plat, prog, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := ReplayFinish(plat, prog); err != nil {
+		if _, err := ReplaySummary(plat, prog, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

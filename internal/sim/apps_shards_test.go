@@ -49,7 +49,7 @@ func TestShardedAppsMatchSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				serial, err := sim.RunProgram(plat, prog)
+				serial, err := sim.NewArena().RunProgram(plat, prog)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,30 +14,11 @@ import (
 
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
-// ReplayFinish replays prog on p using a pooled arena and returns only the
-// makespan. Safe for concurrent use.
-func ReplayFinish(p network.Platform, prog *Program) (float64, error) {
-	s, err := ReplaySummary(p, prog)
-	return s.FinishSec, err
-}
-
-// ReplaySummary replays prog on p using a pooled arena and returns the
-// replay's scalar summary (makespan plus the traffic split). Safe for
-// concurrent use.
-func ReplaySummary(p network.Platform, prog *Program) (Summary, error) {
-	a := arenaPool.Get().(*ReplayArena)
-	defer arenaPool.Put(a)
-	res, err := a.RunProgram(p, prog)
-	if err != nil {
-		return Summary{}, err
-	}
-	return summarize(res), nil
-}
-
-// ReplayShardsSummary is ReplaySummary with a shard request: the replay
-// runs sharded when shards != 1 and the platform allows it (see
-// EffectiveShards). Safe for concurrent use.
-func ReplayShardsSummary(p network.Platform, prog *Program, shards int) (Summary, error) {
+// ReplaySummary replays prog on p using a pooled arena — sharded when
+// shards != 1 and the platform allows it (see EffectiveShards) — and
+// returns the replay's scalar summary (makespan plus the traffic split).
+// Safe for concurrent use.
+func ReplaySummary(p network.Platform, prog *Program, shards int) (Summary, error) {
 	a := arenaPool.Get().(*ReplayArena)
 	defer arenaPool.Put(a)
 	res, err := a.RunProgramShards(p, prog, shards)

@@ -23,12 +23,12 @@ func TestCongestionSlowsLoadedNetwork(t *testing.T) {
 	cfg.InPorts = 0
 	cfg.OutPorts = 0
 	tr := burstTrace(4, 500_000)
-	clean, err := Run(cfg, tr)
+	clean, err := Run(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CongestionFactor = 1.0
-	congested, err := Run(cfg, tr)
+	congested, err := Run(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +42,12 @@ func TestCongestionNoEffectOnSerialTraffic(t *testing.T) {
 	cfg := testCfg(2)
 	cfg.Buses = 2
 	tr := burstTrace(1, 500_000)
-	clean, err := Run(cfg, tr)
+	clean, err := Run(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CongestionFactor = 2.0
-	same, err := Run(cfg, tr)
+	same, err := Run(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func TestCongestionRequiresFiniteBuses(t *testing.T) {
 	cfg.Buses = 0 // unlimited: extension disabled by definition
 	cfg.CongestionFactor = 5
 	tr := burstTrace(4, 500_000)
-	res, err := Run(cfg, tr)
+	res, err := Run(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
 	cfg2.CongestionFactor = 0
-	res2, err := Run(cfg2, tr)
+	res2, err := Run(cfg2.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCongestionRequiresFiniteBuses(t *testing.T) {
 func TestNegativeCongestionRejected(t *testing.T) {
 	cfg := testCfg(2)
 	cfg.CongestionFactor = -1
-	if _, err := Run(cfg, trace.New("t", "base", 1)); err == nil {
+	if _, err := Run(cfg.Platform(), trace.New("t", "base", 1)); err == nil {
 		t.Fatal("negative congestion factor accepted")
 	}
 }
@@ -92,9 +92,9 @@ func TestPropertyCongestionMonotone(t *testing.T) {
 		cfg := testCfg(12)
 		cfg.Buses = 2
 		cfg.CongestionFactor = lo
-		r1, err1 := Run(cfg, tr)
+		r1, err1 := Run(cfg.Platform(), tr)
 		cfg.CongestionFactor = hi
-		r2, err2 := Run(cfg, tr)
+		r2, err2 := Run(cfg.Platform(), tr)
 		if err1 != nil || err2 != nil {
 			return false
 		}

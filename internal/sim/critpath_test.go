@@ -11,7 +11,7 @@ import (
 func TestCriticalPathComputeOnly(t *testing.T) {
 	tr := trace.New("t", "base", 1)
 	tr.Append(0, trace.Record{Kind: trace.KindCompute, Instr: 2_000_000})
-	res, err := Run(testCfg(1), tr)
+	res, err := Run(testCfg(1).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestCriticalPathCrossesTransfer(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 100_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 100_000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 1_000_000})
-	res, err := Run(testCfg(2), tr)
+	res, err := Run(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCriticalPathCrossesTransfer(t *testing.T) {
 
 func TestCriticalPathAttributionSumsToMakespan(t *testing.T) {
 	tr := ringTrace(6, 12, 800_000, 48_000)
-	res, err := Run(testCfg(6), tr)
+	res, err := Run(testCfg(6).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCriticalPathAttributionSumsToMakespan(t *testing.T) {
 
 func TestCriticalPathFormat(t *testing.T) {
 	tr := ringTrace(4, 4, 500_000, 64_000)
-	res, err := Run(testCfg(4), tr)
+	res, err := Run(testCfg(4).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

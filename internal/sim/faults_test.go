@@ -44,7 +44,7 @@ func TestDegradationsIdentityByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthy := pdesPlatform(16, 4)
-	want, err := RunProgram(healthy, prog)
+	want, err := NewArena().RunProgram(healthy, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDegradationsIdentityByteIdentical(t *testing.T) {
 		if d != wantDigest {
 			t.Fatalf("identity spec %+v changed the platform digest: %s vs %s", spec, d, wantDigest)
 		}
-		got, err := RunProgram(plat, prog)
+		got, err := NewArena().RunProgram(plat, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +86,11 @@ func TestFaultReplayDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	plat := faultedPlatform(16, 4)
-	first, err := RunProgram(plat, prog)
+	first, err := NewArena().RunProgram(plat, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunProgram(plat, prog)
+	second, err := NewArena().RunProgram(plat, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,12 @@ func TestSoftFaultsSlowReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthy := pdesPlatform(16, 4)
-	base, err := RunProgram(healthy, prog)
+	base, err := NewArena().RunProgram(healthy, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	derated, err := RunProgram(healthy.WithDerateInter(0.5), prog)
+	derated, err := NewArena().RunProgram(healthy.WithDerateInter(0.5), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSoftFaultsSlowReplay(t *testing.T) {
 		t.Fatalf("derate 0.5 finish %.9f, healthy %.9f — derating did not slow the run", derated.FinishSec, base.FinishSec)
 	}
 
-	jittered, err := RunProgram(healthy.WithJitter(0.5), prog)
+	jittered, err := NewArena().RunProgram(healthy.WithJitter(0.5), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSoftFaultsSlowReplay(t *testing.T) {
 	}
 
 	slow := healthy.WithDegradations(faults.Spec{StragglerFactor: 4, StragglerRanks: []int{3}})
-	straggled, err := RunProgram(slow, prog)
+	straggled, err := NewArena().RunProgram(slow, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestHardFaultsDeadlockFaultInduced(t *testing.T) {
 	}
 	check := func(label string, plat network.Platform) *DeadlockError {
 		t.Helper()
-		_, err := RunProgram(plat, prog)
+		_, err := NewArena().RunProgram(plat, prog)
 		var dl *DeadlockError
 		if !errors.As(err, &dl) {
 			t.Fatalf("%s: replay over a severed platform returned %v, want DeadlockError", label, err)
@@ -235,7 +235,7 @@ func TestHardFaultsDeadlockFaultInduced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunProgram(pdesPlatform(4, 2).WithDerateInter(0.5), badProg)
+	_, err = NewArena().RunProgram(pdesPlatform(4, 2).WithDerateInter(0.5), badProg)
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("genuine deadlock returned %v", err)

@@ -11,10 +11,7 @@ import (
 // experiment engine aggregates per-job errors and a panicking replay
 // would take the whole worker pool down with it.
 func TestRunNilTraceTypedError(t *testing.T) {
-	if _, err := Run(network.Testbed(4), nil); !errors.Is(err, ErrNilTrace) {
+	if _, err := Run(network.Testbed(4).Platform(), nil); !errors.Is(err, ErrNilTrace) {
 		t.Fatalf("Run(nil trace) = %v, want ErrNilTrace", err)
-	}
-	if _, err := New(network.Testbed(4), nil); !errors.Is(err, ErrNilTrace) {
-		t.Fatalf("New(nil trace) = %v, want ErrNilTrace", err)
 	}
 }

@@ -222,12 +222,6 @@ func (a *ReplayArena) RunProgramShards(p network.Platform, prog *Program, shards
 	return a.replayShards(p, prog, n)
 }
 
-// RunProgramShards replays a compiled program on p with a fresh arena
-// across the given number of shards; the result is owned by the caller.
-func RunProgramShards(p network.Platform, prog *Program, shards int) (*Result, error) {
-	return NewArena().RunProgramShards(p, prog, shards)
-}
-
 // replayShards is the sharded analogue of replay: same reset, same
 // events, same handlers — executed by n shard workers plus the
 // coordinator under the two conservative bounds.
@@ -370,10 +364,4 @@ func (pd *pdesState) stop() {
 		pd.shards[i].work = nil
 	}
 	pd.wg.Wait()
-}
-
-// shardable reports whether sharded replay can engage at all for the
-// platform — used by planners to decide before compiling anything.
-func Shardable(p network.Platform) bool {
-	return p.Nodes >= 2 && p.IntraBuses == 0
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/network"
 	"repro/internal/trace"
@@ -139,7 +140,7 @@ func checkShardsIdentical(t *testing.T, label string, plat network.Platform, tr 
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunProgram(plat, prog)
+	serial, err := NewArena().RunProgram(plat, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestShardedFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunProgram(busy, prog)
+	serial, err := NewArena().RunProgram(busy, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,15 +321,15 @@ func TestEqualTimeCrossShard(t *testing.T) {
 // TestShardWorkersExitWhenNeverWoken replays a ping-pong whose windows
 // never have two busy shards: the coordinator drains every window itself
 // and the worker goroutine is never signalled. Each replay must still
-// stop its worker, so after 200 replays the goroutine count is back at
-// its starting value.
+// stop its worker, so after 200 replays the goroutine count is no higher
+// than at the start.
 func TestShardWorkersExitWhenNeverWoken(t *testing.T) {
 	prog, err := Compile(pingPong(20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	plat := pdesPlatform(2, 2)
-	serial, err := RunProgram(plat, prog)
+	serial, err := NewArena().RunProgram(plat, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,15 @@ func TestShardWorkersExitWhenNeverWoken(t *testing.T) {
 		}
 		requireIdentical(t, "pingpong", serial, got)
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	// stop returns once every worker has called wg.Done, its last
+	// statement but not yet its exit, so a worker of an earlier replay or
+	// test may still be counted in either reading. Fewer goroutines
+	// afterwards is not a leak; more must drain within a second.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
 		t.Fatalf("goroutines %d before 200 sharded replays, %d after", before, after)
 	}
 }

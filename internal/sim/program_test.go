@@ -43,7 +43,7 @@ func programTestPlatforms(procs int) []network.Platform {
 
 // TestProgramReplayEquivalence is the compiled-core keystone: replaying a
 // precompiled program — through a fresh arena, a reused arena, and the
-// pooled summary helpers — must be byte-identical to the one-shot
+// pooled summary helper — must be byte-identical to the one-shot
 // trace-replay path on every platform class.
 func TestProgramReplayEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
@@ -56,12 +56,12 @@ func TestProgramReplayEquivalence(t *testing.T) {
 		}
 		arena := NewArena()
 		for pi, plat := range programTestPlatforms(tr.NumRanks) {
-			want, err := RunOn(plat, tr)
+			want, err := Run(plat, tr)
 			if err != nil {
 				t.Logf("platform %d: one-shot replay: %v", pi, err)
 				return false
 			}
-			got, err := RunProgram(plat, prog)
+			got, err := NewArena().RunProgram(plat, prog)
 			if err != nil {
 				t.Logf("platform %d: program replay: %v", pi, err)
 				return false
@@ -79,7 +79,7 @@ func TestProgramReplayEquivalence(t *testing.T) {
 				t.Logf("platform %d: reused-arena replay diverges", pi)
 				return false
 			}
-			sum, err := ReplaySummary(plat, prog)
+			sum, err := ReplaySummary(plat, prog, 1)
 			if err != nil {
 				t.Logf("platform %d: pooled replay: %v", pi, err)
 				return false
@@ -106,43 +106,30 @@ func TestArenaReuseByteIdentical(t *testing.T) {
 	trA := randomBalancedTrace(rng, 6, 60)
 	trB := randomBalancedTrace(rng, 4, 80)
 	plat := programTestPlatforms(6)[2]
+	progA, err := Compile(trA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progB, err := Compile(trB)
+	if err != nil {
+		t.Fatal(err)
+	}
 	arena := NewArena()
 
-	first, err := arena.RunOn(plat, trA)
+	first, err := arena.RunProgram(plat, progA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := cloneResult(first)
-	if _, err := arena.RunOn(plat, trB); err != nil {
+	if _, err := arena.RunProgram(plat, progB); err != nil {
 		t.Fatal(err)
 	}
-	again, err := arena.RunOn(plat, trA)
+	again, err := arena.RunProgram(plat, progA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snapshot, cloneResult(again)) {
 		t.Fatalf("arena reuse changed the result: finish %g vs %g", snapshot.FinishSec, again.FinishSec)
-	}
-}
-
-// TestArenaCompileMemo: replaying the same *trace.Trace across platform
-// variants on one arena compiles once.
-func TestArenaCompileMemo(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := randomBalancedTrace(rng, 4, 30)
-	arena := NewArena()
-	if _, err := arena.RunOn(testCfg(4).Platform(), tr); err != nil {
-		t.Fatal(err)
-	}
-	prog := arena.memoProg
-	if prog == nil {
-		t.Fatal("no memoized program after RunOn")
-	}
-	if _, err := arena.RunOn(testCfg(4).Platform().WithInterBandwidth(500), tr); err != nil {
-		t.Fatal(err)
-	}
-	if arena.memoProg != prog {
-		t.Fatal("same trace recompiled on the same arena")
 	}
 }
 
@@ -167,7 +154,7 @@ func TestDeadlockReportInRange(t *testing.T) {
 	tr := trace.New("dl", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindRecv, Peer: 1, Tag: 9, Chunk: 2, Bytes: 8})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 4, Bytes: 8})
-	_, err := Run(testCfg(2), tr)
+	_, err := Run(testCfg(2).Platform(), tr)
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("want DeadlockError, got %v", err)

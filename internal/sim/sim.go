@@ -15,8 +15,9 @@
 // nodes by a mapping, transfers between ranks sharing a node cross the
 // intra-node link class (shared memory, per-node bus pool), and transfers
 // between nodes cross the inter-node link class (NIC ports, global buses).
-// A flat network.Config is replayed as its degenerate one-rank-per-node
-// platform and reproduces the original single-link model exactly.
+// A flat network.Config replays as its degenerate one-rank-per-node
+// platform (Config.Platform), which reproduces the original single-link
+// model exactly.
 //
 // Replay is structured for throughput: a trace compiles once into a
 // Program (dense instructions, stream IDs and handle tables resolved ahead
@@ -114,10 +115,9 @@ type RankStats struct {
 
 // Result is the full output of one replay.
 //
-// Results returned by the one-shot entry points (Run, RunOn, RunProgram,
-// Simulator.Run) are owned by the caller. Results returned by a
-// ReplayArena's methods alias the arena's reusable buffers and are only
-// valid until the arena's next replay.
+// Results returned by Run, and copied out by ReplayInto, are owned by the
+// caller. Results returned by a ReplayArena's methods alias the arena's
+// reusable buffers and are only valid until the arena's next replay.
 type Result struct {
 	// FinishSec is the simulated makespan: the max rank finish time.
 	FinishSec float64
@@ -459,12 +459,6 @@ type rankState struct {
 // share Programs, not arenas. Results returned by arena methods alias the
 // arena's buffers and are valid only until its next replay.
 type ReplayArena struct {
-	// One-entry compile memo for RunOn: sweeps that replay the same
-	// *trace.Trace on many platform variants compile once. Callers must
-	// not mutate a trace between replays (the simulator never does).
-	memoTrace *trace.Trace
-	memoProg  *Program
-
 	plat   network.Platform
 	prog   *Program
 	nodeOf []int
@@ -536,25 +530,6 @@ type ReplayArena struct {
 // first replays and are reused afterwards.
 func NewArena() *ReplayArena { return &ReplayArena{} }
 
-// RunOn replays tr on platform p. The compiled program is memoized per
-// trace, so replaying one trace across platform variants compiles once.
-func (a *ReplayArena) RunOn(p network.Platform, tr *trace.Trace) (*Result, error) {
-	if tr == nil {
-		return nil, ErrNilTrace
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if tr != a.memoTrace {
-		prog, err := Compile(tr)
-		if err != nil {
-			return nil, err
-		}
-		a.memoTrace, a.memoProg = tr, prog
-	}
-	return a.replay(p, a.memoProg)
-}
-
 // RunProgram replays a compiled program on platform p.
 func (a *ReplayArena) RunProgram(p network.Platform, prog *Program) (*Result, error) {
 	if prog == nil {
@@ -566,35 +541,13 @@ func (a *ReplayArena) RunProgram(p network.Platform, prog *Program) (*Result, er
 	return a.replay(p, prog)
 }
 
-// ---------------------------------------------------------------------------
-// Public entry points
-
-// Simulator replays one trace on one platform. Create with New (flat
-// Config) or NewOn (hierarchical Platform), run with Run; a Simulator is
-// single-use. It owns a private arena; for replay-heavy workloads reuse a
-// ReplayArena (or the pooled ReplayFinish/ReplaySummary helpers) instead.
-type Simulator struct {
-	arena *ReplayArena
-	plat  network.Platform
-	prog  *Program
-}
-
-// New prepares a replay of tr on the flat platform cfg — the degenerate
-// one-rank-per-node case of NewOn. The trace rank count must not exceed
-// cfg.Processors. A nil trace yields ErrNilTrace.
-func New(cfg network.Config, tr *trace.Trace) (*Simulator, error) {
-	if tr == nil {
-		return nil, ErrNilTrace
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return NewOn(cfg.Platform(), tr)
-}
-
-// NewOn prepares a replay of tr on the hierarchical platform p. The trace
-// rank count must not exceed p.Processors. A nil trace yields ErrNilTrace.
-func NewOn(p network.Platform, tr *trace.Trace) (*Simulator, error) {
+// Run compiles tr and replays it once on platform p with a fresh arena; the
+// result is owned by the caller. The trace rank count must not exceed
+// p.Processors, and a nil trace yields ErrNilTrace. Callers that replay one
+// trace many times compile it once (Compile) and replay the Program on a
+// reused arena (RunProgram, RunProgramShards) or a pooled one
+// (ReplaySummary, ReplayInto).
+func Run(p network.Platform, tr *trace.Trace) (*Result, error) {
 	if tr == nil {
 		return nil, ErrNilTrace
 	}
@@ -608,37 +561,7 @@ func NewOn(p network.Platform, tr *trace.Trace) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{arena: NewArena(), plat: p, prog: prog}, nil
-}
-
-// Run executes the replay and returns the reconstructed time behaviour.
-func (s *Simulator) Run() (*Result, error) {
-	return s.arena.replay(s.plat, s.prog)
-}
-
-// Run builds a Simulator for (cfg, tr) and executes the replay.
-func Run(cfg network.Config, tr *trace.Trace) (*Result, error) {
-	s, err := New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}
-
-// RunOn builds a Simulator for the hierarchical platform and executes the
-// replay.
-func RunOn(p network.Platform, tr *trace.Trace) (*Result, error) {
-	s, err := NewOn(p, tr)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}
-
-// RunProgram replays a compiled program on p with a fresh arena; the
-// result is owned by the caller.
-func RunProgram(p network.Platform, prog *Program) (*Result, error) {
-	return NewArena().RunProgram(p, prog)
+	return NewArena().replay(p, prog)
 }
 
 // ---------------------------------------------------------------------------
