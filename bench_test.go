@@ -555,6 +555,31 @@ func BenchmarkSimCompiledReplay(b *testing.B) {
 			b.ReportMetric(float64(prog.Records()), "records/replay")
 		})
 	}
+	// The same programs through sim.ReplaySummary, the pooled replay every
+	// scenario point, bandwidth search and what-if finish time takes: no
+	// timeline and no comm log, serially and on 2 shards.
+	for _, app := range []string{"sweep3d", "pop"} {
+		for _, shards := range []int{1, 2} {
+			name := "fatnode256-" + app + "-summary"
+			if shards > 1 {
+				name += fmt.Sprintf("-shards%d", shards)
+			}
+			b.Run(name, func(b *testing.B) {
+				prog := fatnode256Program(b, app)
+				if _, err := sim.ReplaySummary(fat256, prog, shards); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := sim.ReplaySummary(fat256, prog, shards); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(prog.Records()), "records/replay")
+			})
+		}
+	}
 }
 
 // fatnode256Programs memoizes fatnode256Program across the -count

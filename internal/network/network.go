@@ -78,32 +78,33 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// link returns the flat configuration's single link class.
+func (c Config) link() Link {
+	return Link{LatencySec: c.LatencySec, BandwidthMBps: c.BandwidthMBps}
+}
+
 // TransferSec returns the flight time of a message of the given size:
 // latency plus serialization.
 func (c Config) TransferSec(bytes int64) float64 {
-	return c.LatencySec + c.SerializationSec(bytes)
+	return c.link().TransferSec(bytes)
 }
 
 // SerializationSec returns the time the message occupies a port:
 // size divided by bandwidth.
 func (c Config) SerializationSec(bytes int64) float64 {
-	if math.IsInf(c.BandwidthMBps, 1) {
-		return 0
-	}
-	return float64(bytes) / (c.BandwidthMBps * 1e6)
+	return c.link().SerializationSec(bytes)
 }
 
 // ComputeSec converts an instruction count to seconds on this platform.
 func (c Config) ComputeSec(instr int64) float64 {
-	return float64(instr) / (c.MIPS * 1e6 * c.RelativeSpeed)
+	k := c.Platform().Costs()
+	return k.ComputeSec(instr)
 }
 
 // Eager reports whether a message of the given size uses the eager protocol.
 func (c Config) Eager(bytes int64) bool {
-	if c.EagerThresholdBytes < 0 {
-		return true
-	}
-	return bytes <= c.EagerThresholdBytes
+	k := c.Platform().Costs()
+	return k.Eager(bytes)
 }
 
 // WithBandwidth returns a copy of the config with the bandwidth replaced.

@@ -217,7 +217,7 @@ type Platform struct {
 // ports becoming per-node ports. Replaying any trace on it reproduces the
 // flat model exactly.
 func (c Config) Platform() Platform {
-	l := Link{LatencySec: c.LatencySec, BandwidthMBps: c.BandwidthMBps}
+	l := c.link()
 	return Platform{
 		Processors:          c.Processors,
 		Nodes:               c.Processors,
@@ -295,26 +295,63 @@ func (p Platform) MultiNode() bool {
 	return false
 }
 
-// ComputeSec converts an instruction count to seconds on this platform.
-func (p Platform) ComputeSec(instr int64) float64 {
-	return float64(instr) / (p.MIPS * 1e6 * p.RelativeSpeed)
+// Costs is the platform's cost model reduced to the scalars a replay
+// reads for every compute burst, send and launch: the compute rate, the
+// eager threshold, both link classes and the congestion parameters. Its
+// methods are the only definitions of the compute, eager and congestion
+// rules (Link holds the transfer cost). A replay takes it once from
+// Platform.Costs and calls it through a pointer, so the per-record path
+// never copies the Platform.
+type Costs struct {
+	intra, inter     Link
+	computeRate      float64 // instructions per second: MIPS·1e6·RelativeSpeed
+	eagerThreshold   int64
+	congestionFactor float64
+	buses            int
+}
+
+// Costs resolves the platform's cost model.
+func (p Platform) Costs() Costs {
+	return Costs{
+		intra:            p.Intra,
+		inter:            p.Inter,
+		computeRate:      p.MIPS * 1e6 * p.RelativeSpeed,
+		eagerThreshold:   p.EagerThresholdBytes,
+		congestionFactor: p.CongestionFactor,
+		buses:            p.Buses,
+	}
+}
+
+// ComputeSec converts an instruction count to seconds.
+func (c *Costs) ComputeSec(instr int64) float64 {
+	return float64(instr) / c.computeRate
 }
 
 // Eager reports whether a message of the given size uses the eager
 // protocol.
-func (p Platform) Eager(bytes int64) bool {
-	if p.EagerThresholdBytes < 0 {
-		return true
-	}
-	return bytes <= p.EagerThresholdBytes
+func (c *Costs) Eager(bytes int64) bool {
+	return c.eagerThreshold < 0 || bytes <= c.eagerThreshold
 }
 
-// LinkFor returns the link class a transfer of the given locality crosses.
-func (p Platform) LinkFor(intra bool) Link {
+// Link returns the link class a transfer of the given locality crosses.
+func (c *Costs) Link(intra bool) Link {
 	if intra {
-		return p.Intra
+		return c.intra
 	}
-	return p.Inter
+	return c.inter
+}
+
+// Congested stretches the serialization time of an inter-node transfer
+// that enters an interconnect already carrying inFlight messages: the
+// nonlinear congestion extension (see Config.CongestionFactor). Without a
+// congestion factor or with an unlimited bus pool it returns ser as is.
+func (c *Costs) Congested(ser float64, inFlight int) float64 {
+	if c.congestionFactor > 0 && c.buses > 0 {
+		if over := float64(inFlight)/float64(c.buses) - 1; over > 0 {
+			ser *= 1 + c.congestionFactor*over
+		}
+	}
+	return ser
 }
 
 // WithNodes returns a copy of the platform re-clustered onto n nodes.

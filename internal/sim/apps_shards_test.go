@@ -15,6 +15,8 @@ import (
 // overlap-real and overlap-ideal traces on fatnode-smp (16 ranks per
 // node, so 64 ranks span 4 nodes) at 2 and 4 shards, on a fresh and on a
 // warm arena, and requires the full Result to equal the serial replay's.
+// The summary replay at 1, 2 and 4 shards must match the serial result's
+// makespan and traffic split.
 // Most windows of these traces have one busy shard, so this covers the
 // coordinator-drained window on the programs users actually replay. A
 // window drains every event before its bound, so windows and serial
@@ -52,6 +54,16 @@ func TestShardedAppsMatchSerial(t *testing.T) {
 				serial, err := sim.NewArena().RunProgram(plat, prog)
 				if err != nil {
 					t.Fatal(err)
+				}
+				want := sim.SummaryOf(serial)
+				for _, n := range []int{1, 2, 4} {
+					got, err := sim.ReplaySummary(plat, prog, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s/%s/%d ranks/summary shards=%d: %+v, full serial result gives %+v", name, fl.name, ranks, n, got, want)
+					}
 				}
 				arena := sim.NewArena()
 				for _, n := range []int{2, 4} {

@@ -17,15 +17,22 @@ var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 // ReplaySummary replays prog on p using a pooled arena — sharded when
 // shards != 1 and the platform allows it (see EffectiveShards) — and
 // returns the replay's scalar summary (makespan plus the traffic split).
-// Safe for concurrent use.
+// It runs the same events as a full replay with the timeline and the comm
+// log switched off: it records no interval and no comm, and takes the
+// traffic split from the per-stream totals Compile records. Safe for
+// concurrent use.
 func ReplaySummary(p network.Platform, prog *Program, shards int) (Summary, error) {
 	a := arenaPool.Get().(*ReplayArena)
 	defer arenaPool.Put(a)
-	res, err := a.RunProgramShards(p, prog, shards)
-	if err != nil {
+	return a.replaySummary(p, prog, shards)
+}
+
+// replaySummary is ReplaySummary on a given arena.
+func (a *ReplayArena) replaySummary(p network.Platform, prog *Program, shards int) (Summary, error) {
+	if err := a.replay(p, prog, shards, false); err != nil {
 		return Summary{}, err
 	}
-	return summarize(res), nil
+	return a.summary(), nil
 }
 
 // ReplayInto replays prog on p using a pooled arena — sharded when shards

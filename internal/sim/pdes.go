@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -57,6 +56,10 @@ type shard struct {
 	q      eventQueue
 	outbox []event       // events emitted during a parallel phase for other owners
 	work   chan struct{} // window signal to the shard's worker; closed and cleared by stop
+	// offloaded counts the events the shard's worker drained this replay:
+	// work that left the coordinator. Written by the worker only, read
+	// after stop.
+	offloaded int64
 }
 
 // pdesState is the arena's sharded-replay machinery, reused across
@@ -137,16 +140,18 @@ func (a *ReplayArena) eventOwner(e *event) int32 {
 }
 
 // drain runs the shard's part of the current window: every local event
-// ordering before the bound. The coordinator and the shard's worker call
-// it alike; the result does not depend on which goroutine runs it.
-func (sh *shard) drain(a *ReplayArena) {
+// ordering before the bound, and returns how many it dispatched. The
+// coordinator and the shard's worker call it alike; the result does not
+// depend on which goroutine runs it.
+func (sh *shard) drain(a *ReplayArena) (n int64) {
 	pd := &a.pdes
 	for {
 		e, ok := sh.q.popBefore(&pd.bound, pd.hasBound)
 		if !ok {
-			return
+			return n
 		}
 		a.dispatch(e, sh)
+		n++
 	}
 }
 
@@ -157,7 +162,7 @@ func (sh *shard) drain(a *ReplayArena) {
 func (sh *shard) worker(a *ReplayArena, work <-chan struct{}) {
 	pd := &a.pdes
 	for range work {
-		sh.drain(a)
+		sh.offloaded += sh.drain(a)
 		pd.wg.Done()
 	}
 	pd.wg.Done()
@@ -209,33 +214,22 @@ func EffectiveShards(p network.Platform, prog *Program, requested int) int {
 // shards == 0 picks an automatic count; any request the platform cannot
 // shard safely (see EffectiveShards) falls back to the serial replay.
 func (a *ReplayArena) RunProgramShards(p network.Platform, prog *Program, shards int) (*Result, error) {
-	if prog == nil {
-		return nil, errors.New("sim: nil program")
-	}
-	if err := p.Validate(); err != nil {
+	if err := a.replay(p, prog, shards, true); err != nil {
 		return nil, err
 	}
-	n := EffectiveShards(p, prog, shards)
-	if n <= 1 {
-		return a.replay(p, prog)
-	}
-	return a.replayShards(p, prog, n)
+	return a.assemble(), nil
 }
 
-// replayShards is the sharded analogue of replay: same reset, same
+// replayShards is the sharded analogue of replaySerial: same reset, same
 // events, same handlers — executed by n shard workers plus the
 // coordinator under the two conservative bounds.
-func (a *ReplayArena) replayShards(p network.Platform, prog *Program, n int) (*Result, error) {
-	if prog.numRanks > p.Processors {
-		return nil, errors.New("sim: trace has more ranks than the platform has processors")
-	}
-	a.reset(p, prog)
+func (a *ReplayArena) replayShards(n int) {
 	pd := &a.pdes
 	pd.start(a, n)
 	defer pd.stop()
 	a.stats.Shards = n
 
-	for r := 0; r < prog.numRanks; r++ {
+	for r := 0; r < a.prog.numRanks; r++ {
 		pd.coord.route(a, event{t: 0, kind: evAdvance, a: int32(r)})
 	}
 	// Phase clock: one running mark on the replay's monotonic clock,
@@ -287,7 +281,6 @@ func (a *ReplayArena) replayShards(p network.Platform, prog *Program, n int) (*R
 		pd.serNanos += now - mark
 		mark = now
 	}
-	return a.finishReplay()
 }
 
 // window runs one parallel phase over the busy shards: workers drain all
@@ -321,10 +314,10 @@ func (pd *pdesState) window(a *ReplayArena, head event, hasHead bool) {
 // worker: when it is busy it is the first busy shard, which the
 // coordinator drains itself.
 func (pd *pdesState) start(a *ReplayArena, n int) {
-	prog, p := a.prog, a.plat
+	prog := a.prog
 	pd.rankShard = grow(pd.rankShard, prog.numRanks)
 	for r := 0; r < prog.numRanks; r++ {
-		pd.rankShard[r] = int32(a.nodeOf[r] * n / p.Nodes)
+		pd.rankShard[r] = int32(a.nodeOf[r] * n / a.poolNodes)
 	}
 	pd.streamShard = grow(pd.streamShard, len(prog.streams))
 	for i := range prog.streams {
@@ -348,6 +341,7 @@ func (pd *pdesState) start(a *ReplayArena, n int) {
 		sh := &pd.shards[i]
 		sh.q.reset()
 		sh.outbox = sh.outbox[:0]
+		sh.offloaded = 0
 		if i > 0 {
 			sh.work = make(chan struct{})
 			go sh.worker(a, sh.work)

@@ -45,6 +45,9 @@ type streamInfo struct {
 	src, dst int32
 	sends    int32 // send-side records feeding the stream
 	posts    int32 // recv/irecv records posted against the stream
+	// bytes totals the stream's sends: with sends, the stream's share of
+	// a summary replay's traffic split (see ReplayArena.summary).
+	bytes int64
 	// sendOff and postOff are prefix offsets into the arena's shared
 	// backing arrays, so per-stream state is a zero-alloc subslice.
 	sendOff int32
@@ -280,6 +283,7 @@ func (p *Program) resolveStreams(refs []streamRef) {
 			switch in.op {
 			case trace.KindSend, trace.KindISend:
 				si.sends++
+				si.bytes += in.arg
 			default:
 				si.posts++
 			}

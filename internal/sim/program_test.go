@@ -21,6 +21,13 @@ func cloneResult(r *Result) *Result {
 	}
 }
 
+// summaryOf reduces a full result to the scalars ReplaySummary returns:
+// the reference the summary path is tested against.
+func summaryOf(res *Result) Summary {
+	ib, eb, im, em := res.TrafficSplit()
+	return Summary{FinishSec: res.FinishSec, IntraBytes: ib, InterBytes: eb, IntraMsgs: im, InterMsgs: em}
+}
+
 // programTestPlatforms exercises every resource pool and both link
 // classes.
 func programTestPlatforms(procs int) []network.Platform {
@@ -43,8 +50,8 @@ func programTestPlatforms(procs int) []network.Platform {
 
 // TestProgramReplayEquivalence is the compiled-core keystone: replaying a
 // precompiled program — through a fresh arena, a reused arena, and the
-// pooled summary helper — must be byte-identical to the one-shot
-// trace-replay path on every platform class.
+// pooled summary replay at 1, 2 and 4 shards — must be byte-identical to
+// the one-shot trace-replay path on every platform class.
 func TestProgramReplayEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -79,16 +86,16 @@ func TestProgramReplayEquivalence(t *testing.T) {
 				t.Logf("platform %d: reused-arena replay diverges", pi)
 				return false
 			}
-			sum, err := ReplaySummary(plat, prog, 1)
-			if err != nil {
-				t.Logf("platform %d: pooled replay: %v", pi, err)
-				return false
-			}
-			ib, eb, im, em := want.TrafficSplit()
-			if sum.FinishSec != want.FinishSec || sum.IntraBytes != ib || sum.InterBytes != eb ||
-				sum.IntraMsgs != im || sum.InterMsgs != em {
-				t.Logf("platform %d: summary diverges: %+v", pi, sum)
-				return false
+			for _, shards := range []int{1, 2, 4} {
+				sum, err := ReplaySummary(plat, prog, shards)
+				if err != nil {
+					t.Logf("platform %d shards %d: pooled summary replay: %v", pi, shards, err)
+					return false
+				}
+				if got := summaryOf(want); sum != got {
+					t.Logf("platform %d shards %d: summary %+v, full result gives %+v", pi, shards, sum, got)
+					return false
+				}
 			}
 		}
 		return true

@@ -25,7 +25,17 @@
 // piece of mutable replay state and reuses it across replays. The event
 // queue is a calendar queue of small typed events (see calqueue.go), all
 // matching state is slice-backed, and the steady-state replay of a warm
-// arena performs no heap allocation.
+// arena performs no heap allocation. The arena takes the platform's cost
+// model (network.Costs) once per replay, so the per-record path reads
+// arena fields and never copies the Platform; each bus or port unit keeps
+// its latest reservation end inline, so probing an idle unit is O(1).
+//
+// The entry point decides what a replay records. A full replay (Run,
+// RunProgram, RunProgramShards, ReplayInto) records every rank's interval
+// timeline and every transfer's comm record. A summary replay
+// (ReplaySummary), which the sweep and search paths use, runs the same
+// events with both switched off and keeps the makespan plus a traffic
+// split summed from the per-stream totals Compile records.
 //
 // Events execute in a static total order — (time, event class, ids), see
 // eventBefore — with no insertion sequence numbers, so any scheduler that
@@ -194,12 +204,6 @@ type Summary struct {
 	InterMsgs  int
 }
 
-// summarize reduces a result to its retained scalars.
-func summarize(res *Result) Summary {
-	ib, eb, im, em := res.TrafficSplit()
-	return Summary{FinishSec: res.FinishSec, IntraBytes: ib, InterBytes: eb, IntraMsgs: im, InterMsgs: em}
-}
-
 // DeadlockError reports a replay that stalled before all ranks finished.
 type DeadlockError struct {
 	Trace   string
@@ -293,11 +297,19 @@ type busyInterval struct {
 
 type unitCalendar struct {
 	busy []busyInterval // sorted by start, non-overlapping
+	// end is the latest end of any busy interval (0 when there is none).
+	// It is a max, not the end of the last-started interval, so it stays
+	// exact when a reservation is committed before earlier-starting ones,
+	// as a coordinator-resumed rank does during sharded replay.
+	end float64
 }
 
 // earliestFit returns the earliest start >= t at which the unit can host a
 // reservation of the given duration.
 func (u *unitCalendar) earliestFit(t, hold float64) float64 {
+	if t >= u.end {
+		return t // idle from t on: no busy interval ends after t
+	}
 	// Binary search for the first busy interval ending after t.
 	lo, hi := 0, len(u.busy)
 	for lo < hi {
@@ -352,12 +364,15 @@ func (r *resource) commit(i int, start, hold float64) {
 	u.busy = append(u.busy, busyInterval{})
 	copy(u.busy[pos+1:], u.busy[pos:])
 	u.busy[pos] = iv
+	if iv.end > u.end {
+		u.end = iv.end
+	}
 }
 
 // reset truncates every unit's calendar, keeping capacity.
 func (r *resource) reset() {
 	for i := range r.units {
-		r.units[i].busy = r.units[i].busy[:0]
+		r.units[i] = unitCalendar{busy: r.units[i].busy[:0]}
 	}
 }
 
@@ -459,9 +474,15 @@ type rankState struct {
 // share Programs, not arenas. Results returned by arena methods alias the
 // arena's buffers and are valid only until its next replay.
 type ReplayArena struct {
-	plat   network.Platform
 	prog   *Program
 	nodeOf []int
+	// cost is the platform's cost model, taken once by reset so the
+	// per-record path reads arena fields instead of copying the Platform.
+	cost network.Costs
+	// timeline selects a full replay, which records the interval timeline
+	// and the comm log; a summary replay (ReplaySummary) runs the same
+	// events with both off.
+	timeline bool
 
 	// Event queue (calendar queue, see calqueue.go) and clock.
 	evq      eventQueue
@@ -491,10 +512,11 @@ type ReplayArena struct {
 	hActiveBuf  []bool
 	activeBuf   []int32
 
-	// Output accumulators. Intervals gather per rank — each rank's
-	// timeline is appended in strictly increasing start order — and merge
-	// by concatenation, which is exactly the (rank, start) order the old
-	// engine obtained from a final closure sort.
+	// Output accumulators, filled only by full replays. Intervals gather
+	// per rank — each rank's timeline is appended in strictly increasing
+	// start order — and merge by concatenation, which is exactly the
+	// (rank, start) order the old engine obtained from a final closure
+	// sort.
 	rankIvs   [][]Interval
 	intervals []Interval
 	comms     []Comm
@@ -532,13 +554,7 @@ func NewArena() *ReplayArena { return &ReplayArena{} }
 
 // RunProgram replays a compiled program on platform p.
 func (a *ReplayArena) RunProgram(p network.Platform, prog *Program) (*Result, error) {
-	if prog == nil {
-		return nil, errors.New("sim: nil program")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return a.replay(p, prog)
+	return a.RunProgramShards(p, prog, 1)
 }
 
 // Run compiles tr and replays it once on platform p with a fresh arena; the
@@ -548,49 +564,63 @@ func (a *ReplayArena) RunProgram(p network.Platform, prog *Program) (*Result, er
 // reused arena (RunProgram, RunProgramShards) or a pooled one
 // (ReplaySummary, ReplayInto).
 func Run(p network.Platform, tr *trace.Trace) (*Result, error) {
-	if tr == nil {
-		return nil, ErrNilTrace
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if tr.NumRanks > p.Processors {
-		return nil, fmt.Errorf("sim: trace has %d ranks but platform has %d processors", tr.NumRanks, p.Processors)
-	}
 	prog, err := Compile(tr)
 	if err != nil {
 		return nil, err
 	}
-	return NewArena().replay(p, prog)
+	return NewArena().RunProgram(p, prog)
 }
 
 // ---------------------------------------------------------------------------
 // Replay
 
-// replay resets the arena for (p, prog) and runs the event loop. The
-// platform must be validated by the caller.
-func (a *ReplayArena) replay(p network.Platform, prog *Program) (*Result, error) {
-	if prog.numRanks > p.Processors {
-		return nil, fmt.Errorf("sim: trace has %d ranks but platform has %d processors", prog.numRanks, p.Processors)
+// replay checks a replay request, resets the arena for it and executes
+// the event loop — serially, or on the effective shard count (see
+// EffectiveShards). timeline selects a full replay; without it the same
+// events run with the interval timeline and the comm log switched off,
+// and only the per-rank statistics a Summary needs are kept. Every
+// replay entry point goes through replay.
+func (a *ReplayArena) replay(p network.Platform, prog *Program, shards int, timeline bool) error {
+	if prog == nil {
+		return errors.New("sim: nil program")
 	}
-	a.reset(p, prog)
-	for r := 0; r < prog.numRanks; r++ {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	// Before EffectiveShards, which maps every stream endpoint to its node.
+	if prog.numRanks > p.Processors {
+		return fmt.Errorf("sim: trace has %d ranks but platform has %d processors", prog.numRanks, p.Processors)
+	}
+	n := EffectiveShards(p, prog, shards)
+	a.reset(p, prog, timeline)
+	if n > 1 {
+		a.replayShards(n)
+	} else if err := a.replaySerial(); err != nil {
+		return err
+	}
+	return a.finishReplay()
+}
+
+// replaySerial runs the event loop on the arena's own queue.
+func (a *ReplayArena) replaySerial() error {
+	for r := 0; r < a.prog.numRanks; r++ {
 		a.sched(nil, 0, evAdvance, int32(r), 0)
 	}
 	for a.evq.len() > 0 {
 		e := a.evq.pop()
 		if e.t < a.now {
-			return nil, fmt.Errorf("sim: time ran backwards: %g < %g", e.t, a.now)
+			return fmt.Errorf("sim: time ran backwards: %g < %g", e.t, a.now)
 		}
 		a.now = e.t
 		a.dispatch(e, nil)
 	}
-	return a.finishReplay()
+	return nil
 }
 
-// finishReplay validates that every rank ran to completion and assembles
-// the result — the common tail of the serial and sharded replay loops.
-func (a *ReplayArena) finishReplay() (*Result, error) {
+// finishReplay validates that every rank ran to completion and harvests
+// the replay's statistics — the common tail of the serial and sharded
+// replay loops.
+func (a *ReplayArena) finishReplay() error {
 	var blocked []string
 	for r := range a.ranks {
 		if rs := &a.ranks[r]; !rs.done {
@@ -601,10 +631,10 @@ func (a *ReplayArena) finishReplay() (*Result, error) {
 		if a.fxDropped > 0 {
 			mFaultDropped.AddInt(a.fxDropped)
 		}
-		return nil, &DeadlockError{Trace: a.prog.name, Blocked: blocked, Dropped: a.fxDropped}
+		return &DeadlockError{Trace: a.prog.name, Blocked: blocked, Dropped: a.fxDropped}
 	}
 	a.harvestStats()
-	return a.assemble(), nil
+	return nil
 }
 
 // dispatch executes one popped event at its own timestamp. Handlers never
@@ -647,6 +677,31 @@ func blockedDesc(prog *Program, rank, pc int) string {
 		rank, pc, in.op, in.peer, in.tag, in.chunk)
 }
 
+// summary reduces a completed replay to its retained scalars. The
+// makespan is the latest rank finish, as in assemble; the traffic split
+// sums the compile-time per-stream totals by the replay's rank→node
+// table. A completed replay executed every send, so the split equals
+// Result.TrafficSplit over the comm log a full replay would record.
+func (a *ReplayArena) summary() Summary {
+	var s Summary
+	for r := range a.ranks {
+		if f := a.ranks[r].stats.FinishSec; f > s.FinishSec {
+			s.FinishSec = f
+		}
+	}
+	for i := range a.prog.streams {
+		si := &a.prog.streams[i]
+		if a.nodeOf[si.src] == a.nodeOf[si.dst] {
+			s.IntraBytes += si.bytes
+			s.IntraMsgs += int(si.sends)
+		} else {
+			s.InterBytes += si.bytes
+			s.InterMsgs += int(si.sends)
+		}
+	}
+	return s
+}
+
 // assemble builds the Result view over the arena's accumulators.
 func (a *ReplayArena) assemble() *Result {
 	a.result = Result{Ranks: a.rankStats[:0], Comms: a.comms}
@@ -673,10 +728,13 @@ func (a *ReplayArena) assemble() *Result {
 
 // reset prepares the arena's state for one replay of prog on p. Every
 // buffer is recycled; the only allocations are capacity growth beyond any
-// previous replay (and pool rebuilds when the platform shape changes).
-func (a *ReplayArena) reset(p network.Platform, prog *Program) {
-	a.plat = p
+// previous replay (and pool rebuilds when the platform shape changes). A
+// summary replay (timeline false) leaves the interval and comm buffers
+// untouched.
+func (a *ReplayArena) reset(p network.Platform, prog *Program, timeline bool) {
 	a.prog = prog
+	a.cost = p.Costs()
+	a.timeline = timeline
 	a.evq.reset()
 	a.now = 0
 	a.inFlight = 0
@@ -744,6 +802,9 @@ func (a *ReplayArena) reset(p network.Platform, prog *Program) {
 		}
 	}
 
+	if !timeline {
+		return
+	}
 	// Output accumulators. Comms are slot-addressed: send seq n of stream s
 	// owns slot streams[s].sendOff+n, assigned at compile time, so every
 	// write lands at a statically known index no matter which order — or on
@@ -911,7 +972,7 @@ func (a *ReplayArena) sched(rt *shard, t float64, kind uint8, x, y int32) {
 // Rank program execution
 
 func (a *ReplayArena) addInterval(rank int, start, end float64, st State) {
-	if end <= start {
+	if !a.timeline || end <= start {
 		return
 	}
 	a.rankIvs[rank] = append(a.rankIvs[rank], Interval{Rank: rank, Start: start, End: end, State: st})
@@ -940,7 +1001,7 @@ func (a *ReplayArena) advance(rs *rankState, now float64, rt *shard) {
 		}
 		switch in.op {
 		case trace.KindCompute:
-			d := a.plat.ComputeSec(in.arg)
+			d := a.cost.ComputeSec(in.arg)
 			if a.fxStrag {
 				d *= a.fxStragMul[rank]
 			}
@@ -1107,13 +1168,15 @@ func (a *ReplayArena) startSend(rs *rankState, rank int, in *instr, blocking boo
 	// no post-replay merge — and concurrent shards never contend for an
 	// append cursor.
 	commIdx := int(a.prog.streams[in.stream].sendOff) + seq
-	a.comms[commIdx] = Comm{
-		Src: rank, Dst: int(in.peer), Tag: int(in.tag), Chunk: int(in.chunk),
-		Bytes: in.arg, MsgID: in.msgID, SendT: rs.clock,
-		Intra:  a.nodeOf[rank] == a.nodeOf[in.peer],
-		StartT: math.NaN(), ArriveT: math.NaN(), MatchT: math.NaN(),
+	if a.timeline {
+		a.comms[commIdx] = Comm{
+			Src: rank, Dst: int(in.peer), Tag: int(in.tag), Chunk: int(in.chunk),
+			Bytes: in.arg, MsgID: in.msgID, SendT: rs.clock,
+			Intra:  a.nodeOf[rank] == a.nodeOf[in.peer],
+			StartT: math.NaN(), ArriveT: math.NaN(), MatchT: math.NaN(),
+		}
 	}
-	if !a.plat.Eager(in.arg) && seq >= len(st.posts) {
+	if !a.cost.Eager(in.arg) && seq >= len(st.posts) {
 		// Rendezvous: the matching receive is not posted yet.
 		st.pendQ = append(st.pendQ, pendingTransfer{
 			seq: int32(seq), commIdx: int32(commIdx), bytes: in.arg,
@@ -1164,7 +1227,7 @@ func (a *ReplayArena) launch(streamID int32, seq int, bytes int64, t float64, co
 		a.fxDropped++
 		return t, false
 	}
-	link := a.plat.LinkFor(intra)
+	link := a.cost.Link(intra)
 	ser := link.SerializationSec(bytes)
 	if a.fxOn {
 		if intra {
@@ -1175,15 +1238,11 @@ func (a *ReplayArena) launch(streamID int32, seq int, bytes int64, t float64, co
 			ser /= a.fxDerInter
 		}
 	}
-	if !intra && a.plat.CongestionFactor > 0 && a.plat.Buses > 0 {
-		// Nonlinear congestion extension: transfers entering a loaded
-		// interconnect serialize slower. inFlight counts inter-node
-		// messages and is sampled at launch; intra-node traffic never
-		// contributes.
-		over := float64(a.inFlight)/float64(a.plat.Buses) - 1
-		if over > 0 {
-			ser *= 1 + a.plat.CongestionFactor*over
-		}
+	if !intra {
+		// Transfers entering a loaded interconnect serialize slower.
+		// inFlight counts inter-node messages and is sampled at launch;
+		// intra-node traffic never contributes.
+		ser = a.cost.Congested(ser, a.inFlight)
 	}
 	lat := link.LatencySec
 	if a.fxJitter > 0 && !intra {
@@ -1226,8 +1285,10 @@ func (a *ReplayArena) launch(streamID int32, seq int, bytes int64, t float64, co
 		}
 	}
 	arrive := start + flight
-	a.comms[commIdx].StartT = start
-	a.comms[commIdx].ArriveT = arrive
+	if a.timeline {
+		a.comms[commIdx].StartT = start
+		a.comms[commIdx].ArriveT = arrive
+	}
 	if !intra {
 		a.inFlight++
 	}
@@ -1289,7 +1350,9 @@ func (a *ReplayArena) completePair(streamID int32, seq int, rt *shard) {
 	if p.t > done {
 		done = p.t
 	}
-	a.comms[int(a.prog.streams[streamID].sendOff)+seq].MatchT = done
+	if a.timeline {
+		a.comms[int(a.prog.streams[streamID].sendOff)+seq].MatchT = done
+	}
 	dst := int(a.prog.streams[streamID].dst)
 	rs := &a.ranks[dst]
 	switch p.kind {

@@ -36,6 +36,12 @@ type ReplayStats struct {
 	// had events: the only windows that wake a worker goroutine and can
 	// use a second core.
 	ConcurrentWindows int64
+	// OffloadedEvents counts the events drained by worker goroutines: in
+	// each window, those of every busy shard except the one the
+	// coordinator drains itself. Over Events it is the replay's parallel
+	// fraction. Like the other counts it depends only on (program,
+	// platform, shards), never on scheduling.
+	OffloadedEvents int64
 	// SerialPhases counts coordinator drains of the global stream.
 	SerialPhases int64
 	// ParallelNanos / SerialNanos split the sharded replay's wall time
@@ -64,6 +70,7 @@ var (
 	mPDESReplays       = telemetry.Default().Counter("sim_pdes_replays_total", "replays executed on the sharded (PDES) path")
 	mPDESWindows       = telemetry.Default().Counter("sim_pdes_windows_total", "conservative parallel windows (horizon advances)")
 	mPDESConcurrent    = telemetry.Default().Counter("sim_pdes_concurrent_windows_total", "conservative windows in which two or more shards had events")
+	mPDESOffloaded     = telemetry.Default().Counter("sim_pdes_offloaded_events_total", "events drained by PDES worker goroutines rather than the coordinator")
 	mPDESSerialPhases  = telemetry.Default().Counter("sim_pdes_serial_phases_total", "coordinator drains of the global event stream")
 	mPDESParallelSecs  = telemetry.Default().CounterScale("sim_pdes_parallel_seconds_total", "wall time spent in PDES parallel phases", 1e-9)
 	mPDESSerialSecs    = telemetry.Default().CounterScale("sim_pdes_serial_seconds_total", "wall time spent in PDES serial (coordinator) phases", 1e-9)
@@ -106,6 +113,7 @@ func (a *ReplayArena) harvestStats() {
 		for i := range pd.shards {
 			sh := &pd.shards[i]
 			a.shardEventsBuf[i] = sh.q.popped
+			st.OffloadedEvents += sh.offloaded
 			st.Events += sh.q.popped
 			st.CursorJumps += sh.q.jumps
 			st.Rebuilds += sh.q.rebuilds
@@ -125,6 +133,7 @@ func (a *ReplayArena) harvestStats() {
 		mPDESReplays.Inc()
 		mPDESWindows.AddInt(st.Windows)
 		mPDESConcurrent.AddInt(st.ConcurrentWindows)
+		mPDESOffloaded.AddInt(st.OffloadedEvents)
 		mPDESSerialPhases.AddInt(st.SerialPhases)
 		mPDESParallelSecs.AddInt(st.ParallelNanos)
 		mPDESSerialSecs.AddInt(st.SerialNanos)

@@ -108,6 +108,7 @@ func TestReplayStatsTelemetryFamilies(t *testing.T) {
 	for _, name := range []string{
 		"sim_replays_total", "sim_replay_events_total", "sim_replay_seconds",
 		"sim_pdes_replays_total", "sim_pdes_windows_total", "sim_pdes_concurrent_windows_total",
+		"sim_pdes_offloaded_events_total",
 		"sim_pdes_parallel_seconds_total", "sim_pdes_serial_seconds_total",
 		"sim_pdes_shard_events_total",
 	} {
@@ -159,6 +160,54 @@ func TestReplayStatsConcurrentWindows(t *testing.T) {
 		}
 		if got := counter.Value() - before; got != uint64(cw) {
 			t.Fatalf("%s: sim_pdes_concurrent_windows_total advanced %d, want %d", tc.name, got, cw)
+		}
+	}
+}
+
+// TestReplayStatsOffloadedEvents pins the count of events drained off the
+// coordinator and its harvest into telemetry. A ping-pong's windows each
+// have one busy shard, which the coordinator drains itself, so nothing is
+// offloaded; a ring over 4 block-mapped nodes offloads part of its events
+// but never all of them. The count is a function of (program, platform,
+// shards): three replays of each give the same value.
+func TestReplayStatsOffloadedEvents(t *testing.T) {
+	cases := []struct {
+		name   string
+		tr     *trace.Trace
+		plat   network.Platform
+		shards int
+		none   bool
+	}{
+		{"pingpong", pingPong(20), pdesPlatform(2, 2), 2, true},
+		{"ring", allocRing(32, 12), pdesPlatform(32, 4), 4, false},
+	}
+	counter := telemetry.Default().Counter("sim_pdes_offloaded_events_total", "")
+	for _, tc := range cases {
+		prog, err := Compile(tc.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first int64
+		for rep := 0; rep < 3; rep++ {
+			a := NewArena()
+			before := counter.Value()
+			if _, err := a.RunProgramShards(tc.plat, prog, tc.shards); err != nil {
+				t.Fatal(err)
+			}
+			st := a.LastStats()
+			off := st.OffloadedEvents
+			switch {
+			case tc.none && off != 0:
+				t.Fatalf("%s: %d of %d events offloaded, want 0", tc.name, off, st.Events)
+			case !tc.none && (off <= 0 || off >= st.Events):
+				t.Fatalf("%s: %d of %d events offloaded, want strictly between", tc.name, off, st.Events)
+			case rep > 0 && off != first:
+				t.Fatalf("%s: replay %d offloaded %d events, replay 0 offloaded %d", tc.name, rep, off, first)
+			}
+			first = off
+			if got := counter.Value() - before; got != uint64(off) {
+				t.Fatalf("%s: sim_pdes_offloaded_events_total advanced %d, want %d", tc.name, got, off)
+			}
 		}
 	}
 }
