@@ -290,10 +290,13 @@ type Scenario struct {
 	Output OutputKind
 
 	// Traces, when set, routes tracing and flavor compilation through a
-	// shared cache so concurrent scenarios over one application dedupe
-	// their instrumentation runs. Leave nil unless the app-name-equals-
-	// kernel invariant of the cache holds (the apps registry maintains
-	// it; ad-hoc kernels should not share a cache).
+	// shared cache: scenarios over one application dedupe their
+	// instrumentation runs whatever their chunk counts, and every
+	// (ranks, chunks, flavor) program of the workload, chunk axes
+	// included, is built and compiled once across scenarios. When nil
+	// the scenario traces and builds privately. Leave nil unless the
+	// app-name-equals-kernel invariant of the cache holds (the apps
+	// registry maintains it; ad-hoc kernels should not share a cache).
 	Traces *engine.TraceCache
 
 	// PointCache, when set, is consulted per grid point before any
@@ -983,8 +986,9 @@ func (x *scenarioExec) runAt(pt gridPoint) (*tracer.Run, error) {
 }
 
 // progFor returns the compiled program and trace digest of one flavor at
-// one (ranks, chunks) workload coordinate, building/validating/compiling
-// exactly once per distinct key.
+// one (ranks, chunks) workload coordinate, resolving each distinct key
+// once per run; with a shared trace cache the build behind it also runs
+// once across runs.
 func (x *scenarioExec) progFor(ranks, chunks int, f Flavor) (*sim.Program, string, error) {
 	if x.sc.Trace != nil {
 		ranks, chunks = 0, 0 // trace mode has one workload
@@ -1005,8 +1009,8 @@ func (x *scenarioExec) progFor(ranks, chunks int, f Flavor) (*sim.Program, strin
 
 // compile resolves one program entry: trace-mode programs come from the
 // spec's CompileTrace hook (else a private compile), app-mode programs
-// from the shared trace cache when available, else from a private build
-// of the flavor.
+// from the shared trace cache when the spec has one, at every chunk
+// count, else from a private build of the flavor.
 func (x *scenarioExec) compile(ranks, chunks int, f Flavor) (*sim.Program, string, error) {
 	if tr := x.sc.Trace; tr != nil {
 		compile := sim.Compile
@@ -1016,15 +1020,17 @@ func (x *scenarioExec) compile(ranks, chunks int, f Flavor) (*sim.Program, strin
 		prog, err := compile(tr)
 		return prog, x.sc.TraceDigest, err // digest pinned by normalized()
 	}
-	if x.sc.Traces != nil && chunks == x.sc.Tracer.Chunks {
-		// The shared cache builds, validates, compiles, and digests each
-		// flavor once per (app, ranks, config) — across scenarios, not
-		// just within this one.
+	if x.sc.Traces != nil {
+		// The shared cache traces each (app, ranks) once and builds,
+		// validates, compiles, and digests each (chunks, flavor) once —
+		// across scenarios, not just within this one.
 		app, err := x.appFor(ranks)
 		if err != nil {
 			return nil, "", err
 		}
-		return x.sc.Traces.CompiledProgram(app.Name, ranks, x.sc.Tracer, app.Kernel, string(f))
+		cfg := x.sc.Tracer
+		cfg.Chunks = chunks
+		return x.sc.Traces.CompiledProgram(app.Name, ranks, cfg, app.Kernel, string(f))
 	}
 	run, err := x.runFor(ranks)
 	if err != nil {

@@ -4,52 +4,62 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracer"
 )
 
-// TraceCache deduplicates tracer runs across experiments: the first request
-// for a (name, ranks, config) triple executes the application under
-// instrumentation, every later or concurrent request for the same triple
-// shares the one cached *tracer.Run. Concurrent first requests are
-// single-flighted — the application is traced exactly once.
+// maxPrograms bounds the compiled-program memo, like the service's bound
+// on programs of stored traces. One service scenario may sweep 1024
+// chunk counts, so without a bound a long-lived daemon would keep a
+// program for every chunk count ever requested.
+const maxPrograms = 1024
+
+// TraceCache is the one source of app-mode traced runs and compiled
+// programs, for every chunk count.
 //
-// Cached runs are shared across goroutines; callers must treat them as
-// immutable, which the tracer API guarantees (see tracer.Run). Variant
-// building goes through copy-on-write helpers such as Run.WithChunks.
+// Traced runs are keyed by what tracing reads: the application name, the
+// rank count, and the tracer's LoadCost and StoreCost. The chunk count
+// and element size only parameterize the trace builders, so one traced
+// run serves them all: Trace hands each caller run.WithConfig(cfg). The
+// first request for a key executes the application under
+// instrumentation; concurrent first requests are single-flighted, so the
+// application is traced exactly once. Runs stay for the cache's life.
+//
+// CompiledProgram memoizes each flavor's replay program and trace digest
+// by (traced run, Chunks, ElemBytes, flavor) — the base flavor ignores
+// Chunks — in one LRU of maxPrograms entries, single-flighted the same
+// way. The built trace is dropped once it is compiled and digested.
+//
+// Cached runs and programs are shared across goroutines; callers must
+// treat them as immutable, which the tracer and sim APIs guarantee.
 //
 // The key deliberately excludes the kernel function: kernels are not
 // comparable, so the cache trusts the application name to identify the
 // kernel, the invariant the apps registry maintains. Do not share one
 // cache between distinct kernels registered under one name.
 type TraceCache struct {
-	mu sync.Mutex
-	m  map[traceKey]*traceEntry
+	mu    sync.Mutex
+	runs  map[runKey]*runEntry
+	progs *lru.Cache[*progEntry]
 }
 
-type traceKey struct {
-	name  string
-	ranks int
-	cfg   tracer.Config
+// runKey is every input tracing reads.
+type runKey struct {
+	name                string
+	ranks               int
+	loadCost, storeCost int64
 }
 
-type traceEntry struct {
+type runEntry struct {
 	once sync.Once
 	run  *tracer.Run
 	err  error
-
-	// compiled memoizes, per flavor, the built trace together with its
-	// replay program and content digest, so repeated sweeps over one
-	// cached run share one trace build, one validation, one compilation,
-	// and one digest.
-	compiledMu sync.Mutex
-	compiled   map[string]*compiledFlavor
 }
 
-type compiledFlavor struct {
+type progEntry struct {
 	once   sync.Once
-	tr     *trace.Trace
 	prog   *sim.Program
 	digest string
 	err    error
@@ -57,133 +67,136 @@ type compiledFlavor struct {
 
 // NewTraceCache returns an empty cache.
 func NewTraceCache() *TraceCache {
-	return &TraceCache{m: map[traceKey]*traceEntry{}}
+	return &TraceCache{runs: map[runKey]*runEntry{}, progs: lru.New[*progEntry](maxPrograms)}
 }
 
 // Trace returns the cached run for (name, ranks, cfg), tracing the
-// application on a miss. Failed traces are cached too: retrying a
-// deterministic failure would only repeat it.
+// application on a miss; the run's traces build under cfg. An invalid
+// cfg fails exactly as tracer.Trace fails. Failed traces are cached too:
+// retrying a deterministic failure would only repeat it.
 func (c *TraceCache) Trace(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc)) (*tracer.Run, error) {
-	return c.entry(name, ranks, cfg).trace(name, ranks, cfg, kernel)
-}
-
-// trace resolves the entry's run, tracing on first use.
-func (ent *traceEntry) trace(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc)) (*tracer.Run, error) {
-	ent.once.Do(func() {
-		ent.run, ent.err = tracer.Trace(name, ranks, cfg, kernel)
-	})
-	return ent.run, ent.err
-}
-
-// entry returns (creating if needed) the cache slot for one triple.
-func (c *TraceCache) entry(name string, ranks int, cfg tracer.Config) *traceEntry {
-	key := traceKey{name: name, ranks: ranks, cfg: cfg}
+	if cfg.Chunks <= 0 || cfg.ElemBytes <= 0 {
+		// Tracing reads neither field, so no cached run can reject them.
+		// tracer.Trace validates cfg before it runs the kernel.
+		return tracer.Trace(name, ranks, cfg, kernel)
+	}
+	key := runKey{name: name, ranks: ranks, loadCost: cfg.LoadCost, storeCost: cfg.StoreCost}
 	c.mu.Lock()
-	ent, ok := c.m[key]
+	ent, ok := c.runs[key]
 	if !ok {
-		ent = &traceEntry{}
-		c.m[key] = ent
+		ent = &runEntry{}
+		c.runs[key] = ent
 	}
 	c.mu.Unlock()
-	return ent
+	ent.once.Do(func() {
+		mTraceRuns.Inc()
+		ent.run, ent.err = tracer.Trace(name, ranks, cfg, kernel)
+	})
+	if ent.err != nil || ent.run.Cfg == cfg {
+		return ent.run, ent.err
+	}
+	return ent.run.WithConfig(cfg), nil
 }
 
-// Flavor names accepted by CompiledTrace, matching trace.Trace.Flavor.
+// Flavor names accepted by CompiledProgram, matching trace.Trace.Flavor.
 const (
 	FlavorBase  = "base"
 	FlavorReal  = "overlap-real"
 	FlavorIdeal = "overlap-ideal"
 )
 
-// CompiledTrace returns one flavor of the cached run as a validated trace
-// plus its compiled replay program. The trace build, validation, and
-// compilation all run once per (triple, flavor) and are shared by every
-// later caller — the entry point for sweep paths that replay one flavour
-// many times.
-func (c *TraceCache) CompiledTrace(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*trace.Trace, *sim.Program, error) {
-	cf, err := c.compile(name, ranks, cfg, kernel, flavor)
-	if err != nil {
-		return nil, nil, err
+// flavorBuilder returns the trace builder of one flavor.
+func flavorBuilder(flavor string) (func(*tracer.Run) *trace.Trace, error) {
+	switch flavor {
+	case FlavorBase:
+		return (*tracer.Run).BaseTrace, nil
+	case FlavorReal:
+		return (*tracer.Run).OverlapReal, nil
+	case FlavorIdeal:
+		return (*tracer.Run).OverlapIdeal, nil
 	}
-	return cf.tr, cf.prog, nil
+	return nil, fmt.Errorf("engine: unknown trace flavor %q", flavor)
 }
 
 // CompiledProgram returns one flavor's compiled replay program together
-// with the content digest of its trace (trace.Digest), both memoized with
-// the flavor like CompiledTrace: callers that key results by trace digest
-// hash each flavor once, not once per request.
+// with the content digest of its trace (trace.Digest). The build,
+// validation, compilation and digest run once per (traced run, Chunks,
+// ElemBytes, flavor) while the entry stays in the memo, so sweep paths
+// that replay one flavor many times, and callers that key results by
+// trace digest, pay for them once.
 func (c *TraceCache) CompiledProgram(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*sim.Program, string, error) {
-	cf, err := c.compile(name, ranks, cfg, kernel, flavor)
+	build, err := flavorBuilder(flavor)
 	if err != nil {
 		return nil, "", err
 	}
-	return cf.prog, cf.digest, nil
-}
-
-// compile resolves the memo of one (triple, flavor), tracing, building,
-// validating, compiling, and digesting on first use.
-func (c *TraceCache) compile(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*compiledFlavor, error) {
-	ent := c.entry(name, ranks, cfg)
-	run, err := ent.trace(name, ranks, cfg, kernel)
+	run, err := c.Trace(name, ranks, cfg, kernel)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	var build func() *trace.Trace
-	switch flavor {
-	case FlavorBase:
-		build = run.BaseTrace
-	case FlavorReal:
-		build = run.OverlapReal
-	case FlavorIdeal:
-		build = run.OverlapIdeal
-	default:
-		return nil, fmt.Errorf("engine: unknown trace flavor %q", flavor)
+	chunks := cfg.Chunks
+	if flavor == FlavorBase {
+		chunks = 0 // the base trace is chunk-independent
 	}
-	ent.compiledMu.Lock()
-	if ent.compiled == nil {
-		ent.compiled = make(map[string]*compiledFlavor)
-	}
-	cf, ok := ent.compiled[flavor]
+	key := fmt.Sprintf("%q/%d/%d/%d/%d/%d/%s", name, ranks, cfg.LoadCost, cfg.StoreCost, chunks, cfg.ElemBytes, flavor)
+	c.mu.Lock()
+	ent, ok := c.progs.Get(key)
 	if !ok {
-		cf = &compiledFlavor{}
-		ent.compiled[flavor] = cf
+		ent = &progEntry{}
+		c.progs.Put(key, ent)
 	}
-	ent.compiledMu.Unlock()
-	cf.once.Do(func() {
-		tr := build()
-		if err := tr.Validate(); err != nil {
-			cf.err = fmt.Errorf("engine: generated %s trace invalid: %w", flavor, err)
-			return
-		}
-		prog, err := sim.Compile(tr)
-		if err != nil {
-			cf.err = err
-			return
-		}
-		digest, err := trace.Digest(tr)
-		if err != nil {
-			cf.err = err
-			return
-		}
-		cf.tr, cf.prog, cf.digest = tr, prog, digest
+	c.mu.Unlock()
+	ent.once.Do(func() {
+		mProgramBuilds.With(flavor).Inc()
+		ent.prog, ent.digest, ent.err = compileFlavor(build(run), flavor)
 	})
-	if cf.err != nil {
-		return nil, cf.err
-	}
-	return cf, nil
+	return ent.prog, ent.digest, ent.err
 }
 
-// Len reports how many distinct runs the cache holds (including cached
-// failures).
+// CompiledTrace returns one flavor of the cached run as a trace together
+// with its memoized program (see CompiledProgram). The cache keeps no
+// built traces, so every call builds the trace again; callers that need
+// only the program or the digest should call CompiledProgram.
+func (c *TraceCache) CompiledTrace(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*trace.Trace, *sim.Program, error) {
+	prog, _, err := c.CompiledProgram(name, ranks, cfg, kernel, flavor)
+	if err != nil {
+		return nil, nil, err
+	}
+	run, err := c.Trace(name, ranks, cfg, kernel)
+	if err != nil {
+		return nil, nil, err
+	}
+	build, _ := flavorBuilder(flavor) // CompiledProgram accepted the flavor
+	return build(run), prog, nil
+}
+
+// compileFlavor validates, compiles and digests one built trace.
+func compileFlavor(tr *trace.Trace, flavor string) (*sim.Program, string, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, "", fmt.Errorf("engine: generated %s trace invalid: %w", flavor, err)
+	}
+	prog, err := sim.Compile(tr)
+	if err != nil {
+		return nil, "", err
+	}
+	digest, err := trace.Digest(tr)
+	if err != nil {
+		return nil, "", err
+	}
+	return prog, digest, nil
+}
+
+// Len reports how many distinct traced runs the cache holds (including
+// cached failures).
 func (c *TraceCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return len(c.runs)
 }
 
-// Purge empties the cache.
+// Purge empties the cache: runs and programs.
 func (c *TraceCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = map[traceKey]*traceEntry{}
+	c.runs = map[runKey]*runEntry{}
+	c.progs = lru.New[*progEntry](maxPrograms)
 }

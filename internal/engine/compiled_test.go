@@ -32,15 +32,32 @@ func compiledKernel(p *tracer.Proc) {
 	}
 }
 
-// TestCompiledTraceMemoizes: the (trace, program) pair of one flavour is
-// built once per cache entry and shared by every caller, concurrent ones
-// included; distinct flavours get distinct programs.
+// freshBuild traces and builds one flavor without the cache.
+func freshBuild(t *testing.T, name string, cfg tracer.Config, flavor string) *trace.Trace {
+	t.Helper()
+	run, err := tracer.Trace(name, 2, cfg, compiledKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch flavor {
+	case FlavorBase:
+		return run.BaseTrace()
+	case FlavorReal:
+		return run.OverlapReal()
+	}
+	return run.OverlapIdeal()
+}
+
+// TestCompiledTraceMemoizes: the program of one flavour is built once per
+// cache entry and shared by every caller, concurrent ones included;
+// distinct flavours get distinct programs.
 func TestCompiledTraceMemoizes(t *testing.T) {
 	c := NewTraceCache()
 	cfg := tracer.DefaultConfig()
+	builds := mProgramBuilds.With(FlavorBase).Value()
 	type pair struct {
-		tr   any
-		prog *sim.Program
+		prog   *sim.Program
+		digest string
 	}
 	results := make([]pair, 8)
 	var wg sync.WaitGroup
@@ -48,73 +65,85 @@ func TestCompiledTraceMemoizes(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tr, prog, err := c.CompiledTrace("compiled-app", 2, cfg, compiledKernel, FlavorBase)
+			prog, digest, err := c.CompiledProgram("compiled-app", 2, cfg, compiledKernel, FlavorBase)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[g] = pair{tr: tr, prog: prog}
+			results[g] = pair{prog: prog, digest: digest}
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < len(results); g++ {
 		if results[g] != results[0] {
-			t.Fatal("concurrent CompiledTrace calls returned distinct trace/program pairs")
+			t.Fatal("concurrent CompiledProgram calls returned distinct programs")
 		}
 	}
-	_, real, err := c.CompiledTrace("compiled-app", 2, cfg, compiledKernel, FlavorReal)
+	if n := mProgramBuilds.With(FlavorBase).Value() - builds; n != 1 {
+		t.Fatalf("8 concurrent callers ran %d base builds, want 1", n)
+	}
+	real, _, err := c.CompiledProgram("compiled-app", 2, cfg, compiledKernel, FlavorReal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if real == results[0].prog {
 		t.Fatal("base and overlap-real flavours share one program")
 	}
-	if _, _, err := c.CompiledTrace("compiled-app", 2, cfg, compiledKernel, "bogus"); err == nil {
+	if _, _, err := c.CompiledProgram("compiled-app", 2, cfg, compiledKernel, "bogus"); err == nil {
 		t.Fatal("unknown flavor accepted")
 	}
 }
 
 // TestCompiledProgramDigestMemoized: every flavor's memoized digest is
-// trace.Digest of its memoized trace, and CompiledProgram shares the
-// program CompiledTrace returns.
+// trace.Digest of a fresh build of that flavor, at the default chunk
+// count and at one the run was not traced with; CompiledTrace returns
+// the memoized program with a trace of that digest.
 func TestCompiledProgramDigestMemoized(t *testing.T) {
 	c := NewTraceCache()
-	cfg := tracer.DefaultConfig()
-	for _, flavor := range []string{FlavorBase, FlavorReal, FlavorIdeal} {
-		prog, digest, err := c.CompiledProgram("compiled-app-digest", 2, cfg, compiledKernel, flavor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, trProg, err := c.CompiledTrace("compiled-app-digest", 2, cfg, compiledKernel, flavor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := trace.Digest(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if digest != want {
-			t.Errorf("%s: memoized digest %s, trace.Digest %s", flavor, digest, want)
-		}
-		if prog != trProg {
-			t.Errorf("%s: CompiledProgram and CompiledTrace returned distinct programs", flavor)
+	for _, chunks := range []int{4, 7} {
+		cfg := tracer.DefaultConfig()
+		cfg.Chunks = chunks
+		for _, flavor := range []string{FlavorBase, FlavorReal, FlavorIdeal} {
+			prog, digest, err := c.CompiledProgram("compiled-app-digest", 2, cfg, compiledKernel, flavor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := trace.Digest(freshBuild(t, "compiled-app-digest", cfg, flavor))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if digest != want {
+				t.Errorf("chunks %d %s: memoized digest %s, trace.Digest %s", chunks, flavor, digest, want)
+			}
+			tr, trProg, err := c.CompiledTrace("compiled-app-digest", 2, cfg, compiledKernel, flavor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := trace.Digest(tr); err != nil || got != digest || trProg != prog {
+				t.Errorf("chunks %d %s: CompiledTrace digest %s (%v), same program %v; want %s and the memoized program",
+					chunks, flavor, got, err, trProg == prog, digest)
+			}
 		}
 	}
-	if _, _, err := c.CompiledProgram("compiled-app-digest", 2, cfg, compiledKernel, "bogus"); err == nil {
+	if c.Len() != 1 {
+		t.Fatalf("two chunk counts traced %d runs, want 1", c.Len())
+	}
+	if _, _, err := c.CompiledProgram("compiled-app-digest", 2, tracer.DefaultConfig(), compiledKernel, "bogus"); err == nil {
 		t.Fatal("unknown flavor accepted")
 	}
 }
 
 // TestCompiledTraceReplaysIdentically: the cached program replays exactly
-// like the one-shot path over the trace it was compiled from.
+// like a fresh build of the same flavor, compiled and replayed one-shot.
 func TestCompiledTraceReplaysIdentically(t *testing.T) {
 	c := NewTraceCache()
-	tr, prog, err := c.CompiledTrace("compiled-app-replay", 2, tracer.DefaultConfig(), compiledKernel, FlavorReal)
+	cfg := tracer.DefaultConfig()
+	prog, _, err := c.CompiledProgram("compiled-app-replay", 2, cfg, compiledKernel, FlavorReal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plat := network.Testbed(2).Platform()
-	want, err := sim.Run(plat, tr)
+	want, err := sim.Run(plat, freshBuild(t, "compiled-app-replay", cfg, FlavorReal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,5 +153,104 @@ func TestCompiledTraceReplaysIdentically(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("cached program diverges: finish %g vs %g", want.FinishSec, got.FinishSec)
+	}
+}
+
+// TestCompiledProgramMemoBounded: more distinct chunk counts than the
+// memo holds, requested concurrently, leave it at its bound, and an
+// evicted program rebuilds to the same digest.
+func TestCompiledProgramMemoBounded(t *testing.T) {
+	const bound, counts = 4, 10
+	c := NewTraceCache()
+	c.progs.SetCapacity(bound)
+	digests := make([][counts]string, 4)
+	var wg sync.WaitGroup
+	for g := range digests {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 1; k <= counts; k++ {
+				cfg := tracer.DefaultConfig()
+				cfg.Chunks = k
+				_, d, err := c.CompiledProgram("compiled-app-bound", 2, cfg, compiledKernel, FlavorReal)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				digests[g][k-1] = d
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for g := 1; g < len(digests); g++ {
+		if digests[g] != digests[0] {
+			t.Fatalf("goroutine %d saw digests %v, goroutine 0 %v", g, digests[g], digests[0])
+		}
+	}
+	if n := c.progs.Len(); n != bound {
+		t.Fatalf("memo holds %d programs after %d chunk counts, want the bound %d", n, counts, bound)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("%d chunk counts traced %d runs, want 1", counts, c.Len())
+	}
+	compiled := func(k int) string {
+		t.Helper()
+		cfg := tracer.DefaultConfig()
+		cfg.Chunks = k
+		_, d, err := c.CompiledProgram("compiled-app-bound", 2, cfg, compiledKernel, FlavorReal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// The last bound chunk counts, used once more, fill the memo, so
+	// chunk count 1 is evicted and asking for it again rebuilds it.
+	for k := counts - bound + 1; k <= counts; k++ {
+		compiled(k)
+	}
+	builds := mProgramBuilds.With(FlavorReal).Value()
+	d := compiled(1)
+	if n := mProgramBuilds.With(FlavorReal).Value() - builds; n != 1 {
+		t.Fatalf("evicted program rebuilt %d times, want 1", n)
+	}
+	if d != digests[0][0] {
+		t.Fatalf("rebuilt digest %s, first build %s", d, digests[0][0])
+	}
+	if n := c.progs.Len(); n != bound {
+		t.Fatalf("memo holds %d programs after a rebuild, want %d", n, bound)
+	}
+}
+
+// TestTraceCacheRejectsInvalidConfig: the key ignores Chunks and
+// ElemBytes, yet once a valid run is cached a config the tracer rejects
+// still fails with the tracer's own error, through Trace and through
+// every flavor's CompiledProgram, and adds no entry.
+func TestTraceCacheRejectsInvalidConfig(t *testing.T) {
+	c := NewTraceCache()
+	if _, _, err := c.CompiledProgram("compiled-app-invalid", 2, tracer.DefaultConfig(), compiledKernel, FlavorBase); err != nil {
+		t.Fatal(err)
+	}
+	zeroChunks, zeroElem := tracer.DefaultConfig(), tracer.DefaultConfig()
+	zeroChunks.Chunks = 0
+	zeroElem.ElemBytes = 0
+	for _, cfg := range []tracer.Config{zeroChunks, zeroElem} {
+		_, want := tracer.Trace("compiled-app-invalid", 2, cfg, compiledKernel)
+		if want == nil {
+			t.Fatalf("tracer accepted %+v", cfg)
+		}
+		if _, err := c.Trace("compiled-app-invalid", 2, cfg, compiledKernel); err == nil || err.Error() != want.Error() {
+			t.Errorf("Trace(%+v) = %v, want %v", cfg, err, want)
+		}
+		for _, flavor := range []string{FlavorBase, FlavorReal, FlavorIdeal} {
+			if _, _, err := c.CompiledProgram("compiled-app-invalid", 2, cfg, compiledKernel, flavor); err == nil || err.Error() != want.Error() {
+				t.Errorf("CompiledProgram(%+v, %s) = %v, want %v", cfg, flavor, err, want)
+			}
+		}
+	}
+	if c.Len() != 1 {
+		t.Fatalf("invalid configs left %d runs, want 1", c.Len())
 	}
 }

@@ -196,6 +196,8 @@ var (
 	mJobsFailed    = telemetry.Default().Counter("engine_jobs_failed_total", "jobs finished with an error")
 	mJobWait       = telemetry.Default().Histogram("engine_job_wait_seconds", "delay between job submission and execution start", 1e-9)
 	mJobSeconds    = telemetry.Default().Histogram("engine_job_seconds", "job execution duration", 1e-9)
+	mTraceRuns     = telemetry.Default().Counter("engine_trace_runs_total", "applications traced by the trace cache")
+	mProgramBuilds = telemetry.Default().CounterVec("engine_program_builds_total", "trace-cache builds of one flavor's program: trace build, validation, compilation and digest", "flavor")
 )
 
 var (

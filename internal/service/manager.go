@@ -145,7 +145,8 @@ type Manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string // job IDs in submission order, for listing/pruning
+	order    []string // job IDs in submission order; live from head on
+	head     int      // order[:head] is the pruned prefix
 	inflight map[string]*Job
 	seq      int64
 	deduped  uint64
@@ -541,24 +542,41 @@ func (m *Manager) newJobLocked(t *task, cached bool) *Job {
 
 // pruneLocked evicts the oldest finished jobs beyond maxRetainedJobs.
 // In-flight jobs are skipped, and the scan stops at the last eviction
-// it needs, so a full table costs one step per submit, not a walk.
+// it needs, so a full table costs one step per submit, not a walk. The
+// skipped IDs move up against the first unscanned one and head moves
+// past the evicted ones; the live range is copied down only once the
+// dead prefix is over half the slice, so copying costs O(1) per submit.
 func (m *Manager) pruneLocked() {
-	excess := len(m.order) - maxRetainedJobs
+	excess := len(m.order) - m.head - maxRetainedJobs
 	if excess <= 0 {
 		return
 	}
-	kept := m.order[:0]
-	i := 0
+	i, pinned := m.head, 0
 	for ; excess > 0 && i < len(m.order); i++ {
 		id := m.order[i]
 		if m.jobs[id].Finished() {
 			delete(m.jobs, id)
+			m.order[i] = ""
 			excess--
 			continue
 		}
-		kept = append(kept, id)
+		pinned++
 	}
-	m.order = append(kept, m.order[i:]...)
+	// Stable, in place: walk back from i, moving each pinned ID to the
+	// highest free slot below i.
+	w := i
+	for r := i - 1; w > i-pinned; r-- {
+		if m.order[r] != "" {
+			w--
+			m.order[w] = m.order[r]
+		}
+	}
+	m.head = w
+	if m.head > len(m.order)/2 {
+		n := copy(m.order, m.order[m.head:])
+		clear(m.order[n:])
+		m.order, m.head = m.order[:n], 0
+	}
 }
 
 // Drain stops admitting new computations and waits for every in-flight
@@ -617,8 +635,9 @@ func (m *Manager) Job(id string) (*Job, bool) {
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.order))
-	for _, id := range m.order {
+	live := m.order[m.head:]
+	out := make([]*Job, 0, len(live))
+	for _, id := range live {
 		out = append(out, m.jobs[id])
 	}
 	return out
@@ -673,7 +692,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 	m.mu.Lock()
 	deduped := m.deduped
 	queued, rejected := m.queued, m.rejected
-	for _, id := range m.order {
+	for _, id := range m.order[m.head:] {
 		byState[string(m.jobs[id].State())]++
 	}
 	m.mu.Unlock()

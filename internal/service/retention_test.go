@@ -12,8 +12,9 @@ import (
 
 // TestJobRetentionPrunesOldestFinished: past maxRetainedJobs the oldest
 // finished jobs go first, an in-flight job never goes however old it
-// is, and Jobs() stays at the bound. Once that job finishes it is the
-// oldest, so it goes next.
+// is, and Jobs() stays at the bound, across several compactions of the
+// retained list. Once that job finishes it is the oldest, so it goes
+// next.
 func TestJobRetentionPrunesOldestFinished(t *testing.T) {
 	m, err := NewManager(Options{Engine: engine.New(1)})
 	if err != nil {
@@ -33,29 +34,51 @@ func TestJobRetentionPrunesOldestFinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hits = maxRetainedJobs + 100 // cache hits: born-done jobs
-	for i := 0; i < hits; i++ {
+
+	// check: the in-flight job first, then the newest finished jobs in
+	// submission order, maxRetainedJobs in all.
+	check := func(when string) {
+		t.Helper()
+		jobs := m.Jobs()
+		if len(jobs) != maxRetainedJobs {
+			t.Fatalf("%s: %d jobs retained, want %d", when, len(jobs), maxRetainedJobs)
+		}
+		if jobs[0] != pending || pending.Finished() {
+			t.Fatalf("%s: in-flight job not kept first: jobs[0] = %s", when, jobs[0].ID())
+		}
+		m.mu.Lock()
+		newest := int(m.seq)
+		m.mu.Unlock()
+		for i, j := range jobs[1:] {
+			if want := fmt.Sprintf("job-%08d", newest-len(jobs)+2+i); j.ID() != want || !j.Finished() {
+				t.Fatalf("%s: jobs[%d] = %s (finished %v), want finished %s", when, i+1, j.ID(), j.Finished(), want)
+			}
+		}
+	}
+	// Cache hits are born-done jobs. Submit them until the retained list
+	// has been compacted three times, checking it after each compaction.
+	compactions, submits := 0, 0
+	for compactions < 3 {
+		if submits++; submits > 8*maxRetainedJobs {
+			t.Fatalf("%d compactions after %d submits, want 3", compactions, submits)
+		}
+		m.mu.Lock()
+		head := m.head
+		m.mu.Unlock()
 		if _, err := m.Submit(req); err != nil {
 			t.Fatal(err)
 		}
+		m.mu.Lock()
+		compacted := m.head < head
+		m.mu.Unlock()
+		if compacted {
+			compactions++
+			check(fmt.Sprintf("compaction %d", compactions))
+		}
 	}
-
-	jobs := m.Jobs()
-	if len(jobs) != maxRetainedJobs {
-		t.Fatalf("%d jobs retained, want %d", len(jobs), maxRetainedJobs)
-	}
-	if jobs[0] != pending || pending.Finished() {
-		t.Fatalf("in-flight job not kept first: jobs[0] = %s", jobs[0].ID())
-	}
+	check("after the compactions")
 	if _, ok := m.Job(first.ID()); ok {
 		t.Fatal("oldest finished job survived the bound")
-	}
-	// The survivors are the newest finished jobs, in submission order.
-	newest := 2 + hits
-	for i, j := range jobs[1:] {
-		if want := fmt.Sprintf("job-%08d", newest-len(jobs)+2+i); j.ID() != want || !j.Finished() {
-			t.Fatalf("jobs[%d] = %s (finished %v), want finished %s", i+1, j.ID(), j.Finished(), want)
-		}
 	}
 
 	<-m.slots

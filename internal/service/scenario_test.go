@@ -17,6 +17,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/service"
+	"repro/internal/service/client"
+	"repro/internal/trace"
 	"repro/internal/tracer"
 )
 
@@ -346,5 +348,101 @@ func TestScenarioRequestValidation(t *testing.T) {
 	}
 	if after := mgr.Engine().Stats(); after.Started != before.Started {
 		t.Fatalf("invalid scenarios spawned engine jobs: %d -> %d", before.Started, after.Started)
+	}
+}
+
+// cacheBuilds scrapes the trace cache's counters: applications traced
+// and flavor programs built (summed over flavors, and for overlap-real).
+func cacheBuilds(t *testing.T, cl *client.Client) (runs, builds, real float64) {
+	t.Helper()
+	pm, err := cl.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return val(pm, "engine_trace_runs_total"), val(pm, "engine_program_builds_total"),
+		val(pm, `engine_program_builds_total{flavor="overlap-real"}`)
+}
+
+// TestScenarioChunkCountsShareOneTrace: tracing reads no chunk count,
+// so two specs that differ only in their top-level chunks trace the
+// kernel once; the second builds only its overlap-real program (the
+// base program is chunk-independent). Both replies are a fresh
+// manager's bytes.
+func TestScenarioChunkCountsShareOneTrace(t *testing.T) {
+	mgr, cl := newService(t, 2)
+	ctx := context.Background()
+	runs0, builds0, _ := cacheBuilds(t, cl)
+	var replies [][]byte
+	for _, k := range []int{2, 8} {
+		got, err := cl.ScenarioRaw(ctx, service.ScenarioRequest{App: "cg", Ranks: 8, Chunks: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies = append(replies, got)
+	}
+	runs, builds, _ := cacheBuilds(t, cl)
+	if n := mgr.Engine().Traces().Len(); n != 1 {
+		t.Errorf("trace cache holds %d runs after chunks 2 and 8, want 1", n)
+	}
+	if runs-runs0 != 1 || builds-builds0 != 3 {
+		t.Errorf("chunks 2 and 8 traced %v times and built %v programs, want 1 and 3 (base, and overlap-real twice)",
+			runs-runs0, builds-builds0)
+	}
+	for i, k := range []int{2, 8} {
+		_, fresh := newService(t, 2)
+		want, err := fresh.ScenarioRaw(ctx, service.ScenarioRequest{App: "cg", Ranks: 8, Chunks: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(replies[i], want) {
+			t.Errorf("chunks %d: shared-trace reply differs from a fresh manager's", k)
+		}
+	}
+}
+
+// TestScenarioChunkAxesShareProgram: two chunk-axis specs that share a
+// chunk count build its program once on one manager, and its digest is
+// the digest of a private build at that chunk count.
+func TestScenarioChunkAxesShareProgram(t *testing.T) {
+	_, cl := newService(t, 2)
+	ctx := context.Background()
+	spec := func(counts ...int) service.ScenarioRequest {
+		return service.ScenarioRequest{App: "cg", Ranks: 8, Axes: []core.Axis{core.ChunksAxis(counts...)}}
+	}
+	if _, err := cl.ScenarioRaw(ctx, spec(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	runs0, builds0, real0 := cacheBuilds(t, cl)
+	body, err := cl.ScenarioRaw(ctx, spec(3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, builds, real := cacheBuilds(t, cl)
+	if runs != runs0 || builds-builds0 != 1 || real-real0 != 1 {
+		t.Errorf("second spec traced %v times and built %v programs (%v overlap-real), want 0 and 1 (chunks 5 only)",
+			runs-runs0, builds-builds0, real-real0)
+	}
+
+	var res core.ScenarioResult
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := apps.ByName("cg", 8)
+	run, err := tracer.Trace("cg", 8, tracer.DefaultConfig(), entry.App.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.Digest(run.WithChunks(3).OverlapReal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for _, f := range res.Points[0].Flavors {
+		if f.Flavor == core.FlavorReal {
+			got = f.TraceDigest
+		}
+	}
+	if got != want {
+		t.Fatalf("chunks 3 overlap-real digest %q, private build %q", got, want)
 	}
 }

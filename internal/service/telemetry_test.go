@@ -74,6 +74,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 	advanced := []string{
 		"engine_jobs_started_total",                // engine
 		"engine_job_seconds_count",                 // engine histogram
+		"engine_trace_runs_total",                  // trace cache: the fresh engine traced cg
+		"engine_program_builds_total",              // trace cache: flavor programs (summed over labels)
 		"sim_replays_total",                        // sim replay core
 		"sim_replay_events_total",                  // calendar-queue pops
 		"sim_pdes_replays_total",                   // PDES path taken
@@ -106,6 +108,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 	for _, name := range []string{
 		"engine_jobs_started_total", "engine_job_wait_seconds",
+		"engine_trace_runs_total", "engine_program_builds_total",
 		"sim_replays_total", "sim_pdes_windows_total", "sim_pdes_shard_events_total",
 		"scenario_stage_seconds", "scenario_points_total",
 		"http_requests_total", "http_request_seconds",
