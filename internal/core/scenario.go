@@ -6,8 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -263,12 +263,12 @@ type Scenario struct {
 	// outputs need the traced run and are rejected in trace mode.
 	Trace *trace.Trace
 	// TraceDigest optionally pins Trace's content address (computed when
-	// empty).
+	// empty). A pinned digest must be exactly trace.Digest(Trace): it
+	// enters the spec digest and the result rows, and it keys Trace's
+	// program in the trace cache, so a wrong one mislabels results and
+	// can serve another trace's program. Only the service pins it, from
+	// its content-addressed store.
 	TraceDigest string
-	// CompileTrace, when set, compiles Trace on demand — the hook the
-	// service layer uses to route compilation through its digest-keyed
-	// program cache; when nil the scenario compiles Trace itself.
-	CompileTrace func(*trace.Trace) (*sim.Program, error)
 
 	// Platform is the base platform every grid point starts from.
 	Platform network.Platform
@@ -289,14 +289,16 @@ type Scenario struct {
 	// Output selects what each point retains (default OutputFinish).
 	Output OutputKind
 
-	// Traces, when set, routes tracing and flavor compilation through a
-	// shared cache: scenarios over one application dedupe their
-	// instrumentation runs whatever their chunk counts, and every
-	// (ranks, chunks, flavor) program of the workload, chunk axes
-	// included, is built and compiled once across scenarios. When nil
-	// the scenario traces and builds privately. Leave nil unless the
-	// app-name-equals-kernel invariant of the cache holds (the apps
-	// registry maintains it; ad-hoc kernels should not share a cache).
+	// Traces is the trace cache every traced run and compiled program of
+	// the scenario comes from. When set, it is shared: scenarios over one
+	// application dedupe their instrumentation runs whatever their chunk
+	// counts, every (ranks, chunks, flavor) program of the workload,
+	// chunk axes included, is built and compiled once across scenarios,
+	// and a stored trace compiles once per digest. When nil the run uses
+	// a cache of its own, so each program still builds once per run.
+	// Leave nil unless the app-name-equals-kernel invariant of the cache
+	// holds (the apps registry maintains it; ad-hoc kernels should not
+	// share a cache).
 	Traces *engine.TraceCache
 
 	// PointCache, when set, is consulted per grid point before any
@@ -451,6 +453,9 @@ func (s Scenario) normalized() (Scenario, error) {
 			break
 		}
 	}
+	if s.GridSize() == math.MaxInt {
+		return s, fmt.Errorf("core: scenario grid size overflows int")
+	}
 	return s, nil
 }
 
@@ -489,11 +494,20 @@ func (s Scenario) groupLen(group []int) int {
 
 // GridSize returns the number of grid points the axes expand to (1 with
 // no axes; 0 if any axis is empty): the product over axis groups, a zip
-// group counting once. The spec is not validated.
+// group counting once. The spec is not validated. A product that does
+// not fit an int saturates at math.MaxInt, and normalization rejects it.
 func (s Scenario) GridSize() int {
 	n := 1
 	for _, g := range s.axisGroups() {
-		n *= s.groupLen(g)
+		l := s.groupLen(g)
+		switch {
+		case l == 0:
+			return 0
+		case n > math.MaxInt/l:
+			n = math.MaxInt
+		default:
+			n *= l
+		}
 	}
 	return n
 }
@@ -898,167 +912,71 @@ func (s *Scenario) grid() ([]gridPoint, error) {
 // ---------------------------------------------------------------------------
 // Execution
 
-// progKey identifies one compiled replay program of the scenario's
-// workload. The base flavor ignores the chunk coordinate (chunking only
-// reshapes the overlapped builds), so a chunk axis compiles it once.
-type progKey struct {
-	ranks, chunks int
-	flavor        Flavor
-}
-
-type progEntry struct {
-	once   sync.Once
-	prog   *sim.Program
-	digest string
-	err    error
-}
-
-type runEntry struct {
-	once sync.Once
-	run  *tracer.Run
-	err  error
-}
-
-// scenarioExec owns the per-run memoization: traced runs per rank count
-// and compiled programs per (ranks, chunks, flavor). Every memo entry
-// resolves exactly once however many grid points share it — the
-// compile-once guarantee of the planner.
+// scenarioExec resolves one run's workload: the application per world
+// size, and every traced run and compiled program from one trace cache
+// — the spec's shared Traces, or a cache the run owns. The cache builds
+// each run and program once while it holds it, however many grid points
+// share it: the compile-once guarantee of the planner.
 type scenarioExec struct {
-	sc  *Scenario
-	mu  sync.Mutex
-	run map[int]*runEntry
-	pg  map[progKey]*progEntry
+	sc     *Scenario
+	traces *engine.TraceCache
 }
 
 func newScenarioExec(sc *Scenario) *scenarioExec {
-	return &scenarioExec{sc: sc, run: map[int]*runEntry{}, pg: map[progKey]*progEntry{}}
+	traces := sc.Traces
+	if traces == nil {
+		traces = engine.NewTraceCache()
+	}
+	return &scenarioExec{sc: sc, traces: traces}
 }
 
-// appFor resolves the application for one world size.
+// appFor resolves the application for one world size. A kernel-less app
+// fails here, before the cache could trace it and keep the failure.
 func (x *scenarioExec) appFor(ranks int) (App, error) {
+	app := x.sc.App
 	if x.sc.Factory != nil {
-		return x.sc.Factory(ranks)
+		var err error
+		if app, err = x.sc.Factory(ranks); err != nil {
+			return App{}, err
+		}
 	}
-	return x.sc.App, nil
+	if app.Kernel == nil {
+		return App{}, fmt.Errorf("core: app %q has no kernel", app.Name)
+	}
+	return app, nil
 }
 
-// runFor returns the traced run for one world size, tracing once.
-func (x *scenarioExec) runFor(ranks int) (*tracer.Run, error) {
-	x.mu.Lock()
-	ent, ok := x.run[ranks]
-	if !ok {
-		ent = &runEntry{}
-		x.run[ranks] = ent
-	}
-	x.mu.Unlock()
-	ent.once.Do(func() {
-		app, err := x.appFor(ranks)
-		if err != nil {
-			ent.err = err
-			return
-		}
-		if app.Kernel == nil {
-			ent.err = fmt.Errorf("core: app %q has no kernel", app.Name)
-			return
-		}
-		if x.sc.Traces != nil {
-			ent.run, ent.err = x.sc.Traces.Trace(app.Name, ranks, x.sc.Tracer, app.Kernel)
-			return
-		}
-		ent.run, ent.err = tracer.Trace(app.Name, ranks, x.sc.Tracer, app.Kernel)
-		if ent.err != nil {
-			ent.err = fmt.Errorf("core: scenario tracing %q: %w", app.Name, ent.err)
-		}
-	})
-	return ent.run, ent.err
+// tracerAt returns the tracer configuration of one chunk count.
+func (x *scenarioExec) tracerAt(chunks int) tracer.Config {
+	cfg := x.sc.Tracer
+	cfg.Chunks = chunks
+	return cfg
 }
 
-// runAt returns the traced run re-parameterized for one grid point.
+// runAt returns the traced run of one grid point, its traces built under
+// the point's chunk count.
 func (x *scenarioExec) runAt(pt gridPoint) (*tracer.Run, error) {
-	run, err := x.runFor(pt.ranks)
+	app, err := x.appFor(pt.ranks)
 	if err != nil {
 		return nil, err
 	}
-	if pt.chunks != x.sc.Tracer.Chunks {
-		run = run.WithChunks(pt.chunks)
-	}
-	return run, nil
+	return x.traces.Trace(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel)
 }
 
 // progFor returns the compiled program and trace digest of one flavor at
-// one (ranks, chunks) workload coordinate, resolving each distinct key
-// once per run; with a shared trace cache the build behind it also runs
-// once across runs.
-func (x *scenarioExec) progFor(ranks, chunks int, f Flavor) (*sim.Program, string, error) {
-	if x.sc.Trace != nil {
-		ranks, chunks = 0, 0 // trace mode has one workload
-	} else if f == FlavorBase {
-		chunks = x.sc.Tracer.Chunks // the base trace is chunk-independent
-	}
-	key := progKey{ranks: ranks, chunks: chunks, flavor: f}
-	x.mu.Lock()
-	ent, ok := x.pg[key]
-	if !ok {
-		ent = &progEntry{}
-		x.pg[key] = ent
-	}
-	x.mu.Unlock()
-	ent.once.Do(func() { ent.prog, ent.digest, ent.err = x.compile(ranks, chunks, f) })
-	return ent.prog, ent.digest, ent.err
-}
-
-// compile resolves one program entry: trace-mode programs come from the
-// spec's CompileTrace hook (else a private compile), app-mode programs
-// from the shared trace cache when the spec has one, at every chunk
-// count, else from a private build of the flavor.
-func (x *scenarioExec) compile(ranks, chunks int, f Flavor) (*sim.Program, string, error) {
+// one grid point: the stored trace's program, keyed by its digest, in
+// trace mode, else the application's flavor program at the point's
+// (ranks, chunks).
+func (x *scenarioExec) progFor(pt gridPoint, f Flavor) (*sim.Program, string, error) {
 	if tr := x.sc.Trace; tr != nil {
-		compile := sim.Compile
-		if x.sc.CompileTrace != nil {
-			compile = x.sc.CompileTrace
-		}
-		prog, err := compile(tr)
+		prog, err := x.traces.StoredProgram(x.sc.TraceDigest, tr)
 		return prog, x.sc.TraceDigest, err // digest pinned by normalized()
 	}
-	if x.sc.Traces != nil {
-		// The shared cache traces each (app, ranks) once and builds,
-		// validates, compiles, and digests each (chunks, flavor) once —
-		// across scenarios, not just within this one.
-		app, err := x.appFor(ranks)
-		if err != nil {
-			return nil, "", err
-		}
-		cfg := x.sc.Tracer
-		cfg.Chunks = chunks
-		return x.sc.Traces.CompiledProgram(app.Name, ranks, cfg, app.Kernel, string(f))
-	}
-	run, err := x.runFor(ranks)
+	app, err := x.appFor(pt.ranks)
 	if err != nil {
 		return nil, "", err
 	}
-	if chunks != x.sc.Tracer.Chunks {
-		run = run.WithChunks(chunks)
-	}
-	var tr *trace.Trace
-	switch f {
-	case FlavorBase:
-		tr = run.BaseTrace()
-	case FlavorReal:
-		tr = run.OverlapReal()
-	case FlavorIdeal:
-		tr = run.OverlapIdeal()
-	default:
-		return nil, "", fmt.Errorf("core: unknown flavor %q", f)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, "", fmt.Errorf("core: generated %s trace invalid: %w", f, err)
-	}
-	digest, err := trace.Digest(tr)
-	if err != nil {
-		return nil, "", err
-	}
-	prog, err := sim.Compile(tr)
-	return prog, digest, err
+	return x.traces.CompiledProgram(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel, string(f))
 }
 
 // RunScenario is the one planner behind every study: it canonicalizes
@@ -1066,11 +984,15 @@ func (x *scenarioExec) compile(ranks, chunks int, f Flavor) (*sim.Program, strin
 // pooled replayers through the engine (nil selects the default engine),
 // compiling each replayed trace flavor exactly once, and returns the
 // flat result table in deterministic row-major order. It is a thin
-// collector over RunScenarioStream — the batch result is exactly the
-// stream's points, so the two paths cannot drift.
+// collector over the stream RunScenarioStream runs — the batch result is
+// exactly the stream's points, so the two paths cannot drift.
 func RunScenario(ctx context.Context, eng *engine.Engine, spec Scenario) (*ScenarioResult, error) {
-	pts := make([]ScenarioPoint, 0, spec.GridSize())
-	hdr, err := RunScenarioStream(ctx, eng, spec, func(pt ScenarioPoint) error {
+	sc, err := spec.normalized()
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]ScenarioPoint, 0, sc.GridSize())
+	hdr, err := sc.stream(ctx, eng, func(pt ScenarioPoint) error {
 		pts = append(pts, pt)
 		return nil
 	})

@@ -96,6 +96,11 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 	if err != nil {
 		return nil, err
 	}
+	return sc.stream(ctx, eng, yield)
+}
+
+// stream runs an already-normalized spec: RunScenarioStream's body.
+func (sc *Scenario) stream(ctx context.Context, eng *engine.Engine, yield func(ScenarioPoint) error) (*ScenarioHeader, error) {
 	hdr, err := sc.header()
 	if err != nil {
 		return nil, err
@@ -120,8 +125,8 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 			}
 		}
 	}
-	x := newScenarioExec(&sc)
-	em := &streamEmitter{ctx: ctx, sc: &sc, grid: grid, digests: digests, cached: cached, yield: yield}
+	x := newScenarioExec(sc)
+	em := &streamEmitter{ctx: ctx, sc: sc, grid: grid, digests: digests, cached: cached, yield: yield}
 
 	switch sc.Output {
 	case OutputFinish, OutputTraffic:
@@ -155,7 +160,7 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 				if sc.Trace != nil {
 					ranks, chunks = 0, 0
 				} else if f == FlavorBase {
-					chunks = sc.Tracer.Chunks // mirrors progFor's normalization
+					chunks = sc.Tracer.Chunks // the cache's base programs ignore chunks too
 				}
 				key := fmt.Sprintf("%d|%d|%s|%s", ranks, chunks, f, platJSON)
 				j, ok := seen[key]
@@ -202,7 +207,7 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 		err = engine.MapStream(ctx, eng, len(jobs), 0, func(ctx context.Context, j int) (FlavorMeasure, error) {
 			pt, f := jobs[j].pt, jobs[j].f
 			t0 := time.Now()
-			prog, digest, err := x.progFor(pt.ranks, pt.chunks, f)
+			prog, digest, err := x.progFor(pt, f)
 			if err != nil {
 				return FlavorMeasure{}, err
 			}

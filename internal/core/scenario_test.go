@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracer"
 )
@@ -318,12 +319,102 @@ func TestScenarioValidation(t *testing.T) {
 			Output: "everything"}, "unknown scenario output"},
 		{"bad mapping", Scenario{App: scenarioApp(), Ranks: ranks, Platform: plat,
 			Axes: []Axis{MappingAxis("zigzag?")}}, "mapping"},
+		// 2^64 points: the product must not wrap around to an empty grid.
+		{"grid size overflow", Scenario{App: scenarioApp(), Ranks: ranks, Platform: plat,
+			Axes: overflowingAxes()}, "overflows"},
 	}
 	for _, tc := range cases {
 		_, err := RunScenario(context.Background(), nil, tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestScenarioKernellessAppSharedCache: an app without a kernel fails
+// with the planner's error before it reaches a shared trace cache, so
+// the cache keeps no failed run under its name and a valid scenario on
+// the same cache afterwards returns a fresh run's bytes.
+func TestScenarioKernellessAppSharedCache(t *testing.T) {
+	const ranks = 8
+	ctx := context.Background()
+	eng := engine.New(2)
+	traces := engine.NewTraceCache()
+	plat := scenarioPlatform(t, ranks)
+	_, err := RunScenario(ctx, eng, Scenario{
+		Factory: func(int) (App, error) { return App{Name: "cg"}, nil },
+		Ranks:   ranks, Platform: plat, Traces: traces,
+	})
+	if want := `core: app "cg" has no kernel`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("kernel-less app: err %v, want %q", err, want)
+	}
+	valid := Scenario{App: scenarioApp(), Ranks: ranks, Platform: plat}
+	fresh, err := RunScenario(ctx, eng, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid.Traces = traces
+	shared, err := RunScenario(ctx, eng, valid)
+	if err != nil {
+		t.Fatalf("valid scenario on the same cache: %v", err)
+	}
+	b1, _ := json.Marshal(fresh)
+	b2, _ := json.Marshal(shared)
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("shared-cache result differs from a fresh run:\n%s\n%s", b2, b1)
+	}
+}
+
+// TestScenarioLibraryRunUsesOneTraceCache: a library scenario without
+// Traces still takes every run and program from a trace cache, its own,
+// so a chunks axis [2, 3] traces once and builds three programs: base
+// once, since it ignores chunks, and overlap-real per chunk count.
+func TestScenarioLibraryRunUsesOneTraceCache(t *testing.T) {
+	const ranks = 8
+	runs := telemetry.Default().Counter("engine_trace_runs_total", "")
+	builds := telemetry.Default().CounterVec("engine_program_builds_total", "", "flavor")
+	total := func() uint64 {
+		return builds.With(engine.FlavorBase).Value() + builds.With(engine.FlavorReal).Value() + builds.With(engine.FlavorIdeal).Value()
+	}
+	runs0, builds0 := runs.Value(), total()
+	if _, err := RunScenario(context.Background(), engine.New(2), Scenario{
+		App: scenarioApp(), Ranks: ranks, Platform: scenarioPlatform(t, ranks),
+		Axes: []Axis{ChunksAxis(2, 3)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if r, b := runs.Value()-runs0, total()-builds0; r != 1 || b != 3 {
+		t.Fatalf("chunks [2, 3] traced %d times and built %d programs, want 1 and 3", r, b)
+	}
+}
+
+// overflowingAxes returns eight valid 256-point axes, whose cross
+// product of 2^64 points overflows an int.
+func overflowingAxes() []Axis {
+	const n = 256
+	values := func(f func(i int) float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	counts := func(from int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = from + i
+		}
+		return out
+	}
+	return []Axis{
+		BandwidthAxis(values(func(i int) float64 { return float64(i + 1) })...),
+		LatencyAxis(values(func(i int) float64 { return float64(i) * 1e-6 })...),
+		BusesAxis(counts(0)...),
+		ChunksAxis(counts(1)...),
+		NodeCountAxis(counts(1)...),
+		DerateAxis(values(func(i int) float64 { return float64(i+1) / n })...),
+		JitterAxis(values(func(i int) float64 { return float64(i) / n })...),
+		StragglersAxis(counts(0)...),
 	}
 }
 

@@ -10,14 +10,16 @@ import (
 	"repro/internal/tracer"
 )
 
-// maxPrograms bounds the compiled-program memo, like the service's bound
-// on programs of stored traces. One service scenario may sweep 1024
-// chunk counts, so without a bound a long-lived daemon would keep a
-// program for every chunk count ever requested.
+// maxPrograms bounds the compiled-program memo. One service scenario may
+// sweep 1024 chunk counts, and a disk-tier store can resolve more trace
+// digests than it keeps in memory, so without a bound a long-lived
+// daemon would keep a program for every chunk count and stored trace
+// ever requested.
 const maxPrograms = 1024
 
-// TraceCache is the one source of app-mode traced runs and compiled
-// programs, for every chunk count.
+// TraceCache is the one place replay programs are built and memoized:
+// every scenario's traced runs and programs come from one, the engine's
+// shared cache or a cache owned by a single run.
 //
 // Traced runs are keyed by what tracing reads: the application name, the
 // rank count, and the tracer's LoadCost and StoreCost. The chunk count
@@ -27,10 +29,14 @@ const maxPrograms = 1024
 // instrumentation; concurrent first requests are single-flighted, so the
 // application is traced exactly once. Runs stay for the cache's life.
 //
-// CompiledProgram memoizes each flavor's replay program and trace digest
-// by (traced run, Chunks, ElemBytes, flavor) — the base flavor ignores
-// Chunks — in one LRU of maxPrograms entries, single-flighted the same
-// way. The built trace is dropped once it is compiled and digested.
+// Programs live in one LRU of maxPrograms entries, each resolved once
+// behind its own sync.Once, under two key schemes. CompiledProgram keys
+// an application's flavor program and trace digest by (traced run,
+// Chunks, ElemBytes, flavor) — the base flavor ignores Chunks — and
+// drops the built trace once it is compiled and digested.
+// StoredProgram keys a pre-built trace's program by the trace's content
+// digest ("sha256:…"; application keys start with a quoted name, so the
+// schemes cannot collide); DropStored removes one.
 //
 // Cached runs and programs are shared across goroutines; callers must
 // treat them as immutable, which the tracer and sim APIs guarantee.
@@ -137,14 +143,7 @@ func (c *TraceCache) CompiledProgram(name string, ranks int, cfg tracer.Config, 
 	if flavor == FlavorBase {
 		chunks = 0 // the base trace is chunk-independent
 	}
-	key := fmt.Sprintf("%q/%d/%d/%d/%d/%d/%s", name, ranks, cfg.LoadCost, cfg.StoreCost, chunks, cfg.ElemBytes, flavor)
-	c.mu.Lock()
-	ent, ok := c.progs.Get(key)
-	if !ok {
-		ent = &progEntry{}
-		c.progs.Put(key, ent)
-	}
-	c.mu.Unlock()
+	ent := c.entry(fmt.Sprintf("%q/%d/%d/%d/%d/%d/%s", name, ranks, cfg.LoadCost, cfg.StoreCost, chunks, cfg.ElemBytes, flavor))
 	ent.once.Do(func() {
 		mProgramBuilds.With(flavor).Inc()
 		ent.prog, ent.digest, ent.err = compileFlavor(build(run), flavor)
@@ -185,18 +184,42 @@ func compileFlavor(tr *trace.Trace, flavor string) (*sim.Program, string, error)
 	return prog, digest, nil
 }
 
+// StoredProgram returns the compiled replay program of a pre-built
+// trace, memoized by its content digest in the same LRU as the
+// application programs and compiled once per entry, concurrent first
+// callers included. digest must be tr's content address
+// (trace.Digest): the memo trusts it to name the trace.
+func (c *TraceCache) StoredProgram(digest string, tr *trace.Trace) (*sim.Program, error) {
+	ent := c.entry(digest)
+	ent.once.Do(func() { ent.prog, ent.err = sim.Compile(tr) })
+	return ent.prog, ent.err
+}
+
+// DropStored removes the digest's program from the memo; the next
+// StoredProgram call compiles again. Callers already holding the
+// program keep it.
+func (c *TraceCache) DropStored(digest string) { c.progs.Delete(digest) }
+
+// HasStored reports whether the digest's program is in the memo.
+func (c *TraceCache) HasStored(digest string) bool { return c.progs.Contains(digest) }
+
+// entry returns the memo entry under key, adding an unresolved one on
+// a miss. Concurrent callers of one key get the same entry.
+func (c *TraceCache) entry(key string) *progEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ent, ok := c.progs.Get(key)
+	if !ok {
+		ent = &progEntry{}
+		c.progs.Put(key, ent)
+	}
+	return ent
+}
+
 // Len reports how many distinct traced runs the cache holds (including
 // cached failures).
 func (c *TraceCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.runs)
-}
-
-// Purge empties the cache: runs and programs.
-func (c *TraceCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.runs = map[runKey]*runEntry{}
-	c.progs = lru.New[*progEntry](maxPrograms)
 }

@@ -254,3 +254,53 @@ func TestTraceCacheRejectsInvalidConfig(t *testing.T) {
 		t.Fatalf("invalid configs left %d runs, want 1", c.Len())
 	}
 }
+
+// TestTraceCacheStoredProgramSingleFlight: concurrent callers asking for
+// one stored digest compile it once and share the program; dropping the
+// entry makes the next call compile again.
+func TestTraceCacheStoredProgramSingleFlight(t *testing.T) {
+	c := NewTraceCache()
+	tr := freshBuild(t, "compiled-app-stored", tracer.DefaultConfig(), FlavorReal)
+	digest, err := trace.Digest(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := make([]*sim.Program, 16)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			prog, err := c.StoredProgram(digest, tr)
+			if err != nil {
+				t.Error(err)
+			}
+			progs[g] = prog
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("caller %d got program %p, caller 0 got %p", g, p, progs[0])
+		}
+	}
+	if !c.HasStored(digest) || c.progs.Len() != 1 || c.Len() != 0 {
+		t.Fatalf("after 16 callers: stored %v, %d programs, %d runs; want true, 1, 0",
+			c.HasStored(digest), c.progs.Len(), c.Len())
+	}
+	c.DropStored(digest)
+	if c.HasStored(digest) {
+		t.Fatal("dropped program still in the memo")
+	}
+	again, err := c.StoredProgram(digest, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == progs[0] || !c.HasStored(digest) {
+		t.Fatalf("after the drop: same program %v, stored %v; want a fresh compile, memoized",
+			again == progs[0], c.HasStored(digest))
+	}
+}

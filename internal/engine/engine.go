@@ -297,14 +297,6 @@ func Map[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Conte
 	return out, aggregate(errs)
 }
 
-// ForEach is Map for jobs that produce no result.
-func ForEach(ctx context.Context, e *Engine, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, e, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}
-
 func runJob[T any](e *Engine, ctx context.Context, i int, submit time.Time, fn func(ctx context.Context, i int) (T, error)) (out T, err error) {
 	start := time.Now()
 	wait := start.Sub(submit)

@@ -237,10 +237,6 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 	if c.Len() != 2 || traced.Load() != 2 {
 		t.Fatalf("cache holds %d entries after %d traces, want 2 after a LoadCost change", c.Len(), traced.Load())
 	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatal("purge left entries behind")
-	}
 }
 
 func TestDefaultEngineIsUsedForNil(t *testing.T) {

@@ -433,12 +433,6 @@ func (p Platform) WithLinkDown(k int) Platform {
 	return p
 }
 
-// RanksPerNode returns the block-mapping capacity ceil(Processors/Nodes),
-// the natural "cores per node" figure of the platform.
-func (p Platform) RanksPerNode() int {
-	return (p.Processors + p.Nodes - 1) / p.Nodes
-}
-
 // Describe renders a one-line human summary of the platform.
 func (p Platform) Describe() string {
 	suffix := ""

@@ -21,8 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lru"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DefaultCacheEntries is the result-cache capacity when Options leaves it
@@ -109,19 +107,6 @@ type Manager struct {
 	// in state pending.
 	slots chan struct{}
 
-	// progs is an LRU of compiled replay programs of stored traces, keyed
-	// by trace digest — the content address the artifact store already
-	// hands out — so repeated sweeps over one uploaded trace compile it
-	// once. LRU-bounded because a disk-tier store can resolve more
-	// digests than its memory bound, and a long-lived daemon must not
-	// accumulate a program per digest ever swept.
-	progs *lru.Cache[*sim.Program]
-	// compiling single-flights program compilation per digest: concurrent
-	// misses on one digest wait for the first compile and share its
-	// program. Guarded by progMu.
-	progMu    sync.Mutex
-	compiling map[string]*progCompile
-
 	// points is the point-level scenario cache: completed grid points
 	// keyed by per-point spec digests, consulted by the planner before
 	// scheduling any simulation. It sits beside the spec-level result
@@ -196,77 +181,11 @@ func (m *Manager) unqueue() {
 	m.mu.Unlock()
 }
 
-// maxCompiledPrograms bounds the digest-keyed program cache, mirroring
-// the store's memory-tier trace capacity. The bound is the backstop; the
-// store's eviction hook (registered in NewManager) is what actually
-// keeps the two in lockstep — a trace leaving the store drops its
-// program immediately.
-const maxCompiledPrograms = 1024
-
-// progCompile is one in-flight compilation; done closes once prog and
-// err are set.
-type progCompile struct {
-	done chan struct{}
-	prog *sim.Program
-	err  error
-}
-
-// compiledTrace returns the replay program for a stored trace, compiling
-// on a cache miss. Concurrent misses on one digest compile once: later
-// callers wait for the first and share its program.
-func (m *Manager) compiledTrace(digest string, tr *trace.Trace) (*sim.Program, error) {
-	if prog, ok := m.progs.Get(digest); ok {
-		return prog, nil
-	}
-	m.progMu.Lock()
-	if c, ok := m.compiling[digest]; ok {
-		m.progMu.Unlock()
-		<-c.done
-		return c.prog, c.err
-	}
-	// A compile may have finished between the Get above and the lock: it
-	// fills the cache before leaving the in-flight table.
-	if prog, ok := m.progs.Get(digest); ok {
-		m.progMu.Unlock()
-		return prog, nil
-	}
-	c := &progCompile{done: make(chan struct{})}
-	m.compiling[digest] = c
-	m.progMu.Unlock()
-
-	c.prog, c.err = sim.Compile(tr)
-	if c.err == nil {
-		m.progs.Put(digest, c.prog)
-		// Re-validate after the Put: if the trace was deleted from the
-		// store while we compiled, its eviction hook fired before the
-		// program existed and would have deleted nothing — drop the entry
-		// now so a deleted trace's program is never pinned. (An eviction
-		// that races past this check fires the hook after our Put and wins
-		// anyway.)
-		if !m.store.ContainsTrace(digest) {
-			m.progs.Delete(digest)
-		}
-	}
-	m.progMu.Lock()
-	delete(m.compiling, digest)
-	m.progMu.Unlock()
-	close(c.done)
-	return c.prog, c.err
-}
-
-// traceCompiler adapts compiledTrace to the scenario planner's
-// CompileTrace hook for one stored digest.
-func (m *Manager) traceCompiler(digest string) func(*trace.Trace) (*sim.Program, error) {
-	return func(tr *trace.Trace) (*sim.Program, error) {
-		return m.compiledTrace(digest, tr)
-	}
-}
-
-// CompiledProgramCached reports whether the digest's compiled program is
-// resident — the observable the eviction tests assert on.
+// CompiledProgramCached reports whether the stored trace's compiled
+// program is resident in the engine's trace cache — the observable the
+// eviction tests assert on.
 func (m *Manager) CompiledProgramCached(digest string) bool {
-	_, ok := m.progs.Get(digest)
-	return ok
+	return m.eng.Traces().HasStored(digest)
 }
 
 // NewManager builds a manager from opts.
@@ -307,8 +226,6 @@ func NewManager(opts Options) (*Manager, error) {
 		store:        store,
 		cache:        lru.New[[]byte](entries),
 		log:          logger,
-		progs:        lru.New[*sim.Program](maxCompiledPrograms),
-		compiling:    make(map[string]*progCompile),
 		start:        time.Now(),
 		slots:        make(chan struct{}, eng.Workers()),
 		queueDepth:   depth,
@@ -319,10 +236,10 @@ func NewManager(opts Options) (*Manager, error) {
 	if pointEntries > 0 {
 		m.points = lru.New[core.ScenarioPoint](pointEntries)
 	}
-	// Tie the compiled-program cache to the store's capacity: a trace
-	// evicted (or deleted) from the store drops its program instead of
-	// pinning it until the program LRU happens to cycle.
-	store.OnTraceEvict(func(digest string) { m.progs.Delete(digest) })
+	// Tie stored-trace programs to the store's capacity: a trace evicted
+	// (or deleted) from the store drops its program from the trace cache
+	// instead of pinning it until the program LRU happens to cycle.
+	store.OnTraceEvict(eng.Traces().DropStored)
 	if opts.Cluster != nil {
 		m.attachCluster(opts.Cluster)
 	}
@@ -458,6 +375,12 @@ func (m *Manager) execute(j *Job, t *task, mode admission, run func(context.Cont
 	payload, err := m.compute(j, t, mode, run)
 	if err == nil {
 		m.cache.Put(t.key, payload)
+	}
+	if d := t.sc.TraceDigest; d != "" && !m.store.ContainsTrace(d) {
+		// The trace left the store after the request resolved it, so its
+		// eviction hook fired before this job compiled the program: drop
+		// it now, or a deleted trace's program stays pinned.
+		m.eng.Traces().DropStored(d)
 	}
 	m.mu.Lock()
 	delete(m.inflight, t.key)

@@ -85,13 +85,12 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		digest := r.Trace
+		// The store is content-addressed, so the request's digest is the
+		// trace's: it keys the trace's program in the engine's trace
+		// cache, compiled once across scenarios until the store lets the
+		// trace go (NewManager).
 		sc.Trace = tr
-		sc.TraceDigest = digest
-		// Compilation routes through the manager's digest-keyed program
-		// cache, so repeated scenarios over one stored trace compile it
-		// once — and eviction from the store drops the program too.
-		sc.CompileTrace = m.traceCompiler(digest)
+		sc.TraceDigest = r.Trace
 		plat, err := m.resolvePlatform(r.Platform, tr.Name, tr.NumRanks)
 		if err != nil {
 			return nil, "", err
@@ -125,19 +124,20 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 			return nil, "", err
 		}
 		sc.Platform = plat
-		sc.Traces = m.eng.Traces()
 	}
+	sc.Traces = m.eng.Traces()
 
-	if n := sc.GridSize(); n > maxGridPoints {
-		return nil, "", fmt.Errorf("service: scenario grid has %d points, limit %d", sc.GridSize(), maxGridPoints)
-	}
 	// The canonical spec digest is the cache key: equivalent spellings of
 	// one study (preset vs inline platform, "block" vs its node list)
-	// collapse to one entry. Digest also validates the spec, so malformed
-	// scenarios fail here, before any engine work.
+	// collapse to one entry. Digest also validates the spec, an
+	// overflowing grid included, so malformed scenarios fail here, before
+	// any engine work.
 	key, err := sc.Digest()
 	if err != nil {
 		return nil, "", err
+	}
+	if n := sc.GridSize(); n > maxGridPoints {
+		return nil, "", fmt.Errorf("service: scenario grid has %d points, limit %d", n, maxGridPoints)
 	}
 	// The point-level resume store rides along as an execution hook (it
 	// never enters the digest): any scenario run through this manager —

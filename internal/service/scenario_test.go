@@ -330,6 +330,31 @@ func TestScenarioRequestValidation(t *testing.T) {
 	for i := range wide {
 		wide[i] = i + 1
 	}
+	// Eight 256-point axes: 2^64 points, a product that wraps an int.
+	values := func(f func(i int) float64) []float64 {
+		out := make([]float64, 256)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	counts := func(from int) []int {
+		out := make([]int, 256)
+		for i := range out {
+			out[i] = from + i
+		}
+		return out
+	}
+	overflow := []core.Axis{
+		core.BandwidthAxis(values(func(i int) float64 { return float64(i + 1) })...),
+		core.LatencyAxis(values(func(i int) float64 { return float64(i) * 1e-6 })...),
+		core.BusesAxis(counts(0)...),
+		core.ChunksAxis(counts(1)...),
+		core.NodeCountAxis(counts(1)...),
+		core.DerateAxis(values(func(i int) float64 { return float64(i+1) / 256 })...),
+		core.JitterAxis(values(func(i int) float64 { return float64(i) / 256 })...),
+		core.StragglersAxis(counts(0)...),
+	}
 	cases := []service.ScenarioRequest{
 		{}, // no workload
 		{App: "cg", Ranks: 4, Trace: "sha256:" + strings.Repeat("0", 64)}, // both workloads
@@ -340,6 +365,7 @@ func TestScenarioRequestValidation(t *testing.T) {
 		{App: "cg", Ranks: 4, Axes: []core.Axis{core.ChunksAxis(big...), core.BusesAxis(wide...)}}, // 1200-point grid
 		{App: "cg", Ranks: 4, Axes: []core.Axis{core.RanksAxis(4096)}},                             // over maxRanks
 		{Trace: "sha256:" + strings.Repeat("0", 64)},                                               // unknown trace
+		{App: "cg", Ranks: 8, Axes: overflow},                                                      // grid size overflows int
 	}
 	for i, req := range cases {
 		if _, err := cl.Scenario(ctx, req); err == nil {

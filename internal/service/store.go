@@ -35,12 +35,12 @@ var ErrStoreFull = errors.New("service: artifact store full")
 // recently used trace is evicted from memory (the disk copy still serves
 // it) instead of refusing the put. Every departure from the memory tier,
 // eviction or explicit delete, fires the OnTraceEvict hook so dependent
-// caches (the manager's compiled-program cache) drop their entries
-// instead of pinning them forever. Because names are content addresses,
-// disk entries are verified against their digest on load — a corrupted
-// file is never served: it is quarantined (renamed to *.corrupt, counted
-// on store_corrupt_artifacts_total) and the digest reads as unknown, so
-// a later put of the true content can re-store it.
+// caches (the trace's program in the engine's trace cache) drop their
+// entries instead of pinning them forever. Because names are content
+// addresses, disk entries are verified against their digest on load — a
+// corrupted file is never served: it is quarantined (renamed to
+// *.corrupt, counted on store_corrupt_artifacts_total) and the digest
+// reads as unknown, so a later put of the true content can re-store it.
 type Store struct {
 	dir string
 

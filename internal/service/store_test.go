@@ -2,12 +2,15 @@ package service
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/lru"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -219,13 +222,14 @@ func traceWithInstr(instr int64) *trace.Trace {
 }
 
 // TestCompiledTraceSingleFlight: concurrent misses on one stored digest
-// compile once and every caller gets the same program.
+// in the engine's trace cache compile once and every caller gets the
+// same program.
 func TestCompiledTraceSingleFlight(t *testing.T) {
 	store, err := NewStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := NewManager(Options{Store: store})
+	mgr, err := NewManager(Options{Store: store, Engine: engine.New(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +257,7 @@ func TestCompiledTraceSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			prog, err := mgr.compiledTrace(d, tr)
+			prog, err := mgr.Engine().Traces().StoredProgram(d, tr)
 			if err != nil {
 				t.Error(err)
 			}
@@ -272,18 +276,18 @@ func TestCompiledTraceSingleFlight(t *testing.T) {
 	}
 }
 
-// TestStoreEvictionDropsCompiledPrograms is the ROADMAP bugfix: the
-// manager's digest-keyed program cache must follow the store. With a
-// disk tier the memory tier evicts LRU at capacity, and each eviction —
-// as well as an explicit delete — must drop the digest's compiled
-// program instead of pinning it forever.
+// TestStoreEvictionDropsCompiledPrograms: the stored-trace programs in
+// the engine's trace cache must follow the manager's store. With a disk
+// tier the memory tier evicts LRU at capacity, and each eviction — as
+// well as an explicit delete — must drop the digest's compiled program
+// instead of pinning it forever.
 func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 	store, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.SetTraceCapacity(2)
-	mgr, err := NewManager(Options{Store: store})
+	mgr, err := NewManager(Options{Store: store, Engine: engine.New(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +300,7 @@ func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 		}
 		if i < 2 {
 			// Compile the first two as a stored-trace scenario would.
-			if _, err := mgr.compiledTrace(d, tr); err != nil {
+			if _, err := mgr.Engine().Traces().StoredProgram(d, tr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -326,7 +330,7 @@ func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.compiledTrace(digests[2], tr2); err != nil {
+	if _, err := mgr.Engine().Traces().StoredProgram(digests[2], tr2); err != nil {
 		t.Fatal(err)
 	}
 	found, err := store.DeleteTrace(digests[2])
@@ -348,6 +352,40 @@ func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 	}
 	if _, err := memOnly.PutTrace(traceWithInstr(2)); !errors.Is(err, ErrStoreFull) {
 		t.Fatalf("memory-only store over capacity: err %v, want ErrStoreFull", err)
+	}
+}
+
+// TestDeletedTraceProgramDroppedAfterQueuedJob: a trace-mode scenario
+// resolves its stored trace when it is submitted, so a DELETE while the
+// job waits for a slot fires the store's eviction hook before the job
+// compiles the program. The job still runs, and when it finishes the
+// program it compiled leaves the engine's trace cache instead of staying
+// pinned.
+func TestDeletedTraceProgramDroppedAfterQueuedJob(t *testing.T) {
+	m, err := NewManager(Options{Engine: engine.New(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := m.Store().PutTrace(traceWithInstr(4242))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.slots <- struct{}{} // hold the only slot
+	j, err := m.Submit(ScenarioRequest{Trace: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	NewHandler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/traces/"+d, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("DELETE answered %d: %s", rec.Code, rec.Body)
+	}
+	<-m.slots // release; the queued job runs
+	if _, err := j.Wait(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if m.CompiledProgramCached(d) {
+		t.Fatal("deleted trace's program still cached after its job finished")
 	}
 }
 
