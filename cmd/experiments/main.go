@@ -130,7 +130,7 @@ func main() {
 			if err != nil {
 				return appAnalysis{}, fmt.Errorf("tracing %s: %w", name, err)
 			}
-			rep, err := core.AnalyzeRun(ctx, eng, run, platFor(name))
+			rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), entries[i].App, *ranks, tCfg, platFor(name))
 			if err != nil {
 				return appAnalysis{}, fmt.Errorf("analyzing %s: %w", name, err)
 			}
@@ -152,7 +152,7 @@ func main() {
 		fig5(runs, *csvdir, *svgdir, *width)
 	}
 	if sel("table2") {
-		table2(runs)
+		table2(reports)
 	}
 	if sel("fig6a") {
 		fig6a(reports, *svgdir)
@@ -253,17 +253,14 @@ func extras(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Conf
 		e := entries[i]
 		name := e.App.Name
 		plat := network.TestbedFor(name, ranks).Platform()
-		// The shared cache makes this a hit when the main analysis loop
-		// already traced the app (the default -only=all run).
-		run, err := eng.Traces().Trace(name, ranks, tCfg, e.App.Kernel)
-		if err != nil {
-			return extra{}, fmt.Errorf("extras tracing %s: %w", name, err)
-		}
-		rep, err := core.AnalyzeRun(ctx, eng, run, plat)
+		// The shared cache makes the run, its programs and its patterns
+		// hits when the main analysis loop already analyzed the app (the
+		// default -only=all run).
+		rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), e.App, ranks, tCfg, plat)
 		if err != nil {
 			return extra{}, fmt.Errorf("extras %s: %w", name, err)
 		}
-		wi, err := core.WhatIfRun(ctx, eng, run, plat)
+		wi, err := core.WhatIfRun(ctx, eng, eng.Traces(), e.App, ranks, tCfg, plat)
 		if err != nil {
 			return extra{}, fmt.Errorf("extras %s what-if: %w", name, err)
 		}
@@ -304,11 +301,7 @@ func table1() {
 func fig4(ctx context.Context, eng *engine.Engine, tCfg tracer.Config, width int) {
 	header("Figure 4 — Paraver view of NAS-CG (4 ranks): non-overlapped vs overlapped")
 	e, _ := apps.ByName("cg", 4)
-	run, err := eng.Traces().Trace("cg", 4, tCfg, e.App.Kernel)
-	if err != nil {
-		fatal("fig4: %v", err)
-	}
-	rep, err := core.AnalyzeRun(ctx, eng, run, network.TestbedFor("cg", 4).Platform())
+	rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), e.App, 4, tCfg, network.TestbedFor("cg", 4).Platform())
 	if err != nil {
 		fatal("fig4: %v", err)
 	}
@@ -375,11 +368,11 @@ func fig5(runs map[string]*tracer.Run, csvdir, svgdir string, width int) {
 	}
 }
 
-func table2(runs map[string]*tracer.Run) {
+func table2(reports map[string]*core.Report) {
 	header("Table II — production and consumption average patterns")
 	var rows []*pattern.Analysis
 	for _, name := range apps.Names {
-		rows = append(rows, pattern.Analyze(runs[name]))
+		rows = append(rows, reports[name].Patterns)
 	}
 	fmt.Print(pattern.FormatTableII(rows))
 }

@@ -68,7 +68,10 @@ func main() {
 
 	ctx := context.Background()
 	eng := engine.New(*workers)
-	rep, err := core.Analyze(ctx, eng, entry.App, *ranks, plat, tCfg)
+	// The report and the what-if study share one traced run, and the
+	// what-if references reuse the report's programs, through the
+	// engine's trace cache.
+	rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), entry.App, *ranks, tCfg, plat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
 		os.Exit(1)
@@ -108,7 +111,7 @@ func main() {
 		}
 	}
 	if *whatif {
-		wi, err := core.WhatIf(ctx, eng, entry.App, *ranks, plat, tCfg)
+		wi, err := core.WhatIfRun(ctx, eng, eng.Traces(), entry.App, *ranks, tCfg, plat)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "overlapsim: what-if: %v\n", err)
 			os.Exit(1)

@@ -61,22 +61,20 @@ func main() {
 		}
 		return
 	}
+	// One analysis yields both halves: the Table II statistics of the
+	// traced run, and what the measured patterns are worth on the active
+	// platform (the three flavour replays run concurrently on the engine
+	// pool).
 	eng := engine.New(*workers)
-	run, err := eng.Traces().Trace(*app, *ranks, tracer.DefaultConfig(), entry.App.Kernel)
+	tCfg := tracer.DefaultConfig()
+	rep, err := core.AnalyzeRun(context.Background(), eng, eng.Traces(), entry.App, *ranks, tCfg, plat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "patterns: %v\n", err)
 		os.Exit(1)
 	}
-	an := pattern.Analyze(run)
+	an := rep.Patterns
 	fmt.Print(pattern.FormatTableII([]*pattern.Analysis{an}))
 
-	// What the measured patterns are worth on the active platform: the
-	// three flavour replays run concurrently on the engine pool.
-	rep, err := core.AnalyzeRun(context.Background(), eng, run, plat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "patterns: %v\n", err)
-		os.Exit(1)
-	}
 	fmt.Printf("\noverlap on %s:\n", plat.Describe())
 	fmt.Printf("  speedup %.3fx with measured patterns, %.3fx with ideal patterns\n",
 		rep.SpeedupReal, rep.SpeedupIdeal)
@@ -146,6 +144,11 @@ func main() {
 				break
 			}
 		}
+	}
+	run, err := eng.Traces().Trace(*app, *ranks, tCfg, entry.App.Kernel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "patterns: %v\n", err)
+		os.Exit(1)
 	}
 	sc := pattern.ScatterFor(run, buf, *rank, sd)
 	if sc == nil || len(sc.Points) == 0 {

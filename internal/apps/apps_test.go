@@ -116,8 +116,8 @@ func TestAllAppsProduceValidTracesAndReplays(t *testing.T) {
 				}
 			}
 			// Byte volume conserved across flavours.
-			b := rep.BaseTrace.Stats().BytesSent
-			if rep.RealTrace.Stats().BytesSent != b || rep.IdealTrace.Stats().BytesSent != b {
+			b := rep.TraceOf(core.FlavorBase).Stats().BytesSent
+			if rep.TraceOf(core.FlavorReal).Stats().BytesSent != b || rep.TraceOf(core.FlavorIdeal).Stats().BytesSent != b {
 				t.Fatal("chunking changed byte volume")
 			}
 		})

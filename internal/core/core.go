@@ -51,9 +51,6 @@ type Report struct {
 	// flat analyses it is the degenerate one-rank-per-node form.
 	Platform network.Platform
 
-	// Traces are the three generated traces (validated).
-	BaseTrace, RealTrace, IdealTrace *trace.Trace
-
 	// Results are the three reconstructed time behaviours on Platform.
 	Base, Real, Ideal *sim.Result
 
@@ -61,99 +58,109 @@ type Report struct {
 	// the non-overlapped execution (Fig. 6a).
 	SpeedupReal, SpeedupIdeal float64
 
-	// Patterns holds the Table II / Fig. 5 analysis.
+	// Patterns holds the Table II / Fig. 5 analysis. It is the trace
+	// cache's memoized analysis of the run, shared with every report on
+	// that run: treat it as read-only.
 	Patterns *pattern.Analysis
 
-	// progs holds the compiled replay program of each flavour.
-	// AnalyzeRun compiles each once and replays it for the Results; the
-	// bandwidth searches and sweeps, which replay one flavour dozens of
-	// times on platform variants, reuse it. Read-only after AnalyzeRun.
-	progs map[Flavor]*sim.Program
+	// run is the traced run the flavours build from; TraceOf rebuilds a
+	// trace from it on demand.
+	run *tracer.Run
+	// progs and digests hold each flavour's compiled replay program and
+	// trace digest, the trace cache's own. AnalyzeRun replays each
+	// program once for the Results; the bandwidth searches and sweeps,
+	// which replay one flavour dozens of times on platform variants,
+	// reuse it. Read-only after AnalyzeRun.
+	progs   map[Flavor]*sim.Program
+	digests map[Flavor]string
 }
 
+// flavors lists the three execution flavours in report order.
+var flavors = []Flavor{FlavorBase, FlavorReal, FlavorIdeal}
+
 // Analyze traces the application once on ranks processes and reconstructs
-// the three execution flavours on the given platform. The three
-// build-and-replay jobs run concurrently on eng (nil selects the default
-// engine).
+// the three execution flavours on the given platform: AnalyzeRun on a
+// trace cache of its own, so a caller's kernel never enters a shared
+// cache. The three replay jobs run concurrently on eng (nil selects the
+// default engine).
 func Analyze(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*Report, error) {
+	return AnalyzeRun(ctx, eng, engine.NewTraceCache(), app, ranks, tCfg, plat)
+}
+
+// AnalyzeRun reconstructs the three execution flavours of app on ranks
+// processes on the given platform, taking everything that does not
+// depend on the platform from traces: the traced run, each flavour's
+// compiled program and trace digest, and the Table II analysis. Callers
+// that trace through the engine's shared cache (Engine.Traces) analyze
+// one traced execution under many platforms and chunk counts without
+// re-tracing, rebuilding or re-hashing a trace. Each flavour's replay is
+// one engine job.
+//
+// traces identifies kernels by app name (see engine.TraceCache), so an
+// app whose kernel is not the registry's belongs in a cache of its own,
+// as Analyze gives it.
+func AnalyzeRun(ctx context.Context, eng *engine.Engine, traces *engine.TraceCache, app App, ranks int, tCfg tracer.Config, plat network.Platform) (*Report, error) {
 	if app.Kernel == nil {
 		return nil, fmt.Errorf("core: app %q has no kernel", app.Name)
 	}
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
-	run, err := tracer.Trace(app.Name, ranks, tCfg, app.Kernel)
+	run, err := traces.Trace(app.Name, ranks, tCfg, app.Kernel)
 	if err != nil {
 		return nil, fmt.Errorf("core: tracing %q: %w", app.Name, err)
 	}
-	return AnalyzeRun(ctx, eng, run, plat)
-}
-
-// AnalyzeRun reconstructs the three execution flavours of an
-// already-traced run on the given platform — the fan-out half of Analyze.
-// Callers that trace through the engine's shared cache
-// (engine.TraceCache) use it to analyze one traced execution under many
-// platforms without re-tracing. Each flavour's build, compile and replay
-// is one engine job.
-func AnalyzeRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat network.Platform) (*Report, error) {
-	if err := plat.Validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{App: run.Name, Ranks: run.NumRanks, Platform: plat}
-	type flavorJob struct {
-		flavor Flavor
-		build  func() *trace.Trace
-	}
-	jobs := []flavorJob{
-		{FlavorBase, run.BaseTrace},
-		{FlavorReal, run.OverlapReal},
-		{FlavorIdeal, run.OverlapIdeal},
-	}
 	type flavorOut struct {
-		tr   *trace.Trace
-		prog *sim.Program
-		res  *sim.Result
+		prog   *sim.Program
+		digest string
+		res    *sim.Result
 	}
-	outs, err := engine.Map(ctx, eng, len(jobs), func(ctx context.Context, i int) (flavorOut, error) {
-		tr := jobs[i].build()
-		if err := tr.Validate(); err != nil {
-			return flavorOut{}, fmt.Errorf("core: generated trace invalid: %w", err)
-		}
-		prog, err := sim.Compile(tr)
+	outs, err := engine.Map(ctx, eng, len(flavors), func(ctx context.Context, i int) (flavorOut, error) {
+		f := flavors[i]
+		prog, digest, err := traces.CompiledProgram(app.Name, ranks, tCfg, app.Kernel, string(f))
 		if err != nil {
-			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", jobs[i].flavor, err)
+			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", f, err)
 		}
 		res, err := sim.ReplayInto(plat, prog, 1, new(sim.Result))
 		if err != nil {
-			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", jobs[i].flavor, err)
+			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", f, err)
 		}
-		return flavorOut{tr: tr, prog: prog, res: res}, nil
+		return flavorOut{prog: prog, digest: digest, res: res}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep.BaseTrace, rep.Base = outs[0].tr, outs[0].res
-	rep.RealTrace, rep.Real = outs[1].tr, outs[1].res
-	rep.IdealTrace, rep.Ideal = outs[2].tr, outs[2].res
-	rep.progs = make(map[Flavor]*sim.Program, len(jobs))
-	for i, j := range jobs {
-		rep.progs[j.flavor] = outs[i].prog
+	pat, err := traces.Patterns(app.Name, ranks, tCfg, app.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{
+		App: run.Name, Ranks: run.NumRanks, Platform: plat,
+		Base: outs[0].res, Real: outs[1].res, Ideal: outs[2].res,
+		Patterns: pat,
+		run:      run,
+		progs:    make(map[Flavor]*sim.Program, len(flavors)),
+		digests:  make(map[Flavor]string, len(flavors)),
+	}
+	for i, f := range flavors {
+		rep.progs[f], rep.digests[f] = outs[i].prog, outs[i].digest
 	}
 	rep.SpeedupReal = metrics.Speedup(rep.Base.FinishSec, rep.Real.FinishSec)
 	rep.SpeedupIdeal = metrics.Speedup(rep.Base.FinishSec, rep.Ideal.FinishSec)
-	rep.Patterns = pattern.Analyze(run)
 	return rep, nil
 }
 
-// TraceOf returns the generated trace of one flavour.
+// TraceOf builds the generated trace of one flavour from the report's
+// traced run (nil for an unknown flavour). The report keeps only each
+// trace's digest, so every call builds the trace again.
 func (r *Report) TraceOf(f Flavor) *trace.Trace {
 	switch f {
 	case FlavorBase:
-		return r.BaseTrace
+		return r.run.BaseTrace()
 	case FlavorReal:
-		return r.RealTrace
+		return r.run.OverlapReal()
 	case FlavorIdeal:
-		return r.IdealTrace
+		return r.run.OverlapIdeal()
 	default:
 		return nil
 	}

@@ -953,14 +953,16 @@ func (x *scenarioExec) tracerAt(chunks int) tracer.Config {
 	return cfg
 }
 
-// runAt returns the traced run of one grid point, its traces built under
-// the point's chunk count.
-func (x *scenarioExec) runAt(pt gridPoint) (*tracer.Run, error) {
+// tracedApp resolves the application of one grid point and traces it
+// into the cache, so a report or what-if point pays for tracing in its
+// compile stage; the study then takes the run from the cache.
+func (x *scenarioExec) tracedApp(pt gridPoint) (App, error) {
 	app, err := x.appFor(pt.ranks)
 	if err != nil {
-		return nil, err
+		return App{}, err
 	}
-	return x.traces.Trace(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel)
+	_, err = x.traces.Trace(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel)
+	return app, err
 }
 
 // progFor returns the compiled program and trace digest of one flavor at

@@ -254,13 +254,13 @@ func (sc *Scenario) stream(ctx context.Context, eng *engine.Engine, yield func(S
 	case OutputWhatIf:
 		err = streamPerPoint(ctx, eng, em, func(ctx context.Context, pt gridPoint) (ScenarioPoint, error) {
 			t0 := time.Now()
-			run, err := x.runAt(pt)
+			app, err := x.tracedApp(pt)
 			if err != nil {
 				return ScenarioPoint{}, err
 			}
 			mStageCompile.ObserveSince(t0)
 			t0 = time.Now()
-			wi, err := WhatIfRun(ctx, eng, run, pt.plat)
+			wi, err := WhatIfRun(ctx, eng, x.traces, app, pt.ranks, x.tracerAt(pt.chunks), pt.plat)
 			if err != nil {
 				return ScenarioPoint{}, err
 			}
@@ -277,13 +277,13 @@ func (sc *Scenario) stream(ctx context.Context, eng *engine.Engine, yield func(S
 	case OutputReport:
 		err = streamPerPoint(ctx, eng, em, func(ctx context.Context, pt gridPoint) (ScenarioPoint, error) {
 			t0 := time.Now()
-			run, err := x.runAt(pt)
+			app, err := x.tracedApp(pt)
 			if err != nil {
 				return ScenarioPoint{}, err
 			}
 			mStageCompile.ObserveSince(t0)
 			t0 = time.Now()
-			rep, err := AnalyzeRun(ctx, eng, run, pt.plat)
+			rep, err := AnalyzeRun(ctx, eng, x.traces, app, pt.ranks, x.tracerAt(pt.chunks), pt.plat)
 			if err != nil {
 				return ScenarioPoint{}, err
 			}

@@ -188,11 +188,7 @@ func TestWhatIfIsScenarioTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := tracer.Trace(app.Name, ranks, tracer.DefaultConfig(), app.Kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := WhatIfRun(context.Background(), engine.New(2), run, plat)
+	want, err := WhatIfRun(context.Background(), engine.New(2), engine.NewTraceCache(), app, ranks, tracer.DefaultConfig(), plat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,24 +60,27 @@ func WhatIf(ctx context.Context, eng *engine.Engine, app App, ranks int, plat ne
 	}, nil
 }
 
-// WhatIfRun is the fan-out half of WhatIf for an already-traced run —
-// the entry point for callers that trace through the engine's shared
-// cache and reuse one run across several studies.
-func WhatIfRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat network.Platform) (*WhatIfReport, error) {
+// WhatIfRun is the fan-out half of WhatIf, for callers that trace
+// through a trace cache and reuse one run across several studies: the
+// traced run and the base and overlap-real reference programs come from
+// traces (keyed as AnalyzeRun keys them), and only the per-buffer
+// selective traces are built and compiled here.
+func WhatIfRun(ctx context.Context, eng *engine.Engine, traces *engine.TraceCache, app App, ranks int, tCfg tracer.Config, plat network.Platform) (*WhatIfReport, error) {
+	if app.Kernel == nil {
+		return nil, fmt.Errorf("core: app %q has no kernel", app.Name)
+	}
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
+	run, err := traces.Trace(app.Name, ranks, tCfg, app.Kernel)
+	if err != nil {
+		return nil, fmt.Errorf("core: tracing %q: %w", app.Name, err)
+	}
 	// Every replay of the study retains only its makespan, so all of them
 	// run as compiled programs on pooled arenas.
-	refs, err := engine.Map(ctx, eng, 2, func(ctx context.Context, i int) (float64, error) {
-		tr := run.BaseTrace()
-		if i == 1 {
-			tr = run.OverlapReal()
-		}
-		if err := tr.Validate(); err != nil {
-			return 0, err
-		}
-		prog, err := sim.Compile(tr)
+	refFlavors := []Flavor{FlavorBase, FlavorReal}
+	refs, err := engine.Map(ctx, eng, len(refFlavors), func(ctx context.Context, i int) (float64, error) {
+		prog, _, err := traces.CompiledProgram(app.Name, ranks, tCfg, app.Kernel, string(refFlavors[i]))
 		if err != nil {
 			return 0, err
 		}

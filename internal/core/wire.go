@@ -5,12 +5,11 @@ import (
 	"math"
 
 	"repro/internal/pattern"
-	"repro/internal/trace"
 )
 
 // Wire marshalling: the JSON the service layer serves. A full Report
-// carries three traces and three per-interval simulation results — far too
-// heavy for an HTTP response — so the wire form is a deterministic summary:
+// carries three per-interval simulation results — far too heavy for an
+// HTTP response — so the wire form is a deterministic summary:
 // fixed field order (struct-driven), map-free except where encoding/json
 // sorts keys, and NaN-free (the Alya unchunkable statistics become nulls).
 // Determinism matters beyond taste: the result cache stores marshalled
@@ -92,16 +91,12 @@ func (r *Report) Wire() (*WireReport, error) {
 		SpeedupIdeal:   r.SpeedupIdeal,
 		Patterns:       wirePatterns(r.Patterns),
 	}
-	for _, f := range []Flavor{FlavorBase, FlavorReal, FlavorIdeal} {
-		tr, res := r.TraceOf(f), r.ResultOf(f)
-		td, err := trace.Digest(tr)
-		if err != nil {
-			return nil, fmt.Errorf("core: wire report %s trace: %w", f, err)
-		}
+	for _, f := range flavors {
+		res := r.ResultOf(f)
 		ib, eb, im, em := res.TrafficSplit()
 		w.Flavors = append(w.Flavors, WireFlavor{
 			Flavor:          f,
-			TraceDigest:     td,
+			TraceDigest:     r.digests[f],
 			FinishSec:       res.FinishSec,
 			TotalWaitSec:    res.TotalWaitSec(),
 			TotalComputeSec: res.TotalComputeSec(),

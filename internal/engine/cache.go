@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/lru"
+	"repro/internal/pattern"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracer"
@@ -27,7 +28,10 @@ const maxPrograms = 1024
 // run serves them all: Trace hands each caller run.WithConfig(cfg). The
 // first request for a key executes the application under
 // instrumentation; concurrent first requests are single-flighted, so the
-// application is traced exactly once. Runs stay for the cache's life.
+// application is traced exactly once. Runs stay for the cache's life,
+// and so does each run's Table II analysis (Patterns), which reads only
+// the run's access logs and runs once per run, single-flighted the same
+// way.
 //
 // Programs live in one LRU of maxPrograms entries, each resolved once
 // behind its own sync.Once, under two key schemes. CompiledProgram keys
@@ -62,6 +66,9 @@ type runEntry struct {
 	once sync.Once
 	run  *tracer.Run
 	err  error
+
+	patOnce sync.Once
+	pat     *pattern.Analysis
 }
 
 type progEntry struct {
@@ -81,10 +88,41 @@ func NewTraceCache() *TraceCache {
 // cfg fails exactly as tracer.Trace fails. Failed traces are cached too:
 // retrying a deterministic failure would only repeat it.
 func (c *TraceCache) Trace(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc)) (*tracer.Run, error) {
+	ent, err := c.traced(name, ranks, cfg, kernel)
+	if err != nil {
+		return nil, err
+	}
+	if ent.run.Cfg == cfg {
+		return ent.run, nil
+	}
+	return ent.run.WithConfig(cfg), nil
+}
+
+// Patterns returns the Table II production/consumption analysis of the
+// cached run (pattern.Analyze), tracing the application on a miss. The
+// analysis reads only the run's access logs, never the chunk count or
+// element size, so it runs once per traced run, concurrent first
+// callers included. The analysis is shared: callers must not modify it.
+func (c *TraceCache) Patterns(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc)) (*pattern.Analysis, error) {
+	ent, err := c.traced(name, ranks, cfg, kernel)
+	if err != nil {
+		return nil, err
+	}
+	ent.patOnce.Do(func() {
+		mAnalyses.Inc()
+		ent.pat = pattern.Analyze(ent.run)
+	})
+	return ent.pat, nil
+}
+
+// traced returns the resolved entry of the run for (name, ranks, cfg),
+// tracing the application once per key.
+func (c *TraceCache) traced(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc)) (*runEntry, error) {
 	if cfg.Chunks <= 0 || cfg.ElemBytes <= 0 {
 		// Tracing reads neither field, so no cached run can reject them.
 		// tracer.Trace validates cfg before it runs the kernel.
-		return tracer.Trace(name, ranks, cfg, kernel)
+		_, err := tracer.Trace(name, ranks, cfg, kernel)
+		return nil, err
 	}
 	key := runKey{name: name, ranks: ranks, loadCost: cfg.LoadCost, storeCost: cfg.StoreCost}
 	c.mu.Lock()
@@ -98,10 +136,7 @@ func (c *TraceCache) Trace(name string, ranks int, cfg tracer.Config, kernel fun
 		mTraceRuns.Inc()
 		ent.run, ent.err = tracer.Trace(name, ranks, cfg, kernel)
 	})
-	if ent.err != nil || ent.run.Cfg == cfg {
-		return ent.run, ent.err
-	}
-	return ent.run.WithConfig(cfg), nil
+	return ent, ent.err
 }
 
 // Flavor names accepted by CompiledProgram, matching trace.Trace.Flavor.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/pattern"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracer"
@@ -302,5 +303,70 @@ func TestTraceCacheStoredProgramSingleFlight(t *testing.T) {
 	if again == progs[0] || !c.HasStored(digest) {
 		t.Fatalf("after the drop: same program %v, stored %v; want a fresh compile, memoized",
 			again == progs[0], c.HasStored(digest))
+	}
+}
+
+// TestTraceCachePatternsSingleFlight: concurrent callers at several chunk
+// counts share one traced run and one pattern analysis, equal to
+// pattern.Analyze of a fresh trace; a config tracing reads differently
+// analyzes its own run, and an invalid config fails with the tracer's
+// error without analyzing.
+func TestTraceCachePatternsSingleFlight(t *testing.T) {
+	c := NewTraceCache()
+	const name = "compiled-app-patterns"
+	runs0, analyses0 := mTraceRuns.Value(), mAnalyses.Value()
+	ans := make([]*pattern.Analysis, 16)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range ans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := tracer.DefaultConfig()
+			cfg.Chunks = 1 + g%4
+			<-start
+			an, err := c.Patterns(name, 2, cfg, compiledKernel)
+			if err != nil {
+				t.Error(err)
+			}
+			ans[g] = an
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, an := range ans {
+		if an == nil || an != ans[0] {
+			t.Fatalf("caller %d got analysis %p, caller 0 got %p", g, an, ans[0])
+		}
+	}
+	if r, a := mTraceRuns.Value()-runs0, mAnalyses.Value()-analyses0; r != 1 || a != 1 {
+		t.Fatalf("16 callers traced %d times and analyzed %d times, want 1 and 1", r, a)
+	}
+	run, err := tracer.Trace(name, 2, tracer.DefaultConfig(), compiledKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern.FormatTableII([]*pattern.Analysis{pattern.Analyze(run)})
+	if got := pattern.FormatTableII(ans[:1]); got != want {
+		t.Fatalf("memoized analysis:\n%s\nfresh analysis:\n%s", got, want)
+	}
+
+	costly := tracer.DefaultConfig()
+	costly.LoadCost++
+	an, err := c.Patterns(name, 2, costly, compiledKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an == ans[0] || mAnalyses.Value()-analyses0 != 2 {
+		t.Fatal("a LoadCost change reused the first run's analysis")
+	}
+	invalid := tracer.DefaultConfig()
+	invalid.Chunks = 0
+	_, wantErr := tracer.Trace(name, 2, invalid, compiledKernel)
+	if _, err := c.Patterns(name, 2, invalid, compiledKernel); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("Patterns(Chunks=0) = %v, want %v", err, wantErr)
+	}
+	if mAnalyses.Value()-analyses0 != 2 || c.Len() != 2 {
+		t.Fatalf("the invalid config analyzed or cached a run: %d analyses, %d runs", mAnalyses.Value()-analyses0, c.Len())
 	}
 }

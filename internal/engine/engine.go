@@ -198,6 +198,7 @@ var (
 	mJobSeconds    = telemetry.Default().Histogram("engine_job_seconds", "job execution duration", 1e-9)
 	mTraceRuns     = telemetry.Default().Counter("engine_trace_runs_total", "applications traced by the trace cache")
 	mProgramBuilds = telemetry.Default().CounterVec("engine_program_builds_total", "trace-cache builds of one flavor's program: trace build, validation, compilation and digest", "flavor")
+	mAnalyses      = telemetry.Default().Counter("engine_pattern_analyses_total", "Table II pattern analyses run by the trace cache, one per traced run")
 )
 
 var (

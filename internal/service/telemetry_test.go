@@ -108,7 +108,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 	for _, name := range []string{
 		"engine_jobs_started_total", "engine_job_wait_seconds",
-		"engine_trace_runs_total", "engine_program_builds_total",
+		"engine_trace_runs_total", "engine_program_builds_total", "engine_pattern_analyses_total",
 		"sim_replays_total", "sim_pdes_windows_total", "sim_pdes_shard_events_total",
 		"scenario_stage_seconds", "scenario_points_total",
 		"http_requests_total", "http_request_seconds",
