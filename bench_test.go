@@ -756,11 +756,12 @@ func BenchmarkPatternAnalysis(b *testing.B) {
 // ScenarioResult) and the streaming planner (points delivered to a yield
 // as they finish, in order). points_per_sec is grid throughput; run with
 // -benchmem — the B/op gap between the sub-benchmarks is what batch
-// materialization costs over streaming on the same grid. The report
-// sub-benchmark is the served report point: one full analysis of cg/16
-// per iteration at a bandwidth no earlier iteration used, so only the
-// replays are new and the run, programs, digests and patterns come from
-// the engine's trace cache.
+// materialization costs over streaming on the same grid. The report and
+// whatif sub-benchmarks are served points: one full analysis of cg/16,
+// or one per-buffer ranking of pop/64, per iteration at a bandwidth no
+// earlier iteration used, so only the replays are new and the run,
+// programs (selective ones included), digests and patterns come from the
+// engine's trace cache.
 func BenchmarkScenarioStream(b *testing.B) {
 	tr := ringTrace(16, 40, 1000, 64<<10)
 	plat, err := network.PlatformPreset("marenostrum-4x", 16)
@@ -824,30 +825,38 @@ func BenchmarkScenarioStream(b *testing.B) {
 		b.ReportMetric(float64(points)*float64(b.N)/b.Elapsed().Seconds(), "points_per_sec")
 		b.ReportMetric(float64(points), "points")
 	})
-	b.Run("report", func(b *testing.B) {
-		const ranks = 16
-		entry, _ := apps.ByName("cg", ranks)
-		rplat, err := network.PlatformPreset("marenostrum-4x", ranks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec := core.Scenario{App: entry.App, Ranks: ranks, Output: core.OutputReport, Traces: eng.Traces()}
-		run := func(i int) {
-			spec.Platform = rplat.WithInterBandwidth(100 + float64(i))
-			res, err := core.RunScenario(ctx, eng, spec)
+	for _, c := range []struct {
+		name, app string
+		ranks     int
+		out       core.OutputKind
+	}{
+		{"report", "cg", 16, core.OutputReport},
+		{"whatif", "pop", 64, core.OutputWhatIf},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			entry, _ := apps.ByName(c.app, c.ranks)
+			plat, err := network.PlatformPreset("marenostrum-4x", c.ranks)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Points[0].Report == nil {
-				b.Fatal("report point without a report")
+			spec := core.Scenario{App: entry.App, Ranks: c.ranks, Output: c.out, Traces: eng.Traces()}
+			run := func(i int) {
+				spec.Platform = plat.WithInterBandwidth(100 + float64(i))
+				res, err := core.RunScenario(ctx, eng, spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if pt := res.Points[0]; pt.Report == nil && pt.WhatIf == nil {
+					b.Fatalf("%s point without its output", c.out)
+				}
 			}
-		}
-		run(-1) // warm the trace cache outside the timed loop
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(i)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points_per_sec")
-	})
+			run(-1) // prime the trace cache outside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(i)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points_per_sec")
+		})
+	}
 }

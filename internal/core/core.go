@@ -191,12 +191,6 @@ func (r *Report) FinishOn(f Flavor, plat network.Platform) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown flavor %q", f)
 	}
-	return replayFinish(plat, prog)
-}
-
-// replayFinish replays prog serially on a pooled arena and returns its
-// makespan.
-func replayFinish(plat network.Platform, prog *sim.Program) (float64, error) {
 	s, err := sim.ReplaySummary(plat, prog, 1)
 	return s.FinishSec, err
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/apps/sweep3d"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/network"
@@ -116,6 +118,149 @@ func TestReportPointsMatchIndependentOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// oracleWhatIf builds the wire ranking of one what-if point from inputs
+// the test owns: traces built from a privately traced run, one
+// selective trace per communicated buffer, sim.Run, and a stable sort by
+// GainOverReal. None of it goes through a trace cache or WhatIfRun.
+func oracleWhatIf(t *testing.T, run *tracer.Run, chunks int, plat network.Platform) *WireWhatIf {
+	t.Helper()
+	kRun := run.WithChunks(chunks)
+	finish := func(tr *trace.Trace) float64 {
+		t.Helper()
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(plat, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.FinishSec
+	}
+	pd, err := plat.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &WireWhatIf{
+		App:            run.Name,
+		Ranks:          run.NumRanks,
+		PlatformDigest: pd,
+		BaseFinishSec:  finish(kRun.BaseTrace()),
+		RealFinishSec:  finish(kRun.OverlapReal()),
+		Buffers:        []BufferPotential{},
+	}
+	for _, name := range kRun.BufferNames() {
+		fin := finish(kRun.OverlapSelective(map[string]bool{name: true}))
+		w.Buffers = append(w.Buffers, BufferPotential{
+			Buffer:       name,
+			FinishSec:    fin,
+			Speedup:      metrics.Speedup(w.BaseFinishSec, fin),
+			GainOverReal: metrics.Speedup(w.RealFinishSec, fin),
+		})
+	}
+	sort.SliceStable(w.Buffers, func(i, j int) bool { return w.Buffers[i].GainOverReal > w.Buffers[j].GainOverReal })
+	return w
+}
+
+// TestWhatIfPointsMatchIndependentOracle: every what-if point of a
+// chunks × bandwidth grid, for cg and sweep3d served from one shared
+// trace cache on a hierarchical and a flat platform, serial and on two
+// replay shards, marshals to the same bytes as a ranking built without
+// the cache.
+func TestWhatIfPointsMatchIndependentOracle(t *testing.T) {
+	const ranks = 8
+	chunks := []int{2, 5}
+	bws := []float64{125, 400}
+	eng := engine.New(2)
+	traces := engine.NewTraceCache()
+	for _, app := range []App{scenarioApp(), {Name: "sweep3d", Kernel: sweep3d.Kernel(sweep3d.DefaultConfig(ranks))}} {
+		run, err := tracer.Trace(app.Name, ranks, tracer.DefaultConfig(), app.Kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plat := range []network.Platform{scenarioPlatform(t, ranks), network.TestbedFor(app.Name, ranks).Platform()} {
+			want := make([][]byte, 0, len(chunks)*len(bws))
+			for _, k := range chunks {
+				for _, bw := range bws {
+					b, err := json.Marshal(oracleWhatIf(t, run, k, plat.WithInterBandwidth(bw)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, b)
+				}
+			}
+			for _, shards := range []int{1, 2} {
+				res, err := RunScenario(context.Background(), eng, Scenario{
+					App: app, Ranks: ranks, Platform: plat, Traces: traces, ReplayShards: shards,
+					Axes:   []Axis{ChunksAxis(chunks...), BandwidthAxis(bws...)},
+					Output: OutputWhatIf,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Points) != len(want) {
+					t.Fatalf("%d points, want %d", len(res.Points), len(want))
+				}
+				for i, pt := range res.Points {
+					got, err := json.Marshal(pt.WhatIf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want[i]) {
+						t.Fatalf("%s on %s shards=%d %v:\nserved %s\noracle %s", app.Name, plat.Describe(), shards, pt.Coords, got, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWhatIfProgramsFromTraceCache: a what-if grid takes every program
+// from the trace cache, the per-buffer selective ones included. The
+// first spec builds one overlap-selective program per (chunks, buffer);
+// a second spec at a new bandwidth traces nothing and builds nothing.
+func TestWhatIfProgramsFromTraceCache(t *testing.T) {
+	const ranks = 8
+	reg := telemetry.Default()
+	runs := reg.Counter("engine_trace_runs_total", "")
+	builds := reg.CounterVec("engine_program_builds_total", "", "flavor")
+	totalBuilds := func() (n uint64) {
+		for _, f := range []string{engine.FlavorBase, engine.FlavorReal, engine.FlavorIdeal, engine.FlavorSelective} {
+			n += builds.With(f).Value()
+		}
+		return n
+	}
+	ctx := context.Background()
+	eng := engine.New(2)
+	traces := engine.NewTraceCache()
+	app := scenarioApp()
+	chunks := []int{2, 5}
+	spec := Scenario{
+		App: app, Ranks: ranks, Platform: scenarioPlatform(t, ranks), Traces: traces,
+		Axes:   []Axis{ChunksAxis(chunks...), BandwidthAxis(125)},
+		Output: OutputWhatIf,
+	}
+	selective0 := builds.With(engine.FlavorSelective).Value()
+	if _, err := RunScenario(ctx, eng, spec); err != nil {
+		t.Fatal(err)
+	}
+	run, err := traces.Trace(app.Name, ranks, tracer.DefaultConfig(), app.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, want := builds.With(engine.FlavorSelective).Value()-selective0, uint64(len(chunks)*len(run.BufferNames())); b != want || want == 0 {
+		t.Fatalf("built %d selective programs, want %d: one per (chunks, buffer)", b, want)
+	}
+
+	runs1, builds1 := runs.Value(), totalBuilds()
+	spec.Axes = []Axis{ChunksAxis(chunks...), BandwidthAxis(250)}
+	if _, err := RunScenario(ctx, eng, spec); err != nil {
+		t.Fatal(err)
+	}
+	if r, b := runs.Value()-runs1, totalBuilds()-builds1; r != 0 || b != 0 {
+		t.Fatalf("a what-if spec at a new bandwidth traced %d times and built %d programs, want 0 and 0", r, b)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -281,8 +283,9 @@ type Scenario struct {
 	Degradations faults.Spec
 	// Flavors lists the execution flavors measured per grid point for
 	// finish/traffic outputs (default: base and overlap-real; trace mode
-	// forces the trace's own flavor). Report and what-if outputs ignore
-	// it — they define their own flavor sets.
+	// forces the trace's own flavor). Report and what-if outputs validate
+	// it and otherwise ignore it — they define their own flavor sets, and
+	// their specs digest with the default list.
 	Flavors []Flavor
 	// Axes are the sweep dimensions; empty means a single grid point.
 	Axes []Axis
@@ -311,7 +314,7 @@ type Scenario struct {
 	PointCache PointCache
 
 	// ReplayShards overrides the planner's intra-point parallelism choice
-	// for finish/traffic replays: 0 lets the planner decide by grid size,
+	// for every replay of the grid: 0 lets the planner decide by grid size,
 	// 1 forces serial replay, n > 1 requests n conservative-PDES shards
 	// per replay (sim.ReplaySummary; platforms that cannot shard fall
 	// back to serial). Sharded and serial replays are byte-identical, so
@@ -385,15 +388,17 @@ func (s Scenario) normalized() (Scenario, error) {
 		if s.Tracer.Chunks <= 0 {
 			return s, fmt.Errorf("core: scenario tracer chunks=%d, must be positive", s.Tracer.Chunks)
 		}
-		if len(s.Flavors) == 0 {
-			s.Flavors = []Flavor{FlavorBase, FlavorReal}
-		}
 		for _, f := range s.Flavors {
 			switch f {
 			case FlavorBase, FlavorReal, FlavorIdeal:
 			default:
 				return s, fmt.Errorf("core: unknown flavor %q", f)
 			}
+		}
+		if len(s.Flavors) == 0 || s.Output == OutputWhatIf || s.Output == OutputReport {
+			// Report and what-if outputs replay flavor sets of their own,
+			// so their specs digest as if the list were left out.
+			s.Flavors = []Flavor{FlavorBase, FlavorReal}
 		}
 	}
 	if !s.Degradations.IsZero() {
@@ -920,6 +925,9 @@ func (s *Scenario) grid() ([]gridPoint, error) {
 type scenarioExec struct {
 	sc     *Scenario
 	traces *engine.TraceCache
+	// buffers lists, per world size of a what-if grid, the communicated
+	// buffers its points replay one selective flavor each for.
+	buffers map[int][]string
 }
 
 func newScenarioExec(sc *Scenario) *scenarioExec {
@@ -953,18 +961,6 @@ func (x *scenarioExec) tracerAt(chunks int) tracer.Config {
 	return cfg
 }
 
-// tracedApp resolves the application of one grid point and traces it
-// into the cache, so a report or what-if point pays for tracing in its
-// compile stage; the study then takes the run from the cache.
-func (x *scenarioExec) tracedApp(pt gridPoint) (App, error) {
-	app, err := x.appFor(pt.ranks)
-	if err != nil {
-		return App{}, err
-	}
-	_, err = x.traces.Trace(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel)
-	return app, err
-}
-
 // progFor returns the compiled program and trace digest of one flavor at
 // one grid point: the stored trace's program, keyed by its digest, in
 // trace mode, else the application's flavor program at the point's
@@ -979,6 +975,137 @@ func (x *scenarioExec) progFor(pt gridPoint, f Flavor) (*sim.Program, string, er
 		return nil, "", err
 	}
 	return x.traces.CompiledProgram(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel, string(f))
+}
+
+// traceBuffers fills x.buffers for a what-if grid: it traces every world
+// size the grid's uncached points need, concurrently, and reads each
+// run's communicated buffers. Other outputs replay no selective flavor.
+func (x *scenarioExec) traceBuffers(ctx context.Context, eng *engine.Engine, grid []gridPoint, cached []*ScenarioPoint) error {
+	if x.sc.Output != OutputWhatIf {
+		return nil
+	}
+	x.buffers = map[int][]string{}
+	var sizes []int
+	for p, pt := range grid {
+		if _, ok := x.buffers[pt.ranks]; !ok && cached[p] == nil {
+			x.buffers[pt.ranks] = nil
+			sizes = append(sizes, pt.ranks)
+		}
+	}
+	if len(sizes) == 0 {
+		return nil
+	}
+	t0 := time.Now()
+	names, err := engine.Map(ctx, eng, len(sizes), func(ctx context.Context, i int) ([]string, error) {
+		app, err := x.appFor(sizes[i])
+		if err != nil {
+			return nil, err
+		}
+		run, err := x.traces.Trace(app.Name, sizes[i], x.sc.Tracer, app.Kernel)
+		if err != nil {
+			return nil, fmt.Errorf("core: tracing %q: %w", app.Name, err)
+		}
+		return run.BufferNames(), nil
+	})
+	if err != nil {
+		return err
+	}
+	for i, r := range sizes {
+		x.buffers[r] = names[i]
+	}
+	mStageCompile.ObserveSince(t0)
+	return nil
+}
+
+// flavorsAt lists the flavors one grid point replays, in the order its
+// output reads them: the spec's for finish and traffic output, base,
+// overlap-real and overlap-ideal for a report, and for a what-if the base
+// and overlap-real references and then one selective flavor per buffer
+// the point's world size communicates.
+func (x *scenarioExec) flavorsAt(pt gridPoint) []Flavor {
+	switch x.sc.Output {
+	case OutputReport:
+		return flavors
+	case OutputWhatIf:
+		fs := []Flavor{FlavorBase, FlavorReal}
+		for _, b := range x.buffers[pt.ranks] {
+			fs = append(fs, Flavor(engine.SelectiveFlavor(b)))
+		}
+		return fs
+	}
+	return x.sc.Flavors
+}
+
+// replayed is one replay job's measurement: the replayed trace's digest
+// and the replay's summary, or the fault-induced stall that stopped it.
+type replayed struct {
+	digest string
+	sum    sim.Summary
+	fault  string
+}
+
+// replay runs one replay job: the flavor's program at the point, from
+// the cache, replayed in summary mode on the requested shards. It is the
+// one place a fault-induced stall is decided: finish and traffic output
+// report it in the flavor's row, while report and what-if output have no
+// row to carry it and fail like any replay error.
+func (x *scenarioExec) replay(pt gridPoint, f Flavor, shards int) (replayed, error) {
+	t0 := time.Now()
+	prog, digest, err := x.progFor(pt, f)
+	if err != nil {
+		return replayed{}, err
+	}
+	mStageCompile.ObserveSince(t0)
+	t0 = time.Now()
+	sum, err := sim.ReplaySummary(pt.plat, prog, shards)
+	mStageReplay.ObserveSince(t0)
+	if err != nil {
+		var dl *sim.DeadlockError
+		if errors.As(err, &dl) && dl.FaultInduced() && (x.sc.Output == OutputFinish || x.sc.Output == OutputTraffic) {
+			// Injected hard faults severed ranks this flavor needed. In a
+			// what-breaks-first grid that is a result, not a failure.
+			// Genuine trace deadlocks (nothing dropped) stay hard errors.
+			mPtsFaulted.Inc()
+			return replayed{digest: digest, fault: fmt.Sprintf("deadlock: %d ranks blocked, %d transfers lost to downed NICs/links", len(dl.Blocked), dl.Dropped)}, nil
+		}
+		return replayed{}, fmt.Errorf("core: scenario point %v %s: %w", pt.coords, f, err)
+	}
+	return replayed{digest: digest, sum: sum}, nil
+}
+
+// assemble builds the output of one computed grid point from its
+// flavors' measurements in flavorsAt order, adding the cache's Table II
+// patterns to a report and ranking a what-if's buffers.
+func (x *scenarioExec) assemble(pt gridPoint, ms []replayed) (ScenarioPoint, error) {
+	if x.sc.Output == OutputFinish || x.sc.Output == OutputTraffic {
+		fms := make([]FlavorMeasure, len(ms))
+		for k, m := range ms {
+			fms[k] = FlavorMeasure{Flavor: x.sc.Flavors[k], TraceDigest: m.digest, FinishSec: m.sum.FinishSec, Fault: m.fault}
+			if x.sc.Output == OutputTraffic && m.fault == "" {
+				fms[k].Traffic = &WireTraffic{
+					IntraBytes: m.sum.IntraBytes,
+					InterBytes: m.sum.InterBytes,
+					IntraMsgs:  m.sum.IntraMsgs,
+					InterMsgs:  m.sum.InterMsgs,
+				}
+			}
+		}
+		return ScenarioPoint{Flavors: fms}, nil
+	}
+	app, err := x.appFor(pt.ranks)
+	if err != nil {
+		return ScenarioPoint{}, err
+	}
+	if x.sc.Output == OutputWhatIf {
+		wi, err := wireWhatIf(app.Name, pt.ranks, pt.plat, x.buffers[pt.ranks], ms)
+		return ScenarioPoint{WhatIf: wi}, err
+	}
+	pat, err := x.traces.Patterns(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel)
+	if err != nil {
+		return ScenarioPoint{}, err
+	}
+	rep, err := wireReport(app.Name, pt.ranks, pt.plat, ms, pat)
+	return ScenarioPoint{Report: rep}, err
 }
 
 // RunScenario is the one planner behind every study: it canonicalizes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/network"
+	"repro/internal/sim"
 )
 
 // faultScenarioPlatform scatters ranks round-robin so neighbor exchanges
@@ -161,9 +163,11 @@ func TestScenarioFaultAxisValidation(t *testing.T) {
 }
 
 // TestScenarioFaultPointSurfaced: a grid point whose faults sever a
-// required path doesn't kill the study — the point reports the stall in
-// its Fault field while healthy points in the same grid measure
-// normally.
+// required path doesn't kill a finish or traffic study — the point
+// reports the stall in its Fault field (traffic left null) while healthy
+// points in the same grid measure normally. Report and what-if outputs
+// have no row to carry a stall, so on the same grid they fail with the
+// fault-induced deadlock.
 func TestScenarioFaultPointSurfaced(t *testing.T) {
 	const ranks = 8
 	plat := faultScenarioPlatform(t, ranks)
@@ -175,24 +179,38 @@ func TestScenarioFaultPointSurfaced(t *testing.T) {
 		Flavors: []Flavor{FlavorBase},
 		Axes:    []Axis{LinkDownAxis(0, plat.Nodes*(plat.Nodes-1)/2)},
 	}
-	res, err := RunScenario(context.Background(), engine.New(2), spec)
-	if err != nil {
-		t.Fatalf("severed grid point killed the study: %v", err)
+	for _, out := range []OutputKind{OutputFinish, OutputTraffic} {
+		spec.Output = out
+		res, err := RunScenario(context.Background(), engine.New(2), spec)
+		if err != nil {
+			t.Fatalf("%s: severed grid point killed the study: %v", out, err)
+		}
+		if len(res.Points) != 2 {
+			t.Fatalf("%s: %d points, want 2", out, len(res.Points))
+		}
+		okPt, badPt := res.Points[0].Flavors[0], res.Points[1].Flavors[0]
+		if okPt.Fault != "" || okPt.FinishSec <= 0 {
+			t.Fatalf("%s: healthy point corrupted: %+v", out, okPt)
+		}
+		if (okPt.Traffic != nil) != (out == OutputTraffic) {
+			t.Fatalf("%s: healthy point traffic %+v", out, okPt.Traffic)
+		}
+		if badPt.Fault == "" {
+			t.Fatalf("%s: severed point carries no fault: %+v", out, badPt)
+		}
+		if !strings.Contains(badPt.Fault, "deadlock") || !strings.Contains(badPt.Fault, "lost") {
+			t.Fatalf("%s: fault text %q missing the stall description", out, badPt.Fault)
+		}
+		if badPt.FinishSec != 0 || badPt.Traffic != nil {
+			t.Fatalf("%s: severed point still reports a measurement: %+v", out, badPt)
+		}
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("%d points, want 2", len(res.Points))
-	}
-	okPt, badPt := res.Points[0].Flavors[0], res.Points[1].Flavors[0]
-	if okPt.Fault != "" || okPt.FinishSec <= 0 {
-		t.Fatalf("healthy point corrupted: %+v", okPt)
-	}
-	if badPt.Fault == "" {
-		t.Fatalf("severed point carries no fault: %+v", badPt)
-	}
-	if !strings.Contains(badPt.Fault, "deadlock") || !strings.Contains(badPt.Fault, "lost") {
-		t.Fatalf("fault text %q missing the stall description", badPt.Fault)
-	}
-	if badPt.FinishSec != 0 {
-		t.Fatalf("severed point still reports a finish time: %+v", badPt)
+	for _, out := range []OutputKind{OutputReport, OutputWhatIf} {
+		spec.Output = out
+		_, err := RunScenario(context.Background(), engine.New(2), spec)
+		var dl *sim.DeadlockError
+		if !errors.As(err, &dl) || !dl.FaultInduced() {
+			t.Fatalf("%s: severed grid point returned %v, want a fault-induced deadlock", out, err)
+		}
 	}
 }

@@ -83,13 +83,7 @@ func (p *ScenarioPrinter) Point(pt ScenarioPoint) error {
 			}
 		}
 		if pt.WhatIf != nil {
-			w := WhatIfReport{
-				App:           pt.WhatIf.App,
-				BaseFinishSec: pt.WhatIf.BaseFinishSec,
-				RealFinishSec: pt.WhatIf.RealFinishSec,
-				Buffers:       pt.WhatIf.Buffers,
-			}
-			if _, err := io.WriteString(p.w, w.Format()); err != nil {
+			if _, err := io.WriteString(p.w, pt.WhatIf.Format()); err != nil {
 				return err
 			}
 		}

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/sim"
 )
 
 // The streaming scenario planner. RunScenarioStream is the one
@@ -31,7 +29,7 @@ type streamEmitter struct {
 	cached  []*ScenarioPoint
 	// build assembles the computed point at grid index p, reporting
 	// false while its measurements are still in flight.
-	build func(p int) (ScenarioPoint, bool)
+	build func(p int) (ScenarioPoint, bool, error)
 	yield func(ScenarioPoint) error
 	next  int
 }
@@ -56,9 +54,9 @@ func (e *streamEmitter) advance() error {
 			continue
 		}
 		t0 := time.Now()
-		pt, ok := e.build(p)
-		if !ok {
-			return nil
+		pt, ok, err := e.build(p)
+		if err != nil || !ok {
+			return err
 		}
 		mStageCopyout.ObserveSince(t0)
 		if e.sc.PointCache != nil {
@@ -126,177 +124,100 @@ func (sc *Scenario) stream(ctx context.Context, eng *engine.Engine, yield func(S
 		}
 	}
 	x := newScenarioExec(sc)
+	if err := x.traceBuffers(ctx, eng, grid, cached); err != nil {
+		return nil, err
+	}
 	em := &streamEmitter{ctx: ctx, sc: sc, grid: grid, digests: digests, cached: cached, yield: yield}
 
-	switch sc.Output {
-	case OutputFinish, OutputTraffic:
-		// Distinct (program, platform) pairs replay once however many
-		// grid points share them: a chunks axis varies only the
-		// overlapped flavors, so the chunk-independent base replays one
-		// time, not once per chunk count. Deduped points reuse the same
-		// measurement — deterministic replays make that byte-identical
-		// to replaying each point independently.
-		nf := len(sc.Flavors)
-		type measureJob struct {
-			pt gridPoint
-			f  Flavor
+	// Every output replays through one table of distinct (program,
+	// platform) pairs, each replayed once however many grid points share
+	// it: a chunks axis varies only the overlapped flavors, so the
+	// chunk-independent base replays one time, not once per chunk count,
+	// and what-if points on one platform share their base and
+	// overlap-real references. Deduped points reuse the same measurement —
+	// deterministic replays make that byte-identical to replaying each
+	// point independently.
+	type replayJob struct {
+		pt gridPoint
+		f  Flavor
+	}
+	var jobs []replayJob
+	var uses []int
+	// Point p's flavors, in flavorsAt order, replay as jobs
+	// jobOf[first[p]:first[p+1]].
+	jobOf := make([]int, 0, len(grid)*len(sc.Flavors))
+	first := make([]int, len(grid)+1)
+	seen := map[string]int{}
+	for p, pt := range grid {
+		first[p] = len(jobOf)
+		if cached[p] != nil {
+			continue
 		}
-		jobOf := make([]int, len(grid)*nf)
-		maxJob := make([]int, len(grid))
-		var jobs []measureJob
-		var uses []int
-		seen := map[string]int{}
-		for p, pt := range grid {
-			maxJob[p] = -1
-			if cached[p] != nil {
-				continue
-			}
-			platJSON, err := pt.plat.CanonicalJSON()
-			if err != nil {
-				return nil, err
-			}
-			for k, f := range sc.Flavors {
-				ranks, chunks := pt.ranks, pt.chunks
-				if sc.Trace != nil {
-					ranks, chunks = 0, 0
-				} else if f == FlavorBase {
-					chunks = sc.Tracer.Chunks // the cache's base programs ignore chunks too
-				}
-				key := fmt.Sprintf("%d|%d|%s|%s", ranks, chunks, f, platJSON)
-				j, ok := seen[key]
-				if !ok {
-					j = len(jobs)
-					seen[key] = j
-					jobs = append(jobs, measureJob{pt: pt, f: f})
-					uses = append(uses, 0)
-				}
-				jobOf[p*nf+k] = j
-				uses[j]++
-				if j > maxJob[p] {
-					maxJob[p] = j
-				}
-			}
-		}
-		// A measurement is retained only while some unemitted point still
-		// references it; jobsDone tracks the contiguous prefix of
-		// completed jobs, which (job indices being assigned in first-use
-		// order) is exactly what makes a point's measurements complete.
-		measures := map[int]FlavorMeasure{}
-		jobsDone := 0
-		em.build = func(p int) (ScenarioPoint, bool) {
-			if maxJob[p] >= jobsDone {
-				return ScenarioPoint{}, false
-			}
-			ms := make([]FlavorMeasure, nf)
-			for k := 0; k < nf; k++ {
-				j := jobOf[p*nf+k]
-				ms[k] = measures[j]
-				if uses[j]--; uses[j] == 0 {
-					delete(measures, j)
-				}
-			}
-			return ScenarioPoint{Coords: grid[p].coords, Digest: digests[p], Flavors: ms}, true
-		}
-		if err := em.advance(); err != nil { // cached prefix before any job
-			return nil, err
-		}
-		shards := sc.ReplayShards
-		if shards == 0 {
-			shards = pointShards(eng, len(jobs))
-		}
-		err = engine.MapStream(ctx, eng, len(jobs), 0, func(ctx context.Context, j int) (FlavorMeasure, error) {
-			pt, f := jobs[j].pt, jobs[j].f
-			t0 := time.Now()
-			prog, digest, err := x.progFor(pt, f)
-			if err != nil {
-				return FlavorMeasure{}, err
-			}
-			mStageCompile.ObserveSince(t0)
-			t0 = time.Now()
-			sum, err := sim.ReplaySummary(pt.plat, prog, shards)
-			if err != nil {
-				var dl *sim.DeadlockError
-				if errors.As(err, &dl) && dl.FaultInduced() {
-					// Injected hard faults severed ranks this flavor
-					// needed. In a what-breaks-first grid that is a result,
-					// not a failure: report the point as faulted instead of
-					// aborting the study. Genuine trace deadlocks (nothing
-					// dropped) stay hard errors below.
-					mStageReplay.ObserveSince(t0)
-					mPtsFaulted.Inc()
-					return FlavorMeasure{
-						Flavor:      f,
-						TraceDigest: digest,
-						Fault:       fmt.Sprintf("deadlock: %d ranks blocked, %d transfers lost to downed NICs/links", len(dl.Blocked), dl.Dropped),
-					}, nil
-				}
-				return FlavorMeasure{}, fmt.Errorf("core: scenario point %v %s: %w", pt.coords, f, err)
-			}
-			mStageReplay.ObserveSince(t0)
-			m := FlavorMeasure{Flavor: f, TraceDigest: digest, FinishSec: sum.FinishSec}
-			if sc.Output == OutputTraffic {
-				m.Traffic = &WireTraffic{
-					IntraBytes: sum.IntraBytes,
-					InterBytes: sum.InterBytes,
-					IntraMsgs:  sum.IntraMsgs,
-					InterMsgs:  sum.InterMsgs,
-				}
-			}
-			return m, nil
-		}, func(j int, m FlavorMeasure) error {
-			measures[j] = m
-			jobsDone = j + 1
-			return em.advance()
-		})
+		platJSON, err := pt.plat.CanonicalJSON()
 		if err != nil {
 			return nil, err
 		}
-	case OutputWhatIf:
-		err = streamPerPoint(ctx, eng, em, func(ctx context.Context, pt gridPoint) (ScenarioPoint, error) {
-			t0 := time.Now()
-			app, err := x.tracedApp(pt)
-			if err != nil {
-				return ScenarioPoint{}, err
+		for _, f := range x.flavorsAt(pt) {
+			ranks, chunks := pt.ranks, pt.chunks
+			if sc.Trace != nil {
+				ranks, chunks = 0, 0
+			} else if f == FlavorBase {
+				chunks = sc.Tracer.Chunks // the cache's base programs ignore chunks too
 			}
-			mStageCompile.ObserveSince(t0)
-			t0 = time.Now()
-			wi, err := WhatIfRun(ctx, eng, x.traces, app, pt.ranks, x.tracerAt(pt.chunks), pt.plat)
-			if err != nil {
-				return ScenarioPoint{}, err
+			key := fmt.Sprintf("%d|%d|%s|%s", ranks, chunks, f, platJSON)
+			j, ok := seen[key]
+			if !ok {
+				j = len(jobs)
+				seen[key] = j
+				jobs = append(jobs, replayJob{pt: pt, f: f})
+				uses = append(uses, 0)
 			}
-			mStageReplay.ObserveSince(t0)
-			pd, err := pt.plat.Digest()
-			if err != nil {
-				return ScenarioPoint{}, err
-			}
-			return ScenarioPoint{WhatIf: wi.Wire(pt.ranks, pd)}, nil
-		})
-		if err != nil {
-			return nil, err
+			jobOf = append(jobOf, j)
+			uses[j]++
 		}
-	case OutputReport:
-		err = streamPerPoint(ctx, eng, em, func(ctx context.Context, pt gridPoint) (ScenarioPoint, error) {
-			t0 := time.Now()
-			app, err := x.tracedApp(pt)
-			if err != nil {
-				return ScenarioPoint{}, err
+	}
+	first[len(grid)] = len(jobOf)
+	// A measurement is retained only while some unemitted point still
+	// references it; jobsDone tracks the contiguous prefix of completed
+	// jobs, which (job indices being assigned in first-use order) is
+	// exactly what makes a point's measurements complete.
+	measures := map[int]replayed{}
+	jobsDone := 0
+	var ms []replayed // the measurements of the point in assembly; assemble keeps none
+	em.build = func(p int) (ScenarioPoint, bool, error) {
+		js := jobOf[first[p]:first[p+1]]
+		for _, j := range js {
+			if j >= jobsDone {
+				return ScenarioPoint{}, false, nil
 			}
-			mStageCompile.ObserveSince(t0)
-			t0 = time.Now()
-			rep, err := AnalyzeRun(ctx, eng, x.traces, app, pt.ranks, x.tracerAt(pt.chunks), pt.plat)
-			if err != nil {
-				return ScenarioPoint{}, err
-			}
-			mStageReplay.ObserveSince(t0)
-			wire, err := rep.Wire()
-			if err != nil {
-				return ScenarioPoint{}, err
-			}
-			return ScenarioPoint{Report: wire}, nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		ms = ms[:0]
+		for _, j := range js {
+			ms = append(ms, measures[j])
+			if uses[j]--; uses[j] == 0 {
+				delete(measures, j)
+			}
+		}
+		pt, err := x.assemble(grid[p], ms)
+		pt.Coords, pt.Digest = grid[p].coords, digests[p]
+		return pt, true, err
+	}
+	if err := em.advance(); err != nil { // cached prefix before any job
+		return nil, err
+	}
+	shards := sc.ReplayShards
+	if shards == 0 {
+		shards = pointShards(eng, len(jobs))
+	}
+	err = engine.MapStream(ctx, eng, len(jobs), 0, func(ctx context.Context, j int) (replayed, error) {
+		return x.replay(jobs[j].pt, jobs[j].f, shards)
+	}, func(j int, m replayed) error {
+		measures[j] = m
+		jobsDone = j + 1
+		return em.advance()
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Trailing cached points (and the whole grid when nothing computed).
 	if err := em.advance(); err != nil {
@@ -324,36 +245,4 @@ func pointShards(eng *engine.Engine, njobs int) int {
 	}
 	// Split the worker pool evenly across the in-flight jobs.
 	return w / njobs
-}
-
-// streamPerPoint runs one engine job per uncached grid point (what-if
-// and report outputs have no cross-point sharing to dedupe) and streams
-// the assembled points through the emitter.
-func streamPerPoint(ctx context.Context, eng *engine.Engine, em *streamEmitter, fn func(ctx context.Context, pt gridPoint) (ScenarioPoint, error)) error {
-	var uncached []int
-	for p := range em.grid {
-		if em.cached[p] == nil {
-			uncached = append(uncached, p)
-		}
-	}
-	done := map[int]ScenarioPoint{} // grid index → computed payload
-	em.build = func(p int) (ScenarioPoint, bool) {
-		pt, ok := done[p]
-		if !ok {
-			return ScenarioPoint{}, false
-		}
-		delete(done, p)
-		pt.Coords = em.grid[p].coords
-		pt.Digest = em.digests[p]
-		return pt, true
-	}
-	if err := em.advance(); err != nil { // cached prefix before any job
-		return err
-	}
-	return engine.MapStream(ctx, eng, len(uncached), 0, func(ctx context.Context, i int) (ScenarioPoint, error) {
-		return fn(ctx, em.grid[uncached[i]])
-	}, func(i int, pt ScenarioPoint) error {
-		done[uncached[i]] = pt
-		return em.advance()
-	})
 }

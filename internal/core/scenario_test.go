@@ -123,6 +123,51 @@ func TestScenarioDigestNormalizes(t *testing.T) {
 	}
 }
 
+// TestScenarioReportWhatIfIgnoreFlavors: report and what-if outputs
+// replay flavor sets of their own, so two such specs that differ only in
+// Flavors are one study: the same spec digest, the same point keys and
+// the same result bytes. An unknown flavor is still rejected.
+func TestScenarioReportWhatIfIgnoreFlavors(t *testing.T) {
+	const ranks = 4
+	for _, out := range []OutputKind{OutputReport, OutputWhatIf} {
+		plain := Scenario{
+			App: scenarioApp(), Ranks: ranks, Platform: scenarioPlatform(t, ranks),
+			Axes: []Axis{BandwidthAxis(125, 500)}, Output: out,
+		}
+		ideal := plain
+		ideal.Flavors = []Flavor{FlavorIdeal}
+		var digests, keys, results [2][]byte
+		for i, spec := range []Scenario{plain, ideal} {
+			d, err := spec.Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pk, err := spec.PointKeys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunScenario(context.Background(), engine.New(2), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[i] = []byte(d)
+			keys[i], _ = json.Marshal(pk)
+			results[i], _ = json.Marshal(res)
+		}
+		if !bytes.Equal(digests[0], digests[1]) || !bytes.Equal(keys[0], keys[1]) {
+			t.Errorf("%s: flavors change the study's keys: %s vs %s", out, digests[0], digests[1])
+		}
+		if !bytes.Equal(results[0], results[1]) {
+			t.Errorf("%s: flavors change the result bytes:\n%s\n%s", out, results[0], results[1])
+		}
+		bad := plain
+		bad.Flavors = []Flavor{"overlap-selective"}
+		if _, err := bad.Digest(); err == nil || !strings.Contains(err.Error(), "unknown flavor") {
+			t.Errorf("%s: flavor %q accepted: %v", out, bad.Flavors[0], err)
+		}
+	}
+}
+
 // TestMappingSweepIsScenarioTranslation proves the legacy core function
 // returns byte-identical JSON to an independent serial replay of the
 // same study — the golden-equivalence contract of the wrapper rewrite.

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/metrics"
+	"repro/internal/network"
 	"repro/internal/pattern"
+	"repro/internal/sim"
 )
 
 // Wire marshalling: the JSON the service layer serves. A full Report
@@ -78,32 +81,47 @@ type WireReport struct {
 
 // Wire converts the report to its serving form.
 func (r *Report) Wire() (*WireReport, error) {
-	pd, err := r.Platform.Digest()
+	ms := make([]replayed, len(flavors))
+	for i, f := range flavors {
+		res := r.ResultOf(f)
+		ib, eb, im, em := res.TrafficSplit()
+		ms[i] = replayed{digest: r.digests[f], sum: sim.Summary{
+			FinishSec: res.FinishSec, TotalWaitSec: res.TotalWaitSec(), TotalComputeSec: res.TotalComputeSec(),
+			IntraBytes: ib, InterBytes: eb, IntraMsgs: im, InterMsgs: em,
+		}}
+	}
+	return wireReport(r.App, r.Ranks, r.Platform, ms, r.Patterns)
+}
+
+// wireReport is the one builder of a WireReport: the analysis of app on
+// ranks processes on plat, from each flavour's trace digest and replay
+// summary in report order, and the Table II analysis.
+func wireReport(app string, ranks int, plat network.Platform, ms []replayed, pat *pattern.Analysis) (*WireReport, error) {
+	pd, err := plat.Digest()
 	if err != nil {
 		return nil, fmt.Errorf("core: wire report: %w", err)
 	}
 	w := &WireReport{
-		App:            r.App,
-		Ranks:          r.Ranks,
+		App:            app,
+		Ranks:          ranks,
 		PlatformDigest: pd,
-		Platform:       r.Platform.Describe(),
-		SpeedupReal:    r.SpeedupReal,
-		SpeedupIdeal:   r.SpeedupIdeal,
-		Patterns:       wirePatterns(r.Patterns),
+		Platform:       plat.Describe(),
+		SpeedupReal:    metrics.Speedup(ms[0].sum.FinishSec, ms[1].sum.FinishSec),
+		SpeedupIdeal:   metrics.Speedup(ms[0].sum.FinishSec, ms[2].sum.FinishSec),
+		Patterns:       wirePatterns(pat),
 	}
-	for _, f := range flavors {
-		res := r.ResultOf(f)
-		ib, eb, im, em := res.TrafficSplit()
+	for i, f := range flavors {
+		s := &ms[i].sum
 		w.Flavors = append(w.Flavors, WireFlavor{
 			Flavor:          f,
-			TraceDigest:     r.digests[f],
-			FinishSec:       res.FinishSec,
-			TotalWaitSec:    res.TotalWaitSec(),
-			TotalComputeSec: res.TotalComputeSec(),
-			IntraBytes:      ib,
-			InterBytes:      eb,
-			IntraMsgs:       im,
-			InterMsgs:       em,
+			TraceDigest:     ms[i].digest,
+			FinishSec:       s.FinishSec,
+			TotalWaitSec:    s.TotalWaitSec,
+			TotalComputeSec: s.TotalComputeSec,
+			IntraBytes:      s.IntraBytes,
+			InterBytes:      s.InterBytes,
+			IntraMsgs:       s.IntraMsgs,
+			InterMsgs:       s.InterMsgs,
 		})
 	}
 	return w, nil
@@ -158,7 +176,8 @@ func wirePatterns(an *pattern.Analysis) *WirePatterns {
 	return w
 }
 
-// WireWhatIf is the serving form of a WhatIfReport.
+// WireWhatIf ranks the buffers of one application by restructuring
+// potential: the what-if output's serving form.
 type WireWhatIf struct {
 	App            string `json:"app"`
 	Ranks          int    `json:"ranks"`
@@ -166,22 +185,9 @@ type WireWhatIf struct {
 	// BaseFinishSec and RealFinishSec are the two reference makespans.
 	BaseFinishSec float64 `json:"base_finish_sec"`
 	RealFinishSec float64 `json:"real_finish_sec"`
-	// Buffers is the ranking, best restructuring candidate first.
+	// Buffers is the ranking, best restructuring candidate first (by
+	// GainOverReal).
 	Buffers []BufferPotential `json:"buffers"`
-}
-
-// Wire converts the what-if report to its serving form; ranks and the
-// platform digest come from the caller because WhatIfReport does not
-// carry them.
-func (r *WhatIfReport) Wire(ranks int, platformDigest string) *WireWhatIf {
-	return &WireWhatIf{
-		App:            r.App,
-		Ranks:          ranks,
-		PlatformDigest: platformDigest,
-		BaseFinishSec:  r.BaseFinishSec,
-		RealFinishSec:  r.RealFinishSec,
-		Buffers:        r.Buffers,
-	}
 }
 
 // WireSweepPoint is one bandwidth-sweep measurement.

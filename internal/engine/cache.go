@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/lru"
@@ -36,7 +37,8 @@ const maxPrograms = 1024
 // Programs live in one LRU of maxPrograms entries, each resolved once
 // behind its own sync.Once, under two key schemes. CompiledProgram keys
 // an application's flavor program and trace digest by (traced run,
-// Chunks, ElemBytes, flavor) — the base flavor ignores Chunks — and
+// Chunks, ElemBytes, flavor) — the base flavor ignores Chunks, and a
+// what-if's selective flavor names its buffer (SelectiveFlavor) — and
 // drops the built trace once it is compiled and digested.
 // StoredProgram keys a pre-built trace's program by the trace's content
 // digest ("sha256:…"; application keys start with a quoted name, so the
@@ -140,33 +142,46 @@ func (c *TraceCache) traced(name string, ranks int, cfg tracer.Config, kernel fu
 }
 
 // Flavor names accepted by CompiledProgram, matching trace.Trace.Flavor.
+// FlavorSelective is the flavor of the programs SelectiveFlavor names.
 const (
-	FlavorBase  = "base"
-	FlavorReal  = "overlap-real"
-	FlavorIdeal = "overlap-ideal"
+	FlavorBase      = "base"
+	FlavorReal      = "overlap-real"
+	FlavorIdeal     = "overlap-ideal"
+	FlavorSelective = "overlap-selective"
 )
 
-// flavorBuilder returns the trace builder of one flavor.
-func flavorBuilder(flavor string) (func(*tracer.Run) *trace.Trace, error) {
+// SelectiveFlavor names, for CompiledProgram, the overlap-selective
+// program in which only buffer gets the ideal chunk schedule
+// (tracer.Run.OverlapSelective): one per buffer of a what-if study.
+func SelectiveFlavor(buffer string) string { return FlavorSelective + ":" + buffer }
+
+// flavorBuilder returns the trace builder of one flavor name and the
+// flavor of the trace it builds.
+func flavorBuilder(flavor string) (func(*tracer.Run) *trace.Trace, string, error) {
 	switch flavor {
 	case FlavorBase:
-		return (*tracer.Run).BaseTrace, nil
+		return (*tracer.Run).BaseTrace, flavor, nil
 	case FlavorReal:
-		return (*tracer.Run).OverlapReal, nil
+		return (*tracer.Run).OverlapReal, flavor, nil
 	case FlavorIdeal:
-		return (*tracer.Run).OverlapIdeal, nil
+		return (*tracer.Run).OverlapIdeal, flavor, nil
 	}
-	return nil, fmt.Errorf("engine: unknown trace flavor %q", flavor)
+	if buffer, ok := strings.CutPrefix(flavor, FlavorSelective+":"); ok {
+		ideal := map[string]bool{buffer: true}
+		return func(r *tracer.Run) *trace.Trace { return r.OverlapSelective(ideal) }, FlavorSelective, nil
+	}
+	return nil, "", fmt.Errorf("engine: unknown trace flavor %q", flavor)
 }
 
 // CompiledProgram returns one flavor's compiled replay program together
-// with the content digest of its trace (trace.Digest). The build,
-// validation, compilation and digest run once per (traced run, Chunks,
-// ElemBytes, flavor) while the entry stays in the memo, so sweep paths
-// that replay one flavor many times, and callers that key results by
-// trace digest, pay for them once.
+// with the content digest of its trace (trace.Digest). flavor is one of
+// the Flavor constants but FlavorSelective, or a SelectiveFlavor name.
+// The build, validation, compilation and digest run once per (traced
+// run, Chunks, ElemBytes, flavor) while the entry stays in the memo, so
+// sweep paths that replay one flavor many times, and callers that key
+// results by trace digest, pay for them once.
 func (c *TraceCache) CompiledProgram(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*sim.Program, string, error) {
-	build, err := flavorBuilder(flavor)
+	build, built, err := flavorBuilder(flavor)
 	if err != nil {
 		return nil, "", err
 	}
@@ -180,7 +195,7 @@ func (c *TraceCache) CompiledProgram(name string, ranks int, cfg tracer.Config, 
 	}
 	ent := c.entry(fmt.Sprintf("%q/%d/%d/%d/%d/%d/%s", name, ranks, cfg.LoadCost, cfg.StoreCost, chunks, cfg.ElemBytes, flavor))
 	ent.once.Do(func() {
-		mProgramBuilds.With(flavor).Inc()
+		mProgramBuilds.With(built).Inc()
 		ent.prog, ent.digest, ent.err = compileFlavor(build(run), flavor)
 	})
 	return ent.prog, ent.digest, ent.err
@@ -199,7 +214,7 @@ func (c *TraceCache) CompiledTrace(name string, ranks int, cfg tracer.Config, ke
 	if err != nil {
 		return nil, nil, err
 	}
-	build, _ := flavorBuilder(flavor) // CompiledProgram accepted the flavor
+	build, _, _ := flavorBuilder(flavor) // CompiledProgram accepted the flavor
 	return build(run), prog, nil
 }
 

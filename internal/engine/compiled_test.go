@@ -134,6 +134,44 @@ func TestCompiledProgramDigestMemoized(t *testing.T) {
 	}
 }
 
+// TestCompiledProgramSelectiveFlavor: a SelectiveFlavor program is the
+// run's OverlapSelective trace with only that buffer ideal, digested and
+// built once per (chunks, buffer) and counted as overlap-selective; the
+// bare selective flavor names no buffer and is rejected.
+func TestCompiledProgramSelectiveFlavor(t *testing.T) {
+	c := NewTraceCache()
+	cfg := tracer.DefaultConfig()
+	run, err := tracer.Trace("compiled-app-selective", 2, cfg, compiledKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := mProgramBuilds.With(FlavorSelective).Value()
+	for range 2 {
+		prog, digest, err := c.CompiledProgram("compiled-app-selective", 2, cfg, compiledKernel, SelectiveFlavor("buf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := run.OverlapSelective(map[string]bool{"buf": true})
+		if want, err := trace.Digest(tr); err != nil || digest != want {
+			t.Fatalf("selective digest %s, trace.Digest %s (%v)", digest, want, err)
+		}
+		plat := network.Testbed(2).Platform()
+		want, err := sim.Run(plat, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sim.NewArena().RunProgram(plat, prog); err != nil || !reflect.DeepEqual(want, got) {
+			t.Fatalf("selective program diverges from its trace (%v)", err)
+		}
+	}
+	if b := mProgramBuilds.With(FlavorSelective).Value() - builds; b != 1 {
+		t.Fatalf("two requests built %d selective programs, want 1", b)
+	}
+	if _, _, err := c.CompiledProgram("compiled-app-selective", 2, cfg, compiledKernel, FlavorSelective); err == nil {
+		t.Fatal("selective flavor without a buffer accepted")
+	}
+}
+
 // TestCompiledTraceReplaysIdentically: the cached program replays exactly
 // like a fresh build of the same flavor, compiled and replayed one-shot.
 func TestCompiledTraceReplaysIdentically(t *testing.T) {

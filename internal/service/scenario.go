@@ -35,7 +35,8 @@ type ScenarioRequest struct {
 
 	Platform *PlatformSpec `json:"platform,omitempty"`
 	// Flavors lists the flavors measured per grid point for finish and
-	// traffic outputs (default: base and overlap-real).
+	// traffic outputs (default: base and overlap-real). Report and whatif
+	// outputs replay flavor sets of their own and ignore it.
 	Flavors []string `json:"flavors,omitempty"`
 	// Axes are the sweep dimensions; their cross product is the grid.
 	Axes []core.Axis `json:"axes,omitempty"`

@@ -25,7 +25,10 @@ func cloneResult(r *Result) *Result {
 // the reference the summary path is tested against.
 func summaryOf(res *Result) Summary {
 	ib, eb, im, em := res.TrafficSplit()
-	return Summary{FinishSec: res.FinishSec, IntraBytes: ib, InterBytes: eb, IntraMsgs: im, InterMsgs: em}
+	return Summary{
+		FinishSec: res.FinishSec, TotalWaitSec: res.TotalWaitSec(), TotalComputeSec: res.TotalComputeSec(),
+		IntraBytes: ib, InterBytes: eb, IntraMsgs: im, InterMsgs: em,
+	}
 }
 
 // programTestPlatforms exercises every resource pool and both link

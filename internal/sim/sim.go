@@ -193,15 +193,19 @@ func (r *Result) TrafficSplit() (intraBytes, interBytes int64, intraMsgs, interM
 	return intraBytes, interBytes, intraMsgs, interMsgs
 }
 
-// Summary is the scalar digest of one replay — everything the sweep and
-// search paths retain, cheap to copy and safe to keep after the arena that
-// produced it is reused.
+// Summary is the scalar digest of one replay — everything the sweep,
+// search and report paths retain, cheap to copy and safe to keep after
+// the arena that produced it is reused.
 type Summary struct {
-	FinishSec  float64
-	IntraBytes int64
-	InterBytes int64
-	IntraMsgs  int
-	InterMsgs  int
+	FinishSec float64
+	// TotalWaitSec and TotalComputeSec sum the per-rank accounting in
+	// rank order, as Result.TotalWaitSec and TotalComputeSec do.
+	TotalWaitSec    float64
+	TotalComputeSec float64
+	IntraBytes      int64
+	InterBytes      int64
+	IntraMsgs       int
+	InterMsgs       int
 }
 
 // DeadlockError reports a replay that stalled before all ranks finished.
@@ -678,16 +682,21 @@ func blockedDesc(prog *Program, rank, pc int) string {
 }
 
 // summary reduces a completed replay to its retained scalars. The
-// makespan is the latest rank finish, as in assemble; the traffic split
-// sums the compile-time per-stream totals by the replay's rank→node
-// table. A completed replay executed every send, so the split equals
-// Result.TrafficSplit over the comm log a full replay would record.
+// makespan is the latest rank finish, as in assemble, and the wait and
+// compute totals sum the rank statistics in rank order; the traffic
+// split sums the compile-time per-stream totals by the replay's
+// rank→node table. A completed replay executed every send, so the split
+// equals Result.TrafficSplit over the comm log a full replay would
+// record.
 func (a *ReplayArena) summary() Summary {
 	var s Summary
 	for r := range a.ranks {
-		if f := a.ranks[r].stats.FinishSec; f > s.FinishSec {
-			s.FinishSec = f
+		st := &a.ranks[r].stats
+		if st.FinishSec > s.FinishSec {
+			s.FinishSec = st.FinishSec
 		}
+		s.TotalWaitSec += st.WaitSec
+		s.TotalComputeSec += st.ComputeSec
 	}
 	for i := range a.prog.streams {
 		si := &a.prog.streams[i]

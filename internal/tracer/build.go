@@ -64,6 +64,9 @@ type commSkeleton struct {
 	sends [][]int
 	// recvs[a] lists array a's receive instances in posting order.
 	recvs [][]recvInst
+	// comm[a] marks array a as communicated: sent, received, or passed
+	// through a collective (BufferNames).
+	comm []bool
 }
 
 // commSlot is one comm event: its index in Log.Events and, for EvRecv /
@@ -92,15 +95,17 @@ func (l *Log) skeleton() *commSkeleton {
 
 func newCommSkeleton(l *Log) *commSkeleton {
 	nArr := len(l.ArrayLens)
-	s := &commSkeleton{sends: make([][]int, nArr), recvs: make([][]recvInst, nArr)}
+	s := &commSkeleton{sends: make([][]int, nArr), recvs: make([][]recvInst, nArr), comm: make([]bool, nArr)}
 	type posted struct{ arr, inst int }
 	unwaited := map[int]posted{} // tracked irecv handle -> its receive instance
 	for i, e := range l.Events {
 		slot, inst := len(s.slots), -1
 		switch a := e.arr; e.Kind {
 		case EvSend, EvISend:
+			s.comm[a] = true
 			s.sends[a] = append(s.sends[a], slot)
 		case EvRecv, EvIRecvPost:
+			s.comm[a] = true
 			inst = len(s.recvs[a])
 			s.recvs[a] = append(s.recvs[a], recvInst{post: slot, wait: slot})
 			if e.Kind == EvIRecvPost {
@@ -113,6 +118,9 @@ func newCommSkeleton(l *Log) *commSkeleton {
 				delete(unwaited, h)
 			}
 		case EvSendRaw, EvRecvRaw:
+		case EvCollSend, EvCollRecv:
+			s.comm[a] = true
+			continue
 		default:
 			continue
 		}
@@ -247,16 +255,14 @@ func (r *Run) OverlapSelective(idealBuffers map[string]bool) *trace.Trace {
 }
 
 // BufferNames returns the names of all tracked buffers that participate in
-// communication anywhere in the run, sorted.
+// communication anywhere in the run, sorted. It reads the per-array marks
+// of each log's comm skeleton, not the events.
 func (r *Run) BufferNames() []string {
 	seen := map[string]bool{}
 	for _, log := range r.Logs {
-		for _, e := range log.Events {
-			switch e.Kind {
-			case EvSend, EvISend, EvRecv, EvIRecvPost, EvCollSend, EvCollRecv:
-				if a := e.Arr(); a >= 0 && a < len(log.ArrayNames) {
-					seen[log.ArrayNames[a]] = true
-				}
+		for a, comm := range log.skeleton().comm {
+			if comm {
+				seen[log.ArrayNames[a]] = true
 			}
 		}
 	}

@@ -37,7 +37,8 @@ func assertSameTrace(t *testing.T, label string, got, want *trace.Trace) {
 
 // TestBuildersMatchOracleOnApps checks the one-pass builders against the
 // two-pass oracle over every application, world size and chunk count, for
-// the base, real, ideal and selective (half the buffers ideal) flavours.
+// the base, real, ideal and selective (half the buffers ideal) flavours,
+// and the communicated buffer names against an event scan.
 func TestBuildersMatchOracleOnApps(t *testing.T) {
 	ranks := []int{2, 4, 8, 16}
 	maxChunks := 9
@@ -53,6 +54,9 @@ func TestBuildersMatchOracleOnApps(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertSameTrace(t, "base", run.BaseTrace(), run.RefBaseTrace())
+				if got, want := run.BufferNames(), run.RefBufferNames(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("BufferNames %q, event scan %q", got, want)
+				}
 				half := map[string]bool{}
 				for i, b := range run.BufferNames() {
 					half[b] = i%2 == 0

@@ -103,6 +103,29 @@ type refIrecvSpec struct {
 	rec trace.Record
 }
 
+// RefBufferNames is the oracle for BufferNames: the names of the tracked
+// arrays any event of the run communicates, found by scanning every
+// event, sorted.
+func (r *Run) RefBufferNames() []string {
+	seen := map[string]bool{}
+	for _, log := range r.Logs {
+		for _, e := range log.Events {
+			switch e.Kind {
+			case EvSend, EvISend, EvRecv, EvIRecvPost, EvCollSend, EvCollRecv:
+				if a := e.Arr(); a >= 0 && a < len(log.ArrayNames) {
+					seen[log.ArrayNames[a]] = true
+				}
+			}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for n := range seen {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // RefOverlap is the oracle for OverlapReal, OverlapIdeal and
 // OverlapSelective: flavor names the trace, idealFor picks the buffers
 // that get the uniform chunk schedule.
