@@ -44,7 +44,6 @@ func main() {
 	cacheEntries := flag.Int("cache", service.DefaultCacheEntries, "result cache capacity in entries (0 or negative disables)")
 	queueDepth := flag.Int("queue", service.DefaultQueueDepth, "admission queue bound: jobs beyond it are rejected with 429 (0 or negative = unbounded)")
 	pointCache := flag.Int("point-cache", service.DefaultPointCacheEntries, "point-level scenario cache capacity — overlapping grids resume each other (0 or negative disables)")
-	replayShards := flag.Int("replay-shards", 0, "parallel (PDES) shards per scenario replay: 0 = planner's choice, 1 = serial, N = force N (results identical either way)")
 	storeDir := flag.String("store-dir", "", "disk tier for the content-addressed artifact store (empty = memory only)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling; leave off in untrusted networks)")
 	scenarioPath := flag.String("scenario", "", "one-shot mode: run a scenario spec (JSON, the POST /v1/scenarios schema) against -store-dir, stream the point table, and exit without serving")
@@ -81,19 +80,8 @@ func main() {
 		// each point prints as it finishes; -scenario-json prints the
 		// batch JSON instead. -timings appends the per-stage telemetry
 		// summary to stderr.
-		opts := service.Options{Engine: engine.New(*workers), Store: store, ReplayShards: *replayShards, Logger: logger}
-		if *scenarioJSON {
-			_, raw, err := service.RunScenarioFile(context.Background(), *scenarioPath, opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simd: %v\n", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(raw)
-			fmt.Println()
-			tm.MaybeDump(os.Stderr)
-			return
-		}
-		if err := service.StreamScenarioFile(context.Background(), *scenarioPath, opts, os.Stdout); err != nil {
+		opts := service.Options{Engine: engine.New(*workers), Store: store, Logger: logger}
+		if err := service.RunScenarioFile(context.Background(), *scenarioPath, opts, *scenarioJSON, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "simd: %v\n", err)
 			os.Exit(1)
 		}
@@ -146,7 +134,6 @@ func main() {
 		CacheEntries:      entries,
 		QueueDepth:        queue,
 		PointCacheEntries: points,
-		ReplayShards:      *replayShards,
 		Logger:            logger,
 		Cluster:           node,
 	})

@@ -48,19 +48,10 @@ func main() {
 	defer tm.MaybeDump(os.Stderr)
 
 	if *scenarioPath != "" {
-		if *scenarioJSON {
-			_, raw, err := service.RunScenarioFile(context.Background(), *scenarioPath, service.Options{Engine: engine.New(*workers), ReplayShards: pf.ReplayShards()})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(raw)
-			fmt.Println()
-			return
-		}
-		// The table prints incrementally: each grid point appears the
-		// moment it (and its predecessors) finish simulating.
-		if err := service.StreamScenarioFile(context.Background(), *scenarioPath, service.Options{Engine: engine.New(*workers), ReplayShards: pf.ReplayShards()}, os.Stdout); err != nil {
+		// Unless -scenario-json asks for the batch JSON, the table prints
+		// incrementally: each grid point appears the moment it (and its
+		// predecessors) finish simulating.
+		if err := service.RunScenarioFile(context.Background(), *scenarioPath, service.Options{Engine: engine.New(*workers)}, *scenarioJSON, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
 			os.Exit(1)
 		}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/lru"
 )
 
-// Tuning defaults. K doubles as bucket capacity and replication factor
+// Tuning constants. K doubles as bucket capacity and replication factor
 // (Kademlia couples them); Alpha is the lookup's parallelism.
 const (
 	// DefaultK is the bucket size and replication factor. 8 suits the
@@ -45,14 +45,6 @@ type Config struct {
 	Addr string
 	// Transport carries outbound RPCs. Required.
 	Transport Transport
-	// K overrides the bucket size / replication factor (DefaultK).
-	K int
-	// Alpha overrides the lookup parallelism (DefaultAlpha).
-	Alpha int
-	// MaxBlobs overrides the local blob-store bound (DefaultMaxBlobs).
-	MaxBlobs int
-	// PingTimeout overrides the eviction probe deadline.
-	PingTimeout time.Duration
 	// Logger receives the node's structured logs; nil discards them.
 	Logger *slog.Logger
 }
@@ -60,13 +52,10 @@ type Config struct {
 // Node is one cluster member: a routing table, a bounded local blob
 // store, and the RPC surface. All methods are safe for concurrent use.
 type Node struct {
-	name     string
-	self     Contact
-	k        int
-	alpha    int
-	pingWait time.Duration
-	tr       Transport
-	table    *RoutingTable
+	name  string
+	self  Contact
+	tr    Transport
+	table *RoutingTable
 	// blobs is the bounded local value store: replicated blobs, least
 	// recently used evicted first, so a node holds the hot slice of its
 	// key range and quietly forgets the cold tail (content addressing
@@ -90,37 +79,18 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("cluster: node needs an address")
 	}
-	k := cfg.K
-	if k <= 0 {
-		k = DefaultK
-	}
-	alpha := cfg.Alpha
-	if alpha <= 0 {
-		alpha = DefaultAlpha
-	}
-	maxBlobs := cfg.MaxBlobs
-	if maxBlobs <= 0 {
-		maxBlobs = DefaultMaxBlobs
-	}
-	pingWait := cfg.PingTimeout
-	if pingWait <= 0 {
-		pingWait = DefaultPingTimeout
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
 	n := &Node{
-		name:     cfg.Name,
-		self:     Contact{ID: NodeID(cfg.Name), Addr: cfg.Addr},
-		k:        k,
-		alpha:    alpha,
-		pingWait: pingWait,
-		tr:       cfg.Transport,
-		blobs:    lru.New[blob](maxBlobs),
-		log:      log,
+		name:  cfg.Name,
+		self:  Contact{ID: NodeID(cfg.Name), Addr: cfg.Addr},
+		tr:    cfg.Transport,
+		blobs: lru.New[blob](DefaultMaxBlobs),
+		log:   log,
 	}
-	n.table = NewRoutingTable(n.self.ID, k, n.evictionPing)
+	n.table = NewRoutingTable(n.self.ID, DefaultK, n.evictionPing)
 	publishNodeMetrics(n)
 	return n, nil
 }
@@ -130,9 +100,6 @@ func (n *Node) Self() Contact { return n.self }
 
 // Name returns the operator-chosen node name.
 func (n *Node) Name() string { return n.name }
-
-// K returns the replication factor.
-func (n *Node) K() int { return n.k }
 
 // Table exposes the routing table (status surfaces and tests).
 func (n *Node) Table() *RoutingTable { return n.table }
@@ -184,7 +151,7 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 		n.blobs.Put(req.Key, blob{req.Kind, req.Value})
 		resp.Stored = true
 	case OpFindNode:
-		resp.Contacts = n.table.KClosest(KeyID(req.Key), n.k)
+		resp.Contacts = n.table.KClosest(KeyID(req.Key), DefaultK)
 	case OpFindValue:
 		if b, ok := n.blobs.Get(req.Key); ok {
 			resp.Found = true
@@ -192,7 +159,7 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 			resp.Kind = b.kind
 			return resp
 		}
-		resp.Contacts = n.table.KClosest(KeyID(req.Key), n.k)
+		resp.Contacts = n.table.KClosest(KeyID(req.Key), DefaultK)
 	case OpExec:
 		ep := n.exec.Load()
 		if ep == nil {
@@ -239,7 +206,7 @@ func (n *Node) call(ctx context.Context, to Contact, req *Request) (*Response, e
 // ping with no table side effects (Update runs inside the probe's
 // caller; feeding results back would recurse).
 func (n *Node) evictionPing(c Contact) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), n.pingWait)
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultPingTimeout)
 	defer cancel()
 	mRPCs.With(string(OpPing), "sent").Inc()
 	resp, err := n.tr.Call(ctx, c.Addr, &Request{Op: OpPing, From: n.self})
@@ -304,7 +271,7 @@ func (n *Node) iterate(ctx context.Context, target ID, key string, wantValue boo
 	}
 	shortlist := map[ID]Contact{}
 	queried := map[ID]bool{n.self.ID: true}
-	for _, c := range n.table.KClosest(target, n.k) {
+	for _, c := range n.table.KClosest(target, DefaultK) {
 		shortlist[c.ID] = c
 	}
 	for {
@@ -319,8 +286,8 @@ func (n *Node) iterate(ctx context.Context, target ID, key string, wantValue boo
 			break
 		}
 		sortByDistance(target, candidates)
-		if len(candidates) > n.alpha {
-			candidates = candidates[:n.alpha]
+		if len(candidates) > DefaultAlpha {
+			candidates = candidates[:DefaultAlpha]
 		}
 		results := make(chan result, len(candidates))
 		for _, c := range candidates {
@@ -354,11 +321,11 @@ func (n *Node) iterate(ctx context.Context, target ID, key string, wantValue boo
 			}
 		}
 		if found != nil {
-			return found, closestOf(shortlist, target, n.k)
+			return found, closestOf(shortlist, target, DefaultK)
 		}
 		// Converged when the K closest known contacts have all answered.
 		done := true
-		for _, c := range closestOf(shortlist, target, n.k) {
+		for _, c := range closestOf(shortlist, target, DefaultK) {
 			if !queried[c.ID] {
 				done = false
 				break
@@ -368,7 +335,7 @@ func (n *Node) iterate(ctx context.Context, target ID, key string, wantValue boo
 			break
 		}
 	}
-	return nil, closestOf(shortlist, target, n.k)
+	return nil, closestOf(shortlist, target, DefaultK)
 }
 
 // closestOf sorts a shortlist and returns its k nearest members.
@@ -407,10 +374,10 @@ func (n *Node) Owner(key string) Contact {
 // when it qualifies) — the key's replica set.
 func (n *Node) Owners(key string) []Contact {
 	target := KeyID(key)
-	cs := append(n.table.KClosest(target, n.k), n.self)
+	cs := append(n.table.KClosest(target, DefaultK), n.self)
 	sortByDistance(target, cs)
-	if len(cs) > n.k {
-		cs = cs[:n.k]
+	if len(cs) > DefaultK {
+		cs = cs[:DefaultK]
 	}
 	return cs
 }
@@ -517,7 +484,7 @@ func (n *Node) Status() Status {
 		ID:       n.self.ID,
 		Addr:     n.self.Addr,
 		Draining: n.draining.Load(),
-		K:        n.k,
+		K:        DefaultK,
 		Peers:    peers,
 	}
 	st.KeysByKind = map[string]int{}

@@ -314,12 +314,13 @@ type Scenario struct {
 	PointCache PointCache
 
 	// ReplayShards overrides the planner's intra-point parallelism choice
-	// for every replay of the grid: 0 lets the planner decide by grid size,
-	// 1 forces serial replay, n > 1 requests n conservative-PDES shards
-	// per replay (sim.ReplaySummary; platforms that cannot shard fall
-	// back to serial). Sharded and serial replays are byte-identical, so
-	// this is pure scheduling — like Traces and PointCache it never
-	// enters the canonical digest.
+	// for every replay of the grid: 0 or less leaves it to the planner,
+	// which decides by grid size (pointShards), 1 forces serial replay,
+	// n > 1 requests n conservative-PDES shards per replay
+	// (sim.ReplaySummary; platforms that cannot shard fall back to
+	// serial). Sharded and serial replays are byte-identical, so this is
+	// pure scheduling — like Traces and PointCache it never enters the
+	// canonical digest.
 	ReplayShards int
 }
 

@@ -206,10 +206,10 @@ func (sc *Scenario) stream(ctx context.Context, eng *engine.Engine, yield func(S
 		return nil, err
 	}
 	shards := sc.ReplayShards
-	if shards == 0 {
+	if shards <= 0 {
 		shards = pointShards(eng, len(jobs))
 	}
-	err = engine.MapStream(ctx, eng, len(jobs), 0, func(ctx context.Context, j int) (replayed, error) {
+	err = engine.MapStream(ctx, eng, len(jobs), func(ctx context.Context, j int) (replayed, error) {
 		return x.replay(jobs[j].pt, jobs[j].f, shards)
 	}, func(j int, m replayed) error {
 		measures[j] = m
@@ -226,15 +226,17 @@ func (sc *Scenario) stream(ctx context.Context, eng *engine.Engine, yield func(S
 	return hdr, nil
 }
 
-// pointShards picks the intra-point shard request for a grid of njobs
-// replay jobs. A grid with at least as many jobs as the engine has
-// workers already saturates the cores through inter-point parallelism,
-// so every point replays serially; a small grid (one point, a handful of
-// flavors) leaves workers idle, and those move inside each replay as
-// conservative-PDES shards instead (sim.ReplaySummary). Sharded and
-// serial replays are byte-identical, so the choice is pure scheduling —
-// it can never change a result. Platforms that cannot shard fall back to
-// serial inside sim.EffectiveShards.
+// pointShards is the one automatic shard policy: it picks the
+// intra-point shard request for a grid of njobs replay jobs whenever
+// Scenario.ReplayShards leaves the choice to the planner. A grid with at
+// least as many jobs as the engine has workers already saturates the
+// cores through inter-point parallelism, so every point replays
+// serially; a small grid (one point, a handful of flavors) leaves
+// workers idle, and those move inside each replay as conservative-PDES
+// shards instead (sim.ReplaySummary). Sharded and serial replays are
+// byte-identical, so the choice is pure scheduling — it can never change
+// a result. Platforms that cannot shard fall back to serial inside
+// sim.EffectiveShards.
 func pointShards(eng *engine.Engine, njobs int) int {
 	if eng == nil {
 		eng = engine.Default()

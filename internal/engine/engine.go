@@ -11,29 +11,30 @@
 //
 //   - bounded concurrency: at most Workers jobs run at once, regardless of
 //     how many jobs are submitted or how submissions nest;
-//   - deterministic result ordering: Map returns results indexed exactly
-//     like its inputs, so parallel sweeps are byte-identical to serial ones;
-//   - per-job error aggregation: every failing job is reported with its
-//     index (Errors), not just the first failure;
-//   - context-based cancellation: unstarted jobs inherit ctx.Err() and the
-//     submitting loop stops promptly.
+//   - deterministic result ordering: MapStream emits results in submission
+//     order and Map returns them indexed exactly like its inputs, so
+//     parallel sweeps are byte-identical to serial ones;
+//   - fail-fast errors: the first failing job in submission order stops
+//     the run and is reported with its index (JobError);
+//   - context-based cancellation: no job starts once ctx is done, and the
+//     run returns ctx's cause.
 //
-// Deadlock-freedom comes from the caller-runs discipline: a submitter
-// never blocks waiting for a pool slot. It opportunistically hands jobs to
-// free workers and otherwise runs them inline on its own goroutine. A job
-// may therefore call Map on the same engine — directly or through any of
-// package core's studies, which take an engine (nil selects Default) —
-// without risking a pool whose every worker waits on sub-jobs. The cost is that each
-// concurrently-submitting goroutine may execute at most one job itself, so
-// total parallelism is bounded by Workers plus the number of concurrent
-// Map callers (each of which would otherwise sit idle).
+// MapStream is the one fan-out loop; Map collects its results into a
+// slice. Deadlock-freedom comes from the caller-runs discipline: a
+// submitter never blocks waiting for a pool slot. It opportunistically
+// hands jobs to free workers and otherwise runs them inline on its own
+// goroutine. A job may therefore call Map on the same engine — directly
+// or through any of package core's studies, which take an engine (nil
+// selects Default) — without risking a pool whose every worker waits on
+// sub-jobs. The cost is that each submitter may execute at most one job
+// itself, so total parallelism is bounded by Workers plus the number of
+// concurrent Map and MapStream calls.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,123 +215,48 @@ func Default() *Engine {
 	return defaultEngine
 }
 
-// JobError is the failure of one job, tagged with its submission index.
+// JobError is the failure of one job, tagged with its submission index:
+// what Map and MapStream return when a job fails.
 type JobError struct {
 	Index int
 	Err   error
 }
 
-func (e *JobError) Error() string { return fmt.Sprintf("job %d: %v", e.Index, e.Err) }
+func (e *JobError) Error() string { return fmt.Sprintf("engine: job %d: %v", e.Index, e.Err) }
 
 // Unwrap exposes the job's underlying error to errors.Is/As.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// Errors aggregates every failed job of one Map call, ordered by job
-// index. Map returns it (as error) when at least one job failed.
-type Errors []*JobError
-
-func (e Errors) Error() string {
-	if len(e) == 1 {
-		return "engine: " + e[0].Error()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "engine: %d jobs failed: ", len(e))
-	for i, je := range e {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		b.WriteString(je.Error())
-	}
-	return b.String()
-}
-
-// Unwrap exposes the individual job errors to errors.Is/As.
-func (e Errors) Unwrap() []error {
-	out := make([]error, len(e))
-	for i, je := range e {
-		out[i] = je
-	}
-	return out
-}
-
 // Map runs n jobs across the pool and returns their results in submission
-// order: out[i] is job i's result. All jobs run to completion (or
-// cancellation) before Map returns; failures are aggregated into an Errors
-// value carrying each failed job's index, with out[i] left at the zero
-// value for failed jobs. When ctx is cancelled, running jobs are expected
-// to honour ctx themselves; jobs not yet started fail with ctx.Err().
-// A nil engine uses Default(). A panicking job is reported as that job's
-// error instead of crashing the pool.
-//
-// Submission follows the caller-runs discipline (see the package comment):
-// a job goes to a pool worker when a slot is free and otherwise runs
-// inline on the submitting goroutine, so Map never deadlocks however it
-// nests.
+// order: out[i] is job i's result. It collects MapStream's emissions, so
+// it shares MapStream's contract: the first failing job in submission
+// order stops the run and Map returns that job's *JobError, and a
+// cancelled ctx stops it with ctx's cause. On error no results are
+// returned. A nil engine uses Default(). A panicking job is reported as
+// that job's error instead of crashing the pool.
 func Map[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if e == nil {
-		e = Default()
-	}
 	out := make([]T, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			cancelFrom(errs, i, ctx)
-			break
-		}
-		submit := time.Now()
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			// submit travels as a parameter, like i: capturing it in the
-			// closure would heap-allocate one escape per pooled job.
-			go func(i int, submit time.Time) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				out[i], errs[i] = runJob(e, ctx, i, submit, fn)
-			}(i, submit)
-		default:
-			// Pool saturated: the submitter works instead of waiting.
-			out[i], errs[i] = runJob(e, ctx, i, submit, fn)
-		}
+	err := MapStream(ctx, e, n, fn, func(i int, v T) error {
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	return out, aggregate(errs)
+	return out, nil
 }
 
+// runJob executes job i on the current goroutine, publishing its
+// lifecycle events and turning a panic into the job's error.
 func runJob[T any](e *Engine, ctx context.Context, i int, submit time.Time, fn func(ctx context.Context, i int) (T, error)) (out T, err error) {
 	start := time.Now()
 	wait := start.Sub(submit)
 	e.noteStart(i, wait)
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: job %d panicked: %v", i, r)
+			err = fmt.Errorf("panic: %v", r)
 		}
 		e.noteDone(i, err, wait, time.Since(start))
 	}()
 	return fn(ctx, i)
-}
-
-// cancelFrom marks jobs [i, n) as failed with the context's error.
-func cancelFrom(errs []error, i int, ctx context.Context) {
-	err := context.Cause(ctx)
-	if err == nil {
-		err = ctx.Err()
-	}
-	for j := i; j < len(errs); j++ {
-		errs[j] = err
-	}
-}
-
-func aggregate(errs []error) error {
-	var agg Errors
-	for i, err := range errs {
-		if err != nil {
-			agg = append(agg, &JobError{Index: i, Err: err})
-		}
-	}
-	if len(agg) == 0 {
-		return nil
-	}
-	return agg
 }

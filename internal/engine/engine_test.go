@@ -53,41 +53,41 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// TestMapAggregatesPerJobErrors: of several failing jobs, Map reports the
+// lowest failing index, even when a higher index fails first, as one
+// *JobError whose text names the job and wraps its error.
 func TestMapAggregatesPerJobErrors(t *testing.T) {
-	e := New(2)
+	e := New(4) // a slot for every job: none runs inline on the submitter
 	boom := errors.New("boom")
-	out, err := Map(context.Background(), e, 6, func(ctx context.Context, i int) (int, error) {
-		if i%2 == 1 {
+	higherFailed := make(chan struct{})
+	out, err := Map(context.Background(), e, 4, func(ctx context.Context, i int) (int, error) {
+		switch i {
+		case 1:
+			<-higherFailed
+			return 0, fmt.Errorf("job-specific %d: %w", i, boom)
+		case 3:
+			close(higherFailed)
 			return 0, fmt.Errorf("job-specific %d: %w", i, boom)
 		}
 		return i + 1, nil
 	})
-	if err == nil {
-		t.Fatal("expected aggregated error")
+	var je *JobError
+	if !errors.As(err, &je) || je.Index != 1 {
+		t.Fatalf("err = %v, want job 1's JobError", err)
 	}
-	var agg Errors
-	if !errors.As(err, &agg) {
-		t.Fatalf("error %T is not engine.Errors", err)
-	}
-	if len(agg) != 3 {
-		t.Fatalf("aggregated %d errors, want 3: %v", len(agg), err)
-	}
-	for k, je := range agg {
-		if want := 2*k + 1; je.Index != want {
-			t.Fatalf("error %d has index %d, want %d", k, je.Index, want)
-		}
+	if want := "engine: job 1: job-specific 1: boom"; err.Error() != want {
+		t.Fatalf("err reads %q, want %q", err, want)
 	}
 	if !errors.Is(err, boom) {
 		t.Fatal("errors.Is cannot reach the wrapped job error")
 	}
-	// Successful jobs still delivered their results.
-	for i := 0; i < 6; i += 2 {
-		if out[i] != i+1 {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], i+1)
-		}
+	if out != nil {
+		t.Fatalf("failed Map returned results %v", out)
 	}
 }
 
+// TestMapRecoversJobPanics: a panicking job surfaces as that job's error
+// instead of crashing the pool.
 func TestMapRecoversJobPanics(t *testing.T) {
 	e := New(2)
 	_, err := Map(context.Background(), e, 3, func(ctx context.Context, i int) (int, error) {
@@ -96,15 +96,21 @@ func TestMapRecoversJobPanics(t *testing.T) {
 		}
 		return i, nil
 	})
-	var agg Errors
-	if !errors.As(err, &agg) || len(agg) != 1 || agg[0].Index != 1 {
+	var je *JobError
+	if !errors.As(err, &je) || je.Index != 1 {
 		t.Fatalf("panic not reported as job 1's error: %v", err)
+	}
+	if want := "engine: job 1: panic: kaboom"; err.Error() != want {
+		t.Fatalf("err reads %q, want %q", err, want)
 	}
 }
 
+// TestMapCancellation: cancelling the context stops the run — no job
+// starts afterwards — and Map returns the context's cause.
 func TestMapCancellation(t *testing.T) {
 	e := New(1)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancelCause(context.Background())
+	stop := errors.New("stop")
 	bothStarted := make(chan struct{})
 	var ran atomic.Int32
 	done := make(chan struct{})
@@ -121,26 +127,19 @@ func TestMapCancellation(t *testing.T) {
 		})
 	}()
 	// Job 0 holds the single pool slot; job 1 runs inline on the
-	// submitting goroutine. Both block until cancel, so the loop cannot
-	// reach job 2 before the context dies.
+	// submitting goroutine. Both block until cancel, so the submitter
+	// cannot reach job 2 before the context dies.
 	<-bothStarted
-	cancel()
+	cancel(stop)
 	<-done
-	if err == nil {
-		t.Fatal("cancelled Map returned nil error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
+	if err != stop {
+		t.Fatalf("cancelled Map returned %v, want the cancel cause", err)
 	}
 	if n := ran.Load(); n != 2 {
 		t.Fatalf("%d jobs ran, want exactly 2 (one pooled, one inline)", n)
 	}
-	var agg Errors
-	if !errors.As(err, &agg) || len(agg) != 8 || agg[0].Index != 2 {
-		t.Fatalf("unstarted jobs not reported from index 2: %v", err)
-	}
-	if out[9] != 0 {
-		t.Fatalf("cancelled job left non-zero result %d", out[9])
+	if out != nil {
+		t.Fatalf("cancelled Map returned results %v", out)
 	}
 }
 

@@ -8,21 +8,25 @@ import (
 )
 
 // TestStatsCounters checks the lifecycle counters across successes,
-// failures, and panics.
+// failures, and panics. A failure stops its run, so each run fails only
+// in its last job, which starts after every other job of the run.
 func TestStatsCounters(t *testing.T) {
 	e := New(2)
 	boom := errors.New("boom")
-	_, err := Map(context.Background(), e, 6, func(ctx context.Context, i int) (int, error) {
-		switch i {
-		case 2:
-			return 0, boom
-		case 4:
-			panic("kaboom")
+	for _, fail := range []func(){
+		func() { panic("kaboom") },
+		func() {},
+	} {
+		_, err := Map(context.Background(), e, 3, func(ctx context.Context, i int) (int, error) {
+			if i == 2 {
+				fail()
+				return 0, boom
+			}
+			return i, nil
+		})
+		if err == nil {
+			t.Fatal("expected job 2's error")
 		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("expected aggregated error")
 	}
 	st := e.Stats()
 	if st.Started != 6 || st.Completed != 6 {
@@ -69,14 +73,16 @@ func TestObserverSeesEveryJob(t *testing.T) {
 		}
 	})
 	const n = 20
+	// A failure stops its run: only the last job, which starts after all
+	// the others, fails.
 	_, err := Map(context.Background(), e, n, func(ctx context.Context, i int) (int, error) {
-		if i == 7 {
+		if i == n-1 {
 			return 0, errors.New("boom")
 		}
 		return i, nil
 	})
 	if err == nil {
-		t.Fatal("expected error from job 7")
+		t.Fatalf("expected error from job %d", n-1)
 	}
 	for i := 0; i < n; i++ {
 		if starts[i] != 1 || dones[i] != 1 {

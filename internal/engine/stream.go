@@ -13,39 +13,38 @@ type streamItem[T any] struct {
 	err error
 }
 
-// MapStream runs n jobs across the pool like Map, but delivers each
-// result to emit in submission order as soon as the result and all its
-// predecessors have completed — the streaming analogue of Map for
-// pipelines that want to consume results before the whole batch exists.
+// MapStream runs n jobs across the pool and delivers each result to emit
+// in submission order as soon as the result and all its predecessors
+// have completed. It is the engine's one fan-out loop; Map collects it
+// into a slice.
 //
 // The reorder buffer between out-of-order completions and the in-order
-// emit is bounded by window (0 selects a default scaled to the pool):
-// at most window jobs may be completed-or-running beyond the last
+// emit is bounded by a window scaled to the pool, 2*Workers+16 jobs: at
+// most that many jobs may be completed-or-running beyond the last
 // emitted one, so a slow consumer exerts backpressure on submission
 // instead of accumulating the whole result set, and peak memory is
 // O(window), not O(n). emit runs on the calling goroutine.
 //
-// Unlike Map, MapStream is fail-fast: the first failing job (in
-// submission order) aborts the stream with a *JobError, and an error
-// from emit aborts with that error. Jobs already running are allowed to
-// finish (they are expected to honour ctx), unstarted jobs are never
-// submitted, and no further emit calls are made after an error —
-// including results already buffered when ctx is cancelled. MapStream
-// does not return until every submitted job has finished.
+// MapStream is fail-fast: the first failing job (in submission order)
+// aborts the stream with its *JobError, an error from emit aborts with
+// that error, and a cancelled ctx aborts with ctx's cause. Jobs already
+// running are allowed to finish (they are expected to honour ctx),
+// unstarted jobs are never submitted, and no further emit calls are made
+// after an abort — including results already buffered when ctx is
+// cancelled. MapStream does not return until every submitted job has
+// finished.
 //
-// Submission follows the same caller-runs discipline as Map (on an
-// internal goroutine), so jobs may themselves call Map or MapStream on
-// the same engine without deadlocking.
-func MapStream[T any](ctx context.Context, e *Engine, n, window int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T) error) error {
+// Submission runs on an internal goroutine under the caller-runs
+// discipline (see the package comment), so jobs may themselves call Map
+// or MapStream on the same engine without deadlocking.
+func MapStream[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T) error) error {
 	if e == nil {
 		e = Default()
 	}
 	if n <= 0 {
 		return nil
 	}
-	if window <= 0 {
-		window = 2*e.workers + 16
-	}
+	window := 2*e.workers + 16
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -65,6 +64,11 @@ func MapStream[T any](ctx context.Context, e *Engine, n, window int, fn func(ctx
 			select {
 			case tokens <- struct{}{}:
 			case <-cctx.Done():
+				return
+			}
+			// A free token and a cancellation can be ready together, and
+			// select picks either: no job starts once the run is over.
+			if cctx.Err() != nil {
 				return
 			}
 			submitted++
@@ -93,9 +97,6 @@ func MapStream[T any](ctx context.Context, e *Engine, n, window int, fn func(ctx
 		case it = <-results:
 		case <-cctx.Done():
 			abort = context.Cause(ctx)
-			if abort == nil {
-				abort = ctx.Err()
-			}
 			continue
 		}
 		received++
@@ -111,9 +112,6 @@ func MapStream[T any](ctx context.Context, e *Engine, n, window int, fn func(ctx
 			// cancel comes after this loop), so ctx carries the cause.
 			if cctx.Err() != nil {
 				abort = context.Cause(ctx)
-				if abort == nil {
-					abort = cctx.Err()
-				}
 				break
 			}
 			b, ok := buf[next]

@@ -20,7 +20,7 @@ func TestMapStreamOrder(t *testing.T) {
 		delays[i] = time.Duration(rng.Intn(3)) * time.Millisecond
 	}
 	var got []int
-	err := MapStream(context.Background(), e, n, 0, func(ctx context.Context, i int) (int, error) {
+	err := MapStream(context.Background(), e, n, func(ctx context.Context, i int) (int, error) {
 		time.Sleep(delays[i])
 		return i * i, nil
 	}, func(i, v int) error {
@@ -44,14 +44,14 @@ func TestMapStreamOrder(t *testing.T) {
 }
 
 // TestMapStreamBackpressure: a slow consumer bounds how far submission
-// runs ahead — at most window jobs are ever in flight beyond the last
-// emitted result.
+// runs ahead — at most the window, 2*Workers+16 jobs, are ever in flight
+// beyond the last emitted result.
 func TestMapStreamBackpressure(t *testing.T) {
-	e := New(4)
-	const n, window = 64, 8
+	e := New(1)
+	const n, window = 64, 18
 	var started atomic.Int64
 	emitted := 0
-	err := MapStream(context.Background(), e, n, window, func(ctx context.Context, i int) (int, error) {
+	err := MapStream(context.Background(), e, n, func(ctx context.Context, i int) (int, error) {
 		started.Add(1)
 		return i, nil
 	}, func(i, v int) error {
@@ -78,7 +78,7 @@ func TestMapStreamFailFast(t *testing.T) {
 	e := New(4)
 	boom := errors.New("boom")
 	var emitted []int
-	err := MapStream(context.Background(), e, 20, 4, func(ctx context.Context, i int) (int, error) {
+	err := MapStream(context.Background(), e, 20, func(ctx context.Context, i int) (int, error) {
 		if i == 7 {
 			return 0, boom
 		}
@@ -107,7 +107,7 @@ func TestMapStreamEmitError(t *testing.T) {
 	e := New(2)
 	stop := errors.New("stop")
 	count := 0
-	err := MapStream(context.Background(), e, 50, 4, func(ctx context.Context, i int) (int, error) {
+	err := MapStream(context.Background(), e, 50, func(ctx context.Context, i int) (int, error) {
 		return i, nil
 	}, func(i, v int) error {
 		count++
@@ -132,7 +132,7 @@ func TestMapStreamCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var after atomic.Bool
 	emitted := 0
-	err := MapStream(ctx, e, 100, 8, func(ctx context.Context, i int) (int, error) {
+	err := MapStream(ctx, e, 100, func(ctx context.Context, i int) (int, error) {
 		return i, nil
 	}, func(i, v int) error {
 		if after.Load() {
@@ -157,7 +157,7 @@ func TestMapStreamCancel(t *testing.T) {
 // without deadlocking (the caller-runs discipline extends to streams).
 func TestMapStreamNested(t *testing.T) {
 	e := New(2)
-	err := MapStream(context.Background(), e, 8, 2, func(ctx context.Context, i int) (int, error) {
+	err := MapStream(context.Background(), e, 8, func(ctx context.Context, i int) (int, error) {
 		inner, err := Map(ctx, e, 4, func(ctx context.Context, j int) (int, error) {
 			return j, nil
 		})

@@ -127,17 +127,3 @@ func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
 }
-
-// MinY returns the smallest Y value, or NaN when empty.
-func (s *Series) MinY() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	m := s.Y[0]
-	for _, v := range s.Y[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}

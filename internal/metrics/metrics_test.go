@@ -141,16 +141,13 @@ func TestFormatMBps(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	var s Series
-	if !math.IsNaN(s.MinY()) {
-		t.Error("empty series MinY must be NaN")
-	}
 	s.Add(1, 5)
 	s.Add(2, 3)
 	s.Add(3, 4)
-	if got := s.MinY(); got != 3 {
-		t.Errorf("MinY=%v", got)
-	}
 	if len(s.X) != 3 || s.X[2] != 3 {
 		t.Errorf("X=%v", s.X)
+	}
+	if len(s.Y) != 3 || s.Y[1] != 3 {
+		t.Errorf("Y=%v", s.Y)
 	}
 }

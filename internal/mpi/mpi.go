@@ -233,15 +233,3 @@ func (p *Proc) Irecv(buf []float64, src, tag int) *Request {
 	ib.mu.Unlock()
 	return req
 }
-
-// SendScalar sends a single float64 value.
-func (p *Proc) SendScalar(dst, tag int, v float64) {
-	p.Send(dst, tag, []float64{v})
-}
-
-// RecvScalar receives a single float64 value.
-func (p *Proc) RecvScalar(src, tag int) float64 {
-	var buf [1]float64
-	p.Recv(buf[:], src, tag)
-	return buf[0]
-}

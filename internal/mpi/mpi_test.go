@@ -118,19 +118,6 @@ func TestIrecvWait(t *testing.T) {
 	}
 }
 
-func TestScalarHelpers(t *testing.T) {
-	err := Run(2, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.SendScalar(1, 0, 2.5)
-		} else if got := p.RecvScalar(0, 0); got != 2.5 {
-			t.Errorf("scalar: %v", got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunReportsPanics(t *testing.T) {
 	err := Run(2, func(p *Proc) {
 		if p.Rank() == 1 {

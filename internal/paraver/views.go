@@ -3,7 +3,6 @@ package paraver
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -106,15 +105,6 @@ func WaitHistogram(res *sim.Result, nbins int) *Histogram {
 		}
 	}
 	return histogramOf("wait durations (s)", samples, nbins)
-}
-
-// MessageSizeHistogram bins the transfer sizes of a result.
-func MessageSizeHistogram(res *sim.Result, nbins int) *Histogram {
-	samples := make([]float64, 0, len(res.Comms))
-	for _, c := range res.Comms {
-		samples = append(samples, float64(c.Bytes))
-	}
-	return histogramOf("message sizes (B)", samples, nbins)
 }
 
 func histogramOf(label string, samples []float64, nbins int) *Histogram {
@@ -229,39 +219,6 @@ func FormatEfficiency(slices []float64) string {
 		b.WriteString("|\n")
 	}
 	return b.String()
-}
-
-// TopTalkers returns the k directed rank pairs with the most traffic,
-// descending.
-func (m *CommMatrix) TopTalkers(k int) []PairTraffic {
-	var all []PairTraffic
-	for i := range m.Bytes {
-		for j := range m.Bytes[i] {
-			if m.Bytes[i][j] > 0 {
-				all = append(all, PairTraffic{Src: i, Dst: j, Bytes: m.Bytes[i][j], Messages: m.Messages[i][j]})
-			}
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Bytes != all[b].Bytes {
-			return all[a].Bytes > all[b].Bytes
-		}
-		if all[a].Src != all[b].Src {
-			return all[a].Src < all[b].Src
-		}
-		return all[a].Dst < all[b].Dst
-	})
-	if k > 0 && len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-// PairTraffic is the aggregate traffic of one directed rank pair.
-type PairTraffic struct {
-	Src, Dst int
-	Bytes    int64
-	Messages int
 }
 
 // TrafficClassSummary aggregates one replay's traffic by link class — the

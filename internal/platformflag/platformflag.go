@@ -37,7 +37,6 @@ type Flags struct {
 	bw      *float64
 	latUs   *float64
 	buses   *int
-	shards  *int
 	dump    *bool
 
 	derate     *float64
@@ -59,7 +58,6 @@ func Register(fs *flag.FlagSet) *Flags {
 		bw:      fs.Float64("bw", 0, "override inter-node bandwidth in MB/s (0 = keep)"),
 		latUs:   fs.Float64("lat", -1, "override inter-node latency in microseconds (negative = keep)"),
 		buses:   fs.Int("buses", -1, "override global buses, 0 = unlimited (-1 = keep calibration)"),
-		shards:  fs.Int("replay-shards", 0, "parallel (PDES) shards per replay: 0 = planner's choice, 1 = serial, N = force N (results identical either way)"),
 		dump:    fs.Bool("dump-platform", false, "print the resolved platform as JSON and exit"),
 
 		derate:     fs.Float64("derate", 0, "degrade inter-node bandwidth to this fraction of healthy, in (0,1] (0 = healthy)"),
@@ -70,13 +68,6 @@ func Register(fs *flag.FlagSet) *Flags {
 		faultSeed:  fs.Uint64("fault-seed", 0, "extra seed folded into the deterministic fault draws (straggler picks, downed links, jitter)"),
 	}
 }
-
-// ReplayShards returns the -replay-shards setting: the intra-replay
-// parallelism the commands pass through to the scenario planner
-// (core.Scenario.ReplayShards).
-// Sharded and serial replays are byte-identical; the flag is pure
-// scheduling.
-func (f *Flags) ReplayShards() int { return *f.shards }
 
 // Resolve builds the active platform for the given application (used for
 // Table I bus calibration when no preset or file is named) and rank count.
@@ -161,9 +152,6 @@ func RegisterTimings(fs *flag.FlagSet) *Timings {
 		on: fs.Bool("timings", false, "after the run, print a per-stage telemetry timing summary (compile/replay/copyout/emit, engine queue waits, PDES phases) to stderr"),
 	}
 }
-
-// Enabled reports whether -timings was set.
-func (t *Timings) Enabled() bool { return *t.on }
 
 // MaybeDump writes the process's telemetry timing summary to w when
 // -timings was set; otherwise it does nothing. Call it once, after the

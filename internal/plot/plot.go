@@ -1,6 +1,6 @@
 // Package plot renders the reproduction's figures as standalone SVG files
-// using only the standard library: scatter plots (Fig. 5), grouped bar
-// charts (Fig. 6), and line charts (bandwidth sweep curves). The goal is
+// using only the standard library: scatter plots (Fig. 5) and grouped
+// bar charts (Fig. 6). The goal is
 // publication-shaped artifacts from `cmd/experiments -svgdir`, not a
 // general plotting toolkit.
 package plot
@@ -170,52 +170,6 @@ func WriteBarsSVG(w io.Writer, title, ylabel string, series []string, groups []B
 			width-marginR-130, marginT+16*si, palette[si%len(palette)])
 		fmt.Fprintf(&s.b, `<text x="%d" y="%d" font-family="sans-serif" font-size="11">%s</text>`,
 			width-marginR-115, marginT+9+16*si, esc(name))
-	}
-	_, err := io.WriteString(w, s.close())
-	return err
-}
-
-// Line is one curve of a line chart.
-type Line struct {
-	Label string
-	X, Y  []float64
-}
-
-// WriteLinesSVG renders bandwidth-sweep-style curves with log-scaled x.
-func WriteLinesSVG(w io.Writer, title, xlabel, ylabel string, lines []Line) error {
-	var s svgBuilder
-	s.open(title)
-	s.axes(xlabel, ylabel)
-	x0, x1 := math.Inf(1), math.Inf(-1)
-	y1 := math.Inf(-1)
-	for _, l := range lines {
-		for i := range l.X {
-			lx := math.Log10(l.X[i])
-			x0 = math.Min(x0, lx)
-			x1 = math.Max(x1, lx)
-			y1 = math.Max(y1, l.Y[i])
-		}
-	}
-	if math.IsInf(x0, 1) {
-		x0, x1, y1 = 0, 1, 1
-	}
-	a := plotArea{x0: x0, x1: x1, y0: 0, y1: y1 * 1.05}
-	s.ticks(a, 4, "10^%.1f", "%.4f")
-	for li, l := range lines {
-		col := palette[li%len(palette)]
-		var path strings.Builder
-		for i := range l.X {
-			cmd := "L"
-			if i == 0 {
-				cmd = "M"
-			}
-			fmt.Fprintf(&path, "%s%.1f %.1f ", cmd, a.px(math.Log10(l.X[i])), a.py(l.Y[i]))
-		}
-		fmt.Fprintf(&s.b, `<path d="%s" fill="none" stroke="%s" stroke-width="2"/>`, path.String(), col)
-		fmt.Fprintf(&s.b, `<rect x="%d" y="%d" width="10" height="10" fill="%s"/>`,
-			width-marginR-150, marginT+16*li, col)
-		fmt.Fprintf(&s.b, `<text x="%d" y="%d" font-family="sans-serif" font-size="11">%s</text>`,
-			width-marginR-135, marginT+9+16*li, esc(l.Label))
 	}
 	_, err := io.WriteString(w, s.close())
 	return err

@@ -51,34 +51,6 @@ func TestWriteBarsSVG(t *testing.T) {
 	}
 }
 
-func TestWriteLinesSVG(t *testing.T) {
-	lines := []Line{
-		{Label: "base", X: []float64{10, 100, 1000}, Y: []float64{3, 2, 1}},
-		{Label: "overlap", X: []float64{10, 100, 1000}, Y: []float64{2, 1.5, 1}},
-	}
-	var sb strings.Builder
-	if err := WriteLinesSVG(&sb, "sweep", "MB/s", "finish", lines); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if strings.Count(out, "<path") != 2 {
-		t.Fatalf("paths=%d, want 2", strings.Count(out, "<path"))
-	}
-	if !strings.Contains(out, "base") || !strings.Contains(out, "overlap") {
-		t.Fatal("legend missing")
-	}
-}
-
-func TestWriteLinesSVGEmpty(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteLinesSVG(&sb, "empty", "x", "y", nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(sb.String(), "</svg>") {
-		t.Fatal("empty chart must still be a valid document")
-	}
-}
-
 func TestScatterDegenerateRanges(t *testing.T) {
 	// Points collapsing to one value must not divide by zero.
 	var sb strings.Builder

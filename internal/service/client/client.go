@@ -225,12 +225,6 @@ func (c *Client) ScenarioRaw(ctx context.Context, req service.ScenarioRequest) (
 	return raw, nil
 }
 
-// ScenarioAsync submits a declarative study and returns immediately with
-// the job.
-func (c *Client) ScenarioAsync(ctx context.Context, req service.ScenarioRequest) (service.Status, error) {
-	return c.submitAsync(ctx, "/v1/scenarios", req)
-}
-
 // Analyze runs a synchronous analysis.
 func (c *Client) Analyze(ctx context.Context, req service.AnalyzeRequest) (*core.WireReport, error) {
 	var rep core.WireReport
@@ -287,11 +281,6 @@ func (c *Client) submitAsync(ctx context.Context, path string, req any) (service
 // AnalyzeAsync submits an analysis and returns immediately with the job.
 func (c *Client) AnalyzeAsync(ctx context.Context, req service.AnalyzeRequest) (service.Status, error) {
 	return c.submitAsync(ctx, "/v1/analyze", req)
-}
-
-// WhatIfAsync submits a what-if ranking asynchronously.
-func (c *Client) WhatIfAsync(ctx context.Context, req service.WhatIfRequest) (service.Status, error) {
-	return c.submitAsync(ctx, "/v1/whatif", req)
 }
 
 // Job polls one job; terminal Done jobs carry the result inline.

@@ -74,9 +74,11 @@ type Options struct {
 	// negative disables it.
 	PointCacheEntries int
 	// ReplayShards sets every scenario's intra-point replay parallelism
-	// (core.Scenario.ReplayShards): 0 lets the planner choose by grid
-	// size, 1 forces serial replay, n > 1 requests n PDES shards per
-	// replay. Results are byte-identical either way.
+	// (core.Scenario.ReplayShards): 0 or less lets the planner choose by
+	// grid size, 1 forces serial replay, n > 1 requests n PDES shards per
+	// replay. Results are byte-identical either way. No CLI sets it; it
+	// is for programmatic callers, such as a check that a sharded replay
+	// matches a serial one.
 	ReplayShards int
 	// Logger receives the manager's structured logs (job lifecycle, HTTP
 	// access lines). Nil discards them — the library default, so tests

@@ -151,41 +151,43 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 }
 
 // RunScenarioFile loads a scenario spec (the POST /v1/scenarios body,
-// unknown fields rejected) from path and executes it locally on a
-// one-off manager built from opts — the shared implementation of every
-// CLI's -scenario flag. Only opts.Engine, opts.Store, and
-// opts.ReplayShards matter here (caches are disabled for a single local
-// run); a nil store serves app-mode scenarios only, while a disk-tier
-// store lets specs reference stored trace digests. Returns the decoded
-// result and the exact marshalled bytes the daemon would have served.
-func RunScenarioFile(ctx context.Context, path string, opts Options) (*core.ScenarioResult, []byte, error) {
-	req, mgr, err := loadScenarioFile(path, opts)
+// unknown fields rejected) from path, executes it locally on a one-off
+// manager built from opts, and writes the result to w — the shared
+// implementation of every CLI's -scenario flag. By default the point
+// table streams: each grid point prints the moment it (and its
+// predecessors) finish, and the final output is byte-identical to the
+// batch result's Format. asJSON writes the exact bytes the daemon would
+// have served, plus a newline, instead. Both result caches are disabled,
+// since a single local run has nothing to resume; a nil opts.Store
+// serves app-mode scenarios only, while a disk-tier store lets specs
+// reference stored trace digests.
+func RunScenarioFile(ctx context.Context, path string, opts Options, asJSON bool, w io.Writer) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return fmt.Errorf("service: scenario file: %w", err)
 	}
-	job, err := mgr.Submit(req)
+	var req ScenarioRequest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return fmt.Errorf("service: scenario file %s: %w", path, err)
+	}
+	opts.CacheEntries = -1
+	opts.PointCacheEntries = -1
+	mgr, err := NewManager(opts)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	payload, err := job.Wait(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	var res core.ScenarioResult
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return nil, nil, err
-	}
-	return &res, payload, nil
-}
-
-// StreamScenarioFile is RunScenarioFile's streaming sibling: it loads
-// the spec from path, executes it locally, and renders the result table
-// to w incrementally — each grid point prints the moment it (and its
-// predecessors) finish, with final output byte-identical to printing
-// the batch result's Format. The CLIs' -scenario flags drive it.
-func StreamScenarioFile(ctx context.Context, path string, opts Options, w io.Writer) error {
-	req, mgr, err := loadScenarioFile(path, opts)
-	if err != nil {
+	if asJSON {
+		job, err := mgr.Submit(req)
+		if err != nil {
+			return err
+		}
+		payload, err := job.Wait(ctx)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "%s\n", payload)
 		return err
 	}
 	sc, _, err := req.spec(mgr)
@@ -202,28 +204,4 @@ func StreamScenarioFile(ctx context.Context, path string, opts Options, w io.Wri
 	}
 	_, err = core.RunScenarioStream(ctx, mgr.eng, *sc, p.Point)
 	return err
-}
-
-// loadScenarioFile decodes a scenario request file (unknown fields
-// rejected) and builds the one-off manager the CLIs run it on, with
-// both result caches disabled — a single local run has nothing to
-// resume.
-func loadScenarioFile(path string, opts Options) (ScenarioRequest, *Manager, error) {
-	var req ScenarioRequest
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return req, nil, fmt.Errorf("service: scenario file: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, nil, fmt.Errorf("service: scenario file %s: %w", path, err)
-	}
-	opts.CacheEntries = -1
-	opts.PointCacheEntries = -1
-	mgr, err := NewManager(opts)
-	if err != nil {
-		return req, nil, err
-	}
-	return req, mgr, nil
 }

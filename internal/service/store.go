@@ -16,8 +16,8 @@ import (
 )
 
 // Memory-tier capacity bounds: a long-lived daemon must not grow without
-// limit under adversarial or merely enthusiastic upload traffic. Traces
-// can be megabytes, platforms are a few hundred bytes; the bounds differ
+// limit under adversarial or merely enthusiastic traffic. Traces can be
+// megabytes, platforms are a few hundred bytes; the bounds differ
 // accordingly. Storing content already present never counts against them.
 const (
 	maxStoredTraces    = 1024
@@ -29,11 +29,14 @@ const (
 var ErrStoreFull = errors.New("service: artifact store full")
 
 // Store is the content-addressed artifact store of the service: traces and
-// platforms are stored and retrieved by digest ("sha256:..."). The memory
-// tier is authoritative for memory-only stores (Dir == ""); with a disk
-// tier it is an LRU cache over the disk copies — at capacity the least
-// recently used trace is evicted from memory (the disk copy still serves
-// it) instead of refusing the put. Every departure from the memory tier,
+// platforms are stored and retrieved by digest ("sha256:..."). Both
+// memory tiers are LRU caches. The trace tier is authoritative for
+// memory-only stores (Dir == ""), where uploads at capacity are refused;
+// with a disk tier the least recently used trace is evicted from memory
+// (the disk copy still serves it) instead. Platforms are registered
+// implicitly by every request that resolves one, so their tier always
+// evicts: a digest that aged out reads as unknown unless the disk tier
+// still holds it. Every departure from the trace memory tier,
 // eviction or explicit delete, fires the OnTraceEvict hook so dependent
 // caches (the trace's program in the engine's trace cache) drop their
 // entries instead of pinning them forever. Because names are content
@@ -44,13 +47,14 @@ var ErrStoreFull = errors.New("service: artifact store full")
 type Store struct {
 	dir string
 
-	// mu orders the compound memory-tier updates (a put's capacity check,
-	// a disk promotion, a delete) against each other.
+	// mu orders the trace tier's compound updates (a put's capacity
+	// check, a disk promotion, a delete) against each other.
 	mu sync.Mutex
-	// traces is the trace memory tier, bounded by maxStoredTraces (tests
-	// lower it to exercise eviction).
+	// traces and platforms are the memory tiers, bounded by
+	// maxStoredTraces and maxStoredPlatforms (tests lower them to exercise
+	// eviction).
 	traces       *lru.Cache[*trace.Trace]
-	platforms    map[string]network.Platform
+	platforms    *lru.Cache[network.Platform]
 	onTraceEvict func(digest string)
 }
 
@@ -65,7 +69,7 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{
 		dir:       dir,
 		traces:    lru.New[*trace.Trace](maxStoredTraces),
-		platforms: make(map[string]network.Platform),
+		platforms: lru.New[network.Platform](maxStoredPlatforms),
 	}, nil
 }
 
@@ -229,22 +233,16 @@ func (s *Store) DeleteTrace(digest string) (bool, error) {
 }
 
 // PutPlatform stores a validated platform and returns its digest, with
-// the same disk-before-memory commit order as PutTrace.
+// the same disk-before-memory commit order as PutTrace. At capacity the
+// least recently used platform leaves the memory tier.
 func (s *Store) PutPlatform(p network.Platform) (string, error) {
 	digest, err := p.Digest() // validates
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	if _, seen := s.platforms[digest]; seen {
-		s.mu.Unlock()
+	if _, ok := s.platforms.Get(digest); ok { // refreshes its recency
 		return digest, nil
 	}
-	if len(s.platforms) >= maxStoredPlatforms {
-		s.mu.Unlock()
-		return "", fmt.Errorf("%w: %d platforms", ErrStoreFull, maxStoredPlatforms)
-	}
-	s.mu.Unlock()
 	if s.dir != "" {
 		var buf bytes.Buffer
 		if err := p.WriteJSON(&buf); err != nil {
@@ -254,28 +252,19 @@ func (s *Store) PutPlatform(p network.Platform) (string, error) {
 			return "", fmt.Errorf("service: store platform to disk: %w", err)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, seen := s.platforms[digest]; !seen {
-		if len(s.platforms) >= maxStoredPlatforms {
-			return "", fmt.Errorf("%w: %d platforms", ErrStoreFull, maxStoredPlatforms)
-		}
-		s.platforms[digest] = p
-	}
+	s.platforms.Put(digest, p)
 	return digest, nil
 }
 
 // GetPlatform resolves a digest to its platform, trying memory then disk.
+// A disk hit is re-verified against the digest and promoted to memory.
 func (s *Store) GetPlatform(digest string) (network.Platform, error) {
 	// Same digest grammar as traces; rejecting malformed input here also
 	// keeps attacker-controlled strings out of the disk tier's paths.
 	if !trace.ValidDigest(digest) {
 		return network.Platform{}, fmt.Errorf("service: malformed platform digest %q", digest)
 	}
-	s.mu.Lock()
-	p, ok := s.platforms[digest]
-	s.mu.Unlock()
-	if ok {
+	if p, ok := s.platforms.Get(digest); ok {
 		return p, nil
 	}
 	if s.dir == "" {
@@ -286,7 +275,7 @@ func (s *Store) GetPlatform(digest string) (network.Platform, error) {
 		return network.Platform{}, fmt.Errorf("service: unknown platform %s", digest)
 	}
 	defer f.Close()
-	p, err = network.ReadAnyPlatform(f)
+	p, err := network.ReadAnyPlatform(f)
 	if err != nil {
 		s.quarantine(s.platformPath(digest))
 		return network.Platform{}, fmt.Errorf("service: unknown platform %s (disk copy undecodable, quarantined: %v)", digest, err)
@@ -299,11 +288,7 @@ func (s *Store) GetPlatform(digest string) (network.Platform, error) {
 		s.quarantine(s.platformPath(digest))
 		return network.Platform{}, fmt.Errorf("service: unknown platform %s (disk copy digests %s, quarantined)", digest, got)
 	}
-	s.mu.Lock()
-	if len(s.platforms) < maxStoredPlatforms {
-		s.platforms[digest] = p
-	}
-	s.mu.Unlock()
+	s.platforms.Put(digest, p)
 	return p, nil
 }
 
@@ -360,11 +345,9 @@ func (s *Store) ContainsTrace(digest string) bool {
 	return err == nil
 }
 
-// Counts reports how many traces and platforms the memory tier holds.
+// Counts reports how many traces and platforms the memory tiers hold.
 func (s *Store) Counts() (traces, platforms int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traces.Len(), len(s.platforms)
+	return s.traces.Len(), s.platforms.Len()
 }
 
 // quarantine moves a disk artifact that failed verification aside as

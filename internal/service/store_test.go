@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -352,6 +353,76 @@ func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 	}
 	if _, err := memOnly.PutTrace(traceWithInstr(2)); !errors.Is(err, ErrStoreFull) {
 		t.Fatalf("memory-only store over capacity: err %v, want ErrStoreFull", err)
+	}
+}
+
+// TestStorePlatformTierEvicts: every request that resolves a platform
+// registers it, so a full platform tier evicts its least recently used
+// entry instead of refusing new platforms, and an evicted digest reads as
+// unknown. Trace uploads to a memory-only store are explicit, and at
+// capacity they are still refused with 507.
+func TestStorePlatformTierEvicts(t *testing.T) {
+	m, err := NewManager(Options{Engine: engine.New(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Store().platforms.SetCapacity(4)
+	var first string
+	for i := 0; i < 5; i++ {
+		plat := network.Testbed(4).Platform().WithInterBandwidth(float64(100 + i))
+		var buf bytes.Buffer
+		if err := plat.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		j, err := m.Submit(ScenarioRequest{App: "cg", Ranks: 4, Platform: &PlatformSpec{Inline: buf.Bytes()}})
+		if err != nil {
+			t.Fatalf("inline platform %d: %v", i, err)
+		}
+		if _, err := j.Wait(t.Context()); err != nil {
+			t.Fatalf("inline platform %d: %v", i, err)
+		}
+		if i == 0 {
+			if first, err = plat.Digest(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, platforms := m.Store().Counts(); platforms != 4 {
+		t.Fatalf("platform tier holds %d entries, want 4", platforms)
+	}
+	_, err = m.Submit(ScenarioRequest{App: "cg", Ranks: 4, Platform: &PlatformSpec{Digest: first}})
+	if err == nil || !strings.Contains(err.Error(), "unknown platform "+first) {
+		t.Fatalf("evicted platform digest: err %v, want unknown platform", err)
+	}
+	// With a disk tier, a platform that left memory is still served.
+	disk, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk.platforms.SetCapacity(1)
+	d1, err := disk.PutPlatform(network.Testbed(4).Platform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := disk.PutPlatform(network.Testbed(8).Platform()); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := disk.GetPlatform(d1); err != nil || p.Processors != 4 {
+		t.Fatalf("evicted platform from the disk tier: %d processors, err %v", p.Processors, err)
+	}
+
+	m.Store().SetTraceCapacity(1)
+	h := NewHandler(m)
+	for i, want := range []int{http.StatusCreated, http.StatusInsufficientStorage} {
+		var body bytes.Buffer
+		if err := trace.WriteBinary(&body, traceWithInstr(int64(7000+i))); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces", &body))
+		if rec.Code != want {
+			t.Fatalf("trace upload %d answered %d, want %d: %s", i, rec.Code, want, rec.Body)
+		}
 	}
 }
 

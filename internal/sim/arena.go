@@ -15,7 +15,7 @@ import (
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
 // ReplaySummary replays prog on p using a pooled arena — sharded when
-// shards != 1 and the platform allows it (see EffectiveShards) — and
+// shards > 1 and the platform allows it (see EffectiveShards) — and
 // returns the replay's scalar summary (makespan plus the traffic split).
 // It runs the same events as a full replay with the timeline and the comm
 // log switched off: it records no interval and no comm, and takes the
@@ -36,7 +36,7 @@ func (a *ReplayArena) replaySummary(p network.Platform, prog *Program, shards in
 }
 
 // ReplayInto replays prog on p using a pooled arena — sharded when shards
-// != 1 and the platform allows it (see EffectiveShards) — and deep-copies
+// > 1 and the platform allows it (see EffectiveShards) — and deep-copies
 // the result into dst, which must be non-nil and is returned. Reusing dst
 // across calls makes the full-result replay allocation-free once dst has
 // grown to the program's high-water mark; this is what the engine's batch

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -169,50 +168,24 @@ func (sh *shard) worker(a *ReplayArena, work <-chan struct{}) {
 }
 
 // EffectiveShards resolves a requested shard count against the platform
-// and program: the count actually used by RunProgramShards. requested 0
-// asks for an automatic choice (as many shards as nodes, capped by
-// GOMAXPROCS, only when the program has intra-node traffic to
-// parallelize); requested 1 — or any platform sharding cannot preserve
-// byte-identity on (fewer than two nodes, or a finite intra-node bus
-// pool) — resolves to 1, the serial path.
+// and program: the count actually used by RunProgramShards. It holds
+// only the safety clamps, not a policy — the automatic choice belongs to
+// the scenario planner. A request of 1 or less, a platform sharding
+// cannot keep byte-identical on (fewer than two nodes, or a finite
+// intra-node bus pool), or a nil program resolves to 1, the serial path;
+// any other request is capped at the node count.
 func EffectiveShards(p network.Platform, prog *Program, requested int) int {
-	if requested == 1 || p.Nodes < 2 || p.IntraBuses != 0 || prog == nil {
+	if requested <= 1 || p.Nodes < 2 || p.IntraBuses != 0 || prog == nil {
 		return 1
 	}
-	n := requested
-	if n <= 0 {
-		if runtime.GOMAXPROCS(0) < 2 {
-			return 1
-		}
-		n = runtime.GOMAXPROCS(0)
-		// Sharding pays off only when rank walks stay inside their nodes;
-		// a program whose streams all cross the interconnect serializes
-		// on the coordinator anyway.
-		intra := 0
-		for i := range prog.streams {
-			si := &prog.streams[i]
-			if p.NodeOf(int(si.src)) == p.NodeOf(int(si.dst)) {
-				intra++
-			}
-		}
-		if intra == 0 {
-			return 1
-		}
-	}
-	if n > p.Nodes {
-		n = p.Nodes
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return min(requested, p.Nodes)
 }
 
 // RunProgramShards replays a compiled program on p across the given
 // number of shards. The result is byte-identical to RunProgram: shards
 // only change how the event order is executed, never the order itself.
-// shards == 0 picks an automatic count; any request the platform cannot
-// shard safely (see EffectiveShards) falls back to the serial replay.
+// A request the platform cannot shard safely, or one of 1 or less,
+// replays serially (see EffectiveShards).
 func (a *ReplayArena) RunProgramShards(p network.Platform, prog *Program, shards int) (*Result, error) {
 	if err := a.replay(p, prog, shards, true); err != nil {
 		return nil, err

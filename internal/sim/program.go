@@ -90,10 +90,6 @@ func (p *Program) NumRanks() int { return p.numRanks }
 // Records returns the total record count over all ranks.
 func (p *Program) Records() int { return p.records }
 
-// Streams returns how many distinct (dst, src, tag, chunk) message streams
-// the program matches on.
-func (p *Program) Streams() int { return len(p.streams) }
-
 // streamKey identifies a message stream during compilation only; the
 // replay loop never touches it.
 type streamKey struct {

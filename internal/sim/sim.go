@@ -591,7 +591,7 @@ func (a *ReplayArena) replay(p network.Platform, prog *Program, shards int, time
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	// Before EffectiveShards, which maps every stream endpoint to its node.
+	// First, because everything below indexes per-processor state by rank.
 	if prog.numRanks > p.Processors {
 		return fmt.Errorf("sim: trace has %d ranks but platform has %d processors", prog.numRanks, p.Processors)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -153,12 +152,12 @@ func TestSummaryRecordsNoTimeline(t *testing.T) {
 	}
 }
 
-// TestAutoShardsRejectTooManyRanks: an automatic shard request (0) for
-// an 8-rank program on a 4-processor platform with an explicit mapping
-// must fail with the rank-count error, not index the 4-entry mapping
-// with rank 7 while choosing a shard count.
+// TestAutoShardsRejectTooManyRanks: a shard request of 0 (the value
+// that means "planner's choice" one layer up, and a serial replay here)
+// for an 8-rank program on a 4-processor platform with an explicit
+// mapping must fail with the rank-count error, not index the 4-entry
+// mapping with rank 7.
 func TestAutoShardsRejectTooManyRanks(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // the automatic choice only shards with GOMAXPROCS >= 2
 	prog, err := Compile(allocRing(8, 2))
 	if err != nil {
 		t.Fatal(err)

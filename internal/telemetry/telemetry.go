@@ -111,15 +111,6 @@ func (h *Histogram) Load(d *HistogramData) {
 	}
 }
 
-// Merge adds o's counts into d.
-func (d *HistogramData) Merge(o *HistogramData) {
-	d.Count += o.Count
-	d.Sum += o.Sum
-	for i := range d.Buckets {
-		d.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // bucketBound returns the inclusive upper bound of bucket i in raw
 // units: every observation in buckets 0..i is <= 2^i - 1.
 func bucketBound(i int) float64 {

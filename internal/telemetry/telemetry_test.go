@@ -92,20 +92,6 @@ func TestHistogramConcurrentExact(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(3)
-	a.Observe(100)
-	b.Observe(3)
-	var da, db HistogramData
-	a.Load(&da)
-	b.Load(&db)
-	da.Merge(&db)
-	if da.Count != 3 || da.Sum != 106 {
-		t.Fatalf("merged count=%d sum=%d", da.Count, da.Sum)
-	}
-}
-
 func TestVecChildrenAndConcurrency(t *testing.T) {
 	r := New()
 	v := r.CounterVec("req_total", "requests", "endpoint", "code")

@@ -315,9 +315,6 @@ func (p *Proc) Rank() int { return p.mp.Rank() }
 // Size returns the world size.
 func (p *Proc) Size() int { return p.mp.Size() }
 
-// Clock returns the rank's current virtual time in instructions.
-func (p *Proc) Clock() int64 { return p.clock }
-
 // Compute advances the virtual clock by n executed instructions. Negative
 // n is ignored.
 func (p *Proc) Compute(n int64) {
@@ -380,11 +377,6 @@ func (a *Array) Store(i int, v float64) {
 	a.p.clock += a.p.cfg.StoreCost
 	a.p.record(EvStore, a.id, i)
 }
-
-// Data exposes the raw storage without instrumentation. Use it only for
-// initialization and verification; accesses through Data are invisible to
-// the tracer, like accesses outside the traced region in the paper's tool.
-func (a *Array) Data() []float64 { return a.data }
 
 // ---------------------------------------------------------------------------
 // Instrumented communication
