@@ -20,7 +20,7 @@ const RPCPath = "/v1/cluster/rpc"
 // never retry work the peer deliberately refused).
 func ServeRPC(n *Node) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxValueBytes+MaxKeyBytes+MaxKindBytes+1024))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 		if err != nil {
 			http.Error(w, "cluster: read rpc: "+err.Error(), http.StatusRequestEntityTooLarge)
 			return

@@ -16,7 +16,8 @@ const (
 	// OpPing is the liveness probe; its response refreshes routing
 	// tables and carries the peer's draining flag.
 	OpPing Op = "ping"
-	// OpStore replicates a value to one of its key's K closest nodes.
+	// OpStore replicates values to one of their keys' K closest nodes:
+	// one keyed value, or a list of them (Request.Blobs).
 	OpStore Op = "store"
 	// OpFindNode returns the receiver's K closest contacts to a key.
 	OpFindNode Op = "find_node"
@@ -32,7 +33,8 @@ const (
 // the service's 64 MiB upload bound), keys are digest strings, kinds
 // are short labels.
 const (
-	// MaxValueBytes bounds Request.Value and Response.Value.
+	// MaxValueBytes bounds Request.Value and Response.Value, and the
+	// summed values of one STORE's blob list.
 	MaxValueBytes = 64 << 20
 	// MaxKeyBytes bounds Request.Key ("sha256:" + 64 hex is 71 bytes;
 	// the bound leaves headroom for other key schemes).
@@ -41,7 +43,19 @@ const (
 	MaxKindBytes = 64
 	// MaxContacts bounds Response.Contacts.
 	MaxContacts = 64
+	// MaxStoreBlobs bounds how many blobs one STORE lists.
+	MaxStoreBlobs = 1024
+	// MaxRequestBytes bounds one encoded request: MaxValueBytes of values
+	// in base64, plus a full blob list's keys, kinds and JSON framing.
+	MaxRequestBytes = (MaxValueBytes+2)/3*4 + MaxStoreBlobs*(MaxKeyBytes+MaxKindBytes+64) + 1024
 )
+
+// Blob is one keyed value a STORE lists.
+type Blob struct {
+	Key   string `json:"key"`
+	Kind  string `json:"kind,omitempty"`
+	Value []byte `json:"value"`
+}
 
 // Request is one cluster RPC envelope.
 type Request struct {
@@ -57,6 +71,9 @@ type Request struct {
 	Kind string `json:"kind,omitempty"`
 	// Value is the payload of store and exec.
 	Value []byte `json:"value,omitempty"`
+	// Blobs is a store's list of keyed values, sent instead of Key,
+	// Kind and Value when one STORE carries several.
+	Blobs []Blob `json:"blobs,omitempty"`
 }
 
 // Response answers one RPC.
@@ -97,7 +114,7 @@ func validOp(op Op) bool {
 // these bytes from the network; the fuzz target in fuzz_test.go chews
 // on exactly this entry point.
 func DecodeRequest(data []byte) (*Request, error) {
-	if len(data) > MaxValueBytes+MaxKeyBytes+MaxKindBytes+1024 {
+	if len(data) > MaxRequestBytes {
 		return nil, fmt.Errorf("cluster: request of %d bytes exceeds wire bound", len(data))
 	}
 	var req Request
@@ -130,8 +147,14 @@ func (r *Request) Validate() error {
 	if len(r.Value) > MaxValueBytes {
 		return fmt.Errorf("cluster: value of %d bytes exceeds %d", len(r.Value), MaxValueBytes)
 	}
+	if r.Blobs != nil && r.Op != OpStore {
+		return fmt.Errorf("cluster: %s carries no blob list", r.Op)
+	}
 	switch r.Op {
 	case OpStore:
+		if r.Blobs != nil {
+			return r.validateBlobs()
+		}
 		if r.Key == "" || len(r.Value) == 0 {
 			return fmt.Errorf("cluster: store needs key and value")
 		}
@@ -142,6 +165,34 @@ func (r *Request) Validate() error {
 	case OpExec:
 		if r.Kind == "" || len(r.Value) == 0 {
 			return fmt.Errorf("cluster: exec needs kind and value")
+		}
+	}
+	return nil
+}
+
+// validateBlobs checks a STORE's blob list: each blob as the single form
+// is checked, at most MaxStoreBlobs of them, and at most MaxValueBytes
+// of values in all.
+func (r *Request) validateBlobs() error {
+	if r.Key != "" || r.Kind != "" || len(r.Value) > 0 {
+		return fmt.Errorf("cluster: store carries one key or a blob list, not both")
+	}
+	if len(r.Blobs) == 0 || len(r.Blobs) > MaxStoreBlobs {
+		return fmt.Errorf("cluster: store lists %d blobs, want 1 to %d", len(r.Blobs), MaxStoreBlobs)
+	}
+	total := 0
+	for i, b := range r.Blobs {
+		switch {
+		case b.Key == "" || len(b.Value) == 0:
+			return fmt.Errorf("cluster: store blob %d needs key and value", i)
+		case len(b.Key) > MaxKeyBytes:
+			return fmt.Errorf("cluster: store blob %d: key of %d bytes exceeds %d", i, len(b.Key), MaxKeyBytes)
+		case len(b.Kind) > MaxKindBytes:
+			return fmt.Errorf("cluster: store blob %d: kind of %d bytes exceeds %d", i, len(b.Kind), MaxKindBytes)
+		}
+		total += len(b.Value)
+		if total > MaxValueBytes {
+			return fmt.Errorf("cluster: store blobs exceed %d value bytes", MaxValueBytes)
 		}
 	}
 	return nil

@@ -142,13 +142,24 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 	case OpPing:
 		// The response envelope is the whole answer.
 	case OpStore:
-		if resp.Draining && !n.blobs.Contains(req.Key) {
-			// Fresh keys are refused while draining; re-replication of
-			// keys already held stays welcome so nothing regresses.
-			resp.Err = "cluster: node draining, not accepting new keys"
-			return resp
+		blobs := req.Blobs
+		if blobs == nil {
+			blobs = []Blob{{Key: req.Key, Kind: req.Kind, Value: req.Value}}
 		}
-		n.blobs.Put(req.Key, blob{req.Kind, req.Value})
+		if resp.Draining {
+			// Fresh keys are refused while draining; re-replication of
+			// keys already held stays welcome so nothing regresses. A list
+			// holding any fresh key is refused whole.
+			for _, b := range blobs {
+				if !n.blobs.Contains(b.Key) {
+					resp.Err = "cluster: node draining, not accepting new keys"
+					return resp
+				}
+			}
+		}
+		for _, b := range blobs {
+			n.blobs.Put(b.Key, blob{b.Kind, b.Value})
+		}
 		resp.Stored = true
 	case OpFindNode:
 		resp.Contacts = n.table.KClosest(KeyID(req.Key), DefaultK)
@@ -383,29 +394,104 @@ func (n *Node) Owners(key string) []Contact {
 }
 
 // Store replicates a value to its key's K closest nodes (self included
-// when it qualifies; a draining node skips its own copy). Returns how
-// many replicas acknowledged. Failing peers are skipped — replication
-// is best effort; the content address makes re-derivation safe.
+// when it qualifies; a draining node skips its own copy): Hold, then
+// Replicate. Returns how many replicas acknowledged. Failing peers are
+// skipped — replication is best effort; the content address makes
+// re-derivation safe.
 func (n *Node) Store(ctx context.Context, key, kind string, value []byte) int {
+	b := Blob{Key: key, Kind: kind, Value: value}
 	stored := 0
-	for _, c := range n.Owners(key) {
-		if c.ID == n.self.ID {
-			if !n.draining.Load() {
-				n.blobs.Put(key, blob{kind, value})
-				stored++
-			}
-			continue
-		}
-		resp, err := n.call(ctx, c, &Request{Op: OpStore, Key: key, Kind: kind, Value: value})
-		if err != nil || resp.Err != "" || !resp.Stored {
-			continue
-		}
+	if n.Hold(b) {
 		stored++
 	}
-	if stored > 0 {
-		mStores.Add(uint64(stored))
+	acks, _ := n.Replicate(ctx, []Blob{b})
+	return stored + acks[0]
+}
+
+// Hold keeps a blob in the local store when this node is in its key's
+// replica set and not draining, and reports whether it did: the node's
+// own copy of a value it replicates.
+func (n *Node) Hold(b Blob) bool {
+	if n.draining.Load() || !n.inReplicaSet(b.Key) {
+		return false
 	}
-	return stored
+	n.blobs.Put(b.Key, blob{b.Kind, b.Value})
+	mStores.Inc()
+	return true
+}
+
+// inReplicaSet reports whether this node is among key's K closest. A
+// table of fewer than K peers puts every node in every replica set.
+func (n *Node) inReplicaSet(key string) bool {
+	if n.table.Len() < DefaultK {
+		return true
+	}
+	for _, c := range n.Owners(key) {
+		if c.ID == n.self.ID {
+			return true
+		}
+	}
+	return false
+}
+
+// Replicate sends every blob to the peers in its key's replica set, one
+// STORE per peer listing all the blobs that peer should hold (split at
+// MaxStoreBlobs blobs or MaxValueBytes of values); this node's own copy
+// is Hold's. It returns how many peers acknowledged each blob and how
+// many STOREs it sent. A peer that fails is skipped for the rest of the
+// call — replication is best effort.
+func (n *Node) Replicate(ctx context.Context, blobs []Blob) (acks []int, stores int) {
+	type peer struct {
+		to  Contact
+		idx []int // indices into blobs
+	}
+	var peers []*peer
+	byID := map[ID]*peer{}
+	for i, b := range blobs {
+		for _, c := range n.Owners(b.Key) {
+			if c.ID == n.self.ID {
+				continue
+			}
+			p := byID[c.ID]
+			if p == nil {
+				p = &peer{to: c}
+				byID[c.ID] = p
+				peers = append(peers, p)
+			}
+			p.idx = append(p.idx, i)
+		}
+	}
+	acks = make([]int, len(blobs))
+	for _, p := range peers {
+		for rest := p.idx; len(rest) > 0; {
+			take, size := 0, 0
+			for take < len(rest) && take < MaxStoreBlobs {
+				v := len(blobs[rest[take]].Value)
+				if take > 0 && size+v > MaxValueBytes {
+					break
+				}
+				size += v
+				take++
+			}
+			list := make([]Blob, take)
+			for k, i := range rest[:take] {
+				list[k] = blobs[i]
+			}
+			stores++
+			resp, err := n.call(ctx, p.to, &Request{Op: OpStore, Blobs: list})
+			if err != nil {
+				break
+			}
+			if resp.Err == "" && resp.Stored {
+				for _, i := range rest[:take] {
+					acks[i]++
+				}
+				mStores.Add(uint64(take))
+			}
+			rest = rest[take:]
+		}
+	}
+	return acks, stores
 }
 
 // Get fetches a value by key: the local blob store first, then an

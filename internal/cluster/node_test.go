@@ -184,6 +184,54 @@ func TestDrainLeavesPolitely(t *testing.T) {
 	}
 }
 
+// TestReplicateBatchesPerPeer: Replicate sends each peer one STORE
+// listing every blob it should hold, and every replica ends up with
+// every blob.
+func TestReplicateBatchesPerPeer(t *testing.T) {
+	ctx := context.Background()
+	_, nodes := testCluster(t, 4)
+	blobs := make([]Blob, 10)
+	for i := range blobs {
+		blobs[i] = Blob{Key: fmt.Sprintf("sha256:%064x", i), Kind: "point", Value: []byte{byte(i + 1)}}
+	}
+	acks, stores := nodes[0].Replicate(ctx, blobs)
+	if stores != 3 {
+		t.Fatalf("%d STOREs for 10 blobs to 3 peers, want 3", stores)
+	}
+	for i, a := range acks {
+		if a != 3 {
+			t.Fatalf("blob %d acknowledged by %d peers, want 3", i, a)
+		}
+	}
+	for i, nd := range nodes {
+		for _, b := range blobs {
+			if nd.Has(b.Key) != (i != 0) {
+				t.Fatalf("node %d holds %s: %v (Replicate leaves the sender's copy to Hold)", i, b.Key, nd.Has(b.Key))
+			}
+		}
+	}
+}
+
+// TestDrainingNodeRefusesListWithFreshKey: a draining node takes a blob
+// list only when it already holds every key in it.
+func TestDrainingNodeRefusesListWithFreshKey(t *testing.T) {
+	ctx := context.Background()
+	_, nodes := testCluster(t, 2)
+	held := Blob{Key: "sha256:held", Kind: "blob", Value: []byte("kept")}
+	nodes[0].Store(ctx, held.Key, held.Kind, held.Value)
+	nodes[1].Drain()
+	fresh := Blob{Key: "sha256:fresh", Kind: "blob", Value: []byte("new")}
+	if resp := nodes[1].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{held, fresh}}); resp.Stored || resp.Err == "" {
+		t.Fatalf("draining node took a list with a fresh key: %+v", resp)
+	}
+	if nodes[1].Has(fresh.Key) {
+		t.Fatal("refused list left its fresh key behind")
+	}
+	if resp := nodes[1].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{held}}); !resp.Stored {
+		t.Fatalf("draining node refused a list of held keys: %+v", resp)
+	}
+}
+
 // TestTransportFailureEvictsContact: a dead peer disappears from the
 // caller's table on the first failed RPC.
 func TestTransportFailureEvictsContact(t *testing.T) {

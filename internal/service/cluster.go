@@ -8,10 +8,37 @@ package service
 //   - this file owns the simulation semantics on top of it: whole specs
 //     forward to the node that owns their digest (cross-node
 //     singleflight — a hot spec simulates exactly once cluster-wide),
-//     scenario grids fan individual points out to their owner nodes,
-//     freshly computed points replicate back into the DHT as a
-//     cooperative cache, and uploaded artifacts (traces, platforms)
-//     replicate so any member can serve a spec that references them.
+//     a scenario grid sends each remote owner one spec covering exactly
+//     the points it owns, freshly computed points replicate back into
+//     the DHT as a cooperative cache, and uploaded artifacts (traces,
+//     platforms) replicate so any member can serve a spec that
+//     references them.
+//
+// Per-owner fan-out. A grid run on this node groups the points it lacks
+// by owner and sends each remote owner one EXEC: the pinned spec for a
+// lone point, else the request with every axis narrowed to the owner's
+// coordinates and zipped into one group, so the owner's grid is exactly
+// its points, each under its own point digest. No FIND_VALUE goes first:
+// the owner heads every replica set, so it holds any point computed
+// anywhere before. Work that arrives from a peer never fans out again;
+// its node computes what its blob store lacks. Two concurrent grids
+// that overlap send different owner specs, so, as on a standalone node,
+// they may both compute a shared point; identical specs still run once.
+//
+// One copy of a point per node. The planner's point store is the
+// node's blob store: a fresh point is held there as its replicated blob
+// when the node is in the point's replica set, and the point LRU keeps
+// only the others. Points a run fetched from their owners reach its
+// planner through a per-run overlay (clusterRun) and are not kept
+// beyond it; the owner replicates them to the replica set.
+//
+// Replication. One queue (replicator) carries every blob bound for
+// peers: uploaded traces, resolved platforms, and fresh points, which a
+// run queues together when it ends. At most clusterReplicators workers
+// drain it, each taking what is queued (up to cluster.MaxStoreBlobs)
+// and sending every peer one STORE listing the blobs it should hold
+// (cluster.Node.Replicate), so a grid of any size costs a bounded
+// number of goroutines. Drain flushes the queue.
 //
 // Execution arriving over the cluster (the node's Executor) runs inline
 // on the serving goroutine and never waits for a manager slot. Slots
@@ -37,8 +64,8 @@ import (
 )
 
 // ExecKindScenario labels cluster exec payloads carrying a JSON
-// ScenarioRequest — both whole forwarded specs and pinned single-point
-// fan-out requests travel under it.
+// ScenarioRequest — both whole forwarded specs and per-owner fan-out
+// requests travel under it.
 const ExecKindScenario = "scenario"
 
 // Blob kinds stored in the DHT. Everything is keyed by content digest,
@@ -53,32 +80,36 @@ const (
 	BlobPoint = "point"
 )
 
-// clusterFanout bounds how many grid points one scenario prefetches
-// from the cluster concurrently (lookups and remote executions alike).
+// clusterFanout bounds how many owners one grid run asks concurrently.
 const clusterFanout = 4
 
-// clusterReplicators bounds the background replication goroutines; the
-// queue beyond it applies backpressure to PutPoint callers only in the
-// sense that spawning waits, never that results are dropped.
+// clusterReplicators is the replication queue's worker pool: the most
+// goroutines replication ever holds, however many blobs are queued.
+// Enqueueing never blocks; blobs wait in the queue.
 const clusterReplicators = 4
 
-// replicateTimeout bounds one background replication; content
-// addressing makes a timed-out replica safe to simply lose.
+// ownerZip is the zip group an owner's narrowed spec puts every axis in.
+const ownerZip = "owner"
+
+// replicateTimeout bounds one replication pass; content addressing
+// makes a timed-out replica safe to simply lose.
 const replicateTimeout = 30 * time.Second
 
 // Service-level cluster instruments, beside the node's own cluster_rpcs
 // families (internal/cluster/telemetry.go).
 var (
 	mClusterPointHits = telemetry.Default().Counter("cluster_remote_point_hits_total",
-		"grid points served from the cluster's cooperative point cache instead of simulating")
+		"grid points a run found in the node's blob store (replicated by the cluster) before planning")
 	mClusterFanout = telemetry.Default().CounterVec("cluster_point_fanout_total",
 		"grid points fanned out to their remote owner node, by result", "result")
+	mReplStores = telemetry.Default().Counter("cluster_replication_stores_total",
+		"STORE RPCs the replication queue sent, each listing every queued blob one peer should hold")
 	mClusterForwards = telemetry.Default().CounterVec("cluster_forwarded_jobs_total",
 		"whole specs forwarded to their owner node, by result (fallback = executed locally after a forward failure)", "result")
 	mClusterExecs = telemetry.Default().CounterVec("cluster_execs_served_total",
 		"cluster exec requests served for peers, by kind", "kind")
 	mClusterReplications = telemetry.Default().CounterVec("cluster_artifact_replications_total",
-		"artifacts pushed into the DHT's replica sets, by kind", "kind")
+		"artifacts the replication queue pushed to at least one peer of their replica set, by kind", "kind")
 	mClusterFetches = telemetry.Default().CounterVec("cluster_artifact_fetches_total",
 		"artifacts fetched from the cluster to satisfy a forwarded spec, by kind and result", "kind", "result")
 )
@@ -87,7 +118,7 @@ var (
 // exec RPCs here, and the manager routes owned-elsewhere work there.
 func (m *Manager) attachCluster(n *cluster.Node) {
 	m.node = n
-	m.replSem = make(chan struct{}, clusterReplicators)
+	m.repl = &replicator{node: n}
 	n.SetExecutor(m.clusterExecutor())
 }
 
@@ -99,9 +130,9 @@ func (m *Manager) Cluster() *cluster.Node { return m.node }
 // Inbound: serving peers
 
 // clusterExecutor is the node's Executor: peers send ScenarioRequests
-// here (whole forwarded specs and pinned single points alike), and the
+// here (whole forwarded specs and per-owner point sets alike), and the
 // manager serves them through the same identity and execution steps as
-// local work, admitted fromPeer.
+// local work, admitted fromPeer: computed here, never fanned out again.
 func (m *Manager) clusterExecutor() cluster.Executor {
 	return func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
 		if kind != ExecKindScenario {
@@ -230,53 +261,96 @@ func (m *Manager) forward(j *Job, t *task) ([]byte, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Point fan-out
+// Point store and fan-out
 
-// clusterPrefetchPoints runs before a scenario grid executes: for every
-// grid point this node does not own, it tries the cooperative cache
-// and then asks the point's owner to simulate it, feeding hits into the
-// local point cache so the planner schedules no engine work for them.
-// Self-owned points are left for the grid run (recursion terminates
-// because a pinned single-point spec's digest IS its point digest, so
-// its owner always computes it locally). Everything here is best
-// effort: any failure leaves the point to the local planner.
-func (m *Manager) clusterPrefetchPoints(ctx context.Context, r ScenarioRequest, sc *core.Scenario) {
-	if m.node == nil || m.points == nil {
+// pointRun returns the scenario one run executes, with the run's point
+// store attached, and release, which the caller must call when the run
+// ends. Standalone the store is the point LRU. In a cluster it is a
+// clusterRun: a slotted run first resolves the grid points this node
+// lacks from their owners (one EXEC per owner); a run from a peer
+// never fans out. release queues the run's fresh points for
+// replication.
+func (m *Manager) pointRun(ctx context.Context, t *task, mode admission) (core.Scenario, func()) {
+	sc := *t.sc
+	switch {
+	case m.points == nil:
+		return sc, func() {}
+	case m.node == nil:
+		sc.PointCache = scenarioPointStore{m.points}
+		return sc, func() {}
+	}
+	run := &clusterRun{m: m}
+	if mode == slotted {
+		run.prefetch(ctx, t.req, &sc)
+	}
+	sc.PointCache = run
+	return sc, run.release
+}
+
+// clusterRun is the planner's point store for one run on a cluster
+// node. Lookups read the points this run resolved before planning
+// (fetched), then the node's blob store, then the point LRU. A fresh
+// point is held in the blob store when the node is in its replica set,
+// else in the LRU, and waits in fresh until it is queued for the peers.
+type clusterRun struct {
+	m       *Manager
+	mu      sync.Mutex
+	fetched map[string]core.ScenarioPoint
+	fresh   []cluster.Blob
+}
+
+// GetPoint implements core.PointCache. A hit from fetched or the blob
+// store counts as a point-cache hit; the LRU counts its own lookups.
+func (r *clusterRun) GetPoint(d string) (core.ScenarioPoint, bool) {
+	r.mu.Lock()
+	pt, ok := r.fetched[d]
+	r.mu.Unlock()
+	if !ok {
+		pt, ok = r.m.heldPoint(d)
+	}
+	if ok {
+		r.m.clusterPointHits.Add(1)
+		return pt, true
+	}
+	return r.m.points.Get(d)
+}
+
+// PutPoint implements core.PointCache.
+func (r *clusterRun) PutPoint(d string, pt core.ScenarioPoint) {
+	b, err := json.Marshal(pt)
+	if err != nil {
+		r.m.points.Put(d, pt)
 		return
 	}
-	keys, err := sc.PointKeys()
-	if err != nil || len(keys) <= 1 {
-		// A single-point spec is routed whole by the spec forwarder;
-		// fanning it out again would be a cycle.
-		return
+	blob := cluster.Blob{Key: d, Kind: BlobPoint, Value: b}
+	if !r.m.node.Hold(blob) {
+		r.m.points.Put(d, pt)
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, clusterFanout)
-	for _, k := range keys {
-		if _, ok := m.points.Get(k.Digest); ok {
-			continue
-		}
-		// A replicated copy already on this node is free to use whether or
-		// not we own the point.
-		b, kind, ok := m.node.GetCached(k.Digest)
-		if pt, ok := decodePoint(k.Digest, b, kind, ok); ok {
-			m.points.Put(k.Digest, pt)
-			mClusterPointHits.Inc()
-			continue
-		}
-		owner := m.node.Owner(k.Digest)
-		if owner.ID == m.node.Self().ID {
-			continue // ours: the grid run computes it
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k core.PointKey, owner cluster.Contact) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			m.fetchRemotePoint(ctx, r, k, owner)
-		}(k, owner)
+	r.mu.Lock()
+	r.fresh = append(r.fresh, blob)
+	var full []cluster.Blob
+	if len(r.fresh) >= cluster.MaxStoreBlobs {
+		full, r.fresh = r.fresh, nil
 	}
-	wg.Wait()
+	r.mu.Unlock()
+	if full != nil {
+		r.m.repl.enqueue(full)
+	}
+}
+
+// release queues the run's remaining fresh points for replication.
+func (r *clusterRun) release() {
+	r.mu.Lock()
+	fresh := r.fresh
+	r.fresh = nil
+	r.mu.Unlock()
+	r.m.repl.enqueue(fresh)
+}
+
+// heldPoint reads a point from the node's blob store.
+func (m *Manager) heldPoint(d string) (core.ScenarioPoint, bool) {
+	b, kind, ok := m.node.GetCached(d)
+	return decodePoint(d, b, kind, ok)
 }
 
 // decodePoint accepts a point blob only if it is the point stored under
@@ -290,73 +364,149 @@ func decodePoint(digest string, b []byte, kind string, ok bool) (core.ScenarioPo
 	return pt, true
 }
 
-// fetchRemotePoint resolves one remote-owned grid point: cluster
-// lookup first (someone may have computed it already), then an exec on
-// its owner with the pinned single-point spec.
-func (m *Manager) fetchRemotePoint(ctx context.Context, r ScenarioRequest, k core.PointKey, owner cluster.Contact) {
-	b, kind, ok := m.node.Get(ctx, k.Digest)
-	if pt, ok := decodePoint(k.Digest, b, kind, ok); ok {
-		m.points.Put(k.Digest, pt)
-		mClusterPointHits.Inc()
+// prefetch runs before a slotted grid plans: each point the blob store
+// holds goes to fetched, and the points neither store holds are grouped
+// by owner; each remote owner then gets one EXEC for its group. Points
+// this node owns are left for the planner. Everything here is best
+// effort: any failure leaves the points to the local planner.
+func (r *clusterRun) prefetch(ctx context.Context, req ScenarioRequest, sc *core.Scenario) {
+	keys, err := sc.PointKeys()
+	if err != nil || len(keys) <= 1 {
+		// A one-point spec is routed whole by the spec forwarder.
 		return
 	}
-	preq, err := pinnedScenarioRequest(r, k.Coords)
-	if err != nil {
-		mClusterFanout.With("error").Inc()
-		return
+	m := r.m
+	self := m.node.Self().ID
+	type group struct {
+		owner cluster.Contact
+		keys  []core.PointKey
 	}
-	payload, err := json.Marshal(preq)
-	if err != nil {
-		mClusterFanout.With("error").Inc()
-		return
+	var groups []*group
+	byOwner := map[cluster.ID]*group{}
+	seen := make(map[string]bool, len(keys))
+	r.fetched = map[string]core.ScenarioPoint{}
+	for _, k := range keys {
+		if seen[k.Digest] {
+			continue
+		}
+		seen[k.Digest] = true
+		if pt, ok := m.heldPoint(k.Digest); ok {
+			r.fetched[k.Digest] = pt
+			mClusterPointHits.Inc()
+			continue
+		}
+		if m.points.Contains(k.Digest) {
+			continue
+		}
+		owner := m.node.Owner(k.Digest)
+		if owner.ID == self {
+			continue
+		}
+		g := byOwner[owner.ID]
+		if g == nil {
+			g = &group{owner: owner}
+			byOwner[owner.ID] = g
+			groups = append(groups, g)
+		}
+		g.keys = append(g.keys, k)
 	}
-	out, err := m.node.Exec(ctx, owner, ExecKindScenario, payload)
-	if err != nil {
-		mClusterFanout.With("error").Inc()
-		m.log.LogAttrs(context.Background(), slog.LevelDebug, "point fan-out failed, computing locally",
-			slog.String("point_digest", k.Digest),
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, clusterFanout)
+	for _, g := range groups {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			r.fetch(ctx, req, g.owner, g.keys)
+		}()
+	}
+	wg.Wait()
+}
+
+// fetch asks one owner to compute (or serve) its points of the grid and
+// adds them to fetched. An answer that is not exactly those points, in
+// order, means the owner and this node disagree about the spec: it is
+// dropped and the points are computed here.
+func (r *clusterRun) fetch(ctx context.Context, req ScenarioRequest, owner cluster.Contact, keys []core.PointKey) {
+	fail := func(err error) {
+		mClusterFanout.With("error").Add(uint64(len(keys)))
+		r.m.log.LogAttrs(context.Background(), slog.LevelDebug, "point fan-out failed, computing locally",
+			slog.Int("points", len(keys)),
 			slog.String("owner", owner.Addr),
 			slog.String("error", err.Error()))
+	}
+	oreq, err := ownerScenarioRequest(req, keys)
+	if err != nil {
+		fail(err)
+		return
+	}
+	payload, err := json.Marshal(oreq)
+	if err != nil {
+		fail(err)
+		return
+	}
+	out, err := r.m.node.Exec(ctx, owner, ExecKindScenario, payload)
+	if err != nil {
+		fail(err)
 		return
 	}
 	var res core.ScenarioResult
-	if err := json.Unmarshal(out, &res); err != nil || len(res.Points) != 1 || res.Points[0].Digest != k.Digest {
-		// A result that is not exactly our point means the owner and we
-		// disagree about the spec — recompute locally rather than cache a
-		// wrong row.
-		mClusterFanout.With("error").Inc()
+	if err := json.Unmarshal(out, &res); err != nil {
+		fail(err)
 		return
 	}
-	// The owner's PutPoint already replicated the blob; feed only the
-	// local planner cache here.
-	m.points.Put(k.Digest, res.Points[0])
-	mClusterFanout.With("ok").Inc()
+	if len(res.Points) != len(keys) {
+		fail(fmt.Errorf("service: owner answered %d of %d points", len(res.Points), len(keys)))
+		return
+	}
+	for i, pt := range res.Points {
+		if pt.Digest != keys[i].Digest {
+			fail(fmt.Errorf("service: owner answered point %s for %s", pt.Digest, keys[i].Digest))
+			return
+		}
+	}
+	r.mu.Lock()
+	for _, pt := range res.Points {
+		r.fetched[pt.Digest] = pt
+	}
+	r.mu.Unlock()
+	mClusterFanout.With("ok").Add(uint64(len(keys)))
 }
 
-// pinnedScenarioRequest narrows a scenario request to one grid point:
-// every axis becomes a singleton holding that point's coordinate. The
-// coordinate labels are the canonical spellings (core.Axis.labels), so
-// parsing them back yields a spec whose digest is exactly the point
-// digest — the invariant that makes point keys route consistently.
-func pinnedScenarioRequest(r ScenarioRequest, coords []core.Coord) (ScenarioRequest, error) {
-	axes := make([]core.Axis, len(coords))
-	for i, c := range coords {
-		ax := core.Axis{Kind: c.Axis}
-		switch c.Axis {
-		case core.AxisBandwidth, core.AxisLatency, core.AxisDerate, core.AxisJitter:
-			v, err := strconv.ParseFloat(c.Value, 64)
-			if err != nil {
-				return ScenarioRequest{}, fmt.Errorf("service: pin axis %q: %w", c.Axis, err)
+// ownerScenarioRequest narrows a scenario request to the given grid
+// points, in order. A lone point pins every axis to a singleton; more
+// points list their coordinates on every axis, zipped into one group,
+// so the narrowed grid is exactly those points — canonicalization keeps
+// a zipped list's order and repeats. The coordinate labels are the
+// canonical spellings (core.Axis.labels), so every point keeps its
+// digest, and a pinned spec's digest IS its point digest: the invariant
+// that makes point keys route consistently.
+func ownerScenarioRequest(r ScenarioRequest, keys []core.PointKey) (ScenarioRequest, error) {
+	axes := make([]core.Axis, len(keys[0].Coords))
+	for i := range axes {
+		ax := core.Axis{Kind: keys[0].Coords[i].Axis}
+		if len(keys) > 1 {
+			ax.Zip = ownerZip
+		}
+		for _, k := range keys {
+			c := k.Coords[i]
+			switch c.Axis {
+			case core.AxisBandwidth, core.AxisLatency, core.AxisDerate, core.AxisJitter:
+				v, err := strconv.ParseFloat(c.Value, 64)
+				if err != nil {
+					return ScenarioRequest{}, fmt.Errorf("service: pin axis %q: %w", c.Axis, err)
+				}
+				ax.Values = append(ax.Values, v)
+			case core.AxisMapping:
+				ax.Mappings = append(ax.Mappings, c.Value)
+			default:
+				n, err := strconv.Atoi(c.Value)
+				if err != nil {
+					return ScenarioRequest{}, fmt.Errorf("service: pin axis %q: %w", c.Axis, err)
+				}
+				ax.Counts = append(ax.Counts, n)
 			}
-			ax.Values = []float64{v}
-		case core.AxisMapping:
-			ax.Mappings = []string{c.Value}
-		default:
-			n, err := strconv.Atoi(c.Value)
-			if err != nil {
-				return ScenarioRequest{}, fmt.Errorf("service: pin axis %q: %w", c.Axis, err)
-			}
-			ax.Counts = []int{n}
 		}
 		axes[i] = ax
 	}
@@ -367,25 +517,9 @@ func pinnedScenarioRequest(r ScenarioRequest, coords []core.Coord) (ScenarioRequ
 // ---------------------------------------------------------------------------
 // Replication
 
-// clusterPointStore wraps the planner-facing point cache: every freshly
-// computed point also replicates (asynchronously, bounded) into the
-// DHT, which is what makes a rerun against a different node
-// cache-served instead of re-simulated.
-type clusterPointStore struct {
-	scenarioPointStore
-	m *Manager
-}
-
-func (s clusterPointStore) PutPoint(d string, pt core.ScenarioPoint) {
-	s.scenarioPointStore.PutPoint(d, pt)
-	if b, err := json.Marshal(pt); err == nil {
-		s.m.replicateAsync(d, BlobPoint, b)
-	}
-}
-
 // ReplicateTrace pushes a stored trace into its DHT replica set (called
-// after uploads). No-op without a cluster or when the replica set
-// already holds it locally.
+// after uploads). No-op without a cluster or when this node already
+// holds it.
 func (m *Manager) ReplicateTrace(digest string, tr *trace.Trace) {
 	if m.node == nil || m.node.Has(digest) {
 		return
@@ -394,12 +528,12 @@ func (m *Manager) ReplicateTrace(digest string, tr *trace.Trace) {
 	if err := trace.WriteBinary(&buf, tr); err != nil {
 		return
 	}
-	m.replicateAsync(digest, BlobTrace, buf.Bytes())
+	m.replicate(cluster.Blob{Key: digest, Kind: BlobTrace, Value: buf.Bytes()})
 }
 
 // replicatePlatform pushes a resolved platform into the DHT so peers
 // can serve specs referencing its digest. Platforms are a few hundred
-// bytes; replicating on every resolve is cheap and idempotent.
+// bytes; the check for a held copy makes repeat resolves free.
 func (m *Manager) replicatePlatform(digest string, p network.Platform) {
 	if m.node == nil || m.node.Has(digest) {
 		return
@@ -408,41 +542,115 @@ func (m *Manager) replicatePlatform(digest string, p network.Platform) {
 	if err := p.WriteJSON(&buf); err != nil {
 		return
 	}
-	m.replicateAsync(digest, BlobPlatform, buf.Bytes())
+	m.replicate(cluster.Blob{Key: digest, Kind: BlobPlatform, Value: buf.Bytes()})
 }
 
-// replicateAsync stores a blob to its key's replica set in the
-// background, bounded by clusterReplicators. Drain flushes the
-// outstanding set — a departing node never strands results it promised
-// to the cooperative cache.
-func (m *Manager) replicateAsync(key, kind string, value []byte) {
-	if m.node == nil {
+// replicate holds an artifact on this node (when it is in the replica
+// set) and queues it for the peers.
+func (m *Manager) replicate(b cluster.Blob) {
+	m.node.Hold(b)
+	m.repl.enqueue([]cluster.Blob{b})
+}
+
+// replicator is the cluster's one replication queue. Enqueueing appends
+// and starts a worker if fewer than clusterReplicators run; a worker
+// takes up to cluster.MaxStoreBlobs queued blobs at a time and sends
+// them with one Node.Replicate — one STORE per peer — until the queue
+// is empty, then exits, so an idle manager holds no replication
+// goroutine. Drain flushes it: a departing node never strands results
+// it promised to the cooperative cache.
+type replicator struct {
+	node    *cluster.Node
+	mu      sync.Mutex
+	queue   []cluster.Blob
+	workers int
+	// pending counts blobs queued or being stored; idle is closed when
+	// it returns to zero.
+	pending int
+	idle    chan struct{}
+}
+
+// enqueue queues blobs for their replica sets' peers. It never blocks.
+func (q *replicator) enqueue(blobs []cluster.Blob) {
+	if len(blobs) == 0 {
 		return
 	}
-	m.replWG.Add(1)
-	go func() {
-		defer m.replWG.Done()
-		// The semaphore bounds in-flight stores without blocking the
-		// computing goroutine that handed us the blob.
-		m.replSem <- struct{}{}
-		defer func() { <-m.replSem }()
-		ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
-		defer cancel()
-		if m.node.Store(ctx, key, kind, value) > 0 {
-			mClusterReplications.With(kind).Inc()
-		}
-	}()
+	q.mu.Lock()
+	q.queue = append(q.queue, blobs...)
+	if q.pending == 0 {
+		q.idle = make(chan struct{})
+	}
+	q.pending += len(blobs)
+	start := q.workers < clusterReplicators
+	if start {
+		q.workers++
+	}
+	q.mu.Unlock()
+	if start {
+		go q.work()
+	}
 }
 
-// flushReplications waits for outstanding background replications.
-func (m *Manager) flushReplications(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		m.replWG.Wait()
-		close(done)
-	}()
+// work sends queued blobs until the queue is empty.
+func (q *replicator) work() {
+	for {
+		q.mu.Lock()
+		if len(q.queue) == 0 {
+			q.workers--
+			q.mu.Unlock()
+			return
+		}
+		n := min(len(q.queue), cluster.MaxStoreBlobs)
+		batch := append([]cluster.Blob(nil), q.queue[:n]...)
+		clear(q.queue[:n]) // the queue's array must not pin sent blobs
+		q.queue = q.queue[n:]
+		q.mu.Unlock()
+
+		ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
+		acks, stores := q.node.Replicate(ctx, batch)
+		cancel()
+		mReplStores.Add(uint64(stores))
+		for i, b := range batch {
+			if acks[i] > 0 {
+				mClusterReplications.With(b.Kind).Inc()
+			}
+		}
+
+		q.mu.Lock()
+		q.pending -= len(batch)
+		if q.pending == 0 {
+			close(q.idle)
+		}
+		q.mu.Unlock()
+	}
+}
+
+// queued reports how many blobs are queued or being stored; a
+// standalone manager's nil queue holds none.
+func (q *replicator) queued() int {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pending
+}
+
+// flush waits until every queued blob has been sent, or ctx ends; a
+// standalone manager's nil queue is always flushed.
+func (q *replicator) flush(ctx context.Context) error {
+	if q == nil {
+		return nil
+	}
+	q.mu.Lock()
+	idle := q.idle
+	pending := q.pending
+	q.mu.Unlock()
+	if pending == 0 {
+		return nil
+	}
 	select {
-	case <-done:
+	case <-idle:
 		return nil
 	case <-ctx.Done():
 		return context.Cause(ctx)

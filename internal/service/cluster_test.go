@@ -10,7 +10,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/service"
 	"repro/internal/service/client"
 )
@@ -28,8 +31,37 @@ import (
 // node rides a shared MemNetwork. Tables are converged before return,
 // so every node names the same owner for every key.
 func newTestCluster(t *testing.T, n int) ([]*service.Manager, []*client.Client) {
+	mgrs, cls, _ := newCountingCluster(t, n)
+	return mgrs, cls
+}
+
+// rpcCounter is a MemNetwork that counts the RPCs it carries, by op.
+type rpcCounter struct {
+	*cluster.MemNetwork
+	mu   sync.Mutex
+	sent map[cluster.Op]int
+}
+
+func (c *rpcCounter) Call(ctx context.Context, addr string, req *cluster.Request) (*cluster.Response, error) {
+	c.mu.Lock()
+	c.sent[req.Op]++
+	c.mu.Unlock()
+	return c.MemNetwork.Call(ctx, addr, req)
+}
+
+// take returns the counts since the last take and starts over.
+func (c *rpcCounter) take() map[cluster.Op]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.sent
+	c.sent = map[cluster.Op]int{}
+	return out
+}
+
+// newCountingCluster is newTestCluster with its RPCs counted.
+func newCountingCluster(t *testing.T, n int) ([]*service.Manager, []*client.Client, *rpcCounter) {
 	t.Helper()
-	net := cluster.NewMemNetwork()
+	net := &rpcCounter{MemNetwork: cluster.NewMemNetwork(), sent: map[cluster.Op]int{}}
 	nodes := make([]*cluster.Node, n)
 	mgrs := make([]*service.Manager, n)
 	cls := make([]*client.Client, n)
@@ -69,7 +101,8 @@ func newTestCluster(t *testing.T, n int) ([]*service.Manager, []*client.Client) 
 			t.Fatalf("node %d knows %d peers, want %d", i, got, n-1)
 		}
 	}
-	return mgrs, cls
+	net.take()
+	return mgrs, cls, net
 }
 
 // totalStarted sums engine job starts across the cluster — the counter
@@ -353,5 +386,212 @@ func TestClusterDrainStaysAvailable(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatal("scenario served during a peer's drain not byte-identical")
+	}
+}
+
+// owning returns the index of the member that owns key.
+func owning(t *testing.T, mgrs []*service.Manager, key string) int {
+	t.Helper()
+	owner := mgrs[0].Cluster().Owner(key)
+	for i, m := range mgrs {
+		if m.Cluster().Self().ID == owner.ID {
+			return i
+		}
+	}
+	t.Fatalf("no member owns %s", key)
+	return -1
+}
+
+// remoteGroups groups a result's points by the owner node i's table
+// names for them, leaving out the points node i owns itself.
+func remoteGroups(mgrs []*service.Manager, i int, res *core.ScenarioResult) map[cluster.ID][]core.ScenarioPoint {
+	node := mgrs[i].Cluster()
+	groups := map[cluster.ID][]core.ScenarioPoint{}
+	for _, pt := range res.Points {
+		if o := node.Owner(pt.Digest); o.ID != node.Self().ID {
+			groups[o.ID] = append(groups[o.ID], pt)
+		}
+	}
+	return groups
+}
+
+// standaloneResult runs req on a standalone manager and returns its
+// bytes and decoded result.
+func standaloneResult(t *testing.T, req service.ScenarioRequest) ([]byte, *core.ScenarioResult) {
+	t.Helper()
+	_, standalone := newService(t, 2)
+	raw, err := standalone.ScenarioRaw(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res core.ScenarioResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	return raw, &res
+}
+
+// TestClusterGridOneExecPerOwner: an 8-point grid sent to the node that
+// owns its spec sends each remote point owner exactly one EXEC, looks
+// nothing up with FIND_VALUE, and returns standalone's bytes.
+func TestClusterGridOneExecPerOwner(t *testing.T) {
+	ctx := context.Background()
+	req := gridSpec()
+	req.Axes = []core.Axis{core.BandwidthAxis(125, 250, 500, 1000), core.MappingAxis("block", "rr")}
+	want, res := standaloneResult(t, req)
+
+	mgrs, cls, net := newCountingCluster(t, 3)
+	home := owning(t, mgrs, res.SpecDigest)
+	owners := len(remoteGroups(mgrs, home, res))
+	if owners == 0 {
+		t.Fatal("every point is the home node's own: the grid exercises no fan-out")
+	}
+	got, err := cls[home].ScenarioRaw(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("fanned-out grid differs from standalone:\n%s\n%s", want, got)
+	}
+	sent := net.take()
+	if sent[cluster.OpExec] != owners {
+		t.Fatalf("%d EXECs for %d remote owners, want one each", sent[cluster.OpExec], owners)
+	}
+	if sent[cluster.OpFindValue] != 0 {
+		t.Fatalf("%d FIND_VALUE lookups, want none", sent[cluster.OpFindValue])
+	}
+}
+
+// TestClusterOwnerSpecsKeepGridBytes: a streamed grid over value,
+// mapping and count axes — bandwidth × mapping × chunks × stragglers —
+// fans out as zipped owner specs whose lists repeat coordinates, and
+// every point equals standalone's.
+func TestClusterOwnerSpecsKeepGridBytes(t *testing.T) {
+	ctx := context.Background()
+	req := service.ScenarioRequest{
+		App: "cg", Ranks: 8,
+		Platform:     &service.PlatformSpec{Preset: "marenostrum-4x"},
+		Degradations: &faults.Spec{StragglerFactor: 2, Seed: 3},
+		Axes: []core.Axis{
+			core.BandwidthAxis(125, 500),
+			core.MappingAxis("block", "rr"),
+			core.ChunksAxis(2, 4),
+			core.StragglersAxis(0, 1),
+		},
+	}
+	_, res := standaloneResult(t, req)
+
+	mgrs, cls, net := newCountingCluster(t, 3)
+	home := owning(t, mgrs, res.SpecDigest)
+	groups := remoteGroups(mgrs, home, res)
+	repeats := false
+	for _, pts := range groups {
+		seen := map[core.Coord]bool{}
+		for _, pt := range pts {
+			for _, c := range pt.Coords {
+				repeats = repeats || seen[c]
+				seen[c] = true
+			}
+		}
+	}
+	if !repeats {
+		t.Fatal("no owner's point list repeats a coordinate: the grid does not exercise zipped repeats")
+	}
+	st, err := cls[home].ScenarioStream(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; ; i++ {
+		pt, err := st.Next()
+		if errors.Is(err, io.EOF) {
+			if i != len(res.Points) {
+				t.Fatalf("stream ended after %d of %d points", i, len(res.Points))
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(res.Points[i])
+		got, _ := json.Marshal(pt)
+		if !bytes.Equal(want, got) {
+			t.Fatalf("point %d differs from standalone:\n%s\n%s", i, want, got)
+		}
+	}
+	if sent := net.take(); sent[cluster.OpExec] != len(groups) {
+		t.Fatalf("%d EXECs for %d remote owners, want one each", sent[cluster.OpExec], len(groups))
+	}
+}
+
+// TestClusterPeerSpecNeverFansOut: a grid that arrives from a peer is
+// computed where it lands, with no further EXEC, even though that
+// node's table names other owners for some of its points.
+func TestClusterPeerSpecNeverFansOut(t *testing.T) {
+	ctx := context.Background()
+	req := gridSpec()
+	want, res := standaloneResult(t, req)
+
+	mgrs, _, net := newCountingCluster(t, 3)
+	recv := -1
+	for i := range mgrs {
+		if len(remoteGroups(mgrs, i, res)) > 0 {
+			recv = i
+			break
+		}
+	}
+	if recv < 0 {
+		t.Fatal("no node's table names another owner for any point")
+	}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := mgrs[(recv+1)%len(mgrs)].Cluster()
+	got, err := sender.Exec(ctx, mgrs[recv].Cluster().Self(), service.ExecKindScenario, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.TrimSpace(want), bytes.TrimSpace(got)) {
+		t.Fatalf("peer-sent grid differs from standalone:\n%s\n%s", want, got)
+	}
+	if sent := net.take(); sent[cluster.OpExec] != 1 || sent[cluster.OpFindValue] != 0 {
+		t.Fatalf("a peer-sent grid fanned out: %d EXECs (want only the sender's 1), %d FIND_VALUEs", sent[cluster.OpExec], sent[cluster.OpFindValue])
+	}
+}
+
+// TestClusterOwnerServesHeldPointBlob: a one-point spec sent to the
+// owner of a point it holds only as a replicated blob — never computed
+// there, so not in its point LRU — is served from the blob store with
+// zero engine jobs.
+func TestClusterOwnerServesHeldPointBlob(t *testing.T) {
+	ctx := context.Background()
+	req := gridSpec()
+	req.Axes = []core.Axis{core.BandwidthAxis(250)}
+	want, res := standaloneResult(t, req)
+	pt := res.Points[0]
+	if pt.Digest != res.SpecDigest {
+		t.Fatalf("a one-point spec's digest %s is not its point digest %s", res.SpecDigest, pt.Digest)
+	}
+	blob, err := json.Marshal(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mgrs, cls := newTestCluster(t, 3)
+	owner := owning(t, mgrs, pt.Digest)
+	if n := mgrs[(owner+1)%3].Cluster().Store(ctx, pt.Digest, service.BlobPoint, blob); n != 3 {
+		t.Fatalf("point blob reached %d of 3 nodes", n)
+	}
+	before := totalStarted(mgrs)
+	got, err := cls[owner].ScenarioRaw(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("held point served differently from standalone:\n%s\n%s", want, got)
+	}
+	if now := totalStarted(mgrs); now != before {
+		t.Fatalf("serving a held point blob started %d engine jobs, want 0", now-before)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -124,11 +125,12 @@ type Manager struct {
 	// spec the manager executes.
 	replayShards int
 
-	// node is the cluster membership (nil when standalone); replSem and
-	// replWG bound and track background DHT replication (cluster.go).
-	node    *cluster.Node
-	replSem chan struct{}
-	replWG  sync.WaitGroup
+	// node is the cluster membership (nil when standalone); repl is its
+	// replication queue, and clusterPointHits counts the point lookups a
+	// run's fetched points or the node's blob store answered (cluster.go).
+	node             *cluster.Node
+	repl             *replicator
+	clusterPointHits atomic.Uint64
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -142,7 +144,8 @@ type Manager struct {
 	draining bool   // Drain called: no new computations admitted
 }
 
-// scenarioPointStore adapts the point LRU to the planner's PointCache.
+// scenarioPointStore adapts the point LRU to the planner's PointCache:
+// a standalone manager's point store (pointRun).
 type scenarioPointStore struct {
 	c *lru.Cache[core.ScenarioPoint]
 }
@@ -150,17 +153,15 @@ type scenarioPointStore struct {
 func (s scenarioPointStore) GetPoint(d string) (core.ScenarioPoint, bool) { return s.c.Get(d) }
 func (s scenarioPointStore) PutPoint(d string, pt core.ScenarioPoint)     { s.c.Put(d, pt) }
 
-// scenarioPointCache returns the manager's point-level resume store in
-// the planner's shape, or nil when disabled. In a cluster the store
-// also replicates fresh points into the DHT (cluster.go).
-func (m *Manager) scenarioPointCache() core.PointCache {
+// pointCounters returns the point store's lifetime lookup hits and
+// misses: the LRU's, plus, in a cluster, the hits a run's fetched points
+// or the node's blob store answered.
+func (m *Manager) pointCounters() (hits, misses uint64) {
 	if m.points == nil {
-		return nil
+		return 0, 0
 	}
-	if m.node != nil {
-		return clusterPointStore{scenarioPointStore{m.points}, m}
-	}
-	return scenarioPointStore{m.points}
+	hits, misses = m.points.Counters()
+	return hits + m.clusterPointHits.Load(), misses
 }
 
 // admit reserves an admission-queue place for a fresh job; m.mu must be
@@ -433,11 +434,12 @@ func (m *Manager) compute(j *Job, t *task, mode admission, run func(context.Cont
 	if run != nil {
 		return run(j.ctx)
 	}
-	// In a cluster, resolve remote-owned grid points first: the planner
-	// then schedules engine work only for the points this node owns
-	// (cluster.go; no-op standalone).
-	m.clusterPrefetchPoints(j.ctx, t.req, t.sc)
-	res, err := core.RunScenario(j.ctx, m.eng, *t.sc)
+	// The run's point store: in a cluster a slotted run first resolves
+	// the grid points it lacks from their owners, so the planner
+	// schedules engine work only for the rest (cluster.go).
+	sc, release := m.pointRun(j.ctx, t, mode)
+	defer release()
+	res, err := core.RunScenario(j.ctx, m.eng, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -514,8 +516,8 @@ func (m *Manager) pruneLocked() {
 // re-admits.
 // In a cluster the node drains first — it stops accepting fresh keys
 // and marks every response Draining so peers age it out of their
-// routing tables — and outstanding DHT replications are flushed after
-// the jobs, so a departing node strands no point results.
+// routing tables — and the replication queue is flushed after the
+// jobs, so a departing node strands no point results.
 func (m *Manager) Drain(ctx context.Context) (int, error) {
 	if m.node != nil {
 		m.node.Drain()
@@ -531,7 +533,7 @@ func (m *Manager) Drain(ctx context.Context) (int, error) {
 		n := len(m.inflight)
 		m.mu.Unlock()
 		if n == 0 {
-			return flushing, m.flushReplications(ctx)
+			return flushing, m.repl.flush(ctx)
 		}
 		select {
 		case <-ctx.Done():
@@ -638,7 +640,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 	}
 	if m.points != nil {
 		out.PointCacheEntries = m.points.Len()
-		out.PointCacheHits, out.PointCacheMisses = m.points.Counters()
+		out.PointCacheHits, out.PointCacheMisses = m.pointCounters()
 	}
 	return out
 }

@@ -140,12 +140,10 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 	if n := sc.GridSize(); n > maxGridPoints {
 		return nil, "", fmt.Errorf("service: scenario grid has %d points, limit %d", n, maxGridPoints)
 	}
-	// The point-level resume store rides along as an execution hook (it
-	// never enters the digest): any scenario run through this manager —
-	// batch or streamed — reuses completed points from overlapping grids
-	// and contributes its own. The replay-shards setting is the same kind
-	// of hook: pure scheduling, byte-identical results.
-	sc.PointCache = m.scenarioPointCache()
+	// The replay-shards setting rides along as an execution hook: pure
+	// scheduling, byte-identical results, never in the digest. The
+	// point-level resume store is the other such hook; each run attaches
+	// its own (Manager.pointRun).
 	sc.ReplayShards = m.replayShards
 	return &sc, key, nil
 }

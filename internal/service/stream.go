@@ -167,10 +167,12 @@ func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, req Scen
 			j.cancel()
 		}
 		asm = newPayloadAssembler(hdrJSON)
-		// Resolve remote-owned grid points through the cluster before the
-		// planner schedules anything (no-op standalone; see cluster.go).
-		m.clusterPrefetchPoints(ctx, req, t.sc)
-		_, err := core.RunScenarioStream(ctx, m.eng, *t.sc, func(pt core.ScenarioPoint) error {
+		// The run's point store: in a cluster, the grid points this node
+		// lacks come from their owners before the planner schedules
+		// anything (cluster.go).
+		sc, release := m.pointRun(ctx, t, slotted)
+		defer release()
+		_, err := core.RunScenarioStream(ctx, m.eng, sc, func(pt core.ScenarioPoint) error {
 			ptJSON, err := json.Marshal(pt)
 			if err != nil {
 				return err
