@@ -859,4 +859,34 @@ func BenchmarkScenarioStream(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points_per_sec")
 		})
 	}
+	// bigpoint is one big-point request without the service: sweep3d
+	// overlap-real at 256 ranks on fatnode-smp, one point per iteration
+	// at a bandwidth no earlier iteration used, on the planner's
+	// automatic shards. The prime traces, compiles and makes the
+	// program's first (sharded) replay, so the timed loop measures what
+	// its shard note decides.
+	bw := 100.0
+	b.Run("bigpoint", func(b *testing.B) {
+		const ranks = 256
+		entry, _ := apps.ByName("sweep3d", ranks)
+		plat, err := network.PlatformPreset("fatnode-smp", ranks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec := core.Scenario{App: entry.App, Ranks: ranks, Platform: plat, Flavors: []core.Flavor{core.FlavorReal}, Traces: eng.Traces()}
+		run := func() {
+			bw++
+			spec.Axes = []core.Axis{core.BandwidthAxis(bw)}
+			if _, err := core.RunScenario(ctx, eng, spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points_per_sec")
+	})
 }

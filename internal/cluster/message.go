@@ -48,6 +48,18 @@ const (
 	// MaxRequestBytes bounds one encoded request: MaxValueBytes of values
 	// in base64, plus a full blob list's keys, kinds and JSON framing.
 	MaxRequestBytes = (MaxValueBytes+2)/3*4 + MaxStoreBlobs*(MaxKeyBytes+MaxKindBytes+64) + 1024
+	// MaxAddrBytes bounds a contact's address: NewNode refuses a longer
+	// one, and so do the request and response decoders, which are where
+	// a node learns other contacts.
+	MaxAddrBytes = 256
+	// MaxErrBytes bounds a response's error text; HandleRPC cuts a longer
+	// one.
+	MaxErrBytes = 4096
+	// MaxResponseBytes bounds one encoded response: a MaxValueBytes value
+	// in base64, the responder and MaxContacts contacts, a kind and error
+	// text — their strings at 6 bytes a byte, JSON's widest escape — and
+	// the envelope's framing.
+	MaxResponseBytes = (MaxValueBytes+2)/3*4 + (MaxContacts+1)*(2*IDBytes+6*MaxAddrBytes+32) + 6*(MaxKindBytes+MaxErrBytes) + 1024
 )
 
 // Blob is one keyed value a STORE lists.
@@ -138,6 +150,9 @@ func (r *Request) Validate() error {
 	if !validOp(r.Op) {
 		return fmt.Errorf("cluster: unknown op %q", r.Op)
 	}
+	if len(r.From.Addr) > MaxAddrBytes {
+		return fmt.Errorf("cluster: caller address of %d bytes exceeds %d", len(r.From.Addr), MaxAddrBytes)
+	}
 	if len(r.Key) > MaxKeyBytes {
 		return fmt.Errorf("cluster: key of %d bytes exceeds %d", len(r.Key), MaxKeyBytes)
 	}
@@ -204,7 +219,7 @@ func (r *Request) Encode() ([]byte, error) { return json.Marshal(r) }
 // DecodeResponse parses one RPC response with the same strictness as
 // DecodeRequest.
 func DecodeResponse(data []byte) (*Response, error) {
-	if len(data) > MaxValueBytes+MaxKeyBytes+MaxKindBytes+1024 {
+	if len(data) > MaxResponseBytes {
 		return nil, fmt.Errorf("cluster: response of %d bytes exceeds wire bound", len(data))
 	}
 	var resp Response
@@ -218,6 +233,14 @@ func DecodeResponse(data []byte) (*Response, error) {
 	}
 	if len(resp.Contacts) > MaxContacts {
 		return nil, fmt.Errorf("cluster: response carries %d contacts, limit %d", len(resp.Contacts), MaxContacts)
+	}
+	if len(resp.From.Addr) > MaxAddrBytes {
+		return nil, fmt.Errorf("cluster: responder address of %d bytes exceeds %d", len(resp.From.Addr), MaxAddrBytes)
+	}
+	for _, c := range resp.Contacts {
+		if len(c.Addr) > MaxAddrBytes {
+			return nil, fmt.Errorf("cluster: contact address of %d bytes exceeds %d", len(c.Addr), MaxAddrBytes)
+		}
 	}
 	if len(resp.Value) > MaxValueBytes {
 		return nil, fmt.Errorf("cluster: response value of %d bytes exceeds %d", len(resp.Value), MaxValueBytes)

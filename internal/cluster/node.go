@@ -79,6 +79,9 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("cluster: node needs an address")
 	}
+	if len(cfg.Addr) > MaxAddrBytes {
+		return nil, fmt.Errorf("cluster: address of %d bytes exceeds %d", len(cfg.Addr), MaxAddrBytes)
+	}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
@@ -125,12 +128,22 @@ func (n *Node) Drain() { n.draining.Store(true) }
 // ---------------------------------------------------------------------------
 // RPC receive path
 
+// errText is err's message cut to MaxErrBytes, so a response stays
+// within MaxResponseBytes whatever a request or an executor put in it.
+func errText(err error) string {
+	s := err.Error()
+	if len(s) > MaxErrBytes {
+		s = s[:MaxErrBytes]
+	}
+	return s
+}
+
 // HandleRPC is the node's RPC entry point; transports route every
 // received request here. It never returns nil.
 func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 	resp := &Response{From: n.self, Draining: n.draining.Load()}
 	if err := req.Validate(); err != nil {
-		resp.Err = err.Error()
+		resp.Err = errText(err)
 		mRPCErrors.With(string(req.Op)).Inc()
 		return resp
 	}
@@ -179,7 +192,7 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 		}
 		out, err := (*ep)(ctx, req.Kind, req.Value)
 		if err != nil {
-			resp.Err = err.Error()
+			resp.Err = errText(err)
 			return resp
 		}
 		resp.Value = out

@@ -315,8 +315,9 @@ type Scenario struct {
 
 	// ReplayShards overrides the planner's intra-point parallelism choice
 	// for every replay of the grid: 0 or less leaves it to the planner,
-	// which decides by grid size (pointShards), 1 forces serial replay,
-	// n > 1 requests n conservative-PDES shards per replay
+	// which decides by grid size (pointShards) and by each program's
+	// shard note (autoShards), 1 forces serial replay, n > 1 requests n
+	// conservative-PDES shards per replay
 	// (sim.ReplaySummary; platforms that cannot shard fall back to
 	// serial). Sharded and serial replays are byte-identical, so this is
 	// pure scheduling — like Traces and PointCache it never enters the
@@ -1046,7 +1047,8 @@ type replayed struct {
 }
 
 // replay runs one replay job: the flavor's program at the point, from
-// the cache, replayed in summary mode on the requested shards. It is the
+// the cache, replayed in summary mode on the requested shards, which
+// autoShards settles when the planner chose them. It is the
 // one place a fault-induced stall is decided: finish and traffic output
 // report it in the flavor's row, while report and what-if output have no
 // row to carry it and fail like any replay error.
@@ -1057,6 +1059,9 @@ func (x *scenarioExec) replay(pt gridPoint, f Flavor, shards int) (replayed, err
 		return replayed{}, err
 	}
 	mStageCompile.ObserveSince(t0)
+	if x.sc.ReplayShards <= 0 && shards > 1 {
+		shards = autoShards(pt.plat, prog, shards)
+	}
 	t0 = time.Now()
 	sum, err := sim.ReplaySummary(pt.plat, prog, shards)
 	mStageReplay.ObserveSince(t0)

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/network"
+	"repro/internal/sim"
 )
 
 // The streaming scenario planner. RunScenarioStream is the one
@@ -226,17 +228,19 @@ func (sc *Scenario) stream(ctx context.Context, eng *engine.Engine, yield func(S
 	return hdr, nil
 }
 
-// pointShards is the one automatic shard policy: it picks the
-// intra-point shard request for a grid of njobs replay jobs whenever
-// Scenario.ReplayShards leaves the choice to the planner. A grid with at
-// least as many jobs as the engine has workers already saturates the
-// cores through inter-point parallelism, so every point replays
-// serially; a small grid (one point, a handful of flavors) leaves
-// workers idle, and those move inside each replay as conservative-PDES
-// shards instead (sim.ReplaySummary). Sharded and serial replays are
-// byte-identical, so the choice is pure scheduling — it can never change
-// a result. Platforms that cannot shard fall back to serial inside
-// sim.EffectiveShards.
+// pointShards is the grid half of the one automatic shard policy: it
+// picks the intra-point shard request for a grid of njobs replay jobs
+// whenever Scenario.ReplayShards leaves the choice to the planner. A
+// grid with at least as many jobs as the engine has workers already
+// saturates the cores through inter-point parallelism, so every point
+// replays serially; a small grid (one point, a handful of flavors)
+// leaves workers idle, and those move inside each replay as
+// conservative-PDES shards instead (sim.ReplaySummary). The program half
+// is autoShards, which sends a replay serial when its program's shard
+// note shows too little work per worker wake. Sharded and serial replays
+// are byte-identical, so the choice is pure scheduling — it can never
+// change a result. Platforms that cannot shard fall back to serial
+// inside sim.EffectiveShards.
 func pointShards(eng *engine.Engine, njobs int) int {
 	if eng == nil {
 		eng = engine.Default()
@@ -247,4 +251,37 @@ func pointShards(eng *engine.Engine, njobs int) int {
 	}
 	// Split the worker pool evenly across the in-flight jobs.
 	return w / njobs
+}
+
+// minOffloadedPerWake is the least work a sharded replay must hand its
+// workers per wake (offloaded events per concurrent window) to keep
+// sharding. Fitted on a 2-vCPU host at 256 ranks on fatnode-smp: above
+// it sharding saved more wall time than the CPU it added (specfem3d
+// overlap-real at 2,838: -20% wall, +17% CPU), below it less (bt
+// overlap-real at 1,398: -12% wall, +30% CPU), and the windows of pop
+// and sweep3d, at 107 and 8, made their replays slower outright.
+const minOffloadedPerWake = 2000
+
+// autoShards is the program half of the automatic shard policy: it
+// settles the planner's request for shards > 1 on one replay of prog at
+// plat to the count that runs. A program's first sharded replay on a
+// partition leaves a note (sim.Program.ShardNote); once it is there, a
+// replay whose note shows fewer than minOffloadedPerWake offloaded
+// events per concurrent window runs serially. Bandwidth and latency are
+// not part of the note's key, so a program keeps its decision across
+// the fresh bandwidths of a sweep. Counted in scenario_auto_shards_total
+// by what runs.
+func autoShards(plat network.Platform, prog *sim.Program, shards int) int {
+	n := sim.EffectiveShards(plat, prog, shards)
+	if n > 1 {
+		if note, ok := prog.ShardNote(plat, n); ok && note.OffloadedEvents < minOffloadedPerWake*max(note.ConcurrentWindows, 1) {
+			n = 1
+		}
+	}
+	if n > 1 {
+		mAutoSharded.Inc()
+	} else {
+		mAutoSerial.Inc()
+	}
+	return n
 }

@@ -18,4 +18,7 @@ var (
 	mPtsComputed   = scenarioPoints.With("computed")
 	mPtsCached     = scenarioPoints.With("cached")
 	mPtsFaulted    = telemetry.Default().Counter("scenario_points_faulted_total", "flavor measurements reported as fault-induced stalls (injected faults severed required ranks)")
+	autoShardRuns  = telemetry.Default().CounterVec("scenario_auto_shards_total", "automatic replays the planner asked to shard, by what ran", "choice")
+	mAutoSharded   = autoShardRuns.With("sharded")
+	mAutoSerial    = autoShardRuns.With("serial")
 )

@@ -29,10 +29,6 @@ type ClusterTransport struct {
 	Retry RetryPolicy
 }
 
-// maxRPCResponseBytes bounds a peer response — the same ceiling the
-// server enforces on requests, plus envelope slack.
-const maxRPCResponseBytes = cluster.MaxValueBytes + cluster.MaxKeyBytes + cluster.MaxKindBytes + 4096
-
 // Call implements cluster.Transport.
 func (t *ClusterTransport) Call(ctx context.Context, addr string, req *cluster.Request) (*cluster.Response, error) {
 	body, err := req.Encode()
@@ -60,7 +56,9 @@ func (t *ClusterTransport) Call(ctx context.Context, addr string, req *cluster.R
 			}
 			continue
 		}
-		payload, rerr := io.ReadAll(io.LimitReader(hresp.Body, maxRPCResponseBytes))
+		// One byte past the bound, so an oversized reply fails
+		// DecodeResponse's wire-bound check instead of parsing cut short.
+		payload, rerr := io.ReadAll(io.LimitReader(hresp.Body, cluster.MaxResponseBytes+1))
 		hresp.Body.Close()
 		switch {
 		case rerr != nil:

@@ -4,19 +4,19 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 )
 
-// TestClusterTransportBatchedStore sends a batched STORE between two
-// nodes over the HTTP transport — the serialization MemNetwork skips:
-// every listed blob arrives with its kind and bytes, and a list over
-// the item cap is refused by the receiving server's decoder.
-func TestClusterTransportBatchedStore(t *testing.T) {
+// httpPair starts two joined nodes, each behind its own httptest server,
+// that call each other over tr.
+func httpPair(t *testing.T, tr *ClusterTransport) []*cluster.Node {
+	t.Helper()
 	ctx := context.Background()
-	tr := &ClusterTransport{}
 	nodes := make([]*cluster.Node, 2)
 	for i := range nodes {
 		srv := httptest.NewUnstartedServer(nil)
@@ -39,6 +39,17 @@ func TestClusterTransportBatchedStore(t *testing.T) {
 	if err := nodes[0].Join(ctx); err != nil {
 		t.Fatal(err)
 	}
+	return nodes
+}
+
+// TestClusterTransportBatchedStore sends a batched STORE between two
+// nodes over the HTTP transport — the serialization MemNetwork skips:
+// every listed blob arrives with its kind and bytes, and a list over
+// the item cap is refused by the receiving server's decoder.
+func TestClusterTransportBatchedStore(t *testing.T) {
+	ctx := context.Background()
+	tr := &ClusterTransport{}
+	nodes := httpPair(t, tr)
 
 	blobs := make([]cluster.Blob, 40)
 	for i := range blobs {
@@ -72,5 +83,42 @@ func TestClusterTransportBatchedStore(t *testing.T) {
 	}
 	if nodes[1].Has(over[0].Key) {
 		t.Fatal("a refused STORE left a blob behind")
+	}
+}
+
+// TestClusterTransportLargeValue: a FIND_VALUE reply carries its value in
+// base64, a third larger than the value, and a held 50 MiB trace still
+// comes back whole over the HTTP transport. A reply past
+// MaxResponseBytes fails with the wire-bound error, not a JSON one.
+// Skipped under -short: it moves a few hundred MB.
+func TestClusterTransportLargeValue(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves a few hundred MB")
+	}
+	ctx := context.Background()
+	tr := &ClusterTransport{}
+	nodes := httpPair(t, tr)
+	key := fmt.Sprintf("sha256:%064x", 50)
+	value := bytes.Repeat([]byte{0xa5}, 50<<20)
+	if !nodes[1].Hold(cluster.Blob{Key: key, Kind: "trace", Value: value}) {
+		t.Fatal("node 1 did not hold the blob")
+	}
+	got, kind, ok := nodes[0].Get(ctx, key)
+	if !ok || kind != "trace" || !bytes.Equal(got, value) {
+		t.Fatalf("Get of a held 50 MiB blob: found %v, kind %q, %d bytes", ok, kind, len(got))
+	}
+
+	chunk := bytes.Repeat([]byte{' '}, 1<<20)
+	over := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for n := 0; n <= cluster.MaxResponseBytes; n += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer over.Close()
+	_, err := tr.Call(ctx, over.URL, &cluster.Request{Op: cluster.OpPing, From: nodes[0].Self()})
+	if err == nil || !strings.Contains(err.Error(), "wire bound") {
+		t.Fatalf("a reply over %d bytes: error %v, want the wire-bound error", cluster.MaxResponseBytes, err)
 	}
 }

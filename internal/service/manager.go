@@ -76,8 +76,8 @@ type Options struct {
 	PointCacheEntries int
 	// ReplayShards sets every scenario's intra-point replay parallelism
 	// (core.Scenario.ReplayShards): 0 or less lets the planner choose by
-	// grid size, 1 forces serial replay, n > 1 requests n PDES shards per
-	// replay. Results are byte-identical either way. No CLI sets it; it
+	// grid size and by each program's shard note, 1 forces serial replay,
+	// n > 1 requests n PDES shards per replay. Results are byte-identical either way. No CLI sets it; it
 	// is for programmatic callers, such as a check that a sharded replay
 	// matches a serial one.
 	ReplayShards int

@@ -140,3 +140,27 @@ func TestReplayIntoAllocs(t *testing.T) {
 		t.Fatalf("copy-out replay allocates %.1f times per point, want <= 2", allocs)
 	}
 }
+
+// TestAutoShardNoteAllocs pins the shard note's cost: once a partition
+// has its note, reading it and the record call every later sharded
+// replay makes allocate nothing.
+func TestAutoShardNoteAllocs(t *testing.T) {
+	prog, err := Compile(allocRing(16, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := pdesPlatform(16, 4).WithMapping(network.ExplicitMapping([]int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3}))
+	if _, err := ReplaySummary(plat, prog, 2); err != nil {
+		t.Fatal(err)
+	}
+	st := ReplayStats{OffloadedEvents: 1, ConcurrentWindows: 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		prog.recordNote(partitionOf(plat, 2), &st)
+		if _, ok := prog.ShardNote(plat, 2); !ok {
+			t.Fatal("note missing")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a recorded partition's note costs %.1f allocations per replay, want 0", allocs)
+	}
+}

@@ -181,6 +181,78 @@ func EffectiveShards(p network.Platform, prog *Program, requested int) int {
 	return min(requested, p.Nodes)
 }
 
+// ShardNote is what a program's first sharded replay on one partition
+// recorded: the events its workers drained and the windows that woke
+// one. Both depend only on (program, platform, shards), never on
+// scheduling, so a scheduler can read them as what the next sharded
+// replay on that partition would hand its workers.
+type ShardNote struct {
+	OffloadedEvents   int64
+	ConcurrentWindows int64
+}
+
+// partition names the split a sharded replay runs on: the platform's
+// processor and node counts, its rank→node mapping and the effective
+// shard count. Links, pools and degradations stay out, so every
+// bandwidth of one partition shares a note.
+type partition struct {
+	procs, nodes, shards int
+	mapping              network.MappingKind
+	explicit             uint64 // FNV-1a of an explicit mapping's node list, else 0
+}
+
+func partitionOf(p network.Platform, shards int) partition {
+	k := partition{procs: p.Processors, nodes: p.Nodes, shards: shards, mapping: p.Mapping.Kind}
+	if k.mapping == network.MapExplicit {
+		k.explicit = 14695981039346656037
+		for _, n := range p.Mapping.Explicit {
+			k.explicit = (k.explicit ^ uint64(n)) * 1099511628211
+		}
+	}
+	return k
+}
+
+// shardNote is one entry of Program.notes.
+type shardNote struct {
+	key  partition
+	note ShardNote
+}
+
+// ShardNote returns what the first sharded replay of prog on p's
+// partition at the given effective shard count (see EffectiveShards)
+// recorded, and whether one has completed. It never allocates and is
+// safe for concurrent use with replays.
+func (prog *Program) ShardNote(p network.Platform, shards int) (ShardNote, bool) {
+	k := partitionOf(p, shards)
+	prog.notesMu.Lock()
+	defer prog.notesMu.Unlock()
+	if i := prog.noteIndex(k); i >= 0 {
+		return prog.notes[i].note, true
+	}
+	return ShardNote{}, false
+}
+
+// recordNote keeps st's counts as the note of partition k unless the
+// partition has one, so only its first sharded replay appends.
+func (prog *Program) recordNote(k partition, st *ReplayStats) {
+	prog.notesMu.Lock()
+	defer prog.notesMu.Unlock()
+	if prog.noteIndex(k) < 0 {
+		prog.notes = append(prog.notes, shardNote{k, ShardNote{OffloadedEvents: st.OffloadedEvents, ConcurrentWindows: st.ConcurrentWindows}})
+	}
+}
+
+// noteIndex is the index of partition k's note, or -1. The caller holds
+// notesMu.
+func (prog *Program) noteIndex(k partition) int {
+	for i := range prog.notes {
+		if prog.notes[i].key == k {
+			return i
+		}
+	}
+	return -1
+}
+
 // RunProgramShards replays a compiled program on p across the given
 // number of shards. The result is byte-identical to RunProgram: shards
 // only change how the event order is executed, never the order itself.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -23,8 +24,12 @@ import (
 //   - per-record metadata the replay needs (bytes, instruction counts,
 //     peer/tag/chunk for reporting) is precomputed into the instruction.
 //
-// A Program is immutable after Compile and safe to share between
-// concurrent replays; all mutable replay state lives in ReplayArena.
+// A Program's code is immutable after Compile and safe to share between
+// concurrent replays; all mutable replay state lives in ReplayArena. The
+// one thing a replay writes into a Program is its shard notes: the first
+// sharded replay on each partition records its offloaded events and
+// concurrent windows (ShardNote), once, so the note leaves with the
+// program when a memo evicts it.
 
 // instr is one compiled trace record. op keeps the trace.Kind vocabulary so
 // diagnostics (deadlock reports) can name the original record.
@@ -56,9 +61,10 @@ type streamInfo struct {
 
 // Program is a compiled trace: the allocation-free replay core executes
 // Programs, not Traces. Build one with Compile; a Program may be cached
-// (engine.TraceCache memoizes per traced run, the service layer per trace
-// digest) and replayed concurrently on any platform with enough
-// processors.
+// (engine.TraceCache memoizes per traced run and per stored trace) and
+// replayed concurrently on any platform with enough processors. Besides
+// the code it carries a ShardNote per partition it has replayed sharded
+// on, which the scenario planner reads to decide whether sharding pays.
 type Program struct {
 	name     string
 	numRanks int
@@ -79,6 +85,11 @@ type Program struct {
 	totalHandles int
 	totalIRecvs  int
 	records      int
+
+	// notes holds one ShardNote per partition a sharded replay of the
+	// program completed on, written once by the first (see recordNote).
+	notesMu sync.Mutex
+	notes   []shardNote
 }
 
 // Name returns the compiled trace's name.

@@ -582,8 +582,9 @@ func Run(p network.Platform, tr *trace.Trace) (*Result, error) {
 // the event loop — serially, or on the effective shard count (see
 // EffectiveShards). timeline selects a full replay; without it the same
 // events run with the interval timeline and the comm log switched off,
-// and only the per-rank statistics a Summary needs are kept. Every
-// replay entry point goes through replay.
+// and only the per-rank statistics a Summary needs are kept. A completed
+// sharded replay leaves the program its partition's ShardNote if it has
+// none yet. Every replay entry point goes through replay.
 func (a *ReplayArena) replay(p network.Platform, prog *Program, shards int, timeline bool) error {
 	if prog == nil {
 		return errors.New("sim: nil program")
@@ -602,7 +603,13 @@ func (a *ReplayArena) replay(p network.Platform, prog *Program, shards int, time
 	} else if err := a.replaySerial(); err != nil {
 		return err
 	}
-	return a.finishReplay()
+	if err := a.finishReplay(); err != nil {
+		return err
+	}
+	if n > 1 {
+		prog.recordNote(partitionOf(p, n), &a.stats)
+	}
+	return nil
 }
 
 // replaySerial runs the event loop on the arena's own queue.
