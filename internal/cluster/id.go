@@ -1,14 +1,14 @@
 // Package cluster is the peer layer that turns a set of simd daemons
-// into one cooperative simulation cluster. It is a compact Kademlia:
-// nodes carry 160-bit IDs, keep each other in XOR-distance k-buckets
-// with least-recently-seen eviction, and speak PING / STORE /
-// FIND_NODE / FIND_VALUE-shaped RPCs over a pluggable transport (an
-// in-process network for tests and CI, HTTP under /v1/cluster/ in
-// production). Everything the service layer stores is already
-// content-addressed — SHA-256 trace, platform, scenario, and per-point
-// digests — so those digests are the DHT keys: a key's K closest nodes
-// replicate its value, the closest one owns the computation, and a
-// grid's points scatter across the cluster by digest.
+// into one cooperative simulation cluster. Nodes carry 160-bit IDs,
+// each keeps the exact set of live members (one join fills it), and
+// they speak PING / STORE / FIND_NODE / FIND_VALUE / EXEC RPCs over a
+// pluggable transport (an in-process network for tests and CI, HTTP
+// under /v1/cluster/ in production). Everything the service layer
+// stores is already content-addressed — SHA-256 trace, platform,
+// scenario, and per-point digests — so those digests are the keys: a
+// key's K XOR-closest members replicate its value, the closest one
+// owns the computation, and a grid's points scatter across the cluster
+// by digest.
 //
 // The package is deliberately below the service layer: it knows about
 // keys, blobs, and one opaque "exec" RPC, never about scenarios. The
@@ -23,12 +23,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
-// IDBytes is the width of a node/key identifier: 160 bits, Kademlia's
-// classic size and a prefix of every SHA-256 content digest.
+// IDBytes is the width of a node/key identifier: 160 bits, a prefix of
+// every SHA-256 content digest.
 const IDBytes = 20
 
 // ID is a 160-bit identifier in the shared node/key space. Nodes and
@@ -63,6 +62,12 @@ func KeyID(key string) ID {
 	return id
 }
 
+// idKey is a key KeyID maps back to id itself: digest-shaped, with id
+// as its first 160 bits.
+func idKey(id ID) string {
+	return "sha256:" + id.String() + strings.Repeat("0", 64-2*IDBytes)
+}
+
 // IsZero reports whether the ID is the (invalid) zero value.
 func (id ID) IsZero() bool { return id == ID{} }
 
@@ -89,8 +94,8 @@ func (id *ID) UnmarshalText(b []byte) error {
 // Distance returns the XOR metric between two IDs. XOR is a genuine
 // metric (symmetric, zero iff equal, triangle inequality holds
 // bitwise), and it is unidirectional: for any target and distance there
-// is exactly one ID at that distance, so lookups from different nodes
-// converge on the same owners.
+// is exactly one ID at that distance, so nodes that know the same
+// members name the same owners.
 func Distance(a, b ID) ID {
 	var d ID
 	for i := range d {
@@ -117,20 +122,3 @@ func CompareDistance(target, a, b ID) int {
 	da, db := Distance(target, a), Distance(target, b)
 	return bytes.Compare(da[:], db[:])
 }
-
-// BucketIndex returns which k-bucket the other ID falls into relative
-// to self: the index of the highest differing bit, 0 for the farthest
-// half of the space down to IDBits-1 for the nearest non-equal IDs.
-// Equal IDs share no bucket; the call returns -1.
-func BucketIndex(self, other ID) int {
-	for i := range self {
-		if d := self[i] ^ other[i]; d != 0 {
-			return 8*i + bits.LeadingZeros8(d)
-		}
-	}
-	return -1
-}
-
-// IDBits is the number of k-buckets a routing table holds — one per
-// possible highest-differing-bit position.
-const IDBits = 8 * IDBytes

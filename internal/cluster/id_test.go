@@ -52,38 +52,6 @@ func TestXORMetricProperties(t *testing.T) {
 	}
 }
 
-// TestBucketIndexProperties: unidirectionality of the bucket mapping —
-// the index is the highest differing bit, shared distance prefixes land
-// in the same bucket, and self has no bucket.
-func TestBucketIndexProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		self, other := randID(rng), randID(rng)
-		if self == other {
-			continue
-		}
-		b := BucketIndex(self, other)
-		if b < 0 || b >= IDBits {
-			t.Fatalf("bucket index %d out of range", b)
-		}
-		// The highest differing bit is bit b: distances agree above it,
-		// differ at it.
-		d := Distance(self, other)
-		if got := d[b/8] & (0x80 >> (b % 8)); got == 0 {
-			t.Fatalf("bit %d not set in distance %s", b, d)
-		}
-		for j := 0; j < b/8; j++ {
-			if d[j] != 0 {
-				t.Fatalf("byte %d nonzero below bucket %d", j, b)
-			}
-		}
-	}
-	var id ID
-	if got := BucketIndex(id, id); got != -1 {
-		t.Fatalf("self bucket index = %d, want -1", got)
-	}
-}
-
 // TestKeyIDUsesDigestPrefix: content digests map into the ID space by
 // prefix, not by re-hashing — the DHT key of an artifact is literally
 // the front of its content address.

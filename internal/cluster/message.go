@@ -6,23 +6,24 @@ import (
 	"fmt"
 )
 
-// Op names one cluster RPC. The first four are Kademlia's; OpExec is
-// the one addition, carrying an opaque request for the owner of a key
-// to execute (the service layer uses it to run a scenario on the node
-// that owns its digest).
+// Op names one cluster RPC: four that keep the member set and the
+// replicated blobs (ping, store, find_node, find_value), and OpExec,
+// carrying an opaque request for the owner of a key to execute (the
+// service layer uses it to run a scenario on the node that owns its
+// digest).
 type Op string
 
 const (
-	// OpPing is the liveness probe; its response refreshes routing
-	// tables and carries the peer's draining flag.
+	// OpPing is the liveness probe; its response refreshes member sets
+	// and carries the peer's draining flag.
 	OpPing Op = "ping"
 	// OpStore replicates values to one of their keys' K closest nodes:
 	// one keyed value, or a list of them (Request.Blobs).
 	OpStore Op = "store"
-	// OpFindNode returns the receiver's K closest contacts to a key.
+	// OpFindNode returns up to MaxContacts of the receiver's members,
+	// nearest the key first; Join asks it of every member it learns of.
 	OpFindNode Op = "find_node"
-	// OpFindValue returns a stored value, or the K closest contacts to
-	// keep the lookup converging.
+	// OpFindValue returns a stored value, if the receiver holds it.
 	OpFindValue Op = "find_value"
 	// OpExec asks the receiver — the key's owner — to execute an opaque
 	// request and return the result bytes.
@@ -73,9 +74,12 @@ type Blob struct {
 type Request struct {
 	// Op selects the RPC.
 	Op Op `json:"op"`
-	// From identifies the caller; every received request refreshes the
-	// receiver's routing table with it.
+	// From identifies the caller; every received request adds it to the
+	// receiver's member set, or refreshes it there.
 	From Contact `json:"from"`
+	// Draining is set while the caller is leaving the cluster: the
+	// receiver drops it from its member set instead.
+	Draining bool `json:"draining,omitempty"`
 	// Key is the target key (all ops but ping).
 	Key string `json:"key,omitempty"`
 	// Kind labels what a stored/executed value is ("trace", "platform",
@@ -94,7 +98,7 @@ type Response struct {
 	From Contact `json:"from"`
 	// Draining is set while the responder is leaving the cluster: it
 	// still serves reads of keys it holds, but refuses fresh stores and
-	// exec work, and callers should age it out of their tables.
+	// exec work, and callers drop it from their member sets.
 	Draining bool `json:"draining,omitempty"`
 	// Stored acknowledges a store.
 	Stored bool `json:"stored,omitempty"`
@@ -104,8 +108,8 @@ type Response struct {
 	Value []byte `json:"value,omitempty"`
 	// Kind labels Value on a found find_value.
 	Kind string `json:"kind,omitempty"`
-	// Contacts are the responder's K closest nodes to the key
-	// (find_node, and find_value misses).
+	// Contacts are up to MaxContacts of the responder's members, nearest
+	// the key first (find_node).
 	Contacts []Contact `json:"contacts,omitempty"`
 	// Err carries an application-level failure (exec errors, refusals).
 	Err string `json:"error,omitempty"`

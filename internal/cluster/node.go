@@ -7,27 +7,19 @@ import (
 	"log/slog"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/lru"
 )
 
-// Tuning constants. K doubles as bucket capacity and replication factor
-// (Kademlia couples them); Alpha is the lookup's parallelism.
+// Tuning constants.
 const (
-	// DefaultK is the bucket size and replication factor. 8 suits the
-	// cluster sizes simd runs at (a handful to tens of nodes); the
-	// classic 20 only pays off at millions.
+	// DefaultK is the replication factor: a key's K XOR-closest members
+	// hold its value. 8 suits the cluster sizes simd runs at (a handful
+	// to tens of nodes).
 	DefaultK = 8
-	// DefaultAlpha is how many peers an iterative lookup queries
-	// concurrently per round.
-	DefaultAlpha = 3
 	// DefaultMaxBlobs bounds the local blob store (values replicated to
 	// this node), evicting least recently used beyond it.
 	DefaultMaxBlobs = 16384
-	// DefaultPingTimeout bounds the liveness probe a full bucket issues
-	// before evicting its least-recently-seen member.
-	DefaultPingTimeout = 2 * time.Second
 )
 
 // Executor runs an opaque exec request on behalf of a peer — the hook
@@ -49,8 +41,8 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Node is one cluster member: a routing table, a bounded local blob
-// store, and the RPC surface. All methods are safe for concurrent use.
+// Node is one cluster member: a member set, a bounded local blob store,
+// and the RPC surface. All methods are safe for concurrent use.
 type Node struct {
 	name  string
 	self  Contact
@@ -93,7 +85,7 @@ func NewNode(cfg Config) (*Node, error) {
 		blobs: lru.New[blob](DefaultMaxBlobs),
 		log:   log,
 	}
-	n.table = NewRoutingTable(n.self.ID, DefaultK, n.evictionPing)
+	n.table = NewRoutingTable(n.self.ID)
 	publishNodeMetrics(n)
 	return n, nil
 }
@@ -104,7 +96,7 @@ func (n *Node) Self() Contact { return n.self }
 // Name returns the operator-chosen node name.
 func (n *Node) Name() string { return n.name }
 
-// Table exposes the routing table (status surfaces and tests).
+// Table exposes the member set (status surfaces and tests).
 func (n *Node) Table() *RoutingTable { return n.table }
 
 // SetExecutor registers the exec hook (see Executor).
@@ -121,8 +113,9 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 
 // Drain flips the node into its polite exit: it keeps answering reads
 // of values it already holds (a draining node never strands results),
-// refuses fresh stores, and marks every response Draining so peers
-// evict it from their tables instead of routing new work here.
+// refuses fresh stores, and marks every response and request Draining
+// so peers drop it from their member sets instead of routing new work
+// here.
 func (n *Node) Drain() { n.draining.Store(true) }
 
 // ---------------------------------------------------------------------------
@@ -148,7 +141,10 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 		return resp
 	}
 	mRPCs.With(string(req.Op), "served").Inc()
-	if req.From.ID != n.self.ID {
+	// A draining caller leaves the member set rather than re-entering it.
+	if req.Draining {
+		n.table.Remove(req.From.ID)
+	} else {
 		n.table.Update(req.From)
 	}
 	switch req.Op {
@@ -175,15 +171,13 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 		}
 		resp.Stored = true
 	case OpFindNode:
-		resp.Contacts = n.table.KClosest(KeyID(req.Key), DefaultK)
+		resp.Contacts = n.table.KClosest(KeyID(req.Key), MaxContacts)
 	case OpFindValue:
 		if b, ok := n.blobs.Get(req.Key); ok {
 			resp.Found = true
 			resp.Value = b.value
 			resp.Kind = b.kind
-			return resp
 		}
-		resp.Contacts = n.table.KClosest(KeyID(req.Key), DefaultK)
 	case OpExec:
 		ep := n.exec.Load()
 		if ep == nil {
@@ -203,38 +197,29 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 // ---------------------------------------------------------------------------
 // RPC send path
 
-// call issues one RPC and folds the answer into the routing table: a
-// healthy responder is refreshed, a draining one is removed (that is
-// how a departing node ages out), and a transport failure evicts the
-// contact so lookups stop routing through it.
+// call issues one RPC, naming this node and its drain state, and folds
+// the answer into the member set: a healthy responder is refreshed, a
+// draining one is removed (that is how a departing node ages out), and
+// a transport failure evicts the contact — unless the caller's own
+// context had ended, which says nothing about the peer.
 func (n *Node) call(ctx context.Context, to Contact, req *Request) (*Response, error) {
 	req.From = n.self
+	req.Draining = n.draining.Load()
 	mRPCs.With(string(req.Op), "sent").Inc()
 	resp, err := n.tr.Call(ctx, to.Addr, req)
 	if err != nil {
 		mRPCErrors.With(string(req.Op)).Inc()
-		if !to.ID.IsZero() {
+		if ctx.Err() == nil {
 			n.table.Remove(to.ID)
 		}
 		return nil, err
 	}
 	if resp.Draining {
 		n.table.Remove(resp.From.ID)
-	} else if resp.From.ID != n.self.ID {
+	} else {
 		n.table.Update(resp.From)
 	}
 	return resp, nil
-}
-
-// evictionPing is the routing table's liveness probe: a raw transport
-// ping with no table side effects (Update runs inside the probe's
-// caller; feeding results back would recurse).
-func (n *Node) evictionPing(c Contact) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), DefaultPingTimeout)
-	defer cancel()
-	mRPCs.With(string(OpPing), "sent").Inc()
-	resp, err := n.tr.Call(ctx, c.Addr, &Request{Op: OpPing, From: n.self})
-	return err == nil && resp.Err == "" && !resp.Draining
 }
 
 // Ping probes addr and returns the peer's contact.
@@ -249,10 +234,15 @@ func (n *Node) Ping(ctx context.Context, addr string) (Contact, error) {
 	return resp.From, nil
 }
 
-// Join bootstraps into the cluster through the given peer addresses:
-// each reachable bootstrap lands in the routing table, then a lookup of
-// the node's own ID walks outward and fills nearby buckets — the
-// standard Kademlia join. At least one bootstrap must answer.
+// Join bootstraps into the cluster through the given peer addresses
+// and fills the member set. It pings each bootstrap, then asks every
+// member it learns of once, breadth first, for the members nearest
+// that member (FIND_NODE). A contact enters the set only when it
+// answers, and every request names this node, so each member asked
+// adds it in turn: while one FIND_NODE answer can list every member
+// (up to MaxContacts+1 nodes), one join makes a full mesh. At least
+// one bootstrap must answer; with no addresses Join asks the members
+// already known.
 func (n *Node) Join(ctx context.Context, addrs ...string) error {
 	reached := 0
 	for _, addr := range addrs {
@@ -271,118 +261,29 @@ func (n *Node) Join(ctx context.Context, addrs ...string) error {
 	if reached == 0 && len(addrs) > 0 {
 		return fmt.Errorf("cluster: no bootstrap peer reachable (tried %v)", addrs)
 	}
-	n.iterate(ctx, n.self.ID, "", false)
+	asked := map[ID]bool{n.self.ID: true}
+	for queue := n.table.Contacts(); len(queue) > 0; queue = queue[1:] {
+		c := queue[0]
+		if asked[c.ID] || c.ID.IsZero() || c.Addr == "" {
+			continue
+		}
+		asked[c.ID] = true
+		resp, err := n.call(ctx, c, &Request{Op: OpFindNode, Key: idKey(c.ID)})
+		if err == nil && resp.Err == "" {
+			queue = append(queue, resp.Contacts...)
+		}
+	}
 	return nil
-}
-
-// iterate is the α-parallel convergent lookup shared by find-node and
-// find-value: it keeps a shortlist of the closest known contacts,
-// queries the α closest not yet asked, folds returned contacts back
-// in, and stops when the K closest have all been queried (or a value
-// turns up). Returns the found response (nil if none) and the final
-// K-closest shortlist.
-func (n *Node) iterate(ctx context.Context, target ID, key string, wantValue bool) (*Response, []Contact) {
-	if key == "" {
-		key = "id:" + target.String()
-	}
-	op := OpFindNode
-	if wantValue {
-		op = OpFindValue
-	}
-	type result struct {
-		resp *Response
-		from Contact
-	}
-	shortlist := map[ID]Contact{}
-	queried := map[ID]bool{n.self.ID: true}
-	for _, c := range n.table.KClosest(target, DefaultK) {
-		shortlist[c.ID] = c
-	}
-	for {
-		// The next α closest contacts not yet asked.
-		candidates := make([]Contact, 0, len(shortlist))
-		for id, c := range shortlist {
-			if !queried[id] {
-				candidates = append(candidates, c)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sortByDistance(target, candidates)
-		if len(candidates) > DefaultAlpha {
-			candidates = candidates[:DefaultAlpha]
-		}
-		results := make(chan result, len(candidates))
-		for _, c := range candidates {
-			queried[c.ID] = true
-			go func(c Contact) {
-				resp, err := n.call(ctx, c, &Request{Op: op, Key: key})
-				if err != nil {
-					results <- result{}
-					return
-				}
-				results <- result{resp: resp, from: c}
-			}(c)
-		}
-		var found *Response
-		for range candidates {
-			r := <-results
-			if r.resp == nil {
-				continue
-			}
-			if wantValue && r.resp.Found {
-				found = r.resp
-				continue
-			}
-			for _, c := range r.resp.Contacts {
-				if c.ID == n.self.ID || c.ID.IsZero() || c.Addr == "" {
-					continue
-				}
-				if _, ok := shortlist[c.ID]; !ok {
-					shortlist[c.ID] = c
-				}
-			}
-		}
-		if found != nil {
-			return found, closestOf(shortlist, target, DefaultK)
-		}
-		// Converged when the K closest known contacts have all answered.
-		done := true
-		for _, c := range closestOf(shortlist, target, DefaultK) {
-			if !queried[c.ID] {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-	}
-	return nil, closestOf(shortlist, target, DefaultK)
-}
-
-// closestOf sorts a shortlist and returns its k nearest members.
-func closestOf(m map[ID]Contact, target ID, k int) []Contact {
-	out := make([]Contact, 0, len(m))
-	for _, c := range m {
-		out = append(out, c)
-	}
-	sortByDistance(target, out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
 // The DHT surface
 
 // Owner returns the cluster member closest to key — the node that owns
-// its computation. The decision reads only the local routing table (no
-// RPCs): with converged tables every node names the same owner, and a
-// stale table merely shifts work to a near-owner, which the service
-// layer's fallbacks absorb.
+// its computation. The decision reads only the local member set (no
+// RPCs): nodes that know the same members name the same owner, and a
+// set that lags a join or a departure merely shifts work to a
+// near-owner, which the service layer's fallbacks absorb.
 func (n *Node) Owner(key string) Contact {
 	target := KeyID(key)
 	best := n.self
@@ -507,22 +408,26 @@ func (n *Node) Replicate(ctx context.Context, blobs []Blob) (acks []int, stores 
 	return acks, stores
 }
 
-// Get fetches a value by key: the local blob store first, then an
-// iterative find-value across the cluster. A remote hit is cached
-// locally (the cooperative-cache read-through).
+// Get fetches a value by key: the local blob store first, then a
+// FIND_VALUE to each peer in the key's replica set, nearest first, until
+// one holds it. A remote hit is cached locally (the cooperative-cache
+// read-through).
 func (n *Node) Get(ctx context.Context, key string) ([]byte, string, bool) {
 	if v, kind, ok := n.GetCached(key); ok {
 		return v, kind, true
 	}
-	if n.table.Len() == 0 {
-		return nil, "", false
+	for _, c := range n.Owners(key) {
+		if c.ID == n.self.ID {
+			continue
+		}
+		resp, err := n.call(ctx, c, &Request{Op: OpFindValue, Key: key})
+		if err != nil || !resp.Found {
+			continue
+		}
+		n.blobs.Put(key, blob{resp.Kind, resp.Value})
+		return resp.Value, resp.Kind, true
 	}
-	resp, _ := n.iterate(ctx, KeyID(key), key, true)
-	if resp == nil || !resp.Found {
-		return nil, "", false
-	}
-	n.blobs.Put(key, blob{resp.Kind, resp.Value})
-	return resp.Value, resp.Kind, true
+	return nil, "", false
 }
 
 // Has reports whether the key is in the local blob store.
@@ -560,9 +465,9 @@ type Status struct {
 	ID       ID     `json:"id"`
 	Addr     string `json:"addr"`
 	Draining bool   `json:"draining"`
-	// K is the bucket size / replication factor.
+	// K is the replication factor.
 	K int `json:"k"`
-	// Peers is every routing-table contact, ordered by ID.
+	// Peers is every member this node knows, ordered by ID.
 	Peers []Contact `json:"peers"`
 	// StoredKeys counts local blob-store entries; KeysByKind splits
 	// them by kind; OwnedKeys counts the subset this node is the

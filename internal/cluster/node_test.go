@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"sync"
 	"testing"
 )
 
-// testCluster spins up n in-process nodes, fully joined through node 0.
-func testCluster(t *testing.T, n int) (*MemNetwork, []*Node) {
+// testNodes spins up n in-process nodes that know no one yet.
+func testNodes(t *testing.T, n int) (*MemNetwork, []*Node) {
 	t.Helper()
 	net := NewMemNetwork()
 	nodes := make([]*Node, n)
@@ -20,14 +23,18 @@ func testCluster(t *testing.T, n int) (*MemNetwork, []*Node) {
 		net.Attach(addr, node.HandleRPC)
 		nodes[i] = node
 	}
+	return net, nodes
+}
+
+// testCluster spins up n in-process nodes, each joined once through
+// node 0, as simd -join joins them.
+func testCluster(t *testing.T, n int) (*MemNetwork, []*Node) {
+	t.Helper()
+	net, nodes := testNodes(t, n)
 	for i := 1; i < n; i++ {
 		if err := nodes[i].Join(context.Background(), nodes[0].Self().Addr); err != nil {
 			t.Fatalf("node %d join: %v", i, err)
 		}
-	}
-	// One more self-lookup round so early joiners learn late ones.
-	for _, nd := range nodes {
-		nd.iterate(context.Background(), nd.Self().ID, "", false)
 	}
 	return net, nodes
 }
@@ -37,6 +44,32 @@ func TestJoinPopulatesTables(t *testing.T) {
 	for i, nd := range nodes {
 		if got := nd.Table().Len(); got != 4 {
 			t.Fatalf("node %d knows %d peers, want 4", i, got)
+		}
+	}
+}
+
+// TestConcurrentJoinsMakeFullMesh: nodes joining through node 0 all at
+// once, as a cluster booting together does, still end in a full mesh:
+// of any two joiners, the one that pinged node 0 later learns the other
+// from it and announces itself when it asks. Under -race this is the
+// test where a join's exchange races other nodes' inbound updates.
+func TestConcurrentJoinsMakeFullMesh(t *testing.T) {
+	const size = 20
+	_, nodes := testNodes(t, size)
+	var wg sync.WaitGroup
+	for _, nd := range nodes[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := nd.Join(context.Background(), nodes[0].Self().Addr); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, nd := range nodes {
+		if got := nd.Table().Len(); got != size-1 {
+			t.Fatalf("node %d knows %d peers, want %d", i, got, size-1)
 		}
 	}
 }
@@ -80,23 +113,32 @@ func TestGetMissingKey(t *testing.T) {
 	}
 }
 
-// TestOwnerAgreement: with converged tables every node names the same
-// owner for a key, and that owner is the globally XOR-closest node —
-// the invariant the cross-node singleflight leans on.
+// TestOwnerAgreement: one join per node makes a full mesh, so every
+// node names the same owner for a key, and that owner is the globally
+// XOR-closest node — the invariant the cross-node singleflight leans
+// on — at every cluster size simd runs at.
 func TestOwnerAgreement(t *testing.T) {
-	_, nodes := testCluster(t, 5)
-	for trial := 0; trial < 50; trial++ {
-		key := fmt.Sprintf("sha256:%064x", trial*7919)
-		target := KeyID(key)
-		want := nodes[0].Self()
-		for _, nd := range nodes[1:] {
-			if Closer(target, nd.Self().ID, want.ID) {
-				want = nd.Self()
+	for _, size := range []int{5, 12, 20, 40} {
+		_, nodes := testCluster(t, size)
+		for i, nd := range nodes {
+			if got := nd.Table().Len(); got != size-1 {
+				t.Fatalf("%d nodes: node %d knows %d peers, want %d", size, i, got, size-1)
 			}
 		}
-		for i, nd := range nodes {
-			if got := nd.Owner(key); got.ID != want.ID {
-				t.Fatalf("key %s: node %d names owner %s, global closest is %s", key, i, got.ID, want.ID)
+		for trial := 0; trial < 200; trial++ {
+			sum := sha256.Sum256([]byte(fmt.Sprintf("key-%d", trial)))
+			key := "sha256:" + hex.EncodeToString(sum[:])
+			target := KeyID(key)
+			want := nodes[0].Self()
+			for _, nd := range nodes[1:] {
+				if Closer(target, nd.Self().ID, want.ID) {
+					want = nd.Self()
+				}
+			}
+			for i, nd := range nodes {
+				if got := nd.Owner(key); got.ID != want.ID {
+					t.Fatalf("%d nodes: key %s: node %d names owner %s, global closest is %s", size, key, i, got.ID, want.ID)
+				}
 			}
 		}
 	}
@@ -245,6 +287,77 @@ func TestTransportFailureEvictsContact(t *testing.T) {
 		if c.ID == nodes[2].Self().ID {
 			t.Fatal("downed node still in the table")
 		}
+	}
+}
+
+// TestCancelledCallKeepsPeer: a call that fails because the caller's
+// own context ended says nothing about the peer, which stays a member.
+func TestCancelledCallKeepsPeer(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, nodes := testCluster(t, 3)
+	if _, err := nodes[0].Exec(ctx, nodes[1].Self(), "x", []byte("y")); err == nil {
+		t.Fatal("exec under a cancelled context succeeded")
+	}
+	if got := nodes[0].Table().Len(); got != 2 {
+		t.Fatalf("a cancelled call left %d of 2 peers", got)
+	}
+}
+
+// TestDrainingSenderStaysOut: once a peer has dropped a draining node,
+// that node's own requests — the STOREs its drain flush sends — do not
+// put it back in the peer's member set.
+func TestDrainingSenderStaysOut(t *testing.T) {
+	ctx := context.Background()
+	_, nodes := testCluster(t, 3)
+	nodes[0].Drain()
+	if _, err := nodes[1].Ping(ctx, nodes[0].Self().Addr); err != nil {
+		t.Fatal(err)
+	}
+	has := func() bool {
+		for _, c := range nodes[1].Table().Contacts() {
+			if c.ID == nodes[0].Self().ID {
+				return true
+			}
+		}
+		return false
+	}
+	if has() {
+		t.Fatal("draining node still a member after answering a ping")
+	}
+	acks, _ := nodes[0].Replicate(ctx, []Blob{{Key: "sha256:flushed", Kind: "blob", Value: []byte("v")}})
+	if acks[0] == 0 || !nodes[1].Has("sha256:flushed") {
+		t.Fatal("the draining node's flush did not reach its peer")
+	}
+	if has() {
+		t.Fatal("the draining node's STORE put it back in the peer's member set")
+	}
+}
+
+// TestGetAsksReplicaSet: on a cluster larger than K, a node outside a
+// key's replica set finds the value in it and caches it locally.
+func TestGetAsksReplicaSet(t *testing.T) {
+	ctx := context.Background()
+	_, nodes := testCluster(t, 12)
+	key := "sha256:abcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcd"
+	if stored := nodes[0].Store(ctx, key, "blob", []byte("v")); stored != DefaultK {
+		t.Fatalf("%d replicas acknowledged the store, want %d", stored, DefaultK)
+	}
+	var outside *Node
+	for _, nd := range nodes {
+		if !nd.Has(key) {
+			outside = nd
+			break
+		}
+	}
+	if outside == nil {
+		t.Fatal("every node holds the key on a cluster larger than K")
+	}
+	if got, kind, ok := outside.Get(ctx, key); !ok || string(got) != "v" || kind != "blob" {
+		t.Fatalf("node outside the replica set got %q kind %q found %v", got, kind, ok)
+	}
+	if !outside.Has(key) {
+		t.Fatal("a remote hit was not cached locally")
 	}
 }
 

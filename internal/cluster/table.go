@@ -12,117 +12,58 @@ type Contact struct {
 	Addr string `json:"addr"`
 }
 
-// RoutingTable is the Kademlia view of the cluster: IDBits k-buckets of
-// up to K contacts each, bucket i holding peers whose highest differing
-// bit from self is bit i. Within a bucket contacts are ordered least
-// recently seen first — the classic eviction discipline: a full
-// bucket pings its stalest member and only replaces it if the ping
-// fails, so long-lived peers (the ones most likely to stay up) are
-// never displaced by churn. Safe for concurrent use.
+// MaxMembers bounds the member set. Every request a node serves names
+// its caller, so the cap keeps a flood of invented callers from growing
+// the table without bound; simd clusters run at a handful to tens of
+// nodes, far below it.
+const MaxMembers = 1024
+
+// RoutingTable is the node's member set: every live peer it knows,
+// keyed by ID. It is exact rather than a sample — one join fills it
+// with the whole cluster (see Node.Join), so every node names the same
+// owner for every key. A full set keeps its members and drops
+// newcomers. Safe for concurrent use.
 type RoutingTable struct {
 	self ID
-	k    int
-	// ping probes a contact when a full bucket must choose between its
-	// least-recently-seen member and a newcomer; nil treats the old
-	// member as alive (newcomers are dropped — the conservative choice).
-	ping func(Contact) bool
 
 	mu      sync.Mutex
-	buckets [IDBits][]Contact // least recently seen first
+	members map[ID]Contact
 }
 
-// NewRoutingTable builds a table for the node self with bucket capacity
-// k. ping, when non-nil, is called outside the table lock to liveness-
-// probe the least-recently-seen member of a full bucket.
-func NewRoutingTable(self ID, k int, ping func(Contact) bool) *RoutingTable {
-	if k <= 0 {
-		k = DefaultK
-	}
-	return &RoutingTable{self: self, k: k, ping: ping}
+// NewRoutingTable builds an empty member set for the node self.
+func NewRoutingTable(self ID) *RoutingTable {
+	return &RoutingTable{self: self, members: map[ID]Contact{}}
 }
 
-// Update records that c was just seen. Known contacts move to the
-// most-recently-seen end (their address refreshed), fresh contacts fill
-// spare bucket room, and a full bucket probes its least-recently-seen
-// member: alive keeps its seat (the newcomer is dropped), dead is
-// evicted in the newcomer's favor.
+// Update records that c was just seen: a known member's address is
+// refreshed, a fresh one joins the set unless it holds MaxMembers.
+// Self and contacts without an ID or address are ignored.
 func (t *RoutingTable) Update(c Contact) {
 	if c.ID == t.self || c.ID.IsZero() || c.Addr == "" {
 		return
 	}
-	b := BucketIndex(t.self, c.ID)
-	t.mu.Lock()
-	bucket := t.buckets[b]
-	for i := range bucket {
-		if bucket[i].ID == c.ID {
-			// Seen again: slide to the tail, keeping the freshest address.
-			copy(bucket[i:], bucket[i+1:])
-			bucket[len(bucket)-1] = c
-			t.mu.Unlock()
-			return
-		}
-	}
-	if len(bucket) < t.k {
-		t.buckets[b] = append(bucket, c)
-		t.mu.Unlock()
-		return
-	}
-	oldest := bucket[0]
-	t.mu.Unlock()
-
-	alive := t.ping == nil || t.ping(oldest)
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	bucket = t.buckets[b]
-	// The bucket may have changed while pinging; find the probed member
-	// again and act only if it is still present.
-	for i := range bucket {
-		if bucket[i].ID != oldest.ID {
-			continue
-		}
-		if alive {
-			// The old-timer answered: it moves to the tail and the
-			// newcomer is dropped — uptime is the best predictor of
-			// future uptime.
-			copy(bucket[i:], bucket[i+1:])
-			bucket[len(bucket)-1] = oldest
-			return
-		}
-		copy(bucket[i:], bucket[i+1:])
-		bucket[len(bucket)-1] = c
-		return
-	}
-	if len(bucket) < t.k {
-		t.buckets[b] = append(bucket, c)
+	if _, ok := t.members[c.ID]; ok || len(t.members) < MaxMembers {
+		t.members[c.ID] = c
 	}
 }
 
 // Remove drops a contact (a peer that announced it is draining, or
 // whose RPCs fail hard).
 func (t *RoutingTable) Remove(id ID) {
-	b := BucketIndex(t.self, id)
-	if b < 0 {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	bucket := t.buckets[b]
-	for i := range bucket {
-		if bucket[i].ID == id {
-			t.buckets[b] = append(bucket[:i], bucket[i+1:]...)
-			return
-		}
-	}
+	delete(t.members, id)
 }
 
 // Contacts returns every known peer (no particular order).
 func (t *RoutingTable) Contacts() []Contact {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Contact
-	for _, b := range t.buckets {
-		out = append(out, b...)
+	out := make([]Contact, 0, len(t.members))
+	for _, c := range t.members {
+		out = append(out, c)
 	}
 	return out
 }
@@ -131,15 +72,11 @@ func (t *RoutingTable) Contacts() []Contact {
 func (t *RoutingTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, b := range t.buckets {
-		n += len(b)
-	}
-	return n
+	return len(t.members)
 }
 
 // KClosest returns up to n known contacts ordered by XOR distance to
-// target, nearest first. The scan is over the whole table — cluster
+// target, nearest first. The scan is over the whole set — cluster
 // sizes here are tens, not millions, so the simple global sort is both
 // exact and cheap (and trivially property-testable against a brute
 // force, because it is one).

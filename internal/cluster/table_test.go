@@ -14,7 +14,7 @@ func TestKClosestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		self := randID(rng)
-		tbl := NewRoutingTable(self, DefaultK, nil)
+		tbl := NewRoutingTable(self)
 		n := 1 + rng.Intn(60)
 		var all []Contact
 		for i := 0; i < n; i++ {
@@ -22,8 +22,7 @@ func TestKClosestMatchesBruteForce(t *testing.T) {
 			tbl.Update(c)
 			all = append(all, c)
 		}
-		// The table may hold fewer than n contacts (full buckets drop
-		// newcomers with a nil pinger); brute-force over what it kept.
+		// Brute-force over what the table kept.
 		kept := tbl.Contacts()
 		target := randID(rng)
 		want := append([]Contact(nil), kept...)
@@ -52,9 +51,8 @@ func TestKClosestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// sameBucketContacts builds contacts that all land in self's bucket 0
-// (highest bit differs), so bucket-capacity behavior is observable.
-func sameBucketContacts(n int) (ID, []Contact) {
+// testContacts builds n distinct contacts for the zero self ID.
+func testContacts(n int) (ID, []Contact) {
 	var self ID // zero
 	out := make([]Contact, n)
 	for i := range out {
@@ -67,81 +65,43 @@ func sameBucketContacts(n int) (ID, []Contact) {
 	return self, out
 }
 
-// TestBucketEvictsDeadOldest: a full bucket whose least-recently-seen
-// member fails its liveness probe evicts it in the newcomer's favor.
-func TestBucketEvictsDeadOldest(t *testing.T) {
-	self, cs := sameBucketContacts(DefaultK + 1)
-	tbl := NewRoutingTable(self, DefaultK, func(Contact) bool { return false })
-	for _, c := range cs[:DefaultK] {
+// TestTableStaysAtCap: a member set updated past MaxMembers stays at
+// the cap, keeps its members (newcomers are dropped), still refreshes a
+// known member's address, and takes a newcomer again once a member
+// leaves.
+func TestTableStaysAtCap(t *testing.T) {
+	self, cs := testContacts(MaxMembers + 10)
+	tbl := NewRoutingTable(self)
+	for _, c := range cs {
 		tbl.Update(c)
 	}
-	if tbl.Len() != DefaultK {
-		t.Fatalf("table has %d contacts, want %d", tbl.Len(), DefaultK)
+	if got := tbl.Len(); got != MaxMembers {
+		t.Fatalf("table has %d contacts after %d updates, want the cap %d", got, len(cs), MaxMembers)
 	}
-	tbl.Update(cs[DefaultK]) // bucket full; cs[0] is least recently seen and dead
-	got := tbl.Contacts()
-	if len(got) != DefaultK {
-		t.Fatalf("table has %d contacts after eviction, want %d", len(got), DefaultK)
-	}
-	has := func(id ID) bool {
-		for _, c := range got {
-			if c.ID == id {
-				return true
-			}
+	for _, c := range tbl.Contacts() {
+		if c.ID == cs[MaxMembers].ID {
+			t.Fatal("a newcomer displaced a member of a full set")
 		}
-		return false
 	}
-	if has(cs[0].ID) {
-		t.Fatal("dead least-recently-seen contact survived")
+	moved := cs[0]
+	moved.Addr = "peer-0-new-addr"
+	tbl.Update(moved)
+	if got := tbl.KClosest(moved.ID, 1); len(got) != 1 || got[0] != moved {
+		t.Fatalf("full set did not refresh a known member: %v", got)
 	}
-	if !has(cs[DefaultK].ID) {
-		t.Fatal("newcomer not admitted after eviction")
+	tbl.Remove(cs[1].ID)
+	tbl.Update(cs[MaxMembers])
+	if got := tbl.KClosest(cs[MaxMembers].ID, 1); tbl.Len() != MaxMembers || got[0].ID != cs[MaxMembers].ID {
+		t.Fatalf("freed slot not taken: %d members, nearest %v", tbl.Len(), got)
 	}
 }
 
-// TestBucketKeepsAliveOldest: the classic Kademlia preference — a full
-// bucket whose oldest member still answers drops the newcomer, because
-// node uptime predicts future uptime.
-func TestBucketKeepsAliveOldest(t *testing.T) {
-	pinged := 0
-	self, cs := sameBucketContacts(DefaultK + 1)
-	tbl := NewRoutingTable(self, DefaultK, func(c Contact) bool {
-		pinged++
-		if c.ID != cs[0].ID {
-			t.Fatalf("probed %s, want least-recently-seen %s", c.ID, cs[0].ID)
-		}
-		return true
-	})
-	for _, c := range cs[:DefaultK] {
-		tbl.Update(c)
-	}
-	tbl.Update(cs[DefaultK])
-	if pinged != 1 {
-		t.Fatalf("pinged %d times, want 1", pinged)
-	}
-	got := tbl.Contacts()
-	for _, c := range got {
-		if c.ID == cs[DefaultK].ID {
-			t.Fatal("newcomer displaced a live contact")
-		}
-	}
-	// The survivor moved to the most-recently-seen end: the next
-	// overflow probes cs[1], not cs[0].
-	var probed Contact
-	tbl.ping = func(c Contact) bool { probed = c; return true }
-	tbl.Update(cs[DefaultK])
-	if probed.ID != cs[1].ID {
-		t.Fatalf("second overflow probed %s, want %s (LRS rotation)", probed.ID, cs[1].ID)
-	}
-}
-
-// TestUpdateRefreshesKnownContact: re-seeing a contact moves it to the
-// most-recently-seen end and refreshes its address without growing the
-// bucket.
+// TestUpdateRefreshesKnownContact: re-seeing a contact refreshes its
+// address without growing the set.
 func TestUpdateRefreshesKnownContact(t *testing.T) {
-	self, cs := sameBucketContacts(DefaultK + 1)
-	tbl := NewRoutingTable(self, DefaultK, nil)
-	for _, c := range cs[:DefaultK] {
+	self, cs := testContacts(DefaultK)
+	tbl := NewRoutingTable(self)
+	for _, c := range cs {
 		tbl.Update(c)
 	}
 	moved := cs[0]
@@ -155,21 +115,13 @@ func TestUpdateRefreshesKnownContact(t *testing.T) {
 			t.Fatalf("address not refreshed: %s", c.Addr)
 		}
 	}
-	// Overflow the bucket: the probe must now hit cs[1] (the refresh
-	// rotated cs[0] to the most-recently-seen end).
-	var probed Contact
-	tbl.ping = func(c Contact) bool { probed = c; return true }
-	tbl.Update(cs[DefaultK])
-	if probed.ID != cs[1].ID {
-		t.Fatalf("probe hit %s, want %s", probed.ID, cs[1].ID)
-	}
 }
 
 // TestTableIgnoresSelfAndZero: the table never stores its own node or
 // malformed contacts.
 func TestTableIgnoresSelfAndZero(t *testing.T) {
 	self := NodeID("self")
-	tbl := NewRoutingTable(self, DefaultK, nil)
+	tbl := NewRoutingTable(self)
 	tbl.Update(Contact{ID: self, Addr: "me"})
 	tbl.Update(Contact{Addr: "zero-id"})
 	tbl.Update(Contact{ID: NodeID("x")}) // empty addr
@@ -179,8 +131,8 @@ func TestTableIgnoresSelfAndZero(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	self, cs := sameBucketContacts(3)
-	tbl := NewRoutingTable(self, DefaultK, nil)
+	self, cs := testContacts(3)
+	tbl := NewRoutingTable(self)
 	for _, c := range cs {
 		tbl.Update(c)
 	}

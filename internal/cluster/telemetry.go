@@ -37,7 +37,7 @@ func publishNodeMetrics(n *Node) {
 				return get(node)
 			}
 		}
-		reg.GaugeFunc("cluster_routing_peers", "contacts in the routing table", read(func(n *Node) float64 {
+		reg.GaugeFunc("cluster_routing_peers", "peers in the node's member set", read(func(n *Node) float64 {
 			return float64(n.table.Len())
 		}))
 		reg.GaugeFunc("cluster_stored_keys", "values in the local blob store (replicas this node holds)", read(func(n *Node) float64 {

@@ -3,8 +3,9 @@ package service
 // Cluster glue: how one job manager becomes a member of a DHT-sharded
 // simulation cluster (internal/cluster). The division of labor:
 //
-//   - the cluster.Node owns membership (routing table, liveness, drain
-//     politeness) and the replicated blob store;
+//   - the cluster.Node owns membership (the exact member set that names
+//     every key's owner, liveness, drain politeness) and the replicated
+//     blob store;
 //   - this file owns the simulation semantics on top of it: whole specs
 //     forward to the node that owns their digest (cross-node
 //     singleflight — a hot spec simulates exactly once cluster-wide),

@@ -28,8 +28,9 @@ import (
 
 // newTestCluster builds an n-node cluster: each member is a full stack
 // (engine, manager, handler, httptest server, client) whose cluster
-// node rides a shared MemNetwork. Tables are converged before return,
-// so every node names the same owner for every key.
+// node rides a shared MemNetwork. Each node joins once, through node 0,
+// as simd -join joins; that alone gives every node every peer, so every
+// node names the same owner for every key.
 func newTestCluster(t *testing.T, n int) ([]*service.Manager, []*client.Client) {
 	mgrs, cls, _ := newCountingCluster(t, n)
 	return mgrs, cls
@@ -87,12 +88,6 @@ func newCountingCluster(t *testing.T, n int) ([]*service.Manager, []*client.Clie
 	ctx := context.Background()
 	for i := 1; i < n; i++ {
 		if err := nodes[i].Join(ctx, nodes[0].Self().Addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One more self-lookup round so early joiners learn late ones.
-	for _, nd := range nodes {
-		if err := nd.Join(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,6 +333,52 @@ func TestClusterExactlyOnceConcurrent(t *testing.T) {
 	}
 	if delta := totalStarted(mgrs) - before; delta != cost {
 		t.Fatalf("%d concurrent submissions cost %d engine jobs cluster-wide, want exactly %d", n, delta, cost)
+	}
+}
+
+// TestClusterExactlyOnceTwentyNodes: on 20 nodes joined once each, K
+// distinct one-point specs, each submitted concurrently at every node,
+// cost exactly what the K specs cost a standalone node, and every reply
+// is standalone's bytes. A node that misnamed a spec's owner would
+// forward it to a node that computes it a second time.
+func TestClusterExactlyOnceTwentyNodes(t *testing.T) {
+	ctx := context.Background()
+	specs := make([]service.ScenarioRequest, cluster.DefaultK)
+	want := make([][]byte, len(specs))
+	standaloneMgr, standalone := newService(t, 2)
+	for i := range specs {
+		specs[i] = service.ScenarioRequest{
+			App: "cg", Ranks: 4,
+			Axes:   []core.Axis{core.BandwidthAxis(float64(125 * (i + 1)))},
+			Output: "traffic",
+		}
+		var err error
+		if want[i], err = standalone.ScenarioRaw(ctx, specs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cost := standaloneMgr.Engine().Stats().Started
+
+	mgrs, cls := newTestCluster(t, 20)
+	before := totalStarted(mgrs)
+	var wg sync.WaitGroup
+	for i := range specs {
+		for n := range cls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := cls[n].ScenarioRaw(ctx, specs[i])
+				if err != nil {
+					t.Errorf("spec %d at node %d: %v", i, n, err)
+				} else if !bytes.Equal(want[i], got) {
+					t.Errorf("spec %d at node %d not byte-identical to standalone", i, n)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if delta := totalStarted(mgrs) - before; delta != cost {
+		t.Fatalf("%d specs at each of 20 nodes cost %d engine jobs cluster-wide, want exactly %d", len(specs), delta, cost)
 	}
 }
 

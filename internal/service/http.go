@@ -52,7 +52,7 @@ type Health struct {
 	Workers   int     `json:"workers"`
 	Draining  bool    `json:"draining,omitempty"`
 	// Node is the operator-chosen node name (-node-id), NodeID its
-	// 160-bit DHT identity, ClusterPeers the routing-table size.
+	// 160-bit cluster identity, ClusterPeers the size of its member set.
 	Node         string `json:"node,omitempty"`
 	NodeID       string `json:"node_id,omitempty"`
 	ClusterPeers int    `json:"cluster_peers,omitempty"`

@@ -515,8 +515,8 @@ func (m *Manager) pruneLocked() {
 // stays draining either way, so a retried Drain only waits, never
 // re-admits.
 // In a cluster the node drains first — it stops accepting fresh keys
-// and marks every response Draining so peers age it out of their
-// routing tables — and the replication queue is flushed after the
+// and marks every response and request Draining so peers drop it from
+// their member sets — and the replication queue is flushed after the
 // jobs, so a departing node strands no point results.
 func (m *Manager) Drain(ctx context.Context) (int, error) {
 	if m.node != nil {
