@@ -51,7 +51,7 @@ func analyze(b *testing.B, name string, ranks int) *core.Report {
 	if !ok {
 		b.Fatalf("unknown app %q", name)
 	}
-	rep, err := core.Analyze(context.Background(), nil, entry.App, ranks, network.TestbedFor(name, ranks).Platform(), tracer.DefaultConfig())
+	rep, err := core.Analyze(context.Background(), nil, entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func BenchmarkTableI(b *testing.B) {
 	for _, name := range apps.Names {
 		name := name
 		b.Run(name, func(b *testing.B) {
-			var cfg network.Config
+			var plat network.Platform
 			for i := 0; i < b.N; i++ {
-				cfg = network.TestbedFor(name, 64)
-				if err := cfg.Validate(); err != nil {
+				plat = network.TestbedFor(name, 64)
+				if err := plat.Validate(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(cfg.Buses), "buses")
+			b.ReportMetric(float64(plat.Buses), "buses")
 		})
 	}
 }
@@ -253,7 +253,7 @@ func BenchmarkAblationChunkCount(b *testing.B) {
 			cfg.Chunks = chunks
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks).Platform(), cfg)
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -271,10 +271,10 @@ func BenchmarkAblationBuses(b *testing.B) {
 		buses := buses
 		b.Run(fmt.Sprintf("buses=%d", buses), func(b *testing.B) {
 			entry, _ := apps.ByName("sweep3d", benchRanks)
-			cfg := network.TestbedFor("sweep3d", benchRanks).WithBuses(buses)
+			plat := network.TestbedFor("sweep3d", benchRanks).WithBuses(buses)
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, plat, tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -292,12 +292,12 @@ func BenchmarkAblationPorts(b *testing.B) {
 		ports := ports
 		b.Run(fmt.Sprintf("ports=%d", ports), func(b *testing.B) {
 			entry, _ := apps.ByName("specfem3d", benchRanks)
-			cfg := network.TestbedFor("specfem3d", benchRanks)
-			cfg.InPorts = ports
-			cfg.OutPorts = ports
+			plat := network.TestbedFor("specfem3d", benchRanks)
+			plat.InPorts = ports
+			plat.OutPorts = ports
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, plat, tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -315,11 +315,11 @@ func BenchmarkAblationCongestion(b *testing.B) {
 		cf := cf
 		b.Run(fmt.Sprintf("factor=%g", cf), func(b *testing.B) {
 			entry, _ := apps.ByName("pop", benchRanks)
-			cfg := network.TestbedFor("pop", benchRanks)
-			cfg.CongestionFactor = cf
+			plat := network.TestbedFor("pop", benchRanks)
+			plat.CongestionFactor = cf
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, plat, tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,11 +337,11 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 		thr := thr
 		b.Run(fmt.Sprintf("eager=%d", thr), func(b *testing.B) {
 			entry, _ := apps.ByName("pop", benchRanks)
-			cfg := network.TestbedFor("pop", benchRanks)
-			cfg.EagerThresholdBytes = thr
+			plat := network.TestbedFor("pop", benchRanks)
+			plat.EagerThresholdBytes = thr
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, plat, tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -363,7 +363,7 @@ func BenchmarkAblationMessageScale(b *testing.B) {
 			entry, _ := apps.ByNameScaled("cg", benchRanks, apps.Scale{SizeScale: scale, IterScale: 1})
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks).Platform(), tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -386,7 +386,7 @@ func BenchmarkAblationMessageScale(b *testing.B) {
 // asserted byte-identical to the serial reference before measuring.
 func BenchmarkEngineParallelSweep(b *testing.B) {
 	entry, _ := apps.ByName("cg", benchRanks)
-	plat := network.TestbedFor("cg", benchRanks).Platform()
+	plat := network.TestbedFor("cg", benchRanks)
 	tCfg := tracer.DefaultConfig()
 	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32}
 	ctx := context.Background()
@@ -445,7 +445,7 @@ func ringTrace(n, iters int, instr, bytes int64) *trace.Trace {
 // measures the amortized sweep path.
 func BenchmarkSimulatorReplay(b *testing.B) {
 	tr := ringTrace(32, 50, 100_000, 10_000)
-	plat := network.Testbed(32).Platform()
+	plat := network.Testbed(32)
 	records := 0
 	for r := range tr.Ranks {
 		records += len(tr.Ranks[r].Records)
@@ -478,7 +478,7 @@ func BenchmarkSimCompiledReplay(b *testing.B) {
 		name string
 		plat network.Platform
 	}{
-		{"flat-degenerate", network.Testbed(32).Platform()},
+		{"flat-degenerate", network.Testbed(32)},
 		{"fatnode-block", multi},
 		{"fatnode-rr", multi.WithMapping(network.RoundRobinMapping())},
 	}
@@ -625,7 +625,7 @@ func BenchmarkSimHierarchical(b *testing.B) {
 		name string
 		plat network.Platform
 	}{
-		{"flat-degenerate", network.Testbed(32).Platform()},
+		{"flat-degenerate", network.Testbed(32)},
 		{"fatnode-block", multi},
 		{"fatnode-rr", multi.WithMapping(network.RoundRobinMapping())},
 	}

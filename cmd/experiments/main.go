@@ -244,7 +244,7 @@ func extras(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Conf
 	results, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) (extra, error) {
 		e := entries[i]
 		name := e.App.Name
-		plat := network.TestbedFor(name, ranks).Platform()
+		plat := network.TestbedFor(name, ranks)
 		// The shared cache makes the run, its programs and its patterns
 		// hits when the main analysis loop already analyzed the app (the
 		// default -only=all run).
@@ -293,7 +293,7 @@ func table1() {
 func fig4(ctx context.Context, eng *engine.Engine, tCfg tracer.Config, width int) {
 	header("Figure 4 — Paraver view of NAS-CG (4 ranks): non-overlapped vs overlapped")
 	e, _ := apps.ByName("cg", 4)
-	rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), e.App, 4, tCfg, network.TestbedFor("cg", 4).Platform())
+	rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), e.App, 4, tCfg, network.TestbedFor("cg", 4))
 	if err != nil {
 		fatal("fig4: %v", err)
 	}

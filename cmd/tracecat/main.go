@@ -30,7 +30,6 @@ func main() {
 	head := flag.Int("head", 0, "print the first N records of every rank")
 	replay := flag.Bool("replay", false, "replay the trace and print timings")
 	platFile := flag.String("platform", "", "platform JSON for -replay, flat or hierarchical schema (default: testbed sized to the trace)")
-	netFile := flag.String("net", "", "deprecated alias for -platform")
 	dumpPlat := flag.Bool("dump-platform", false, "print the replay platform as JSON and exit")
 	flag.Parse()
 
@@ -127,11 +126,8 @@ func main() {
 	}
 
 	if *replay || *dumpPlat {
-		plat := network.Testbed(tr.NumRanks).Platform()
-		if path := *platFile; path != "" || *netFile != "" {
-			if path == "" {
-				path = *netFile
-			}
+		plat := network.Testbed(tr.NumRanks)
+		if path := *platFile; path != "" {
 			plat, err = network.ReadPlatformFile(path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tracecat: %v\n", err)

@@ -35,7 +35,7 @@ func main() {
 
 	for _, entry := range apps.All(ranks) {
 		name := entry.App.Name
-		report, err := core.Analyze(ctx, nil, entry.App, ranks, network.TestbedFor(name, ranks).Platform(), tracer.DefaultConfig())
+		report, err := core.Analyze(ctx, nil, entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func main() {
 	// Pick NAS-CG from the application pool and the calibrated testbed
 	// (250 MB/s Myrinet-like network, Table I bus count).
 	entry, _ := apps.ByName("cg", ranks)
-	platform := network.TestbedFor("cg", ranks).Platform()
+	platform := network.TestbedFor("cg", ranks)
 
 	// One call runs the whole framework: Valgrind-equivalent tracing,
 	// trace transformation, and Dimemas-equivalent replay of all three

@@ -32,7 +32,7 @@ import (
 func main() {
 	const ranks = 16
 	entry, _ := apps.ByName("sweep3d", ranks)
-	platform := network.TestbedFor("sweep3d", ranks).Platform()
+	platform := network.TestbedFor("sweep3d", ranks)
 
 	report, err := core.Analyze(context.Background(), nil, entry.App, ranks, platform, tracer.DefaultConfig())
 	if err != nil {

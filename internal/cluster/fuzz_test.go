@@ -8,7 +8,7 @@ import (
 // FuzzDecodeRequest chews on the RPC envelope decoder — the bytes every
 // node accepts from the network. Properties: no panics, a nil request
 // on error and a valid one on success, every accepted request within
-// the wire bounds (a STORE's blob list included), and
+// the wire bounds (a STORE carries exactly a blob list), and
 // accept/encode/decode is a fixed point.
 func FuzzDecodeRequest(f *testing.F) {
 	seed := [][]byte{
@@ -20,6 +20,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		[]byte(`{"op":"store","key":"k","value":"aGk=","blobs":[{"key":"k","value":"aGk="}]}`),
 		[]byte(`{"op":"exec","kind":"scenario","value":"e30=","blobs":[{"key":"k","value":"aGk="}]}`),
 		[]byte(`{"op":"ping","from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"}}`),
+		// A single-key STORE, without a blob list, is rejected.
 		[]byte(`{"op":"store","from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"},"key":"sha256:abc","kind":"point","value":"aGk="}`),
 		[]byte(`{"op":"find_node","from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"},"key":"sha256:abc"}`),
 		[]byte(`{"op":"find_value","key":"k","from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"}}`),
@@ -77,11 +78,13 @@ func checkBounds(t *testing.T, req *Request) {
 	if len(req.Key) > MaxKeyBytes || len(req.Kind) > MaxKindBytes || len(req.Value) > MaxValueBytes {
 		t.Fatalf("accepted an oversized envelope: key %d, kind %d, value %d bytes", len(req.Key), len(req.Kind), len(req.Value))
 	}
-	if req.Blobs == nil {
-		return
-	}
-	if req.Op != OpStore {
+	switch {
+	case req.Op == OpStore && req.Blobs == nil:
+		t.Fatal("accepted a store without a blob list")
+	case req.Op != OpStore && req.Blobs != nil:
 		t.Fatalf("accepted a blob list on %s", req.Op)
+	case req.Blobs == nil:
+		return
 	}
 	if req.Key != "" || len(req.Value) > 0 {
 		t.Fatal("accepted a store with both a key and a blob list")
@@ -105,8 +108,8 @@ func checkBounds(t *testing.T, req *Request) {
 }
 
 // TestValidateStoreBlobBounds pins the blob-list limits the fuzz target
-// asserts: the item cap, the summed-value cap, and the per-blob checks
-// the single form gets.
+// asserts: the item cap, the summed-value cap, the per-blob checks, and
+// that a STORE carries a blob list and nothing else.
 func TestValidateStoreBlobBounds(t *testing.T) {
 	big := make([]byte, MaxValueBytes/2+1)
 	blob := func(key string, size int) Blob { return Blob{Key: key, Kind: "point", Value: big[:size]} }
@@ -130,6 +133,8 @@ func TestValidateStoreBlobBounds(t *testing.T) {
 		{"long key", Request{Op: OpStore, Blobs: []Blob{blob(string(make([]byte, MaxKeyBytes+1)), 1)}}, false},
 		{"long kind", Request{Op: OpStore, Blobs: []Blob{{Key: "k", Kind: string(make([]byte, MaxKindBytes+1)), Value: []byte{1}}}}, false},
 		{"key and list", Request{Op: OpStore, Key: "k", Value: []byte{1}, Blobs: []Blob{blob("k", 1)}}, false},
+		{"single form", Request{Op: OpStore, Key: "k", Kind: "point", Value: []byte{1}}, false},
+		{"no list", Request{Op: OpStore}, false},
 		{"list on exec", Request{Op: OpExec, Kind: "x", Value: []byte{1}, Blobs: []Blob{blob("k", 1)}}, false},
 	}
 	for _, c := range cases {

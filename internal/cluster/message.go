@@ -18,7 +18,7 @@ const (
 	// and carries the peer's draining flag.
 	OpPing Op = "ping"
 	// OpStore replicates values to one of their keys' K closest nodes:
-	// one keyed value, or a list of them (Request.Blobs).
+	// a list of keyed values (Request.Blobs).
 	OpStore Op = "store"
 	// OpFindNode returns up to MaxContacts of the receiver's members,
 	// nearest the key first; Join asks it of every member it learns of.
@@ -63,7 +63,8 @@ const (
 	MaxResponseBytes = (MaxValueBytes+2)/3*4 + (MaxContacts+1)*(2*IDBytes+6*MaxAddrBytes+32) + 6*(MaxKindBytes+MaxErrBytes) + 1024
 )
 
-// Blob is one keyed value a STORE lists.
+// Blob is one keyed value a STORE lists. Kind labels what the value is
+// ("trace", "platform", "point").
 type Blob struct {
 	Key   string `json:"key"`
 	Kind  string `json:"kind,omitempty"`
@@ -80,15 +81,14 @@ type Request struct {
 	// Draining is set while the caller is leaving the cluster: the
 	// receiver drops it from its member set instead.
 	Draining bool `json:"draining,omitempty"`
-	// Key is the target key (all ops but ping).
+	// Key is the target key of find_node and find_value.
 	Key string `json:"key,omitempty"`
-	// Kind labels what a stored/executed value is ("trace", "platform",
-	// "point", or a service request kind for exec).
+	// Kind labels what an executed value is (a service request kind).
 	Kind string `json:"kind,omitempty"`
-	// Value is the payload of store and exec.
+	// Value is the payload of exec.
 	Value []byte `json:"value,omitempty"`
-	// Blobs is a store's list of keyed values, sent instead of Key,
-	// Kind and Value when one STORE carries several.
+	// Blobs is a store's list of keyed values; a store carries nothing
+	// else.
 	Blobs []Blob `json:"blobs,omitempty"`
 }
 
@@ -171,12 +171,7 @@ func (r *Request) Validate() error {
 	}
 	switch r.Op {
 	case OpStore:
-		if r.Blobs != nil {
-			return r.validateBlobs()
-		}
-		if r.Key == "" || len(r.Value) == 0 {
-			return fmt.Errorf("cluster: store needs key and value")
-		}
+		return r.validateBlobs()
 	case OpFindNode, OpFindValue:
 		if r.Key == "" {
 			return fmt.Errorf("cluster: %s needs a key", r.Op)
@@ -189,12 +184,12 @@ func (r *Request) Validate() error {
 	return nil
 }
 
-// validateBlobs checks a STORE's blob list: each blob as the single form
-// is checked, at most MaxStoreBlobs of them, and at most MaxValueBytes
-// of values in all.
+// validateBlobs checks a STORE's blob list: each blob needs a key and a
+// value within the key and kind bounds, at most MaxStoreBlobs of them,
+// and at most MaxValueBytes of values in all.
 func (r *Request) validateBlobs() error {
 	if r.Key != "" || r.Kind != "" || len(r.Value) > 0 {
-		return fmt.Errorf("cluster: store carries one key or a blob list, not both")
+		return fmt.Errorf("cluster: store carries only a blob list")
 	}
 	if len(r.Blobs) == 0 || len(r.Blobs) > MaxStoreBlobs {
 		return fmt.Errorf("cluster: store lists %d blobs, want 1 to %d", len(r.Blobs), MaxStoreBlobs)

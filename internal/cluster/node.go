@@ -151,22 +151,18 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 	case OpPing:
 		// The response envelope is the whole answer.
 	case OpStore:
-		blobs := req.Blobs
-		if blobs == nil {
-			blobs = []Blob{{Key: req.Key, Kind: req.Kind, Value: req.Value}}
-		}
 		if resp.Draining {
 			// Fresh keys are refused while draining; re-replication of
 			// keys already held stays welcome so nothing regresses. A list
 			// holding any fresh key is refused whole.
-			for _, b := range blobs {
+			for _, b := range req.Blobs {
 				if !n.blobs.Contains(b.Key) {
 					resp.Err = "cluster: node draining, not accepting new keys"
 					return resp
 				}
 			}
 		}
-		for _, b := range blobs {
+		for _, b := range req.Blobs {
 			n.blobs.Put(b.Key, blob{b.Kind, b.Value})
 		}
 		resp.Stored = true

@@ -188,7 +188,7 @@ func TestDrainLeavesPolitely(t *testing.T) {
 	nodes[3].Drain()
 
 	// Fresh stores are refused...
-	fresh := &Request{Op: OpStore, From: nodes[0].Self(), Key: "sha256:dddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddd", Kind: "blob", Value: []byte("new")}
+	fresh := &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{{Key: "sha256:dddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddd", Kind: "blob", Value: []byte("new")}}}
 	if resp := nodes[3].HandleRPC(ctx, fresh); resp.Stored || resp.Err == "" || !resp.Draining {
 		t.Fatalf("draining node accepted a fresh key: %+v", resp)
 	}
@@ -196,7 +196,7 @@ func TestDrainLeavesPolitely(t *testing.T) {
 	if resp := nodes[3].HandleRPC(ctx, &Request{Op: OpFindValue, From: nodes[0].Self(), Key: held}); !resp.Found {
 		t.Fatal("draining node stranded a held value")
 	}
-	if resp := nodes[3].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Key: held, Kind: "blob", Value: []byte("kept")}); !resp.Stored {
+	if resp := nodes[3].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{{Key: held, Kind: "blob", Value: []byte("kept")}}}); !resp.Stored {
 		t.Fatal("draining node refused re-replication of a held key")
 	}
 

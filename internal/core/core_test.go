@@ -34,7 +34,7 @@ func pipelineKernel(n, iters int, work int64) func(p *tracer.Proc) {
 }
 
 func testNet(procs int) network.Platform {
-	return network.Testbed(procs).Platform()
+	return network.Testbed(procs)
 }
 
 func TestAnalyzeRejectsBadInputs(t *testing.T) {

@@ -115,7 +115,7 @@ func TestMappingSweepDeterministicAcrossEngines(t *testing.T) {
 }
 
 func TestNodeCountSweepRejectsBadCounts(t *testing.T) {
-	plat := network.Testbed(4).Platform()
+	plat := network.Testbed(4)
 	if _, err := NodeCountSweep(context.Background(), nil, cgApp(), 4, plat, tracer.DefaultConfig(), []int{2, 0}); err == nil {
 		t.Fatal("zero node count accepted")
 	}

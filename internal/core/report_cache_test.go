@@ -90,7 +90,7 @@ func TestReportPointsMatchIndependentOracle(t *testing.T) {
 	bws := []float64{125, 400}
 	eng := engine.New(2)
 	traces := engine.NewTraceCache()
-	for _, plat := range []network.Platform{scenarioPlatform(t, ranks), network.TestbedFor(app.Name, ranks).Platform()} {
+	for _, plat := range []network.Platform{scenarioPlatform(t, ranks), network.TestbedFor(app.Name, ranks)} {
 		res, err := RunScenario(context.Background(), eng, Scenario{
 			App: app, Ranks: ranks, Platform: plat, Traces: traces,
 			Axes:   []Axis{ChunksAxis(chunks...), BandwidthAxis(bws...)},
@@ -180,7 +180,7 @@ func TestWhatIfPointsMatchIndependentOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, plat := range []network.Platform{scenarioPlatform(t, ranks), network.TestbedFor(app.Name, ranks).Platform()} {
+		for _, plat := range []network.Platform{scenarioPlatform(t, ranks), network.TestbedFor(app.Name, ranks)} {
 			want := make([][]byte, 0, len(chunks)*len(bws))
 			for _, k := range chunks {
 				for _, bw := range bws {
@@ -285,7 +285,7 @@ func TestReportPointsShareTraceCache(t *testing.T) {
 	eng := engine.New(2)
 	traces := engine.NewTraceCache()
 	app := scenarioApp()
-	plats := []network.Platform{scenarioPlatform(t, ranks), network.TestbedFor(app.Name, ranks).Platform()}
+	plats := []network.Platform{scenarioPlatform(t, ranks), network.TestbedFor(app.Name, ranks)}
 	chunks := []int{2, 3, 5}
 	cfgAt := func(k int) tracer.Config {
 		cfg := tracer.DefaultConfig()

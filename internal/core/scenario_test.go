@@ -227,7 +227,7 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 func TestWhatIfIsScenarioTranslation(t *testing.T) {
 	const ranks = 4
 	app := scenarioApp()
-	plat := network.TestbedFor("cg", ranks).Platform()
+	plat := network.TestbedFor("cg", ranks)
 
 	got, err := WhatIf(context.Background(), engine.New(2), app, ranks, plat, tracer.DefaultConfig())
 	if err != nil {
@@ -251,7 +251,7 @@ func TestScenarioRanksAxis(t *testing.T) {
 		return App{Name: "cg", Kernel: cg.Kernel(cg.DefaultConfig())}, nil
 	}
 	res, err := RunScenario(context.Background(), engine.New(4), Scenario{
-		Factory: factory, Ranks: 4, Platform: network.TestbedFor("cg", 4).Platform(),
+		Factory: factory, Ranks: 4, Platform: network.TestbedFor("cg", 4),
 		Flavors: []Flavor{FlavorBase},
 		Axes:    []Axis{RanksAxis(2, 4, 8)},
 		Output:  OutputFinish,
@@ -280,7 +280,7 @@ func TestScenarioRanksAxis(t *testing.T) {
 func TestScenarioNodesAxisSurvivesRanksAxis(t *testing.T) {
 	// Round-robin placement: on one node everything is intra; on four
 	// nodes every CG partner pair (0,1), (2,3), ... tears across nodes.
-	plat := network.TestbedFor("cg", 4).Platform().WithMapping(network.RoundRobinMapping())
+	plat := network.TestbedFor("cg", 4).WithMapping(network.RoundRobinMapping())
 	res, err := RunScenario(context.Background(), engine.New(2), Scenario{
 		App: scenarioApp(), Ranks: 4, Platform: plat,
 		Flavors: []Flavor{FlavorBase},
@@ -314,7 +314,7 @@ func TestScenarioDedupesIdenticalReplays(t *testing.T) {
 	eng := engine.New(2)
 	before := eng.Stats().Started
 	res, err := RunScenario(context.Background(), eng, Scenario{
-		App: scenarioApp(), Ranks: ranks, Platform: network.TestbedFor("cg", ranks).Platform(),
+		App: scenarioApp(), Ranks: ranks, Platform: network.TestbedFor("cg", ranks),
 		Flavors: []Flavor{FlavorBase, FlavorReal},
 		Axes:    []Axis{ChunksAxis(2, 4, 8)},
 		Output:  OutputFinish,
@@ -337,7 +337,7 @@ func TestScenarioDedupesIdenticalReplays(t *testing.T) {
 // TestScenarioValidation rejects malformed specs before any tracing.
 func TestScenarioValidation(t *testing.T) {
 	const ranks = 4
-	plat := network.TestbedFor("cg", ranks).Platform()
+	plat := network.TestbedFor("cg", ranks)
 	tr := testScenarioTrace()
 	cases := []struct {
 		name string

@@ -155,7 +155,7 @@ func TestCompiledProgramSelectiveFlavor(t *testing.T) {
 		if want, err := trace.Digest(tr); err != nil || digest != want {
 			t.Fatalf("selective digest %s, trace.Digest %s (%v)", digest, want, err)
 		}
-		plat := network.Testbed(2).Platform()
+		plat := network.Testbed(2)
 		want, err := sim.Run(plat, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +181,7 @@ func TestCompiledTraceReplaysIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := network.Testbed(2).Platform()
+	plat := network.Testbed(2)
 	want, err := sim.Run(plat, freshBuild(t, "compiled-app-replay", cfg, FlavorReal))
 	if err != nil {
 		t.Fatal(err)

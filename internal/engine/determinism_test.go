@@ -43,7 +43,7 @@ func pipeKernel(n, iters int, work int64) func(p *tracer.Proc) {
 // bits in every float.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	app := core.App{Name: "pipe", Kernel: pipeKernel(2000, 3, 100)}
-	plat := network.Testbed(2).Platform()
+	plat := network.Testbed(2)
 	counts := []int{1, 2, 3, 4, 6, 8, 12, 16}
 
 	serial, err := core.ChunkSweepSerial(app, 2, plat, tracer.DefaultConfig(), counts)
@@ -78,7 +78,7 @@ func TestContextFreeWrappersInsideJobs(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := engine.Map(context.Background(), nil, n, func(ctx context.Context, i int) (float64, error) {
-			pts, err := core.ChunkSweep(ctx, nil, app, 2, network.Testbed(2).Platform(), tracer.DefaultConfig(), []int{1, 2, 4})
+			pts, err := core.ChunkSweep(ctx, nil, app, 2, network.Testbed(2), tracer.DefaultConfig(), []int{1, 2, 4})
 			if err != nil {
 				return 0, err
 			}
@@ -110,7 +110,7 @@ func TestConcurrentReplaysOfSharedTrace(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	plat := network.Testbed(2).Platform()
+	plat := network.Testbed(2)
 	eng := engine.New(replays)
 
 	results, err := engine.Map(context.Background(), eng, replays, func(ctx context.Context, i int) (*sim.Result, error) {

@@ -14,18 +14,14 @@ import (
 // `go test` exercises the seed corpus; `go test -fuzz=FuzzReadAnyPlatform`
 // explores further.
 func FuzzReadAnyPlatform(f *testing.F) {
-	var flat bytes.Buffer
-	if err := Testbed(8).WriteJSON(&flat); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(flat.Bytes())
+	f.Add([]byte(flatCG8))
 	var hier bytes.Buffer
-	if err := Testbed(8).Platform().WithNodes(2).WriteJSON(&hier); err != nil {
+	if err := Testbed(8).WithNodes(2).WriteJSON(&hier); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(hier.Bytes())
 	var degraded bytes.Buffer
-	plat := Testbed(8).Platform().WithNodes(2).WithDegradations(faults.Spec{
+	plat := Testbed(8).WithNodes(2).WithDegradations(faults.Spec{
 		DerateInter: 0.5, JitterFrac: 0.2, Stragglers: 1, StragglerFactor: 2, Seed: 7,
 	})
 	if err := plat.WriteJSON(&degraded); err != nil {

@@ -16,17 +16,18 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	base := Testbed(4)
 	cases := []struct {
 		name string
-		mut  func(Config) Config
+		mut  func(Platform) Platform
 	}{
-		{"zero processors", func(c Config) Config { c.Processors = 0; return c }},
-		{"negative latency", func(c Config) Config { c.LatencySec = -1; return c }},
-		{"zero bandwidth", func(c Config) Config { c.BandwidthMBps = 0; return c }},
-		{"negative bandwidth", func(c Config) Config { c.BandwidthMBps = -3; return c }},
-		{"negative buses", func(c Config) Config { c.Buses = -1; return c }},
-		{"negative inports", func(c Config) Config { c.InPorts = -1; return c }},
-		{"negative outports", func(c Config) Config { c.OutPorts = -2; return c }},
-		{"zero mips", func(c Config) Config { c.MIPS = 0; return c }},
-		{"zero speed", func(c Config) Config { c.RelativeSpeed = 0; return c }},
+		{"zero processors", func(p Platform) Platform { p.Processors = 0; return p }},
+		{"negative latency", func(p Platform) Platform { p.Inter.LatencySec = -1; return p }},
+		{"zero bandwidth", func(p Platform) Platform { p.Inter.BandwidthMBps = 0; return p }},
+		{"negative bandwidth", func(p Platform) Platform { p.Inter.BandwidthMBps = -3; return p }},
+		{"negative buses", func(p Platform) Platform { p.Buses = -1; return p }},
+		{"negative inports", func(p Platform) Platform { p.InPorts = -1; return p }},
+		{"negative outports", func(p Platform) Platform { p.OutPorts = -2; return p }},
+		{"zero mips", func(p Platform) Platform { p.MIPS = 0; return p }},
+		{"zero speed", func(p Platform) Platform { p.RelativeSpeed = 0; return p }},
+		{"negative congestion", func(p Platform) Platform { p.CongestionFactor = -1; return p }},
 	}
 	for _, tc := range cases {
 		if err := tc.mut(base).Validate(); err == nil {
@@ -36,65 +37,68 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 }
 
 func TestInfiniteBandwidthValidatesAndZeroesSerialization(t *testing.T) {
-	c := Testbed(4).InfiniteBandwidth()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("infinite bandwidth config invalid: %v", err)
+	p := Testbed(4).WithInterBandwidth(math.Inf(1))
+	if err := p.Validate(); err != nil {
+		t.Fatalf("infinite bandwidth platform invalid: %v", err)
 	}
-	if got := c.SerializationSec(1 << 30); got != 0 {
+	if got := p.Inter.SerializationSec(1 << 30); got != 0 {
 		t.Fatalf("serialization at infinite bandwidth = %g, want 0", got)
 	}
-	if got := c.TransferSec(1 << 30); got != c.LatencySec {
-		t.Fatalf("transfer at infinite bandwidth = %g, want latency %g", got, c.LatencySec)
+	if got := p.Inter.TransferSec(1 << 30); got != p.Inter.LatencySec {
+		t.Fatalf("transfer at infinite bandwidth = %g, want latency %g", got, p.Inter.LatencySec)
 	}
 }
 
 func TestTransferSecLinearModel(t *testing.T) {
-	c := Testbed(2)
+	l := Testbed(2).Inter
 	// 250 MB/s, 1e6-scale: 250e6 bytes per second.
-	got := c.TransferSec(250e6)
-	want := c.LatencySec + 1.0
+	got := l.TransferSec(250e6)
+	want := l.LatencySec + 1.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("TransferSec(250 MB)=%g, want %g", got, want)
 	}
-	if c.TransferSec(0) != c.LatencySec {
+	if l.TransferSec(0) != l.LatencySec {
 		t.Fatalf("zero-byte transfer should cost exactly the latency")
 	}
 }
 
 func TestComputeSecScaling(t *testing.T) {
-	c := Testbed(2)
+	p := Testbed(2)
 	// 2300 MIPS: 2.3e9 instructions per second.
-	got := c.ComputeSec(2_300_000_000)
-	if math.Abs(got-1.0) > 1e-12 {
+	k := p.Costs()
+	if got := k.ComputeSec(2_300_000_000); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("ComputeSec(2.3e9)=%g, want 1.0", got)
 	}
-	c.RelativeSpeed = 2
-	if got := c.ComputeSec(2_300_000_000); math.Abs(got-0.5) > 1e-12 {
+	p.RelativeSpeed = 2
+	k = p.Costs()
+	if got := k.ComputeSec(2_300_000_000); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("ComputeSec at 2x speed=%g, want 0.5", got)
 	}
 }
 
 func TestEagerThreshold(t *testing.T) {
-	c := Testbed(2)
-	c.EagerThresholdBytes = 1024
-	if !c.Eager(1024) {
+	p := Testbed(2)
+	p.EagerThresholdBytes = 1024
+	k := p.Costs()
+	if !k.Eager(1024) {
 		t.Error("message at threshold should be eager")
 	}
-	if c.Eager(1025) {
+	if k.Eager(1025) {
 		t.Error("message above threshold should be rendezvous")
 	}
-	c.EagerThresholdBytes = -1
-	if !c.Eager(1 << 40) {
+	p.EagerThresholdBytes = -1
+	k = p.Costs()
+	if !k.Eager(1 << 40) {
 		t.Error("negative threshold must disable rendezvous")
 	}
 }
 
 func TestWithHelpersDoNotMutateReceiver(t *testing.T) {
-	c := Testbed(8)
-	_ = c.WithBandwidth(10)
-	_ = c.WithBuses(3)
-	_ = c.WithProcessors(2)
-	if c.BandwidthMBps != 250 || c.Buses != 0 || c.Processors != 8 {
+	p := Testbed(8)
+	_ = p.WithInterBandwidth(10)
+	_ = p.WithBuses(3)
+	_ = p.WithProcessors(2)
+	if p.Inter.BandwidthMBps != 250 || p.Buses != 0 || p.Processors != 8 {
 		t.Fatal("With* helpers mutated the receiver")
 	}
 }
@@ -113,8 +117,8 @@ func TestTableIBusesMatchesPaper(t *testing.T) {
 
 func TestTestbedFor(t *testing.T) {
 	c := TestbedFor("cg", 64)
-	if c.Buses != 6 || c.Processors != 64 {
-		t.Fatalf("TestbedFor(cg): buses=%d procs=%d, want 6/64", c.Buses, c.Processors)
+	if c.Buses != 6 || c.Processors != 64 || c.Nodes != 64 {
+		t.Fatalf("TestbedFor(cg): buses=%d procs=%d nodes=%d, want 6/64/64", c.Buses, c.Processors, c.Nodes)
 	}
 	u := TestbedFor("unknown-app", 4)
 	if u.Buses != 0 {
@@ -123,13 +127,13 @@ func TestTestbedFor(t *testing.T) {
 }
 
 func TestPropertyTransferMonotoneInSize(t *testing.T) {
-	c := Testbed(2)
+	l := Testbed(2).Inter
 	f := func(a, b uint32) bool {
 		x, y := int64(a), int64(b)
 		if x > y {
 			x, y = y, x
 		}
-		return c.TransferSec(x) <= c.TransferSec(y)
+		return l.TransferSec(x) <= l.TransferSec(y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -140,8 +144,9 @@ func TestPropertyTransferMonotoneInBandwidth(t *testing.T) {
 	f := func(sz uint32, bw1, bw2 uint16) bool {
 		lo := float64(bw1%1000) + 1
 		hi := lo + float64(bw2%1000) + 1
-		c := Testbed(2)
-		return c.WithBandwidth(hi).TransferSec(int64(sz)) <= c.WithBandwidth(lo).TransferSec(int64(sz))
+		fast := Testbed(2).WithInterBandwidth(hi).Inter
+		slow := Testbed(2).WithInterBandwidth(lo).Inter
+		return fast.TransferSec(int64(sz)) <= slow.TransferSec(int64(sz))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

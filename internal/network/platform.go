@@ -14,10 +14,10 @@ import (
 // crosses the Intra link (shared memory: low latency, high bandwidth,
 // bounded by a per-node bus pool); communication between ranks on different
 // nodes crosses the Inter link (the NIC and interconnect: per-node
-// injection/drain ports plus a global bus pool). The flat Config is the
-// degenerate one-rank-per-node case — Config.Platform() — on which every
-// transfer is inter-node and the model collapses to the validated
-// single-link Dimemas platform.
+// injection/drain ports plus a global bus pool). Testbed and the flat
+// presets are the one-rank-per-node case, on which every transfer is
+// inter-node and the model collapses to the validated single-link
+// Dimemas platform.
 
 // Link is one link class of the platform: the linear point-to-point cost
 // model T = LatencySec + bytes/BandwidthMBps.
@@ -194,14 +194,27 @@ type Platform struct {
 	// flat model's per-processor ports.
 	InPorts  int
 	OutPorts int
-	// MIPS converts compute-burst instruction counts to seconds.
+	// MIPS converts compute-burst instruction counts to seconds:
+	// seconds = instructions / (MIPS * 1e6).
 	MIPS float64
-	// EagerThresholdBytes selects the send protocol exactly as in Config.
+	// EagerThresholdBytes selects the send protocol. Messages of at most
+	// this size complete on the sender as soon as they are injected
+	// (eager); larger messages use rendezvous and additionally wait for
+	// the matching receive to be posted. A negative value disables
+	// rendezvous entirely.
 	EagerThresholdBytes int64
 	// RelativeSpeed scales compute-burst durations (1.0 = testbed speed).
+	// Values above 1 simulate faster CPUs, which stresses the network.
 	RelativeSpeed float64
-	// CongestionFactor enables the nonlinear congestion extension for
-	// inter-node transfers, relative to the global bus pool; intra-node
+	// CongestionFactor enables the nonlinear congestion extension of the
+	// Dimemas model for inter-node transfers: each one's serialization
+	// time is stretched by
+	//
+	//	1 + CongestionFactor * max(0, inflight/Buses - 1)
+	//
+	// where inflight counts the messages in the interconnect when the
+	// transfer starts. Zero disables the extension (the validated linear
+	// model); it only applies with a finite bus pool, and intra-node
 	// transfers never congest the interconnect.
 	CongestionFactor float64
 	// Degradations declares the fault-injection scenario the replay
@@ -210,29 +223,6 @@ type Platform struct {
 	// value is the healthy platform and digests identically to a
 	// platform that predates the field (see digest.go).
 	Degradations faults.Spec
-}
-
-// Platform lifts the flat configuration to its degenerate hierarchical
-// form: one rank per node, identical intra and inter links, per-processor
-// ports becoming per-node ports. Replaying any trace on it reproduces the
-// flat model exactly.
-func (c Config) Platform() Platform {
-	l := c.link()
-	return Platform{
-		Processors:          c.Processors,
-		Nodes:               c.Processors,
-		Mapping:             BlockMapping(),
-		Intra:               l,
-		IntraBuses:          0,
-		Inter:               l,
-		Buses:               c.Buses,
-		InPorts:             c.InPorts,
-		OutPorts:            c.OutPorts,
-		MIPS:                c.MIPS,
-		EagerThresholdBytes: c.EagerThresholdBytes,
-		RelativeSpeed:       c.RelativeSpeed,
-		CongestionFactor:    c.CongestionFactor,
-	}
 }
 
 // Validate reports the first implausible parameter.
@@ -343,7 +333,7 @@ func (c *Costs) Link(intra bool) Link {
 
 // Congested stretches the serialization time of an inter-node transfer
 // that enters an interconnect already carrying inFlight messages: the
-// nonlinear congestion extension (see Config.CongestionFactor). Without a
+// nonlinear congestion extension (see Platform.CongestionFactor). Without a
 // congestion factor or with an unlimited bus pool it returns ser as is.
 func (c *Costs) Congested(ser float64, inFlight int) float64 {
 	if c.congestionFactor > 0 && c.buses > 0 {

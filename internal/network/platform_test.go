@@ -7,13 +7,12 @@ import (
 	"testing"
 )
 
-func TestConfigPlatformDegenerate(t *testing.T) {
-	cfg := TestbedFor("sweep3d", 16)
-	p := cfg.Platform()
+func TestTestbedDegenerate(t *testing.T) {
+	p := TestbedFor("sweep3d", 16)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Nodes != cfg.Processors || p.MultiNode() {
+	if p.Nodes != p.Processors || p.MultiNode() {
 		t.Fatalf("degenerate platform not one-rank-per-node: %+v", p)
 	}
 	if p.Intra != p.Inter {
@@ -37,7 +36,7 @@ func TestMappingPolicies(t *testing.T) {
 		{ExplicitMapping([]int{3, 3, 3, 3, 0, 0, 0, 0}), []int{3, 3, 3, 3, 0, 0, 0, 0}},
 	}
 	for _, tc := range cases {
-		p := Testbed(ranks).Platform().WithNodes(nodes).WithMapping(tc.m)
+		p := Testbed(ranks).WithNodes(nodes).WithMapping(tc.m)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.m, err)
 		}
@@ -52,7 +51,7 @@ func TestMappingPolicies(t *testing.T) {
 
 func TestMappingBlockUnevenCoversAllRanks(t *testing.T) {
 	// 10 ranks on 4 nodes: ceil(10/4)=3 per node, last node underfull.
-	p := Testbed(10).Platform().WithNodes(4)
+	p := Testbed(10).WithNodes(4)
 	counts := map[int]int{}
 	for _, n := range p.NodeTable() {
 		if n < 0 || n >= 4 {
@@ -89,7 +88,7 @@ func TestParseMapping(t *testing.T) {
 }
 
 func TestPlatformValidateRejects(t *testing.T) {
-	base := Testbed(8).Platform().WithNodes(2)
+	base := Testbed(8).WithNodes(2)
 	cases := []Platform{
 		base.WithNodes(0),
 		base.WithProcessors(0),
@@ -117,7 +116,7 @@ func TestPlatformJSONRoundTrip(t *testing.T) {
 	if err := orig.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPlatformJSON(strings.NewReader(sb.String()))
+	got, err := readPlatformJSON(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +126,13 @@ func TestPlatformJSONRoundTrip(t *testing.T) {
 }
 
 func TestPlatformJSONInfiniteIntraBandwidth(t *testing.T) {
-	orig := Testbed(4).Platform().WithNodes(2)
+	orig := Testbed(4).WithNodes(2)
 	orig.Intra.BandwidthMBps = math.Inf(1)
 	var sb strings.Builder
 	if err := orig.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPlatformJSON(strings.NewReader(sb.String()))
+	got, err := readPlatformJSON(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,18 +155,13 @@ func TestReadAnyPlatformAcceptsBothSchemas(t *testing.T) {
 	if !reflect.DeepEqual(got, hier) {
 		t.Fatalf("hierarchical schema: got %+v want %+v", got, hier)
 	}
-	// Flat Config schema lifts to the degenerate platform.
-	flat := TestbedFor("cg", 8)
-	sb.Reset()
-	if err := flat.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadAnyPlatform(strings.NewReader(sb.String()))
+	// The flat schema reads as the one-rank-per-node platform.
+	got, err = ReadAnyPlatform(strings.NewReader(flatCG8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, flat.Platform()) {
-		t.Fatalf("flat schema: got %+v want %+v", got, flat.Platform())
+	if want := TestbedFor("cg", 8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("flat schema: got %+v want %+v", got, want)
 	}
 }
 
@@ -180,14 +174,14 @@ func TestReadPlatformJSONRejectsBadInput(t *testing.T) {
 		`{"processors": 4, "nodes": 2, "intra": {"latency_sec":0,"bandwidth_mbps":"fast"}, "inter": {"latency_sec":0,"bandwidth_mbps":1}, "mips": 1, "relative_speed": 1}`,
 	}
 	for i, in := range cases {
-		if _, err := ReadPlatformJSON(strings.NewReader(in)); err == nil {
+		if _, err := readPlatformJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d accepted: %s", i, in)
 		}
 	}
 }
 
 func TestPlatformDescribe(t *testing.T) {
-	flat := Testbed(4).Platform()
+	flat := Testbed(4)
 	if s := flat.Describe(); !strings.Contains(s, "flat") {
 		t.Errorf("flat describe: %s", s)
 	}

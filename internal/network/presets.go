@@ -19,73 +19,54 @@ import (
 // commodity Ethernet point for contrast and two hierarchical multi-node
 // shapes for placement studies.
 
-// presetEntry is one row of the preset table. Flat presets define flat;
-// hierarchical presets define platform. Every entry is reachable through
-// PlatformPreset; only flat entries are reachable through Preset. Keeping
-// names, docs, and builders in one table means PresetNames can never drift
-// from what Preset and PlatformPreset resolve.
+// presetEntry is one row of the preset table. Keeping names, docs, and
+// builders in one table means PresetNames can never drift from what
+// PlatformPreset resolves.
 type presetEntry struct {
 	name     string
 	describe string
-	flat     func(processors int) Config
-	platform func(processors int) Platform
+	build    func(processors int) Platform
 }
 
-// presetTable is the single source of truth for all presets.
+// presetTable is the single source of truth for all presets. The first
+// five are one-rank-per-node platforms on one link class; the last two
+// are hierarchical.
 var presetTable = []presetEntry{
 	{
 		name:     "marenostrum",
 		describe: "the paper's testbed: 250 MB/s, 8 us (default elsewhere)",
-		flat:     Testbed,
+		build:    Testbed,
 	},
 	{
 		name:     "ib-qdr",
 		describe: "InfiniBand QDR: 1000 MB/s effective, 1.3 us MPI latency",
-		flat: func(p int) Config {
-			c := Testbed(p)
-			c.BandwidthMBps = 1000
-			c.LatencySec = 1.3e-6
-			return c
-		},
+		build:    func(p int) Platform { return flat(p, Link{LatencySec: 1.3e-6, BandwidthMBps: 1000}) },
 	},
 	{
 		name:     "ib-qdr-4x",
 		describe: "four aggregated QDR links (4000 MB/s)",
-		flat: func(p int) Config {
-			c := Testbed(p)
-			c.BandwidthMBps = 4000
-			c.LatencySec = 1.3e-6
-			return c
-		},
+		build:    func(p int) Platform { return flat(p, Link{LatencySec: 1.3e-6, BandwidthMBps: 4000}) },
 	},
 	{
 		name:     "gige",
 		describe: "commodity gigabit Ethernet: 125 MB/s, 50 us",
-		flat: func(p int) Config {
-			c := Testbed(p)
-			c.BandwidthMBps = 125
-			c.LatencySec = 50e-6
-			return c
-		},
+		build:    func(p int) Platform { return flat(p, Link{LatencySec: 50e-6, BandwidthMBps: 125}) },
 	},
 	{
 		name:     "ideal",
 		describe: "zero latency, infinite bandwidth, no contention",
-		flat: func(p int) Config {
-			c := Testbed(p)
-			c.BandwidthMBps = math.Inf(1)
-			c.LatencySec = 0
-			c.InPorts = 0
-			c.OutPorts = 0
-			c.Buses = 0
-			return c
+		build: func(p int) Platform {
+			pl := flat(p, Link{LatencySec: 0, BandwidthMBps: math.Inf(1)})
+			pl.InPorts = 0
+			pl.OutPorts = 0
+			return pl
 		},
 	},
 	{
 		name:     "marenostrum-4x",
 		describe: "the testbed as 4-way nodes: shared memory inside a blade, Myrinet across",
-		platform: func(p int) Platform {
-			pl := Testbed(p).Platform()
+		build: func(p int) Platform {
+			pl := Testbed(p)
 			pl.Nodes = nodesFor(p, 4)
 			pl.Intra = Link{LatencySec: 0.5e-6, BandwidthMBps: 6000}
 			pl.IntraBuses = 4
@@ -95,11 +76,10 @@ var presetTable = []presetEntry{
 	{
 		name:     "fatnode-smp",
 		describe: "modern fat nodes: 16 ranks/node over shared memory, IB QDR NICs between",
-		platform: func(p int) Platform {
-			pl := Testbed(p).Platform()
+		build: func(p int) Platform {
+			pl := Testbed(p)
 			pl.Nodes = nodesFor(p, 16)
 			pl.Intra = Link{LatencySec: 0.2e-6, BandwidthMBps: 12000}
-			pl.IntraBuses = 0
 			pl.Inter = Link{LatencySec: 1.3e-6, BandwidthMBps: 1000}
 			pl.InPorts = 2
 			pl.OutPorts = 2
@@ -117,40 +97,15 @@ func nodesFor(processors, perNode int) int {
 	return n
 }
 
-func presetByName(name string) (presetEntry, bool) {
+// PlatformPreset returns the named platform; PresetNames lists what
+// resolves.
+func PlatformPreset(name string, processors int) (Platform, error) {
 	for _, e := range presetTable {
 		if e.name == name {
-			return e, true
+			return e.build(processors), nil
 		}
 	}
-	return presetEntry{}, false
-}
-
-// Preset returns a named flat platform configuration; PresetNames lists
-// what resolves. Hierarchical presets (marenostrum-4x, fatnode-smp) are
-// only reachable through PlatformPreset and are rejected here with a hint.
-func Preset(name string, processors int) (Config, error) {
-	e, ok := presetByName(name)
-	if !ok {
-		return Config{}, fmt.Errorf("network: unknown preset %q (known: %v)", name, PresetNames())
-	}
-	if e.flat == nil {
-		return Config{}, fmt.Errorf("network: preset %q is hierarchical; resolve it with PlatformPreset", name)
-	}
-	return e.flat(processors), nil
-}
-
-// PlatformPreset returns a named platform — flat presets in their
-// degenerate one-rank-per-node form, hierarchical presets as built.
-func PlatformPreset(name string, processors int) (Platform, error) {
-	e, ok := presetByName(name)
-	if !ok {
-		return Platform{}, fmt.Errorf("network: unknown preset %q (known: %v)", name, PresetNames())
-	}
-	if e.platform != nil {
-		return e.platform(processors), nil
-	}
-	return e.flat(processors).Platform(), nil
+	return Platform{}, fmt.Errorf("network: unknown preset %q (known: %v)", name, PresetNames())
 }
 
 // PresetNames lists the available presets, sorted.
@@ -175,9 +130,10 @@ func PresetDescriptions() map[string]string {
 // ---------------------------------------------------------------------------
 // JSON persistence
 
-// configJSON mirrors Config for serialization; infinite bandwidth is
-// encoded as the string "inf" since JSON has no Inf literal.
-type configJSON struct {
+// flatJSON is the flat platform file schema: one rank per node on one
+// link class, the paper's platform. ReadAnyPlatform accepts it;
+// Platform.WriteJSON writes the hierarchical schema.
+type flatJSON struct {
 	Processors          int     `json:"processors"`
 	LatencySec          float64 `json:"latency_sec"`
 	BandwidthMBps       any     `json:"bandwidth_mbps"`
@@ -189,35 +145,26 @@ type configJSON struct {
 	RelativeSpeed       float64 `json:"relative_speed"`
 }
 
-// WriteJSON serializes the configuration.
-func (c Config) WriteJSON(w io.Writer) error {
-	j := configJSON{
-		Processors:          c.Processors,
-		LatencySec:          c.LatencySec,
-		BandwidthMBps:       encodeBW(c.BandwidthMBps),
-		Buses:               c.Buses,
-		InPorts:             c.InPorts,
-		OutPorts:            c.OutPorts,
-		MIPS:                c.MIPS,
-		EagerThresholdBytes: c.EagerThresholdBytes,
-		RelativeSpeed:       c.RelativeSpeed,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(j)
-}
-
-// ReadJSON parses a configuration written by WriteJSON and validates it.
-func ReadJSON(r io.Reader) (Config, error) {
-	var j configJSON
+// readFlatJSON parses a flat platform file into its one-rank-per-node
+// platform and validates it.
+func readFlatJSON(r io.Reader) (Platform, error) {
+	var j flatJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&j); err != nil {
-		return Config{}, fmt.Errorf("network: parse config: %w", err)
+		return Platform{}, fmt.Errorf("network: parse config: %w", err)
 	}
-	c := Config{
+	bw, err := decodeBW(j.BandwidthMBps)
+	if err != nil {
+		return Platform{}, err
+	}
+	l := Link{LatencySec: j.LatencySec, BandwidthMBps: bw}
+	p := Platform{
 		Processors:          j.Processors,
-		LatencySec:          j.LatencySec,
+		Nodes:               j.Processors,
+		Mapping:             BlockMapping(),
+		Intra:               l,
+		Inter:               l,
 		Buses:               j.Buses,
 		InPorts:             j.InPorts,
 		OutPorts:            j.OutPorts,
@@ -225,17 +172,14 @@ func ReadJSON(r io.Reader) (Config, error) {
 		EagerThresholdBytes: j.EagerThresholdBytes,
 		RelativeSpeed:       j.RelativeSpeed,
 	}
-	bw, err := decodeBW(j.BandwidthMBps)
-	if err != nil {
-		return Config{}, err
+	if err := p.Validate(); err != nil {
+		return Platform{}, err
 	}
-	c.BandwidthMBps = bw
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
+	return p, nil
 }
 
+// encodeBW spells +Inf bandwidth as the string "inf", since JSON has no
+// Inf literal; decodeBW reads it back.
 func encodeBW(bw float64) any {
 	if math.IsInf(bw, 1) {
 		return "inf"
@@ -333,9 +277,9 @@ func (p Platform) WriteJSON(w io.Writer) error {
 	return enc.Encode(j)
 }
 
-// ReadPlatformJSON parses a platform written by Platform.WriteJSON and
+// readPlatformJSON parses a platform written by Platform.WriteJSON and
 // validates it.
-func ReadPlatformJSON(r io.Reader) (Platform, error) {
+func readPlatformJSON(r io.Reader) (Platform, error) {
 	var j platformJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -396,9 +340,9 @@ func ReadPlatformJSON(r io.Reader) (Platform, error) {
 
 // ReadAnyPlatform parses either a hierarchical platform file (the
 // Platform.WriteJSON schema, recognized by its "nodes" key) or a flat
-// Config file (lifted to its degenerate platform). This is the decoder
-// behind every CLI's -platform flag, so both generations of files work
-// everywhere.
+// file (one rank per node and one link class). This is the decoder behind
+// every CLI's -platform flag and the service's inline platforms, so both
+// generations of files work everywhere.
 func ReadAnyPlatform(r io.Reader) (Platform, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -409,13 +353,9 @@ func ReadAnyPlatform(r io.Reader) (Platform, error) {
 		return Platform{}, fmt.Errorf("network: parse platform: %w", err)
 	}
 	if _, hier := probe["nodes"]; hier {
-		return ReadPlatformJSON(bytes.NewReader(raw))
+		return readPlatformJSON(bytes.NewReader(raw))
 	}
-	c, err := ReadJSON(bytes.NewReader(raw))
-	if err != nil {
-		return Platform{}, err
-	}
-	return c.Platform(), nil
+	return readFlatJSON(bytes.NewReader(raw))
 }
 
 // ReadPlatformFile opens and parses a platform file via ReadAnyPlatform.

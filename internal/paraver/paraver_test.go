@@ -9,6 +9,13 @@ import (
 	"repro/internal/trace"
 )
 
+// testPlatform is a one-rank-per-node platform on a 100 MB/s, 10 us link
+// at 1000 MIPS, with unlimited buses and ports.
+func testPlatform(ranks int) network.Platform {
+	l := network.Link{LatencySec: 1e-5, BandwidthMBps: 100}
+	return network.Platform{Processors: ranks, Nodes: ranks, Intra: l, Inter: l, MIPS: 1000, EagerThresholdBytes: -1, RelativeSpeed: 1}
+}
+
 func pingResult(t *testing.T) *sim.Result {
 	t.Helper()
 	tr := trace.New("ping", "base", 2)
@@ -16,8 +23,7 @@ func pingResult(t *testing.T) *sim.Result {
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 100_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 100_000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 500_000})
-	cfg := network.Config{Processors: 2, LatencySec: 1e-5, BandwidthMBps: 100, MIPS: 1000, EagerThresholdBytes: -1, RelativeSpeed: 1}
-	res, err := sim.Run(cfg.Platform(), tr)
+	res, err := sim.Run(testPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,7 @@ func ringResult(t *testing.T, ranks, iters int) *sim.Result {
 			tr.Append(r, trace.Record{Kind: trace.KindRecv, Peer: prev, Tag: it, Bytes: 10_000})
 		}
 	}
-	cfg := network.Config{Processors: ranks, LatencySec: 1e-5, BandwidthMBps: 100, MIPS: 1000, EagerThresholdBytes: -1, RelativeSpeed: 1}
-	res, err := sim.Run(cfg.Platform(), tr)
+	res, err := sim.Run(testPlatform(ranks), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +153,7 @@ func hierRingResult(t *testing.T, ranks int) *sim.Result {
 		tr.Append(r, trace.Record{Kind: trace.KindISend, Peer: next, Tag: 0, Bytes: 10_000})
 		tr.Append(r, trace.Record{Kind: trace.KindRecv, Peer: prev, Tag: 0, Bytes: 10_000})
 	}
-	cfg := network.Config{Processors: ranks, LatencySec: 1e-5, BandwidthMBps: 100, MIPS: 1000, EagerThresholdBytes: -1, RelativeSpeed: 1}
-	p := cfg.Platform().WithNodes(2)
+	p := testPlatform(ranks).WithNodes(2)
 	p.Intra = network.Link{LatencySec: 1e-6, BandwidthMBps: 5000}
 	res, err := sim.Run(p, tr)
 	if err != nil {

@@ -5,9 +5,9 @@
 //
 //  1. -platform file.json loads a platform file (hierarchical or flat
 //     schema, see network.ReadAnyPlatform);
-//  2. otherwise -preset resolves a named preset (flat presets in their
-//     degenerate form, hierarchical presets as built);
-//  3. otherwise the app-calibrated testbed (network.TestbedFor) applies;
+//  2. otherwise -preset resolves a named preset (network.PlatformPreset);
+//  3. otherwise the app-calibrated testbed (network.TestbedFor, one rank
+//     per node) applies;
 //  4. the -nodes, -map, -bw (inter bandwidth), -lat (inter latency, us),
 //     and -buses (global pool; -1 keeps the calibrated value) overrides
 //     are applied on top, in that order;
@@ -90,7 +90,7 @@ func (f *Flags) Resolve(app string, ranks int) (network.Platform, error) {
 		}
 		plat = p
 	default:
-		plat = network.TestbedFor(app, ranks).Platform()
+		plat = network.TestbedFor(app, ranks)
 	}
 	if *f.nodes > 0 {
 		plat = plat.WithNodes(*f.nodes)

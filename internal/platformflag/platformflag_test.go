@@ -26,7 +26,7 @@ func TestResolveDefaultIsCalibratedTestbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := network.TestbedFor("sweep3d", 16).Platform()
+	want := network.TestbedFor("sweep3d", 16)
 	if p.Buses != want.Buses || p.Inter != want.Inter || p.Nodes != 16 {
 		t.Fatalf("default platform %+v, want %+v", p, want)
 	}

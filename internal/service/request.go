@@ -105,7 +105,7 @@ func (m *Manager) resolvePlatform(spec *PlatformSpec, app string, ranks int) (ne
 	case selectors > 1:
 		return network.Platform{}, fmt.Errorf("service: platform spec sets %d of preset/digest/inline, want at most one", selectors)
 	case spec == nil || selectors == 0:
-		plat = network.TestbedFor(app, ranks).Platform()
+		plat = network.TestbedFor(app, ranks)
 	case spec.Preset != "":
 		p, err := network.PlatformPreset(spec.Preset, ranks)
 		if err != nil {

@@ -74,7 +74,7 @@ func TestEndToEndCachedByteIdentical(t *testing.T) {
 	// entry point cmd/experiments drives — for the same app, platform,
 	// and flavours, down to the marshalled bytes.
 	entry, _ := apps.ByName("cg", 4)
-	plat := network.TestbedFor("cg", 4).Platform()
+	plat := network.TestbedFor("cg", 4)
 	rep, err := core.Analyze(ctx, mgr.Engine(), entry.App, 4, plat, tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ func TestStoreDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := network.Testbed(4).Platform()
+	plat := network.Testbed(4)
 	pd, err := s1.PutPlatform(plat)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestStoreQuarantinesBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := s1.PutPlatform(network.Testbed(4).Platform())
+	pd, err := s1.PutPlatform(network.Testbed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestStorePlatformTierEvicts(t *testing.T) {
 	m.Store().platforms.SetCapacity(4)
 	var first string
 	for i := 0; i < 5; i++ {
-		plat := network.Testbed(4).Platform().WithInterBandwidth(float64(100 + i))
+		plat := network.Testbed(4).WithInterBandwidth(float64(100 + i))
 		var buf bytes.Buffer
 		if err := plat.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -400,11 +400,11 @@ func TestStorePlatformTierEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk.platforms.SetCapacity(1)
-	d1, err := disk.PutPlatform(network.Testbed(4).Platform())
+	d1, err := disk.PutPlatform(network.Testbed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := disk.PutPlatform(network.Testbed(8).Platform()); err != nil {
+	if _, err := disk.PutPlatform(network.Testbed(8)); err != nil {
 		t.Fatal(err)
 	}
 	if p, err := disk.GetPlatform(d1); err != nil || p.Processors != 4 {

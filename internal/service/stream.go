@@ -127,16 +127,6 @@ func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, req Scen
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hdr, err := t.sc.Header()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	hdrJSON, err := json.Marshal(hdr)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	j, fresh, err := m.begin(t, slotted)
 	if rejected(m, w, r, err) {
 		return
@@ -153,11 +143,20 @@ func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, req Scen
 	}
 	// Fresh execution, owned by this request goroutine. The client
 	// vanishing cancels the job; the job's context is what the planner
-	// watches.
+	// watches. Only a run streamed here builds the header: a hit, an
+	// attach or an owner-served reply replays bytes that carry it.
 	stop := context.AfterFunc(r.Context(), j.cancel)
 	defer stop()
 	var asm *payloadAssembler // set once this request streams the run itself
 	payload, err = m.execute(j, t, slotted, func(ctx context.Context) ([]byte, error) {
+		hdr, err := t.sc.Header()
+		if err != nil {
+			return nil, err
+		}
+		hdrJSON, err := json.Marshal(hdr)
+		if err != nil {
+			return nil, err
+		}
 		w.Header().Set("Content-Type", NDJSONContentType)
 		w.Header().Set("X-Job-Id", j.ID())
 		w.Header().Set("X-Cache", cacheHeader(j))
@@ -172,7 +171,7 @@ func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, req Scen
 		// anything (cluster.go).
 		sc, release := m.pointRun(ctx, t, slotted)
 		defer release()
-		_, err := core.RunScenarioStream(ctx, m.eng, sc, func(pt core.ScenarioPoint) error {
+		_, err = core.RunScenarioStream(ctx, m.eng, sc, func(pt core.ScenarioPoint) error {
 			ptJSON, err := json.Marshal(pt)
 			if err != nil {
 				return err
@@ -186,7 +185,7 @@ func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, req Scen
 		return asm.finish(), nil
 	})
 	switch {
-	case asm == nil && err != nil: // cancelled while queued
+	case asm == nil && err != nil: // cancelled while queued, or no header
 		writeError(w, http.StatusInternalServerError, err)
 	case asm == nil: // served by the digest's owner
 		streamPayload(w, j, payload)

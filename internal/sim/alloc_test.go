@@ -44,11 +44,11 @@ func pinReplayAllocs(t *testing.T, plat network.Platform, tr *trace.Trace, maxPe
 }
 
 func TestReplayAllocsFlat(t *testing.T) {
-	pinReplayAllocs(t, network.Testbed(16).Platform(), allocRing(16, 25), 2)
+	pinReplayAllocs(t, network.Testbed(16), allocRing(16, 25), 2)
 }
 
 func TestReplayAllocsHandleReuse(t *testing.T) {
-	pinReplayAllocs(t, network.Testbed(16).Platform(), allocHandleReuse(16, 25), 2)
+	pinReplayAllocs(t, network.Testbed(16), allocHandleReuse(16, 25), 2)
 }
 
 func TestReplayAllocsHierarchical(t *testing.T) {
@@ -99,7 +99,7 @@ func TestPooledReplayAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := network.Testbed(8).Platform()
+	plat := network.Testbed(8)
 	for i := 0; i < 3; i++ {
 		if _, err := ReplaySummary(plat, prog, 1); err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestReplayIntoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := network.Testbed(8).Platform()
+	plat := network.Testbed(8)
 	var dst Result
 	for i := 0; i < 3; i++ {
 		if _, err := ReplayInto(plat, prog, 1, &dst); err != nil {

@@ -18,17 +18,17 @@ func burstTrace(pairs int, bytes int64) *trace.Trace {
 }
 
 func TestCongestionSlowsLoadedNetwork(t *testing.T) {
-	cfg := testCfg(8)
+	cfg := flatPlatform(8)
 	cfg.Buses = 2
 	cfg.InPorts = 0
 	cfg.OutPorts = 0
 	tr := burstTrace(4, 500_000)
-	clean, err := Run(cfg.Platform(), tr)
+	clean, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CongestionFactor = 1.0
-	congested, err := Run(cfg.Platform(), tr)
+	congested, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,15 +39,15 @@ func TestCongestionSlowsLoadedNetwork(t *testing.T) {
 
 func TestCongestionNoEffectOnSerialTraffic(t *testing.T) {
 	// A single message can never exceed the bus pool.
-	cfg := testCfg(2)
+	cfg := flatPlatform(2)
 	cfg.Buses = 2
 	tr := burstTrace(1, 500_000)
-	clean, err := Run(cfg.Platform(), tr)
+	clean, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CongestionFactor = 2.0
-	same, err := Run(cfg.Platform(), tr)
+	same, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +57,17 @@ func TestCongestionNoEffectOnSerialTraffic(t *testing.T) {
 }
 
 func TestCongestionRequiresFiniteBuses(t *testing.T) {
-	cfg := testCfg(8)
+	cfg := flatPlatform(8)
 	cfg.Buses = 0 // unlimited: extension disabled by definition
 	cfg.CongestionFactor = 5
 	tr := burstTrace(4, 500_000)
-	res, err := Run(cfg.Platform(), tr)
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
 	cfg2.CongestionFactor = 0
-	res2, err := Run(cfg2.Platform(), tr)
+	res2, err := Run(cfg2, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +77,9 @@ func TestCongestionRequiresFiniteBuses(t *testing.T) {
 }
 
 func TestNegativeCongestionRejected(t *testing.T) {
-	cfg := testCfg(2)
+	cfg := flatPlatform(2)
 	cfg.CongestionFactor = -1
-	if _, err := Run(cfg.Platform(), trace.New("t", "base", 1)); err == nil {
+	if _, err := Run(cfg, trace.New("t", "base", 1)); err == nil {
 		t.Fatal("negative congestion factor accepted")
 	}
 }
@@ -89,12 +89,12 @@ func TestPropertyCongestionMonotone(t *testing.T) {
 	f := func(a uint8) bool {
 		lo := float64(a%5) / 2
 		hi := lo + 1
-		cfg := testCfg(12)
+		cfg := flatPlatform(12)
 		cfg.Buses = 2
 		cfg.CongestionFactor = lo
-		r1, err1 := Run(cfg.Platform(), tr)
+		r1, err1 := Run(cfg, tr)
 		cfg.CongestionFactor = hi
-		r2, err2 := Run(cfg.Platform(), tr)
+		r2, err2 := Run(cfg, tr)
 		if err1 != nil || err2 != nil {
 			return false
 		}

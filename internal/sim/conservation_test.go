@@ -17,13 +17,14 @@ func TestPropertyComputeTimeConserved(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomBalancedTrace(rng, 3+rng.Intn(4), 20+rng.Intn(30))
-		cfg := testCfg(8)
-		res, err := Run(cfg.Platform(), tr)
+		cfg := flatPlatform(8)
+		k := cfg.Costs()
+		res, err := Run(cfg, tr)
 		if err != nil {
 			return false
 		}
 		for r := 0; r < tr.NumRanks; r++ {
-			want := cfg.ComputeSec(tr.TotalInstructions(r))
+			want := k.ComputeSec(tr.TotalInstructions(r))
 			if math.Abs(res.Ranks[r].ComputeSec-want) > 1e-9*math.Max(1, want) {
 				return false
 			}
@@ -39,7 +40,7 @@ func TestPropertyMessageCountConserved(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomBalancedTrace(rng, 3+rng.Intn(4), 20+rng.Intn(30))
-		res, err := Run(testCfg(8).Platform(), tr)
+		res, err := Run(flatPlatform(8), tr)
 		if err != nil {
 			return false
 		}
@@ -67,13 +68,14 @@ func TestPropertyFinishBoundsPerRankWork(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomBalancedTrace(rng, 3+rng.Intn(4), 15+rng.Intn(25))
-		cfg := testCfg(8)
-		res, err := Run(cfg.Platform(), tr)
+		cfg := flatPlatform(8)
+		k := cfg.Costs()
+		res, err := Run(cfg, tr)
 		if err != nil {
 			return false
 		}
 		for r := 0; r < tr.NumRanks; r++ {
-			if res.FinishSec < cfg.ComputeSec(tr.TotalInstructions(r))-eps {
+			if res.FinishSec < k.ComputeSec(tr.TotalInstructions(r))-eps {
 				return false
 			}
 		}
@@ -81,7 +83,7 @@ func TestPropertyFinishBoundsPerRankWork(t *testing.T) {
 		for r := range res.Ranks {
 			total += res.Ranks[r].ComputeSec + res.Ranks[r].WaitSec + res.Ranks[r].SendBlockedSec
 		}
-		return res.FinishSec <= total+cfg.LatencySec*float64(len(res.Comms))+1
+		return res.FinishSec <= total+cfg.Inter.LatencySec*float64(len(res.Comms))+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -93,13 +95,14 @@ func TestPropertyOverlapFlavoursConserveCompute(t *testing.T) {
 	// must keep per-rank compute identical to the base trace (sim side
 	// of the tracer's instruction-conservation property).
 	base := ringTrace(4, 6, 700_000, 30_000)
-	cfg := testCfg(4)
-	res, err := Run(cfg.Platform(), base)
+	cfg := flatPlatform(4)
+	k := cfg.Costs()
+	res, err := Run(cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 4; r++ {
-		want := cfg.ComputeSec(base.TotalInstructions(r))
+		want := k.ComputeSec(base.TotalInstructions(r))
 		if math.Abs(res.Ranks[r].ComputeSec-want) > 1e-12 {
 			t.Fatalf("rank %d compute %g, want %g", r, res.Ranks[r].ComputeSec, want)
 		}

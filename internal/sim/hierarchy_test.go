@@ -13,7 +13,7 @@ import (
 // testPlatform returns a multi-node platform with a markedly faster intra
 // link, constrained enough (ports, buses) to exercise every resource pool.
 func testPlatform(procs, nodes int) network.Platform {
-	p := testCfg(procs).Platform().WithNodes(nodes)
+	p := flatPlatform(procs).WithNodes(nodes)
 	p.Intra = network.Link{LatencySec: 0.5e-6, BandwidthMBps: 5000}
 	p.IntraBuses = 2
 	p.Inter = network.Link{LatencySec: 10e-6, BandwidthMBps: 100}
@@ -28,26 +28,26 @@ func testPlatform(procs, nodes int) network.Platform {
 // parameters must reproduce the flat model's Result byte for byte — same
 // finish, same intervals, same per-rank stats, same comm timestamps.
 func TestFlatPlatformEquivalence(t *testing.T) {
-	cfgs := []network.Config{
-		testCfg(8),
-		func() network.Config { c := testCfg(8); c.Buses = 3; c.InPorts = 1; c.OutPorts = 1; return c }(),
-		func() network.Config { c := testCfg(8); c.EagerThresholdBytes = 10_000; return c }(),
-		func() network.Config { c := testCfg(8); c.Buses = 2; c.CongestionFactor = 1.5; return c }(),
+	cfgs := []network.Platform{
+		flatPlatform(8),
+		func() network.Platform { c := flatPlatform(8); c.Buses = 3; c.InPorts = 1; c.OutPorts = 1; return c }(),
+		func() network.Platform { c := flatPlatform(8); c.EagerThresholdBytes = 10_000; return c }(),
+		func() network.Platform { c := flatPlatform(8); c.Buses = 2; c.CongestionFactor = 1.5; return c }(),
 	}
 	mappings := []network.Mapping{network.BlockMapping(), network.RoundRobinMapping()}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomBalancedTrace(rng, 3+rng.Intn(5), 30+rng.Intn(40))
 		for ci, cfg := range cfgs {
-			flat, err := Run(cfg.Platform(), tr)
+			flat, err := Run(cfg, tr)
 			if err != nil {
 				t.Logf("cfg %d flat replay: %v", ci, err)
 				return false
 			}
 			for _, m := range mappings {
 				// One rank per node: both mappings are bijections, and
-				// intra==inter by construction of Config.Platform().
-				p := cfg.Platform().WithMapping(m)
+				// intra==inter by construction of flatPlatform.
+				p := cfg.WithMapping(m)
 				hier, err := Run(p, tr)
 				if err != nil {
 					t.Logf("cfg %d mapping %s: %v", ci, m, err)

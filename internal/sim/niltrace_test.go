@@ -11,7 +11,7 @@ import (
 // experiment engine reports a failing job's error with its index, and
 // callers tell this one apart with errors.Is.
 func TestRunNilTraceTypedError(t *testing.T) {
-	if _, err := Run(network.Testbed(4).Platform(), nil); !errors.Is(err, ErrNilTrace) {
+	if _, err := Run(network.Testbed(4), nil); !errors.Is(err, ErrNilTrace) {
 		t.Fatalf("Run(nil trace) = %v, want ErrNilTrace", err)
 	}
 }

@@ -77,7 +77,7 @@ func allocHandleReuse(n, iters int) *trace.Trace {
 // memory (unlimited intra-node bus pool, the PDES requirement) connected
 // by a port-limited interconnect.
 func pdesPlatform(ranks, nodes int) network.Platform {
-	pl := network.Testbed(ranks).Platform()
+	pl := network.Testbed(ranks)
 	pl.Nodes = nodes
 	pl.Intra = network.Link{LatencySec: 0.2e-6, BandwidthMBps: 12000}
 	pl.IntraBuses = 0
@@ -238,7 +238,7 @@ func TestShardedFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := network.Testbed(8).Platform() // one rank per node, but finite intra pool semantics don't apply; Nodes=8
+	flat := network.Testbed(8) // one rank per node, but finite intra pool semantics don't apply; Nodes=8
 	if flat.Nodes < 2 {
 		t.Fatalf("testbed platform unexpectedly single-node")
 	}

@@ -34,13 +34,13 @@ func summaryOf(res *Result) Summary {
 // programTestPlatforms exercises every resource pool and both link
 // classes.
 func programTestPlatforms(procs int) []network.Platform {
-	flat := testCfg(procs).Platform()
-	constrained := testCfg(procs)
+	flat := flatPlatform(procs)
+	constrained := flatPlatform(procs)
 	constrained.Buses = 3
 	constrained.InPorts = 1
 	constrained.OutPorts = 1
 	constrained.EagerThresholdBytes = 10_000
-	multi := testCfg(procs).Platform().WithNodes((procs + 1) / 2)
+	multi := flatPlatform(procs).WithNodes((procs + 1) / 2)
 	multi.Intra = network.Link{LatencySec: 0.5e-6, BandwidthMBps: 5000}
 	multi.IntraBuses = 2
 	multi.Buses = 4
@@ -48,7 +48,7 @@ func programTestPlatforms(procs int) []network.Platform {
 	multi.OutPorts = 1
 	congested := multi.WithMapping(network.RoundRobinMapping())
 	congested.CongestionFactor = 1.5
-	return []network.Platform{flat, constrained.Platform(), multi, congested}
+	return []network.Platform{flat, constrained, multi, congested}
 }
 
 // TestProgramReplayEquivalence is the compiled-core keystone: replaying a
@@ -164,7 +164,7 @@ func TestDeadlockReportInRange(t *testing.T) {
 	tr := trace.New("dl", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindRecv, Peer: 1, Tag: 9, Chunk: 2, Bytes: 8})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 4, Bytes: 8})
-	_, err := Run(testCfg(2).Platform(), tr)
+	_, err := Run(flatPlatform(2), tr)
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("want DeadlockError, got %v", err)

@@ -15,9 +15,9 @@
 // nodes by a mapping, transfers between ranks sharing a node cross the
 // intra-node link class (shared memory, per-node bus pool), and transfers
 // between nodes cross the inter-node link class (NIC ports, global buses).
-// A flat network.Config replays as its degenerate one-rank-per-node
-// platform (Config.Platform), which reproduces the original single-link
-// model exactly.
+// The paper's flat platform is the one-rank-per-node case (network.Testbed
+// and the flat presets): every transfer crosses the inter-node link, and
+// the replay reproduces the original single-link model exactly.
 //
 // Replay is structured for throughput: a trace compiles once into a
 // Program (dense instructions, stream IDs and handle tables resolved ahead

@@ -10,13 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
-// testCfg returns a simple platform: 1000 MIPS (1e9 instr/s), 10us latency,
-// 100 MB/s, unlimited buses and ports, eager sends.
-func testCfg(procs int) network.Config {
-	return network.Config{
+// flatPlatform returns a simple one-rank-per-node platform: 1000 MIPS
+// (1e9 instr/s), 10us latency, 100 MB/s, unlimited buses and ports, eager
+// sends.
+func flatPlatform(procs int) network.Platform {
+	l := network.Link{LatencySec: 10e-6, BandwidthMBps: 100}
+	return network.Platform{
 		Processors:          procs,
-		LatencySec:          10e-6,
-		BandwidthMBps:       100,
+		Nodes:               procs,
+		Intra:               l,
+		Inter:               l,
 		MIPS:                1000,
 		EagerThresholdBytes: -1,
 		RelativeSpeed:       1,
@@ -32,7 +35,7 @@ func near(a, b float64) bool {
 func TestSingleRankComputeOnly(t *testing.T) {
 	tr := trace.New("t", "base", 1)
 	tr.Append(0, trace.Record{Kind: trace.KindCompute, Instr: 2_000_000}) // 2ms at 1000 MIPS
-	res, err := Run(testCfg(1).Platform(), tr)
+	res, err := Run(flatPlatform(1), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestPingTiming(t *testing.T) {
 	tr := trace.New("t", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 1, Bytes: 1_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 1, Bytes: 1_000_000})
-	res, err := Run(testCfg(2).Platform(), tr)
+	res, err := Run(flatPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestLateReceiverSeesNoWait(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 1000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 50_000_000}) // 50ms
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1000})
-	res, err := Run(testCfg(2).Platform(), tr)
+	res, err := Run(flatPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestIRecvWaitPostponesBlocking(t *testing.T) {
 	tr.Append(1, trace.Record{Kind: trace.KindIRecv, Peer: 0, Tag: 2, Bytes: 1000, Handle: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 5_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindWait, Handle: 1})
-	res, err := Run(testCfg(2).Platform(), tr)
+	res, err := Run(flatPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestWaitBlocksUntilArrival(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindISend, Peer: 1, Tag: 2, Bytes: 100_000})
 	tr.Append(1, trace.Record{Kind: trace.KindIRecv, Peer: 0, Tag: 2, Bytes: 100_000, Handle: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindWait, Handle: 1})
-	res, err := Run(testCfg(2).Platform(), tr)
+	res, err := Run(flatPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestWaitAll(t *testing.T) {
 	tr.Append(1, trace.Record{Kind: trace.KindIRecv, Peer: 0, Tag: 1, Bytes: 1000, Handle: 2})
 	tr.Append(1, trace.Record{Kind: trace.KindWaitAll})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 1_000_000})
-	res, err := Run(testCfg(2).Platform(), tr)
+	res, err := Run(flatPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +167,7 @@ func TestNonOvertakingSameTag(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindISend, Peer: 1, Tag: 5, Bytes: 100, MsgID: 2})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 5, Bytes: 500_000, MsgID: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 5, Bytes: 100, MsgID: 2})
-	res, err := Run(testCfg(2).Platform(), tr)
+	res, err := Run(flatPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestChunkStreamsMatchIndependently(t *testing.T) {
 	tr.Append(1, trace.Record{Kind: trace.KindIRecv, Peer: 0, Tag: 0, Chunk: 1, Bytes: 1000, Handle: 2})
 	tr.Append(1, trace.Record{Kind: trace.KindWait, Handle: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindWait, Handle: 2})
-	res, err := Run(testCfg(2).Platform(), tr)
+	res, err := Run(flatPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +205,7 @@ func TestChunkStreamsMatchIndependently(t *testing.T) {
 
 func TestBusContentionSerializesTransfers(t *testing.T) {
 	// Three senders to three receivers through one bus: flights serialize.
-	cfg := testCfg(6)
+	cfg := flatPlatform(6)
 	cfg.Buses = 1
 	cfg.InPorts = 0
 	cfg.OutPorts = 0
@@ -211,7 +214,7 @@ func TestBusContentionSerializesTransfers(t *testing.T) {
 		tr.Append(i, trace.Record{Kind: trace.KindISend, Peer: 3 + i, Tag: 0, Bytes: 1_000_000})
 		tr.Append(3+i, trace.Record{Kind: trace.KindRecv, Peer: i, Tag: 0, Bytes: 1_000_000})
 	}
-	res, err := Run(cfg.Platform(), tr)
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestBusContentionSerializesTransfers(t *testing.T) {
 		t.Fatalf("finish=%g, want %g (3 serialized transfers)", res.FinishSec, want)
 	}
 	// With 3 buses they run concurrently.
-	res2, err := Run(cfg.WithBuses(3).Platform(), tr)
+	res2, err := Run(cfg.WithBuses(3), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +237,7 @@ func TestBusContentionSerializesTransfers(t *testing.T) {
 
 func TestOutPortContention(t *testing.T) {
 	// One sender, two receivers, one out port: serializations queue.
-	cfg := testCfg(3)
+	cfg := flatPlatform(3)
 	cfg.OutPorts = 1
 	cfg.InPorts = 0
 	tr := trace.New("t", "base", 3)
@@ -242,7 +245,7 @@ func TestOutPortContention(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindISend, Peer: 2, Tag: 0, Bytes: 1_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1_000_000})
 	tr.Append(2, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1_000_000})
-	res, err := Run(cfg.Platform(), tr)
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +257,13 @@ func TestOutPortContention(t *testing.T) {
 }
 
 func TestRendezvousWaitsForPost(t *testing.T) {
-	cfg := testCfg(2)
+	cfg := flatPlatform(2)
 	cfg.EagerThresholdBytes = 100 // everything above 100 B is rendezvous
 	tr := trace.New("t", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 1000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 5_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1000})
-	res, err := Run(cfg.Platform(), tr)
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +278,13 @@ func TestRendezvousWaitsForPost(t *testing.T) {
 }
 
 func TestEagerMessageBelowThresholdDoesNotHandshake(t *testing.T) {
-	cfg := testCfg(2)
+	cfg := flatPlatform(2)
 	cfg.EagerThresholdBytes = 1 << 20
 	tr := trace.New("t", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 1000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 5_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1000})
-	res, err := Run(cfg.Platform(), tr)
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +297,7 @@ func TestDeadlockDetected(t *testing.T) {
 	tr := trace.New("t", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindRecv, Peer: 1, Tag: 0, Bytes: 8})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 8})
-	_, err := Run(testCfg(2).Platform(), tr)
+	_, err := Run(flatPlatform(2), tr)
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("want DeadlockError, got %v", err)
@@ -306,12 +309,12 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestRunRejectsInvalidConfig(t *testing.T) {
 	tr := trace.New("t", "base", 1)
-	cfg := testCfg(1)
+	cfg := flatPlatform(1)
 	cfg.MIPS = 0
-	if _, err := Run(cfg.Platform(), tr); err == nil {
+	if _, err := Run(cfg, tr); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	if _, err := Run(testCfg(1).Platform(), trace.New("t", "base", 5)); err == nil {
+	if _, err := Run(flatPlatform(1), trace.New("t", "base", 5)); err == nil {
 		t.Fatal("trace larger than platform accepted")
 	}
 }
@@ -320,7 +323,7 @@ func TestInfiniteBandwidth(t *testing.T) {
 	tr := trace.New("t", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 1 << 30})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1 << 30})
-	res, err := Run(testCfg(2).InfiniteBandwidth().Platform(), tr)
+	res, err := Run(flatPlatform(2).WithInterBandwidth(math.Inf(1)), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +339,7 @@ func TestStatsAccounting(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindISend, Peer: 1, Tag: 1, Bytes: 77})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 123})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 1, Bytes: 77})
-	res, err := Run(testCfg(2).Platform(), tr)
+	res, err := Run(flatPlatform(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +359,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestIntervalsSortedAndConsistent(t *testing.T) {
 	tr := ringTrace(4, 10, 100_000, 10_000)
-	res, err := Run(testCfg(4).Platform(), tr)
+	res, err := Run(flatPlatform(4), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +409,7 @@ func ringTrace(n, iters int, instr int64, bytes int64) *trace.Trace {
 }
 
 func TestRingCompletes(t *testing.T) {
-	res, err := Run(testCfg(8).Platform(), ringTrace(8, 20, 1_000_000, 64_000))
+	res, err := Run(flatPlatform(8), ringTrace(8, 20, 1_000_000, 64_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,11 +432,11 @@ func TestRingCompletes(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	tr := ringTrace(6, 15, 500_000, 32_000)
-	a, err := Run(testCfg(6).Platform(), tr)
+	a, err := Run(flatPlatform(6), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(testCfg(6).Platform(), tr)
+	b, err := Run(flatPlatform(6), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +496,7 @@ func TestPropertyRandomTracesComplete(t *testing.T) {
 			t.Logf("generator bug: %v", err)
 			return false
 		}
-		res, err := Run(testCfg(8).Platform(), tr)
+		res, err := Run(flatPlatform(8), tr)
 		if err != nil {
 			t.Logf("replay failed: %v", err)
 			return false
@@ -511,8 +514,8 @@ func TestPropertyFinishMonotoneInBandwidth(t *testing.T) {
 	f := func(a uint16) bool {
 		lo := float64(a%500) + 1
 		hi := lo * 2
-		rlo, err1 := Run(testCfg(6).WithBandwidth(lo).Platform(), tr)
-		rhi, err2 := Run(testCfg(6).WithBandwidth(hi).Platform(), tr)
+		rlo, err1 := Run(flatPlatform(6).WithInterBandwidth(lo), tr)
+		rhi, err2 := Run(flatPlatform(6).WithInterBandwidth(hi), tr)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -527,8 +530,8 @@ func TestPropertyMoreBusesNeverSlower(t *testing.T) {
 	tr := ringTrace(6, 8, 200_000, 150_000)
 	f := func(a uint8) bool {
 		b := int(a%8) + 1
-		r1, err1 := Run(testCfg(6).WithBuses(b).Platform(), tr)
-		r2, err2 := Run(testCfg(6).WithBuses(b+4).Platform(), tr)
+		r1, err1 := Run(flatPlatform(6).WithBuses(b), tr)
+		r2, err2 := Run(flatPlatform(6).WithBuses(b+4), tr)
 		if err1 != nil || err2 != nil {
 			return false
 		}
