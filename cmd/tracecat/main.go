@@ -168,22 +168,12 @@ func main() {
 	}
 }
 
-// load reads a trace in either codec, sniffing the magic.
+// load reads a trace in either codec.
 func load(path string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var magic [8]byte
-	if _, err := f.Read(magic[:]); err != nil {
-		return nil, fmt.Errorf("read magic: %w", err)
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	if string(magic[:7]) == "#DIMGO " {
-		return trace.Read(f)
-	}
-	return trace.ReadBinary(f)
+	return trace.ReadAny(f)
 }

@@ -108,9 +108,6 @@ func (n *Node) SetExecutor(e Executor) {
 	n.exec.Store(&e)
 }
 
-// Draining reports whether Drain was called.
-func (n *Node) Draining() bool { return n.draining.Load() }
-
 // Drain flips the node into its polite exit: it keeps answering reads
 // of values it already holds (a draining node never strands results),
 // refuses fresh stores, and marks every response and request Draining

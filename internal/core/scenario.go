@@ -122,8 +122,34 @@ func LinkDownAxis(counts ...int) Axis { return Axis{Kind: AxisLinkDown, Counts: 
 // Len returns the number of points on the axis.
 func (a Axis) Len() int { return len(a.Values) + len(a.Counts) + len(a.Mappings) }
 
+// axisList names which of an Axis's point lists a kind takes.
+type axisList uint8
+
+const (
+	listNone axisList = iota // unknown kind
+	listValues
+	listCounts
+	listMappings
+)
+
+// list returns the point list the kind takes: the one place a kind's
+// spelling is decided, for Validate, labels and AxisOf alike.
+func (k AxisKind) list() axisList {
+	switch k {
+	case AxisBandwidth, AxisLatency, AxisDerate, AxisJitter:
+		return listValues
+	case AxisBuses, AxisChunks, AxisNodes, AxisRanks, AxisStragglers, AxisLinkDown:
+		return listCounts
+	case AxisMapping:
+		return listMappings
+	}
+	return listNone
+}
+
 // Validate checks the axis shape: a known kind whose matching value list
-// (and only it) is populated with sane points.
+// (and only it) is populated with sane points. Bus and node counts that
+// no platform can take (see network.Platform.Validate) are refused here,
+// before any point is planned.
 func (a Axis) Validate() error {
 	populated := 0
 	if len(a.Values) > 0 {
@@ -138,8 +164,8 @@ func (a Axis) Validate() error {
 	if populated > 1 {
 		return fmt.Errorf("core: axis %q populates %d of values/counts/mappings, want one", a.Kind, populated)
 	}
-	switch a.Kind {
-	case AxisBandwidth, AxisLatency, AxisDerate, AxisJitter:
+	switch a.Kind.list() {
+	case listValues:
 		if len(a.Counts) > 0 || len(a.Mappings) > 0 {
 			return fmt.Errorf("core: axis %q takes values, not counts or mappings", a.Kind)
 		}
@@ -163,12 +189,16 @@ func (a Axis) Validate() error {
 				}
 			}
 		}
-	case AxisBuses, AxisChunks, AxisNodes, AxisRanks, AxisStragglers, AxisLinkDown:
+	case listCounts:
 		if len(a.Values) > 0 || len(a.Mappings) > 0 {
 			return fmt.Errorf("core: axis %q takes counts, not values or mappings", a.Kind)
 		}
 		for _, k := range a.Counts {
 			switch {
+			case a.Kind == AxisBuses && k > network.MaxPoolUnits:
+				return fmt.Errorf("core: axis %q: count %d, must be at most %d", a.Kind, k, network.MaxPoolUnits)
+			case a.Kind == AxisNodes && k > trace.MaxRanks:
+				return fmt.Errorf("core: axis %q: count %d, must be at most %d", a.Kind, k, trace.MaxRanks)
 			case k > 0:
 			case k == 0 && (a.Kind == AxisBuses || a.Kind == AxisStragglers || a.Kind == AxisLinkDown):
 				// Meaningful zeros: an unlimited bus pool, or the healthy
@@ -177,7 +207,7 @@ func (a Axis) Validate() error {
 				return fmt.Errorf("core: axis %q: count %d, must be positive", a.Kind, k)
 			}
 		}
-	case AxisMapping:
+	case listMappings:
 		if len(a.Values) > 0 || len(a.Counts) > 0 {
 			return fmt.Errorf("core: axis %q takes mappings, not values or counts", a.Kind)
 		}
@@ -195,11 +225,11 @@ func (a Axis) Validate() error {
 // labels returns the canonical point labels of the axis — the strings
 // that appear both in the canonical spec (the digest input) and in the
 // result table's coordinates, so a result row names its grid point in
-// exactly the spelling the spec digested through.
+// exactly the spelling the spec digested through. AxisOf inverts it.
 func (a Axis) labels() ([]string, error) {
 	out := make([]string, 0, a.Len())
-	switch a.Kind {
-	case AxisMapping:
+	switch a.Kind.list() {
+	case listMappings:
 		for _, s := range a.Mappings {
 			m, err := network.ParseMapping(s)
 			if err != nil {
@@ -207,7 +237,7 @@ func (a Axis) labels() ([]string, error) {
 			}
 			out = append(out, m.String())
 		}
-	case AxisBandwidth, AxisLatency, AxisDerate, AxisJitter:
+	case listValues:
 		for _, v := range a.Values {
 			out = append(out, strconv.FormatFloat(v, 'g', -1, 64))
 		}
@@ -217,6 +247,36 @@ func (a Axis) labels() ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// AxisOf rebuilds the axis of the given kind whose points carry the given
+// canonical labels (Coord values), in order: the inverse of the labels an
+// axis digests through, so the rebuilt axis labels back to exactly them.
+func AxisOf(kind AxisKind, labels []string) (Axis, error) {
+	list := kind.list()
+	if list == listNone {
+		return Axis{}, fmt.Errorf("core: unknown axis kind %q", kind)
+	}
+	a := Axis{Kind: kind}
+	for _, l := range labels {
+		switch list {
+		case listValues:
+			v, err := strconv.ParseFloat(l, 64)
+			if err != nil {
+				return Axis{}, fmt.Errorf("core: axis %q label %q: %w", kind, l, err)
+			}
+			a.Values = append(a.Values, v)
+		case listCounts:
+			k, err := strconv.Atoi(l)
+			if err != nil {
+				return Axis{}, fmt.Errorf("core: axis %q label %q: %w", kind, l, err)
+			}
+			a.Counts = append(a.Counts, k)
+		case listMappings:
+			a.Mappings = append(a.Mappings, l)
+		}
+	}
+	return a, nil
 }
 
 // OutputKind selects what each grid point of a scenario retains.

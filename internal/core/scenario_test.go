@@ -468,3 +468,105 @@ func testScenarioTrace() *trace.Trace {
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 500})
 	return tr
 }
+
+// TestAxisOfRoundTripsPointDigests: the labels of a grid point, read
+// back through AxisOf, rebuild specs whose points digest exactly like the
+// original grid's, on all 11 axis kinds, both as a pinned single point
+// and as one zipped group listing every point.
+func TestAxisOfRoundTripsPointDigests(t *testing.T) {
+	const ranks = 8
+	spec := Scenario{
+		App: scenarioApp(), Ranks: ranks, Platform: scenarioPlatform(t, ranks),
+		Axes: []Axis{
+			BandwidthAxis(125, 312.5),
+			LatencyAxis(0, 1.3e-6),
+			BusesAxis(0, 6),
+			ChunksAxis(2, 4),
+			MappingAxis("block", "round-robin"),
+			NodeCountAxis(1, 2),
+			RanksAxis(4, 8),
+			DerateAxis(0.5, 1),
+			JitterAxis(0, 0.25),
+			StragglersAxis(0, 1),
+			LinkDownAxis(0, 1),
+		},
+	}
+	for i := range spec.Axes {
+		spec.Axes[i].Zip = "z"
+	}
+	kinds := map[AxisKind]bool{}
+	for _, ax := range spec.Axes {
+		kinds[ax.Kind] = true
+	}
+	if len(kinds) != 11 {
+		t.Fatalf("spec covers %d axis kinds, want 11", len(kinds))
+	}
+	keys, err := spec.PointKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 2 {
+		t.Fatalf("%d points, want 2", len(keys))
+	}
+	rebuilt := func(keys []PointKey, zip string) Scenario {
+		t.Helper()
+		s := spec
+		s.Axes = make([]Axis, len(keys[0].Coords))
+		for i := range s.Axes {
+			labels := make([]string, len(keys))
+			for j, k := range keys {
+				labels[j] = k.Coords[i].Value
+			}
+			ax, err := AxisOf(keys[0].Coords[i].Axis, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ax.Zip = zip
+			s.Axes[i] = ax
+		}
+		return s
+	}
+	for i, k := range keys {
+		d, err := rebuilt([]PointKey{k}, "").Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != k.Digest {
+			t.Errorf("pinned point %d digests %s, want %s", i, d, k.Digest)
+		}
+	}
+	zipped, err := rebuilt(keys, "z").PointKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if zipped[i].Digest != keys[i].Digest {
+			t.Errorf("zipped point %d digests %s, want %s", i, zipped[i].Digest, keys[i].Digest)
+		}
+	}
+	if _, err := AxisOf("voltage", []string{"1"}); err == nil {
+		t.Error("AxisOf accepted an unknown kind")
+	}
+	if _, err := AxisOf(AxisBuses, []string{"1.5"}); err == nil {
+		t.Error("AxisOf accepted a fractional bus count")
+	}
+}
+
+// TestAxisRefusesCountsNoPlatformTakes: bus and node counts above the
+// platform bounds fail validation before any point is planned.
+func TestAxisRefusesCountsNoPlatformTakes(t *testing.T) {
+	for _, ax := range []Axis{
+		BusesAxis(network.MaxPoolUnits + 1),
+		BusesAxis(4000000000),
+		NodeCountAxis(trace.MaxRanks + 1),
+	} {
+		if err := ax.Validate(); err == nil || !strings.Contains(err.Error(), "must be at most") {
+			t.Errorf("%s %v: err %v, want a bound", ax.Kind, ax.Counts, err)
+		}
+	}
+	for _, ax := range []Axis{BusesAxis(network.MaxPoolUnits), NodeCountAxis(trace.MaxRanks)} {
+		if err := ax.Validate(); err != nil {
+			t.Errorf("%s %v at the bound: %v", ax.Kind, ax.Counts, err)
+		}
+	}
+}

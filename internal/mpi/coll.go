@@ -5,23 +5,23 @@ import (
 	"math"
 )
 
-// Collective operations, all lowered to point-to-point transfers through the
-// PointToPoint interface so they remain fully visible to the tracer.
+// Collective operations, lowered to point-to-point transfers through the
+// PointToPoint interface so they remain fully visible to the tracer:
+// Allreduce, the one collective the application kernels call, and the two
+// binomial trees it is built from, Reduce and Bcast.
 //
-// Each collective invocation consumes one value of a caller-provided
-// sequence number (seq). All ranks must call collectives in the same order
+// Each invocation takes a caller-provided sequence number (seq); Allreduce
+// uses seq and seq+1. All ranks must call collectives in the same order
 // with the same seq; tags derived from seq keep rounds of different
-// collective invocations from interfering. *Proc users normally go through
-// the convenience methods (Barrier, Allreduce, ...) that manage seq
-// automatically via the per-proc collective counter.
+// collective invocations from interfering; the tracer's Proc hands the
+// numbers out.
 
 // collTagBase separates collective traffic from application tags.
 // Application tags must stay below this value.
 const collTagBase = 1 << 24
 
 // collRoundSpace bounds the number of rounds one collective invocation may
-// use; ring algorithms use Size-1 rounds, so this supports worlds up to
-// 65536 ranks.
+// use; the binomial trees use ceil(log2 Size) rounds.
 const collRoundSpace = 1 << 16
 
 // CollTag derives the wire tag for round r of collective invocation seq.
@@ -39,24 +39,6 @@ var (
 	OpMin  Op = math.Min
 	OpProd Op = func(a, b float64) float64 { return a * b }
 )
-
-// Barrier blocks until all ranks reached it, using the dissemination
-// algorithm: ceil(log2 n) rounds of paired one-element exchanges.
-func Barrier(p PointToPoint, seq int) {
-	n := p.Size()
-	if n == 1 {
-		return
-	}
-	me := p.Rank()
-	var token [1]float64
-	for k, round := 1, 0; k < n; k, round = k*2, round+1 {
-		dst := (me + k) % n
-		src := (me - k + n) % n
-		tag := CollTag(seq, round)
-		p.Send(dst, tag, token[:])
-		p.Recv(token[:], src, tag)
-	}
-}
 
 // Bcast distributes buf from root to every rank over a binomial tree.
 func Bcast(p PointToPoint, buf []float64, root, seq int) {
@@ -123,150 +105,6 @@ func Allreduce(p PointToPoint, buf, out []float64, op Op, seq int) {
 	}
 	Bcast(p, out, 0, seq+1)
 }
-
-// Gather concatenates every rank's buf (all the same length) into out on
-// root, ordered by rank. out must have Size*len(buf) elements on root and
-// may be nil elsewhere.
-func Gather(p PointToPoint, buf, out []float64, root, seq int) {
-	n := p.Size()
-	m := len(buf)
-	if p.Rank() != root {
-		p.Send(root, CollTag(seq, 0), buf)
-		return
-	}
-	if len(out) != n*m {
-		panic(fmt.Sprintf("mpi: Gather out has %d elements, want %d", len(out), n*m))
-	}
-	copy(out[root*m:(root+1)*m], buf)
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		p.Recv(out[r*m:(r+1)*m], r, CollTag(seq, 0))
-	}
-}
-
-// Allgather concatenates every rank's buf into out on every rank using the
-// ring algorithm: n-1 steps, each forwarding the most recently received
-// block to the next neighbour.
-func Allgather(p PointToPoint, buf, out []float64, seq int) {
-	n := p.Size()
-	m := len(buf)
-	if len(out) != n*m {
-		panic(fmt.Sprintf("mpi: Allgather out has %d elements, want %d", len(out), n*m))
-	}
-	me := p.Rank()
-	copy(out[me*m:(me+1)*m], buf)
-	if n == 1 {
-		return
-	}
-	next := (me + 1) % n
-	prev := (me - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		sendBlock := (me - step + n) % n
-		recvBlock := (me - step - 1 + n) % n
-		tag := CollTag(seq, step)
-		p.Send(next, tag, out[sendBlock*m:(sendBlock+1)*m])
-		p.Recv(out[recvBlock*m:(recvBlock+1)*m], prev, tag)
-	}
-}
-
-// Alltoall performs the personalized all-to-all exchange: block i of buf
-// goes to rank i, and block j of out receives rank j's block for us. Both
-// buffers hold Size blocks of m elements. The pairwise-exchange schedule
-// (XOR ordering for power-of-two sizes, shifted ordering otherwise) spreads
-// load evenly.
-func Alltoall(p PointToPoint, buf, out []float64, m, seq int) {
-	n := p.Size()
-	if len(buf) != n*m || len(out) != n*m {
-		panic(fmt.Sprintf("mpi: Alltoall buffers %d/%d elements, want %d", len(buf), len(out), n*m))
-	}
-	me := p.Rank()
-	copy(out[me*m:(me+1)*m], buf[me*m:(me+1)*m])
-	for step := 1; step < n; step++ {
-		tag := CollTag(seq, step)
-		if n&(n-1) == 0 {
-			// Power of two: XOR pairing is mutual, a true pairwise
-			// exchange.
-			peer := me ^ step
-			p.Send(peer, tag, buf[peer*m:(peer+1)*m])
-			p.Recv(out[peer*m:(peer+1)*m], peer, tag)
-		} else {
-			// General sizes: shifted schedule. The block for rank
-			// (me+step) goes out while the block from (me-step) comes
-			// in; the buffered transport makes send-before-receive
-			// safe.
-			to := (me + step) % n
-			from := (me - step + n) % n
-			p.Send(to, tag, buf[to*m:(to+1)*m])
-			p.Recv(out[from*m:(from+1)*m], from, tag)
-		}
-	}
-}
-
-// ReduceScatter reduces buf element-wise across ranks and scatters the
-// result: rank r receives elements [r*m, (r+1)*m) of the reduction, where
-// m = len(buf)/Size. Implemented as Reduce to rank 0 plus scatter sends.
-func ReduceScatter(p PointToPoint, buf, out []float64, op Op, seq int) {
-	n := p.Size()
-	if len(buf)%n != 0 {
-		panic(fmt.Sprintf("mpi: ReduceScatter buffer %d not divisible by %d ranks", len(buf), n))
-	}
-	m := len(buf) / n
-	if len(out) != m {
-		panic(fmt.Sprintf("mpi: ReduceScatter out has %d elements, want %d", len(out), m))
-	}
-	var full []float64
-	if p.Rank() == 0 {
-		full = make([]float64, len(buf))
-	}
-	Reduce(p, buf, full, op, 0, seq)
-	if p.Rank() == 0 {
-		copy(out, full[:m])
-		for r := 1; r < n; r++ {
-			p.Send(r, CollTag(seq+1, 0), full[r*m:(r+1)*m])
-		}
-		return
-	}
-	p.Recv(out, 0, CollTag(seq+1, 0))
-}
-
-// seqPerCollective is how many seq values each convenience call consumes
-// (Allreduce and ReduceScatter are two-phase).
-const seqPerCollective = 2
-
-// nextSeq hands out the per-proc collective sequence number.
-func (p *Proc) nextSeq() int {
-	s := p.collSeq
-	p.collSeq += seqPerCollective
-	return s
-}
-
-// Barrier blocks until all ranks of the world reach it.
-func (p *Proc) Barrier() { Barrier(p, p.nextSeq()) }
-
-// Bcast broadcasts buf from root.
-func (p *Proc) Bcast(buf []float64, root int) { Bcast(p, buf, root, p.nextSeq()) }
-
-// Reduce reduces into out on root.
-func (p *Proc) Reduce(buf, out []float64, op Op, root int) {
-	Reduce(p, buf, out, op, root, p.nextSeq())
-}
-
-// Allreduce reduces into out on all ranks.
-func (p *Proc) Allreduce(buf, out []float64, op Op) { Allreduce(p, buf, out, op, p.nextSeq()) }
-
-// Gather gathers into out on root.
-func (p *Proc) Gather(buf, out []float64, root int) { Gather(p, buf, out, root, p.nextSeq()) }
-
-// Allgather gathers into out on all ranks.
-func (p *Proc) Allgather(buf, out []float64) { Allgather(p, buf, out, p.nextSeq()) }
-
-// Alltoall exchanges personalized blocks of m elements.
-func (p *Proc) Alltoall(buf, out []float64, m int) { Alltoall(p, buf, out, m, p.nextSeq()) }
-
-// ReduceScatter reduces and scatters equal blocks.
-func (p *Proc) ReduceScatter(buf, out []float64, op Op) { ReduceScatter(p, buf, out, op, p.nextSeq()) }
 
 func nextPow2(n int) int {
 	k := 1

@@ -4,12 +4,13 @@
 //
 // Ranks are goroutines; point-to-point transfers move real data through
 // per-rank mailboxes with MPI-style (source, tag) matching and
-// non-overtaking order. Collective operations are implemented on top of
-// point-to-point transfers only (binomial trees and dissemination patterns),
-// matching the paper's Dimemas configuration: "collective communication
-// operations are performed ... without assuming any collective hardware
-// support on the network, so they are implemented as usual using multiple
-// point-to-point MPI transfers".
+// non-overtaking order. Allreduce, the one collective the application
+// kernels call, is implemented on top of point-to-point transfers only (a
+// binomial reduce followed by a binomial broadcast), matching the paper's
+// Dimemas configuration: "collective communication operations are
+// performed ... without assuming any collective hardware support on the
+// network, so they are implemented as usual using multiple point-to-point
+// MPI transfers".
 //
 // The package is deliberately oblivious to virtual time: timing is the
 // business of the tracer and the simulator. What matters here is that data
@@ -27,9 +28,6 @@ import (
 type Proc struct {
 	rank  int
 	world *World
-	// collSeq numbers collective operations; every rank must invoke
-	// collectives in the same order, as MPI requires on a communicator.
-	collSeq int
 }
 
 // Rank returns this process's rank in [0, Size).
@@ -193,15 +191,6 @@ func (r *Request) Done() bool {
 	default:
 		return false
 	}
-}
-
-// Isend starts a non-blocking send. With the buffered transport it
-// completes immediately; the returned request exists for API symmetry.
-func (p *Proc) Isend(dst, tag int, data []float64) *Request {
-	p.Send(dst, tag, data)
-	r := &Request{done: make(chan struct{})}
-	close(r.done)
-	return r
 }
 
 // Irecv posts a non-blocking receive into buf and returns its request.

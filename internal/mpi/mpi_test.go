@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -150,23 +149,6 @@ func TestSendValidation(t *testing.T) {
 
 func worldSizes() []int { return []int{1, 2, 3, 4, 5, 8, 13, 16} }
 
-func TestBarrierAllRanksPass(t *testing.T) {
-	for _, n := range worldSizes() {
-		var passed int64
-		err := Run(n, func(p *Proc) {
-			p.Barrier()
-			atomic.AddInt64(&passed, 1)
-			p.Barrier()
-			if got := atomic.LoadInt64(&passed); got != int64(n) {
-				t.Errorf("n=%d: after second barrier %d ranks passed the first", n, got)
-			}
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
 func TestBcast(t *testing.T) {
 	for _, n := range worldSizes() {
 		for root := 0; root < n; root += 1 + n/3 {
@@ -177,7 +159,7 @@ func TestBcast(t *testing.T) {
 						buf[i] = float64(10*root + i)
 					}
 				}
-				p.Bcast(buf, root)
+				Bcast(p, buf, root, 0)
 				for i := range buf {
 					if buf[i] != float64(10*root+i) {
 						t.Errorf("n=%d root=%d rank=%d: buf=%v", n, root, p.Rank(), buf)
@@ -200,7 +182,7 @@ func TestReduceSum(t *testing.T) {
 			if p.Rank() == 0 {
 				out = make([]float64, 2)
 			}
-			p.Reduce(in, out, OpSum, 0)
+			Reduce(p, in, out, OpSum, 0, 0)
 			if p.Rank() == 0 {
 				wantSum := float64(n*(n-1)) / 2
 				if out[0] != wantSum || out[1] != float64(n) {
@@ -229,7 +211,7 @@ func TestAllreduceOps(t *testing.T) {
 			err := Run(n, func(p *Proc) {
 				in := []float64{float64(p.Rank())}
 				out := make([]float64, 1)
-				p.Allreduce(in, out, tc.op)
+				Allreduce(p, in, out, tc.op, 0)
 				if out[0] != tc.want(n) {
 					t.Errorf("n=%d %s: rank %d got %v, want %v", n, tc.name, p.Rank(), out[0], tc.want(n))
 				}
@@ -245,102 +227,13 @@ func TestAllreduceProd(t *testing.T) {
 	err := Run(4, func(p *Proc) {
 		in := []float64{2}
 		out := make([]float64, 1)
-		p.Allreduce(in, out, OpProd)
+		Allreduce(p, in, out, OpProd, 0)
 		if out[0] != 16 {
 			t.Errorf("prod: %v", out[0])
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	for _, n := range worldSizes() {
-		err := Run(n, func(p *Proc) {
-			in := []float64{float64(p.Rank()), float64(p.Rank() * 10)}
-			var out []float64
-			if p.Rank() == 0 {
-				out = make([]float64, 2*n)
-			}
-			p.Gather(in, out, 0)
-			if p.Rank() == 0 {
-				for r := 0; r < n; r++ {
-					if out[2*r] != float64(r) || out[2*r+1] != float64(r*10) {
-						t.Errorf("n=%d: gather block %d = %v", n, r, out[2*r:2*r+2])
-					}
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	for _, n := range worldSizes() {
-		err := Run(n, func(p *Proc) {
-			in := []float64{float64(p.Rank() + 1)}
-			out := make([]float64, n)
-			p.Allgather(in, out)
-			for r := 0; r < n; r++ {
-				if out[r] != float64(r+1) {
-					t.Errorf("n=%d rank=%d: allgather=%v", n, p.Rank(), out)
-					return
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	for _, n := range worldSizes() {
-		err := Run(n, func(p *Proc) {
-			m := 2
-			in := make([]float64, n*m)
-			out := make([]float64, n*m)
-			for d := 0; d < n; d++ {
-				in[d*m] = float64(100*p.Rank() + d)
-				in[d*m+1] = -in[d*m]
-			}
-			p.Alltoall(in, out, m)
-			for s := 0; s < n; s++ {
-				want := float64(100*s + p.Rank())
-				if out[s*m] != want || out[s*m+1] != -want {
-					t.Errorf("n=%d rank=%d: block from %d = %v, want %v", n, p.Rank(), s, out[s*m:s*m+2], want)
-					return
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestReduceScatter(t *testing.T) {
-	for _, n := range worldSizes() {
-		err := Run(n, func(p *Proc) {
-			in := make([]float64, n*3)
-			for i := range in {
-				in[i] = float64(i)
-			}
-			out := make([]float64, 3)
-			p.ReduceScatter(in, out, OpSum)
-			for i := 0; i < 3; i++ {
-				want := float64(n * (p.Rank()*3 + i))
-				if out[i] != want {
-					t.Errorf("n=%d rank=%d: out[%d]=%v, want %v", n, p.Rank(), i, out[i], want)
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
 	}
 }
 
@@ -352,7 +245,7 @@ func TestCollectivesInterleaveWithP2P(t *testing.T) {
 		if p.Rank() == 0 {
 			p.Send(1, 0, []float64{77})
 		}
-		p.Allreduce([]float64{1}, out, OpSum)
+		Allreduce(p, []float64{1}, out, OpSum, 0)
 		if p.Rank() == 1 {
 			var buf [1]float64
 			p.Recv(buf[:], 0, 0)
@@ -385,7 +278,7 @@ func TestPropertyAllreduceSumMatchesSerial(t *testing.T) {
 		okc := make(chan bool, n)
 		err := Run(n, func(p *Proc) {
 			out := make([]float64, 1)
-			p.Allreduce([]float64{vals[p.Rank()]}, out, OpSum)
+			Allreduce(p, []float64{vals[p.Rank()]}, out, OpSum, 0)
 			okc <- math.Abs(out[0]-want) < 1e-9
 		})
 		if err != nil {

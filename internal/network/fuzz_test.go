@@ -33,6 +33,10 @@ func FuzzReadAnyPlatform(f *testing.F) {
 	f.Add([]byte(`{"mapping": [0,1,1,0]}`))
 	f.Add([]byte("garbage"))
 	f.Add([]byte("{}"))
+	// Counts that once sized a 32 GB node table and 128 GB of bus
+	// calendars.
+	f.Add([]byte(`{"processors":4000000000,"latency_sec":0,"bandwidth_mbps":250,"mips":2300,"relative_speed":1}`))
+	f.Add([]byte(`{"processors":4,"latency_sec":0,"bandwidth_mbps":250,"buses":4000000000,"mips":2300,"relative_speed":1}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadAnyPlatform(bytes.NewReader(data))

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/faults"
+	"repro/internal/trace"
 )
 
 // Hierarchical platform model: a cluster of Nodes, a rank→node Mapping, and
@@ -30,12 +31,15 @@ type Link struct {
 }
 
 // Validate reports the first implausible link parameter.
-func (l Link) Validate() error {
+func (l Link) Validate() error { return l.validate("link") }
+
+// validate is Validate naming the link as class ("intra link", ...).
+func (l Link) validate(class string) error {
 	switch {
 	case l.LatencySec < 0:
-		return fmt.Errorf("network: negative link latency %g", l.LatencySec)
+		return fmt.Errorf("network: negative %s latency %g", class, l.LatencySec)
 	case l.BandwidthMBps <= 0 && !math.IsInf(l.BandwidthMBps, 1):
-		return fmt.Errorf("network: link bandwidth %g MB/s, must be positive or +Inf", l.BandwidthMBps)
+		return fmt.Errorf("network: %s bandwidth %g MB/s, must be positive or +Inf", class, l.BandwidthMBps)
 	}
 	return nil
 }
@@ -225,13 +229,25 @@ type Platform struct {
 	Degradations faults.Spec
 }
 
-// Validate reports the first implausible parameter.
+// MaxPoolUnits caps a platform's resource units, Buses + Nodes ×
+// (IntraBuses + InPorts + OutPorts): a replay keeps one calendar per
+// unit. Every preset fits under it at trace.MaxRanks processors.
+const MaxPoolUnits = 1 << 20
+
+// Validate reports the first implausible parameter. Processors and Nodes
+// are at most trace.MaxRanks and the pools at most MaxPoolUnits units, so
+// a platform's node table and resource calendars stay small whatever
+// document it came from.
 func (p Platform) Validate() error {
 	switch {
 	case p.Processors <= 0:
 		return fmt.Errorf("network: Processors=%d, must be positive", p.Processors)
+	case p.Processors > trace.MaxRanks:
+		return fmt.Errorf("network: Processors=%d, must be at most %d", p.Processors, trace.MaxRanks)
 	case p.Nodes <= 0:
 		return fmt.Errorf("network: Nodes=%d, must be positive", p.Nodes)
+	case p.Nodes > trace.MaxRanks:
+		return fmt.Errorf("network: Nodes=%d, must be at most %d", p.Nodes, trace.MaxRanks)
 	case p.IntraBuses < 0:
 		return fmt.Errorf("network: IntraBuses=%d, must be non-negative", p.IntraBuses)
 	case p.Buses < 0:
@@ -245,16 +261,33 @@ func (p Platform) Validate() error {
 	case p.CongestionFactor < 0:
 		return fmt.Errorf("network: CongestionFactor=%g, must be non-negative", p.CongestionFactor)
 	}
-	if err := p.Intra.Validate(); err != nil {
-		return fmt.Errorf("intra %w", err)
+	if u := p.poolUnits(); u > MaxPoolUnits {
+		return fmt.Errorf("network: %d buses + %d nodes × (%d intra buses + %d/%d ports) exceed %d pool units",
+			p.Buses, p.Nodes, p.IntraBuses, p.InPorts, p.OutPorts, MaxPoolUnits)
 	}
-	if err := p.Inter.Validate(); err != nil {
-		return fmt.Errorf("inter %w", err)
+	if err := p.Intra.validate("intra link"); err != nil {
+		return err
+	}
+	if err := p.Inter.validate("inter link"); err != nil {
+		return err
 	}
 	if err := p.Degradations.ValidateFor(p.Processors, p.Nodes); err != nil {
 		return err
 	}
 	return p.Mapping.validate(p.Processors, p.Nodes)
+}
+
+// poolUnits returns Buses + Nodes × (IntraBuses + InPorts + OutPorts) for
+// a platform with non-negative pools and at most trace.MaxRanks nodes. A
+// pool above MaxPoolUnits stands for the total, so the sum cannot
+// overflow.
+func (p Platform) poolUnits() int64 {
+	for _, c := range []int{p.Buses, p.IntraBuses, p.InPorts, p.OutPorts} {
+		if c > MaxPoolUnits {
+			return int64(c)
+		}
+	}
+	return int64(p.Buses) + int64(p.Nodes)*int64(p.IntraBuses+p.InPorts+p.OutPorts)
 }
 
 // NodeOf returns the node hosting the given rank.

@@ -1,10 +1,13 @@
 package network
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestTestbedDegenerate(t *testing.T) {
@@ -188,5 +191,73 @@ func TestPlatformDescribe(t *testing.T) {
 	hier, _ := PlatformPreset("marenostrum-4x", 16)
 	if s := hier.Describe(); !strings.Contains(s, "intra") || !strings.Contains(s, "map block") {
 		t.Errorf("hierarchical describe: %s", s)
+	}
+}
+
+// TestPlatformBounds: every preset and Table I testbed fits the pool cap
+// at trace.MaxRanks processors, and one processor, node or pool unit past
+// a bound fails, however large the counts.
+func TestPlatformBounds(t *testing.T) {
+	for _, name := range PresetNames() {
+		p, err := PlatformPreset(name, trace.MaxRanks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("preset %s at %d processors: %v", name, trace.MaxRanks, err)
+		}
+	}
+	for app := range TableIBuses {
+		if err := TestbedFor(app, trace.MaxRanks).Validate(); err != nil {
+			t.Errorf("%s testbed at %d processors: %v", app, trace.MaxRanks, err)
+		}
+	}
+	base := Testbed(8) // 8 nodes × (1 in + 1 out port) = 16 pool units
+	if err := base.WithBuses(MaxPoolUnits - 16).Validate(); err != nil {
+		t.Errorf("pools at the cap: %v", err)
+	}
+	ports := base
+	ports.InPorts, ports.OutPorts = math.MaxInt, math.MaxInt
+	for name, p := range map[string]Platform{
+		"processors": Testbed(trace.MaxRanks + 1),
+		"nodes":      Testbed(trace.MaxRanks).WithNodes(trace.MaxRanks + 1),
+		"buses":      base.WithBuses(MaxPoolUnits - 15),
+		"max buses":  base.WithBuses(math.MaxInt),
+		"max ports":  ports,
+	} {
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "at most") && !strings.Contains(err.Error(), "pool units") {
+			t.Errorf("%s: err %v, want a bound", name, err)
+		}
+	}
+}
+
+// TestLinkErrorsNameTheirClass: a link error starts with the package
+// prefix once and names the link class only where the document has two.
+func TestLinkErrorsNameTheirClass(t *testing.T) {
+	hier := func(edit func(p *Platform)) []byte {
+		p := Testbed(8).WithNodes(2)
+		edit(&p)
+		var buf bytes.Buffer
+		if err := p.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct {
+		doc  []byte
+		want string
+	}{
+		{[]byte(strings.Replace(flatCG8, `"latency_sec": 0.000008`, `"latency_sec": -1`, 1)),
+			"network: negative link latency -1"},
+		{hier(func(p *Platform) { p.Intra.LatencySec = -1 }),
+			"network: negative intra link latency -1"},
+		{hier(func(p *Platform) { p.Inter.BandwidthMBps = 0 }),
+			"network: inter link bandwidth 0 MB/s, must be positive or +Inf"},
+	}
+	for _, tc := range cases {
+		_, err := ReadAnyPlatform(bytes.NewReader(tc.doc))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("err %v, want %q", err, tc.want)
+		}
 	}
 }

@@ -159,6 +159,9 @@ func readFlatJSON(r io.Reader) (Platform, error) {
 		return Platform{}, err
 	}
 	l := Link{LatencySec: j.LatencySec, BandwidthMBps: bw}
+	if err := l.Validate(); err != nil {
+		return Platform{}, err // the document's one link has no class
+	}
 	p := Platform{
 		Processors:          j.Processors,
 		Nodes:               j.Processors,

@@ -53,7 +53,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"strconv"
 	"sync"
 	"time"
 
@@ -178,7 +177,7 @@ func (m *Manager) fetchScenarioArtifacts(ctx context.Context, req ScenarioReques
 	}
 	if req.Trace != "" && !m.store.ContainsTrace(req.Trace) {
 		if b, kind, ok := m.node.Get(ctx, req.Trace); ok && kind == BlobTrace {
-			if tr, err := decodeTrace(b); err == nil {
+			if tr, err := trace.ReadAny(bytes.NewReader(b)); err == nil {
 				if _, err := m.store.PutTrace(tr); err == nil {
 					mClusterFetches.With(BlobTrace, "ok").Inc()
 				} else {
@@ -480,34 +479,22 @@ func (r *clusterRun) fetch(ctx context.Context, req ScenarioRequest, owner clust
 // points list their coordinates on every axis, zipped into one group,
 // so the narrowed grid is exactly those points — canonicalization keeps
 // a zipped list's order and repeats. The coordinate labels are the
-// canonical spellings (core.Axis.labels), so every point keeps its
-// digest, and a pinned spec's digest IS its point digest: the invariant
-// that makes point keys route consistently.
+// canonical spellings, which core.AxisOf reads back, so every point keeps
+// its digest, and a pinned spec's digest IS its point digest: the
+// invariant that makes point keys route consistently.
 func ownerScenarioRequest(r ScenarioRequest, keys []core.PointKey) (ScenarioRequest, error) {
 	axes := make([]core.Axis, len(keys[0].Coords))
+	labels := make([]string, len(keys))
 	for i := range axes {
-		ax := core.Axis{Kind: keys[0].Coords[i].Axis}
+		for j, k := range keys {
+			labels[j] = k.Coords[i].Value
+		}
+		ax, err := core.AxisOf(keys[0].Coords[i].Axis, labels)
+		if err != nil {
+			return ScenarioRequest{}, fmt.Errorf("service: pin axis: %w", err)
+		}
 		if len(keys) > 1 {
 			ax.Zip = ownerZip
-		}
-		for _, k := range keys {
-			c := k.Coords[i]
-			switch c.Axis {
-			case core.AxisBandwidth, core.AxisLatency, core.AxisDerate, core.AxisJitter:
-				v, err := strconv.ParseFloat(c.Value, 64)
-				if err != nil {
-					return ScenarioRequest{}, fmt.Errorf("service: pin axis %q: %w", c.Axis, err)
-				}
-				ax.Values = append(ax.Values, v)
-			case core.AxisMapping:
-				ax.Mappings = append(ax.Mappings, c.Value)
-			default:
-				n, err := strconv.Atoi(c.Value)
-				if err != nil {
-					return ScenarioRequest{}, fmt.Errorf("service: pin axis %q: %w", c.Axis, err)
-				}
-				ax.Counts = append(ax.Counts, n)
-			}
 		}
 		axes[i] = ax
 	}

@@ -146,7 +146,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read upload: %w", err))
 			return
 		}
-		tr, err := decodeTrace(body)
+		tr, err := trace.ReadAny(bytes.NewReader(body))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -359,15 +359,6 @@ func traceInfo(digest string, tr *trace.Trace) TraceInfo {
 		Ranks:   tr.NumRanks,
 		Records: tr.Stats().Records,
 	}
-}
-
-// decodeTrace parses an uploaded trace in either codec, sniffing the
-// text magic like tracecat does.
-func decodeTrace(body []byte) (*trace.Trace, error) {
-	if len(body) >= 7 && string(body[:7]) == "#DIMGO " {
-		return trace.Read(bytes.NewReader(body))
-	}
-	return trace.ReadBinary(bytes.NewReader(body))
 }
 
 // decodeRequest parses a JSON request body strictly; unknown fields are

@@ -10,6 +10,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -415,5 +417,53 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if after := mgr.Engine().Stats(); after.Started != before.Started {
 		t.Fatalf("invalid requests spawned engine jobs: %d -> %d", before.Started, after.Started)
+	}
+}
+
+// TestOversizedCountsGetClientErrors sends the requests whose declared
+// sizes once ended the daemon with "fatal error: runtime: out of memory"
+// — trace uploads declaring 795,335,253 records or 4e9 ranks, a platform
+// of 4e9 processors, a bus axis of 4e9 buses — then a healthy request.
+// Each gets a 4xx before any engine work, and the daemon keeps serving.
+func TestOversizedCountsGetClientErrors(t *testing.T) {
+	eng := engine.New(1)
+	mgr, err := service.NewManager(service.Options{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(service.NewHandler(mgr))
+	defer srv.Close()
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	cases := []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/traces", []byte{
+			0x44, 0x49, 0x4d, 0x47, 0x4f, 0x42, 0x31, 0x0a, 0x04, 0x30, 0x30, 0x16,
+			0x30, 0x04, 0x30, 0x30, 0x30, 0x30, 0x30, 0xd5, 0xb4, 0x9f, 0xfb, 0x02,
+		}},
+		{"/v1/traces", []byte("#DIMGO 1\nT a b 4000000000\n")},
+		{"/v1/analyze", []byte(`{"app":"cg","ranks":8,"platform":{"inline":{"processors":4000000000,"latency_sec":0,"bandwidth_mbps":250,"mips":2300,"relative_speed":1}}}`)},
+		{"/v1/scenarios", []byte(`{"app":"cg","ranks":4,"axes":[{"kind":"buses","counts":[4000000000]}]}`)},
+	}
+	for _, tc := range cases {
+		if status, msg := post(tc.path, tc.body); status < 400 || status >= 500 {
+			t.Errorf("POST %s (%d bytes): %d %s, want a 4xx", tc.path, len(tc.body), status, msg)
+		}
+	}
+	if started := eng.Stats().Started; started != 0 {
+		t.Errorf("oversized requests started %d engine jobs", started)
+	}
+	if status, msg := post("/v1/analyze", []byte(`{"app":"cg","ranks":4}`)); status != http.StatusOK {
+		t.Fatalf("healthy request after the oversized ones: %d %s", status, msg)
 	}
 }

@@ -156,9 +156,6 @@ func (r *Result) CloneInto(dst *Result) *Result {
 	return dst
 }
 
-// Clone returns a caller-owned deep copy of r.
-func (r *Result) Clone() *Result { return r.CloneInto(new(Result)) }
-
 // TotalWaitSec sums receive-wait time over all ranks.
 func (r *Result) TotalWaitSec() float64 {
 	var s float64
@@ -441,7 +438,6 @@ const (
 	blockWait
 	blockWaitAll
 	blockSendRendezvous
-	blockSendInject
 )
 
 type rankState struct {
@@ -1035,7 +1031,7 @@ func (a *ReplayArena) advance(rs *rankState, now float64, rt *shard) {
 				rs.pc++
 				continue
 			}
-			return // parked: rendezvous handshake or blocking injection
+			return // parked: rendezvous handshake
 		case trace.KindRecv:
 			st := &a.streams[in.stream]
 			seq := len(st.posts)
@@ -1171,8 +1167,9 @@ func (rs *rankState) waitAllDone() bool {
 }
 
 // startSend initiates the transfer for a send record. It returns true when
-// the rank may continue immediately (ISend, or zero-cost injection) and
-// false when the rank parked (blocking injection or rendezvous handshake).
+// the rank may continue immediately (every eager send, and an ISend in
+// any protocol) and false when a blocking rendezvous send parked it until
+// the matching receive is posted.
 func (a *ReplayArena) startSend(rs *rankState, rank int, in *instr, blocking bool, rt *shard) bool {
 	st := &a.streams[in.stream]
 	seq := int(st.nSends)

@@ -24,6 +24,10 @@ import (
 
 var binaryMagic = [8]byte{'D', 'I', 'M', 'G', 'O', 'B', '1', '\n'}
 
+// maxRecordPrealloc caps the records ReadBinary reserves for a rank
+// before decoding them.
+const maxRecordPrealloc = 1 << 12
+
 // WriteBinary serializes the trace in the compact binary format.
 func WriteBinary(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
@@ -145,8 +149,8 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: binary rank count: %w", err)
 	}
-	if nr > 1<<22 {
-		return nil, fmt.Errorf("trace: unreasonable rank count %d", nr)
+	if nr > MaxRanks {
+		return nil, fmt.Errorf("trace: rank count %d exceeds %d", nr, MaxRanks)
 	}
 	t := New(name, flavor, int(nr))
 	for rank := 0; rank < int(nr); rank++ {
@@ -160,7 +164,9 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if cnt == 0 {
 			continue // keep a nil slice, matching the in-memory builders
 		}
-		recs := make([]Record, 0, cnt)
+		// The count is untrusted: records grow as they decode, so an
+		// input reserves no more memory than it has delivered records.
+		recs := make([]Record, 0, min(cnt, maxRecordPrealloc))
 		for i := uint64(0); i < cnt; i++ {
 			kb, err := br.ReadByte()
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,6 +52,48 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(in)); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
+	}
+}
+
+// TestDecodersBoundRankCounts: both codecs, read through ReadAny, take a
+// trace of MaxRanks ranks and refuse one rank more.
+func TestDecodersBoundRankCounts(t *testing.T) {
+	for _, n := range []int{MaxRanks, MaxRanks + 1} {
+		tr := New("bound", "base", n)
+		var text, bin bytes.Buffer
+		if err := Write(&text, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinary(&bin, tr); err != nil {
+			t.Fatal(err)
+		}
+		for codec, doc := range map[string][]byte{"text": text.Bytes(), "binary": bin.Bytes()} {
+			got, err := ReadAny(bytes.NewReader(doc))
+			switch {
+			case n <= MaxRanks && (err != nil || got.NumRanks != n):
+				t.Errorf("%s, %d ranks: %v", codec, n, err)
+			case n > MaxRanks && (err == nil || !strings.Contains(err.Error(), "exceeds")):
+				t.Errorf("%s, %d ranks: err %v, want a bound", codec, n, err)
+			}
+		}
+	}
+	if _, err := ReadAny(strings.NewReader(hugeRanksText)); err == nil {
+		t.Error("text header naming 4e9 ranks accepted")
+	}
+}
+
+// TestReadBinaryAllocatesWhatTheInputDelivers: a rank that declares
+// 795,335,253 records and delivers none fails after a bounded
+// reservation instead of one sized by the declared count.
+func TestReadBinaryAllocatesWhatTheInputDelivers(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadBinary(bytes.NewReader(hugeRecordsBinary)); err == nil {
+		t.Fatal("truncated record stream accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %d bytes", len(hugeRecordsBinary), grew)
 	}
 }
 

@@ -26,7 +26,12 @@ import (
 // ignored. Names and flavours are percent-escaped so they may contain
 // spaces.
 
-const formatMagic = "#DIMGO 1"
+// textMagicPrefix starts the text format in every version; formatMagic
+// is the full magic line this version writes.
+const (
+	textMagicPrefix = "#DIMGO "
+	formatMagic     = textMagicPrefix + "1"
+)
 
 func escapeField(s string) string {
 	if s == "" {
@@ -101,6 +106,17 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
+// ReadAny parses a trace in either codec: the text format when the input
+// starts with its "#DIMGO " magic, the binary format otherwise. Trace
+// files, uploads and peers' trace blobs all decode through it.
+func ReadAny(r io.Reader) (*Trace, error) {
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(textMagicPrefix)); string(magic) == textMagicPrefix {
+		return Read(br)
+	}
+	return ReadBinary(br)
+}
+
 // Read parses a trace previously produced by Write.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
@@ -143,6 +159,9 @@ func Read(r io.Reader) (*Trace, error) {
 	n, err := strconv.Atoi(hf[3])
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("trace: line %d: bad rank count %q", lineNo, hf[3])
+	}
+	if n > MaxRanks {
+		return nil, fmt.Errorf("trace: line %d: rank count %d exceeds %d", lineNo, n, MaxRanks)
 	}
 	t := New(name, flavor, n)
 	cur := -1

@@ -121,6 +121,11 @@ func New(name, flavor string, n int) *Trace {
 	return t
 }
 
+// MaxRanks bounds the rank count a decoded trace may declare and the
+// processors and nodes of a platform (network.Platform.Validate): an
+// untrusted header cannot size a rank or node table beyond it.
+const MaxRanks = 1 << 16
+
 // Append adds a record to the given rank's stream.
 func (t *Trace) Append(rank int, rec Record) {
 	t.Ranks[rank].Records = append(t.Ranks[rank].Records, rec)

@@ -458,45 +458,17 @@ func (r rawAdapter) Recv(buf []float64, src, tag int)  { r.p.RecvRaw(buf, src, t
 
 var _ mpi.PointToPoint = rawAdapter{}
 
+// nextSeq hands out the rank's collective sequence numbers: an Allreduce
+// takes two, one for its reduce and one for its broadcast.
 func (p *Proc) nextSeq() int {
 	s := p.seq
 	p.seq += 2
 	return s
 }
 
-// Barrier blocks until all ranks reach it; the dissemination exchanges are
-// traced as raw transfers.
-func (p *Proc) Barrier() { mpi.Barrier(rawAdapter{p}, p.nextSeq()) }
-
-// Bcast broadcasts buf from root through instrumented transfers.
-func (p *Proc) Bcast(buf []float64, root int) { mpi.Bcast(rawAdapter{p}, buf, root, p.nextSeq()) }
-
-// Reduce reduces into out on root through instrumented transfers.
-func (p *Proc) Reduce(buf, out []float64, op mpi.Op, root int) {
-	mpi.Reduce(rawAdapter{p}, buf, out, op, root, p.nextSeq())
-}
-
 // Allreduce reduces into out on all ranks through instrumented transfers.
 func (p *Proc) Allreduce(buf, out []float64, op mpi.Op) {
 	mpi.Allreduce(rawAdapter{p}, buf, out, op, p.nextSeq())
-}
-
-// Gather gathers into out on root through instrumented transfers.
-func (p *Proc) Gather(buf, out []float64, root int) {
-	mpi.Gather(rawAdapter{p}, buf, out, root, p.nextSeq())
-}
-
-// Allgather gathers into out on all ranks through instrumented transfers.
-func (p *Proc) Allgather(buf, out []float64) { mpi.Allgather(rawAdapter{p}, buf, out, p.nextSeq()) }
-
-// Alltoall exchanges personalized blocks through instrumented transfers.
-func (p *Proc) Alltoall(buf, out []float64, m int) {
-	mpi.Alltoall(rawAdapter{p}, buf, out, m, p.nextSeq())
-}
-
-// ReduceScatter reduces and scatters through instrumented transfers.
-func (p *Proc) ReduceScatter(buf, out []float64, op mpi.Op) {
-	mpi.ReduceScatter(rawAdapter{p}, buf, out, op, p.nextSeq())
 }
 
 // AllreduceTracked performs an Allreduce whose contribution and result
