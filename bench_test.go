@@ -25,6 +25,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -201,7 +202,7 @@ func BenchmarkFig6bBandwidthRelaxation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep := analyze(b, name, benchRanks)
 				var err error
-				bw, err = rep.RelaxedBandwidth(core.FlavorIdeal, metrics.DefaultSearch())
+				bw, err = rep.RelaxedBandwidth(core.FlavorIdeal)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -224,7 +225,7 @@ func BenchmarkFig6cEquivalentBandwidth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep := analyze(b, name, benchRanks)
 				var err error
-				bw, err = rep.EquivalentBandwidth(core.FlavorIdeal, metrics.DefaultSearch())
+				bw, err = rep.EquivalentBandwidth(core.FlavorIdeal)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -377,51 +378,53 @@ func BenchmarkAblationMessageScale(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Engine micro-benchmarks.
 
-// BenchmarkEngineParallelSweep compares the serial chunk-count sweep
-// against the same sweep fanned out across the experiment engine's worker
-// pool. The serial and parallel sub-benchmarks replay identical work — a
-// 16-point ablation of NAS-CG — so on an N-CPU machine the parallel path
-// should approach min(N, points)x the serial throughput (>=2x on 4+
-// CPUs); on one CPU the two are equivalent. The parallel results are
-// asserted byte-identical to the serial reference before measuring.
+// BenchmarkEngineParallelSweep compares the chunk-count sweep — one
+// chunks-axis scenario of the three flavors — on a one-worker engine
+// against the same scenario fanned out across the experiment engine's
+// full worker pool. The serial and parallel sub-benchmarks replay
+// identical work — a 16-point ablation of NAS-CG — so on an N-CPU machine
+// the parallel path should approach min(N, points)x the serial throughput
+// (>=2x on 4+ CPUs); on one CPU the two are equivalent. The two results
+// are asserted byte-identical before measuring.
 func BenchmarkEngineParallelSweep(b *testing.B) {
 	entry, _ := apps.ByName("cg", benchRanks)
-	plat := network.TestbedFor("cg", benchRanks)
-	tCfg := tracer.DefaultConfig()
-	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32}
+	sweep := core.Scenario{
+		App: entry.App, Ranks: benchRanks, Platform: network.TestbedFor("cg", benchRanks),
+		Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal},
+		Axes:    []core.Axis{core.ChunksAxis(1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32)},
+	}
+	points := float64(sweep.GridSize())
 	ctx := context.Background()
-	eng := engine.New(0) // GOMAXPROCS workers
+	serial, parallel := engine.New(1), engine.New(0) // 0 = GOMAXPROCS workers
 
-	serialPts, err := core.ChunkSweepSerial(entry.App, benchRanks, plat, tCfg, counts)
-	if err != nil {
-		b.Fatal(err)
+	var results [2][]byte
+	for i, eng := range []*engine.Engine{serial, parallel} {
+		res, err := core.RunScenario(ctx, eng, sweep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if results[i], err = json.Marshal(res); err != nil {
+			b.Fatal(err)
+		}
 	}
-	parallelPts, err := core.ChunkSweep(ctx, eng, entry.App, benchRanks, plat, tCfg, counts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialPts, parallelPts) {
-		b.Fatalf("parallel sweep diverged from serial:\nserial:   %+v\nparallel: %+v", serialPts, parallelPts)
+	if !bytes.Equal(results[0], results[1]) {
+		b.Fatalf("parallel sweep diverged from serial:\nserial:   %s\nparallel: %s", results[0], results[1])
 	}
 
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ChunkSweepSerial(entry.App, benchRanks, plat, tCfg, counts); err != nil {
-				b.Fatal(err)
+	for _, side := range []struct {
+		name string
+		eng  *engine.Engine
+	}{{"serial", serial}, {"parallel", parallel}} {
+		b.Run(side.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.RunScenario(ctx, side.eng, sweep); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(float64(len(counts)), "points")
-		b.ReportMetric(1, "workers")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ChunkSweep(ctx, eng, entry.App, benchRanks, plat, tCfg, counts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(counts)), "points")
-		b.ReportMetric(float64(eng.Workers()), "workers")
-	})
+			b.ReportMetric(points, "points")
+			b.ReportMetric(float64(side.eng.Workers()), "workers")
+		})
+	}
 }
 
 // ringTrace builds a ring-exchange trace for simulator throughput tests.

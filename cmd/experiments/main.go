@@ -29,6 +29,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/apps"
@@ -166,7 +167,8 @@ func main() {
 // mappingStudy is the hierarchical-platform artifact: per application,
 // block vs round-robin placement on the active multi-node platform (the
 // marenostrum-4x preset when the flags selected a flat one), plus a CG
-// node-count sweep. Every sweep is a scenario run through the engine.
+// node-count sweep. Every sweep is a traffic scenario of the base and
+// overlap-real flavors on the engine's shared trace cache.
 func mappingStudy(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Config, platFor func(string) network.Platform, svgdir string) {
 	header("Mapping study — block vs round-robin placement (hierarchical platform)")
 	basePlat := func(name string) network.Platform {
@@ -181,12 +183,24 @@ func mappingStudy(ctx context.Context, eng *engine.Engine, ranks int, tCfg trace
 		}
 		return p
 	}
+	placement := func(ctx context.Context, app core.App, ax core.Axis) ([]core.ScenarioPoint, error) {
+		res, err := core.RunScenario(ctx, eng, core.Scenario{
+			App: app, Ranks: ranks, Tracer: tCfg, Platform: basePlat(app.Name),
+			Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal},
+			Axes:    []core.Axis{ax},
+			Output:  core.OutputTraffic,
+			Traces:  eng.Traces(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		return res.Points, nil
+	}
 	fmt.Printf("platform: %s\n\n", basePlat("cg").Describe())
-	mappings := []network.Mapping{network.BlockMapping(), network.RoundRobinMapping()}
 	entries := apps.All(ranks)
-	swept, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) ([]core.MappingPoint, error) {
+	swept, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) ([]core.ScenarioPoint, error) {
 		e := entries[i]
-		pts, err := core.MappingSweep(ctx, eng, e.App, ranks, basePlat(e.App.Name), tCfg, mappings)
+		pts, err := placement(ctx, e.App, core.MappingAxis("block", "rr"))
 		if err != nil {
 			return nil, fmt.Errorf("mapping %s: %w", e.App.Name, err)
 		}
@@ -197,10 +211,10 @@ func mappingStudy(ctx context.Context, eng *engine.Engine, ranks int, tCfg trace
 	}
 	var groups []plot.BarGroup
 	for i, e := range entries {
-		fmt.Printf("-- %s --\n%s\n", e.App.Name, core.FormatMappingPoints(swept[i]))
+		fmt.Printf("-- %s --\n%s\n", e.App.Name, placementTable(core.TableColumn{Name: "mapping", Width: 12}, swept[i]))
 		groups = append(groups, plot.BarGroup{
 			Label:  e.App.Name,
-			Values: []float64{swept[i][0].BaseFinishSec * 1e3, swept[i][1].BaseFinishSec * 1e3},
+			Values: []float64{swept[i][0].Flavors[0].FinishSec * 1e3, swept[i][1].Flavors[0].FinishSec * 1e3},
 		})
 	}
 	if svgdir != "" {
@@ -223,11 +237,40 @@ func mappingStudy(ctx context.Context, eng *engine.Engine, ranks int, tCfg trace
 	for n := 1; n <= ranks; n *= 2 {
 		counts = append(counts, n)
 	}
-	pts, err := core.NodeCountSweep(ctx, eng, e.App, ranks, basePlat("cg"), tCfg, counts)
+	pts, err := placement(ctx, e.App, core.NodeCountAxis(counts...))
 	if err != nil {
 		fatal("node-count sweep: %v", err)
 	}
-	fmt.Print(core.FormatNodeCountPoints(pts))
+	fmt.Print(placementTable(core.TableColumn{Name: "nodes", Width: 8}, pts))
+}
+
+// placementTable renders the points of a one-axis placement scenario
+// (flavors base and overlap-real, traffic output): per point its
+// coordinate, both makespans, their speedup and the base flavor's
+// traffic split.
+func placementTable(point core.TableColumn, pts []core.ScenarioPoint) string {
+	cols := []core.TableColumn{
+		point,
+		{Name: "base (s)", Width: 14},
+		{Name: "overlap (s)", Width: 14},
+		{Name: "speedup", Width: 10},
+		{Name: "intra bytes", Width: 14},
+		{Name: "inter bytes", Width: 14},
+	}
+	var b strings.Builder
+	b.WriteString(core.FormatTableHeader(cols))
+	for _, pt := range pts {
+		base, real := pt.Flavors[0], pt.Flavors[1]
+		b.WriteString(core.FormatTableRow(cols, []string{
+			pt.Coords[0].Value,
+			fmt.Sprintf("%.6f", base.FinishSec),
+			fmt.Sprintf("%.6f", real.FinishSec),
+			fmt.Sprintf("%.3f", metrics.Speedup(base.FinishSec, real.FinishSec)),
+			strconv.FormatInt(base.Traffic.IntraBytes, 10),
+			strconv.FormatInt(base.Traffic.InterBytes, 10),
+		}))
+	}
+	return b.String()
 }
 
 // extras prints the analyses this reproduction adds beyond the paper's
@@ -398,11 +441,11 @@ func fig6b(reports map[string]*core.Report) {
 	fmt.Printf("%-12s %s\n", "app", "real | ideal")
 	for _, name := range apps.Names {
 		rep := reports[name]
-		re, err := rep.RelaxedBandwidth(core.FlavorReal, metrics.DefaultSearch())
+		re, err := rep.RelaxedBandwidth(core.FlavorReal)
 		if err != nil {
 			fatal("fig6b %s: %v", name, err)
 		}
-		id, err := rep.RelaxedBandwidth(core.FlavorIdeal, metrics.DefaultSearch())
+		id, err := rep.RelaxedBandwidth(core.FlavorIdeal)
 		if err != nil {
 			fatal("fig6b %s: %v", name, err)
 		}
@@ -415,11 +458,11 @@ func fig6c(reports map[string]*core.Report) {
 	fmt.Printf("%-12s %s\n", "app", "real | ideal (x = factor over 250 MB/s)")
 	for _, name := range apps.Names {
 		rep := reports[name]
-		re, err := rep.EquivalentBandwidth(core.FlavorReal, metrics.DefaultSearch())
+		re, err := rep.EquivalentBandwidth(core.FlavorReal)
 		if err != nil {
 			fatal("fig6c %s: %v", name, err)
 		}
-		id, err := rep.EquivalentBandwidth(core.FlavorIdeal, metrics.DefaultSearch())
+		id, err := rep.EquivalentBandwidth(core.FlavorIdeal)
 		if err != nil {
 			fatal("fig6c %s: %v", name, err)
 		}

@@ -81,17 +81,21 @@ func main() {
 		}
 		return
 	}
-	rep, err := core.Analyze(ctx, eng, entry.App, *ranks, plat, tracer.DefaultConfig())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-		os.Exit(1)
+	analyze := func() *core.Report {
+		rep, err := core.Analyze(ctx, eng, entry.App, *ranks, plat, tracer.DefaultConfig())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
+			os.Exit(1)
+		}
+		return rep
 	}
 
 	switch *mode {
 	case "relax":
+		rep := analyze()
 		fmt.Printf("%s: non-overlapped finish at %.0f MB/s: %.6f s\n", *app, ref, rep.Base.FinishSec)
 		for _, f := range []core.Flavor{core.FlavorReal, core.FlavorIdeal} {
-			bw, err := rep.RelaxedBandwidth(f, metrics.DefaultSearch())
+			bw, err := rep.RelaxedBandwidth(f)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
 				os.Exit(1)
@@ -100,10 +104,11 @@ func main() {
 				f, metrics.FormatMBps(bw), 100*bw/ref)
 		}
 	case "equiv":
+		rep := analyze()
 		for _, f := range []core.Flavor{core.FlavorReal, core.FlavorIdeal} {
 			fmt.Printf("%s: overlapped (%s) finish at %.0f MB/s: %.6f s\n",
 				*app, f, ref, rep.ResultOf(f).FinishSec)
-			bw, err := rep.EquivalentBandwidth(f, metrics.DefaultSearch())
+			bw, err := rep.EquivalentBandwidth(f)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
 				os.Exit(1)
@@ -122,24 +127,21 @@ func main() {
 			list = append(list, v)
 		}
 		fmt.Printf("%-10s %14s %14s %14s\n", "MB/s", "base (s)", "overlap-real", "overlap-ideal")
-		// All three flavours sweep concurrently; each sweep's bandwidth
-		// points fan out across the same pool (nested submissions are
-		// safe and stay within the -workers bound).
-		flavors := []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal}
-		swept, err := engine.Map(ctx, eng, len(flavors), func(ctx context.Context, i int) (*metrics.Series, error) {
-			return rep.BandwidthSweep(ctx, eng, flavors[i], list)
+		// One bandwidth-axis scenario measures all three flavours: the
+		// app is traced once and every (bandwidth, flavour) replay fans
+		// out across the engine.
+		res, err := core.RunScenario(ctx, eng, core.Scenario{
+			App: entry.App, Ranks: *ranks, Platform: plat,
+			Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal},
+			Axes:    []core.Axis{core.BandwidthAxis(list...)},
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
 			os.Exit(1)
 		}
-		series := map[core.Flavor]*metrics.Series{}
-		for i, f := range flavors {
-			series[f] = swept[i]
-		}
 		for i, bw := range list {
-			fmt.Printf("%-10.1f %14.6f %14.6f %14.6f\n", bw,
-				series[core.FlavorBase].Y[i], series[core.FlavorReal].Y[i], series[core.FlavorIdeal].Y[i])
+			fs := res.Points[i].Flavors
+			fmt.Printf("%-10.1f %14.6f %14.6f %14.6f\n", bw, fs[0].FinishSec, fs[1].FinishSec, fs[2].FinishSec)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "sweepbw: unknown mode %q\n", *mode)

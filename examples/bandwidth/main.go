@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/tracer"
@@ -32,31 +33,35 @@ func main() {
 	const ranks = 16
 	ctx := context.Background()
 	bandwidths := []float64{8, 31, 62, 125, 250, 500, 1000}
+	// One trace cache for the whole study: each application is traced
+	// once, for its report and its bandwidth scenario alike.
+	traces := engine.NewTraceCache()
 
 	for _, entry := range apps.All(ranks) {
 		name := entry.App.Name
-		report, err := core.Analyze(ctx, nil, entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+		plat := network.TestbedFor(name, ranks)
+		report, err := core.AnalyzeRun(ctx, nil, traces, entry.App, ranks, tracer.DefaultConfig(), plat)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("%-8s %12s %12s\n", "MB/s", "base (ms)", "ideal (ms)")
-		base, err := report.BandwidthSweep(ctx, nil, core.FlavorBase, bandwidths)
+		series, err := core.RunScenario(ctx, nil, core.Scenario{
+			App: entry.App, Ranks: ranks, Platform: plat, Traces: traces,
+			Flavors: []core.Flavor{core.FlavorBase, core.FlavorIdeal},
+			Axes:    []core.Axis{core.BandwidthAxis(bandwidths...)},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		ideal, err := report.BandwidthSweep(ctx, nil, core.FlavorIdeal, bandwidths)
+		for i, pt := range series.Points {
+			fmt.Printf("%-8.0f %12.3f %12.3f\n", bandwidths[i], pt.Flavors[0].FinishSec*1e3, pt.Flavors[1].FinishSec*1e3)
+		}
+		relax, err := report.RelaxedBandwidth(core.FlavorIdeal)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i, bw := range bandwidths {
-			fmt.Printf("%-8.0f %12.3f %12.3f\n", bw, base.Y[i]*1e3, ideal.Y[i]*1e3)
-		}
-		relax, err := report.RelaxedBandwidth(core.FlavorIdeal, metrics.DefaultSearch())
-		if err != nil {
-			log.Fatal(err)
-		}
-		equiv, err := report.EquivalentBandwidth(core.FlavorIdeal, metrics.DefaultSearch())
+		equiv, err := report.EquivalentBandwidth(core.FlavorIdeal)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,8 +30,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/tracer"
 )
 
 func main() {
@@ -47,21 +47,31 @@ func main() {
 	}
 	fmt.Printf("platform: %s\n\n", platform.Describe())
 
-	// Replay the same traced execution under both placements. The app is
-	// traced once; the per-mapping replays fan out across the engine.
-	points, err := core.MappingSweep(context.Background(), nil, entry.App, ranks, platform, tracer.DefaultConfig(),
-		[]network.Mapping{network.BlockMapping(), network.RoundRobinMapping()})
+	// Replay the same traced execution under both placements: one
+	// mapping-axis scenario traces the app once and fans the per-mapping
+	// replays out across the engine.
+	res, err := core.RunScenario(context.Background(), nil, core.Scenario{
+		App: entry.App, Ranks: ranks, Platform: platform,
+		Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal},
+		Axes:    []core.Axis{core.MappingAxis("block", "rr")},
+		Output:  core.OutputTraffic,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(core.FormatMappingPoints(points))
+	fmt.Printf("%-12s %14s %14s %10s %14s %14s\n", "mapping", "base (s)", "overlap (s)", "speedup", "intra bytes", "inter bytes")
+	for _, pt := range res.Points {
+		base, real := pt.Flavors[0], pt.Flavors[1]
+		fmt.Printf("%-12s %14.6f %14.6f %10.3f %14d %14d\n", pt.Coords[0].Value, base.FinishSec, real.FinishSec,
+			metrics.Speedup(base.FinishSec, real.FinishSec), base.Traffic.IntraBytes, base.Traffic.InterBytes)
+	}
 
-	block, rr := points[0], points[1]
+	block, rr := res.Points[0].Flavors, res.Points[1].Flavors // [base, overlap-real]
 	fmt.Printf("\nblock placement keeps %d bytes on shared memory; round-robin pushes %d bytes onto the interconnect.\n",
-		block.IntraBytes, rr.InterBytes)
-	if rr.BaseFinishSec > block.BaseFinishSec {
+		block[0].Traffic.IntraBytes, rr[0].Traffic.InterBytes)
+	if rr[0].FinishSec > block[0].FinishSec {
 		fmt.Printf("bad placement costs %.1f%% elapsed time — and overlap recovers %.1f%% of it.\n",
-			100*(rr.BaseFinishSec-block.BaseFinishSec)/block.BaseFinishSec,
-			100*(rr.BaseFinishSec-rr.RealFinishSec)/(rr.BaseFinishSec-block.BaseFinishSec))
+			100*(rr[0].FinishSec-block[0].FinishSec)/block[0].FinishSec,
+			100*(rr[0].FinishSec-rr[1].FinishSec)/(rr[0].FinishSec-block[0].FinishSec))
 	}
 }

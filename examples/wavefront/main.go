@@ -58,13 +58,13 @@ func main() {
 		p.FirstElem, p.Quarter)
 
 	// 2/3. The network design consequences.
-	relax, err := report.RelaxedBandwidth(core.FlavorIdeal, metrics.DefaultSearch())
+	relax, err := report.RelaxedBandwidth(core.FlavorIdeal)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nFig. 6b — with ideal-pattern overlap the 250 MB/s network can shrink to %s\n",
 		metrics.FormatMBps(relax))
-	equiv, err := report.EquivalentBandwidth(core.FlavorIdeal, metrics.DefaultSearch())
+	equiv, err := report.EquivalentBandwidth(core.FlavorIdeal)
 	if err != nil {
 		log.Fatal(err)
 	}

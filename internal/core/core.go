@@ -47,7 +47,7 @@ type Report struct {
 	App   string
 	Ranks int
 	// Platform is the (possibly hierarchical) platform the report was
-	// computed on; all re-replays (bandwidth searches, sweeps) use it. For
+	// computed on; the bandwidth searches re-replay on variants of it. For
 	// flat analyses it is the degenerate one-rank-per-node form.
 	Platform network.Platform
 
@@ -68,9 +68,9 @@ type Report struct {
 	run *tracer.Run
 	// progs and digests hold each flavour's compiled replay program and
 	// trace digest, the trace cache's own. AnalyzeRun replays each
-	// program once for the Results; the bandwidth searches and sweeps,
-	// which replay one flavour dozens of times on platform variants,
-	// reuse it. Read-only after AnalyzeRun.
+	// program once for the Results; the bandwidth searches, which
+	// replay one flavour dozens of times on platform variants, reuse it.
+	// Read-only after AnalyzeRun.
 	progs   map[Flavor]*sim.Program
 	digests map[Flavor]string
 }
@@ -182,7 +182,7 @@ func (r *Report) ResultOf(f Flavor) *sim.Result {
 }
 
 // FinishOn replays one flavour on a modified platform and returns its
-// makespan. It powers the bandwidth sweeps of Fig. 6b/6c. The replay reuses
+// makespan. It powers the bandwidth searches of Fig. 6b/6c. The replay reuses
 // the flavour's compiled program and runs on a pooled arena, so search
 // loops (metrics.MinBandwidth probes this dozens of times) allocate no
 // per-replay simulator state.
@@ -210,39 +210,20 @@ func (r *Report) finishFunc(f Flavor) metrics.FinishFunc {
 // performance of the non-overlapped execution on the report's reference
 // platform. Lower is better — it quantifies how much cheaper a network the
 // overlapped code tolerates.
-func (r *Report) RelaxedBandwidth(f Flavor, opts metrics.SearchOptions) (float64, error) {
+func (r *Report) RelaxedBandwidth(f Flavor) (float64, error) {
 	if f == FlavorBase {
 		return 0, fmt.Errorf("core: RelaxedBandwidth needs an overlapped flavor")
 	}
-	return metrics.MinBandwidth(r.finishFunc(f), r.Base.FinishSec, opts)
+	return metrics.MinBandwidth(r.finishFunc(f), r.Base.FinishSec)
 }
 
 // EquivalentBandwidth reproduces Fig. 6c: the bandwidth the non-overlapped
 // execution would need to match the overlapped execution on the reference
 // platform. +Inf means no bandwidth suffices (the Sweep3D result).
-func (r *Report) EquivalentBandwidth(f Flavor, opts metrics.SearchOptions) (float64, error) {
+func (r *Report) EquivalentBandwidth(f Flavor) (float64, error) {
 	if f == FlavorBase {
 		return 0, fmt.Errorf("core: EquivalentBandwidth needs an overlapped flavor")
 	}
 	target := r.ResultOf(f).FinishSec
-	return metrics.MinBandwidth(r.finishFunc(FlavorBase), target, opts)
-}
-
-// BandwidthSweep replays one flavour across the given interconnect
-// bandwidths and returns the finish-time series, the raw data behind the
-// Fig. 6 plots. Every bandwidth point replays the flavour's program on one
-// worker of eng (nil selects the default engine), and the series keeps the
-// input bandwidth order.
-func (r *Report) BandwidthSweep(ctx context.Context, eng *engine.Engine, f Flavor, bandwidths []float64) (*metrics.Series, error) {
-	fins, err := engine.Map(ctx, eng, len(bandwidths), func(ctx context.Context, i int) (float64, error) {
-		return r.FinishOn(f, r.Platform.WithInterBandwidth(bandwidths[i]))
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &metrics.Series{Label: fmt.Sprintf("%s/%s", r.App, f)}
-	for i, bw := range bandwidths {
-		s.Add(bw, fins[i])
-	}
-	return s, nil
+	return metrics.MinBandwidth(r.finishFunc(FlavorBase), target)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/tracer"
 )
@@ -131,7 +130,7 @@ func TestRelaxedBandwidthBelowReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, err := rep.RelaxedBandwidth(FlavorReal, metrics.DefaultSearch())
+	bw, err := rep.RelaxedBandwidth(FlavorReal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestRelaxedBandwidthBelowReference(t *testing.T) {
 	if ref := rep.Platform.Inter.BandwidthMBps; bw > ref {
 		t.Fatalf("relaxed bandwidth %g above reference %g", bw, ref)
 	}
-	if _, err := rep.RelaxedBandwidth(FlavorBase, metrics.DefaultSearch()); err == nil {
+	if _, err := rep.RelaxedBandwidth(FlavorBase); err == nil {
 		t.Fatal("base flavor must be rejected")
 	}
 }
@@ -151,7 +150,7 @@ func TestEquivalentBandwidthAboveReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, err := rep.EquivalentBandwidth(FlavorReal, metrics.DefaultSearch())
+	bw, err := rep.EquivalentBandwidth(FlavorReal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,27 +159,33 @@ func TestEquivalentBandwidthAboveReference(t *testing.T) {
 	if ref := rep.Platform.Inter.BandwidthMBps; !math.IsInf(bw, 1) && bw < ref*0.9 {
 		t.Fatalf("equivalent bandwidth %g below reference %g", bw, ref)
 	}
-	if _, err := rep.EquivalentBandwidth(FlavorBase, metrics.DefaultSearch()); err == nil {
+	if _, err := rep.EquivalentBandwidth(FlavorBase); err == nil {
 		t.Fatal("base flavor must be rejected")
 	}
 }
 
+// TestBandwidthSweepMonotone: along a bandwidth-axis scenario the base
+// flavor's finish never grows as the interconnect gets faster.
 func TestBandwidthSweepMonotone(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(2000, 2, 100)}
-	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
+	res, err := RunScenario(context.Background(), nil, Scenario{
+		App: app, Ranks: 2, Platform: testNet(2),
+		Flavors: []Flavor{FlavorBase},
+		Axes:    []Axis{BandwidthAxis(5, 25, 125, 625)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := rep.BandwidthSweep(context.Background(), nil, FlavorBase, []float64{5, 25, 125, 625})
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Points) != 4 {
+		t.Fatalf("series length %d", len(res.Points))
 	}
-	if len(s.Y) != 4 {
-		t.Fatalf("series length %d", len(s.Y))
+	fins := make([]float64, len(res.Points))
+	for i, pt := range res.Points {
+		fins[i] = pt.Flavors[0].FinishSec
 	}
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] > s.Y[i-1]*1.0000001 {
-			t.Fatalf("finish not monotone in bandwidth: %v", s.Y)
+	for i := 1; i < len(fins); i++ {
+		if fins[i] > fins[i-1]*1.0000001 {
+			t.Fatalf("finish not monotone in bandwidth: %v", fins)
 		}
 	}
 }

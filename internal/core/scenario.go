@@ -25,9 +25,9 @@ import (
 // compiles each replayed trace flavor exactly once, expands the grid,
 // executes the points on pooled replayers through the experiment engine,
 // and returns a flat, deterministically ordered result table. Every
-// bespoke study of this package — chunk ablation, placement and
-// node-count sweeps, per-buffer what-if — is a thin wrapper over a
-// scenario spec, and the service layer's endpoints translate their wire
+// study — chunk ablation, placement and node-count sweeps, bandwidth
+// series, per-buffer what-if — is a scenario spec: the CLIs and examples
+// build one, and the service layer's endpoints translate their wire
 // requests into the same specs, so a new sweep axis lands everywhere at
 // once instead of spawning a new API family.
 
@@ -45,7 +45,7 @@ const (
 	// AxisBuses sweeps the global interconnect bus pool size.
 	AxisBuses AxisKind = "buses"
 	// AxisChunks sweeps the overlapped-trace chunk count (rebuilds the
-	// overlapped flavors from the one traced run, like ChunkSweep).
+	// overlapped flavors from the one traced run).
 	AxisChunks AxisKind = "chunks"
 	// AxisMapping sweeps the rank→node placement.
 	AxisMapping AxisKind = "mapping"
@@ -147,9 +147,9 @@ func (k AxisKind) list() axisList {
 }
 
 // Validate checks the axis shape: a known kind whose matching value list
-// (and only it) is populated with sane points. Bus and node counts that
-// no platform can take (see network.Platform.Validate) are refused here,
-// before any point is planned.
+// (and only it) is populated with sane points. Bus, node and downed-link
+// counts that no platform can take (see network.Platform.Validate and
+// faults.Spec.Validate) are refused here, before any point is planned.
 func (a Axis) Validate() error {
 	populated := 0
 	if len(a.Values) > 0 {
@@ -199,6 +199,8 @@ func (a Axis) Validate() error {
 				return fmt.Errorf("core: axis %q: count %d, must be at most %d", a.Kind, k, network.MaxPoolUnits)
 			case a.Kind == AxisNodes && k > trace.MaxRanks:
 				return fmt.Errorf("core: axis %q: count %d, must be at most %d", a.Kind, k, trace.MaxRanks)
+			case a.Kind == AxisLinkDown && k > faults.MaxLinkDown:
+				return fmt.Errorf("core: axis %q: count %d, must be at most %d", a.Kind, k, faults.MaxLinkDown)
 			case k > 0:
 			case k == 0 && (a.Kind == AxisBuses || a.Kind == AxisStragglers || a.Kind == AxisLinkDown):
 				// Meaningful zeros: an unlimited bus pool, or the healthy
@@ -594,12 +596,22 @@ type canonicalAxis struct {
 type canonicalScenario struct {
 	App         string          `json:"app,omitempty"`
 	Ranks       int             `json:"ranks,omitempty"`
-	Tracer      *tracer.Config  `json:"tracer,omitempty"`
+	Tracer      canonicalTracer `json:"tracer,omitzero"`
 	TraceDigest string          `json:"trace_digest,omitempty"`
 	Platform    json.RawMessage `json:"platform"`
 	Flavors     []Flavor        `json:"flavors"`
 	Axes        []canonicalAxis `json:"axes"`
 	Output      OutputKind      `json:"output"`
+}
+
+// canonicalTracer is the tracer block of the canonical spec: the chunk
+// count, spelled out next to the tracer's constant element size and
+// per-access instruction costs (one instruction per tracked load or
+// store), which are part of every spec and point digest's bytes.
+type canonicalTracer struct {
+	Chunks              int
+	ElemBytes           int64
+	LoadCost, StoreCost int64
 }
 
 // canonicalBase builds the canonical form of an already-normalized spec
@@ -627,7 +639,7 @@ func (s *Scenario) canonicalBase() (canonicalScenario, error) {
 			c.App = app.Name
 		}
 		c.Ranks = s.Ranks
-		c.Tracer = &s.Tracer
+		c.Tracer = canonicalTracer{Chunks: s.Tracer.Chunks, ElemBytes: tracer.ElemBytes, LoadCost: 1, StoreCost: 1}
 	}
 	return c, nil
 }
@@ -1016,13 +1028,6 @@ func (x *scenarioExec) appFor(ranks int) (App, error) {
 	return app, nil
 }
 
-// tracerAt returns the tracer configuration of one chunk count.
-func (x *scenarioExec) tracerAt(chunks int) tracer.Config {
-	cfg := x.sc.Tracer
-	cfg.Chunks = chunks
-	return cfg
-}
-
 // progFor returns the compiled program and trace digest of one flavor at
 // one grid point: the stored trace's program, keyed by its digest, in
 // trace mode, else the application's flavor program at the point's
@@ -1036,7 +1041,7 @@ func (x *scenarioExec) progFor(pt gridPoint, f Flavor) (*sim.Program, string, er
 	if err != nil {
 		return nil, "", err
 	}
-	return x.traces.CompiledProgram(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel, string(f))
+	return x.traces.CompiledProgram(app.Name, pt.ranks, tracer.Config{Chunks: pt.chunks}, app.Kernel, string(f))
 }
 
 // traceBuffers fills x.buffers for a what-if grid: it traces every world
@@ -1166,7 +1171,7 @@ func (x *scenarioExec) assemble(pt gridPoint, ms []replayed) (ScenarioPoint, err
 		wi, err := wireWhatIf(app.Name, pt.ranks, pt.plat, x.buffers[pt.ranks], ms)
 		return ScenarioPoint{WhatIf: wi}, err
 	}
-	pat, err := x.traces.Patterns(app.Name, pt.ranks, x.tracerAt(pt.chunks), app.Kernel)
+	pat, err := x.traces.Patterns(app.Name, pt.ranks, tracer.Config{Chunks: pt.chunks}, app.Kernel)
 	if err != nil {
 		return ScenarioPoint{}, err
 	}

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/apps/cg"
 	"repro/internal/engine"
-	"repro/internal/metrics"
+	"repro/internal/faults"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -168,18 +168,34 @@ func TestScenarioReportWhatIfIgnoreFlavors(t *testing.T) {
 	}
 }
 
-// TestMappingSweepIsScenarioTranslation proves the legacy core function
-// returns byte-identical JSON to an independent serial replay of the
-// same study — the golden-equivalence contract of the wrapper rewrite.
+// TestMappingSweepIsScenarioTranslation proves a mapping-axis traffic
+// scenario returns byte-identical JSON to an independent serial replay
+// of the same study — the golden-equivalence contract of the planner.
 func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 	const ranks = 8
 	plat := scenarioPlatform(t, ranks)
 	app := scenarioApp()
 	mappings := []network.Mapping{network.BlockMapping(), network.RoundRobinMapping()}
 
-	got, err := MappingSweep(context.Background(), engine.New(4), app, ranks, plat, tracer.DefaultConfig(), mappings)
+	res, err := RunScenario(context.Background(), engine.New(4), Scenario{
+		App: app, Ranks: ranks, Platform: plat,
+		Flavors: []Flavor{FlavorBase, FlavorReal},
+		Axes:    []Axis{MappingAxis("block", "rr")},
+		Output:  OutputTraffic,
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// placement is what one point of the study measures.
+	type placement struct {
+		Mapping                      string
+		BaseFinishSec, RealFinishSec float64
+		IntraBytes, InterBytes       int64
+	}
+	got := make([]placement, len(res.Points))
+	for i, pt := range res.Points {
+		base, real := pt.Flavors[0], pt.Flavors[1]
+		got[i] = placement{pt.Coords[0].Value, base.FinishSec, real.FinishSec, base.Traffic.IntraBytes, base.Traffic.InterBytes}
 	}
 
 	// Serial reference: trace privately, replay each mapping with the
@@ -188,7 +204,7 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]MappingPoint, 0, len(mappings))
+	want := make([]placement, 0, len(mappings))
 	for _, m := range mappings {
 		p := plat.WithMapping(m)
 		baseRes, err := sim.Run(p, run.BaseTrace())
@@ -200,14 +216,7 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 			t.Fatal(err)
 		}
 		ib, eb, _, _ := baseRes.TrafficSplit()
-		want = append(want, MappingPoint{
-			Mapping:       m,
-			BaseFinishSec: baseRes.FinishSec,
-			RealFinishSec: realRes.FinishSec,
-			SpeedupReal:   metrics.Speedup(baseRes.FinishSec, realRes.FinishSec),
-			IntraBytes:    ib,
-			InterBytes:    eb,
-		})
+		want = append(want, placement{m.String(), baseRes.FinishSec, realRes.FinishSec, ib, eb})
 	}
 	gotJSON, err := json.Marshal(got)
 	if err != nil {
@@ -218,29 +227,7 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("scenario-backed sweep differs from serial reference:\n%s\n%s", gotJSON, wantJSON)
-	}
-}
-
-// TestWhatIfIsScenarioTranslation proves the wrapped WhatIf entry point
-// matches the primitive it translates to.
-func TestWhatIfIsScenarioTranslation(t *testing.T) {
-	const ranks = 4
-	app := scenarioApp()
-	plat := network.TestbedFor("cg", ranks)
-
-	got, err := WhatIf(context.Background(), engine.New(2), app, ranks, plat, tracer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := WhatIfRun(context.Background(), engine.New(2), engine.NewTraceCache(), app, ranks, tracer.DefaultConfig(), plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, _ := json.Marshal(got)
-	wantJSON, _ := json.Marshal(want)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("what-if wrapper differs from primitive:\n%s\n%s", gotJSON, wantJSON)
+		t.Fatalf("scenario differs from serial reference:\n%s\n%s", gotJSON, wantJSON)
 	}
 }
 
@@ -552,19 +539,22 @@ func TestAxisOfRoundTripsPointDigests(t *testing.T) {
 	}
 }
 
-// TestAxisRefusesCountsNoPlatformTakes: bus and node counts above the
-// platform bounds fail validation before any point is planned.
+// TestAxisRefusesCountsNoPlatformTakes: bus, node and downed-link counts
+// above the platform and fault bounds fail validation before any point
+// is planned.
 func TestAxisRefusesCountsNoPlatformTakes(t *testing.T) {
 	for _, ax := range []Axis{
 		BusesAxis(network.MaxPoolUnits + 1),
 		BusesAxis(4000000000),
 		NodeCountAxis(trace.MaxRanks + 1),
+		LinkDownAxis(faults.MaxLinkDown + 1),
+		LinkDownAxis(2000000000),
 	} {
 		if err := ax.Validate(); err == nil || !strings.Contains(err.Error(), "must be at most") {
 			t.Errorf("%s %v: err %v, want a bound", ax.Kind, ax.Counts, err)
 		}
 	}
-	for _, ax := range []Axis{BusesAxis(network.MaxPoolUnits), NodeCountAxis(trace.MaxRanks)} {
+	for _, ax := range []Axis{BusesAxis(network.MaxPoolUnits), NodeCountAxis(trace.MaxRanks), LinkDownAxis(faults.MaxLinkDown)} {
 		if err := ax.Validate(); err != nil {
 			t.Errorf("%s %v at the bound: %v", ax.Kind, ax.Counts, err)
 		}

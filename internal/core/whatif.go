@@ -32,14 +32,6 @@ type BufferPotential struct {
 	GainOverReal float64
 }
 
-// WhatIf runs the per-buffer idealization study for an application on the
-// given platform under eng (nil selects the default engine): WhatIfRun on
-// a trace cache of its own, so a caller's kernel never enters a shared
-// cache.
-func WhatIf(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*WireWhatIf, error) {
-	return WhatIfRun(ctx, eng, engine.NewTraceCache(), app, ranks, tCfg, plat)
-}
-
 // WhatIfRun is the what-if-output scenario with no sweep axes on traces,
 // for callers that reuse one traced run across several studies: the
 // traced run and the base, overlap-real and per-buffer selective

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/tracer"
 )
 
@@ -45,7 +46,7 @@ func twoBufferKernel(n, iters int, work int64) func(p *tracer.Proc) {
 
 func TestWhatIfRanksBuffers(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(2000, 3, 100)}
-	rep, err := WhatIf(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := WhatIfRun(context.Background(), nil, engine.NewTraceCache(), app, 2, tracer.DefaultConfig(), testNet(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestWhatIfSelectiveBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := WhatIf(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := WhatIfRun(context.Background(), nil, engine.NewTraceCache(), app, 2, tracer.DefaultConfig(), testNet(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestWhatIfSelectiveBounds(t *testing.T) {
 
 func TestWhatIfFormat(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(500, 2, 50)}
-	rep, err := WhatIf(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := WhatIfRun(context.Background(), nil, engine.NewTraceCache(), app, 2, tracer.DefaultConfig(), testNet(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestWhatIfRejectsBadNetwork(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(100, 1, 10)}
 	bad := testNet(2)
 	bad.MIPS = 0
-	if _, err := WhatIf(context.Background(), nil, app, 2, bad, tracer.DefaultConfig()); err == nil {
+	if _, err := WhatIfRun(context.Background(), nil, engine.NewTraceCache(), app, 2, tracer.DefaultConfig(), bad); err == nil {
 		t.Fatal("invalid network accepted")
 	}
 }

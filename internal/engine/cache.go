@@ -23,23 +23,22 @@ const maxPrograms = 1024
 // every scenario's traced runs and programs come from one, the engine's
 // shared cache or a cache owned by a single run.
 //
-// Traced runs are keyed by what tracing reads: the application name, the
-// rank count, and the tracer's LoadCost and StoreCost. The chunk count
-// and element size only parameterize the trace builders, so one traced
-// run serves them all: Trace hands each caller run.WithConfig(cfg). The
-// first request for a key executes the application under
-// instrumentation; concurrent first requests are single-flighted, so the
-// application is traced exactly once. Runs stay for the cache's life,
-// and so does each run's Table II analysis (Patterns), which reads only
-// the run's access logs and runs once per run, single-flighted the same
-// way.
+// Traced runs are keyed by what tracing reads: the application name and
+// the rank count. The chunk count only parameterizes the trace builders,
+// so one traced run serves them all: Trace hands each caller
+// run.WithChunks(cfg.Chunks). The first request for a key executes the
+// application under instrumentation; concurrent first requests are
+// single-flighted, so the application is traced exactly once. Runs stay
+// for the cache's life, and so does each run's Table II analysis
+// (Patterns), which reads only the run's access logs and runs once per
+// run, single-flighted the same way.
 //
 // Programs live in one LRU of maxPrograms entries, each resolved once
 // behind its own sync.Once, under two key schemes. CompiledProgram keys
 // an application's flavor program and trace digest by (traced run,
-// Chunks, ElemBytes, flavor) — the base flavor ignores Chunks, and a
-// what-if's selective flavor names its buffer (SelectiveFlavor) — and
-// drops the built trace once it is compiled and digested.
+// Chunks, flavor) — the base flavor ignores Chunks, and a what-if's
+// selective flavor names its buffer (SelectiveFlavor) — and drops the
+// built trace once it is compiled and digested.
 // StoredProgram keys a pre-built trace's program by the trace's content
 // digest ("sha256:…"; application keys start with a quoted name, so the
 // schemes cannot collide); DropStored removes one.
@@ -59,9 +58,8 @@ type TraceCache struct {
 
 // runKey is every input tracing reads.
 type runKey struct {
-	name                string
-	ranks               int
-	loadCost, storeCost int64
+	name  string
+	ranks int
 }
 
 type runEntry struct {
@@ -97,13 +95,13 @@ func (c *TraceCache) Trace(name string, ranks int, cfg tracer.Config, kernel fun
 	if ent.run.Cfg == cfg {
 		return ent.run, nil
 	}
-	return ent.run.WithConfig(cfg), nil
+	return ent.run.WithChunks(cfg.Chunks), nil
 }
 
 // Patterns returns the Table II production/consumption analysis of the
 // cached run (pattern.Analyze), tracing the application on a miss. The
-// analysis reads only the run's access logs, never the chunk count or
-// element size, so it runs once per traced run, concurrent first
+// analysis reads only the run's access logs, never the chunk count, so
+// it runs once per traced run, concurrent first
 // callers included. The analysis is shared: callers must not modify it.
 func (c *TraceCache) Patterns(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc)) (*pattern.Analysis, error) {
 	ent, err := c.traced(name, ranks, cfg, kernel)
@@ -120,13 +118,13 @@ func (c *TraceCache) Patterns(name string, ranks int, cfg tracer.Config, kernel 
 // traced returns the resolved entry of the run for (name, ranks, cfg),
 // tracing the application once per key.
 func (c *TraceCache) traced(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc)) (*runEntry, error) {
-	if cfg.Chunks <= 0 || cfg.ElemBytes <= 0 {
-		// Tracing reads neither field, so no cached run can reject them.
+	if cfg.Chunks <= 0 {
+		// Tracing reads no chunk count, so no cached run can reject it.
 		// tracer.Trace validates cfg before it runs the kernel.
 		_, err := tracer.Trace(name, ranks, cfg, kernel)
 		return nil, err
 	}
-	key := runKey{name: name, ranks: ranks, loadCost: cfg.LoadCost, storeCost: cfg.StoreCost}
+	key := runKey{name: name, ranks: ranks}
 	c.mu.Lock()
 	ent, ok := c.runs[key]
 	if !ok {
@@ -177,7 +175,7 @@ func flavorBuilder(flavor string) (func(*tracer.Run) *trace.Trace, string, error
 // with the content digest of its trace (trace.Digest). flavor is one of
 // the Flavor constants but FlavorSelective, or a SelectiveFlavor name.
 // The build, validation, compilation and digest run once per (traced
-// run, Chunks, ElemBytes, flavor) while the entry stays in the memo, so
+// run, Chunks, flavor) while the entry stays in the memo, so
 // sweep paths that replay one flavor many times, and callers that key
 // results by trace digest, pay for them once.
 func (c *TraceCache) CompiledProgram(name string, ranks int, cfg tracer.Config, kernel func(p *tracer.Proc), flavor string) (*sim.Program, string, error) {
@@ -193,7 +191,7 @@ func (c *TraceCache) CompiledProgram(name string, ranks int, cfg tracer.Config, 
 	if flavor == FlavorBase {
 		chunks = 0 // the base trace is chunk-independent
 	}
-	ent := c.entry(fmt.Sprintf("%q/%d/%d/%d/%d/%d/%s", name, ranks, cfg.LoadCost, cfg.StoreCost, chunks, cfg.ElemBytes, flavor))
+	ent := c.entry(fmt.Sprintf("%q/%d/%d/%s", name, ranks, chunks, flavor))
 	ent.once.Do(func() {
 		mProgramBuilds.With(built).Inc()
 		ent.prog, ent.digest, ent.err = compileFlavor(build(run), flavor)

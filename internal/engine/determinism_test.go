@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/tracer"
 )
 
@@ -37,38 +38,78 @@ func pipeKernel(n, iters int, work int64) func(p *tracer.Proc) {
 	}
 }
 
+// chunkFinishesSerial is the serial reference of a chunk-count sweep:
+// one goroutine traces the app once, replays the non-overlapped baseline,
+// and per chunk count rebuilds and replays both overlapped flavors with
+// the plain simulator. Each row holds the base, overlap-real and
+// overlap-ideal makespans.
+func chunkFinishesSerial(t *testing.T, app core.App, ranks int, plat network.Platform, counts []int) [][3]float64 {
+	t.Helper()
+	run, err := tracer.Trace(app.Name, ranks, tracer.DefaultConfig(), app.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sim.Run(plat, run.BaseTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][3]float64, 0, len(counts))
+	for _, k := range counts {
+		kRun := run.WithChunks(k)
+		row := [3]float64{base.FinishSec}
+		for i, tr := range []*trace.Trace{kRun.OverlapReal(), kRun.OverlapIdeal()} {
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("chunks=%d %s: %v", k, tr.Flavor, err)
+			}
+			res, err := sim.Run(plat, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[1+i] = res.FinishSec
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
 // TestParallelSweepMatchesSerial is the engine's determinism contract: a
-// chunk sweep fanned out across the pool returns results byte-identical
-// to the single-goroutine reference path — same points, same order, same
-// bits in every float.
+// chunks-axis scenario fanned out across the pool returns results
+// byte-identical to the single-goroutine reference loop — same points,
+// same order, same bits in every float.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	app := core.App{Name: "pipe", Kernel: pipeKernel(2000, 3, 100)}
 	plat := network.Testbed(2)
 	counts := []int{1, 2, 3, 4, 6, 8, 12, 16}
 
-	serial, err := core.ChunkSweepSerial(app, 2, plat, tracer.DefaultConfig(), counts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := chunkFinishesSerial(t, app, 2, plat, counts)
 	for _, workers := range []int{1, 2, 8} {
-		eng := engine.New(workers)
-		parallel, err := core.ChunkSweep(context.Background(), eng, app, 2, plat, tracer.DefaultConfig(), counts)
+		res, err := core.RunScenario(context.Background(), engine.New(workers), core.Scenario{
+			App: app, Ranks: 2, Platform: plat,
+			Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal},
+			Axes:    []core.Axis{core.ChunksAxis(counts...)},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ChunkPoint holds only ints and float64s, so DeepEqual compares
-		// the raw bits: any nondeterministic reduction order would show.
+		parallel := make([][3]float64, len(res.Points))
+		for i, pt := range res.Points {
+			for f := range parallel[i] {
+				parallel[i][f] = pt.Flavors[f].FinishSec
+			}
+		}
+		// The rows hold only float64s, so DeepEqual compares the raw
+		// bits: any nondeterministic reduction order would show.
 		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("workers=%d: parallel sweep diverged from serial:\nserial:   %+v\nparallel: %+v",
+			t.Fatalf("workers=%d: parallel sweep diverged from serial:\nserial:   %v\nparallel: %v",
 				workers, serial, parallel)
 		}
-		if fmt.Sprintf("%+v", serial) != fmt.Sprintf("%+v", parallel) {
+		if fmt.Sprint(serial) != fmt.Sprint(parallel) {
 			t.Fatalf("workers=%d: formatted outputs differ", workers)
 		}
 	}
 }
 
-// TestContextFreeWrappersInsideJobs calls a core study with a nil engine
+// TestContextFreeWrappersInsideJobs runs a core study with a nil engine
 // (which submits to the process-wide default engine) from inside jobs
 // that saturate that same default engine. The caller-runs discipline must
 // complete this; a pool that block-waits on itself would deadlock here.
@@ -78,11 +119,15 @@ func TestContextFreeWrappersInsideJobs(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := engine.Map(context.Background(), nil, n, func(ctx context.Context, i int) (float64, error) {
-			pts, err := core.ChunkSweep(ctx, nil, app, 2, network.Testbed(2), tracer.DefaultConfig(), []int{1, 2, 4})
+			res, err := core.RunScenario(ctx, nil, core.Scenario{
+				App: app, Ranks: 2, Platform: network.Testbed(2),
+				Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal},
+				Axes:    []core.Axis{core.ChunksAxis(1, 2, 4)},
+			})
 			if err != nil {
 				return 0, err
 			}
-			return pts[2].SpeedupReal, nil
+			return res.Points[2].Flavors[1].FinishSec, nil
 		})
 		done <- err
 	}()

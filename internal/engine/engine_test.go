@@ -212,29 +212,16 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
 	}
-	// Tracing reads neither the chunk count nor the element size: a
-	// change to either reuses the traced run, built under the new config.
-	for _, cfg := range []tracer.Config{
-		{Chunks: 8, ElemBytes: 8, LoadCost: 1, StoreCost: 1},
-		{Chunks: 4, ElemBytes: 4, LoadCost: 1, StoreCost: 1},
-	} {
-		run, err := c.Trace("cached-app", 2, cfg, kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run.Cfg != cfg || traced.Load() != 1 || c.Len() != 1 {
-			t.Fatalf("config %+v: run config %+v, %d traces, %d entries; want the same config, 1 trace, 1 entry",
-				cfg, run.Cfg, traced.Load(), c.Len())
-		}
-	}
-	// An access cost changes the traced clocks: separate entry.
-	cfg := tracer.DefaultConfig()
-	cfg.LoadCost = 2
-	if _, err := c.Trace("cached-app", 2, cfg, kernel); err != nil {
+	// Tracing reads no chunk count: a new one reuses the traced run,
+	// built under the new config.
+	cfg := tracer.Config{Chunks: 8}
+	run, err := c.Trace("cached-app", 2, cfg, kernel)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 || traced.Load() != 2 {
-		t.Fatalf("cache holds %d entries after %d traces, want 2 after a LoadCost change", c.Len(), traced.Load())
+	if run.Cfg != cfg || traced.Load() != 1 || c.Len() != 1 {
+		t.Fatalf("config %+v: run config %+v, %d traces, %d entries; want the same config, 1 trace, 1 entry",
+			cfg, run.Cfg, traced.Load(), c.Len())
 	}
 }
 

@@ -23,6 +23,12 @@ import (
 	"sort"
 )
 
+// MaxLinkDown bounds the seeded downed-link count (Spec.LinkDown). Every
+// replay draws and looks up its downed pairs, so without a bound a short
+// spec could name billions of them on a large platform; 2^20 is the
+// platform pool bound (network.MaxPoolUnits) as well.
+const MaxLinkDown = 1 << 20
+
 // Spec declares one degradation scenario. The zero value is the healthy
 // platform: every field is optional and identity-valued fields (a
 // derate of 1, a straggler factor of 1, a count of 0) are canonicalized
@@ -226,6 +232,9 @@ func (s *Spec) Validate() error {
 	if s.LinkDown < 0 {
 		return fmt.Errorf("faults: link_down %d negative", s.LinkDown)
 	}
+	if s.LinkDown > MaxLinkDown {
+		return fmt.Errorf("faults: link_down %d, must be at most %d", s.LinkDown, MaxLinkDown)
+	}
 	return nil
 }
 
@@ -337,38 +346,54 @@ const (
 	tagLink      uint64 = 0x4c494e4b444f574e // "LINKDOWN"
 )
 
+// Draws is the reusable dedupe state of the seeded selections: a bitmap
+// over ranks and a set of node pairs. With it each draw costs O(1)
+// expected time, and a warm Draws selects without allocating. The zero
+// value is ready to use; a Draws is not safe for concurrent use.
+type Draws struct {
+	seen  []uint64            // PickRanks: bit r set once rank r is drawn
+	pairs map[uint64]struct{} // PickPairs: every pair in out so far
+}
+
 // PickRanks appends k distinct values from [0, n) to out (which may
 // carry reused capacity but must be length 0) in selection order, by
 // deterministic rejection sampling from seed. k > n is clipped to n.
-func PickRanks(seed uint64, k, n int, out []int32) []int32 {
+func (d *Draws) PickRanks(seed uint64, k, n int, out []int32) []int32 {
 	if k > n {
 		k = n
 	}
+	words := (n + 63) / 64
+	if cap(d.seen) < words {
+		d.seen = make([]uint64, words)
+	}
+	d.seen = d.seen[:words]
+	clear(d.seen)
 	for ctr := uint64(0); len(out) < k; ctr++ {
-		c := int32(mix(seed, tagStraggler, ctr) % uint64(n))
-		dup := false
-		for _, v := range out {
-			if v == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, c)
+		c := mix(seed, tagStraggler, ctr) % uint64(n)
+		if bit := uint64(1) << (c % 64); d.seen[c/64]&bit == 0 {
+			d.seen[c/64] |= bit
+			out = append(out, int32(c))
 		}
 	}
 	return out
 }
 
 // PickPairs appends k distinct unordered node pairs {i, j}, i < j < n,
-// to out, packed as uint64(i)<<32 | uint64(j). Pairs already present in
-// out (e.g. explicit DownLinks) are never re-drawn, so explicit and
-// seeded faults compose without double counting. k is clipped to the
-// number of remaining pairs.
-func PickPairs(seed uint64, k, n int, out []uint64) []uint64 {
+// to out in selection order, packed as uint64(i)<<32 | uint64(j). Pairs
+// already present in out (e.g. explicit DownLinks, distinct) are never
+// re-drawn, so explicit and seeded faults compose without double
+// counting. k is clipped to the number of remaining pairs.
+func (d *Draws) PickPairs(seed uint64, k, n int, out []uint64) []uint64 {
 	total := n * (n - 1) / 2
 	if avail := total - len(out); k > avail {
 		k = avail
+	}
+	if d.pairs == nil {
+		d.pairs = make(map[uint64]struct{}, len(out)+k)
+	}
+	clear(d.pairs)
+	for _, v := range out {
+		d.pairs[v] = struct{}{}
 	}
 	want := len(out) + k
 	for ctr := uint64(0); len(out) < want; ctr++ {
@@ -378,14 +403,8 @@ func PickPairs(seed uint64, k, n int, out []uint64) []uint64 {
 			continue
 		}
 		key := uint64(i)<<32 | uint64(j)
-		dup := false
-		for _, v := range out {
-			if v == key {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if _, dup := d.pairs[key]; !dup {
+			d.pairs[key] = struct{}{}
 			out = append(out, key)
 		}
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -90,15 +91,20 @@ func TestValidate(t *testing.T) {
 		{DownLinks: [][2]int{{1, 1}}},
 		{DownLinks: [][2]int{{-1, 2}}},
 		{LinkDown: -3},
+		{LinkDown: MaxLinkDown + 1},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", s)
 		}
 	}
-	good := Spec{DerateInter: 0.5, JitterFrac: 0.3, StragglerFactor: 2, Stragglers: 2, LinkDown: 1}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("Validate(%+v): %v", good, err)
+	for _, good := range []Spec{
+		{DerateInter: 0.5, JitterFrac: 0.3, StragglerFactor: 2, Stragglers: 2, LinkDown: 1},
+		{LinkDown: MaxLinkDown},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("Validate(%+v): %v", good, err)
+		}
 	}
 }
 
@@ -165,7 +171,8 @@ func TestUnitDeterministicAndBounded(t *testing.T) {
 }
 
 func TestPickRanks(t *testing.T) {
-	got := PickRanks(42, 5, 16, nil)
+	var d Draws
+	got := d.PickRanks(42, 5, 16, nil)
 	if len(got) != 5 {
 		t.Fatalf("picked %d ranks, want 5", len(got))
 	}
@@ -179,13 +186,13 @@ func TestPickRanks(t *testing.T) {
 		}
 		seen[r] = true
 	}
-	again := PickRanks(42, 5, 16, nil)
+	again := d.PickRanks(42, 5, 16, nil)
 	for i := range got {
 		if got[i] != again[i] {
 			t.Fatal("PickRanks not deterministic")
 		}
 	}
-	if diff := PickRanks(43, 5, 16, nil); len(diff) == len(got) {
+	if diff := d.PickRanks(43, 5, 16, nil); len(diff) == len(got) {
 		same := true
 		for i := range got {
 			if got[i] != diff[i] {
@@ -198,13 +205,14 @@ func TestPickRanks(t *testing.T) {
 		}
 	}
 	// k > n clips.
-	if all := PickRanks(1, 99, 4, nil); len(all) != 4 {
+	if all := d.PickRanks(1, 99, 4, nil); len(all) != 4 {
 		t.Fatalf("overdraw picked %d of 4", len(all))
 	}
 }
 
 func TestPickPairs(t *testing.T) {
-	got := PickPairs(42, 3, 6, nil)
+	var d Draws
+	got := d.PickPairs(42, 3, 6, nil)
 	if len(got) != 3 {
 		t.Fatalf("picked %d pairs, want 3", len(got))
 	}
@@ -216,15 +224,122 @@ func TestPickPairs(t *testing.T) {
 	}
 	// Pairs pre-seeded into out (explicit DownLinks) are never re-drawn.
 	pre := []uint64{got[0]}
-	more := PickPairs(42, 2, 6, pre)
+	more := d.PickPairs(42, 2, 6, pre)
 	for _, p := range more[1:] {
 		if p == got[0] {
 			t.Fatal("seeded draw repeated an explicit pair")
 		}
 	}
 	// Overdraw clips to the available pairs: 6 nodes → 15 pairs.
-	if all := PickPairs(7, 99, 6, nil); len(all) != 15 {
+	if all := d.PickPairs(7, 99, 6, nil); len(all) != 15 {
 		t.Fatalf("overdraw picked %d of 15 pairs", len(all))
+	}
+}
+
+// pickRanksQuadratic and pickPairsQuadratic are the draws as first
+// written: each candidate is compared with every value drawn before it.
+// They define which ranks and pairs a seed selects, and so every
+// fault-injected replay's bytes.
+func pickRanksQuadratic(seed uint64, k, n int, out []int32) []int32 {
+	if k > n {
+		k = n
+	}
+	for ctr := uint64(0); len(out) < k; ctr++ {
+		c := int32(mix(seed, tagStraggler, ctr) % uint64(n))
+		dup := false
+		for _, v := range out {
+			if v == c {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func pickPairsQuadratic(seed uint64, k, n int, out []uint64) []uint64 {
+	total := n * (n - 1) / 2
+	if avail := total - len(out); k > avail {
+		k = avail
+	}
+	want := len(out) + k
+	for ctr := uint64(0); len(out) < want; ctr++ {
+		c := mix(seed, tagLink, ctr) % uint64(n*n)
+		i, j := int(c)/n, int(c)%n
+		if i >= j {
+			continue
+		}
+		key := uint64(i)<<32 | uint64(j)
+		dup := false
+		for _, v := range out {
+			if v == key {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, key)
+		}
+	}
+	return out
+}
+
+// TestDrawsMatchQuadraticOracles: over seeded (seed, k, n) triples, one
+// reused Draws selects exactly the oracles' ranks and pairs, in the same
+// order, explicit pairs included, from overdraws down to single draws.
+func TestDrawsMatchQuadraticOracles(t *testing.T) {
+	var d Draws
+	for i := uint64(0); i < 300; i++ {
+		seed := mix(99, i, 0)
+		n := 1 + int(mix(99, i, 1)%200)
+		k := int(mix(99, i, 2) % uint64(n+8)) // sometimes above n
+		got := d.PickRanks(seed, k, n, nil)
+		want := pickRanksQuadratic(seed, k, n, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("PickRanks(%d, %d, %d) = %v, oracle %v", seed, k, n, got, want)
+		}
+
+		nodes := 2 + int(mix(99, i, 3)%60)
+		total := nodes * (nodes - 1) / 2
+		var pre []uint64
+		if i%3 == 0 { // explicit pairs first, as DownLinks arrive
+			pre = append(pre, uint64(0)<<32|1, uint64(nodes-2)<<32|uint64(nodes-1))
+			if nodes == 2 {
+				pre = pre[:1]
+			}
+		}
+		kp := int(mix(99, i, 4) % uint64(total+4))
+		gotPairs := d.PickPairs(seed, kp, nodes, slices.Clone(pre))
+		wantPairs := pickPairsQuadratic(seed, kp, nodes, slices.Clone(pre))
+		if !slices.Equal(gotPairs, wantPairs) {
+			t.Fatalf("PickPairs(%d, %d, %d, %v) = %v, oracle %v", seed, kp, nodes, pre, gotPairs, wantPairs)
+		}
+	}
+	// Large draws on a 65,536-processor platform, where the oracles
+	// still finish quickly.
+	if got, want := d.PickRanks(5, 3000, 65536, nil), pickRanksQuadratic(5, 3000, 65536, nil); !slices.Equal(got, want) {
+		t.Fatal("PickRanks differs from the oracle at k=3000, n=65536")
+	}
+	if got, want := d.PickPairs(5, 3000, 65536, nil), pickPairsQuadratic(5, 3000, 65536, nil); !slices.Equal(got, want) {
+		t.Fatal("PickPairs differs from the oracle at k=3000, n=65536")
+	}
+}
+
+// TestDrawsWarmAllocations: a warm Draws selects without allocating.
+func TestDrawsWarmAllocations(t *testing.T) {
+	var d Draws
+	ranks := make([]int32, 0, 64)
+	pairs := make([]uint64, 0, 64)
+	draw := func() {
+		ranks = d.PickRanks(3, 64, 1024, ranks[:0])
+		pairs = d.PickPairs(3, 64, 128, pairs[:0])
+	}
+	draw()
+	if allocs := testing.AllocsPerRun(20, draw); allocs != 0 {
+		t.Fatalf("warm draws allocate %.1f times, want 0", allocs)
 	}
 }
 

@@ -23,35 +23,23 @@ func Speedup(baseFinish, variantFinish float64) float64 {
 // network bandwidth (MB/s). math.Inf(1) asks for the latency-only network.
 type FinishFunc func(bandwidthMBps float64) (float64, error)
 
-// SearchOptions tunes MinBandwidth.
-type SearchOptions struct {
-	// Lo and Hi bracket the search in MB/s.
-	Lo, Hi float64
-	// RelTol is the relative tolerance on the returned bandwidth.
-	RelTol float64
-	// MaxIter bounds the bisection.
-	MaxIter int
-}
-
-// DefaultSearch spans 0.01 MB/s .. 1 TB/s with 0.5% tolerance.
-func DefaultSearch() SearchOptions {
-	return SearchOptions{Lo: 0.01, Hi: 1e6, RelTol: 0.005, MaxIter: 200}
-}
+// The MinBandwidth search: it brackets 0.01 MB/s .. 1 TB/s and bisects
+// to a 0.5% relative tolerance in at most searchMaxIter steps.
+const (
+	searchLo      = 0.01
+	searchHi      = 1e6
+	searchRelTol  = 0.005
+	searchMaxIter = 200
+)
 
 // MinBandwidth finds the minimum bandwidth at which finish(bw) <= target,
 // assuming finish is non-increasing in bandwidth. It returns:
 //
 //   - +Inf when even an infinitely fast network cannot reach the target
 //     (the Fig. 6c Sweep3D case: "tends to infinity");
-//   - opts.Lo when the target is already met at the lower bracket;
+//   - the lower bracket, 0.01 MB/s, when the target is already met there;
 //   - otherwise the bisected threshold.
-func MinBandwidth(finish FinishFunc, target float64, opts SearchOptions) (float64, error) {
-	if opts.Lo <= 0 || opts.Hi <= opts.Lo {
-		return 0, fmt.Errorf("metrics: bad search bracket [%g, %g]", opts.Lo, opts.Hi)
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 200
-	}
+func MinBandwidth(finish FinishFunc, target float64) (float64, error) {
 	// Unreachable even without serialization delays?
 	fInf, err := finish(math.Inf(1))
 	if err != nil {
@@ -60,14 +48,14 @@ func MinBandwidth(finish FinishFunc, target float64, opts SearchOptions) (float6
 	if fInf > target {
 		return math.Inf(1), nil
 	}
-	fLo, err := finish(opts.Lo)
+	fLo, err := finish(searchLo)
 	if err != nil {
 		return 0, err
 	}
 	if fLo <= target {
-		return opts.Lo, nil
+		return searchLo, nil
 	}
-	fHi, err := finish(opts.Hi)
+	fHi, err := finish(searchHi)
 	if err != nil {
 		return 0, err
 	}
@@ -76,8 +64,8 @@ func MinBandwidth(finish FinishFunc, target float64, opts SearchOptions) (float6
 		// than extrapolating.
 		return math.Inf(1), nil
 	}
-	lo, hi := opts.Lo, opts.Hi
-	for i := 0; i < opts.MaxIter && (hi-lo) > opts.RelTol*hi; i++ {
+	lo, hi := searchLo, searchHi
+	for i := 0; i < searchMaxIter && (hi-lo) > searchRelTol*hi; i++ {
 		mid := math.Sqrt(lo * hi) // geometric: bandwidth spans decades
 		f, err := finish(mid)
 		if err != nil {
@@ -112,18 +100,4 @@ func FormatMBps(bw float64) string {
 		return "inf (not reachable at any bandwidth)"
 	}
 	return fmt.Sprintf("%.2f MB/s", bw)
-}
-
-// Series is a labelled sequence of (x, y) measurements, the unit in which
-// the benchmark harness reports figure data.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// Add appends one measurement.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
 }

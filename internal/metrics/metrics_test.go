@@ -33,7 +33,7 @@ func analyticFinish(fixed, volume float64) FinishFunc {
 func TestMinBandwidthFindsThreshold(t *testing.T) {
 	// finish = 1 + 100/bw; target 2 -> threshold at bw = 100.
 	f := analyticFinish(1, 100)
-	got, err := MinBandwidth(f, 2, DefaultSearch())
+	got, err := MinBandwidth(f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestMinBandwidthFindsThreshold(t *testing.T) {
 func TestMinBandwidthUnreachableIsInf(t *testing.T) {
 	// Even at infinite bandwidth finish=5 > target=2.
 	f := analyticFinish(5, 100)
-	got, err := MinBandwidth(f, 2, DefaultSearch())
+	got, err := MinBandwidth(f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +56,19 @@ func TestMinBandwidthUnreachableIsInf(t *testing.T) {
 
 func TestMinBandwidthAlreadyMetAtLowerBracket(t *testing.T) {
 	f := analyticFinish(0.1, 0.001)
-	opts := DefaultSearch()
-	got, err := MinBandwidth(f, 100, opts)
+	got, err := MinBandwidth(f, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != opts.Lo {
-		t.Fatalf("want Lo=%g, got %g", opts.Lo, got)
+	if got != searchLo {
+		t.Fatalf("want the lower bracket %g, got %g", searchLo, got)
 	}
 }
 
 func TestMinBandwidthBeyondUpperBracketIsInf(t *testing.T) {
 	// Threshold would be 1e8 MB/s, beyond Hi=1e6: report infinity.
 	f := analyticFinish(1, 1e8)
-	got, err := MinBandwidth(f, 2, DefaultSearch())
+	got, err := MinBandwidth(f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,20 +77,10 @@ func TestMinBandwidthBeyondUpperBracketIsInf(t *testing.T) {
 	}
 }
 
-func TestMinBandwidthRejectsBadBracket(t *testing.T) {
-	f := analyticFinish(1, 1)
-	if _, err := MinBandwidth(f, 2, SearchOptions{Lo: 0, Hi: 10}); err == nil {
-		t.Error("Lo=0 accepted")
-	}
-	if _, err := MinBandwidth(f, 2, SearchOptions{Lo: 10, Hi: 5}); err == nil {
-		t.Error("inverted bracket accepted")
-	}
-}
-
 func TestMinBandwidthPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	f := func(bw float64) (float64, error) { return 0, boom }
-	if _, err := MinBandwidth(f, 1, DefaultSearch()); !errors.Is(err, boom) {
+	if _, err := MinBandwidth(f, 1); !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 }
@@ -107,7 +96,7 @@ func TestPropertyMinBandwidthMatchesAnalytic(t *testing.T) {
 		if want < 0.01 || want > 1e6 {
 			return true // outside bracket: covered by other tests
 		}
-		got, err := MinBandwidth(analyticFinish(fixed, volume), target, DefaultSearch())
+		got, err := MinBandwidth(analyticFinish(fixed, volume), target)
 		if err != nil {
 			return false
 		}
@@ -136,18 +125,5 @@ func TestFormatMBps(t *testing.T) {
 	}
 	if got := FormatMBps(math.Inf(1)); got != "inf (not reachable at any bandwidth)" {
 		t.Errorf("got %q", got)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(1, 5)
-	s.Add(2, 3)
-	s.Add(3, 4)
-	if len(s.X) != 3 || s.X[2] != 3 {
-		t.Errorf("X=%v", s.X)
-	}
-	if len(s.Y) != 3 || s.Y[1] != 3 {
-		t.Errorf("Y=%v", s.Y)
 	}
 }

@@ -423,8 +423,10 @@ func TestRequestValidation(t *testing.T) {
 // TestOversizedCountsGetClientErrors sends the requests whose declared
 // sizes once ended the daemon with "fatal error: runtime: out of memory"
 // — trace uploads declaring 795,335,253 records or 4e9 ranks, a platform
-// of 4e9 processors, a bus axis of 4e9 buses — then a healthy request.
-// Each gets a 4xx before any engine work, and the daemon keeps serving.
+// of 4e9 processors, a bus axis of 4e9 buses — and the link-down axis of
+// 2e9 downed links on a 65,536-processor platform that once held an
+// engine worker for hours, then a healthy request. Each gets a 4xx
+// before any engine work, and the daemon keeps serving.
 func TestOversizedCountsGetClientErrors(t *testing.T) {
 	eng := engine.New(1)
 	mgr, err := service.NewManager(service.Options{Engine: eng})
@@ -454,6 +456,7 @@ func TestOversizedCountsGetClientErrors(t *testing.T) {
 		{"/v1/traces", []byte("#DIMGO 1\nT a b 4000000000\n")},
 		{"/v1/analyze", []byte(`{"app":"cg","ranks":8,"platform":{"inline":{"processors":4000000000,"latency_sec":0,"bandwidth_mbps":250,"mips":2300,"relative_speed":1}}}`)},
 		{"/v1/scenarios", []byte(`{"app":"cg","ranks":4,"axes":[{"kind":"buses","counts":[4000000000]}]}`)},
+		{"/v1/scenarios", []byte(`{"app":"cg","ranks":8,"platform":{"inline":{"processors":65536,"latency_sec":0.000008,"bandwidth_mbps":250,"mips":2300,"relative_speed":1}},"axes":[{"kind":"link-down","counts":[2000000000]}]}`)},
 	}
 	for _, tc := range cases {
 		if status, msg := post(tc.path, tc.body); status < 400 || status >= 500 {

@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/faults"
@@ -541,11 +542,12 @@ type ReplayArena struct {
 	fxDerInter float64
 	fxJitter   float64
 	fxSeed     uint64
-	fxStragMul []float64 // per-rank compute multiplier (1 = healthy)
-	fxNICDown  []bool    // per-node downed NIC
-	fxPairs    []uint64  // downed node pairs, packed lo<<32|hi
-	fxPickBuf  []int32   // reusable buffer for seeded rank draws
-	fxDropped  int64     // transfers suppressed this replay
+	fxStragMul []float64    // per-rank compute multiplier (1 = healthy)
+	fxNICDown  []bool       // per-node downed NIC
+	fxPairs    []uint64     // downed node pairs, packed lo<<32|hi, sorted
+	fxPickBuf  []int32      // reusable buffer for seeded rank draws
+	fxDraws    faults.Draws // dedupe scratch of the seeded draws
+	fxDropped  int64        // transfers suppressed this replay
 }
 
 // NewArena returns an empty arena. Buffers grow to the working set of the
@@ -863,7 +865,7 @@ func (a *ReplayArena) resetFaults(p network.Platform) {
 			a.fxStragMul[r] = d.StragglerFactor
 		}
 		if d.Stragglers > 0 {
-			a.fxPickBuf = faults.PickRanks(a.fxSeed, d.Stragglers, p.Processors, a.fxPickBuf[:0])
+			a.fxPickBuf = a.fxDraws.PickRanks(a.fxSeed, d.Stragglers, p.Processors, a.fxPickBuf[:0])
 			for _, r := range a.fxPickBuf {
 				a.fxStragMul[r] = d.StragglerFactor
 			}
@@ -884,7 +886,10 @@ func (a *ReplayArena) resetFaults(p network.Platform) {
 			a.fxPairs = append(a.fxPairs, uint64(pr[0])<<32|uint64(pr[1]))
 		}
 		if d.LinkDown > 0 {
-			a.fxPairs = faults.PickPairs(a.fxSeed, d.LinkDown, p.Nodes, a.fxPairs)
+			// Explicit pairs arrive sorted (Canonical); the seeded ones
+			// append in draw order.
+			a.fxPairs = a.fxDraws.PickPairs(a.fxSeed, d.LinkDown, p.Nodes, a.fxPairs)
+			slices.Sort(a.fxPairs)
 		}
 	}
 }
@@ -899,13 +904,8 @@ func (a *ReplayArena) linkFaulted(sn, dn int) bool {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	key := uint64(lo)<<32 | uint64(hi)
-	for _, p := range a.fxPairs {
-		if p == key {
-			return true
-		}
-	}
-	return false
+	_, down := slices.BinarySearch(a.fxPairs, uint64(lo)<<32|uint64(hi))
+	return down
 }
 
 // resetPools recycles the resource calendars, rebuilding them only when

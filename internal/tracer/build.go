@@ -35,10 +35,10 @@ import (
 // of each rank.
 //
 // Every build reads a chunk-independent comm skeleton of each rank log
-// (commSkeleton), computed once per Log and shared by every WithChunks /
-// WithConfig variant; logs and skeletons are immutable after Trace. Cost
-// model per rank: BaseTrace and OverlapIdeal walk only the skeleton,
-// O(comm events). OverlapReal (and OverlapSelective for its non-ideal
+// (commSkeleton), computed once per Log and shared by every WithChunks
+// variant; logs and skeletons are immutable after Trace. Cost model per
+// rank: BaseTrace and OverlapIdeal walk only the skeleton, O(comm
+// events). OverlapReal (and OverlapSelective for its non-ideal
 // buffers) adds exactly one forward scan of the log, O(events) time, with
 // O(comm events × chunks) extra memory for the per-chunk schedule — no
 // per-access lists. That scan streams the log's 16-byte Events; comm
@@ -199,7 +199,7 @@ func (r *Run) BaseTrace() *trace.Trace {
 			e := &log.Events[s.ev]
 			c := &log.comms[e.op]
 			w.compute(e.T)
-			rec := trace.Record{Peer: c.Peer, Tag: c.Tag, Bytes: int64(c.Elems) * r.Cfg.ElemBytes}
+			rec := trace.Record{Peer: c.Peer, Tag: c.Tag, Bytes: int64(c.Elems) * ElemBytes}
 			switch e.Kind {
 			case EvSend, EvSendRaw:
 				rec.Kind = trace.KindSend
@@ -353,7 +353,7 @@ func (b *overlapBuilder) rank(rank int, log *Log) []trace.Record {
 				}
 				schedule(t, -1, trace.Record{
 					Kind: trace.KindISend, Peer: cm.Peer, Tag: cm.Tag, Chunk: c,
-					Bytes: b.cfg.ChunkBytes(p.n, p.k, c), MsgID: id,
+					Bytes: ChunkBytes(p.n, p.k, c), MsgID: id,
 				})
 			}
 		}
@@ -550,7 +550,7 @@ func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
 			for c := 0; c < p.k; c++ {
 				w.emit(trace.Record{
 					Kind: trace.KindIRecv, Peer: cm.Peer, Tag: cm.Tag, Chunk: c,
-					Bytes: b.cfg.ChunkBytes(p.n, p.k, c), Handle: h + c + 1, MsgID: id,
+					Bytes: ChunkBytes(p.n, p.k, c), Handle: h + c + 1, MsgID: id,
 				})
 			}
 			flush(e.T, i)
@@ -564,7 +564,7 @@ func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
 			}
 			w.emit(trace.Record{
 				Kind: kind, Peer: cm.Peer, Tag: cm.Tag,
-				Bytes: int64(cm.Elems) * b.cfg.ElemBytes,
+				Bytes: int64(cm.Elems) * ElemBytes,
 				MsgID: msgID(rank, rawSeq) + 800_000,
 			})
 		}

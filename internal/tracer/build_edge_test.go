@@ -211,7 +211,7 @@ func TestBuildersMatchOracleOnRandomLogs(t *testing.T) {
 // freshCopy returns a run over new Log values holding the same events, so
 // its comm skeletons are not filled yet.
 func freshCopy(r *Run) *Run {
-	v := r.WithConfig(r.Cfg)
+	v := r.WithChunks(r.Cfg.Chunks)
 	for i, l := range r.Logs {
 		v.Logs[i] = &Log{Rank: l.Rank, Events: l.Events, comms: l.comms, FinalClock: l.FinalClock,
 			ArrayLens: l.ArrayLens, ArrayNames: l.ArrayNames}

@@ -45,7 +45,7 @@ func (r *Run) RefBaseTrace() *trace.Trace {
 				msgSeq++
 				tr.Append(rank, trace.Record{
 					Kind: trace.KindSend, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
-					Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
+					Bytes: int64(log.Comm(e).Elems) * ElemBytes,
 					MsgID: msgID(rank, msgSeq),
 				})
 			case EvISend:
@@ -53,7 +53,7 @@ func (r *Run) RefBaseTrace() *trace.Trace {
 				msgSeq++
 				tr.Append(rank, trace.Record{
 					Kind: trace.KindISend, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
-					Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
+					Bytes: int64(log.Comm(e).Elems) * ElemBytes,
 					MsgID: msgID(rank, msgSeq),
 				})
 			case EvRecv, EvRecvRaw:
@@ -61,7 +61,7 @@ func (r *Run) RefBaseTrace() *trace.Trace {
 				msgSeq++
 				tr.Append(rank, trace.Record{
 					Kind: trace.KindRecv, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
-					Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
+					Bytes: int64(log.Comm(e).Elems) * ElemBytes,
 					MsgID: msgID(rank, msgSeq),
 				})
 			case EvIRecvPost:
@@ -70,7 +70,7 @@ func (r *Run) RefBaseTrace() *trace.Trace {
 				anyIRecv = true
 				tr.Append(rank, trace.Record{
 					Kind: trace.KindIRecv, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
-					Bytes:  int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
+					Bytes:  int64(log.Comm(e).Elems) * ElemBytes,
 					Handle: log.Comm(e).Handle, MsgID: msgID(rank, msgSeq),
 				})
 			case EvRecvWait:
@@ -281,7 +281,7 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 					minEv: -1,
 					rec: trace.Record{
 						Kind: trace.KindISend, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag, Chunk: c,
-						Bytes: r.Cfg.ChunkBytes(n, k, c), MsgID: id,
+						Bytes: ChunkBytes(n, k, c), MsgID: id,
 					},
 				})
 			}
@@ -330,7 +330,7 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 				h := handleCounter
 				specs[c] = refIrecvSpec{rec: trace.Record{
 					Kind: trace.KindIRecv, Peer: log.Comm(post).Peer, Tag: log.Comm(post).Tag, Chunk: c,
-					Bytes: r.Cfg.ChunkBytes(n, k, c), Handle: h, MsgID: id,
+					Bytes: ChunkBytes(n, k, c), Handle: h, MsgID: id,
 				}}
 				synth = append(synth, refSynthOp{
 					t:     first[c],
@@ -390,7 +390,7 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 			rawSeq++
 			tr.Append(rank, trace.Record{
 				Kind: trace.KindSend, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
-				Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
+				Bytes: int64(log.Comm(e).Elems) * ElemBytes,
 				MsgID: msgID(rank, rawSeq) + 800_000,
 			})
 		case EvRecvRaw:
@@ -399,7 +399,7 @@ func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor 
 			rawSeq++
 			tr.Append(rank, trace.Record{
 				Kind: trace.KindRecv, Peer: log.Comm(e).Peer, Tag: log.Comm(e).Tag,
-				Bytes: int64(log.Comm(e).Elems) * r.Cfg.ElemBytes,
+				Bytes: int64(log.Comm(e).Elems) * ElemBytes,
 				MsgID: msgID(rank, rawSeq) + 800_000,
 			})
 		}

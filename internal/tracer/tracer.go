@@ -12,8 +12,8 @@
 //   - Proc.Compute(n) advances the rank's virtual clock by n instructions
 //     (the compute bursts Valgrind would have counted);
 //   - communicated buffers are tracker-owned Arrays whose Load and Store
-//     methods record (virtual time, element) access pairs and charge a
-//     configurable per-access instruction cost;
+//     methods record (virtual time, element) access pairs and charge one
+//     instruction per access;
 //   - Proc.Send/Proc.Recv transfer whole tracked Arrays through the mpi
 //     substrate, and collectives decompose into instrumented raw
 //     point-to-point transfers.
@@ -31,35 +31,26 @@ import (
 	"repro/internal/mpi"
 )
 
-// Config tunes the instrumentation and the chunking transformation.
+// ElemBytes is the wire size of one tracked element (a float64).
+const ElemBytes = 8
+
+// Config tunes the chunking transformation.
 type Config struct {
 	// Chunks is the number of chunks each tracked message is split into
 	// in the overlapped traces (the paper uses 4). Messages with fewer
 	// elements than Chunks get one chunk per element; one-element
 	// messages are never chunked (the Alya rule).
 	Chunks int
-	// ElemBytes is the wire size of one tracked element (8 = float64).
-	ElemBytes int64
-	// LoadCost and StoreCost are the instructions charged per tracked
-	// access, modelling the work of the instruction stream around each
-	// memory operation.
-	LoadCost, StoreCost int64
 }
 
-// DefaultConfig mirrors the paper's setup: four chunks per message,
-// 8-byte elements, one instruction per tracked access.
+// DefaultConfig mirrors the paper's setup: four chunks per message.
 func DefaultConfig() Config {
-	return Config{Chunks: 4, ElemBytes: 8, LoadCost: 1, StoreCost: 1}
+	return Config{Chunks: 4}
 }
 
 func (c Config) validate() error {
-	switch {
-	case c.Chunks <= 0:
+	if c.Chunks <= 0 {
 		return fmt.Errorf("tracer: Chunks=%d, must be positive", c.Chunks)
-	case c.ElemBytes <= 0:
-		return fmt.Errorf("tracer: ElemBytes=%d, must be positive", c.ElemBytes)
-	case c.LoadCost < 0 || c.StoreCost < 0:
-		return fmt.Errorf("tracer: negative access cost (load=%d store=%d)", c.LoadCost, c.StoreCost)
 	}
 	return nil
 }
@@ -202,7 +193,7 @@ func (w *encoder) events() []Event {
 // Log is the complete event stream of one rank. A Log and its comm
 // skeleton (the chunk-independent index the trace builders read, filled
 // once per Log) are immutable after Trace; every run variant derived with
-// WithChunks or WithConfig shares both.
+// WithChunks shares both.
 type Log struct {
 	Rank       int
 	Events     []Event
@@ -231,8 +222,8 @@ func (l *Log) Comm(e Event) Comm {
 //
 // A Run is immutable once Trace returns: the trace builders only read the
 // event logs, so one Run may back any number of concurrent replays and
-// variant builds. Derive re-parameterized variants with WithChunks (or
-// WithConfig) instead of mutating Cfg in place — a shallow struct copy
+// variant builds. Derive re-chunked variants with WithChunks instead of
+// mutating Cfg in place — a shallow struct copy
 // (`v := *run`) would alias Logs and its event slices, and writing through
 // either copy would race with readers of the other.
 type Run struct {
@@ -242,32 +233,22 @@ type Run struct {
 	Logs     []*Log // indexed by rank; treat as immutable
 }
 
-// WithConfig returns a copy-on-write variant of the run whose traces are
-// built under cfg. The variant owns its Run header and Logs slice (so
-// appends or element writes through one cannot reach the other) while the
-// per-rank logs — immutable after Trace — stay shared, keeping variant
-// creation O(ranks) instead of O(events).
-func (r *Run) WithConfig(cfg Config) *Run {
+// WithChunks returns a copy-on-write variant of the run whose overlapped
+// traces split each message into k chunks: the safe spelling of the
+// chunk-count ablation's per-point rebuild. The variant owns its Run
+// header and Logs slice (so appends or element writes through one cannot
+// reach the other) while the per-rank logs — immutable after Trace — stay
+// shared, keeping variant creation O(ranks) instead of O(events).
+func (r *Run) WithChunks(k int) *Run {
 	v := *r
-	v.Cfg = cfg
+	v.Cfg.Chunks = k
 	v.Logs = append([]*Log(nil), r.Logs...)
 	return &v
-}
-
-// WithChunks returns a copy-on-write variant of the run whose overlapped
-// traces split each message into k chunks. This is the safe spelling of
-// the chunk-count ablation's per-point rebuild; see WithConfig for the
-// sharing contract.
-func (r *Run) WithChunks(k int) *Run {
-	cfg := r.Cfg
-	cfg.Chunks = k
-	return r.WithConfig(cfg)
 }
 
 // Proc is the instrumented per-rank endpoint handed to application kernels.
 type Proc struct {
 	mp       *mpi.Proc
-	cfg      Config
 	clock    int64
 	enc      encoder
 	arrays   []*Array
@@ -284,7 +265,7 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 	run := &Run{Name: name, NumRanks: ranks, Cfg: cfg, Logs: make([]*Log, ranks)}
 	var mu sync.Mutex
 	err := mpi.Run(ranks, func(mp *mpi.Proc) {
-		p := &Proc{mp: mp, cfg: cfg}
+		p := &Proc{mp: mp}
 		app(p)
 		log := &Log{
 			Rank:       mp.Rank(),
@@ -361,20 +342,21 @@ func (a *Array) Len() int { return len(a.data) }
 // Name returns the name given at creation.
 func (a *Array) Name() string { return a.name }
 
-// Load reads element i, recording the access and charging LoadCost
-// instructions.
+// Load reads element i, recording the access and charging one
+// instruction: the work of the instruction stream around the memory
+// operation.
 func (a *Array) Load(i int) float64 {
 	v := a.data[i] // bounds-check before recording
-	a.p.clock += a.p.cfg.LoadCost
+	a.p.clock++
 	a.p.record(EvLoad, a.id, i)
 	return v
 }
 
-// Store writes element i, recording the access and charging StoreCost
-// instructions.
+// Store writes element i, recording the access and charging one
+// instruction, like Load.
 func (a *Array) Store(i int, v float64) {
 	a.data[i] = v // bounds-check before recording
-	a.p.clock += a.p.cfg.StoreCost
+	a.p.clock++
 	a.p.record(EvStore, a.id, i)
 }
 
@@ -508,9 +490,9 @@ func ChunkBounds(n, kTotal, k int) (lo, hi int) {
 }
 
 // ChunkBytes returns the wire size of chunk k.
-func (c Config) ChunkBytes(n, kTotal, k int) int64 {
+func ChunkBytes(n, kTotal, k int) int64 {
 	lo, hi := ChunkBounds(n, kTotal, k)
-	return int64(hi-lo) * c.ElemBytes
+	return int64(hi-lo) * ElemBytes
 }
 
 // ChunkOf returns which chunk element idx (0 <= idx < n) belongs to.

@@ -10,10 +10,8 @@ import (
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Chunks: 0, ElemBytes: 8},
-		{Chunks: 4, ElemBytes: 0},
-		{Chunks: 4, ElemBytes: 8, LoadCost: -1},
-		{Chunks: 4, ElemBytes: 8, StoreCost: -2},
+		{Chunks: 0},
+		{Chunks: -3},
 	}
 	for i, c := range bad {
 		if _, err := Trace("x", 1, c, func(p *Proc) {}); err == nil {
@@ -555,7 +553,7 @@ func TestPropertyOverlapTracesAlwaysValid(t *testing.T) {
 		n := int(nRaw%60) + 1
 		iters := int(itRaw%4) + 1
 		chunks := int(chRaw%6) + 1
-		cfg := Config{Chunks: chunks, ElemBytes: 8, LoadCost: 1, StoreCost: 1}
+		cfg := Config{Chunks: chunks}
 		run, err := Trace("prop", 2, cfg, pipelineApp(n, iters, 7))
 		if err != nil {
 			return false
