@@ -766,7 +766,10 @@ func BenchmarkPatternAnalysis(b *testing.B) {
 // programs (selective ones included), digests and patterns come from the
 // engine's trace cache.
 func BenchmarkScenarioStream(b *testing.B) {
-	tr := ringTrace(16, 40, 1000, 64<<10)
+	tr, err := engine.NewStoredTrace(ringTrace(16, 40, 1000, 64<<10))
+	if err != nil {
+		b.Fatal(err)
+	}
 	plat, err := network.PlatformPreset("marenostrum-4x", 16)
 	if err != nil {
 		b.Fatal(err)

@@ -120,7 +120,7 @@ func main() {
 		var list []float64
 		for _, s := range strings.Split(*bws, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) { // NaN fails every comparison
 				fmt.Fprintf(os.Stderr, "sweepbw: bad bandwidth %q\n", s)
 				os.Exit(2)
 			}

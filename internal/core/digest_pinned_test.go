@@ -4,14 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/network"
 	"repro/internal/trace"
 	"repro/internal/tracer"
 )
 
 // TestScenarioDigestsPinned pins, as literals, the spec digests of a
-// finish grid with a chunks axis, a report, a what-if and a trace-mode
-// spec, plus one point digest of the finish grid. A scenario's digest
+// finish grid with a chunks axis, a report, a what-if, a trace-mode spec
+// and a degraded platform, plus one point digest of the finish grid. A scenario's digest
 // keys its cached result, its cached points and its cluster owner, so
 // any change to the canonical spec bytes re-keys every stored study:
 // it may only change on purpose, with these literals.
@@ -28,6 +30,10 @@ func TestScenarioDigestsPinned(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 1, Bytes: 800, MsgID: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 1, Bytes: 800, MsgID: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 500})
+	stored, err := engine.NewStoredTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	finish := Scenario{
 		App: app, Ranks: 8, Tracer: tracer.DefaultConfig(), Platform: mare,
@@ -51,9 +57,14 @@ func TestScenarioDigestsPinned(t *testing.T) {
 			Output: OutputWhatIf,
 		}, "sha256:73934dd1ca0e048f461820f09381a486b26fc9b770227308c1cb977309072a08"},
 		{"trace", Scenario{
-			Trace: tr, Platform: network.Testbed(2),
+			Trace: stored, Platform: network.Testbed(2),
 			Axes: []Axis{LatencyAxis(0, 1e-5)},
 		}, "sha256:3a7766c495e73f1891e0f43d5d47b72745904455f6096b70149edf3d4fae66e0"},
+		{"degraded", Scenario{
+			App: app, Ranks: 8,
+			Platform: mare.WithDegradations(faults.Spec{DerateInter: 0.5, StragglerFactor: 3, Stragglers: 1}),
+			Axes:     []Axis{JitterAxis(0, 0.2)},
+		}, "sha256:e98d35c189c87fa235756f269923df0db85387be5f97dffddf25869f0e2c85bb"},
 	}
 	for _, tc := range cases {
 		got, err := tc.spec.Digest()

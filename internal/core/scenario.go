@@ -170,6 +170,11 @@ func (a Axis) Validate() error {
 			return fmt.Errorf("core: axis %q takes values, not counts or mappings", a.Kind)
 		}
 		for _, v := range a.Values {
+			// A link's bandwidth may be +Inf; no other value may be
+			// infinite, and none NaN.
+			if math.IsNaN(v) || (math.IsInf(v, 0) && !(a.Kind == AxisBandwidth && v > 0)) {
+				return fmt.Errorf("core: axis %q: value %g, must be finite", a.Kind, v)
+			}
 			switch a.Kind {
 			case AxisBandwidth:
 				if v <= 0 {
@@ -322,27 +327,19 @@ type Scenario struct {
 	// tracer.DefaultConfig().
 	Tracer tracer.Config
 
-	// Trace selects trace mode: replay this one validated trace instead
-	// of tracing an application. Chunks/ranks axes, what-if, and report
-	// outputs need the traced run and are rejected in trace mode.
-	Trace *trace.Trace
-	// TraceDigest optionally pins Trace's content address (computed when
-	// empty). A pinned digest must be exactly trace.Digest(Trace): it
-	// enters the spec digest and the result rows, and it keys Trace's
-	// program in the trace cache, so a wrong one mislabels results and
-	// can serve another trace's program. Only the service pins it, from
-	// its content-addressed store.
-	TraceDigest string
+	// Trace selects trace mode: replay this one stored trace
+	// (engine.NewStoredTrace validated and digested it) instead of
+	// tracing an application. Its digest enters the spec digest and the
+	// result rows, and its program is compiled once, by the value.
+	// Chunks/ranks axes, what-if, and report outputs need the traced run
+	// and are rejected in trace mode.
+	Trace *engine.StoredTrace
 
-	// Platform is the base platform every grid point starts from.
+	// Platform is the base platform every grid point starts from. Its
+	// Degradations are the "what breaks" block of a degradation study:
+	// fault axes (derate, jitter, stragglers, link-down) vary the
+	// corresponding field per grid point on top of them.
 	Platform network.Platform
-	// Degradations, when non-zero, replaces the platform's own fault-
-	// injection spec: the declarative "what breaks" block of a degradation
-	// study. Fault axes (derate, jitter, stragglers, link-down) then vary
-	// the corresponding field per grid point on top of it. It enters the
-	// canonical digest through the platform, so the zero value digests
-	// identically to a spec written before the field existed.
-	Degradations faults.Spec
 	// Flavors lists the execution flavors measured per grid point for
 	// finish/traffic outputs (default: base and overlap-real; trace mode
 	// forces the trace's own flavor). Report and what-if outputs validate
@@ -354,13 +351,14 @@ type Scenario struct {
 	// Output selects what each point retains (default OutputFinish).
 	Output OutputKind
 
-	// Traces is the trace cache every traced run and compiled program of
-	// the scenario comes from. When set, it is shared: scenarios over one
-	// application dedupe their instrumentation runs whatever their chunk
-	// counts, every (ranks, chunks, flavor) program of the workload,
-	// chunk axes included, is built and compiled once across scenarios,
-	// and a stored trace compiles once per digest. When nil the run uses
-	// a cache of its own, so each program still builds once per run.
+	// Traces is the trace cache every traced run and application program
+	// of the scenario comes from. When set, it is shared: scenarios over
+	// one application dedupe their instrumentation runs whatever their
+	// chunk counts, and every (ranks, chunks, flavor) program of the
+	// workload, chunk axes included, is built and compiled once across
+	// scenarios. When nil the run uses a cache of its own, so each
+	// program still builds once per run. A stored trace (Trace) brings
+	// its own program and never touches the cache.
 	// Leave nil unless the app-name-equals-kernel invariant of the cache
 	// holds (the apps registry maintains it; ad-hoc kernels should not
 	// share a cache).
@@ -419,21 +417,8 @@ func (s Scenario) normalized() (Scenario, error) {
 		if s.Output == OutputWhatIf || s.Output == OutputReport {
 			return s, fmt.Errorf("core: %s output needs a traced application, not a stored trace", s.Output)
 		}
-		if err := s.Trace.Validate(); err != nil {
-			return s, fmt.Errorf("core: scenario trace: %w", err)
-		}
-		if s.TraceDigest == "" {
-			// Pin the content address once; the canonical spec, the
-			// result header, and the compile path all reuse it instead of
-			// re-hashing the trace.
-			digest, err := trace.Digest(s.Trace)
-			if err != nil {
-				return s, err
-			}
-			s.TraceDigest = digest
-		}
-		s.Ranks = s.Trace.NumRanks
-		own := Flavor(s.Trace.Flavor)
+		s.Ranks = s.Trace.Trace().NumRanks
+		own := Flavor(s.Trace.Trace().Flavor)
 		if len(s.Flavors) == 0 {
 			s.Flavors = []Flavor{own}
 		}
@@ -464,9 +449,6 @@ func (s Scenario) normalized() (Scenario, error) {
 			// so their specs digest as if the list were left out.
 			s.Flavors = []Flavor{FlavorBase, FlavorReal}
 		}
-	}
-	if !s.Degradations.IsZero() {
-		s.Platform = s.Platform.WithDegradations(s.Degradations)
 	}
 	if err := s.Platform.Validate(); err != nil {
 		return s, err
@@ -628,7 +610,7 @@ func (s *Scenario) canonicalBase() (canonicalScenario, error) {
 		Output:   s.Output,
 	}
 	if s.Trace != nil {
-		c.TraceDigest = s.TraceDigest // pinned by normalized()
+		c.TraceDigest = s.Trace.Digest()
 	} else {
 		c.App = s.App.Name
 		if s.Factory != nil {
@@ -848,8 +830,8 @@ func (s *Scenario) header() (*ScenarioHeader, error) {
 		h.Axes = append(h.Axes, ax.Kind)
 	}
 	if s.Trace != nil {
-		h.App = s.Trace.Name
-		h.TraceDigest = s.TraceDigest // pinned by normalized()
+		h.App = s.Trace.Trace().Name
+		h.TraceDigest = s.Trace.Digest()
 	} else {
 		app := s.App
 		if s.Factory != nil {
@@ -1029,13 +1011,12 @@ func (x *scenarioExec) appFor(ranks int) (App, error) {
 }
 
 // progFor returns the compiled program and trace digest of one flavor at
-// one grid point: the stored trace's program, keyed by its digest, in
-// trace mode, else the application's flavor program at the point's
-// (ranks, chunks).
+// one grid point: the stored trace's own program in trace mode, else the
+// application's flavor program at the point's (ranks, chunks).
 func (x *scenarioExec) progFor(pt gridPoint, f Flavor) (*sim.Program, string, error) {
-	if tr := x.sc.Trace; tr != nil {
-		prog, err := x.traces.StoredProgram(x.sc.TraceDigest, tr)
-		return prog, x.sc.TraceDigest, err // digest pinned by normalized()
+	if st := x.sc.Trace; st != nil {
+		prog, err := st.Program()
+		return prog, st.Digest(), err
 	}
 	app, err := x.appFor(pt.ranks)
 	if err != nil {

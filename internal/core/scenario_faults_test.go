@@ -86,8 +86,8 @@ func TestScenarioFaultAxesGrid(t *testing.T) {
 	}
 }
 
-// TestScenarioDegradationsField: a spec-level Degradations block stamps
-// the whole grid, changes the spec digest, and slows the run; the
+// TestScenarioDegradationsField: the base platform's Degradations block
+// stamps the whole grid, changes the spec digest, and slows the run; the
 // zero-valued block is digest-invisible — pre-fault-injection spec
 // digests (and their cached results) stay valid.
 func TestScenarioDegradationsField(t *testing.T) {
@@ -102,7 +102,7 @@ func TestScenarioDegradationsField(t *testing.T) {
 		t.Fatal(err)
 	}
 	zeroed := healthy
-	zeroed.Degradations = faults.Spec{}
+	zeroed.Platform.Degradations = faults.Spec{}
 	zd, err := zeroed.Digest()
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestScenarioDegradationsField(t *testing.T) {
 	}
 
 	degraded := healthy
-	degraded.Degradations = faults.Spec{StragglerFactor: 4, StragglerRanks: []int{3}}
+	degraded.Platform.Degradations = faults.Spec{StragglerFactor: 4, StragglerRanks: []int{3}}
 	dd, err := degraded.Digest()
 	if err != nil {
 		t.Fatal(err)
@@ -134,31 +134,45 @@ func TestScenarioDegradationsField(t *testing.T) {
 	}
 }
 
-// TestScenarioFaultAxisValidation: malformed degradation axes are
-// rejected up front, before any replay runs.
+// TestScenarioFaultAxisValidation: malformed degradation axes, and value
+// axes holding NaN or an infinity other than a +Inf bandwidth, are
+// rejected up front, before any replay runs, naming the bad value.
 func TestScenarioFaultAxisValidation(t *testing.T) {
 	const ranks = 8
 	base := Scenario{
 		App: scenarioApp(), Ranks: ranks, Platform: faultScenarioPlatform(t, ranks),
 		Flavors: []Flavor{FlavorBase},
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []struct {
-		name string
 		ax   Axis
+		want string // in the error; non-finite values must be named
 	}{
-		{"derate>1", DerateAxis(1.5)},
-		{"derate<0", DerateAxis(-0.5)},
-		{"derate=0", DerateAxis(0)},
-		{"jitter<0", JitterAxis(-0.1)},
-		{"stragglers<0", StragglersAxis(-1)},
-		{"linkdown<0", LinkDownAxis(-2)},
+		{DerateAxis(1.5), ""},
+		{DerateAxis(-0.5), ""},
+		{DerateAxis(0), ""},
+		{JitterAxis(-0.1), ""},
+		{StragglersAxis(-1), ""},
+		{LinkDownAxis(-2), ""},
+		{BandwidthAxis(nan), "NaN"},
+		{BandwidthAxis(-inf), "-Inf"},
+		{LatencyAxis(nan), "NaN"},
+		{LatencyAxis(inf), "+Inf"},
+		{DerateAxis(nan), "NaN"},
+		{DerateAxis(inf), "+Inf"},
+		{JitterAxis(nan), "NaN"},
+		{JitterAxis(inf), "+Inf"},
 	}
 	for _, tc := range bad {
 		spec := base
 		spec.Axes = []Axis{tc.ax}
-		if _, err := RunScenario(context.Background(), engine.New(1), spec); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if _, err := RunScenario(context.Background(), engine.New(1), spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v%v: err %v, want one naming %q", tc.ax.Kind, tc.ax.Values, tc.ax.Counts, err, tc.want)
 		}
+	}
+	// A link's bandwidth may be +Inf.
+	if err := BandwidthAxis(inf).Validate(); err != nil {
+		t.Errorf("+Inf bandwidth axis: %v", err)
 	}
 }
 

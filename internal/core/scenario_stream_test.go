@@ -152,7 +152,7 @@ func TestScenarioStreamFormatIncremental(t *testing.T) {
 func TestScenarioStreamCancel(t *testing.T) {
 	plat := scenarioPlatform(t, 8)
 	spec := Scenario{
-		Trace: testScenarioTrace(), Platform: plat,
+		Trace: testScenarioTrace(t), Platform: plat,
 		Axes:   []Axis{BandwidthAxis(125, 250, 500, 1000)},
 		Output: OutputFinish,
 	}
@@ -178,7 +178,7 @@ func TestScenarioStreamCancel(t *testing.T) {
 func TestScenarioZipAxes(t *testing.T) {
 	plat := scenarioPlatform(t, 8)
 	zipped := Scenario{
-		Trace: testScenarioTrace(), Platform: plat,
+		Trace: testScenarioTrace(t), Platform: plat,
 		Axes: []Axis{
 			{Kind: AxisBandwidth, Values: []float64{125, 250}, Zip: "net"},
 			{Kind: AxisLatency, Values: []float64{1e-6, 2e-6}, Zip: "net"},
@@ -265,7 +265,7 @@ func TestScenarioZipAxes(t *testing.T) {
 func TestScenarioPointDigests(t *testing.T) {
 	plat := scenarioPlatform(t, 8)
 	spec := Scenario{
-		Trace: testScenarioTrace(), Platform: plat,
+		Trace: testScenarioTrace(t), Platform: plat,
 		Axes:   []Axis{BandwidthAxis(125, 250), MappingAxis("block", "rr")},
 		Output: OutputFinish,
 	}
@@ -301,7 +301,7 @@ func TestScenarioPointDigests(t *testing.T) {
 func TestScenarioPointCacheResume(t *testing.T) {
 	plat := scenarioPlatform(t, 8)
 	base := Scenario{
-		Trace: testScenarioTrace(), Platform: plat,
+		Trace: testScenarioTrace(t), Platform: plat,
 		Axes:   []Axis{BandwidthAxis(125, 250)},
 		Output: OutputFinish,
 	}

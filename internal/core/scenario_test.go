@@ -325,7 +325,7 @@ func TestScenarioDedupesIdenticalReplays(t *testing.T) {
 func TestScenarioValidation(t *testing.T) {
 	const ranks = 4
 	plat := network.TestbedFor("cg", ranks)
-	tr := testScenarioTrace()
+	tr := testScenarioTrace(t)
 	cases := []struct {
 		name string
 		spec Scenario
@@ -447,13 +447,18 @@ func overflowingAxes() []Axis {
 }
 
 // testScenarioTrace builds a tiny valid base trace for trace-mode specs.
-func testScenarioTrace() *trace.Trace {
+func testScenarioTrace(t *testing.T) *engine.StoredTrace {
+	t.Helper()
 	tr := trace.New("tiny", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindCompute, Instr: 1000})
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 1, Bytes: 800, MsgID: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 1, Bytes: 800, MsgID: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 500})
-	return tr
+	st, err := engine.NewStoredTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestAxisOfRoundTripsPointDigests: the labels of a grid point, read

@@ -13,10 +13,8 @@ import (
 )
 
 // maxPrograms bounds the compiled-program memo. One service scenario may
-// sweep 1024 chunk counts, and a disk-tier store can resolve more trace
-// digests than it keeps in memory, so without a bound a long-lived
-// daemon would keep a program for every chunk count and stored trace
-// ever requested.
+// sweep 1024 chunk counts, so without a bound a long-lived daemon would
+// keep a program for every chunk count ever requested.
 const maxPrograms = 1024
 
 // TraceCache is the one place replay programs are built and memoized:
@@ -34,14 +32,12 @@ const maxPrograms = 1024
 // run, single-flighted the same way.
 //
 // Programs live in one LRU of maxPrograms entries, each resolved once
-// behind its own sync.Once, under two key schemes. CompiledProgram keys
-// an application's flavor program and trace digest by (traced run,
-// Chunks, flavor) — the base flavor ignores Chunks, and a what-if's
-// selective flavor names its buffer (SelectiveFlavor) — and drops the
-// built trace once it is compiled and digested.
-// StoredProgram keys a pre-built trace's program by the trace's content
-// digest ("sha256:…"; application keys start with a quoted name, so the
-// schemes cannot collide); DropStored removes one.
+// behind its own sync.Once: CompiledProgram keys an application's flavor
+// program and trace digest by (traced run, Chunks, flavor) — the base
+// flavor ignores Chunks, and a what-if's selective flavor names its
+// buffer (SelectiveFlavor) — and drops the built trace once it is
+// compiled and digested. A pre-built trace is not keyed here: its
+// program belongs to its StoredTrace.
 //
 // Cached runs and programs are shared across goroutines; callers must
 // treat them as immutable, which the tracer and sim APIs guarantee.
@@ -232,25 +228,6 @@ func compileFlavor(tr *trace.Trace, flavor string) (*sim.Program, string, error)
 	return prog, digest, nil
 }
 
-// StoredProgram returns the compiled replay program of a pre-built
-// trace, memoized by its content digest in the same LRU as the
-// application programs and compiled once per entry, concurrent first
-// callers included. digest must be tr's content address
-// (trace.Digest): the memo trusts it to name the trace.
-func (c *TraceCache) StoredProgram(digest string, tr *trace.Trace) (*sim.Program, error) {
-	ent := c.entry(digest)
-	ent.once.Do(func() { ent.prog, ent.err = sim.Compile(tr) })
-	return ent.prog, ent.err
-}
-
-// DropStored removes the digest's program from the memo; the next
-// StoredProgram call compiles again. Callers already holding the
-// program keep it.
-func (c *TraceCache) DropStored(digest string) { c.progs.Delete(digest) }
-
-// HasStored reports whether the digest's program is in the memo.
-func (c *TraceCache) HasStored(digest string) bool { return c.progs.Contains(digest) }
-
 // entry returns the memo entry under key, adding an unresolved one on
 // a miss. Concurrent callers of one key get the same entry.
 func (c *TraceCache) entry(key string) *progEntry {
@@ -270,4 +247,45 @@ func (c *TraceCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.runs)
+}
+
+// StoredTrace is a pre-built trace together with what is built from it:
+// its content address, computed once, and its replay program, compiled
+// on first use. It is the one form a stored trace takes, so the program
+// lives exactly as long as something holds the trace. The fields are
+// unexported and NewStoredTrace is the only constructor, so the digest
+// is always the trace's own.
+type StoredTrace struct {
+	tr     *trace.Trace
+	digest string
+
+	once sync.Once
+	prog *sim.Program
+	err  error
+}
+
+// NewStoredTrace validates tr and computes its content digest
+// (trace.Digest). The value shares tr, which must not change afterwards.
+func NewStoredTrace(tr *trace.Trace) (*StoredTrace, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	digest, err := trace.Digest(tr)
+	if err != nil {
+		return nil, err
+	}
+	return &StoredTrace{tr: tr, digest: digest}, nil
+}
+
+// Trace returns the validated trace; callers must not modify it.
+func (s *StoredTrace) Trace() *trace.Trace { return s.tr }
+
+// Digest returns the trace's content address ("sha256:…").
+func (s *StoredTrace) Digest() string { return s.digest }
+
+// Program returns the trace's compiled replay program, compiling it on
+// the first call; concurrent first callers share one compile.
+func (s *StoredTrace) Program() (*sim.Program, error) {
+	s.once.Do(func() { s.prog, s.err = sim.Compile(s.tr) })
+	return s.prog, s.err
 }

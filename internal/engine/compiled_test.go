@@ -291,15 +291,22 @@ func TestTraceCacheRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestTraceCacheStoredProgramSingleFlight: concurrent callers asking for
-// one stored digest compile it once and share the program; dropping the
-// entry makes the next call compile again.
-func TestTraceCacheStoredProgramSingleFlight(t *testing.T) {
-	c := NewTraceCache()
+// TestStoredTraceProgramSingleFlight: a stored trace carries the
+// trace's content digest, concurrent first Program calls compile once
+// and share the program, which replays like a fresh compile, and an
+// invalid trace is refused with its validation error.
+func TestStoredTraceProgramSingleFlight(t *testing.T) {
 	tr := freshBuild(t, "compiled-app-stored", tracer.DefaultConfig(), FlavorReal)
+	st, err := NewStoredTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	digest, err := trace.Digest(tr)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Digest() != digest || st.Trace() != tr {
+		t.Fatalf("stored trace digest %s, want %s", st.Digest(), digest)
 	}
 	progs := make([]*sim.Program, 16)
 	start := make(chan struct{})
@@ -309,7 +316,7 @@ func TestTraceCacheStoredProgramSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			prog, err := c.StoredProgram(digest, tr)
+			prog, err := st.Program()
 			if err != nil {
 				t.Error(err)
 			}
@@ -323,21 +330,23 @@ func TestTraceCacheStoredProgramSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got program %p, caller 0 got %p", g, p, progs[0])
 		}
 	}
-	if !c.HasStored(digest) || c.progs.Len() != 1 || c.Len() != 0 {
-		t.Fatalf("after 16 callers: stored %v, %d programs, %d runs; want true, 1, 0",
-			c.HasStored(digest), c.progs.Len(), c.Len())
-	}
-	c.DropStored(digest)
-	if c.HasStored(digest) {
-		t.Fatal("dropped program still in the memo")
-	}
-	again, err := c.StoredProgram(digest, tr)
+	plat := network.Testbed(2)
+	want, err := sim.Run(plat, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again == progs[0] || !c.HasStored(digest) {
-		t.Fatalf("after the drop: same program %v, stored %v; want a fresh compile, memoized",
-			again == progs[0], c.HasStored(digest))
+	got, err := sim.NewArena().RunProgram(plat, progs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("stored program diverges: finish %g vs %g", want.FinishSec, got.FinishSec)
+	}
+
+	bad := trace.New("compiled-app-stored", FlavorBase, 3)
+	bad.Ranks = bad.Ranks[:2]
+	if _, err := NewStoredTrace(bad); err == nil || err.Error() != bad.Validate().Error() {
+		t.Fatalf("invalid trace: err %v, want %v", err, bad.Validate())
 	}
 }
 

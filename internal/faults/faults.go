@@ -196,14 +196,22 @@ func canonicalPairs(ps [][2]int) [][2]int {
 // independent of any platform. ValidateFor adds the platform-dependent
 // bounds.
 func (s *Spec) Validate() error {
-	if s.DerateInter < 0 || s.DerateInter > 1 {
+	// Range checks are written so that NaN, which fails every
+	// comparison, fails them too.
+	if !(s.DerateInter >= 0 && s.DerateInter <= 1) {
 		return fmt.Errorf("faults: derate_inter %g must be 0 (healthy) or in (0, 1]", s.DerateInter)
 	}
-	if s.DerateIntra < 0 || s.DerateIntra > 1 {
+	if !(s.DerateIntra >= 0 && s.DerateIntra <= 1) {
 		return fmt.Errorf("faults: derate_intra %g must be 0 (healthy) or in (0, 1]", s.DerateIntra)
+	}
+	if math.IsNaN(s.JitterFrac) || math.IsInf(s.JitterFrac, 0) {
+		return fmt.Errorf("faults: jitter_frac %g must be finite", s.JitterFrac)
 	}
 	if s.JitterFrac < 0 {
 		return fmt.Errorf("faults: jitter_frac %g negative", s.JitterFrac)
+	}
+	if math.IsNaN(s.StragglerFactor) || math.IsInf(s.StragglerFactor, 0) {
+		return fmt.Errorf("faults: straggler_factor %g must be finite", s.StragglerFactor)
 	}
 	if s.StragglerFactor != 0 && s.StragglerFactor < 1 {
 		return fmt.Errorf("faults: straggler_factor %g below 1 (stragglers slow down, they never speed up)", s.StragglerFactor)

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -79,23 +80,33 @@ func TestCanonicalNormalizesLists(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	bad := []Spec{
-		{DerateInter: -0.1},
-		{DerateInter: 1.5},
-		{DerateIntra: 2},
-		{JitterFrac: -1},
-		{StragglerFactor: 0.5},
-		{Stragglers: -1},
-		{StragglerRanks: []int{-1}},
-		{DownNodes: []int{-2}},
-		{DownLinks: [][2]int{{1, 1}}},
-		{DownLinks: [][2]int{{-1, 2}}},
-		{LinkDown: -3},
-		{LinkDown: MaxLinkDown + 1},
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		s    Spec
+		want string // in the error; non-finite values must be named
+	}{
+		{Spec{DerateInter: -0.1}, ""},
+		{Spec{DerateInter: 1.5}, ""},
+		{Spec{DerateIntra: 2}, ""},
+		{Spec{JitterFrac: -1}, ""},
+		{Spec{StragglerFactor: 0.5}, ""},
+		{Spec{Stragglers: -1}, ""},
+		{Spec{StragglerRanks: []int{-1}}, ""},
+		{Spec{DownNodes: []int{-2}}, ""},
+		{Spec{DownLinks: [][2]int{{1, 1}}}, ""},
+		{Spec{DownLinks: [][2]int{{-1, 2}}}, ""},
+		{Spec{LinkDown: -3}, ""},
+		{Spec{LinkDown: MaxLinkDown + 1}, ""},
+		{Spec{DerateInter: nan}, "derate_inter NaN"},
+		{Spec{DerateIntra: inf}, "derate_intra +Inf"},
+		{Spec{JitterFrac: nan}, "jitter_frac NaN"},
+		{Spec{JitterFrac: inf}, "jitter_frac +Inf"},
+		{Spec{StragglerFactor: nan, Stragglers: 1}, "straggler_factor NaN"},
+		{Spec{StragglerFactor: inf, Stragglers: 1}, "straggler_factor +Inf"},
 	}
-	for _, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("Validate(%+v) accepted", s)
+	for _, tc := range bad {
+		if err := tc.s.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %q", tc.s, err, tc.want)
 		}
 	}
 	for _, good := range []Spec{

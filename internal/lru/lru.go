@@ -61,26 +61,24 @@ func (c *Cache[V]) Contains(key string) bool {
 	return ok
 }
 
-// Put inserts (or refreshes) key as the most recently used entry and
-// returns the keys it evicted to stay within capacity.
-func (c *Cache[V]) Put(key string, value V) (evicted []string) {
+// Put inserts (or refreshes) key as the most recently used entry,
+// evicting least recently used entries to stay within capacity.
+func (c *Cache[V]) Put(key string, value V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {
-		return nil
+		return
 	}
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*entry[V]).value = value
 		c.order.MoveToFront(el)
-		return nil
+		return
 	}
 	c.entries[key] = c.order.PushFront(&entry[V]{key: key, value: value})
 	for c.order.Len() > c.capacity {
 		last := c.order.Remove(c.order.Back()).(*entry[V])
 		delete(c.entries, last.key)
-		evicted = append(evicted, last.key)
 	}
-	return evicted
 }
 
 // SetCapacity changes the capacity; entries beyond it go at the next

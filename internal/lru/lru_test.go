@@ -12,37 +12,37 @@ func keys(c *Cache[int]) []string {
 	return out
 }
 
-// TestEvictionOrderAndReporting: Put evicts least recently used first
-// and reports what it dropped; Get refreshes recency, Contains does not;
-// a lowered capacity takes effect at the next Put, in the same order.
-func TestEvictionOrderAndReporting(t *testing.T) {
+// TestEvictionOrder: Put evicts least recently used first; Get
+// refreshes recency, Contains does not; a lowered capacity takes effect
+// at the next Put.
+func TestEvictionOrder(t *testing.T) {
 	c := New[int](3)
 	for i, k := range []string{"a", "b", "c"} {
-		if ev := c.Put(k, i); ev != nil {
-			t.Fatalf("put %s under capacity evicted %v", k, ev)
-		}
+		c.Put(k, i)
+	}
+	if got := keys(c); !slices.Equal(got, []string{"c", "b", "a"}) {
+		t.Fatalf("order %v under capacity, want [c b a]", got)
 	}
 	if !c.Full() {
 		t.Fatal("cache at capacity not full")
 	}
-	c.Get("a")          // a is now most recent
-	c.Contains("b")     // no effect on order
-	ev := c.Put("d", 3) // evicts b, the least recently used
-	if !slices.Equal(ev, []string{"b"}) {
-		t.Fatalf("evicted %v, want [b]", ev)
-	}
+	c.Get("a")      // a is now most recent
+	c.Contains("b") // no effect on order
+	c.Put("d", 3)   // evicts b, the least recently used
 	if got := keys(c); !slices.Equal(got, []string{"d", "a", "c"}) {
 		t.Fatalf("order %v, want [d a c]", got)
 	}
-	if ev := c.Put("a", 9); ev != nil {
-		t.Fatalf("refreshing a present key evicted %v", ev)
+	c.Put("a", 9) // refreshing a present key evicts nothing
+	if got := keys(c); !slices.Equal(got, []string{"a", "d", "c"}) {
+		t.Fatalf("order %v after a refresh, want [a d c]", got)
 	}
 	if v, ok := c.Get("a"); !ok || v != 9 {
 		t.Fatalf("a = %d %v, want 9", v, ok)
 	}
 	c.SetCapacity(1)
-	if ev := c.Put("e", 4); !slices.Equal(ev, []string{"c", "d", "a"}) {
-		t.Fatalf("put past a lowered capacity evicted %v, want [c d a]", ev)
+	c.Put("e", 4)
+	if got := keys(c); !slices.Equal(got, []string{"e"}) {
+		t.Fatalf("order %v past a lowered capacity, want [e]", got)
 	}
 	if !c.Delete("e") || c.Delete("e") || c.Len() != 0 {
 		t.Fatalf("delete: len %d", c.Len())

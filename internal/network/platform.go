@@ -36,9 +36,11 @@ func (l Link) Validate() error { return l.validate("link") }
 // validate is Validate naming the link as class ("intra link", ...).
 func (l Link) validate(class string) error {
 	switch {
+	case !finite(l.LatencySec):
+		return fmt.Errorf("network: %s latency %g, must be finite", class, l.LatencySec)
 	case l.LatencySec < 0:
 		return fmt.Errorf("network: negative %s latency %g", class, l.LatencySec)
-	case l.BandwidthMBps <= 0 && !math.IsInf(l.BandwidthMBps, 1):
+	case !(l.BandwidthMBps > 0): // NaN fails every comparison; +Inf passes
 		return fmt.Errorf("network: %s bandwidth %g MB/s, must be positive or +Inf", class, l.BandwidthMBps)
 	}
 	return nil
@@ -254,6 +256,9 @@ func (p Platform) Validate() error {
 		return fmt.Errorf("network: Buses=%d, must be non-negative", p.Buses)
 	case p.InPorts < 0 || p.OutPorts < 0:
 		return fmt.Errorf("network: ports in=%d out=%d, must be non-negative", p.InPorts, p.OutPorts)
+	case !finite(p.MIPS) || !finite(p.RelativeSpeed) || !finite(p.CongestionFactor):
+		return fmt.Errorf("network: MIPS=%g RelativeSpeed=%g CongestionFactor=%g, must be finite",
+			p.MIPS, p.RelativeSpeed, p.CongestionFactor)
 	case p.MIPS <= 0:
 		return fmt.Errorf("network: MIPS=%g, must be positive", p.MIPS)
 	case p.RelativeSpeed <= 0:
@@ -276,6 +281,9 @@ func (p Platform) Validate() error {
 	}
 	return p.Mapping.validate(p.Processors, p.Nodes)
 }
+
+// finite reports whether v is neither NaN nor an infinity.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // poolUnits returns Buses + Nodes × (IntraBuses + InPorts + OutPorts) for
 // a platform with non-negative pools and at most trace.MaxRanks nodes. A

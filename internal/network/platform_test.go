@@ -92,19 +92,32 @@ func TestParseMapping(t *testing.T) {
 
 func TestPlatformValidateRejects(t *testing.T) {
 	base := Testbed(8).WithNodes(2)
-	cases := []Platform{
-		base.WithNodes(0),
-		base.WithProcessors(0),
-		func() Platform { p := base; p.Intra.BandwidthMBps = -1; return p }(),
-		func() Platform { p := base; p.Inter.LatencySec = -1; return p }(),
-		func() Platform { p := base; p.IntraBuses = -1; return p }(),
-		base.WithMapping(ExplicitMapping([]int{0, 1})),                   // too short
-		base.WithMapping(ExplicitMapping([]int{0, 1, 2, 3, 4, 5, 6, 7})), // node out of range
-		base.WithMapping(Mapping{Kind: MappingKind(9)}),
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		p    Platform
+		want string // in the error; non-finite values must be named
+	}{
+		{base.WithNodes(0), ""},
+		{base.WithProcessors(0), ""},
+		{func() Platform { p := base; p.Intra.BandwidthMBps = -1; return p }(), ""},
+		{func() Platform { p := base; p.Inter.LatencySec = -1; return p }(), ""},
+		{func() Platform { p := base; p.IntraBuses = -1; return p }(), ""},
+		{base.WithMapping(ExplicitMapping([]int{0, 1})), ""},                   // too short
+		{base.WithMapping(ExplicitMapping([]int{0, 1, 2, 3, 4, 5, 6, 7})), ""}, // node out of range
+		{base.WithMapping(Mapping{Kind: MappingKind(9)}), ""},
+		{base.WithInterBandwidth(nan), "bandwidth NaN"},
+		{base.WithInterLatency(nan), "latency NaN"},
+		{base.WithInterLatency(inf), "latency +Inf"},
+		{func() Platform { p := base; p.MIPS = nan; return p }(), "MIPS=NaN"},
+		{func() Platform { p := base; p.MIPS = inf; return p }(), "MIPS=+Inf"},
+		{func() Platform { p := base; p.RelativeSpeed = nan; return p }(), "RelativeSpeed=NaN"},
+		{func() Platform { p := base; p.CongestionFactor = inf; return p }(), "CongestionFactor=+Inf"},
+		{base.WithDerateInter(nan), "derate_inter NaN"},
+		{base.WithJitter(inf), "jitter_frac +Inf"},
 	}
-	for i, p := range cases {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, p)
+	for i, tc := range cases {
+		if err := tc.p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: err %v, want one naming %q: %+v", i, err, tc.want, tc.p)
 		}
 	}
 }

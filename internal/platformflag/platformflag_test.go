@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/network"
 )
 
@@ -81,6 +82,69 @@ func TestResolveRejects(t *testing.T) {
 	}
 	if _, err := resolve(t, []string{"-nodes", "3", "-map", "0,0,9,0"}, "cg", 4); err == nil {
 		t.Fatal("out-of-range explicit mapping accepted")
+	}
+}
+
+// TestResolveDegradationFlags: each of the six degradation flags lands
+// in the platform's fault-injection spec, -stragglers alone defaults the
+// factor to 2, and an out-of-range value fails Resolve.
+func TestResolveDegradationFlags(t *testing.T) {
+	p, err := resolve(t, []string{"-preset", "marenostrum-4x", "-derate", "0.5", "-jitter", "0.2",
+		"-stragglers", "3", "-straggler-factor", "4", "-link-down", "2", "-fault-seed", "7"}, "cg", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := faults.Spec{DerateInter: 0.5, JitterFrac: 0.2, Stragglers: 3, StragglerFactor: 4, LinkDown: 2, Seed: 7}
+	if !reflect.DeepEqual(p.Degradations, want) {
+		t.Fatalf("degradations %+v, want %+v", p.Degradations, want)
+	}
+	p, err = resolve(t, []string{"-stragglers", "2"}, "cg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (faults.Spec{Stragglers: 2, StragglerFactor: 2}); !reflect.DeepEqual(p.Degradations, want) {
+		t.Fatalf("-stragglers alone: degradations %+v, want %+v", p.Degradations, want)
+	}
+	if _, err := resolve(t, []string{"-derate", "2"}, "cg", 8); err == nil || !strings.Contains(err.Error(), "derate_inter 2") {
+		t.Fatalf("-derate 2: err %v, want a derate_inter range error", err)
+	}
+}
+
+// TestResolveDegradationFlagsLayerOnFile: a platform file's own
+// degradation fields survive unless a flag overrides them.
+func TestResolveDegradationFlagsLayerOnFile(t *testing.T) {
+	plat, err := network.PlatformPreset("marenostrum-4x", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat.Degradations = faults.Spec{DerateInter: 0.25, JitterFrac: 0.1, StragglerFactor: 3, Stragglers: 1, LinkDown: 1, Seed: 9}
+	path := filepath.Join(t.TempDir(), "plat.json")
+	fh, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plat.WriteJSON(fh); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := resolve(t, []string{"-platform", path}, "cg", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p.Degradations, plat.Degradations) {
+		t.Fatalf("file degradations %+v, want %+v", p.Degradations, plat.Degradations)
+	}
+	// -stragglers keeps the file's factor instead of defaulting it.
+	p, err = resolve(t, []string{"-platform", path, "-jitter", "0.3", "-stragglers", "2"}, "cg", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plat.Degradations
+	want.JitterFrac, want.Stragglers = 0.3, 2
+	if !reflect.DeepEqual(p.Degradations, want) {
+		t.Fatalf("overridden degradations %+v, want %+v", p.Degradations, want)
 	}
 }
 

@@ -171,13 +171,13 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/traces/{digest}", func(w http.ResponseWriter, r *http.Request) {
-		tr, err := m.store.GetTrace(r.PathValue("digest"))
+		st, err := m.store.GetTrace(r.PathValue("digest"))
 		if err != nil {
 			writeError(w, http.StatusNotFound, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := trace.WriteBinary(w, tr); err != nil {
+		if err := trace.WriteBinary(w, st.Trace()); err != nil {
 			// Headers are gone; all we can do is drop the connection.
 			return
 		}

@@ -184,13 +184,6 @@ func (m *Manager) unqueue() {
 	m.mu.Unlock()
 }
 
-// CompiledProgramCached reports whether the stored trace's compiled
-// program is resident in the engine's trace cache — the observable the
-// eviction tests assert on.
-func (m *Manager) CompiledProgramCached(digest string) bool {
-	return m.eng.Traces().HasStored(digest)
-}
-
 // NewManager builds a manager from opts.
 func NewManager(opts Options) (*Manager, error) {
 	eng := opts.Engine
@@ -239,10 +232,6 @@ func NewManager(opts Options) (*Manager, error) {
 	if pointEntries > 0 {
 		m.points = lru.New[core.ScenarioPoint](pointEntries)
 	}
-	// Tie stored-trace programs to the store's capacity: a trace evicted
-	// (or deleted) from the store drops its program from the trace cache
-	// instead of pinning it until the program LRU happens to cycle.
-	store.OnTraceEvict(eng.Traces().DropStored)
 	if opts.Cluster != nil {
 		m.attachCluster(opts.Cluster)
 	}
@@ -378,12 +367,6 @@ func (m *Manager) execute(j *Job, t *task, mode admission, run func(context.Cont
 	payload, err := m.compute(j, t, mode, run)
 	if err == nil {
 		m.cache.Put(t.key, payload)
-	}
-	if d := t.sc.TraceDigest; d != "" && !m.store.ContainsTrace(d) {
-		// The trace left the store after the request resolved it, so its
-		// eviction hook fired before this job compiled the program: drop
-		// it now, or a deleted trace's program stays pinned.
-		m.eng.Traces().DropStored(d)
 	}
 	m.mu.Lock()
 	delete(m.inflight, t.key)

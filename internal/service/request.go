@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/tracer"
@@ -85,9 +86,11 @@ func appEntry(app string, ranks int) (core.App, error) {
 	return entry.App, nil
 }
 
-// resolvePlatform turns a spec into a validated platform sized for ranks
-// and registers it in the artifact store.
-func (m *Manager) resolvePlatform(spec *PlatformSpec, app string, ranks int) (network.Platform, error) {
+// resolvePlatform turns a spec into a validated platform sized for ranks,
+// with a non-zero degradations block replacing its own fault-injection
+// spec, and registers it in the artifact store, so the platform digest a
+// degraded result reports resolves too.
+func (m *Manager) resolvePlatform(spec *PlatformSpec, degradations *faults.Spec, app string, ranks int) (network.Platform, error) {
 	var plat network.Platform
 	selectors := 0
 	if spec != nil {
@@ -127,6 +130,9 @@ func (m *Manager) resolvePlatform(spec *PlatformSpec, app string, ranks int) (ne
 	}
 	if plat.Processors < ranks {
 		return network.Platform{}, fmt.Errorf("service: platform has %d processors, request needs %d", plat.Processors, ranks)
+	}
+	if degradations != nil && !degradations.IsZero() {
+		plat = plat.WithDegradations(*degradations)
 	}
 	digest, err := m.store.PutPlatform(plat)
 	if err != nil {
@@ -282,7 +288,7 @@ func (r MappingSweepRequest) translate(m *Manager) (*task, error) {
 	if len(specs) > maxSweepPoints {
 		return nil, fmt.Errorf("service: %d mappings, limit %d", len(specs), maxSweepPoints)
 	}
-	plat, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
+	plat, err := m.resolvePlatform(r.Platform, nil, r.App, r.Ranks)
 	if err != nil {
 		return nil, err
 	}

@@ -42,9 +42,11 @@ type ScenarioRequest struct {
 	Axes []core.Axis `json:"axes,omitempty"`
 	// Output is finish (default), traffic, whatif, or report.
 	Output string `json:"output,omitempty"`
-	// Degradations is the base fault-injection spec every grid point
-	// starts from (see internal/faults); fault axes vary its fields per
-	// point. Omitted or zero means the healthy platform.
+	// Degradations, when non-zero, replaces the resolved platform's own
+	// fault-injection spec (see internal/faults) before the platform is
+	// registered, so the reply's platform_digest names the degraded
+	// platform; fault axes vary its fields per point. Omitted or zero
+	// keeps the platform's own, which every preset leaves healthy.
 	Degradations *faults.Spec `json:"degradations,omitempty"`
 }
 
@@ -66,9 +68,6 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 		Axes:   r.Axes,
 		Output: core.OutputKind(r.Output),
 	}
-	if r.Degradations != nil {
-		sc.Degradations = *r.Degradations
-	}
 	for _, f := range r.Flavors {
 		sc.Flavors = append(sc.Flavors, core.Flavor(f))
 	}
@@ -78,25 +77,17 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 		}
 	}
 
+	name, ranks := r.App, r.Ranks
 	if r.Trace != "" {
 		if r.Ranks != 0 || r.Chunks != 0 {
 			return nil, "", fmt.Errorf("service: trace-mode scenario does not take ranks or chunks")
 		}
-		tr, err := m.store.GetTrace(r.Trace)
+		st, err := m.store.GetTrace(r.Trace)
 		if err != nil {
 			return nil, "", err
 		}
-		// The store is content-addressed, so the request's digest is the
-		// trace's: it keys the trace's program in the engine's trace
-		// cache, compiled once across scenarios until the store lets the
-		// trace go (NewManager).
-		sc.Trace = tr
-		sc.TraceDigest = r.Trace
-		plat, err := m.resolvePlatform(r.Platform, tr.Name, tr.NumRanks)
-		if err != nil {
-			return nil, "", err
-		}
-		sc.Platform = plat
+		sc.Trace = st
+		name, ranks = st.Trace().Name, st.Trace().NumRanks
 	} else {
 		if _, err := appEntry(r.App, r.Ranks); err != nil {
 			return nil, "", err
@@ -120,12 +111,12 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 				}
 			}
 		}
-		plat, err := m.resolvePlatform(r.Platform, r.App, r.Ranks)
-		if err != nil {
-			return nil, "", err
-		}
-		sc.Platform = plat
 	}
+	plat, err := m.resolvePlatform(r.Platform, r.Degradations, name, ranks)
+	if err != nil {
+		return nil, "", err
+	}
+	sc.Platform = plat
 	sc.Traces = m.eng.Traces()
 
 	// The canonical spec digest is the cache key: equivalent spellings of

@@ -9,15 +9,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/network"
 	"repro/internal/service"
 	"repro/internal/service/client"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracer"
 )
@@ -91,6 +96,43 @@ func TestScenarioCrossProductCached(t *testing.T) {
 	if after := mgr.Engine().Stats(); after.Started != before.Started {
 		t.Fatal("equivalent spelling re-simulated instead of hitting the cache")
 	}
+}
+
+// TestDegradedPlatformDigestResolves: a request's degradations block is
+// part of the platform its reply's platform_digest names, so the same
+// study sent by that digest, without the block, is the same spec: a
+// byte-identical cache hit with zero new engine jobs.
+func TestDegradedPlatformDigestResolves(t *testing.T) {
+	mgr, cl := newService(t, 2)
+	ctx := context.Background()
+	first, err := cl.ScenarioRaw(ctx, service.ScenarioRequest{
+		App: "cg", Ranks: 4, Degradations: &faults.Spec{DerateInter: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res core.ScenarioResult
+	if err := json.Unmarshal(first, &res); err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := network.TestbedFor("cg", 4).Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PlatformDigest == healthy {
+		t.Fatalf("degraded study reports the healthy platform digest %s", healthy)
+	}
+	before := mgr.Engine().Stats()
+	second, err := cl.ScenarioRaw(ctx, service.ScenarioRequest{
+		App: "cg", Ranks: 4, Platform: &service.PlatformSpec{Digest: res.PlatformDigest},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("study by platform digest differs:\n%s\n%s", first, second)
+	}
+	assertNoNewJobs(t, mgr, before)
 }
 
 // TestAnalyzeIsScenarioTranslation: POST /v1/analyze serves exactly the
@@ -265,8 +307,8 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 
 // TestScenarioTraceWorkload runs a scenario over an uploaded trace and
 // checks it matches the legacy trace-mode sweep, that the compiled
-// program lands in the digest-keyed cache, and that deleting the trace
-// drops the program (the store-eviction tie-in, via the HTTP surface).
+// program stays reachable while the store holds the trace, and that
+// deleting the trace over HTTP makes the program unreachable.
 func TestScenarioTraceWorkload(t *testing.T) {
 	mgr, cl := newService(t, 2)
 	ctx := context.Background()
@@ -301,15 +343,33 @@ func TestScenarioTraceWorkload(t *testing.T) {
 			t.Fatalf("point %d: scenario %g, legacy %g", i, pt.Flavors[0].FinishSec, legacy.Points[i].FinishSec)
 		}
 	}
-	if !mgr.CompiledProgramCached(info.Digest) {
-		t.Fatal("stored-trace scenario did not populate the program cache")
+	// The store's value owns the program the runs compiled. Two
+	// collections also empty sync.Pool's victim cache, whose replay
+	// arenas keep the program they last replayed.
+	prog := func() weak.Pointer[sim.Program] {
+		st, err := mgr.Store().GetTrace(info.Digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := st.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(p)
+	}()
+	runtime.GC()
+	runtime.GC()
+	if prog.Value() == nil {
+		t.Fatal("stored trace's compiled program dropped while the trace is stored")
 	}
-	// Deleting the trace drops its compiled program too.
+	// Deleting the trace lets its compiled program go too.
 	if err := cl.DeleteTrace(ctx, info.Digest); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.CompiledProgramCached(info.Digest) {
-		t.Fatal("deleted trace's compiled program still cached")
+	runtime.GC()
+	runtime.GC()
+	if prog.Value() != nil {
+		t.Fatal("deleted trace's compiled program still reachable")
 	}
 	if err := cl.DeleteTrace(ctx, info.Digest); err == nil {
 		t.Fatal("deleting an unknown trace succeeded")

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/lru"
 	"repro/internal/network"
 	"repro/internal/trace"
@@ -30,16 +31,16 @@ var ErrStoreFull = errors.New("service: artifact store full")
 
 // Store is the content-addressed artifact store of the service: traces and
 // platforms are stored and retrieved by digest ("sha256:..."). Both
-// memory tiers are LRU caches. The trace tier is authoritative for
-// memory-only stores (Dir == ""), where uploads at capacity are refused;
-// with a disk tier the least recently used trace is evicted from memory
-// (the disk copy still serves it) instead. Platforms are registered
-// implicitly by every request that resolves one, so their tier always
-// evicts: a digest that aged out reads as unknown unless the disk tier
-// still holds it. Every departure from the trace memory tier,
-// eviction or explicit delete, fires the OnTraceEvict hook so dependent
-// caches (the trace's program in the engine's trace cache) drop their
-// entries instead of pinning them forever. Because names are content
+// memory tiers are LRU caches. The trace tier holds engine.StoredTrace
+// values, each validated and digested once as it enters the tier, and
+// each owning its compiled program, so a trace that leaves the tier
+// takes its program along once no running job holds it. The trace tier
+// is authoritative for memory-only stores (Dir == ""), where uploads at
+// capacity are refused; with a disk tier the least recently used trace
+// is evicted from memory (the disk copy still serves it) instead.
+// Platforms are registered implicitly by every request that resolves
+// one, so their tier always evicts: a digest that aged out reads as
+// unknown unless the disk tier still holds it. Because names are content
 // addresses, disk entries are verified against their digest on load — a
 // corrupted file is never served: it is quarantined (renamed to
 // *.corrupt, counted on store_corrupt_artifacts_total) and the digest
@@ -53,9 +54,8 @@ type Store struct {
 	// traces and platforms are the memory tiers, bounded by
 	// maxStoredTraces and maxStoredPlatforms (tests lower them to exercise
 	// eviction).
-	traces       *lru.Cache[*trace.Trace]
-	platforms    *lru.Cache[network.Platform]
-	onTraceEvict func(digest string)
+	traces    *lru.Cache[*engine.StoredTrace]
+	platforms *lru.Cache[network.Platform]
 }
 
 // NewStore returns a store with a memory tier and, when dir is non-empty,
@@ -68,36 +68,9 @@ func NewStore(dir string) (*Store, error) {
 	}
 	return &Store{
 		dir:       dir,
-		traces:    lru.New[*trace.Trace](maxStoredTraces),
+		traces:    lru.New[*engine.StoredTrace](maxStoredTraces),
 		platforms: lru.New[network.Platform](maxStoredPlatforms),
 	}, nil
-}
-
-// OnTraceEvict registers the hook fired (outside the store's lock, once
-// per digest) whenever a trace leaves the memory tier — by LRU eviction
-// or DeleteTrace. One hook; the owning manager registers it at
-// construction, so a store should not be shared between managers.
-func (s *Store) OnTraceEvict(fn func(digest string)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onTraceEvict = fn
-}
-
-// fireEvictions invokes the eviction hook for each digest; call without
-// the lock held.
-func (s *Store) fireEvictions(digests []string) {
-	if len(digests) == 0 {
-		return
-	}
-	s.mu.Lock()
-	fn := s.onTraceEvict
-	s.mu.Unlock()
-	if fn == nil {
-		return
-	}
-	for _, d := range digests {
-		fn(d)
-	}
 }
 
 // tracePath and platformPath name the disk-tier files. The "sha256:"
@@ -110,19 +83,18 @@ func (s *Store) platformPath(digest string) string {
 	return filepath.Join(s.dir, strings.ReplaceAll(digest, ":", "-")+".platform.json")
 }
 
-// PutTrace stores a validated trace and returns its digest. Storing the
-// same content twice is an idempotent no-op. The disk tier is written
-// before the memory tier commits, so a failed disk write fails the whole
-// put and a retry really retries — success always means "persisted
-// everywhere the store is configured to persist".
+// PutTrace validates and digests a trace (engine.NewStoredTrace), stores
+// it, and returns its digest. Storing the same content twice is an
+// idempotent no-op. The disk tier is written before the memory tier
+// commits, so a failed disk write fails the whole put and a retry really
+// retries — success always means "persisted everywhere the store is
+// configured to persist".
 func (s *Store) PutTrace(t *trace.Trace) (string, error) {
-	if err := t.Validate(); err != nil {
+	st, err := engine.NewStoredTrace(t)
+	if err != nil {
 		return "", fmt.Errorf("service: store trace: %w", err)
 	}
-	digest, err := trace.Digest(t)
-	if err != nil {
-		return "", err
-	}
+	digest := st.Digest()
 	if s.traces.Contains(digest) {
 		return digest, nil
 	}
@@ -136,33 +108,29 @@ func (s *Store) PutTrace(t *trace.Trace) (string, error) {
 		}
 	}
 	s.mu.Lock()
-	var evicted []string
+	defer s.mu.Unlock()
 	switch {
 	case s.traces.Contains(digest):
 	case s.dir == "" && s.traces.Full():
 		// With no disk tier the memory tier is authoritative: at capacity
 		// it refuses the put instead of evicting data.
-		err = fmt.Errorf("%w: %d traces", ErrStoreFull, s.traces.Len())
+		return "", fmt.Errorf("%w: %d traces", ErrStoreFull, s.traces.Len())
 	default:
-		evicted = s.traces.Put(digest, t)
+		s.traces.Put(digest, st)
 	}
-	s.mu.Unlock()
-	if err != nil {
-		return "", err
-	}
-	s.fireEvictions(evicted)
 	return digest, nil
 }
 
-// GetTrace resolves a digest to its trace, trying memory then disk. A disk
-// hit is re-verified against the digest and promoted to memory (evicting
-// the least recently used entry when at capacity).
-func (s *Store) GetTrace(digest string) (*trace.Trace, error) {
+// GetTrace resolves a digest to its stored trace, trying memory then
+// disk. A disk hit is validated, re-verified against the digest and
+// promoted to memory (evicting the least recently used entry when at
+// capacity).
+func (s *Store) GetTrace(digest string) (*engine.StoredTrace, error) {
 	if !trace.ValidDigest(digest) {
 		return nil, fmt.Errorf("service: malformed trace digest %q", digest)
 	}
-	if t, ok := s.traces.Get(digest); ok {
-		return t, nil
+	if st, ok := s.traces.Get(digest); ok {
+		return st, nil
 	}
 	if s.dir == "" {
 		return nil, fmt.Errorf("service: unknown trace %s", digest)
@@ -173,20 +141,20 @@ func (s *Store) GetTrace(digest string) (*trace.Trace, error) {
 	}
 	defer f.Close()
 	t, err := trace.ReadBinary(f)
+	var st *engine.StoredTrace
+	if err == nil {
+		st, err = engine.NewStoredTrace(t)
+	}
 	if err != nil {
 		s.quarantine(s.tracePath(digest))
 		return nil, fmt.Errorf("service: unknown trace %s (disk copy undecodable, quarantined: %v)", digest, err)
 	}
-	got, err := trace.Digest(t)
-	if err != nil {
-		return nil, err
-	}
-	if got != digest {
+	if got := st.Digest(); got != digest {
 		s.quarantine(s.tracePath(digest))
 		return nil, fmt.Errorf("service: unknown trace %s (disk copy digests %s, quarantined)", digest, got)
 	}
 	s.mu.Lock()
-	var evicted []string
+	defer s.mu.Unlock()
 	// Re-check the disk file under the lock before promoting: a
 	// concurrent DeleteTrace unlinks the file before it clears the
 	// memory tier, so either the file is still present here (and a
@@ -194,22 +162,18 @@ func (s *Store) GetTrace(digest string) (*trace.Trace, error) {
 	// skipping the promotion keeps a deleted trace from resurrecting
 	// through the open file descriptor we just read it from.
 	if _, statErr := os.Stat(s.tracePath(digest)); statErr == nil {
-		evicted = s.traces.Put(digest, t)
+		s.traces.Put(digest, st)
 	}
-	s.mu.Unlock()
-	s.fireEvictions(evicted)
-	return t, nil
+	return st, nil
 }
 
 // DeleteTrace removes a trace from the store — disk tier first, then the
-// memory tier — firing the eviction hook so dependent caches drop the
-// digest. It reports whether the digest was present in either tier. The
-// hook fires for disk-only traces too: a compiled program may exist for
-// a trace the memory tier already let go. The disk copy is unlinked
-// before the memory entry is cleared, and GetTrace's promotion re-checks
-// the file under the lock, so a concurrent read either linearizes before
-// the delete or misses — it cannot resurrect the trace into a memory
-// tier whose disk backing is gone.
+// memory tier — and reports whether the digest was present in either
+// tier. The disk copy is unlinked before the memory entry is cleared,
+// and GetTrace's promotion re-checks the file under the lock, so a
+// concurrent read either linearizes before the delete or misses — it
+// cannot resurrect the trace into a memory tier whose disk backing is
+// gone.
 func (s *Store) DeleteTrace(digest string) (bool, error) {
 	if !trace.ValidDigest(digest) {
 		return false, fmt.Errorf("service: malformed trace digest %q", digest)
@@ -226,9 +190,6 @@ func (s *Store) DeleteTrace(digest string) (bool, error) {
 	s.mu.Lock()
 	inMemory := s.traces.Delete(digest)
 	s.mu.Unlock()
-	if inMemory || onDisk {
-		s.fireEvictions([]string{digest})
-	}
 	return inMemory || onDisk, nil
 }
 
@@ -308,7 +269,7 @@ func (s *Store) SetTraceCapacity(n int) {
 // though it left memory.
 func (s *Store) TraceDigests() []string {
 	seen := map[string]bool{}
-	s.traces.Range(func(d string, _ *trace.Trace) { seen[d] = true })
+	s.traces.Range(func(d string, _ *engine.StoredTrace) { seen[d] = true })
 	if s.dir != "" {
 		if names, err := filepath.Glob(filepath.Join(s.dir, "sha256-*.dimbin")); err == nil {
 			for _, name := range names {
@@ -332,8 +293,7 @@ func (s *Store) TraceDigests() []string {
 func (s *Store) HasTrace(digest string) bool { return s.traces.Contains(digest) }
 
 // ContainsTrace reports whether the digest lives in either tier —
-// memory, or (when configured) the disk tier. Dependent caches use it to
-// re-validate entries installed concurrently with a delete.
+// memory, or (when configured) the disk tier.
 func (s *Store) ContainsTrace(digest string) bool {
 	if s.HasTrace(digest) {
 		return true

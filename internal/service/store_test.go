@@ -7,10 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lru"
 	"repro/internal/network"
@@ -44,16 +47,19 @@ func TestStoreMemoryTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != tr {
+	if got.Trace() != tr || got.Digest() != d {
 		t.Fatal("memory tier returned a different object")
 	}
-	// Idempotent second put.
+	// Idempotent second put: the first value, and so its program, stays.
 	d2, err := s.PutTrace(testTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d2 != d {
 		t.Fatalf("same content, different digests: %s vs %s", d, d2)
+	}
+	if again, err := s.GetTrace(d); err != nil || again != got {
+		t.Fatalf("second put replaced the stored value (err %v)", err)
 	}
 	if traces, _ := s.Counts(); traces != 1 {
 		t.Fatalf("store holds %d traces, want 1", traces)
@@ -88,12 +94,12 @@ func TestStoreDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s2.GetTrace(td)
+	st, err := s2.GetTrace(td)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := trace.Digest(tr); got != td {
-		t.Fatalf("disk trace digest %s, want %s", got, td)
+	if got, _ := trace.Digest(st.Trace()); got != td || st.Digest() != td {
+		t.Fatalf("disk trace digest %s (stored as %s), want %s", got, st.Digest(), td)
 	}
 	p, err := s2.GetPlatform(pd)
 	if err != nil {
@@ -222,9 +228,34 @@ func traceWithInstr(instr int64) *trace.Trace {
 	return t
 }
 
-// TestCompiledTraceSingleFlight: concurrent misses on one stored digest
-// in the engine's trace cache compile once and every caller gets the
-// same program.
+// storedProgram compiles a stored trace's program on the store's value,
+// as a trace-mode scenario would, and returns a weak pointer to it.
+func storedProgram(t *testing.T, s *Store, digest string) weak.Pointer[sim.Program] {
+	t.Helper()
+	st, err := s.GetTrace(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := st.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(prog)
+}
+
+// collected reports whether a program is unreachable: two collections
+// also empty sync.Pool's victim cache, whose replay arenas keep the
+// program they last replayed.
+func collected(w weak.Pointer[sim.Program]) bool {
+	runtime.GC()
+	runtime.GC()
+	return w.Value() == nil
+}
+
+// TestCompiledTraceSingleFlight: concurrent first Program calls on one
+// stored trace compile once and every caller gets the same program, and
+// trace-mode scenarios at two bandwidths replay that program: the
+// store's value still returns it afterwards.
 func TestCompiledTraceSingleFlight(t *testing.T) {
 	store, err := NewStore("")
 	if err != nil {
@@ -235,7 +266,7 @@ func TestCompiledTraceSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A ring long enough that compiling it outlasts the goroutines'
-	// start-up, so their misses overlap.
+	// start-up, so their first calls overlap.
 	const ranks, iters = 16, 2000
 	tr := trace.New("sf-test", "base", ranks)
 	for r := 0; r < ranks; r++ {
@@ -258,7 +289,12 @@ func TestCompiledTraceSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			prog, err := mgr.Engine().Traces().StoredProgram(d, tr)
+			st, err := store.GetTrace(d)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			prog, err := st.Program()
 			if err != nil {
 				t.Error(err)
 			}
@@ -272,50 +308,56 @@ func TestCompiledTraceSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got program %p, caller 0 got %p", i, p, progs[0])
 		}
 	}
-	if !mgr.CompiledProgramCached(d) {
-		t.Fatal("program not cached after the compile")
+	for _, bw := range []float64{125, 250} {
+		j, err := mgr.Submit(ScenarioRequest{Trace: d, Axes: []core.Axis{core.BandwidthAxis(bw)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.GetTrace(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog, err := st.Program(); err != nil || prog != progs[0] {
+		t.Fatalf("after two scenarios the stored trace's program is %p (err %v), was %p", prog, err, progs[0])
 	}
 }
 
-// TestStoreEvictionDropsCompiledPrograms: the stored-trace programs in
-// the engine's trace cache must follow the manager's store. With a disk
-// tier the memory tier evicts LRU at capacity, and each eviction — as
-// well as an explicit delete — must drop the digest's compiled program
-// instead of pinning it forever.
+// TestStoreEvictionDropsCompiledPrograms: a stored trace's program lives
+// exactly as long as the trace is held. With a disk tier the memory tier
+// evicts LRU at capacity; an evicted trace's program — like a deleted
+// one's — becomes unreachable, while a resident trace keeps its own.
 func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 	store, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.SetTraceCapacity(2)
-	mgr, err := NewManager(Options{Store: store, Engine: engine.New(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var digests []string
+	var progs []weak.Pointer[sim.Program]
 	for i := 0; i < 3; i++ {
-		tr := traceWithInstr(int64(1000 + i))
-		d, err := store.PutTrace(tr)
+		d, err := store.PutTrace(traceWithInstr(int64(1000 + i)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		digests = append(digests, d)
 		if i < 2 {
 			// Compile the first two as a stored-trace scenario would.
-			if _, err := mgr.Engine().Traces().StoredProgram(d, tr); err != nil {
-				t.Fatal(err)
-			}
+			progs = append(progs, storedProgram(t, store, d))
 		}
-		digests = append(digests, d)
 	}
 	// Capacity 2: the third put evicted the least recently used entry
 	// (the first trace), and its program must be gone with it.
 	if store.HasTrace(digests[0]) {
 		t.Fatal("first trace still resident past capacity")
 	}
-	if mgr.CompiledProgramCached(digests[0]) {
-		t.Fatal("evicted trace's compiled program still cached")
+	if !collected(progs[0]) {
+		t.Fatal("evicted trace's compiled program still reachable")
 	}
-	if !mgr.CompiledProgramCached(digests[1]) {
+	if collected(progs[1]) {
 		t.Fatal("resident trace's compiled program dropped")
 	}
 	// The evicted trace still serves from disk — and promotes back in,
@@ -323,23 +365,17 @@ func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 	if _, err := store.GetTrace(digests[0]); err != nil {
 		t.Fatalf("disk tier lost the evicted trace: %v", err)
 	}
-	if mgr.CompiledProgramCached(digests[1]) {
+	if !collected(progs[1]) {
 		t.Fatal("second trace evicted by promotion but program kept")
 	}
-	// Explicit deletion fires the hook too.
-	tr2, err := store.GetTrace(digests[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Engine().Traces().StoredProgram(digests[2], tr2); err != nil {
-		t.Fatal(err)
-	}
+	// An explicit delete lets the program go too.
+	deleted := storedProgram(t, store, digests[2])
 	found, err := store.DeleteTrace(digests[2])
 	if err != nil || !found {
 		t.Fatalf("delete: found=%v err=%v", found, err)
 	}
-	if mgr.CompiledProgramCached(digests[2]) {
-		t.Fatal("deleted trace's compiled program still cached")
+	if !collected(deleted) {
+		t.Fatal("deleted trace's compiled program still reachable")
 	}
 	// A memory-only store stays authoritative: at capacity it refuses the
 	// put instead of silently dropping data.
@@ -428,10 +464,8 @@ func TestStorePlatformTierEvicts(t *testing.T) {
 
 // TestDeletedTraceProgramDroppedAfterQueuedJob: a trace-mode scenario
 // resolves its stored trace when it is submitted, so a DELETE while the
-// job waits for a slot fires the store's eviction hook before the job
-// compiles the program. The job still runs, and when it finishes the
-// program it compiled leaves the engine's trace cache instead of staying
-// pinned.
+// job waits for a slot leaves the job holding the trace and its program.
+// The job still runs, and once it finishes nothing holds the program.
 func TestDeletedTraceProgramDroppedAfterQueuedJob(t *testing.T) {
 	m, err := NewManager(Options{Engine: engine.New(1)})
 	if err != nil {
@@ -446,17 +480,21 @@ func TestDeletedTraceProgramDroppedAfterQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog := storedProgram(t, m.Store(), d)
 	rec := httptest.NewRecorder()
 	NewHandler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/traces/"+d, nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("DELETE answered %d: %s", rec.Code, rec.Body)
 	}
+	if collected(prog) {
+		t.Fatal("deleted trace's program dropped while a queued job holds the trace")
+	}
 	<-m.slots // release; the queued job runs
 	if _, err := j.Wait(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if m.CompiledProgramCached(d) {
-		t.Fatal("deleted trace's program still cached after its job finished")
+	if !collected(prog) {
+		t.Fatal("deleted trace's program still reachable after its job finished")
 	}
 }
 
