@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -23,6 +24,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		// A single-key STORE, without a blob list, is rejected.
 		[]byte(`{"op":"store","from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"},"key":"sha256:abc","kind":"point","value":"aGk="}`),
 		[]byte(`{"op":"find_node","from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"},"key":"sha256:abc"}`),
+		// FIND_VALUE is not an RPC: rejected as an unknown op.
 		[]byte(`{"op":"find_value","key":"k","from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"}}`),
 		[]byte(`{"op":"exec","kind":"scenario","value":"e30=","from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"}}`),
 		[]byte(`{"op":"bogus"}`),
@@ -69,6 +71,15 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("round trip drifted: %s vs %s", a, b)
 		}
 	})
+}
+
+// TestDecodeRequestRejectsFindValue: the FIND_VALUE envelope FuzzDecodeRequest
+// seeds is refused as an unknown op.
+func TestDecodeRequestRejectsFindValue(t *testing.T) {
+	req, err := DecodeRequest([]byte(`{"op":"find_value","key":"k"}`))
+	if err == nil || req != nil || !strings.Contains(err.Error(), `unknown op "find_value"`) {
+		t.Fatalf("find_value decoded to %+v, %v; want an unknown-op error", req, err)
+	}
 }
 
 // checkBounds asserts the wire limits on an accepted request, the
@@ -149,7 +160,7 @@ func TestValidateStoreBlobBounds(t *testing.T) {
 func FuzzDecodeResponse(f *testing.F) {
 	seed := [][]byte{
 		[]byte(`{"from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"}}`),
-		[]byte(`{"from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"},"found":true,"value":"aGk=","kind":"point"}`),
+		[]byte(`{"from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"},"value":"aGk="}`),
 		[]byte(`{"from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"},"contacts":[{"id":"ffeeddccbbaa99887766554433221100ffeeddcc","addr":"n2"}]}`),
 		[]byte(`{"error":"draining","draining":true,"from":{"id":"00112233445566778899aabbccddeeff00112233","addr":"n1"}}`),
 		[]byte(`{"unknown":true}`),

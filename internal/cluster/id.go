@@ -1,14 +1,15 @@
 // Package cluster is the peer layer that turns a set of simd daemons
 // into one cooperative simulation cluster. Nodes carry 160-bit IDs,
 // each keeps the exact set of live members (one join fills it), and
-// they speak PING / STORE / FIND_NODE / FIND_VALUE / EXEC RPCs over a
-// pluggable transport (an in-process network for tests and CI, HTTP
-// under /v1/cluster/ in production). Everything the service layer
-// stores is already content-addressed — SHA-256 trace, platform,
-// scenario, and per-point digests — so those digests are the keys: a
-// key's K XOR-closest members replicate its value, the closest one
-// owns the computation, and a grid's points scatter across the cluster
-// by digest.
+// they speak PING / STORE / FIND_NODE / EXEC RPCs over a pluggable
+// transport (an in-process network for tests and CI, HTTP under
+// /v1/cluster/ in production). The work the service layer routes is
+// already content-addressed — SHA-256 scenario and per-point digests —
+// so those digests are the keys: the XOR-closest member owns a key's
+// computation, its K closest members hold the replicated value, and a
+// grid's points scatter across the cluster by digest. Nothing reads a
+// value from another node: a node serves what its own blob store holds
+// and computes the rest.
 //
 // The package is deliberately below the service layer: it knows about
 // keys, blobs, and one opaque "exec" RPC, never about scenarios. The
@@ -47,7 +48,7 @@ func NodeID(name string) ID {
 
 // KeyID maps a service-layer key into the ID space. Content digests
 // ("sha256:<64 hex>") are already uniform hashes, so their first 160
-// bits are used directly — the DHT key of an artifact is literally a
+// bits are used directly — the DHT key of a spec or point is literally a
 // prefix of its content address. Anything else is hashed.
 func KeyID(key string) ID {
 	var id ID

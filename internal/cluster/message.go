@@ -6,11 +6,10 @@ import (
 	"fmt"
 )
 
-// Op names one cluster RPC: four that keep the member set and the
-// replicated blobs (ping, store, find_node, find_value), and OpExec,
-// carrying an opaque request for the owner of a key to execute (the
-// service layer uses it to run a scenario on the node that owns its
-// digest).
+// Op names one cluster RPC: three that keep the member set and the
+// replicated blobs (ping, store, find_node), and OpExec, carrying an
+// opaque request for the owner of a key to execute (the service layer
+// uses it to run a scenario on the node that owns its digest).
 type Op string
 
 const (
@@ -23,16 +22,13 @@ const (
 	// OpFindNode returns up to MaxContacts of the receiver's members,
 	// nearest the key first; Join asks it of every member it learns of.
 	OpFindNode Op = "find_node"
-	// OpFindValue returns a stored value, if the receiver holds it.
-	OpFindValue Op = "find_value"
 	// OpExec asks the receiver — the key's owner — to execute an opaque
 	// request and return the result bytes.
 	OpExec Op = "exec"
 )
 
-// Wire limits. Values carry whole artifacts (a binary trace tops out at
-// the service's 64 MiB upload bound), keys are digest strings, kinds
-// are short labels.
+// Wire limits. Values carry exec payloads and results, and a STORE's
+// blobs; keys are digest strings, kinds are short labels.
 const (
 	// MaxValueBytes bounds Request.Value and Response.Value, and the
 	// summed values of one STORE's blob list.
@@ -57,14 +53,14 @@ const (
 	// one.
 	MaxErrBytes = 4096
 	// MaxResponseBytes bounds one encoded response: a MaxValueBytes value
-	// in base64, the responder and MaxContacts contacts, a kind and error
-	// text — their strings at 6 bytes a byte, JSON's widest escape — and
-	// the envelope's framing.
-	MaxResponseBytes = (MaxValueBytes+2)/3*4 + (MaxContacts+1)*(2*IDBytes+6*MaxAddrBytes+32) + 6*(MaxKindBytes+MaxErrBytes) + 1024
+	// in base64, the responder and MaxContacts contacts, and error text —
+	// their strings at 6 bytes a byte, JSON's widest escape — and the
+	// envelope's framing.
+	MaxResponseBytes = (MaxValueBytes+2)/3*4 + (MaxContacts+1)*(2*IDBytes+6*MaxAddrBytes+32) + 6*MaxErrBytes + 1024
 )
 
 // Blob is one keyed value a STORE lists. Kind labels what the value is
-// ("trace", "platform", "point").
+// (the service stores only "point" blobs).
 type Blob struct {
 	Key   string `json:"key"`
 	Kind  string `json:"kind,omitempty"`
@@ -81,7 +77,7 @@ type Request struct {
 	// Draining is set while the caller is leaving the cluster: the
 	// receiver drops it from its member set instead.
 	Draining bool `json:"draining,omitempty"`
-	// Key is the target key of find_node and find_value.
+	// Key is the target key of find_node.
 	Key string `json:"key,omitempty"`
 	// Kind labels what an executed value is (a service request kind).
 	Kind string `json:"kind,omitempty"`
@@ -97,17 +93,13 @@ type Response struct {
 	// From identifies the responder (its current contact info).
 	From Contact `json:"from"`
 	// Draining is set while the responder is leaving the cluster: it
-	// still serves reads of keys it holds, but refuses fresh stores and
-	// exec work, and callers drop it from their member sets.
+	// refuses stores of fresh keys and fresh exec work, and callers drop
+	// it from their member sets.
 	Draining bool `json:"draining,omitempty"`
 	// Stored acknowledges a store.
 	Stored bool `json:"stored,omitempty"`
-	// Found is set when a find_value located the key; Value carries it.
-	Found bool `json:"found,omitempty"`
-	// Value is the located value (find_value) or the exec result.
+	// Value is the exec result.
 	Value []byte `json:"value,omitempty"`
-	// Kind labels Value on a found find_value.
-	Kind string `json:"kind,omitempty"`
 	// Contacts are up to MaxContacts of the responder's members, nearest
 	// the key first (find_node).
 	Contacts []Contact `json:"contacts,omitempty"`
@@ -115,10 +107,10 @@ type Response struct {
 	Err string `json:"error,omitempty"`
 }
 
-// validOp reports whether op is one of the five RPCs.
+// validOp reports whether op is one of the four RPCs.
 func validOp(op Op) bool {
 	switch op {
-	case OpPing, OpStore, OpFindNode, OpFindValue, OpExec:
+	case OpPing, OpStore, OpFindNode, OpExec:
 		return true
 	}
 	return false
@@ -172,9 +164,9 @@ func (r *Request) Validate() error {
 	switch r.Op {
 	case OpStore:
 		return r.validateBlobs()
-	case OpFindNode, OpFindValue:
+	case OpFindNode:
 		if r.Key == "" {
-			return fmt.Errorf("cluster: %s needs a key", r.Op)
+			return fmt.Errorf("cluster: find_node needs a key")
 		}
 	case OpExec:
 		if r.Kind == "" || len(r.Value) == 0 {

@@ -8,7 +8,7 @@ import (
 
 // TestMaxResponseBytesFitsEveryLimit: a response with every field at its
 // limit — the responder and MaxContacts contacts with MaxAddrBytes
-// addresses, a MaxKindBytes kind and MaxErrBytes of error text, all of
+// addresses and MaxErrBytes of error text, all of
 // a character JSON escapes six bytes wide — fits MaxResponseBytes once
 // its value grows to MaxValueBytes. The value is encoded at 3 bytes and
 // grown by arithmetic, so the test moves no 64 MiB.
@@ -20,8 +20,8 @@ func TestMaxResponseBytesFitsEveryLimit(t *testing.T) {
 	}
 	c := Contact{ID: id, Addr: wide(MaxAddrBytes)}
 	resp := &Response{
-		From: c, Draining: true, Stored: true, Found: true,
-		Value: []byte{1, 2, 3}, Kind: wide(MaxKindBytes), Err: wide(MaxErrBytes),
+		From: c, Draining: true, Stored: true,
+		Value: []byte{1, 2, 3}, Err: wide(MaxErrBytes),
 	}
 	for range MaxContacts {
 		resp.Contacts = append(resp.Contacts, c)

@@ -108,11 +108,10 @@ func (n *Node) SetExecutor(e Executor) {
 	n.exec.Store(&e)
 }
 
-// Drain flips the node into its polite exit: it keeps answering reads
-// of values it already holds (a draining node never strands results),
-// refuses fresh stores, and marks every response and request Draining
-// so peers drop it from their member sets instead of routing new work
-// here.
+// Drain flips the node into its polite exit: it refuses stores of keys
+// it does not already hold and keeps the values it holds, and it marks
+// every response and request Draining so peers drop it from their
+// member sets instead of routing new work here.
 func (n *Node) Drain() { n.draining.Store(true) }
 
 // ---------------------------------------------------------------------------
@@ -165,12 +164,6 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 		resp.Stored = true
 	case OpFindNode:
 		resp.Contacts = n.table.KClosest(KeyID(req.Key), MaxContacts)
-	case OpFindValue:
-		if b, ok := n.blobs.Get(req.Key); ok {
-			resp.Found = true
-			resp.Value = b.value
-			resp.Kind = b.kind
-		}
 	case OpExec:
 		ep := n.exec.Load()
 		if ep == nil {
@@ -300,21 +293,6 @@ func (n *Node) Owners(key string) []Contact {
 	return cs
 }
 
-// Store replicates a value to its key's K closest nodes (self included
-// when it qualifies; a draining node skips its own copy): Hold, then
-// Replicate. Returns how many replicas acknowledged. Failing peers are
-// skipped — replication is best effort; the content address makes
-// re-derivation safe.
-func (n *Node) Store(ctx context.Context, key, kind string, value []byte) int {
-	b := Blob{Key: key, Kind: kind, Value: value}
-	stored := 0
-	if n.Hold(b) {
-		stored++
-	}
-	acks, _ := n.Replicate(ctx, []Blob{b})
-	return stored + acks[0]
-}
-
 // Hold keeps a blob in the local store when this node is in its key's
 // replica set and not draining, and reports whether it did: the node's
 // own copy of a value it replicates.
@@ -401,34 +379,9 @@ func (n *Node) Replicate(ctx context.Context, blobs []Blob) (acks []int, stores 
 	return acks, stores
 }
 
-// Get fetches a value by key: the local blob store first, then a
-// FIND_VALUE to each peer in the key's replica set, nearest first, until
-// one holds it. A remote hit is cached locally (the cooperative-cache
-// read-through).
-func (n *Node) Get(ctx context.Context, key string) ([]byte, string, bool) {
-	if v, kind, ok := n.GetCached(key); ok {
-		return v, kind, true
-	}
-	for _, c := range n.Owners(key) {
-		if c.ID == n.self.ID {
-			continue
-		}
-		resp, err := n.call(ctx, c, &Request{Op: OpFindValue, Key: key})
-		if err != nil || !resp.Found {
-			continue
-		}
-		n.blobs.Put(key, blob{resp.Kind, resp.Value})
-		return resp.Value, resp.Kind, true
-	}
-	return nil, "", false
-}
-
-// Has reports whether the key is in the local blob store.
-func (n *Node) Has(key string) bool { return n.blobs.Contains(key) }
-
-// GetCached returns a locally held value without touching the network —
-// for callers that have a cheaper plan than a cluster lookup when the
-// blob is not already here (e.g. computing a self-owned grid point).
+// GetCached returns a value from the local blob store. There is no
+// remote read: a node that lacks a value computes it (content
+// addressing makes re-derivation safe).
 func (n *Node) GetCached(key string) ([]byte, string, bool) {
 	b, ok := n.blobs.Get(key)
 	return b.value, b.kind, ok

@@ -74,42 +74,39 @@ func TestConcurrentJoinsMakeFullMesh(t *testing.T) {
 	}
 }
 
-func TestStoreGetAcrossCluster(t *testing.T) {
-	ctx := context.Background()
-	_, nodes := testCluster(t, 5)
-	key := "sha256:aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
-	val := []byte("the artifact")
-	if stored := nodes[1].Store(ctx, key, "blob", val); stored == 0 {
-		t.Fatal("no replica acknowledged the store")
-	}
-	// Every node — including ones outside the replica set — finds it.
-	for i, nd := range nodes {
-		got, kind, ok := nd.Get(ctx, key)
-		if !ok {
-			t.Fatalf("node %d did not find the key", i)
-		}
-		if string(got) != string(val) || kind != "blob" {
-			t.Fatalf("node %d got %q kind %q", i, got, kind)
-		}
-	}
-	// The K closest replicated it locally (5 nodes < DefaultK, so all
-	// of them hold a copy after the store alone).
-	holders := 0
-	for _, nd := range nodes {
-		if nd.Has(key) {
-			holders++
-		}
-	}
-	if holders != 5 {
-		t.Fatalf("%d holders after store, want 5 (cluster smaller than K)", holders)
-	}
+// holds reports whether n's blob store has key.
+func holds(n *Node, key string) bool {
+	_, _, ok := n.GetCached(key)
+	return ok
 }
 
-func TestGetMissingKey(t *testing.T) {
+// store is what a replicating caller does: hold b when n is in its
+// replica set, and send it to the set's peers. It returns how many
+// nodes kept it.
+func store(ctx context.Context, n *Node, b Blob) int {
+	kept := 0
+	if n.Hold(b) {
+		kept++
+	}
+	acks, _ := n.Replicate(ctx, []Blob{b})
+	return kept + acks[0]
+}
+
+// TestReplicateReachesSmallCluster: on a cluster smaller than K every
+// node is in every replica set, so a held and replicated blob lands on
+// all of them with its kind and bytes.
+func TestReplicateReachesSmallCluster(t *testing.T) {
 	ctx := context.Background()
-	_, nodes := testCluster(t, 3)
-	if _, _, ok := nodes[0].Get(ctx, "sha256:bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"); ok {
-		t.Fatal("found a key never stored")
+	_, nodes := testCluster(t, 5)
+	b := Blob{Key: "sha256:aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", Kind: "point", Value: []byte("the point")}
+	if kept := store(ctx, nodes[1], b); kept != 5 {
+		t.Fatalf("%d of 5 nodes kept the blob", kept)
+	}
+	for i, nd := range nodes {
+		got, kind, ok := nd.GetCached(b.Key)
+		if !ok || string(got) != string(b.Value) || kind != b.Kind {
+			t.Fatalf("node %d holds (%v, %q, %q)", i, ok, kind, got)
+		}
 	}
 }
 
@@ -172,16 +169,15 @@ func TestExecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDrainLeavesPolitely is the drain satellite's unit half: a
-// draining node refuses fresh keys, keeps serving the ones it holds
-// (never strands results), and its Draining responses age it out of
-// peers' routing tables.
+// TestDrainLeavesPolitely: a draining node refuses fresh keys, keeps
+// the ones it holds, and its Draining responses age it out of peers'
+// member sets.
 func TestDrainLeavesPolitely(t *testing.T) {
 	ctx := context.Background()
 	_, nodes := testCluster(t, 4)
 	held := "sha256:cccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccc"
-	nodes[3].Store(ctx, held, "blob", []byte("kept"))
-	if !nodes[3].Has(held) {
+	store(ctx, nodes[3], Blob{Key: held, Kind: "blob", Value: []byte("kept")})
+	if !holds(nodes[3], held) {
 		t.Fatal("node 3 should hold the key (cluster smaller than K)")
 	}
 
@@ -192,9 +188,9 @@ func TestDrainLeavesPolitely(t *testing.T) {
 	if resp := nodes[3].HandleRPC(ctx, fresh); resp.Stored || resp.Err == "" || !resp.Draining {
 		t.Fatalf("draining node accepted a fresh key: %+v", resp)
 	}
-	// ...but held keys still serve, and re-replication of them is fine.
-	if resp := nodes[3].HandleRPC(ctx, &Request{Op: OpFindValue, From: nodes[0].Self(), Key: held}); !resp.Found {
-		t.Fatal("draining node stranded a held value")
+	// ...but held keys stay, and re-replication of them is fine.
+	if v, _, ok := nodes[3].GetCached(held); !ok || string(v) != "kept" {
+		t.Fatal("draining node dropped a held value")
 	}
 	if resp := nodes[3].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{{Key: held, Kind: "blob", Value: []byte("kept")}}}); !resp.Stored {
 		t.Fatal("draining node refused re-replication of a held key")
@@ -211,13 +207,13 @@ func TestDrainLeavesPolitely(t *testing.T) {
 	}
 	// And the draining node itself skips its local replica on stores.
 	k2 := "sha256:eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee"
-	nodes[3].Store(ctx, k2, "blob", []byte("flushed"))
-	if nodes[3].Has(k2) {
+	store(ctx, nodes[3], Blob{Key: k2, Kind: "blob", Value: []byte("flushed")})
+	if holds(nodes[3], k2) {
 		t.Fatal("draining node kept a local replica of flushed data")
 	}
 	found := false
 	for _, nd := range nodes[:3] {
-		if nd.Has(k2) {
+		if holds(nd, k2) {
 			found = true
 		}
 	}
@@ -247,8 +243,8 @@ func TestReplicateBatchesPerPeer(t *testing.T) {
 	}
 	for i, nd := range nodes {
 		for _, b := range blobs {
-			if nd.Has(b.Key) != (i != 0) {
-				t.Fatalf("node %d holds %s: %v (Replicate leaves the sender's copy to Hold)", i, b.Key, nd.Has(b.Key))
+			if holds(nd, b.Key) != (i != 0) {
+				t.Fatalf("node %d holds %s: %v (Replicate leaves the sender's copy to Hold)", i, b.Key, holds(nd, b.Key))
 			}
 		}
 	}
@@ -260,13 +256,13 @@ func TestDrainingNodeRefusesListWithFreshKey(t *testing.T) {
 	ctx := context.Background()
 	_, nodes := testCluster(t, 2)
 	held := Blob{Key: "sha256:held", Kind: "blob", Value: []byte("kept")}
-	nodes[0].Store(ctx, held.Key, held.Kind, held.Value)
+	store(ctx, nodes[0], held)
 	nodes[1].Drain()
 	fresh := Blob{Key: "sha256:fresh", Kind: "blob", Value: []byte("new")}
 	if resp := nodes[1].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{held, fresh}}); resp.Stored || resp.Err == "" {
 		t.Fatalf("draining node took a list with a fresh key: %+v", resp)
 	}
-	if nodes[1].Has(fresh.Key) {
+	if holds(nodes[1], fresh.Key) {
 		t.Fatal("refused list left its fresh key behind")
 	}
 	if resp := nodes[1].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{held}}); !resp.Stored {
@@ -326,7 +322,7 @@ func TestDrainingSenderStaysOut(t *testing.T) {
 		t.Fatal("draining node still a member after answering a ping")
 	}
 	acks, _ := nodes[0].Replicate(ctx, []Blob{{Key: "sha256:flushed", Kind: "blob", Value: []byte("v")}})
-	if acks[0] == 0 || !nodes[1].Has("sha256:flushed") {
+	if acks[0] == 0 || !holds(nodes[1], "sha256:flushed") {
 		t.Fatal("the draining node's flush did not reach its peer")
 	}
 	if has() {
@@ -334,30 +330,23 @@ func TestDrainingSenderStaysOut(t *testing.T) {
 	}
 }
 
-// TestGetAsksReplicaSet: on a cluster larger than K, a node outside a
-// key's replica set finds the value in it and caches it locally.
-func TestGetAsksReplicaSet(t *testing.T) {
+// TestReplicateStaysInReplicaSet: on a cluster larger than K, a held
+// and replicated blob lands on exactly the key's K closest members.
+func TestReplicateStaysInReplicaSet(t *testing.T) {
 	ctx := context.Background()
 	_, nodes := testCluster(t, 12)
-	key := "sha256:abcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcd"
-	if stored := nodes[0].Store(ctx, key, "blob", []byte("v")); stored != DefaultK {
-		t.Fatalf("%d replicas acknowledged the store, want %d", stored, DefaultK)
+	b := Blob{Key: "sha256:abcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcd", Kind: "point", Value: []byte("v")}
+	if kept := store(ctx, nodes[0], b); kept != DefaultK {
+		t.Fatalf("%d nodes kept the blob, want %d", kept, DefaultK)
 	}
-	var outside *Node
-	for _, nd := range nodes {
-		if !nd.Has(key) {
-			outside = nd
-			break
+	owners := map[ID]bool{}
+	for _, c := range nodes[0].Owners(b.Key) {
+		owners[c.ID] = true
+	}
+	for i, nd := range nodes {
+		if holds(nd, b.Key) != owners[nd.Self().ID] {
+			t.Fatalf("node %d holds the blob: %v, in its replica set: %v", i, holds(nd, b.Key), owners[nd.Self().ID])
 		}
-	}
-	if outside == nil {
-		t.Fatal("every node holds the key on a cluster larger than K")
-	}
-	if got, kind, ok := outside.Get(ctx, key); !ok || string(got) != "v" || kind != "blob" {
-		t.Fatalf("node outside the replica set got %q kind %q found %v", got, kind, ok)
-	}
-	if !outside.Has(key) {
-		t.Fatal("a remote hit was not cached locally")
 	}
 }
 
@@ -365,7 +354,7 @@ func TestStatus(t *testing.T) {
 	ctx := context.Background()
 	_, nodes := testCluster(t, 3)
 	key := "sha256:abababababababababababababababababababababababababababababababab"
-	nodes[0].Store(ctx, key, "point", []byte("v"))
+	store(ctx, nodes[0], Blob{Key: key, Kind: "point", Value: []byte("v")})
 	st := nodes[0].Status()
 	if st.Name != "node-0" || st.Addr != "node-0" || st.Draining {
 		t.Fatalf("bad status identity: %+v", st)

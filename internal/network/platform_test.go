@@ -2,11 +2,13 @@ package network
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/trace"
 )
 
@@ -122,22 +124,56 @@ func TestPlatformValidateRejects(t *testing.T) {
 	}
 }
 
+// TestPlatformJSONRoundTrip: a platform written with WriteJSON reads
+// back through ReadAnyPlatform with the same digest, which is what lets
+// a cluster member send a platform named by digest as its document.
+// Every preset at 16 and 256 ranks, an explicit mapping, a degraded
+// platform and +Inf intra bandwidth round-trip, and the explicit
+// mapping reads back field for field.
 func TestPlatformJSONRoundTrip(t *testing.T) {
-	orig, err := PlatformPreset("marenostrum-4x", 16)
+	mapped, err := PlatformPreset("marenostrum-4x", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig.Mapping = ExplicitMapping([]int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3})
-	var sb strings.Builder
-	if err := orig.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
+	mapped.Mapping = ExplicitMapping([]int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3})
+	infIntra := Testbed(4).WithNodes(2)
+	infIntra.Intra.BandwidthMBps = math.Inf(1)
+	cases := map[string]Platform{
+		"explicit mapping": mapped,
+		"degraded": mapped.WithDegradations(faults.Spec{
+			DerateInter: 0.5, JitterFrac: 0.2, Stragglers: 2, StragglerFactor: 3,
+			DownNodes: []int{3}, DownLinks: [][2]int{{0, 1}}, LinkDown: 2, Seed: 9,
+		}),
+		"+Inf intra bandwidth": infIntra,
 	}
-	got, err := readPlatformJSON(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range PresetNames() {
+		for _, ranks := range []int{16, 256} {
+			p, err := PlatformPreset(name, ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases[fmt.Sprintf("%s at %d ranks", name, ranks)] = p
+		}
 	}
-	if !reflect.DeepEqual(got, orig) {
-		t.Fatalf("round trip:\ngot  %+v\nwant %+v", got, orig)
+	for name, orig := range cases {
+		var sb strings.Builder
+		if err := orig.WriteJSON(&sb); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := ReadAnyPlatform(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := orig.Digest()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d, err := got.Digest(); err != nil || d != want {
+			t.Fatalf("%s: read back with digest %s (%v), wrote %s", name, d, err, want)
+		}
+		if name == "explicit mapping" && !reflect.DeepEqual(got, orig) {
+			t.Fatalf("round trip:\ngot  %+v\nwant %+v", got, orig)
+		}
 	}
 }
 

@@ -92,7 +92,10 @@ func (f *Flags) Resolve(app string, ranks int) (network.Platform, error) {
 	default:
 		plat = network.TestbedFor(app, ranks)
 	}
-	if *f.nodes > 0 {
+	// Every flag below applies unless it holds its keep value (0; -1 for
+	// -buses; any negative -lat), so a NaN or out-of-range value reaches
+	// Validate and fails instead of being ignored.
+	if *f.nodes != 0 {
 		plat = plat.WithNodes(*f.nodes)
 	}
 	if *f.mapping != "" {
@@ -102,33 +105,33 @@ func (f *Flags) Resolve(app string, ranks int) (network.Platform, error) {
 		}
 		plat = plat.WithMapping(m)
 	}
-	if *f.bw > 0 {
+	if *f.bw != 0 {
 		plat = plat.WithInterBandwidth(*f.bw)
 	}
-	if *f.latUs >= 0 {
+	if !(*f.latUs < 0) { // NaN is not negative
 		plat.Inter.LatencySec = *f.latUs * 1e-6
 	}
-	if *f.buses >= 0 {
+	if *f.buses != -1 {
 		plat.Buses = *f.buses
 	}
 	// Degradation overrides layer onto whatever fault spec the platform
 	// file already carried; the zero value of each flag keeps it.
-	if *f.derate > 0 {
+	if *f.derate != 0 {
 		plat.Degradations.DerateInter = *f.derate
 	}
-	if *f.jitter > 0 {
+	if *f.jitter != 0 {
 		plat.Degradations.JitterFrac = *f.jitter
 	}
-	if *f.stragglers > 0 {
+	if *f.stragglers != 0 {
 		plat.Degradations.Stragglers = *f.stragglers
 		if plat.Degradations.StragglerFactor == 0 && *f.stragMul == 0 {
 			plat.Degradations.StragglerFactor = 2
 		}
 	}
-	if *f.stragMul > 0 {
+	if *f.stragMul != 0 {
 		plat.Degradations.StragglerFactor = *f.stragMul
 	}
-	if *f.linkDown > 0 {
+	if *f.linkDown != 0 {
 		plat.Degradations.LinkDown = *f.linkDown
 	}
 	if *f.faultSeed != 0 {

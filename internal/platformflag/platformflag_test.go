@@ -73,15 +73,50 @@ func TestResolvePlatformFileWinsOverPreset(t *testing.T) {
 	}
 }
 
+// TestResolveRejects: a bad preset, mapping or override value fails
+// Resolve with an error naming it. A NaN or out-of-range override is
+// applied, not skipped, so Validate sees it.
 func TestResolveRejects(t *testing.T) {
-	if _, err := resolve(t, []string{"-preset", "warp-drive"}, "cg", 4); err == nil {
-		t.Fatal("unknown preset accepted")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-preset", "warp-drive"}, "warp-drive"},
+		{[]string{"-map", "diagonal"}, "diagonal"},
+		{[]string{"-nodes", "3", "-map", "0,0,9,0"}, "node 9"},
+		{[]string{"-bw", "nan"}, "bandwidth NaN"},
+		{[]string{"-bw", "-5"}, "bandwidth -5"},
+		{[]string{"-lat", "nan"}, "latency NaN"},
+		{[]string{"-derate", "nan"}, "derate_inter NaN"},
+		{[]string{"-derate", "-0.5"}, "derate_inter -0.5"},
+		{[]string{"-jitter", "nan"}, "jitter_frac NaN"},
+		{[]string{"-straggler-factor", "nan"}, "straggler_factor NaN"},
+		{[]string{"-nodes", "-3"}, "Nodes=-3"},
+		{[]string{"-buses", "-7"}, "Buses=-7"},
+		{[]string{"-link-down", "-1"}, "link_down -1"},
+		{[]string{"-stragglers", "-2"}, "stragglers -2"},
+	} {
+		if _, err := resolve(t, c.args, "cg", 4); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err %v, want one naming %q", c.args, err, c.want)
+		}
 	}
-	if _, err := resolve(t, []string{"-map", "diagonal"}, "cg", 4); err == nil {
-		t.Fatal("bad mapping accepted")
+}
+
+// TestResolveKeepValuesKeep: each override's keep value — 0, -1 for
+// -buses, any negative -lat — leaves the platform as resolved.
+func TestResolveKeepValuesKeep(t *testing.T) {
+	want, err := resolve(t, []string{"-preset", "marenostrum-4x"}, "cg", 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := resolve(t, []string{"-nodes", "3", "-map", "0,0,9,0"}, "cg", 4); err == nil {
-		t.Fatal("out-of-range explicit mapping accepted")
+	got, err := resolve(t, []string{"-preset", "marenostrum-4x", "-nodes", "0", "-bw", "0", "-lat", "-7",
+		"-buses", "-1", "-derate", "0", "-jitter", "0", "-stragglers", "0", "-straggler-factor", "0",
+		"-link-down", "0", "-fault-seed", "0"}, "cg", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("keep values changed the platform:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

@@ -81,16 +81,16 @@ func TestClusterTransportBatchedStore(t *testing.T) {
 	if resp, err := tr.Call(ctx, nodes[1].Self().Addr, req); err == nil {
 		t.Fatalf("a STORE of %d blobs was served: %+v", len(over), resp)
 	}
-	if nodes[1].Has(over[0].Key) {
+	if _, _, ok := nodes[1].GetCached(over[0].Key); ok {
 		t.Fatal("a refused STORE left a blob behind")
 	}
 }
 
-// TestClusterTransportLargeValue: a FIND_VALUE reply carries its value in
-// base64, a third larger than the value, and a held 50 MiB trace still
-// comes back whole over the HTTP transport. A reply past
-// MaxResponseBytes fails with the wire-bound error, not a JSON one.
-// Skipped under -short: it moves a few hundred MB.
+// TestClusterTransportLargeValue: an EXEC reply carries its value in
+// base64, a third larger than the value, and a 50 MiB reply still comes
+// back whole over the HTTP transport. A reply past MaxResponseBytes
+// fails with the wire-bound error, not a JSON one. Skipped under
+// -short: it moves a few hundred MB.
 func TestClusterTransportLargeValue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moves a few hundred MB")
@@ -98,14 +98,11 @@ func TestClusterTransportLargeValue(t *testing.T) {
 	ctx := context.Background()
 	tr := &ClusterTransport{}
 	nodes := httpPair(t, tr)
-	key := fmt.Sprintf("sha256:%064x", 50)
 	value := bytes.Repeat([]byte{0xa5}, 50<<20)
-	if !nodes[1].Hold(cluster.Blob{Key: key, Kind: "trace", Value: value}) {
-		t.Fatal("node 1 did not hold the blob")
-	}
-	got, kind, ok := nodes[0].Get(ctx, key)
-	if !ok || kind != "trace" || !bytes.Equal(got, value) {
-		t.Fatalf("Get of a held 50 MiB blob: found %v, kind %q, %d bytes", ok, kind, len(got))
+	nodes[1].SetExecutor(func(context.Context, string, []byte) ([]byte, error) { return value, nil })
+	got, err := nodes[0].Exec(ctx, nodes[1].Self(), "large", []byte("x"))
+	if err != nil || !bytes.Equal(got, value) {
+		t.Fatalf("EXEC of a 50 MiB reply: %d bytes, error %v", len(got), err)
 	}
 
 	chunk := bytes.Repeat([]byte{' '}, 1<<20)
@@ -117,7 +114,7 @@ func TestClusterTransportLargeValue(t *testing.T) {
 		}
 	}))
 	defer over.Close()
-	_, err := tr.Call(ctx, over.URL, &cluster.Request{Op: cluster.OpPing, From: nodes[0].Self()})
+	_, err = tr.Call(ctx, over.URL, &cluster.Request{Op: cluster.OpPing, From: nodes[0].Self()})
 	if err == nil || !strings.Contains(err.Error(), "wire bound") {
 		t.Fatalf("a reply over %d bytes: error %v, want the wire-bound error", cluster.MaxResponseBytes, err)
 	}

@@ -10,21 +10,27 @@ package service
 //     forward to the node that owns their digest (cross-node
 //     singleflight — a hot spec simulates exactly once cluster-wide),
 //     a scenario grid sends each remote owner one spec covering exactly
-//     the points it owns, freshly computed points replicate back into
-//     the DHT as a cooperative cache, and uploaded artifacts (traces,
-//     platforms) replicate so any member can serve a spec that
-//     references them.
+//     the points it owns, and freshly computed points replicate back
+//     into the DHT as a cooperative cache.
+//
+// The cluster carries work, not artifacts. A stored trace or platform
+// belongs to the node that stored it: a digest resolves only against
+// that node's Store. Trace-mode work runs where its trace is, as on a
+// standalone node — no forward, no fan-out, its points in the point
+// LRU. Work sent to a peer names its platform inline (peerRequest), so
+// the peer needs no artifact of this node's.
 //
 // Per-owner fan-out. A grid run on this node groups the points it lacks
 // by owner and sends each remote owner one EXEC: the pinned spec for a
 // lone point, else the request with every axis narrowed to the owner's
 // coordinates and zipped into one group, so the owner's grid is exactly
-// its points, each under its own point digest. No FIND_VALUE goes first:
-// the owner heads every replica set, so it holds any point computed
-// anywhere before. Work that arrives from a peer never fans out again;
-// its node computes what its blob store lacks. Two concurrent grids
-// that overlap send different owner specs, so, as on a standalone node,
-// they may both compute a shared point; identical specs still run once.
+// its points, each under its own point digest. Nothing is looked up
+// first: the owner heads every replica set, so it holds any point
+// computed anywhere before. Work that arrives from a peer never fans
+// out again; its node computes what its blob store lacks. Two
+// concurrent grids that overlap send different owner specs, so, as on
+// a standalone node, they may both compute a shared point; identical
+// specs still run once.
 //
 // One copy of a point per node. The planner's point store is the
 // node's blob store: a fresh point is held there as its replicated blob
@@ -33,13 +39,12 @@ package service
 // planner through a per-run overlay (clusterRun) and are not kept
 // beyond it; the owner replicates them to the replica set.
 //
-// Replication. One queue (replicator) carries every blob bound for
-// peers: uploaded traces, resolved platforms, and fresh points, which a
-// run queues together when it ends. At most clusterReplicators workers
-// drain it, each taking what is queued (up to cluster.MaxStoreBlobs)
-// and sending every peer one STORE listing the blobs it should hold
-// (cluster.Node.Replicate), so a grid of any size costs a bounded
-// number of goroutines. Drain flushes the queue.
+// Replication. One queue (replicator) carries every fresh point bound
+// for peers; a run queues its points together when it ends. At most
+// clusterReplicators workers drain it, each taking what is queued (up
+// to cluster.MaxStoreBlobs) and sending every peer one STORE listing
+// the blobs it should hold (cluster.Node.Replicate), so a grid of any
+// size costs a bounded number of goroutines. Drain flushes the queue.
 //
 // Execution arriving over the cluster (the node's Executor) runs inline
 // on the serving goroutine and never waits for a manager slot. Slots
@@ -58,9 +63,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/network"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // ExecKindScenario labels cluster exec payloads carrying a JSON
@@ -68,17 +71,9 @@ import (
 // requests travel under it.
 const ExecKindScenario = "scenario"
 
-// Blob kinds stored in the DHT. Everything is keyed by content digest,
-// so replicas are self-verifying in principle; the kind label routes
-// decoding.
-const (
-	// BlobTrace is a trace in the binary codec (trace.WriteBinary).
-	BlobTrace = "trace"
-	// BlobPlatform is a platform JSON document.
-	BlobPlatform = "platform"
-	// BlobPoint is a JSON core.ScenarioPoint keyed by its point digest.
-	BlobPoint = "point"
-)
+// BlobPoint is the kind of every blob the cluster stores: a JSON
+// core.ScenarioPoint keyed by its point digest.
+const BlobPoint = "point"
 
 // clusterFanout bounds how many owners one grid run asks concurrently.
 const clusterFanout = 4
@@ -109,9 +104,7 @@ var (
 	mClusterExecs = telemetry.Default().CounterVec("cluster_execs_served_total",
 		"cluster exec requests served for peers, by kind", "kind")
 	mClusterReplications = telemetry.Default().CounterVec("cluster_artifact_replications_total",
-		"artifacts the replication queue pushed to at least one peer of their replica set, by kind", "kind")
-	mClusterFetches = telemetry.Default().CounterVec("cluster_artifact_fetches_total",
-		"artifacts fetched from the cluster to satisfy a forwarded spec, by kind and result", "kind", "result")
+		"points the replication queue pushed to at least one peer of their replica set, by blob kind", "kind")
 )
 
 // attachCluster wires the manager into a cluster node: the node routes
@@ -145,7 +138,6 @@ func (m *Manager) clusterExecutor() cluster.Executor {
 		if err := dec.Decode(&req); err != nil {
 			return nil, fmt.Errorf("service: cluster exec payload: %w", err)
 		}
-		m.fetchScenarioArtifacts(ctx, req)
 		t, err := m.prepare(req)
 		if err != nil {
 			return nil, err
@@ -167,48 +159,6 @@ func (m *Manager) clusterExecutor() cluster.Executor {
 	}
 }
 
-// fetchScenarioArtifacts read-throughs any artifacts a peer's spec
-// references by digest but this store lacks — the replica set holds
-// them if the uploading node replicated successfully. Best effort: a
-// miss surfaces later as the usual unknown-digest error.
-func (m *Manager) fetchScenarioArtifacts(ctx context.Context, req ScenarioRequest) {
-	if m.node == nil {
-		return
-	}
-	if req.Trace != "" && !m.store.ContainsTrace(req.Trace) {
-		if b, kind, ok := m.node.Get(ctx, req.Trace); ok && kind == BlobTrace {
-			if tr, err := trace.ReadAny(bytes.NewReader(b)); err == nil {
-				if _, err := m.store.PutTrace(tr); err == nil {
-					mClusterFetches.With(BlobTrace, "ok").Inc()
-				} else {
-					mClusterFetches.With(BlobTrace, "error").Inc()
-				}
-			} else {
-				mClusterFetches.With(BlobTrace, "error").Inc()
-			}
-		} else {
-			mClusterFetches.With(BlobTrace, "miss").Inc()
-		}
-	}
-	if req.Platform != nil && req.Platform.Digest != "" {
-		if _, err := m.store.GetPlatform(req.Platform.Digest); err != nil {
-			if b, kind, ok := m.node.Get(ctx, req.Platform.Digest); ok && kind == BlobPlatform {
-				if p, err := network.ReadAnyPlatform(bytes.NewReader(b)); err == nil {
-					if _, err := m.store.PutPlatform(p); err == nil {
-						mClusterFetches.With(BlobPlatform, "ok").Inc()
-					} else {
-						mClusterFetches.With(BlobPlatform, "error").Inc()
-					}
-				} else {
-					mClusterFetches.With(BlobPlatform, "error").Inc()
-				}
-			} else {
-				mClusterFetches.With(BlobPlatform, "miss").Inc()
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Outbound: forwarding whole specs
 
@@ -219,15 +169,20 @@ func (m *Manager) fetchScenarioArtifacts(ctx context.Context, req ScenarioReques
 // result, byte-identical to rendering it from a local run. Any failure
 // leaves the job to run locally: the forward is an optimization for
 // cluster-wide exactly-once, never a requirement for availability.
+// Trace-mode work never forwards: its trace is here.
 func (m *Manager) forward(j *Job, t *task) ([]byte, bool) {
-	if m.node == nil {
+	if m.node == nil || t.sc.Trace != nil {
 		return nil, false
 	}
 	owner := m.node.Owner(t.digest)
 	if owner.ID == m.node.Self().ID {
 		return nil, false
 	}
-	payload, err := json.Marshal(t.req)
+	req, err := t.peerRequest()
+	if err != nil {
+		return nil, false
+	}
+	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, false
 	}
@@ -265,23 +220,23 @@ func (m *Manager) forward(j *Job, t *task) ([]byte, bool) {
 
 // pointRun returns the scenario one run executes, with the run's point
 // store attached, and release, which the caller must call when the run
-// ends. Standalone the store is the point LRU. In a cluster it is a
-// clusterRun: a slotted run first resolves the grid points this node
-// lacks from their owners (one EXEC per owner); a run from a peer
-// never fans out. release queues the run's fresh points for
-// replication.
+// ends. Standalone, and for trace-mode work in a cluster, the store is
+// the point LRU. Otherwise it is a clusterRun: a slotted run first
+// resolves the grid points this node lacks from their owners (one EXEC
+// per owner); a run from a peer never fans out. release queues the
+// run's fresh points for replication.
 func (m *Manager) pointRun(ctx context.Context, t *task, mode admission) (core.Scenario, func()) {
 	sc := *t.sc
 	switch {
 	case m.points == nil:
 		return sc, func() {}
-	case m.node == nil:
+	case m.node == nil || sc.Trace != nil:
 		sc.PointCache = scenarioPointStore{m.points}
 		return sc, func() {}
 	}
 	run := &clusterRun{m: m}
 	if mode == slotted {
-		run.prefetch(ctx, t.req, &sc)
+		run.prefetch(ctx, t, &sc)
 	}
 	sc.PointCache = run
 	return sc, run.release
@@ -369,7 +324,7 @@ func decodePoint(digest string, b []byte, kind string, ok bool) (core.ScenarioPo
 // by owner; each remote owner then gets one EXEC for its group. Points
 // this node owns are left for the planner. Everything here is best
 // effort: any failure leaves the points to the local planner.
-func (r *clusterRun) prefetch(ctx context.Context, req ScenarioRequest, sc *core.Scenario) {
+func (r *clusterRun) prefetch(ctx context.Context, t *task, sc *core.Scenario) {
 	keys, err := sc.PointKeys()
 	if err != nil || len(keys) <= 1 {
 		// A one-point spec is routed whole by the spec forwarder.
@@ -418,7 +373,7 @@ func (r *clusterRun) prefetch(ctx context.Context, req ScenarioRequest, sc *core
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r.fetch(ctx, req, g.owner, g.keys)
+			r.fetch(ctx, t, g.owner, g.keys)
 		}()
 	}
 	wg.Wait()
@@ -428,7 +383,7 @@ func (r *clusterRun) prefetch(ctx context.Context, req ScenarioRequest, sc *core
 // adds them to fetched. An answer that is not exactly those points, in
 // order, means the owner and this node disagree about the spec: it is
 // dropped and the points are computed here.
-func (r *clusterRun) fetch(ctx context.Context, req ScenarioRequest, owner cluster.Contact, keys []core.PointKey) {
+func (r *clusterRun) fetch(ctx context.Context, t *task, owner cluster.Contact, keys []core.PointKey) {
 	fail := func(err error) {
 		mClusterFanout.With("error").Add(uint64(len(keys)))
 		r.m.log.LogAttrs(context.Background(), slog.LevelDebug, "point fan-out failed, computing locally",
@@ -436,7 +391,10 @@ func (r *clusterRun) fetch(ctx context.Context, req ScenarioRequest, owner clust
 			slog.String("owner", owner.Addr),
 			slog.String("error", err.Error()))
 	}
-	oreq, err := ownerScenarioRequest(req, keys)
+	oreq, err := t.peerRequest()
+	if err == nil {
+		oreq, err = ownerScenarioRequest(oreq, keys)
+	}
 	if err != nil {
 		fail(err)
 		return
@@ -502,43 +460,26 @@ func ownerScenarioRequest(r ScenarioRequest, keys []core.PointKey) (ScenarioRequ
 	return r, nil
 }
 
+// peerRequest is the task's request as a peer receives it: a platform
+// named by digest travels as the resolved platform's document, which
+// digests the same, because the digest resolves only on the node that
+// stored it. A degradations block travels unchanged: applying it again
+// replaces the document's fault spec with itself.
+func (t *task) peerRequest() (ScenarioRequest, error) {
+	req := t.req
+	if req.Platform == nil || req.Platform.Digest == "" {
+		return req, nil
+	}
+	var doc bytes.Buffer
+	if err := t.sc.Platform.WriteJSON(&doc); err != nil {
+		return ScenarioRequest{}, err
+	}
+	req.Platform = &PlatformSpec{Inline: doc.Bytes()}
+	return req, nil
+}
+
 // ---------------------------------------------------------------------------
 // Replication
-
-// ReplicateTrace pushes a stored trace into its DHT replica set (called
-// after uploads). No-op without a cluster or when this node already
-// holds it.
-func (m *Manager) ReplicateTrace(digest string, tr *trace.Trace) {
-	if m.node == nil || m.node.Has(digest) {
-		return
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
-		return
-	}
-	m.replicate(cluster.Blob{Key: digest, Kind: BlobTrace, Value: buf.Bytes()})
-}
-
-// replicatePlatform pushes a resolved platform into the DHT so peers
-// can serve specs referencing its digest. Platforms are a few hundred
-// bytes; the check for a held copy makes repeat resolves free.
-func (m *Manager) replicatePlatform(digest string, p network.Platform) {
-	if m.node == nil || m.node.Has(digest) {
-		return
-	}
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf); err != nil {
-		return
-	}
-	m.replicate(cluster.Blob{Key: digest, Kind: BlobPlatform, Value: buf.Bytes()})
-}
-
-// replicate holds an artifact on this node (when it is in the replica
-// set) and queues it for the peers.
-func (m *Manager) replicate(b cluster.Blob) {
-	m.node.Hold(b)
-	m.repl.enqueue([]cluster.Blob{b})
-}
 
 // replicator is the cluster's one replication queue. Enqueueing appends
 // and starts a worker if fewer than clusterReplicators run; a worker

@@ -14,16 +14,20 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/network"
 	"repro/internal/service"
 	"repro/internal/service/client"
+	"repro/internal/tracer"
 )
 
 // newTestCluster builds an n-node cluster: each member is a full stack
@@ -98,6 +102,18 @@ func newCountingCluster(t *testing.T, n int) ([]*service.Manager, []*client.Clie
 	}
 	net.take()
 	return mgrs, cls, net
+}
+
+// fileBlob files a blob as a node replicating a fresh point does: held
+// on n when n is in its replica set, and sent to the set's peers. It
+// returns how many nodes kept it.
+func fileBlob(ctx context.Context, n *cluster.Node, b cluster.Blob) int {
+	kept := 0
+	if n.Hold(b) {
+		kept++
+	}
+	acks, _ := n.Replicate(ctx, []cluster.Blob{b})
+	return kept + acks[0]
 }
 
 // totalStarted sums engine job starts across the cluster — the counter
@@ -230,7 +246,7 @@ func TestClusterRejectsMisfiledPointBlob(t *testing.T) {
 	}
 	mgrs, cls := newTestCluster(t, 3)
 	for _, pt := range res.Points[1:] {
-		if n := mgrs[0].Cluster().Store(ctx, pt.Digest, service.BlobPoint, blob); n != 3 {
+		if n := fileBlob(ctx, mgrs[0].Cluster(), cluster.Blob{Key: pt.Digest, Kind: service.BlobPoint, Value: blob}); n != 3 {
 			t.Fatalf("misfiled blob reached %d of 3 nodes", n)
 		}
 	}
@@ -473,8 +489,8 @@ func standaloneResult(t *testing.T, req service.ScenarioRequest) ([]byte, *core.
 }
 
 // TestClusterGridOneExecPerOwner: an 8-point grid sent to the node that
-// owns its spec sends each remote point owner exactly one EXEC, looks
-// nothing up with FIND_VALUE, and returns standalone's bytes.
+// owns its spec sends each remote point owner exactly one EXEC and
+// returns standalone's bytes.
 func TestClusterGridOneExecPerOwner(t *testing.T) {
 	ctx := context.Background()
 	req := gridSpec()
@@ -494,12 +510,8 @@ func TestClusterGridOneExecPerOwner(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("fanned-out grid differs from standalone:\n%s\n%s", want, got)
 	}
-	sent := net.take()
-	if sent[cluster.OpExec] != owners {
+	if sent := net.take(); sent[cluster.OpExec] != owners {
 		t.Fatalf("%d EXECs for %d remote owners, want one each", sent[cluster.OpExec], owners)
-	}
-	if sent[cluster.OpFindValue] != 0 {
-		t.Fatalf("%d FIND_VALUE lookups, want none", sent[cluster.OpFindValue])
 	}
 }
 
@@ -596,8 +608,8 @@ func TestClusterPeerSpecNeverFansOut(t *testing.T) {
 	if !bytes.Equal(bytes.TrimSpace(want), bytes.TrimSpace(got)) {
 		t.Fatalf("peer-sent grid differs from standalone:\n%s\n%s", want, got)
 	}
-	if sent := net.take(); sent[cluster.OpExec] != 1 || sent[cluster.OpFindValue] != 0 {
-		t.Fatalf("a peer-sent grid fanned out: %d EXECs (want only the sender's 1), %d FIND_VALUEs", sent[cluster.OpExec], sent[cluster.OpFindValue])
+	if sent := net.take(); sent[cluster.OpExec] != 1 {
+		t.Fatalf("a peer-sent grid fanned out: %d EXECs, want only the sender's 1", sent[cluster.OpExec])
 	}
 }
 
@@ -621,7 +633,7 @@ func TestClusterOwnerServesHeldPointBlob(t *testing.T) {
 
 	mgrs, cls := newTestCluster(t, 3)
 	owner := owning(t, mgrs, pt.Digest)
-	if n := mgrs[(owner+1)%3].Cluster().Store(ctx, pt.Digest, service.BlobPoint, blob); n != 3 {
+	if n := fileBlob(ctx, mgrs[(owner+1)%3].Cluster(), cluster.Blob{Key: pt.Digest, Kind: service.BlobPoint, Value: blob}); n != 3 {
 		t.Fatalf("point blob reached %d of 3 nodes", n)
 	}
 	before := totalStarted(mgrs)
@@ -634,5 +646,257 @@ func TestClusterOwnerServesHeldPointBlob(t *testing.T) {
 	}
 	if now := totalStarted(mgrs); now != before {
 		t.Fatalf("serving a held point blob started %d engine jobs, want 0", now-before)
+	}
+}
+
+// streamedResult reads a whole NDJSON scenario stream from cl and
+// returns it as the batch result it splices into.
+func streamedResult(t *testing.T, cl *client.Client, req service.ScenarioRequest) []byte {
+	t.Helper()
+	st, err := cl.ScenarioStream(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	res := core.ScenarioResult{ScenarioHeader: st.Header()}
+	for {
+		pt, err := st.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Points = append(res.Points, pt)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// startedPerNode snapshots each member's engine job starts.
+func startedPerNode(mgrs []*service.Manager) []uint64 {
+	out := make([]uint64, len(mgrs))
+	for i, m := range mgrs {
+		out[i] = m.Engine().Stats().Started
+	}
+	return out
+}
+
+// TestClusterTraceModeStaysOnItsNode: a trace uploaded to one member
+// belongs to that member. Trace-mode grids sent there, streamed and
+// batch, run there as on a standalone node: standalone's bytes, no EXEC
+// and no STORE for the upload or the runs, no point blob, and no engine
+// job on any other member. Another member does not know the digest.
+func TestClusterTraceModeStaysOnItsNode(t *testing.T) {
+	ctx := context.Background()
+	entry, _ := apps.ByName("cg", 4)
+	run, err := tracer.Trace("cg", 4, tracer.DefaultConfig(), entry.App.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := run.OverlapReal()
+
+	_, standalone := newService(t, 2)
+	info, err := standalone.UploadTrace(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamReq := service.ScenarioRequest{Trace: info.Digest, Axes: []core.Axis{core.BandwidthAxis(125, 500, 2000)}}
+	batchReq := service.ScenarioRequest{Trace: info.Digest, Axes: []core.Axis{core.BandwidthAxis(250, 1000)}, Output: "traffic"}
+	var digests []string
+	want := map[string][]byte{}
+	for name, req := range map[string]service.ScenarioRequest{"stream": streamReq, "batch": batchReq} {
+		raw, err := standalone.ScenarioRaw(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res core.ScenarioResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		want[name] = raw
+		digests = append(digests, res.SpecDigest)
+	}
+
+	mgrs, cls, net := newCountingCluster(t, 3)
+	// A member that owns neither spec: a forward or a fan-out would leave it.
+	i := 0
+	for i < len(mgrs) && (owning(t, mgrs, digests[0]) == i || owning(t, mgrs, digests[1]) == i) {
+		i++
+	}
+	before := startedPerNode(mgrs)
+	up, err := cls[i].UploadTrace(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Digest != info.Digest {
+		t.Fatalf("member digests the trace %s, standalone %s", up.Digest, info.Digest)
+	}
+	if got := streamedResult(t, cls[i], streamReq); !bytes.Equal(bytes.TrimSpace(want["stream"]), got) {
+		t.Fatalf("streamed trace-mode grid differs from standalone:\n%s\n%s", want["stream"], got)
+	}
+	got, err := cls[i].ScenarioRaw(ctx, batchReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want["batch"], got) {
+		t.Fatalf("trace-mode grid differs from standalone:\n%s\n%s", want["batch"], got)
+	}
+	for j := range cls {
+		if j == i {
+			continue
+		}
+		if _, err := cls[j].ScenarioRaw(ctx, batchReq); err == nil || !strings.Contains(err.Error(), "unknown trace") || !strings.Contains(err.Error(), "HTTP 400") {
+			t.Fatalf("member %d, without the trace, answered %v; want 400 unknown trace", j, err)
+		}
+	}
+	// Drain flushes the member's replication queue, so any STORE it
+	// queued is counted below.
+	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if _, err := mgrs[i].Drain(drainCtx); err != nil {
+		t.Fatal(err)
+	}
+	if sent := net.take(); sent[cluster.OpExec] != 0 || sent[cluster.OpStore] != 0 {
+		t.Fatalf("upload and trace-mode runs sent %d EXECs and %d STOREs, want none", sent[cluster.OpExec], sent[cluster.OpStore])
+	}
+	if held := mgrs[i].Cluster().Status().KeysByKind[service.BlobPoint]; held != 0 {
+		t.Fatalf("trace-mode points went to the blob store: %d held", held)
+	}
+	after := startedPerNode(mgrs)
+	for n := range mgrs {
+		if n != i && after[n] != before[n] {
+			t.Fatalf("member %d started %d engine jobs for another member's trace", n, after[n]-before[n])
+		}
+	}
+}
+
+// TestClusterPlatformDigestTravelsInline: a platform registered on one
+// member, named by its digest with a degradations block on a spec
+// another member owns, runs on that owner, which has never seen the
+// digest: the forward carries the platform's document. The reply is
+// standalone's, one EXEC is all the request sends, the registering
+// member starts no engine job, and the owner's store resolves the
+// reply's platform digest.
+func TestClusterPlatformDigestTravelsInline(t *testing.T) {
+	ctx := context.Background()
+	plat, err := network.PlatformPreset("marenostrum-4x", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := plat.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := plat.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	inline := service.ScenarioRequest{
+		App: "cg", Ranks: 8,
+		Platform:     &service.PlatformSpec{Inline: doc.Bytes()},
+		Degradations: &faults.Spec{DerateInter: 0.5, Stragglers: 1, StragglerFactor: 3, Seed: 7},
+		Axes:         []core.Axis{core.BandwidthAxis(125, 500)},
+		Output:       "traffic",
+	}
+	want, res := standaloneResult(t, inline)
+	byDigest := inline
+	byDigest.Platform = &service.PlatformSpec{Digest: digest}
+
+	mgrs, cls, net := newCountingCluster(t, 3)
+	home := owning(t, mgrs, res.SpecDigest)
+	i := (home + 1) % len(mgrs)
+	if _, err := mgrs[i].Store().PutPlatform(plat); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgrs[home].Store().GetPlatform(digest); err == nil {
+		t.Fatal("the spec's owner knows the platform digest before any request")
+	}
+	before := mgrs[i].Engine().Stats().Started
+	got, err := cls[i].ScenarioRaw(ctx, byDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("study by platform digest differs from standalone:\n%s\n%s", want, got)
+	}
+	if sent := net.take(); sent[cluster.OpExec] != 1 {
+		t.Fatalf("%d EXECs, want the one forward", sent[cluster.OpExec])
+	}
+	if now := mgrs[i].Engine().Stats().Started; now != before {
+		t.Fatalf("the registering member ran the study itself (%d engine jobs): the owner did not", now-before)
+	}
+	if _, err := mgrs[home].Store().GetPlatform(res.PlatformDigest); err != nil {
+		t.Fatalf("owner cannot resolve the reply's platform digest: %v", err)
+	}
+}
+
+// TestClusterCachedRerunsSendNoStores: on a cluster larger than K,
+// cached reruns at a member outside the platform digest's replica set
+// send no STORE: a resolved platform stays in the member's own store.
+func TestClusterCachedRerunsSendNoStores(t *testing.T) {
+	ctx := context.Background()
+	req := service.ScenarioRequest{
+		App: "cg", Ranks: 4,
+		Platform: &service.PlatformSpec{Preset: "marenostrum-4x"},
+		Output:   "traffic",
+	}
+	plat, err := network.PlatformPreset("marenostrum-4x", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := plat.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrs, cls, net := newCountingCluster(t, 12)
+	x := -1
+	for n, m := range mgrs {
+		in := false
+		for _, c := range m.Cluster().Owners(digest) {
+			in = in || c.ID == m.Cluster().Self().ID
+		}
+		if !in {
+			x = n
+			break
+		}
+	}
+	if x < 0 {
+		t.Fatal("every member is in the platform's replica set")
+	}
+	if _, err := cls[x].ScenarioRaw(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	// The fresh point replicates to its K replicas; let that settle first.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		held := 0
+		for _, m := range mgrs {
+			held += m.Cluster().Status().KeysByKind[service.BlobPoint]
+		}
+		if held >= cluster.DefaultK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the point reached %d of %d replicas", held, cluster.DefaultK)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	net.take()
+	for range 50 {
+		if _, err := cls[x].ScenarioRaw(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if _, err := mgrs[x].Drain(drainCtx); err != nil {
+		t.Fatal(err)
+	}
+	if n := net.take()[cluster.OpStore]; n != 0 {
+		t.Fatalf("50 cached reruns sent %d STOREs, want 0", n)
 	}
 }

@@ -160,9 +160,6 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, status, err)
 			return
 		}
-		// In a cluster the upload also replicates to the digest's replica
-		// set, so any member can serve specs referencing it.
-		m.ReplicateTrace(digest, tr)
 		writeJSON(w, http.StatusCreated, traceInfo(digest, tr))
 	})
 

@@ -80,6 +80,12 @@ func queuePoints(m *Manager, n int) []string {
 	return digests
 }
 
+// holds reports whether n's blob store has key.
+func holds(n *cluster.Node, key string) bool {
+	_, _, ok := n.GetCached(key)
+	return ok
+}
+
 // waitHeld waits until n STOREs are parked.
 func waitHeld(t *testing.T, net *holdStores, n int64) {
 	t.Helper()
@@ -115,7 +121,7 @@ func TestReplicationQueueBoundsGoroutines(t *testing.T) {
 	}
 	for i, n := range nodes {
 		for _, d := range digests {
-			if !n.Has(d) {
+			if !holds(n, d) {
 				t.Fatalf("node %d lacks point %s after Drain", i, d)
 			}
 		}
@@ -145,7 +151,7 @@ func TestReplicationDrainWaitsForQueue(t *testing.T) {
 	}
 	for i, n := range nodes[1:] {
 		for _, d := range digests {
-			if !n.Has(d) {
+			if !holds(n, d) {
 				t.Fatalf("peer %d lacks point %s after Drain", i+1, d)
 			}
 		}

@@ -134,13 +134,9 @@ func (m *Manager) resolvePlatform(spec *PlatformSpec, degradations *faults.Spec,
 	if degradations != nil && !degradations.IsZero() {
 		plat = plat.WithDegradations(*degradations)
 	}
-	digest, err := m.store.PutPlatform(plat)
-	if err != nil {
+	if _, err := m.store.PutPlatform(plat); err != nil {
 		return network.Platform{}, err
 	}
-	// Cluster members replicate resolved platforms so peers can serve
-	// specs referencing the digest (no-op standalone; see cluster.go).
-	m.replicatePlatform(digest, plat)
 	return plat, nil
 }
 
@@ -276,7 +272,8 @@ type MappingSweepRequest struct {
 // its spelling: "block" and its explicit node list are one placement and
 // share one key. Points are labelled with the request's own spellings
 // (a cached reply keeps its first submitter's), and the scenario keeps
-// the client's platform selector so a peer resolves it itself.
+// the client's platform selector, as every request does (a peer gets a
+// digest selector as the platform's document, task.peerRequest).
 func (r MappingSweepRequest) translate(m *Manager) (*task, error) {
 	if _, err := appEntry(r.App, r.Ranks); err != nil {
 		return nil, err

@@ -289,22 +289,6 @@ func (s *Store) TraceDigests() []string {
 	return out
 }
 
-// HasTrace reports whether the digest is resident in the memory tier.
-func (s *Store) HasTrace(digest string) bool { return s.traces.Contains(digest) }
-
-// ContainsTrace reports whether the digest lives in either tier —
-// memory, or (when configured) the disk tier.
-func (s *Store) ContainsTrace(digest string) bool {
-	if s.HasTrace(digest) {
-		return true
-	}
-	if s.dir == "" {
-		return false
-	}
-	_, err := os.Stat(s.tracePath(digest))
-	return err == nil
-}
-
 // Counts reports how many traces and platforms the memory tiers hold.
 func (s *Store) Counts() (traces, platforms int) {
 	return s.traces.Len(), s.platforms.Len()

@@ -351,7 +351,7 @@ func TestStoreEvictionDropsCompiledPrograms(t *testing.T) {
 	}
 	// Capacity 2: the third put evicted the least recently used entry
 	// (the first trace), and its program must be gone with it.
-	if store.HasTrace(digests[0]) {
+	if store.traces.Contains(digests[0]) {
 		t.Fatal("first trace still resident past capacity")
 	}
 	if !collected(progs[0]) {

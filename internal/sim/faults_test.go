@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -242,5 +244,53 @@ func TestHardFaultsDeadlockFaultInduced(t *testing.T) {
 	}
 	if dl.FaultInduced() || dl.Dropped != 0 {
 		t.Fatalf("genuine deadlock misreported as fault-induced: %+v", dl)
+	}
+}
+
+// TestArenaReusesLinkDownDraw: an arena keeps its last seeded link draw
+// and reuses it only for the same effective seed, link count, node
+// count and explicit links. Alternating link-down platforms on one
+// arena, with a healthy replay between, gives the downed pairs and the
+// replay outcome a fresh arena gives, byte for byte, every time.
+func TestArenaReusesLinkDownDraw(t *testing.T) {
+	prog, err := Compile(allocRing(16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plats := map[string]network.Platform{
+		"seed 1":           pdesPlatform(16, 8).WithDegradations(faults.Spec{LinkDown: 3, Seed: 1}),
+		"seed 2":           pdesPlatform(16, 8).WithDegradations(faults.Spec{LinkDown: 3, Seed: 2}),
+		"seed 1, 16 nodes": pdesPlatform(16, 16).WithDegradations(faults.Spec{LinkDown: 3, Seed: 1}),
+		"seed 1, link 0-1": pdesPlatform(16, 8).WithDegradations(faults.Spec{LinkDown: 3, Seed: 1, DownLinks: [][2]int{{0, 1}}}),
+		"healthy":          pdesPlatform(16, 8),
+	}
+	order := []string{"seed 1", "seed 2", "seed 1", "healthy", "seed 1", "seed 1, 16 nodes", "seed 1", "seed 1, link 0-1", "seed 2", "seed 2"}
+	drawn := map[string][]uint64{}
+	shared := NewArena()
+	for i, name := range order {
+		label := fmt.Sprintf("replay %d (%s)", i, name)
+		fresh := NewArena()
+		want, wantErr := fresh.RunProgram(plats[name], prog)
+		got, gotErr := shared.RunProgram(plats[name], prog)
+		switch {
+		case (wantErr == nil) != (gotErr == nil):
+			t.Fatalf("%s: fresh arena %v, reused arena %v", label, wantErr, gotErr)
+		case wantErr != nil:
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("%s: fresh arena %v, reused arena %v", label, wantErr, gotErr)
+			}
+		default:
+			requireIdentical(t, label, want, got)
+		}
+		if name == "healthy" {
+			continue
+		}
+		if !slices.Equal(shared.fxPairs, fresh.fxPairs) {
+			t.Fatalf("%s: reused arena downs %v, fresh arena %v", label, shared.fxPairs, fresh.fxPairs)
+		}
+		drawn[name] = slices.Clone(fresh.fxPairs)
+	}
+	if slices.Equal(drawn["seed 1"], drawn["seed 2"]) || slices.Equal(drawn["seed 1"], drawn["seed 1, 16 nodes"]) {
+		t.Fatalf("the specs draw the same pairs, so alternating them tests nothing: %v", drawn)
 	}
 }

@@ -545,6 +545,7 @@ type ReplayArena struct {
 	fxStragMul []float64    // per-rank compute multiplier (1 = healthy)
 	fxNICDown  []bool       // per-node downed NIC
 	fxPairs    []uint64     // downed node pairs, packed lo<<32|hi, sorted
+	fxPairsFor pairsKey     // what fxPairs was resolved for
 	fxPickBuf  []int32      // reusable buffer for seeded rank draws
 	fxDraws    faults.Draws // dedupe scratch of the seeded draws
 	fxDropped  int64        // transfers suppressed this replay
@@ -881,17 +882,39 @@ func (a *ReplayArena) resetFaults(p network.Platform) {
 		for _, n := range d.DownNodes {
 			a.fxNICDown[n] = true
 		}
-		a.fxPairs = a.fxPairs[:0]
-		for _, pr := range d.DownLinks {
-			a.fxPairs = append(a.fxPairs, uint64(pr[0])<<32|uint64(pr[1]))
-		}
-		if d.LinkDown > 0 {
-			// Explicit pairs arrive sorted (Canonical); the seeded ones
-			// append in draw order.
-			a.fxPairs = a.fxDraws.PickPairs(a.fxSeed, d.LinkDown, p.Nodes, a.fxPairs)
-			slices.Sort(a.fxPairs)
+		// The downed pairs are a function of the key alone, and a seeded
+		// draw of many links costs far more than the replay it feeds, so
+		// the last draw is kept for the next replay with the same key.
+		key := pairsKey{seed: a.fxSeed, linkDown: d.LinkDown, nodes: p.Nodes, links: d.DownLinks}
+		if !key.equal(a.fxPairsFor) {
+			a.fxPairs = a.fxPairs[:0]
+			for _, pr := range d.DownLinks {
+				a.fxPairs = append(a.fxPairs, uint64(pr[0])<<32|uint64(pr[1]))
+			}
+			if d.LinkDown > 0 {
+				// Explicit pairs arrive sorted (Canonical); the seeded ones
+				// append in draw order.
+				a.fxPairs = a.fxDraws.PickPairs(a.fxSeed, d.LinkDown, p.Nodes, a.fxPairs)
+				slices.Sort(a.fxPairs)
+			}
+			key.links = slices.Clone(d.DownLinks)
+			a.fxPairsFor = key
 		}
 	}
+}
+
+// pairsKey is what an arena's downed pairs are drawn from: the effective
+// seed, the seeded link count, the node count and the explicit links.
+// The zero key matches no platform, whose node count is positive.
+type pairsKey struct {
+	seed     uint64
+	linkDown int
+	nodes    int
+	links    [][2]int
+}
+
+func (k pairsKey) equal(o pairsKey) bool {
+	return k.seed == o.seed && k.linkDown == o.linkDown && k.nodes == o.nodes && slices.Equal(k.links, o.links)
 }
 
 // linkFaulted reports whether the inter-node path between two nodes is

@@ -108,7 +108,7 @@ func Write(w io.Writer, t *Trace) error {
 
 // ReadAny parses a trace in either codec: the text format when the input
 // starts with its "#DIMGO " magic, the binary format otherwise. Trace
-// files, uploads and peers' trace blobs all decode through it.
+// files and uploads both decode through it.
 func ReadAny(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	if magic, _ := br.Peek(len(textMagicPrefix)); string(magic) == textMagicPrefix {
