@@ -7,13 +7,13 @@
 // already content-addressed — SHA-256 scenario and per-point digests —
 // so those digests are the keys: the XOR-closest member owns a key's
 // computation, its K closest members hold the replicated value, and a
-// grid's points scatter across the cluster by digest. Nothing reads a
+// grid's points replicate across the cluster by digest. Nothing reads a
 // value from another node: a node serves what its own blob store holds
 // and computes the rest.
 //
 // The package is deliberately below the service layer: it knows about
 // keys, blobs, and one opaque "exec" RPC, never about scenarios. The
-// service glue (forwarding, fan-out, the cooperative point cache) lives
+// service glue (forwarding, the cooperative point cache) lives
 // in internal/service; the HTTP client-side transport lives in
 // internal/service/client so inter-node calls reuse the client's
 // RetryPolicy.

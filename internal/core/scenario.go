@@ -133,7 +133,7 @@ const (
 )
 
 // list returns the point list the kind takes: the one place a kind's
-// spelling is decided, for Validate, labels and AxisOf alike.
+// spelling is decided, for Validate and labels alike.
 func (k AxisKind) list() axisList {
 	switch k {
 	case AxisBandwidth, AxisLatency, AxisDerate, AxisJitter:
@@ -232,7 +232,7 @@ func (a Axis) Validate() error {
 // labels returns the canonical point labels of the axis — the strings
 // that appear both in the canonical spec (the digest input) and in the
 // result table's coordinates, so a result row names its grid point in
-// exactly the spelling the spec digested through. AxisOf inverts it.
+// exactly the spelling the spec digested through.
 func (a Axis) labels() ([]string, error) {
 	out := make([]string, 0, a.Len())
 	switch a.Kind.list() {
@@ -254,36 +254,6 @@ func (a Axis) labels() ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// AxisOf rebuilds the axis of the given kind whose points carry the given
-// canonical labels (Coord values), in order: the inverse of the labels an
-// axis digests through, so the rebuilt axis labels back to exactly them.
-func AxisOf(kind AxisKind, labels []string) (Axis, error) {
-	list := kind.list()
-	if list == listNone {
-		return Axis{}, fmt.Errorf("core: unknown axis kind %q", kind)
-	}
-	a := Axis{Kind: kind}
-	for _, l := range labels {
-		switch list {
-		case listValues:
-			v, err := strconv.ParseFloat(l, 64)
-			if err != nil {
-				return Axis{}, fmt.Errorf("core: axis %q label %q: %w", kind, l, err)
-			}
-			a.Values = append(a.Values, v)
-		case listCounts:
-			k, err := strconv.Atoi(l)
-			if err != nil {
-				return Axis{}, fmt.Errorf("core: axis %q label %q: %w", kind, l, err)
-			}
-			a.Counts = append(a.Counts, k)
-		case listMappings:
-			a.Mappings = append(a.Mappings, l)
-		}
-	}
-	return a, nil
 }
 
 // OutputKind selects what each grid point of a scenario retains.
@@ -698,18 +668,17 @@ type Coord struct {
 }
 
 // PointKey names one grid point of a scenario without running it: its
-// coordinates (canonical axis spellings) and the point digest a cache
-// or cluster shards on.
+// coordinates (canonical axis spellings) and the point digest the point
+// caches and the cluster's replication are keyed on.
 type PointKey struct {
 	Coords []Coord
 	Digest string
 }
 
 // PointKeys expands the grid and returns every point's key in run
-// order, without simulating anything. Distributed schedulers use this
-// to decide point ownership before execution: each key's Digest is the
-// spec digest of the pinned single-point scenario (see pointDigest), so
-// a single-point spec built from Coords digests back to the same key.
+// order, without simulating anything. Each key's Digest is the spec
+// digest of the pinned single-point scenario (see pointDigest), so a
+// single-point spec built from Coords digests back to the same key.
 func (s Scenario) PointKeys() ([]PointKey, error) {
 	norm, err := s.normalized()
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -461,10 +463,41 @@ func testScenarioTrace(t *testing.T) *engine.StoredTrace {
 	return st
 }
 
+// axisOf rebuilds the axis of the given kind whose points carry the
+// given canonical labels (Coord values), in order, parsing each label
+// as the kind's point list takes it.
+func axisOf(kind AxisKind, labels []string) (Axis, error) {
+	list := kind.list()
+	if list == listNone {
+		return Axis{}, fmt.Errorf("unknown axis kind %q", kind)
+	}
+	a := Axis{Kind: kind}
+	for _, l := range labels {
+		switch list {
+		case listValues:
+			v, err := strconv.ParseFloat(l, 64)
+			if err != nil {
+				return Axis{}, err
+			}
+			a.Values = append(a.Values, v)
+		case listCounts:
+			k, err := strconv.Atoi(l)
+			if err != nil {
+				return Axis{}, err
+			}
+			a.Counts = append(a.Counts, k)
+		case listMappings:
+			a.Mappings = append(a.Mappings, l)
+		}
+	}
+	return a, nil
+}
+
 // TestAxisOfRoundTripsPointDigests: the labels of a grid point, read
-// back through AxisOf, rebuild specs whose points digest exactly like the
+// back through axisOf, rebuild specs whose points digest exactly like the
 // original grid's, on all 11 axis kinds, both as a pinned single point
-// and as one zipped group listing every point.
+// (the promise PointKeys makes) and as one zipped group listing every
+// point. The kind's point list decides how a label parses.
 func TestAxisOfRoundTripsPointDigests(t *testing.T) {
 	const ranks = 8
 	spec := Scenario{
@@ -509,7 +542,7 @@ func TestAxisOfRoundTripsPointDigests(t *testing.T) {
 			for j, k := range keys {
 				labels[j] = k.Coords[i].Value
 			}
-			ax, err := AxisOf(keys[0].Coords[i].Axis, labels)
+			ax, err := axisOf(keys[0].Coords[i].Axis, labels)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -536,11 +569,11 @@ func TestAxisOfRoundTripsPointDigests(t *testing.T) {
 			t.Errorf("zipped point %d digests %s, want %s", i, zipped[i].Digest, keys[i].Digest)
 		}
 	}
-	if _, err := AxisOf("voltage", []string{"1"}); err == nil {
-		t.Error("AxisOf accepted an unknown kind")
+	if _, err := axisOf("voltage", []string{"1"}); err == nil {
+		t.Error("an unknown kind has a point list")
 	}
-	if _, err := AxisOf(AxisBuses, []string{"1.5"}); err == nil {
-		t.Error("AxisOf accepted a fractional bus count")
+	if _, err := axisOf(AxisBuses, []string{"1.5"}); err == nil {
+		t.Error("the bus axis took a fractional count")
 	}
 }
 

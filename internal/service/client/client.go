@@ -50,66 +50,39 @@ type apiError struct {
 }
 
 // do issues one request — retrying transport errors and backpressure
-// statuses per the client's RetryPolicy; bodies are []byte so every
-// attempt replays the same bytes — and decodes the response into out
-// (skipped when out is nil). Non-2xx responses become errors carrying
-// the server's message.
+// statuses per the client's RetryPolicy — and decodes the response into
+// out (skipped when out is nil). Non-2xx responses become errors
+// carrying the server's message.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, contentType string, out any) error {
-	for attempt := 0; ; attempt++ {
+	var payload []byte
+	err := c.retry.send(ctx, c.hc, func() (*http.Request, error) {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-		if err != nil {
-			return err
-		}
-		if contentType != "" {
+		if err == nil && contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			if attempt >= c.retry.Retries || ctx.Err() != nil {
-				return err
-			}
-			if sleepCtx(ctx, c.retry.wait(attempt, 0)) != nil {
-				return err
-			}
-			continue
-		}
-		payload, rerr := io.ReadAll(resp.Body)
+		return req, err
+	}, 0, func(resp *http.Response) (err error) {
+		payload, err = io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if rerr != nil {
-			if attempt >= c.retry.Retries || ctx.Err() != nil {
-				return rerr
-			}
-			if sleepCtx(ctx, c.retry.wait(attempt, 0)) != nil {
-				return rerr
-			}
-			continue
-		}
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			serr := statusError(method, path, resp.StatusCode, payload)
-			if retryableStatus(resp.StatusCode) && attempt < c.retry.Retries {
-				if sleepCtx(ctx, c.retry.wait(attempt, parseRetryAfter(resp.Header.Get("Retry-After")))) != nil {
-					return serr
-				}
-				continue
-			}
-			return serr
-		}
-		if out == nil {
-			return nil
-		}
-		if raw, ok := out.(*[]byte); ok {
-			*raw = payload
-			return nil
-		}
-		if err := json.Unmarshal(payload, out); err != nil {
-			return fmt.Errorf("client: %s %s: decode response: %w", method, path, err)
-		}
+		return err
+	}, func(code int, body []byte) error {
+		return statusError(method, path, code, body)
+	})
+	if err != nil || out == nil {
+		return err
+	}
+	if raw, ok := out.(*[]byte); ok {
+		*raw = payload
 		return nil
 	}
+	if err := json.Unmarshal(payload, out); err != nil {
+		return fmt.Errorf("client: %s %s: decode response: %w", method, path, err)
+	}
+	return nil
 }
 
 // statusError turns a non-2xx reply into the client's error, carrying

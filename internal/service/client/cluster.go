@@ -40,44 +40,26 @@ func (t *ClusterTransport) Call(ctx context.Context, addr string, req *cluster.R
 		hc = http.DefaultClient
 	}
 	url := strings.TrimRight(addr, "/") + cluster.RPCPath
-	for attempt := 0; ; attempt++ {
+	var payload []byte
+	err = t.Retry.send(ctx, hc, func() (*http.Request, error) {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
+		if err == nil {
+			hreq.Header.Set("Content-Type", "application/json")
 		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hresp, err := hc.Do(hreq)
-		if err != nil {
-			if attempt >= t.Retry.Retries || ctx.Err() != nil {
-				return nil, err
-			}
-			if sleepCtx(ctx, t.Retry.wait(attempt, 0)) != nil {
-				return nil, err
-			}
-			continue
-		}
+		return hreq, err
+	}, http.StatusOK, func(hresp *http.Response) (err error) {
 		// One byte past the bound, so an oversized reply fails
 		// DecodeResponse's wire-bound check instead of parsing cut short.
-		payload, rerr := io.ReadAll(io.LimitReader(hresp.Body, cluster.MaxResponseBytes+1))
+		payload, err = io.ReadAll(io.LimitReader(hresp.Body, cluster.MaxResponseBytes+1))
 		hresp.Body.Close()
-		switch {
-		case rerr != nil:
-			err = rerr
-		case hresp.StatusCode == http.StatusOK:
-			return cluster.DecodeResponse(payload)
-		default:
-			err = fmt.Errorf("client: cluster rpc %s: status %d: %s", url, hresp.StatusCode, strings.TrimSpace(string(payload)))
-			if !retryableStatus(hresp.StatusCode) {
-				return nil, err
-			}
-		}
-		if attempt >= t.Retry.Retries || ctx.Err() != nil {
-			return nil, err
-		}
-		if sleepCtx(ctx, t.Retry.wait(attempt, parseRetryAfter(hresp.Header.Get("Retry-After")))) != nil {
-			return nil, err
-		}
+		return err
+	}, func(code int, msg []byte) error {
+		return fmt.Errorf("client: cluster rpc %s: status %d: %s", url, code, strings.TrimSpace(string(msg)))
+	})
+	if err != nil {
+		return nil, err
 	}
+	return cluster.DecodeResponse(payload)
 }
 
 // ClusterStatus fetches GET /v1/cluster/status — the node's identity,

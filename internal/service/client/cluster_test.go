@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -117,5 +118,42 @@ func TestClusterTransportLargeValue(t *testing.T) {
 	_, err = tr.Call(ctx, over.URL, &cluster.Request{Op: cluster.OpPing, From: nodes[0].Self()})
 	if err == nil || !strings.Contains(err.Error(), "wire bound") {
 		t.Fatalf("a reply over %d bytes: error %v, want the wire-bound error", cluster.MaxResponseBytes, err)
+	}
+}
+
+// TestClusterTransportRetries: an RPC whose first three attempts meet
+// two 503s and a dropped connection succeeds on the fourth within its
+// RetryPolicy, and the peer's executor runs once.
+func TestClusterTransportRetries(t *testing.T) {
+	n, err := cluster.NewNode(cluster.Config{Name: "flaky", Addr: "http://flaky", Transport: &ClusterTransport{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	n.SetExecutor(func(_ context.Context, _ string, payload []byte) ([]byte, error) {
+		runs.Add(1)
+		return append([]byte("ran "), payload...), nil
+	})
+	fails := []string{"503", "503", "drop"}
+	srv, calls := flakyFront(t, cluster.ServeRPC(n), func(i int64) string {
+		if i <= int64(len(fails)) {
+			return fails[i-1]
+		}
+		return ""
+	})
+	tr := &ClusterTransport{HC: srv.Client(), Retry: fastRetry(len(fails))}
+	from := cluster.Contact{ID: cluster.NodeID("caller"), Addr: "http://caller"}
+	resp, err := tr.Call(context.Background(), srv.URL, &cluster.Request{Op: cluster.OpExec, From: from, Kind: "k", Value: []byte("x")})
+	if err != nil {
+		t.Fatalf("RPC through two 503s and a dropped connection: %v", err)
+	}
+	if resp.Err != "" || string(resp.Value) != "ran x" {
+		t.Fatalf("RPC answered %q (error %q), want \"ran x\"", resp.Value, resp.Err)
+	}
+	if got := calls.Load(); got != int64(len(fails))+1 {
+		t.Fatalf("%d attempts, want %d", got, len(fails)+1)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("executor ran %d times, want 1", got)
 	}
 }

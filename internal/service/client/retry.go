@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -37,6 +38,46 @@ type RetryPolicy struct {
 	BaseWait time.Duration
 	// MaxWait caps one backoff sleep (DefaultRetryMaxWait when 0).
 	MaxWait time.Duration
+}
+
+// maxErrorBody bounds how much of a refused answer's body goes into its
+// error: the daemon's error envelope is one short line.
+const maxErrorBody = 64 << 10
+
+// send is the package's one retry loop. It sends the request newReq
+// builds, a fresh one per attempt so a []byte body replays the same
+// bytes, until an attempt is final. An answer with status want (any 2xx
+// when want is 0) goes to read, which owns its body. Transport errors,
+// read's errors and 429/502/503 answers retry per p; refuse turns any
+// other answer, or the last retryable one, into the error, given the
+// start of its body.
+func (p RetryPolicy) send(ctx context.Context, hc *http.Client, newReq func() (*http.Request, error), want int,
+	read func(*http.Response) error, refuse func(code int, body []byte) error) error {
+	for attempt := 0; ; attempt++ {
+		req, err := newReq()
+		if err != nil {
+			return err
+		}
+		resp, err := hc.Do(req)
+		var retryAfter time.Duration
+		switch {
+		case err != nil:
+		case resp.StatusCode == want || want == 0 && resp.StatusCode/100 == 2:
+			if err = read(resp); err == nil {
+				return nil
+			}
+		default:
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+			resp.Body.Close()
+			if err = refuse(resp.StatusCode, body); !retryableStatus(resp.StatusCode) {
+				return err
+			}
+			retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
+		}
+		if attempt >= p.Retries || ctx.Err() != nil || sleepCtx(ctx, p.wait(attempt, retryAfter)) != nil {
+			return err
+		}
+	}
 }
 
 // wait picks the sleep before retry attempt (attempt counts from 0) —

@@ -63,11 +63,23 @@ func flakyProxy(t *testing.T, fail int, mode string) (*httptest.Server, *atomic.
 	if err != nil {
 		t.Fatal(err)
 	}
-	real := service.NewHandler(mgr)
+	return flakyFront(t, service.NewHandler(mgr), func(n int64) string {
+		if n <= int64(fail) {
+			return mode
+		}
+		return ""
+	})
+}
+
+// flakyFront serves real, except that request n (counting from 1) fails
+// as mode(n) says: "drop" severs the connection, any other non-empty
+// mode answers 503 with Retry-After 0.
+func flakyFront(t *testing.T, real http.Handler, mode func(n int64) string) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if n := calls.Add(1); int(n) <= fail {
-			switch mode {
+		if m := mode(calls.Add(1)); m != "" {
+			switch m {
 			case "drop":
 				// Simulate a daemon dying mid-request: sever the
 				// connection so the client sees a transport error.

@@ -39,36 +39,21 @@ func (c *Client) ScenarioStream(ctx context.Context, req service.ScenarioRequest
 		return nil, err
 	}
 	var resp *http.Response
-	for attempt := 0; ; attempt++ {
+	err = c.retry.send(ctx, c.hc, func() (*http.Request, error) {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/scenarios", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
+		if err == nil {
+			hreq.Header.Set("Content-Type", "application/json")
+			hreq.Header.Set("Accept", service.NDJSONContentType)
 		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("Accept", service.NDJSONContentType)
-		resp, err = c.hc.Do(hreq)
-		if err != nil {
-			if attempt >= c.retry.Retries || ctx.Err() != nil {
-				return nil, err
-			}
-			if sleepCtx(ctx, c.retry.wait(attempt, 0)) != nil {
-				return nil, err
-			}
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			payload, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			serr := statusError(http.MethodPost, "/v1/scenarios", resp.StatusCode, payload)
-			if retryableStatus(resp.StatusCode) && attempt < c.retry.Retries {
-				if sleepCtx(ctx, c.retry.wait(attempt, parseRetryAfter(resp.Header.Get("Retry-After")))) != nil {
-					return nil, serr
-				}
-				continue
-			}
-			return nil, serr
-		}
-		break
+		return hreq, err
+	}, http.StatusOK, func(r *http.Response) error {
+		resp = r
+		return nil
+	}, func(code int, payload []byte) error {
+		return statusError(http.MethodPost, "/v1/scenarios", code, payload)
+	})
+	if err != nil {
+		return nil, err
 	}
 	s := &ScenarioStream{body: resp.Body, sc: bufio.NewScanner(resp.Body)}
 	s.sc.Buffer(make([]byte, 0, 64<<10), 16<<20)

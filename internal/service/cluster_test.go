@@ -27,6 +27,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/service"
 	"repro/internal/service/client"
+	"repro/internal/telemetry"
 	"repro/internal/tracer"
 )
 
@@ -126,8 +127,8 @@ func totalStarted(mgrs []*service.Manager) uint64 {
 	return sum
 }
 
-// gridSpec is the fan-out workload: a 2x2 grid whose points shard
-// across the cluster by point digest.
+// gridSpec is the grid workload: a 2x2 grid whose points' replica sets
+// spread across the cluster by point digest.
 func gridSpec() service.ScenarioRequest {
 	return service.ScenarioRequest{
 		App: "cg", Ranks: 8,
@@ -141,7 +142,7 @@ func gridSpec() service.ScenarioRequest {
 }
 
 // TestClusterScenarioByteIdentical is the headline acceptance path: a
-// gridded scenario fanned across a 3-node cluster returns bytes
+// gridded scenario run on a 3-node cluster returns bytes
 // identical to a standalone manager's, a rerun against each other node
 // is served from the cooperative cache with zero new engine jobs
 // cluster-wide, and the computed points land in the DHT as replicated
@@ -488,37 +489,73 @@ func standaloneResult(t *testing.T, req service.ScenarioRequest) ([]byte, *core.
 	return raw, &res
 }
 
-// TestClusterGridOneExecPerOwner: an 8-point grid sent to the node that
-// owns its spec sends each remote point owner exactly one EXEC and
-// returns standalone's bytes.
+// TestClusterGridRunsOnItsSpecOwner: an 8-point grid, some of whose
+// points other members own, sent to the member that owns its spec digest
+// runs there whole: it sends no EXEC, only that member's engine starts
+// jobs, and batch and NDJSON replies are standalone's bytes.
+func TestClusterGridRunsOnItsSpecOwner(t *testing.T) {
+	testGridRoute(t, false)
+}
+
+// TestClusterGridOneExecPerOwner: a spec has one owner, the member that
+// owns its digest, and an 8-point grid sent to another member costs
+// exactly one EXEC, the forward to that owner, though other members own
+// some of its points. The owner computes the grid without asking anyone
+// else: only its engine starts jobs, and batch and NDJSON replies are
+// standalone's bytes.
 func TestClusterGridOneExecPerOwner(t *testing.T) {
-	ctx := context.Background()
+	testGridRoute(t, true)
+}
+
+// testGridRoute sends an 8-point grid, some of whose points other
+// members own, to its spec's owner on a fresh 3-node cluster — or, when
+// forwarded is set, to the next member — once as a batch request and
+// once as an NDJSON stream.
+func testGridRoute(t *testing.T, forwarded bool) {
 	req := gridSpec()
 	req.Axes = []core.Axis{core.BandwidthAxis(125, 250, 500, 1000), core.MappingAxis("block", "rr")}
 	want, res := standaloneResult(t, req)
-
-	mgrs, cls, net := newCountingCluster(t, 3)
-	home := owning(t, mgrs, res.SpecDigest)
-	owners := len(remoteGroups(mgrs, home, res))
-	if owners == 0 {
-		t.Fatal("every point is the home node's own: the grid exercises no fan-out")
-	}
-	got, err := cls[home].ScenarioRaw(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("fanned-out grid differs from standalone:\n%s\n%s", want, got)
-	}
-	if sent := net.take(); sent[cluster.OpExec] != owners {
-		t.Fatalf("%d EXECs for %d remote owners, want one each", sent[cluster.OpExec], owners)
+	for _, reply := range []string{"batch", "ndjson"} {
+		t.Run(reply, func(t *testing.T) {
+			mgrs, cls, net := newCountingCluster(t, 3)
+			home := owning(t, mgrs, res.SpecDigest)
+			if len(remoteGroups(mgrs, home, res)) == 0 {
+				t.Fatal("the spec's owner owns every point: no point lies elsewhere")
+			}
+			at, execs := home, 0
+			if forwarded {
+				at, execs = (home+1)%len(mgrs), 1
+			}
+			before := startedPerNode(mgrs)
+			var got []byte
+			if reply == "ndjson" {
+				got = streamedResult(t, cls[at], req)
+			} else {
+				var err error
+				if got, err = cls[at].ScenarioRaw(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(bytes.TrimSpace(want), bytes.TrimSpace(got)) {
+				t.Fatalf("grid differs from standalone:\n%s\n%s", want, got)
+			}
+			if sent := net.take(); sent[cluster.OpExec] != execs {
+				t.Fatalf("%d EXECs, want %d", sent[cluster.OpExec], execs)
+			}
+			after := startedPerNode(mgrs)
+			for n := range mgrs {
+				if ran := after[n] != before[n]; ran != (n == home) {
+					t.Fatalf("member %d started %d engine jobs; the spec's owner is member %d", n, after[n]-before[n], home)
+				}
+			}
+		})
 	}
 }
 
 // TestClusterOwnerSpecsKeepGridBytes: a streamed grid over value,
-// mapping and count axes — bandwidth × mapping × chunks × stragglers —
-// fans out as zipped owner specs whose lists repeat coordinates, and
-// every point equals standalone's.
+// mapping and count axes — bandwidth × mapping × chunks × stragglers,
+// with degradations — streams standalone's points, whether it is sent to
+// its spec's owner or forwarded there by another member.
 func TestClusterOwnerSpecsKeepGridBytes(t *testing.T) {
 	ctx := context.Background()
 	req := service.ScenarioRequest{
@@ -533,74 +570,63 @@ func TestClusterOwnerSpecsKeepGridBytes(t *testing.T) {
 		},
 	}
 	_, res := standaloneResult(t, req)
-
-	mgrs, cls, net := newCountingCluster(t, 3)
-	home := owning(t, mgrs, res.SpecDigest)
-	groups := remoteGroups(mgrs, home, res)
-	repeats := false
-	for _, pts := range groups {
-		seen := map[core.Coord]bool{}
-		for _, pt := range pts {
-			for _, c := range pt.Coords {
-				repeats = repeats || seen[c]
-				seen[c] = true
-			}
+	for _, peer := range []bool{false, true} {
+		mgrs, cls := newTestCluster(t, 3)
+		at := owning(t, mgrs, res.SpecDigest)
+		if peer {
+			at = (at + 1) % len(mgrs)
 		}
-	}
-	if !repeats {
-		t.Fatal("no owner's point list repeats a coordinate: the grid does not exercise zipped repeats")
-	}
-	st, err := cls[home].ScenarioStream(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i := 0; ; i++ {
-		pt, err := st.Next()
-		if errors.Is(err, io.EOF) {
-			if i != len(res.Points) {
-				t.Fatalf("stream ended after %d of %d points", i, len(res.Points))
-			}
-			break
-		}
+		st, err := cls[at].ScenarioStream(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := json.Marshal(res.Points[i])
-		got, _ := json.Marshal(pt)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("point %d differs from standalone:\n%s\n%s", i, want, got)
+		for i := 0; ; i++ {
+			pt, err := st.Next()
+			if errors.Is(err, io.EOF) {
+				if i != len(res.Points) {
+					t.Fatalf("stream via member %d ended after %d of %d points", at, i, len(res.Points))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.Marshal(res.Points[i])
+			got, _ := json.Marshal(pt)
+			if !bytes.Equal(want, got) {
+				t.Fatalf("point %d via member %d differs from standalone:\n%s\n%s", i, at, want, got)
+			}
 		}
-	}
-	if sent := net.take(); sent[cluster.OpExec] != len(groups) {
-		t.Fatalf("%d EXECs for %d remote owners, want one each", sent[cluster.OpExec], len(groups))
+		st.Close()
 	}
 }
 
 // TestClusterPeerSpecNeverFansOut: a grid that arrives from a peer is
-// computed where it lands, with no further EXEC, even though that
-// node's table names other owners for some of its points.
+// computed where it lands, with no further EXEC, even though that node
+// owns neither the spec's digest nor some of its points.
 func TestClusterPeerSpecNeverFansOut(t *testing.T) {
 	ctx := context.Background()
 	req := gridSpec()
 	want, res := standaloneResult(t, req)
 
 	mgrs, _, net := newCountingCluster(t, 3)
+	home := owning(t, mgrs, res.SpecDigest)
 	recv := -1
 	for i := range mgrs {
-		if len(remoteGroups(mgrs, i, res)) > 0 {
+		if i != home && len(remoteGroups(mgrs, i, res)) > 0 {
 			recv = i
 			break
 		}
 	}
 	if recv < 0 {
-		t.Fatal("no node's table names another owner for any point")
+		t.Fatal("no member but the spec's owner has a table naming another owner for any point")
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sender := mgrs[(recv+1)%len(mgrs)].Cluster()
+	before := startedPerNode(mgrs)
 	got, err := sender.Exec(ctx, mgrs[recv].Cluster().Self(), service.ExecKindScenario, payload)
 	if err != nil {
 		t.Fatal(err)
@@ -609,14 +635,20 @@ func TestClusterPeerSpecNeverFansOut(t *testing.T) {
 		t.Fatalf("peer-sent grid differs from standalone:\n%s\n%s", want, got)
 	}
 	if sent := net.take(); sent[cluster.OpExec] != 1 {
-		t.Fatalf("a peer-sent grid fanned out: %d EXECs, want only the sender's 1", sent[cluster.OpExec])
+		t.Fatalf("a peer-sent grid left its node: %d EXECs, want only the sender's 1", sent[cluster.OpExec])
+	}
+	after := startedPerNode(mgrs)
+	for n := range mgrs {
+		if ran := after[n] != before[n]; ran != (n == recv) {
+			t.Fatalf("member %d started %d engine jobs; the peer sent the grid to member %d", n, after[n]-before[n], recv)
+		}
 	}
 }
 
 // TestClusterOwnerServesHeldPointBlob: a one-point spec sent to the
 // owner of a point it holds only as a replicated blob — never computed
 // there, so not in its point LRU — is served from the blob store with
-// zero engine jobs.
+// zero engine jobs, and cluster_remote_point_hits_total counts the hit.
 func TestClusterOwnerServesHeldPointBlob(t *testing.T) {
 	ctx := context.Background()
 	req := gridSpec()
@@ -636,7 +668,8 @@ func TestClusterOwnerServesHeldPointBlob(t *testing.T) {
 	if n := fileBlob(ctx, mgrs[(owner+1)%3].Cluster(), cluster.Blob{Key: pt.Digest, Kind: service.BlobPoint, Value: blob}); n != 3 {
 		t.Fatalf("point blob reached %d of 3 nodes", n)
 	}
-	before := totalStarted(mgrs)
+	hits := telemetry.Default().Counter("cluster_remote_point_hits_total", "")
+	before, hits0 := totalStarted(mgrs), hits.Value()
 	got, err := cls[owner].ScenarioRaw(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -646,6 +679,44 @@ func TestClusterOwnerServesHeldPointBlob(t *testing.T) {
 	}
 	if now := totalStarted(mgrs); now != before {
 		t.Fatalf("serving a held point blob started %d engine jobs, want 0", now-before)
+	}
+	if n := hits.Value() - hits0; n != 1 {
+		t.Fatalf("cluster_remote_point_hits_total moved by %d, want 1", n)
+	}
+}
+
+// TestClusterForwardFallsBackWhenOwnerUnreachable: a spec whose owner
+// cannot be reached runs on the member it was sent to. The reply is
+// standalone's bytes, that member's engine does the work, and the
+// failed forward drops the owner from its member set.
+func TestClusterForwardFallsBackWhenOwnerUnreachable(t *testing.T) {
+	ctx := context.Background()
+	req := gridSpec()
+	want, res := standaloneResult(t, req)
+
+	mgrs, cls, net := newCountingCluster(t, 3)
+	home := owning(t, mgrs, res.SpecDigest)
+	owner := mgrs[home].Cluster().Self()
+	at := (home + 1) % len(mgrs)
+	net.SetDown(owner.Addr, true)
+	before := startedPerNode(mgrs)
+	got, err := cls[at].ScenarioRaw(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("grid with its owner unreachable differs from standalone:\n%s\n%s", want, got)
+	}
+	after := startedPerNode(mgrs)
+	for n := range mgrs {
+		if ran := after[n] != before[n]; ran != (n == at) {
+			t.Fatalf("member %d started %d engine jobs; the spec was sent to member %d", n, after[n]-before[n], at)
+		}
+	}
+	for _, c := range mgrs[at].Cluster().Table().Contacts() {
+		if c.ID == owner.ID {
+			t.Fatal("the sender still lists the unreachable owner")
+		}
 	}
 }
 
@@ -722,7 +793,7 @@ func TestClusterTraceModeStaysOnItsNode(t *testing.T) {
 	}
 
 	mgrs, cls, net := newCountingCluster(t, 3)
-	// A member that owns neither spec: a forward or a fan-out would leave it.
+	// A member that owns neither spec: a forward would leave it.
 	i := 0
 	for i < len(mgrs) && (owning(t, mgrs, digests[0]) == i || owning(t, mgrs, digests[1]) == i) {
 		i++

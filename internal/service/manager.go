@@ -86,10 +86,9 @@ type Options struct {
 	// and embedders stay quiet unless they opt in.
 	Logger *slog.Logger
 	// Cluster, when set, makes the manager a member of a DHT-sharded
-	// simulation cluster: specs forward to their owner node, scenario
-	// grids fan points out by point digest, and computed results
-	// replicate as a cooperative cache (see cluster.go). The manager
-	// registers itself as the node's executor.
+	// simulation cluster: specs forward whole to the node that owns their
+	// digest, and computed points replicate as a cooperative cache (see
+	// cluster.go). The manager registers itself as the node's executor.
 	Cluster *cluster.Node
 }
 
@@ -126,8 +125,8 @@ type Manager struct {
 	replayShards int
 
 	// node is the cluster membership (nil when standalone); repl is its
-	// replication queue, and clusterPointHits counts the point lookups a
-	// run's fetched points or the node's blob store answered (cluster.go).
+	// replication queue, and clusterPointHits counts the point lookups
+	// the node's blob store answered (cluster.go).
 	node             *cluster.Node
 	repl             *replicator
 	clusterPointHits atomic.Uint64
@@ -154,8 +153,8 @@ func (s scenarioPointStore) GetPoint(d string) (core.ScenarioPoint, bool) { retu
 func (s scenarioPointStore) PutPoint(d string, pt core.ScenarioPoint)     { s.c.Put(d, pt) }
 
 // pointCounters returns the point store's lifetime lookup hits and
-// misses: the LRU's, plus, in a cluster, the hits a run's fetched points
-// or the node's blob store answered.
+// misses: the LRU's, plus, in a cluster, the hits the node's blob store
+// answered.
 func (m *Manager) pointCounters() (hits, misses uint64) {
 	if m.points == nil {
 		return 0, 0
@@ -290,13 +289,14 @@ type admission int
 
 const (
 	// slotted: a local job takes an admission-queue place (ErrQueueFull
-	// beyond the bound), then forwards to its digest's owner or waits for
-	// an execution slot.
+	// beyond the bound), then forwards whole to its digest's owner or,
+	// when this node owns it or the forward fails, waits for an
+	// execution slot.
 	slotted admission = iota
-	// fromPeer: work a peer sent this node, its owner, takes no queue
-	// place or slot and never forwards, so two saturated nodes waiting on
-	// each other cannot deadlock (the engine's semaphore still bounds
-	// simulation).
+	// fromPeer: a spec a peer forwarded to this node, its owner, takes no
+	// queue place or slot and never forwards, so two saturated nodes
+	// waiting on each other cannot deadlock (the engine's semaphore still
+	// bounds simulation).
 	fromPeer
 )
 
@@ -417,10 +417,9 @@ func (m *Manager) compute(j *Job, t *task, mode admission, run func(context.Cont
 	if run != nil {
 		return run(j.ctx)
 	}
-	// The run's point store: in a cluster a slotted run first resolves
-	// the grid points it lacks from their owners, so the planner
-	// schedules engine work only for the rest (cluster.go).
-	sc, release := m.pointRun(j.ctx, t, mode)
+	// The run's point store: in a cluster, the node's blob store before
+	// the point LRU (cluster.go).
+	sc, release := m.pointRun(t)
 	defer release()
 	res, err := core.RunScenario(j.ctx, m.eng, sc)
 	if err != nil {
@@ -700,6 +699,17 @@ func (j *Job) markRunning() {
 	if j.state == JobPending {
 		j.state = JobRunning
 		j.started = time.Now()
+	}
+}
+
+// requeue undoes markRunning for a job whose forward failed: it waits
+// for a local slot as pending, with no start time.
+func (j *Job) requeue() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state == JobRunning {
+		j.state = JobPending
+		j.started = time.Time{}
 	}
 }
 

@@ -166,10 +166,9 @@ func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, req Scen
 			j.cancel()
 		}
 		asm = newPayloadAssembler(hdrJSON)
-		// The run's point store: in a cluster, the grid points this node
-		// lacks come from their owners before the planner schedules
-		// anything (cluster.go).
-		sc, release := m.pointRun(ctx, t, slotted)
+		// The run's point store: in a cluster, the node's blob store
+		// before the point LRU (cluster.go).
+		sc, release := m.pointRun(t)
 		defer release()
 		_, err = core.RunScenarioStream(ctx, m.eng, sc, func(pt core.ScenarioPoint) error {
 			ptJSON, err := json.Marshal(pt)
