@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -119,9 +118,7 @@ func runScenario(ctx context.Context, c *client.Client, path string, asJSON bool
 		return err
 	}
 	var req service.ScenarioRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := service.DecodeStrict(data, &req); err != nil {
 		return fmt.Errorf("scenario file %s: %w", path, err)
 	}
 	if asJSON {

@@ -159,7 +159,7 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 			}
 		}
 		for _, b := range req.Blobs {
-			n.blobs.Put(b.Key, blob{b.Kind, b.Value})
+			n.blobs.Put(b.Key, blob{kind: b.Kind, value: b.Value, fromPeer: true})
 		}
 		resp.Stored = true
 	case OpFindNode:
@@ -300,7 +300,7 @@ func (n *Node) Hold(b Blob) bool {
 	if n.draining.Load() || !n.inReplicaSet(b.Key) {
 		return false
 	}
-	n.blobs.Put(b.Key, blob{b.Kind, b.Value})
+	n.blobs.Put(b.Key, blob{kind: b.Kind, value: b.Value})
 	mStores.Inc()
 	return true
 }
@@ -379,12 +379,13 @@ func (n *Node) Replicate(ctx context.Context, blobs []Blob) (acks []int, stores 
 	return acks, stores
 }
 
-// GetCached returns a value from the local blob store. There is no
-// remote read: a node that lacks a value computes it (content
-// addressing makes re-derivation safe).
-func (n *Node) GetCached(key string) ([]byte, string, bool) {
+// GetCached returns a value from the local blob store with its kind,
+// and whether a peer's STORE put it there (else the node's own Hold did,
+// whichever came last). There is no remote read: a node that lacks a
+// value computes it (content addressing makes re-derivation safe).
+func (n *Node) GetCached(key string) (value []byte, kind string, fromPeer, ok bool) {
 	b, ok := n.blobs.Get(key)
-	return b.value, b.kind, ok
+	return b.value, b.kind, b.fromPeer, ok
 }
 
 // Exec runs an opaque request on a specific peer — the cross-node
@@ -451,8 +452,10 @@ func (n *Node) Status() Status {
 	return st
 }
 
-// blob is one value of the local store with its kind label.
+// blob is one value of the local store with its kind label and its
+// origin: a peer's STORE, or the node's own Hold.
 type blob struct {
-	kind  string
-	value []byte
+	kind     string
+	value    []byte
+	fromPeer bool
 }

@@ -76,7 +76,7 @@ func TestConcurrentJoinsMakeFullMesh(t *testing.T) {
 
 // holds reports whether n's blob store has key.
 func holds(n *Node, key string) bool {
-	_, _, ok := n.GetCached(key)
+	_, _, _, ok := n.GetCached(key)
 	return ok
 }
 
@@ -103,7 +103,7 @@ func TestReplicateReachesSmallCluster(t *testing.T) {
 		t.Fatalf("%d of 5 nodes kept the blob", kept)
 	}
 	for i, nd := range nodes {
-		got, kind, ok := nd.GetCached(b.Key)
+		got, kind, _, ok := nd.GetCached(b.Key)
 		if !ok || string(got) != string(b.Value) || kind != b.Kind {
 			t.Fatalf("node %d holds (%v, %q, %q)", i, ok, kind, got)
 		}
@@ -189,7 +189,7 @@ func TestDrainLeavesPolitely(t *testing.T) {
 		t.Fatalf("draining node accepted a fresh key: %+v", resp)
 	}
 	// ...but held keys stay, and re-replication of them is fine.
-	if v, _, ok := nodes[3].GetCached(held); !ok || string(v) != "kept" {
+	if v, _, _, ok := nodes[3].GetCached(held); !ok || string(v) != "kept" {
 		t.Fatal("draining node dropped a held value")
 	}
 	if resp := nodes[3].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{{Key: held, Kind: "blob", Value: []byte("kept")}}}); !resp.Stored {

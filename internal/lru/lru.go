@@ -38,12 +38,20 @@ func New[V any](capacity int) *Cache[V] {
 
 // Get returns the value stored under key, marking it most recently used
 // and counting a hit or a miss.
-func (c *Cache[V]) Get(key string) (V, bool) {
+func (c *Cache[V]) Get(key string) (V, bool) { return c.get(key, true) }
+
+// TryGet is Get for a lookup whose miss the caller follows with Get: a
+// hit counts and refreshes recency as Get's does, a miss is not counted.
+func (c *Cache[V]) TryGet(key string) (V, bool) { return c.get(key, false) }
+
+func (c *Cache[V]) get(key string, countMiss bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
+		if countMiss {
+			c.misses++
+		}
 		var zero V
 		return zero, false
 	}

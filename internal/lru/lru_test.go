@@ -51,3 +51,24 @@ func TestEvictionOrder(t *testing.T) {
 		t.Fatalf("hits/misses = %d/%d, want 2/0", hits, misses)
 	}
 }
+
+// TestTryGetCountsOnlyHits: a TryGet hit counts and refreshes recency
+// like Get's; a TryGet miss leaves the counters alone.
+func TestTryGetCountsOnlyHits(t *testing.T) {
+	c := New[int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if _, ok := c.TryGet("x"); ok {
+		t.Fatal("TryGet found an absent key")
+	}
+	if v, ok := c.TryGet("a"); !ok || v != 1 {
+		t.Fatalf("a = %d %v, want 1", v, ok)
+	}
+	c.Put("c", 3) // evicts b: the TryGet made a the most recent
+	if got := keys(c); !slices.Equal(got, []string{"c", "a"}) {
+		t.Fatalf("order %v, want [c a]", got)
+	}
+	if hits, misses := c.Counters(); hits != 1 || misses != 0 {
+		t.Fatalf("hits/misses = %d/%d, want 1/0", hits, misses)
+	}
+}

@@ -68,7 +68,7 @@ func TestClusterTransportBatchedStore(t *testing.T) {
 		if acks[i] != 1 {
 			t.Fatalf("blob %d acknowledged by %d peers, want 1", i, acks[i])
 		}
-		v, kind, ok := nodes[1].GetCached(b.Key)
+		v, kind, _, ok := nodes[1].GetCached(b.Key)
 		if !ok || kind != b.Kind || !bytes.Equal(v, b.Value) {
 			t.Fatalf("blob %d arrived as (%v, %q, %d bytes), want (%q, %d bytes)", i, ok, kind, len(v), b.Kind, len(b.Value))
 		}
@@ -82,7 +82,7 @@ func TestClusterTransportBatchedStore(t *testing.T) {
 	if resp, err := tr.Call(ctx, nodes[1].Self().Addr, req); err == nil {
 		t.Fatalf("a STORE of %d blobs was served: %+v", len(over), resp)
 	}
-	if _, _, ok := nodes[1].GetCached(over[0].Key); ok {
+	if _, _, _, ok := nodes[1].GetCached(over[0].Key); ok {
 		t.Fatal("a refused STORE left a blob behind")
 	}
 }

@@ -77,9 +77,18 @@ func (c *Client) ScenarioStream(ctx context.Context, req service.ScenarioRequest
 // size) — available before any point has arrived.
 func (s *ScenarioStream) Header() core.ScenarioHeader { return s.header }
 
+// streamFrame is one NDJSON line as the client decodes it: a point frame
+// decodes straight into its point, so each point is decoded once.
+type streamFrame struct {
+	Header json.RawMessage     `json:"header"`
+	Point  *core.ScenarioPoint `json:"point"`
+	Done   *service.StreamDone `json:"done"`
+	Error  string              `json:"error"`
+}
+
 // frame reads and decodes one NDJSON line.
-func (s *ScenarioStream) frame() (service.StreamFrame, error) {
-	var f service.StreamFrame
+func (s *ScenarioStream) frame() (streamFrame, error) {
+	var f streamFrame
 	if !s.sc.Scan() {
 		if err := s.sc.Err(); err != nil {
 			return f, err
@@ -110,12 +119,8 @@ func (s *ScenarioStream) Next() (core.ScenarioPoint, error) {
 	}
 	switch {
 	case frame.Point != nil:
-		if err := json.Unmarshal(frame.Point, &pt); err != nil {
-			s.err = fmt.Errorf("client: scenario stream: decode point: %w", err)
-			return pt, s.err
-		}
 		s.points++
-		return pt, nil
+		return *frame.Point, nil
 	case frame.Done != nil:
 		s.done = true
 		if frame.Done.Points != s.points {

@@ -75,7 +75,7 @@ const replicateTimeout = 30 * time.Second
 // families (internal/cluster/telemetry.go).
 var (
 	mClusterPointHits = telemetry.Default().Counter("cluster_remote_point_hits_total",
-		"grid points the planner's lookups found in the node's blob store (replicated by the cluster)")
+		"grid points the planner's lookups found in the node's blob store as a peer's STORE delivered them (points the node computed itself are not counted)")
 	mReplStores = telemetry.Default().Counter("cluster_replication_stores_total",
 		"STORE RPCs the replication queue sent, each listing every queued blob one peer should hold")
 	mClusterForwards = telemetry.Default().CounterVec("cluster_forwarded_jobs_total",
@@ -103,25 +103,16 @@ func (m *Manager) Cluster() *cluster.Node { return m.node }
 
 // clusterExecutor is the node's Executor: peers forward whole
 // ScenarioRequests here, and the manager serves them through the same
-// identity and execution steps as local work, admitted fromPeer:
-// computed here, never forwarded again.
+// identity and execution steps as local work (Manager.open, the exec
+// kind standing for the route), admitted fromPeer: computed here, never
+// forwarded again.
 func (m *Manager) clusterExecutor() cluster.Executor {
 	return func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
 		if kind != ExecKindScenario {
 			return nil, fmt.Errorf("service: unknown cluster exec kind %q", kind)
 		}
 		mClusterExecs.With(kind).Inc()
-		var req ScenarioRequest
-		dec := json.NewDecoder(bytes.NewReader(payload))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return nil, fmt.Errorf("service: cluster exec payload: %w", err)
-		}
-		t, err := m.prepare(req)
-		if err != nil {
-			return nil, err
-		}
-		j, fresh, err := m.begin(t, fromPeer)
+		j, t, fresh, err := m.open(execRoute, payload, decodeExec, fromPeer)
 		switch {
 		case err != nil:
 			// A draining owner refuses fresh work: the peer falls back to
@@ -134,8 +125,21 @@ func (m *Manager) clusterExecutor() cluster.Executor {
 		// attachers share the outcome either way, as with local jobs.
 		stop := context.AfterFunc(ctx, j.cancel)
 		defer stop()
-		return m.execute(j, t, fromPeer, nil)
+		r, err := m.execute(j, t, fromPeer, nil)
+		return r.body, err
 	}
+}
+
+// execRoute is the route the body memo keys exec payloads on.
+const execRoute = "exec " + ExecKindScenario
+
+// decodeExec decodes a cluster exec payload strictly.
+func decodeExec(payload []byte) (Request, error) {
+	var req ScenarioRequest
+	if err := DecodeStrict(payload, &req); err != nil {
+		return nil, fmt.Errorf("service: cluster exec payload: %w", err)
+	}
+	return req, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -143,40 +147,31 @@ func (m *Manager) clusterExecutor() cluster.Executor {
 
 // forward runs a slotted job on the node that owns its spec digest,
 // holding no local slot — the owner's engine does the work — and reports
-// whether the owner answered. A scenario reply is the owner's bytes
-// verbatim; a per-kind reply renders here from the owner's scenario
-// result, byte-identical to rendering it from a local run. Any failure
-// returns the job to pending, to run locally once it holds a slot: the
-// forward is an optimization for cluster-wide exactly-once, never a
-// requirement for availability. Trace-mode work never forwards: its
-// trace is here.
-func (m *Manager) forward(j *Job, t *task) ([]byte, bool) {
+// whether the owner answered. Any failure returns the job to pending, to
+// run locally once it holds a slot: the forward is an optimization for
+// cluster-wide exactly-once, never a requirement for availability.
+// Trace-mode work never forwards: its trace is here.
+func (m *Manager) forward(j *Job, t *task) (reply, bool) {
 	if m.node == nil || t.sc.Trace != nil {
-		return nil, false
+		return reply{}, false
 	}
 	owner := m.node.Owner(t.digest)
 	if owner.ID == m.node.Self().ID {
-		return nil, false
+		return reply{}, false
 	}
 	req, err := t.peerRequest()
 	if err != nil {
-		return nil, false
+		return reply{}, false
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return nil, false
+		return reply{}, false
 	}
 	j.markRunning()
 	out, err := m.node.Exec(j.ctx, owner, ExecKindScenario, payload)
-	if err == nil && t.kind != KindScenario {
-		var res core.ScenarioResult
-		if err = json.Unmarshal(out, &res); err == nil {
-			if res.SpecDigest != t.digest || len(res.Points) != t.sc.GridSize() {
-				err = fmt.Errorf("service: owner answered spec %s with %d points", res.SpecDigest, len(res.Points))
-			} else {
-				out, err = t.reply(&res)
-			}
-		}
+	var r reply
+	if err == nil {
+		r, err = t.fromOwner(out)
 	}
 	if err != nil {
 		j.requeue()
@@ -186,14 +181,29 @@ func (m *Manager) forward(j *Job, t *task) ([]byte, bool) {
 			slog.String("spec_digest", t.digest),
 			slog.String("owner", owner.Addr),
 			slog.String("error", err.Error()))
-		return nil, false
+		return reply{}, false
 	}
 	mClusterForwards.With("ok").Inc()
 	m.log.LogAttrs(context.Background(), slog.LevelInfo, "job served by owner node",
 		slog.String("job_id", j.ID()),
 		slog.String("spec_digest", t.digest),
 		slog.String("owner", owner.Addr))
-	return out, true
+	return r, true
+}
+
+// fromOwner builds the task's reply from the scenario result its spec
+// owner returned, which must answer the task's spec with its whole grid.
+// The reply is built here as from a local run, so it is byte-identical
+// to one, and a scenario reply carries its frame boundaries.
+func (t *task) fromOwner(out []byte) (reply, error) {
+	var res core.ScenarioResult
+	if err := json.Unmarshal(out, &res); err != nil {
+		return reply{}, err
+	}
+	if res.SpecDigest != t.digest || len(res.Points) != t.sc.GridSize() {
+		return reply{}, fmt.Errorf("service: owner answered spec %s with %d points", res.SpecDigest, len(res.Points))
+	}
+	return t.reply(&res)
 }
 
 // ---------------------------------------------------------------------------
@@ -230,13 +240,15 @@ type clusterRun struct {
 }
 
 // GetPoint implements core.PointCache. A blob-store hit counts as a
-// point-cache hit and as a remote point hit; the LRU counts its own
-// lookups.
+// point-cache hit, and as a remote point hit when a peer's STORE
+// delivered the blob; the LRU counts its own lookups.
 func (r *clusterRun) GetPoint(d string) (core.ScenarioPoint, bool) {
-	b, kind, ok := r.m.node.GetCached(d)
+	b, kind, fromPeer, ok := r.m.node.GetCached(d)
 	if pt, ok := decodePoint(d, b, kind, ok); ok {
 		r.m.clusterPointHits.Add(1)
-		mClusterPointHits.Inc()
+		if fromPeer {
+			mClusterPointHits.Inc()
+		}
 		return pt, true
 	}
 	return r.m.points.Get(d)

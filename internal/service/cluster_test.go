@@ -685,6 +685,66 @@ func TestClusterOwnerServesHeldPointBlob(t *testing.T) {
 	}
 }
 
+// TestClusterOwnPointHitsAreNotRemote: a grid point a member computed
+// itself and holds in its blob store is a point-cache hit but not a
+// remote point hit there; on another member, which holds it because the
+// computing member's STORE delivered it, the same point is both.
+func TestClusterOwnPointHitsAreNotRemote(t *testing.T) {
+	ctx := context.Background()
+	one := gridSpec()
+	one.Axes = []core.Axis{core.BandwidthAxis(250)}
+	_, res := standaloneResult(t, one)
+	pt := res.Points[0].Digest
+
+	mgrs, cls := newTestCluster(t, 3)
+	home := owning(t, mgrs, res.SpecDigest)
+	if _, err := cls[home].ScenarioRaw(ctx, one); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, m := range mgrs {
+		for {
+			if _, _, _, ok := m.Cluster().GetCached(pt); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the point never reached member %s", m.Cluster().Name())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// Two-point grids holding the point: one whose spec the computing
+	// member owns, one another member owns.
+	grids := map[bool]service.ScenarioRequest{}
+	for bw := 300.0; len(grids) < 2; bw += 10 {
+		if bw > 1000 {
+			t.Fatal("no two-point grid lands on both sides")
+		}
+		req := gridSpec()
+		req.Axes = []core.Axis{core.BandwidthAxis(250, bw)}
+		_, r := standaloneResult(t, req)
+		grids[owning(t, mgrs, r.SpecDigest) == home] = req
+	}
+	remote := telemetry.Default().Counter("cluster_remote_point_hits_total", "")
+	for _, computedHere := range []bool{true, false} {
+		req := grids[computedHere]
+		_, r := standaloneResult(t, req)
+		at := owning(t, mgrs, r.SpecDigest)
+		hits0, remote0 := mgrs[at].MetricsSnapshot().PointCacheHits, remote.Value()
+		if _, err := cls[at].ScenarioRaw(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		hits, remoteHits := mgrs[at].MetricsSnapshot().PointCacheHits-hits0, remote.Value()-remote0
+		want := uint64(1)
+		if computedHere {
+			want = 0
+		}
+		if hits != 1 || remoteHits != want {
+			t.Fatalf("computed here %v: %d point-cache hits and %d remote point hits, want 1 and %d", computedHere, hits, remoteHits, want)
+		}
+	}
+}
+
 // TestClusterForwardFallsBackWhenOwnerUnreachable: a spec whose owner
 // cannot be reached runs on the member it was sent to. The reply is
 // standalone's bytes, that member's engine does the work, and the

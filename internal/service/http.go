@@ -200,8 +200,10 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"deleted": digest})
 	})
 
-	submit := func(w http.ResponseWriter, r *http.Request, req Request) {
-		job, err := m.Submit(req)
+	// Every submitting route reads its body whole and submits it with
+	// its route pattern, which the body memo keys with it (Manager.open).
+	submit := func(w http.ResponseWriter, r *http.Request, body []byte, decode decoder) {
+		job, err := m.submitBody(r.Pattern, body, decode)
 		if rejected(m, w, r, err) {
 			return
 		}
@@ -229,17 +231,17 @@ func NewHandler(m *Manager) http.Handler {
 	}
 
 	mux.HandleFunc("POST /v1/scenarios", func(w http.ResponseWriter, r *http.Request) {
-		var req ScenarioRequest
-		if !decodeRequest(w, r, &req) {
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		// ?async=1 wins over the Accept header: an async submission has
 		// nothing to stream yet.
 		if async, _ := strconv.ParseBool(r.URL.Query().Get("async")); !async && wantsNDJSON(r) {
-			streamScenario(m, w, r, req)
+			streamScenario(m, w, r, body)
 			return
 		}
-		submit(w, r, req)
+		submit(w, r, body, decodeAs[ScenarioRequest])
 	})
 	mux.HandleFunc("POST /v1/analyze", submitBody[AnalyzeRequest](submit))
 	mux.HandleFunc("POST /v1/whatif", submitBody[WhatIfRequest](submit))
@@ -289,13 +291,12 @@ func NewHandler(m *Manager) http.Handler {
 	return instrument(mux, m.log)
 }
 
-// submitBody is the handler of a per-kind endpoint: decode its body
-// strictly, then submit it.
-func submitBody[R Request](submit func(http.ResponseWriter, *http.Request, Request)) http.HandlerFunc {
+// submitBody is the handler of a per-kind endpoint: read its body, then
+// submit it as an R.
+func submitBody[R Request](submit func(http.ResponseWriter, *http.Request, []byte, decoder)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req R
-		if decodeRequest(w, r, &req) {
-			submit(w, r, req)
+		if body, ok := readBody(w, r); ok {
+			submit(w, r, body, decodeAs[R])
 		}
 	}
 }
@@ -358,17 +359,23 @@ func traceInfo(digest string, tr *trace.Trace) TraceInfo {
 	}
 }
 
-// decodeRequest parses a JSON request body strictly; unknown fields are
-// errors so typos (e.g. "bandwidths" for "bandwidths_mbps") don't silently
-// select defaults.
-func decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
-		return false
+// bodySizeHint caps how much of a declared Content-Length readBody
+// allocates before the bytes arrive: the declaration is the client's,
+// and a larger body grows the buffer as it is read.
+const bodySizeHint = 64 << 10
+
+// readBody reads a request body whole, up to maxUploadBytes; a body it
+// cannot read is answered 400, as a body that does not parse is.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, bodySizeHint)) + bytes.MinRead)
 	}
-	return true
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxUploadBytes)); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
+		return nil, false
+	}
+	return buf.Bytes(), true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

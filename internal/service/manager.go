@@ -10,9 +10,11 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -98,7 +100,11 @@ type Options struct {
 type Manager struct {
 	eng   *engine.Engine
 	store *Store
-	cache *lru.Cache[[]byte] // marshalled replies by task key
+	cache *lru.Cache[reply] // replies by task key
+	// memo maps a request body to what it resolved to, so a repeated body
+	// is served without being decoded or resolved again (open). It is as
+	// large as the result cache, whose replies it leads to.
+	memo  *lru.Cache[memoEntry]
 	log   *slog.Logger
 	start time.Time
 	// slots bounds how many jobs execute concurrently. The engine's own
@@ -219,7 +225,8 @@ func NewManager(opts Options) (*Manager, error) {
 	m := &Manager{
 		eng:          eng,
 		store:        store,
-		cache:        lru.New[[]byte](entries),
+		cache:        lru.New[reply](entries),
+		memo:         lru.New[memoEntry](entries),
 		log:          logger,
 		start:        time.Now(),
 		slots:        make(chan struct{}, eng.Workers()),
@@ -245,15 +252,16 @@ func (m *Manager) Store() *Store { return m.store }
 
 // task is a prepared request: the scenario it runs (req as a wire spec
 // a forward can send, sc resolved), the spec digest the cluster routes
-// it on, and render, which builds the reply from the scenario result.
-// key is the result-cache and singleflight key: the digest, with "#kind"
-// appended for a per-kind reply — its own cache entry, while its points
-// are shared with the scenario's.
+// it on, the digest of the platform it registered, and render, which
+// builds a per-kind reply from the scenario result (nil for a scenario
+// reply, the result itself). key is the result-cache and singleflight
+// key: the digest, with "#kind" appended for a per-kind reply — its own
+// cache entry, while its points are shared with the scenario's.
 type task struct {
-	kind, key, digest string
-	req               ScenarioRequest
-	sc                *core.Scenario
-	render            func(*core.ScenarioResult) any
+	kind, key, digest, platform string
+	req                         ScenarioRequest
+	sc                          *core.Scenario
+	render                      func(*core.ScenarioResult) any
 }
 
 // prepare validates a request once and resolves it into its task.
@@ -262,7 +270,7 @@ func (m *Manager) prepare(req Request) (*task, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.sc, t.digest, err = t.req.spec(m); err != nil {
+	if t.sc, t.digest, t.platform, err = t.req.spec(m); err != nil {
 		return nil, err
 	}
 	t.key = t.digest
@@ -272,16 +280,79 @@ func (m *Manager) prepare(req Request) (*task, error) {
 	return t, nil
 }
 
-// reply renders and marshals the task's wire body. A result shaped
-// other than the render expects can only come from a peer's bytes; it
-// is an error, not a crash.
-func (t *task) reply(res *core.ScenarioResult) (b []byte, err error) {
+// reply builds the task's reply from the scenario result: a scenario
+// reply assembled frame by frame, a per-kind reply rendered and
+// marshalled. A result shaped other than the render expects can only
+// come from a peer's bytes; it is an error, not a crash.
+func (t *task) reply(res *core.ScenarioResult) (r reply, err error) {
+	if t.render == nil {
+		return assemble(res)
+	}
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("service: render %s reply: %v", t.kind, r)
+		if p := recover(); p != nil {
+			err = fmt.Errorf("service: render %s reply: %v", t.kind, p)
 		}
 	}()
-	return json.Marshal(t.render(res))
+	b, err := json.Marshal(t.render(res))
+	return reply{body: b}, err
+}
+
+// memoEntry is what a request body resolved to: its task's kind and key,
+// and the digest of the platform it registered.
+type memoEntry struct {
+	kind, key, platform string
+}
+
+// memoKey keys the body memo: SHA-256 over the route and the raw body.
+func memoKey(route string, body []byte) string {
+	h := sha256.New()
+	io.WriteString(h, route)
+	h.Write(body)
+	var sum [sha256.Size]byte
+	return string(h.Sum(sum[:0]))
+}
+
+// open is the serve protocol's identity step for a raw request body on a
+// route, shared by the HTTP routes and the cluster executor. A body the
+// memo knows is served by recall, with no decode and no resolution.
+// Otherwise the body is decoded, prepared and begun (begin); once it
+// prepares, it enters the memo — unless its resolution read the store
+// for a trace or platform digest, which can leave the store, so that a
+// body over a deleted trace still fails. A task is returned only for a
+// body that was prepared.
+func (m *Manager) open(route string, body []byte, decode decoder, mode admission) (j *Job, t *task, fresh bool, err error) {
+	sum := memoKey(route, body)
+	if j := m.recall(sum); j != nil {
+		return j, nil, false, nil
+	}
+	req, err := decode(body)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if t, err = m.prepare(req); err != nil {
+		return nil, nil, false, err
+	}
+	if t.req.Trace == "" && (t.req.Platform == nil || t.req.Platform.Digest == "") {
+		m.memo.Put(sum, memoEntry{kind: t.kind, key: t.key, platform: t.platform})
+	}
+	j, fresh, err = m.begin(t, mode)
+	return j, t, fresh, err
+}
+
+// recall serves a memoized body through begin's first two steps. It
+// first refreshes the body's platform in the store, as registering it
+// again would; it returns nil — the body takes the full path — when the
+// body is not memoized, its platform left the store, or neither a job
+// nor a reply holds its key.
+func (m *Manager) recall(sum string) *Job {
+	e, ok := m.memo.Get(sum)
+	if !ok || !m.store.touchPlatform(e.platform) {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// The full path's begin counts the cache miss, if there is one.
+	return m.attachLocked(e.kind, e.key, false)
 }
 
 // admission is how a fresh job reaches execution.
@@ -300,6 +371,16 @@ const (
 	fromPeer
 )
 
+// submitBody submits a raw request body on a route (open): Submit for
+// the HTTP routes.
+func (m *Manager) submitBody(route string, body []byte, decode decoder) (*Job, error) {
+	j, t, fresh, err := m.open(route, body, decode, slotted)
+	if fresh {
+		go m.execute(j, t, slotted, nil)
+	}
+	return j, err
+}
+
 // Submit prepares and schedules a request. Three outcomes:
 //
 //   - result cache hit: the returned job is already done, carrying the
@@ -312,7 +393,7 @@ const (
 //
 // Validation and reference-resolution errors surface synchronously. In
 // a cluster a new job whose spec digest another node owns runs there
-// and its bytes are served and cached here — the cross-node
+// and its result is served and cached here — the cross-node
 // singleflight. The returned Job looks the same either way.
 func (m *Manager) Submit(req Request) (*Job, error) {
 	t, err := m.prepare(req)
@@ -338,13 +419,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 func (m *Manager) begin(t *task, mode admission) (j *Job, fresh bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j, ok := m.inflight[t.key]; ok {
-		m.deduped++
-		return j, false, nil
-	}
-	if b, ok := m.cache.Get(t.key); ok {
-		j := m.newJobLocked(t, true)
-		j.complete(b, nil)
+	if j := m.attachLocked(t.kind, t.key, true); j != nil {
 		return j, false, nil
 	}
 	if m.draining {
@@ -353,25 +428,47 @@ func (m *Manager) begin(t *task, mode admission) (j *Job, fresh bool, err error)
 	if mode == slotted && !m.admitLocked() {
 		return nil, false, ErrQueueFull
 	}
-	j = m.newJobLocked(t, false)
+	j = m.newJobLocked(t.kind, t.key, false)
 	m.inflight[t.key] = j
 	return j, true, nil
 }
 
+// attachLocked is begin's first two steps: attach to the job in flight
+// under key, else answer from the result cache with a born-done job. It
+// returns nil when neither holds key, counting a cache miss only when
+// countMiss is set. m.mu must be held.
+func (m *Manager) attachLocked(kind, key string, countMiss bool) *Job {
+	if j, ok := m.inflight[key]; ok {
+		m.deduped++
+		return j
+	}
+	get := m.cache.TryGet
+	if countMiss {
+		get = m.cache.Get
+	}
+	r, ok := get(key)
+	if !ok {
+		return nil
+	}
+	j := m.newJobLocked(kind, key, true)
+	j.complete(r, nil)
+	return j
+}
+
 // execute is the serve protocol's execution step for a job begin
-// registered fresh: obtain its bytes (see compute), fill the cache before
+// registered fresh: obtain its reply (see compute), fill the cache before
 // leaving the in-flight table, and complete the job. run, when set,
-// computes the bytes in place of the task's own scenario run — the
+// computes the reply in place of the task's own scenario run — the
 // stream writes its frames from it.
-func (m *Manager) execute(j *Job, t *task, mode admission, run func(context.Context) ([]byte, error)) ([]byte, error) {
-	payload, err := m.compute(j, t, mode, run)
+func (m *Manager) execute(j *Job, t *task, mode admission, run func(context.Context) (reply, error)) (reply, error) {
+	r, err := m.compute(j, t, mode, run)
 	if err == nil {
-		m.cache.Put(t.key, payload)
+		m.cache.Put(t.key, r)
 	}
 	m.mu.Lock()
 	delete(m.inflight, t.key)
 	m.mu.Unlock()
-	j.complete(payload, err)
+	j.complete(r, err)
 	attrs := []slog.Attr{
 		slog.String("job_id", j.ID()),
 		slog.String("kind", j.Kind()),
@@ -384,19 +481,19 @@ func (m *Manager) execute(j *Job, t *task, mode admission, run func(context.Cont
 		attrs = append(attrs, slog.String("error", err.Error()))
 	}
 	m.log.LogAttrs(context.Background(), level, "job finished", attrs...)
-	return payload, err
+	return r, err
 }
 
-// compute obtains a job's bytes. A slotted job first forwards to its
+// compute obtains a job's reply. A slotted job first forwards to its
 // spec digest's owner (cluster.go) and, when that is another node that
-// answers, serves its bytes; otherwise it waits for an execution slot —
+// answers, serves its result; otherwise it waits for an execution slot —
 // or for cancellation while queued. Then the job runs here.
-func (m *Manager) compute(j *Job, t *task, mode admission, run func(context.Context) ([]byte, error)) ([]byte, error) {
+func (m *Manager) compute(j *Job, t *task, mode admission, run func(context.Context) (reply, error)) (reply, error) {
 	admitted := time.Now()
 	if mode == slotted {
-		if out, ok := m.forward(j, t); ok {
+		if r, ok := m.forward(j, t); ok {
 			m.unqueue()
-			return out, nil
+			return r, nil
 		}
 		select {
 		case m.slots <- struct{}{}:
@@ -405,7 +502,7 @@ func (m *Manager) compute(j *Job, t *task, mode admission, run func(context.Cont
 			defer func() { <-m.slots }()
 		case <-j.ctx.Done():
 			m.unqueue()
-			return nil, j.ctx.Err()
+			return reply{}, j.ctx.Err()
 		}
 	}
 	j.markRunning()
@@ -423,19 +520,19 @@ func (m *Manager) compute(j *Job, t *task, mode admission, run func(context.Cont
 	defer release()
 	res, err := core.RunScenario(j.ctx, m.eng, sc)
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
 	return t.reply(res)
 }
 
 // newJobLocked registers a job; m.mu must be held.
-func (m *Manager) newJobLocked(t *task, cached bool) *Job {
+func (m *Manager) newJobLocked(kind, key string, cached bool) *Job {
 	m.seq++
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
 		id:      fmt.Sprintf("job-%08d", m.seq),
-		kind:    t.kind,
-		key:     t.key,
+		kind:    kind,
+		key:     key,
 		cached:  cached,
 		created: time.Now(),
 		state:   JobPending,
@@ -660,7 +757,7 @@ type Job struct {
 	state    JobState
 	started  time.Time
 	finished time.Time
-	result   []byte
+	result   reply
 	err      error
 }
 
@@ -714,7 +811,7 @@ func (j *Job) requeue() {
 }
 
 // complete moves the job to its terminal state and wakes every waiter.
-func (j *Job) complete(result []byte, err error) {
+func (j *Job) complete(result reply, err error) {
 	j.mu.Lock()
 	switch {
 	case err == nil:
@@ -736,15 +833,21 @@ func (j *Job) complete(result []byte, err error) {
 // Wait blocks until the job finishes (or ctx expires) and returns the
 // marshalled result.
 func (j *Job) Wait(ctx context.Context) ([]byte, error) {
+	r, err := j.wait(ctx)
+	return r.body, err
+}
+
+// wait is Wait returning the whole reply, frame boundaries included.
+func (j *Job) wait(ctx context.Context) (reply, error) {
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return reply{}, ctx.Err()
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		return nil, j.err
+		return reply{}, j.err
 	}
 	return j.result, nil
 }
@@ -792,7 +895,7 @@ func (j *Job) Status(withResult bool) Status {
 		s.Error = j.err.Error()
 	}
 	if withResult && j.state == JobDone {
-		s.Result = j.result
+		s.Result = j.result.body
 	}
 	return s
 }

@@ -82,7 +82,7 @@ func queuePoints(m *Manager, n int) []string {
 
 // holds reports whether n's blob store has key.
 func holds(n *cluster.Node, key string) bool {
-	_, _, ok := n.GetCached(key)
+	_, _, _, ok := n.GetCached(key)
 	return ok
 }
 

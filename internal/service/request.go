@@ -89,8 +89,9 @@ func appEntry(app string, ranks int) (core.App, error) {
 // resolvePlatform turns a spec into a validated platform sized for ranks,
 // with a non-zero degradations block replacing its own fault-injection
 // spec, and registers it in the artifact store, so the platform digest a
-// degraded result reports resolves too.
-func (m *Manager) resolvePlatform(spec *PlatformSpec, degradations *faults.Spec, app string, ranks int) (network.Platform, error) {
+// degraded result reports resolves too. It returns the platform and
+// the digest it is registered under.
+func (m *Manager) resolvePlatform(spec *PlatformSpec, degradations *faults.Spec, app string, ranks int) (network.Platform, string, error) {
 	var plat network.Platform
 	selectors := 0
 	if spec != nil {
@@ -104,40 +105,62 @@ func (m *Manager) resolvePlatform(spec *PlatformSpec, degradations *faults.Spec,
 			selectors++
 		}
 	}
+	var err error
 	switch {
 	case selectors > 1:
-		return network.Platform{}, fmt.Errorf("service: platform spec sets %d of preset/digest/inline, want at most one", selectors)
+		err = fmt.Errorf("service: platform spec sets %d of preset/digest/inline, want at most one", selectors)
 	case spec == nil || selectors == 0:
 		plat = network.TestbedFor(app, ranks)
 	case spec.Preset != "":
-		p, err := network.PlatformPreset(spec.Preset, ranks)
-		if err != nil {
-			return network.Platform{}, err
-		}
-		plat = p
+		plat, err = network.PlatformPreset(spec.Preset, ranks)
 	case spec.Digest != "":
-		p, err := m.store.GetPlatform(spec.Digest)
-		if err != nil {
-			return network.Platform{}, err
-		}
-		plat = p
+		plat, err = m.store.GetPlatform(spec.Digest)
 	default: // inline
-		p, err := network.ReadAnyPlatform(bytes.NewReader(spec.Inline))
-		if err != nil {
-			return network.Platform{}, err
-		}
-		plat = p
+		plat, err = network.ReadAnyPlatform(bytes.NewReader(spec.Inline))
+	}
+	if err != nil {
+		return network.Platform{}, "", err
 	}
 	if plat.Processors < ranks {
-		return network.Platform{}, fmt.Errorf("service: platform has %d processors, request needs %d", plat.Processors, ranks)
+		return network.Platform{}, "", fmt.Errorf("service: platform has %d processors, request needs %d", plat.Processors, ranks)
 	}
 	if degradations != nil && !degradations.IsZero() {
 		plat = plat.WithDegradations(*degradations)
 	}
-	if _, err := m.store.PutPlatform(plat); err != nil {
-		return network.Platform{}, err
+	digest, err := m.store.PutPlatform(plat)
+	if err != nil {
+		return network.Platform{}, "", err
 	}
-	return plat, nil
+	return plat, digest, nil
+}
+
+// DecodeStrict decodes data as exactly one JSON value into v, the one
+// decoder of request bodies and spec files. Unknown fields are errors,
+// so typos (e.g. "bandwidths" for "bandwidths_mbps") don't silently
+// select defaults, and so is anything but whitespace after the value,
+// so a body is one request: the body memo keys its raw bytes.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("invalid character %q after top-level value", rest[0])
+	}
+	return nil
+}
+
+// decoder turns a raw request body into its Request.
+type decoder func(body []byte) (Request, error)
+
+// decodeAs decodes a request body of type R strictly.
+func decodeAs[R Request](body []byte) (Request, error) {
+	var req R
+	if err := DecodeStrict(body, &req); err != nil {
+		return nil, fmt.Errorf("parse request: %w", err)
+	}
+	return req, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +308,7 @@ func (r MappingSweepRequest) translate(m *Manager) (*task, error) {
 	if len(specs) > maxSweepPoints {
 		return nil, fmt.Errorf("service: %d mappings, limit %d", len(specs), maxSweepPoints)
 	}
-	plat, err := m.resolvePlatform(r.Platform, nil, r.App, r.Ranks)
+	plat, _, err := m.resolvePlatform(r.Platform, nil, r.App, r.Ranks)
 	if err != nil {
 		return nil, err
 	}

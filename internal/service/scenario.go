@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -51,20 +49,20 @@ type ScenarioRequest struct {
 }
 
 // translate: a scenario request is its own scenario, and its reply is
-// the scenario result itself.
+// the scenario result itself (a task with no render).
 func (r ScenarioRequest) translate(*Manager) (*task, error) {
-	return &task{kind: KindScenario, req: r, render: func(res *core.ScenarioResult) any { return res }}, nil
+	return &task{kind: KindScenario, req: r}, nil
 }
 
 // spec resolves the wire request into the planner's scenario plus its
 // canonical digest — the key every request is served under (prepare),
-// batch or streamed, scenario or per-kind — with the manager's
-// point-level resume store attached.
-func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
+// batch or streamed, scenario or per-kind — and the digest of the
+// platform it registered.
+func (r ScenarioRequest) spec(m *Manager) (sc *core.Scenario, key, platform string, err error) {
 	if (r.App == "") == (r.Trace == "") {
-		return nil, "", fmt.Errorf("service: scenario needs exactly one of app or trace")
+		return nil, "", "", fmt.Errorf("service: scenario needs exactly one of app or trace")
 	}
-	sc := core.Scenario{
+	sc = &core.Scenario{
 		Axes:   r.Axes,
 		Output: core.OutputKind(r.Output),
 	}
@@ -73,28 +71,28 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 	}
 	for _, ax := range r.Axes {
 		if ax.Len() == 0 {
-			return nil, "", fmt.Errorf("service: scenario axis %q has no points", ax.Kind)
+			return nil, "", "", fmt.Errorf("service: scenario axis %q has no points", ax.Kind)
 		}
 	}
 
 	name, ranks := r.App, r.Ranks
 	if r.Trace != "" {
 		if r.Ranks != 0 || r.Chunks != 0 {
-			return nil, "", fmt.Errorf("service: trace-mode scenario does not take ranks or chunks")
+			return nil, "", "", fmt.Errorf("service: trace-mode scenario does not take ranks or chunks")
 		}
 		st, err := m.store.GetTrace(r.Trace)
 		if err != nil {
-			return nil, "", err
+			return nil, "", "", err
 		}
 		sc.Trace = st
 		name, ranks = st.Trace().Name, st.Trace().NumRanks
 	} else {
 		if _, err := appEntry(r.App, r.Ranks); err != nil {
-			return nil, "", err
+			return nil, "", "", err
 		}
 		tCfg, err := tracerConfig(r.Chunks)
 		if err != nil {
-			return nil, "", err
+			return nil, "", "", err
 		}
 		app := r.App
 		sc.Ranks = r.Ranks
@@ -106,17 +104,15 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 			if ax.Kind == core.AxisRanks {
 				for _, k := range ax.Counts {
 					if _, err := appEntry(r.App, k); err != nil {
-						return nil, "", err
+						return nil, "", "", err
 					}
 				}
 			}
 		}
 	}
-	plat, err := m.resolvePlatform(r.Platform, r.Degradations, name, ranks)
-	if err != nil {
-		return nil, "", err
+	if sc.Platform, platform, err = m.resolvePlatform(r.Platform, r.Degradations, name, ranks); err != nil {
+		return nil, "", "", err
 	}
-	sc.Platform = plat
 	sc.Traces = m.eng.Traces()
 
 	// The canonical spec digest is the cache key: equivalent spellings of
@@ -124,23 +120,22 @@ func (r ScenarioRequest) spec(m *Manager) (*core.Scenario, string, error) {
 	// collapse to one entry. Digest also validates the spec, an
 	// overflowing grid included, so malformed scenarios fail here, before
 	// any engine work.
-	key, err := sc.Digest()
-	if err != nil {
-		return nil, "", err
+	if key, err = sc.Digest(); err != nil {
+		return nil, "", "", err
 	}
 	if n := sc.GridSize(); n > maxGridPoints {
-		return nil, "", fmt.Errorf("service: scenario grid has %d points, limit %d", n, maxGridPoints)
+		return nil, "", "", fmt.Errorf("service: scenario grid has %d points, limit %d", n, maxGridPoints)
 	}
 	// The replay-shards setting rides along as an execution hook: pure
 	// scheduling, byte-identical results, never in the digest. The
 	// point-level resume store is the other such hook; each run attaches
 	// its own (Manager.pointRun).
 	sc.ReplayShards = m.replayShards
-	return &sc, key, nil
+	return sc, key, platform, nil
 }
 
 // RunScenarioFile loads a scenario spec (the POST /v1/scenarios body,
-// unknown fields rejected) from path, executes it locally on a one-off
+// decoded by DecodeStrict) from path, executes it locally on a one-off
 // manager built from opts, and writes the result to w — the shared
 // implementation of every CLI's -scenario flag. By default the point
 // table streams: each grid point prints the moment it (and its
@@ -156,9 +151,7 @@ func RunScenarioFile(ctx context.Context, path string, opts Options, asJSON bool
 		return fmt.Errorf("service: scenario file: %w", err)
 	}
 	var req ScenarioRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := DecodeStrict(data, &req); err != nil {
 		return fmt.Errorf("service: scenario file %s: %w", path, err)
 	}
 	opts.CacheEntries = -1
@@ -179,7 +172,7 @@ func RunScenarioFile(ctx context.Context, path string, opts Options, asJSON bool
 		_, err = fmt.Fprintf(w, "%s\n", payload)
 		return err
 	}
-	sc, _, err := req.spec(mgr)
+	sc, _, _, err := req.spec(mgr)
 	if err != nil {
 		return err
 	}

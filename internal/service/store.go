@@ -217,6 +217,13 @@ func (s *Store) PutPlatform(p network.Platform) (string, error) {
 	return digest, nil
 }
 
+// touchPlatform refreshes a platform's recency in the memory tier, as
+// registering it again would, and reports whether it is there.
+func (s *Store) touchPlatform(digest string) bool {
+	_, ok := s.platforms.Get(digest)
+	return ok
+}
+
 // GetPlatform resolves a digest to its platform, trying memory then disk.
 // A disk hit is re-verified against the digest and promoted to memory.
 func (s *Store) GetPlatform(digest string) (network.Platform, error) {

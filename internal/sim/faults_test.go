@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
@@ -247,11 +248,12 @@ func TestHardFaultsDeadlockFaultInduced(t *testing.T) {
 	}
 }
 
-// TestArenaReusesLinkDownDraw: an arena keeps its last seeded link draw
-// and reuses it only for the same effective seed, link count, node
-// count and explicit links. Alternating link-down platforms on one
-// arena, with a healthy replay between, gives the downed pairs and the
-// replay outcome a fresh arena gives, byte for byte, every time.
+// TestArenaReusesLinkDownDraw: the process keeps its last seeded link
+// draw and reuses it only for the same effective seed, link count, node
+// count and explicit links. Each replay on a long-lived arena reads the
+// draw the previous replay left, and must give the downed pairs and the
+// replay outcome an arena drawing afresh gives, byte for byte, every
+// time — with a healthy replay between.
 func TestArenaReusesLinkDownDraw(t *testing.T) {
 	prog, err := Compile(allocRing(16, 4))
 	if err != nil {
@@ -269,9 +271,10 @@ func TestArenaReusesLinkDownDraw(t *testing.T) {
 	shared := NewArena()
 	for i, name := range order {
 		label := fmt.Sprintf("replay %d (%s)", i, name)
+		got, gotErr := shared.RunProgram(plats[name], prog)
+		lastPairs.Store(nil) // the fresh arena draws its own pairs
 		fresh := NewArena()
 		want, wantErr := fresh.RunProgram(plats[name], prog)
-		got, gotErr := shared.RunProgram(plats[name], prog)
 		switch {
 		case (wantErr == nil) != (gotErr == nil):
 			t.Fatalf("%s: fresh arena %v, reused arena %v", label, wantErr, gotErr)
@@ -292,5 +295,103 @@ func TestArenaReusesLinkDownDraw(t *testing.T) {
 	}
 	if slices.Equal(drawn["seed 1"], drawn["seed 2"]) || slices.Equal(drawn["seed 1"], drawn["seed 1, 16 nodes"]) {
 		t.Fatalf("the specs draw the same pairs, so alternating them tests nothing: %v", drawn)
+	}
+}
+
+// TestArenasShareLinkDownDraw counts draws: every draw stores a fresh
+// value in the process's slot, so a slot that keeps its value drew
+// nothing. Once one arena has drawn a platform's downed links, a second
+// arena and the pooled arenas of ReplaySummary replay it from the same
+// slice; a new key draws once.
+func TestArenasShareLinkDownDraw(t *testing.T) {
+	prog, err := Compile(allocRing(16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := pdesPlatform(16, 8).WithDegradations(faults.Spec{LinkDown: 3, Seed: 5})
+	lastPairs.Store(nil)
+	first := NewArena()
+	want := summaryOutcome(first.replaySummary(plat, prog, 1))
+	drawn := lastPairs.Load()
+	if drawn == nil || len(first.fxPairs) != 3 || &drawn.pairs[0] != &first.fxPairs[0] {
+		t.Fatalf("the first replay left %+v in the slot and downs %v", drawn, first.fxPairs)
+	}
+	pairs := slices.Clone(first.fxPairs)
+	second := NewArena()
+	if got := summaryOutcome(second.replaySummary(plat, prog, 1)); got != want {
+		t.Fatalf("second arena: %s, first arena: %s", got, want)
+	}
+	if &second.fxPairs[0] != &first.fxPairs[0] {
+		t.Fatalf("the second arena drew its own pairs %v", second.fxPairs)
+	}
+	for range 3 {
+		if got := summaryOutcome(ReplaySummary(plat, prog, 1)); got != want {
+			t.Fatalf("pooled arena: %s, first arena: %s", got, want)
+		}
+	}
+	if lastPairs.Load() != drawn {
+		t.Fatal("replays of one platform on other arenas drew again")
+	}
+	other := pdesPlatform(16, 8).WithDegradations(faults.Spec{LinkDown: 3, Seed: 6})
+	NewArena().RunProgram(other, prog)
+	if lastPairs.Load() == drawn {
+		t.Fatal("a second key did not draw")
+	}
+	if !slices.Equal(first.fxPairs, pairs) {
+		t.Fatalf("the second key's draw wrote into the first's pairs: %v, were %v", first.fxPairs, pairs)
+	}
+}
+
+// summaryOutcome spells a summary replay's outcome: its summary, or the
+// error, whose text names the ranks the downed links stalled.
+func summaryOutcome(s Summary, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprintf("%+v", s)
+}
+
+// TestSummaryLinkDownDrawConcurrent runs two goroutines of summary
+// replays at once, each on its own pooled arena, first on one link-down
+// key and then on two keys that keep replacing each other's draw. Every
+// replay must end as its key's sequential replay does; under -race it
+// also checks that arenas share the draw without a data race.
+func TestSummaryLinkDownDrawConcurrent(t *testing.T) {
+	prog, err := Compile(allocRing(16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plats := []network.Platform{
+		pdesPlatform(16, 8).WithDegradations(faults.Spec{LinkDown: 3, Seed: 7}),
+		pdesPlatform(16, 8).WithDegradations(faults.Spec{LinkDown: 4, Seed: 8}),
+	}
+	want := make([]string, len(plats))
+	for i, p := range plats {
+		want[i] = summaryOutcome(ReplaySummary(p, prog, 1))
+	}
+	if want[0] == want[1] {
+		t.Fatal("the two keys replay alike, so mixing them tests nothing")
+	}
+	for _, keys := range [][2]int{{0, 0}, {0, 1}} {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for g, k := range keys {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 200 {
+					if got := summaryOutcome(ReplaySummary(plats[k], prog, 1)); got != want[k] {
+						errs[g] = fmt.Errorf("replay %d of key %d: %s, want %s", i, k, got, want[k])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("keys %v: %v", keys, err)
+			}
+		}
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -544,8 +545,7 @@ type ReplayArena struct {
 	fxSeed     uint64
 	fxStragMul []float64    // per-rank compute multiplier (1 = healthy)
 	fxNICDown  []bool       // per-node downed NIC
-	fxPairs    []uint64     // downed node pairs, packed lo<<32|hi, sorted
-	fxPairsFor pairsKey     // what fxPairs was resolved for
+	fxPairs    []uint64     // downed node pairs, packed lo<<32|hi, sorted; shared, read-only (lastPairs)
 	fxPickBuf  []int32      // reusable buffer for seeded rank draws
 	fxDraws    faults.Draws // dedupe scratch of the seeded draws
 	fxDropped  int64        // transfers suppressed this replay
@@ -884,28 +884,44 @@ func (a *ReplayArena) resetFaults(p network.Platform) {
 		}
 		// The downed pairs are a function of the key alone, and a seeded
 		// draw of many links costs far more than the replay it feeds, so
-		// the last draw is kept for the next replay with the same key.
+		// the process keeps its last draw for the next replay with the
+		// same key, on any arena.
 		key := pairsKey{seed: a.fxSeed, linkDown: d.LinkDown, nodes: p.Nodes, links: d.DownLinks}
-		if !key.equal(a.fxPairsFor) {
-			a.fxPairs = a.fxPairs[:0]
+		last := lastPairs.Load()
+		if last == nil || !key.equal(last.key) {
+			var pairs []uint64
 			for _, pr := range d.DownLinks {
-				a.fxPairs = append(a.fxPairs, uint64(pr[0])<<32|uint64(pr[1]))
+				pairs = append(pairs, uint64(pr[0])<<32|uint64(pr[1]))
 			}
 			if d.LinkDown > 0 {
 				// Explicit pairs arrive sorted (Canonical); the seeded ones
 				// append in draw order.
-				a.fxPairs = a.fxDraws.PickPairs(a.fxSeed, d.LinkDown, p.Nodes, a.fxPairs)
-				slices.Sort(a.fxPairs)
+				pairs = a.fxDraws.PickPairs(a.fxSeed, d.LinkDown, p.Nodes, pairs)
+				slices.Sort(pairs)
 			}
 			key.links = slices.Clone(d.DownLinks)
-			a.fxPairsFor = key
+			last = &drawnPairs{key: key, pairs: pairs}
+			lastPairs.Store(last)
 		}
+		a.fxPairs = last.pairs
 	}
 }
 
-// pairsKey is what an arena's downed pairs are drawn from: the effective
-// seed, the seeded link count, the node count and the explicit links.
-// The zero key matches no platform, whose node count is positive.
+// lastPairs is the process's last downed-pair draw: one immutable value
+// every arena reads, so pooled arenas, and the fresh arenas a GC leaves
+// the pool to hand out, reuse it instead of drawing again. A new draw
+// goes into a fresh slice and replaces the value whole; nothing writes
+// into a slice once it is shared.
+var lastPairs atomic.Pointer[drawnPairs]
+
+// drawnPairs is one downed-pair draw and the key it was drawn for.
+type drawnPairs struct {
+	key   pairsKey
+	pairs []uint64
+}
+
+// pairsKey is what downed pairs are drawn from: the effective seed, the
+// seeded link count, the node count and the explicit links.
 type pairsKey struct {
 	seed     uint64
 	linkDown int
