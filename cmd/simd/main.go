@@ -240,8 +240,8 @@ func main() {
 		srv.Shutdown(shutdownCtx)
 		if clusterSrv != nil {
 			// Peer RPCs close last: Drain already marked the node draining,
-			// so peers spent the whole drain window reading any values they
-			// still wanted and aging this node out of their tables.
+			// so peers spent the whole drain window aging this node out of
+			// their tables.
 			clusterSrv.Shutdown(shutdownCtx)
 		}
 	}()

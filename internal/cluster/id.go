@@ -1,22 +1,19 @@
 // Package cluster is the peer layer that turns a set of simd daemons
-// into one cooperative simulation cluster. Nodes carry 160-bit IDs,
-// each keeps the exact set of live members (one join fills it), and
-// they speak PING / STORE / FIND_NODE / EXEC RPCs over a pluggable
-// transport (an in-process network for tests and CI, HTTP under
-// /v1/cluster/ in production). The work the service layer routes is
-// already content-addressed — SHA-256 scenario and per-point digests —
-// so those digests are the keys: the XOR-closest member owns a key's
-// computation, its K closest members hold the replicated value, and a
-// grid's points replicate across the cluster by digest. Nothing reads a
-// value from another node: a node serves what its own blob store holds
-// and computes the rest.
+// into one simulation cluster. Nodes carry 160-bit IDs, each keeps the
+// exact set of live members (one join fills it), and they speak PING /
+// FIND_NODE / EXEC RPCs over a pluggable transport (an in-process
+// network for tests and CI, HTTP under /v1/cluster/ in production). The
+// work the service layer routes is already content-addressed — SHA-256
+// scenario digests — so those digests are the keys: the XOR-closest
+// member owns a key's computation. The cluster carries work and
+// membership only: no node stores a value for another, and nothing
+// reads a value from another node.
 //
 // The package is deliberately below the service layer: it knows about
-// keys, blobs, and one opaque "exec" RPC, never about scenarios. The
-// service glue (forwarding, the cooperative point cache) lives
-// in internal/service; the HTTP client-side transport lives in
-// internal/service/client so inter-node calls reuse the client's
-// RetryPolicy.
+// keys, members and one opaque "exec" RPC, never about scenarios. The
+// service glue (forwarding) lives in internal/service; the HTTP
+// client-side transport lives in internal/service/client so inter-node
+// calls reuse the client's RetryPolicy.
 package cluster
 
 import (
@@ -32,8 +29,8 @@ import (
 const IDBytes = 20
 
 // ID is a 160-bit identifier in the shared node/key space. Nodes and
-// keys are compared by XOR distance, so a key's owners are simply the
-// nodes whose IDs its digest lands closest to.
+// keys are compared by XOR distance, so a key's owner is simply the
+// node whose ID its digest lands closest to.
 type ID [IDBytes]byte
 
 // NodeID derives a stable node ID from a human-chosen name (the -node-id
@@ -48,8 +45,8 @@ func NodeID(name string) ID {
 
 // KeyID maps a service-layer key into the ID space. Content digests
 // ("sha256:<64 hex>") are already uniform hashes, so their first 160
-// bits are used directly — the DHT key of a spec or point is literally a
-// prefix of its content address. Anything else is hashed.
+// bits are used directly — the DHT key of a spec is literally a prefix
+// of its content address. Anything else is hashed.
 func KeyID(key string) ID {
 	var id ID
 	if hexPart, ok := strings.CutPrefix(key, "sha256:"); ok && len(hexPart) == 64 {

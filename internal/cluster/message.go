@@ -6,19 +6,16 @@ import (
 	"fmt"
 )
 
-// Op names one cluster RPC: three that keep the member set and the
-// replicated blobs (ping, store, find_node), and OpExec, carrying an
-// opaque request for the owner of a key to execute (the service layer
-// uses it to run a scenario on the node that owns its digest).
+// Op names one cluster RPC: two that keep the member set (ping,
+// find_node), and OpExec, carrying an opaque request for the owner of a
+// key to execute (the service layer uses it to run a scenario on the
+// node that owns its digest).
 type Op string
 
 const (
 	// OpPing is the liveness probe; its response refreshes member sets
 	// and carries the peer's draining flag.
 	OpPing Op = "ping"
-	// OpStore replicates values to one of their keys' K closest nodes:
-	// a list of keyed values (Request.Blobs).
-	OpStore Op = "store"
 	// OpFindNode returns up to MaxContacts of the receiver's members,
 	// nearest the key first; Join asks it of every member it learns of.
 	OpFindNode Op = "find_node"
@@ -27,11 +24,10 @@ const (
 	OpExec Op = "exec"
 )
 
-// Wire limits. Values carry exec payloads and results, and a STORE's
-// blobs; keys are digest strings, kinds are short labels.
+// Wire limits. Values carry exec payloads and results; keys are digest
+// strings, kinds are short labels.
 const (
-	// MaxValueBytes bounds Request.Value and Response.Value, and the
-	// summed values of one STORE's blob list.
+	// MaxValueBytes bounds Request.Value and Response.Value.
 	MaxValueBytes = 64 << 20
 	// MaxKeyBytes bounds Request.Key ("sha256:" + 64 hex is 71 bytes;
 	// the bound leaves headroom for other key schemes).
@@ -40,11 +36,10 @@ const (
 	MaxKindBytes = 64
 	// MaxContacts bounds Response.Contacts.
 	MaxContacts = 64
-	// MaxStoreBlobs bounds how many blobs one STORE lists.
-	MaxStoreBlobs = 1024
-	// MaxRequestBytes bounds one encoded request: MaxValueBytes of values
-	// in base64, plus a full blob list's keys, kinds and JSON framing.
-	MaxRequestBytes = (MaxValueBytes+2)/3*4 + MaxStoreBlobs*(MaxKeyBytes+MaxKindBytes+64) + 1024
+	// MaxRequestBytes bounds one encoded request: a MaxValueBytes value
+	// in base64, the caller, the key and the kind — their strings at 6
+	// bytes a byte, JSON's widest escape — and the envelope's framing.
+	MaxRequestBytes = (MaxValueBytes+2)/3*4 + 2*IDBytes + 6*(MaxAddrBytes+MaxKeyBytes+MaxKindBytes) + 1024
 	// MaxAddrBytes bounds a contact's address: NewNode refuses a longer
 	// one, and so do the request and response decoders, which are where
 	// a node learns other contacts.
@@ -58,14 +53,6 @@ const (
 	// envelope's framing.
 	MaxResponseBytes = (MaxValueBytes+2)/3*4 + (MaxContacts+1)*(2*IDBytes+6*MaxAddrBytes+32) + 6*MaxErrBytes + 1024
 )
-
-// Blob is one keyed value a STORE lists. Kind labels what the value is
-// (the service stores only "point" blobs).
-type Blob struct {
-	Key   string `json:"key"`
-	Kind  string `json:"kind,omitempty"`
-	Value []byte `json:"value"`
-}
 
 // Request is one cluster RPC envelope.
 type Request struct {
@@ -83,9 +70,6 @@ type Request struct {
 	Kind string `json:"kind,omitempty"`
 	// Value is the payload of exec.
 	Value []byte `json:"value,omitempty"`
-	// Blobs is a store's list of keyed values; a store carries nothing
-	// else.
-	Blobs []Blob `json:"blobs,omitempty"`
 }
 
 // Response answers one RPC.
@@ -93,11 +77,9 @@ type Response struct {
 	// From identifies the responder (its current contact info).
 	From Contact `json:"from"`
 	// Draining is set while the responder is leaving the cluster: it
-	// refuses stores of fresh keys and fresh exec work, and callers drop
-	// it from their member sets.
+	// refuses fresh exec work, and callers drop it from their member
+	// sets.
 	Draining bool `json:"draining,omitempty"`
-	// Stored acknowledges a store.
-	Stored bool `json:"stored,omitempty"`
 	// Value is the exec result.
 	Value []byte `json:"value,omitempty"`
 	// Contacts are up to MaxContacts of the responder's members, nearest
@@ -107,10 +89,10 @@ type Response struct {
 	Err string `json:"error,omitempty"`
 }
 
-// validOp reports whether op is one of the four RPCs.
+// validOp reports whether op is one of the three RPCs.
 func validOp(op Op) bool {
 	switch op {
-	case OpPing, OpStore, OpFindNode, OpExec:
+	case OpPing, OpFindNode, OpExec:
 		return true
 	}
 	return false
@@ -158,12 +140,7 @@ func (r *Request) Validate() error {
 	if len(r.Value) > MaxValueBytes {
 		return fmt.Errorf("cluster: value of %d bytes exceeds %d", len(r.Value), MaxValueBytes)
 	}
-	if r.Blobs != nil && r.Op != OpStore {
-		return fmt.Errorf("cluster: %s carries no blob list", r.Op)
-	}
 	switch r.Op {
-	case OpStore:
-		return r.validateBlobs()
 	case OpFindNode:
 		if r.Key == "" {
 			return fmt.Errorf("cluster: find_node needs a key")
@@ -171,34 +148,6 @@ func (r *Request) Validate() error {
 	case OpExec:
 		if r.Kind == "" || len(r.Value) == 0 {
 			return fmt.Errorf("cluster: exec needs kind and value")
-		}
-	}
-	return nil
-}
-
-// validateBlobs checks a STORE's blob list: each blob needs a key and a
-// value within the key and kind bounds, at most MaxStoreBlobs of them,
-// and at most MaxValueBytes of values in all.
-func (r *Request) validateBlobs() error {
-	if r.Key != "" || r.Kind != "" || len(r.Value) > 0 {
-		return fmt.Errorf("cluster: store carries only a blob list")
-	}
-	if len(r.Blobs) == 0 || len(r.Blobs) > MaxStoreBlobs {
-		return fmt.Errorf("cluster: store lists %d blobs, want 1 to %d", len(r.Blobs), MaxStoreBlobs)
-	}
-	total := 0
-	for i, b := range r.Blobs {
-		switch {
-		case b.Key == "" || len(b.Value) == 0:
-			return fmt.Errorf("cluster: store blob %d needs key and value", i)
-		case len(b.Key) > MaxKeyBytes:
-			return fmt.Errorf("cluster: store blob %d: key of %d bytes exceeds %d", i, len(b.Key), MaxKeyBytes)
-		case len(b.Kind) > MaxKindBytes:
-			return fmt.Errorf("cluster: store blob %d: kind of %d bytes exceeds %d", i, len(b.Kind), MaxKindBytes)
-		}
-		total += len(b.Value)
-		if total > MaxValueBytes {
-			return fmt.Errorf("cluster: store blobs exceed %d value bytes", MaxValueBytes)
 		}
 	}
 	return nil

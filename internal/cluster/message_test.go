@@ -20,7 +20,7 @@ func TestMaxResponseBytesFitsEveryLimit(t *testing.T) {
 	}
 	c := Contact{ID: id, Addr: wide(MaxAddrBytes)}
 	resp := &Response{
-		From: c, Draining: true, Stored: true,
+		From: c, Draining: true,
 		Value: []byte{1, 2, 3}, Err: wide(MaxErrBytes),
 	}
 	for range MaxContacts {
@@ -34,6 +34,33 @@ func TestMaxResponseBytesFitsEveryLimit(t *testing.T) {
 		t.Fatalf("a response at every limit encodes to %d bytes, bound %d", size, MaxResponseBytes)
 	}
 	if _, err := DecodeResponse(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMaxRequestBytesFitsEveryLimit: a request with every field at its
+// limit — the caller's MaxAddrBytes address, a MaxKeyBytes key and a
+// MaxKindBytes kind, all of a character JSON escapes six bytes wide —
+// fits MaxRequestBytes once its value grows to MaxValueBytes, grown by
+// arithmetic as in TestMaxResponseBytesFitsEveryLimit.
+func TestMaxRequestBytesFitsEveryLimit(t *testing.T) {
+	wide := func(n int) string { return strings.Repeat("<", n) }
+	var id ID
+	for i := range id {
+		id[i] = 0xff
+	}
+	req := &Request{
+		Op: OpExec, From: Contact{ID: id, Addr: wide(MaxAddrBytes)}, Draining: true,
+		Key: wide(MaxKeyBytes), Kind: wide(MaxKindBytes), Value: []byte{1, 2, 3},
+	}
+	b, err := req.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := len(b) - 4 + (MaxValueBytes+2)/3*4; size > MaxRequestBytes {
+		t.Fatalf("a request at every limit encodes to %d bytes, bound %d", size, MaxRequestBytes)
+	}
+	if _, err := DecodeRequest(b); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,19 +7,6 @@ import (
 	"log/slog"
 	"sort"
 	"sync/atomic"
-
-	"repro/internal/lru"
-)
-
-// Tuning constants.
-const (
-	// DefaultK is the replication factor: a key's K XOR-closest members
-	// hold its value. 8 suits the cluster sizes simd runs at (a handful
-	// to tens of nodes).
-	DefaultK = 8
-	// DefaultMaxBlobs bounds the local blob store (values replicated to
-	// this node), evicting least recently used beyond it.
-	DefaultMaxBlobs = 16384
 )
 
 // Executor runs an opaque exec request on behalf of a peer — the hook
@@ -41,18 +28,13 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Node is one cluster member: a member set, a bounded local blob store,
-// and the RPC surface. All methods are safe for concurrent use.
+// Node is one cluster member: a member set and the RPC surface. All
+// methods are safe for concurrent use.
 type Node struct {
-	name  string
-	self  Contact
-	tr    Transport
-	table *RoutingTable
-	// blobs is the bounded local value store: replicated blobs, least
-	// recently used evicted first, so a node holds the hot slice of its
-	// key range and quietly forgets the cold tail (content addressing
-	// makes re-derivation safe).
-	blobs    *lru.Cache[blob]
+	name     string
+	self     Contact
+	tr       Transport
+	table    *RoutingTable
 	log      *slog.Logger
 	draining atomic.Bool
 	exec     atomic.Pointer[Executor]
@@ -79,11 +61,10 @@ func NewNode(cfg Config) (*Node, error) {
 		log = slog.New(slog.DiscardHandler)
 	}
 	n := &Node{
-		name:  cfg.Name,
-		self:  Contact{ID: NodeID(cfg.Name), Addr: cfg.Addr},
-		tr:    cfg.Transport,
-		blobs: lru.New[blob](DefaultMaxBlobs),
-		log:   log,
+		name: cfg.Name,
+		self: Contact{ID: NodeID(cfg.Name), Addr: cfg.Addr},
+		tr:   cfg.Transport,
+		log:  log,
 	}
 	n.table = NewRoutingTable(n.self.ID)
 	publishNodeMetrics(n)
@@ -108,10 +89,9 @@ func (n *Node) SetExecutor(e Executor) {
 	n.exec.Store(&e)
 }
 
-// Drain flips the node into its polite exit: it refuses stores of keys
-// it does not already hold and keeps the values it holds, and it marks
-// every response and request Draining so peers drop it from their
-// member sets instead of routing new work here.
+// Drain flips the node into its polite exit: it marks every response and
+// request Draining so peers drop it from their member sets instead of
+// routing new work here.
 func (n *Node) Drain() { n.draining.Store(true) }
 
 // ---------------------------------------------------------------------------
@@ -146,22 +126,6 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) *Response {
 	switch req.Op {
 	case OpPing:
 		// The response envelope is the whole answer.
-	case OpStore:
-		if resp.Draining {
-			// Fresh keys are refused while draining; re-replication of
-			// keys already held stays welcome so nothing regresses. A list
-			// holding any fresh key is refused whole.
-			for _, b := range req.Blobs {
-				if !n.blobs.Contains(b.Key) {
-					resp.Err = "cluster: node draining, not accepting new keys"
-					return resp
-				}
-			}
-		}
-		for _, b := range req.Blobs {
-			n.blobs.Put(b.Key, blob{kind: b.Kind, value: b.Value, fromPeer: true})
-		}
-		resp.Stored = true
 	case OpFindNode:
 		resp.Contacts = n.table.KClosest(KeyID(req.Key), MaxContacts)
 	case OpExec:
@@ -281,113 +245,6 @@ func (n *Node) Owner(key string) Contact {
 	return best
 }
 
-// Owners returns the K closest cluster members to key (self included
-// when it qualifies) — the key's replica set.
-func (n *Node) Owners(key string) []Contact {
-	target := KeyID(key)
-	cs := append(n.table.KClosest(target, DefaultK), n.self)
-	sortByDistance(target, cs)
-	if len(cs) > DefaultK {
-		cs = cs[:DefaultK]
-	}
-	return cs
-}
-
-// Hold keeps a blob in the local store when this node is in its key's
-// replica set and not draining, and reports whether it did: the node's
-// own copy of a value it replicates.
-func (n *Node) Hold(b Blob) bool {
-	if n.draining.Load() || !n.inReplicaSet(b.Key) {
-		return false
-	}
-	n.blobs.Put(b.Key, blob{kind: b.Kind, value: b.Value})
-	mStores.Inc()
-	return true
-}
-
-// inReplicaSet reports whether this node is among key's K closest. A
-// table of fewer than K peers puts every node in every replica set.
-func (n *Node) inReplicaSet(key string) bool {
-	if n.table.Len() < DefaultK {
-		return true
-	}
-	for _, c := range n.Owners(key) {
-		if c.ID == n.self.ID {
-			return true
-		}
-	}
-	return false
-}
-
-// Replicate sends every blob to the peers in its key's replica set, one
-// STORE per peer listing all the blobs that peer should hold (split at
-// MaxStoreBlobs blobs or MaxValueBytes of values); this node's own copy
-// is Hold's. It returns how many peers acknowledged each blob and how
-// many STOREs it sent. A peer that fails is skipped for the rest of the
-// call — replication is best effort.
-func (n *Node) Replicate(ctx context.Context, blobs []Blob) (acks []int, stores int) {
-	type peer struct {
-		to  Contact
-		idx []int // indices into blobs
-	}
-	var peers []*peer
-	byID := map[ID]*peer{}
-	for i, b := range blobs {
-		for _, c := range n.Owners(b.Key) {
-			if c.ID == n.self.ID {
-				continue
-			}
-			p := byID[c.ID]
-			if p == nil {
-				p = &peer{to: c}
-				byID[c.ID] = p
-				peers = append(peers, p)
-			}
-			p.idx = append(p.idx, i)
-		}
-	}
-	acks = make([]int, len(blobs))
-	for _, p := range peers {
-		for rest := p.idx; len(rest) > 0; {
-			take, size := 0, 0
-			for take < len(rest) && take < MaxStoreBlobs {
-				v := len(blobs[rest[take]].Value)
-				if take > 0 && size+v > MaxValueBytes {
-					break
-				}
-				size += v
-				take++
-			}
-			list := make([]Blob, take)
-			for k, i := range rest[:take] {
-				list[k] = blobs[i]
-			}
-			stores++
-			resp, err := n.call(ctx, p.to, &Request{Op: OpStore, Blobs: list})
-			if err != nil {
-				break
-			}
-			if resp.Err == "" && resp.Stored {
-				for _, i := range rest[:take] {
-					acks[i]++
-				}
-				mStores.Add(uint64(take))
-			}
-			rest = rest[take:]
-		}
-	}
-	return acks, stores
-}
-
-// GetCached returns a value from the local blob store with its kind,
-// and whether a peer's STORE put it there (else the node's own Hold did,
-// whichever came last). There is no remote read: a node that lacks a
-// value computes it (content addressing makes re-derivation safe).
-func (n *Node) GetCached(key string) (value []byte, kind string, fromPeer, ok bool) {
-	b, ok := n.blobs.Get(key)
-	return b.value, b.kind, b.fromPeer, ok
-}
-
 // Exec runs an opaque request on a specific peer — the cross-node
 // singleflight's forwarding edge. The callee's executor errors come
 // back as errors here.
@@ -412,16 +269,8 @@ type Status struct {
 	ID       ID     `json:"id"`
 	Addr     string `json:"addr"`
 	Draining bool   `json:"draining"`
-	// K is the replication factor.
-	K int `json:"k"`
 	// Peers is every member this node knows, ordered by ID.
 	Peers []Contact `json:"peers"`
-	// StoredKeys counts local blob-store entries; KeysByKind splits
-	// them by kind; OwnedKeys counts the subset this node is the
-	// cluster-wide owner of.
-	StoredKeys int            `json:"stored_keys"`
-	OwnedKeys  int            `json:"owned_keys"`
-	KeysByKind map[string]int `json:"keys_by_kind,omitempty"`
 }
 
 // Status snapshots the node.
@@ -430,32 +279,11 @@ func (n *Node) Status() Status {
 	sort.Slice(peers, func(i, j int) bool {
 		return bytes.Compare(peers[i].ID[:], peers[j].ID[:]) < 0
 	})
-	st := Status{
+	return Status{
 		Name:     n.name,
 		ID:       n.self.ID,
 		Addr:     n.self.Addr,
 		Draining: n.draining.Load(),
-		K:        DefaultK,
 		Peers:    peers,
 	}
-	st.KeysByKind = map[string]int{}
-	n.blobs.Range(func(key string, b blob) {
-		st.StoredKeys++
-		st.KeysByKind[b.kind]++
-		if n.Owner(key).ID == n.self.ID {
-			st.OwnedKeys++
-		}
-	})
-	if len(st.KeysByKind) == 0 {
-		st.KeysByKind = nil
-	}
-	return st
-}
-
-// blob is one value of the local store with its kind label and its
-// origin: a peer's STORE, or the node's own Hold.
-type blob struct {
-	kind     string
-	value    []byte
-	fromPeer bool
 }

@@ -74,42 +74,6 @@ func TestConcurrentJoinsMakeFullMesh(t *testing.T) {
 	}
 }
 
-// holds reports whether n's blob store has key.
-func holds(n *Node, key string) bool {
-	_, _, _, ok := n.GetCached(key)
-	return ok
-}
-
-// store is what a replicating caller does: hold b when n is in its
-// replica set, and send it to the set's peers. It returns how many
-// nodes kept it.
-func store(ctx context.Context, n *Node, b Blob) int {
-	kept := 0
-	if n.Hold(b) {
-		kept++
-	}
-	acks, _ := n.Replicate(ctx, []Blob{b})
-	return kept + acks[0]
-}
-
-// TestReplicateReachesSmallCluster: on a cluster smaller than K every
-// node is in every replica set, so a held and replicated blob lands on
-// all of them with its kind and bytes.
-func TestReplicateReachesSmallCluster(t *testing.T) {
-	ctx := context.Background()
-	_, nodes := testCluster(t, 5)
-	b := Blob{Key: "sha256:aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", Kind: "point", Value: []byte("the point")}
-	if kept := store(ctx, nodes[1], b); kept != 5 {
-		t.Fatalf("%d of 5 nodes kept the blob", kept)
-	}
-	for i, nd := range nodes {
-		got, kind, _, ok := nd.GetCached(b.Key)
-		if !ok || string(got) != string(b.Value) || kind != b.Kind {
-			t.Fatalf("node %d holds (%v, %q, %q)", i, ok, kind, got)
-		}
-	}
-}
-
 // TestOwnerAgreement: one join per node makes a full mesh, so every
 // node names the same owner for a key, and that owner is the globally
 // XOR-closest node — the invariant the cross-node singleflight leans
@@ -169,32 +133,12 @@ func TestExecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDrainLeavesPolitely: a draining node refuses fresh keys, keeps
-// the ones it holds, and its Draining responses age it out of peers'
-// member sets.
+// TestDrainLeavesPolitely: a draining node's Draining responses age it
+// out of peers' member sets.
 func TestDrainLeavesPolitely(t *testing.T) {
 	ctx := context.Background()
 	_, nodes := testCluster(t, 4)
-	held := "sha256:cccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccc"
-	store(ctx, nodes[3], Blob{Key: held, Kind: "blob", Value: []byte("kept")})
-	if !holds(nodes[3], held) {
-		t.Fatal("node 3 should hold the key (cluster smaller than K)")
-	}
-
 	nodes[3].Drain()
-
-	// Fresh stores are refused...
-	fresh := &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{{Key: "sha256:dddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddd", Kind: "blob", Value: []byte("new")}}}
-	if resp := nodes[3].HandleRPC(ctx, fresh); resp.Stored || resp.Err == "" || !resp.Draining {
-		t.Fatalf("draining node accepted a fresh key: %+v", resp)
-	}
-	// ...but held keys stay, and re-replication of them is fine.
-	if v, _, _, ok := nodes[3].GetCached(held); !ok || string(v) != "kept" {
-		t.Fatal("draining node dropped a held value")
-	}
-	if resp := nodes[3].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{{Key: held, Kind: "blob", Value: []byte("kept")}}}); !resp.Stored {
-		t.Fatal("draining node refused re-replication of a held key")
-	}
 
 	// Peers that talk to it see Draining and drop it from their tables.
 	if _, err := nodes[0].Ping(ctx, nodes[3].Self().Addr); err != nil {
@@ -204,69 +148,6 @@ func TestDrainLeavesPolitely(t *testing.T) {
 		if c.ID == nodes[3].Self().ID {
 			t.Fatal("draining node still in a peer's table after contact")
 		}
-	}
-	// And the draining node itself skips its local replica on stores.
-	k2 := "sha256:eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee"
-	store(ctx, nodes[3], Blob{Key: k2, Kind: "blob", Value: []byte("flushed")})
-	if holds(nodes[3], k2) {
-		t.Fatal("draining node kept a local replica of flushed data")
-	}
-	found := false
-	for _, nd := range nodes[:3] {
-		if holds(nd, k2) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("flushed value reached no healthy peer")
-	}
-}
-
-// TestReplicateBatchesPerPeer: Replicate sends each peer one STORE
-// listing every blob it should hold, and every replica ends up with
-// every blob.
-func TestReplicateBatchesPerPeer(t *testing.T) {
-	ctx := context.Background()
-	_, nodes := testCluster(t, 4)
-	blobs := make([]Blob, 10)
-	for i := range blobs {
-		blobs[i] = Blob{Key: fmt.Sprintf("sha256:%064x", i), Kind: "point", Value: []byte{byte(i + 1)}}
-	}
-	acks, stores := nodes[0].Replicate(ctx, blobs)
-	if stores != 3 {
-		t.Fatalf("%d STOREs for 10 blobs to 3 peers, want 3", stores)
-	}
-	for i, a := range acks {
-		if a != 3 {
-			t.Fatalf("blob %d acknowledged by %d peers, want 3", i, a)
-		}
-	}
-	for i, nd := range nodes {
-		for _, b := range blobs {
-			if holds(nd, b.Key) != (i != 0) {
-				t.Fatalf("node %d holds %s: %v (Replicate leaves the sender's copy to Hold)", i, b.Key, holds(nd, b.Key))
-			}
-		}
-	}
-}
-
-// TestDrainingNodeRefusesListWithFreshKey: a draining node takes a blob
-// list only when it already holds every key in it.
-func TestDrainingNodeRefusesListWithFreshKey(t *testing.T) {
-	ctx := context.Background()
-	_, nodes := testCluster(t, 2)
-	held := Blob{Key: "sha256:held", Kind: "blob", Value: []byte("kept")}
-	store(ctx, nodes[0], held)
-	nodes[1].Drain()
-	fresh := Blob{Key: "sha256:fresh", Kind: "blob", Value: []byte("new")}
-	if resp := nodes[1].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{held, fresh}}); resp.Stored || resp.Err == "" {
-		t.Fatalf("draining node took a list with a fresh key: %+v", resp)
-	}
-	if holds(nodes[1], fresh.Key) {
-		t.Fatal("refused list left its fresh key behind")
-	}
-	if resp := nodes[1].HandleRPC(ctx, &Request{Op: OpStore, From: nodes[0].Self(), Blobs: []Blob{held}}); !resp.Stored {
-		t.Fatalf("draining node refused a list of held keys: %+v", resp)
 	}
 }
 
@@ -301,8 +182,7 @@ func TestCancelledCallKeepsPeer(t *testing.T) {
 }
 
 // TestDrainingSenderStaysOut: once a peer has dropped a draining node,
-// that node's own requests — the STOREs its drain flush sends — do not
-// put it back in the peer's member set.
+// that node's own requests do not put it back in the peer's member set.
 func TestDrainingSenderStaysOut(t *testing.T) {
 	ctx := context.Background()
 	_, nodes := testCluster(t, 3)
@@ -321,52 +201,22 @@ func TestDrainingSenderStaysOut(t *testing.T) {
 	if has() {
 		t.Fatal("draining node still a member after answering a ping")
 	}
-	acks, _ := nodes[0].Replicate(ctx, []Blob{{Key: "sha256:flushed", Kind: "blob", Value: []byte("v")}})
-	if acks[0] == 0 || !holds(nodes[1], "sha256:flushed") {
-		t.Fatal("the draining node's flush did not reach its peer")
+	if _, err := nodes[0].Ping(ctx, nodes[1].Self().Addr); err != nil {
+		t.Fatal(err)
 	}
 	if has() {
-		t.Fatal("the draining node's STORE put it back in the peer's member set")
-	}
-}
-
-// TestReplicateStaysInReplicaSet: on a cluster larger than K, a held
-// and replicated blob lands on exactly the key's K closest members.
-func TestReplicateStaysInReplicaSet(t *testing.T) {
-	ctx := context.Background()
-	_, nodes := testCluster(t, 12)
-	b := Blob{Key: "sha256:abcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcdabcd", Kind: "point", Value: []byte("v")}
-	if kept := store(ctx, nodes[0], b); kept != DefaultK {
-		t.Fatalf("%d nodes kept the blob, want %d", kept, DefaultK)
-	}
-	owners := map[ID]bool{}
-	for _, c := range nodes[0].Owners(b.Key) {
-		owners[c.ID] = true
-	}
-	for i, nd := range nodes {
-		if holds(nd, b.Key) != owners[nd.Self().ID] {
-			t.Fatalf("node %d holds the blob: %v, in its replica set: %v", i, holds(nd, b.Key), owners[nd.Self().ID])
-		}
+		t.Fatal("the draining node's ping put it back in the peer's member set")
 	}
 }
 
 func TestStatus(t *testing.T) {
-	ctx := context.Background()
 	_, nodes := testCluster(t, 3)
-	key := "sha256:abababababababababababababababababababababababababababababababab"
-	store(ctx, nodes[0], Blob{Key: key, Kind: "point", Value: []byte("v")})
 	st := nodes[0].Status()
 	if st.Name != "node-0" || st.Addr != "node-0" || st.Draining {
 		t.Fatalf("bad status identity: %+v", st)
 	}
 	if len(st.Peers) != 2 {
 		t.Fatalf("status lists %d peers, want 2", len(st.Peers))
-	}
-	if st.StoredKeys != 1 || st.KeysByKind["point"] != 1 {
-		t.Fatalf("bad key accounting: %+v", st)
-	}
-	if st.K != DefaultK {
-		t.Fatalf("K = %d", st.K)
 	}
 }
 

@@ -29,7 +29,7 @@ func TestKClosestMatchesBruteForce(t *testing.T) {
 		sort.Slice(want, func(i, j int) bool {
 			return CompareDistance(target, want[i].ID, want[j].ID) < 0
 		})
-		k := 1 + rng.Intn(DefaultK)
+		k := 1 + rng.Intn(8)
 		if len(want) > k {
 			want = want[:k]
 		}
@@ -99,7 +99,7 @@ func TestTableStaysAtCap(t *testing.T) {
 // TestUpdateRefreshesKnownContact: re-seeing a contact refreshes its
 // address without growing the set.
 func TestUpdateRefreshesKnownContact(t *testing.T) {
-	self, cs := testContacts(DefaultK)
+	self, cs := testContacts(8)
 	tbl := NewRoutingTable(self)
 	for _, c := range cs {
 		tbl.Update(c)
@@ -107,8 +107,8 @@ func TestUpdateRefreshesKnownContact(t *testing.T) {
 	moved := cs[0]
 	moved.Addr = "peer-0-new-addr"
 	tbl.Update(moved)
-	if tbl.Len() != DefaultK {
-		t.Fatalf("table has %d contacts, want %d", tbl.Len(), DefaultK)
+	if tbl.Len() != len(cs) {
+		t.Fatalf("table has %d contacts, want %d", tbl.Len(), len(cs))
 	}
 	for _, c := range tbl.Contacts() {
 		if c.ID == moved.ID && c.Addr != "peer-0-new-addr" {

@@ -16,7 +16,6 @@ import (
 var (
 	mRPCs      = telemetry.Default().CounterVec("cluster_rpcs_total", "cluster RPC envelopes, by op and direction", "op", "dir")
 	mRPCErrors = telemetry.Default().CounterVec("cluster_rpc_errors_total", "cluster RPCs that failed (transport errors sent, invalid envelopes served)", "op")
-	mStores    = telemetry.Default().Counter("cluster_replicated_stores_total", "replica copies acknowledged by STORE (self included)")
 )
 
 var (
@@ -39,9 +38,6 @@ func publishNodeMetrics(n *Node) {
 		}
 		reg.GaugeFunc("cluster_routing_peers", "peers in the node's member set", read(func(n *Node) float64 {
 			return float64(n.table.Len())
-		}))
-		reg.GaugeFunc("cluster_stored_keys", "values in the local blob store (replicas this node holds)", read(func(n *Node) float64 {
-			return float64(n.blobs.Len())
 		}))
 		reg.GaugeFunc("cluster_draining", "1 while the node is leaving the cluster", read(func(n *Node) float64 {
 			if n.draining.Load() {

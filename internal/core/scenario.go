@@ -669,7 +669,7 @@ type Coord struct {
 
 // PointKey names one grid point of a scenario without running it: its
 // coordinates (canonical axis spellings) and the point digest the point
-// caches and the cluster's replication are keyed on.
+// cache is keyed on.
 type PointKey struct {
 	Coords []Coord
 	Digest string

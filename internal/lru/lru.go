@@ -1,9 +1,9 @@
 // Package lru is the bounded least-recently-used map every cache in the
-// service and cluster layers is built on: result and point caches,
-// compiled programs, the artifact store's trace tier, and a node's
-// replicated blobs. Keys are strings (content digests in practice);
-// values are treated as immutable by convention, so callers must not
-// modify what Get returns. Safe for concurrent use.
+// engine and service layers is built on: compiled programs, result and
+// point caches, the body memo, and the artifact store's trace and
+// platform tiers. Keys are strings (content digests in practice); values
+// are treated as immutable by convention, so callers must not modify
+// what Get returns. Safe for concurrent use.
 package lru
 
 import (

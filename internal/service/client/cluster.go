@@ -18,7 +18,7 @@ import (
 //
 // Retries reuse the client's RetryPolicy discipline: transport errors
 // and backpressure statuses (429/502/503) back off with full jitter.
-// Application-level refusals (a draining peer, a missing key) arrive
+// Application-level refusals (a draining peer, an executor error) arrive
 // inside a 200 response's envelope and are never retried — the cluster
 // layer's own fallbacks handle those.
 type ClusterTransport struct {
@@ -62,9 +62,9 @@ func (t *ClusterTransport) Call(ctx context.Context, addr string, req *cluster.R
 	return cluster.DecodeResponse(payload)
 }
 
-// ClusterStatus fetches GET /v1/cluster/status — the node's identity,
-// peers, and stored-key accounting. Fails with the daemon's 404 error
-// when it is not a cluster member.
+// ClusterStatus fetches GET /v1/cluster/status — the node's identity
+// and peers. Fails with the daemon's 404 error when it is not a cluster
+// member.
 func (c *Client) ClusterStatus(ctx context.Context) (cluster.Status, error) {
 	var st cluster.Status
 	err := c.do(ctx, http.MethodGet, "/v1/cluster/status", nil, "", &st)

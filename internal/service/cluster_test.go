@@ -2,8 +2,8 @@
 // in-process transport must serve scenario results byte-identical to a
 // standalone manager, run a hot spec exactly once cluster-wide under
 // concurrent submission to different nodes (run with -race), serve
-// reruns against a different node from the cooperative cache with zero
-// new engine jobs, and stay available while a member drains.
+// reruns against a different node from the spec owner's caches with
+// zero new engine jobs, and stay available while a member drains.
 package service_test
 
 import (
@@ -27,7 +27,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/service"
 	"repro/internal/service/client"
-	"repro/internal/telemetry"
 	"repro/internal/tracer"
 )
 
@@ -62,6 +61,27 @@ func (c *rpcCounter) take() map[cluster.Op]int {
 	out := c.sent
 	c.sent = map[cluster.Op]int{}
 	return out
+}
+
+// total sums RPC counts over every op.
+func total(sent map[cluster.Op]int) int {
+	n := 0
+	for _, c := range sent {
+		n += c
+	}
+	return n
+}
+
+// drainAll drains every member, so no member still has work in flight.
+func drainAll(t *testing.T, mgrs []*service.Manager) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, m := range mgrs {
+		if _, err := m.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // newCountingCluster is newTestCluster with its RPCs counted.
@@ -105,18 +125,6 @@ func newCountingCluster(t *testing.T, n int) ([]*service.Manager, []*client.Clie
 	return mgrs, cls, net
 }
 
-// fileBlob files a blob as a node replicating a fresh point does: held
-// on n when n is in its replica set, and sent to the set's peers. It
-// returns how many nodes kept it.
-func fileBlob(ctx context.Context, n *cluster.Node, b cluster.Blob) int {
-	kept := 0
-	if n.Hold(b) {
-		kept++
-	}
-	acks, _ := n.Replicate(ctx, []cluster.Blob{b})
-	return kept + acks[0]
-}
-
 // totalStarted sums engine job starts across the cluster — the counter
 // the exactly-once and zero-recompute assertions diff.
 func totalStarted(mgrs []*service.Manager) uint64 {
@@ -127,8 +135,7 @@ func totalStarted(mgrs []*service.Manager) uint64 {
 	return sum
 }
 
-// gridSpec is the grid workload: a 2x2 grid whose points' replica sets
-// spread across the cluster by point digest.
+// gridSpec is the grid workload: a 2x2 bandwidth × mapping grid.
 func gridSpec() service.ScenarioRequest {
 	return service.ScenarioRequest{
 		App: "cg", Ranks: 8,
@@ -142,12 +149,11 @@ func gridSpec() service.ScenarioRequest {
 }
 
 // TestClusterScenarioByteIdentical is the headline acceptance path: a
-// gridded scenario run on a 3-node cluster returns bytes
-// identical to a standalone manager's, a rerun against each other node
-// is served from the cooperative cache with zero new engine jobs
-// cluster-wide, and the computed points land in the DHT as replicated
-// blobs. The per-kind endpoints ride the same path: an analysis and a
-// bandwidth sweep are byte-identical too, and so are their reruns.
+// gridded scenario run on a 3-node cluster returns bytes identical to a
+// standalone manager's, and a rerun against each other node is served
+// through the spec owner's caches with zero new engine jobs
+// cluster-wide. The per-kind endpoints ride the same path: an analysis
+// and a bandwidth sweep are byte-identical too, and so are their reruns.
 func TestClusterScenarioByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	req := gridSpec()
@@ -207,56 +213,6 @@ func TestClusterScenarioByteIdentical(t *testing.T) {
 	}
 	if now := totalStarted(mgrs); now != after {
 		t.Fatalf("rerun against other nodes spawned engine jobs: %d -> %d", after, now)
-	}
-	// Every computed point replicates into the DHT (asynchronously):
-	// eventually each of the 4 points is held by all 3 nodes (3 < K).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		points := 0
-		for _, m := range mgrs {
-			points += m.Cluster().Status().KeysByKind[service.BlobPoint]
-		}
-		if points >= 12 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("point blobs not replicated: %d cluster-wide, want 12", points)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestClusterRejectsMisfiledPointBlob: a valid point blob replicated
-// under another point's key — a misfiled or stale replica — is never
-// served as that point's row; the grid still returns standalone bytes.
-func TestClusterRejectsMisfiledPointBlob(t *testing.T) {
-	ctx := context.Background()
-	req := gridSpec()
-	_, standalone := newService(t, 2)
-	want, err := standalone.ScenarioRaw(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res core.ScenarioResult
-	if err := json.Unmarshal(want, &res); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(res.Points[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgrs, cls := newTestCluster(t, 3)
-	for _, pt := range res.Points[1:] {
-		if n := fileBlob(ctx, mgrs[0].Cluster(), cluster.Blob{Key: pt.Digest, Kind: service.BlobPoint, Value: blob}); n != 3 {
-			t.Fatalf("misfiled blob reached %d of 3 nodes", n)
-		}
-	}
-	got, err := cls[0].ScenarioRaw(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("misfiled point blob served as a grid row:\n%s\n%s", want, got)
 	}
 }
 
@@ -353,14 +309,14 @@ func TestClusterExactlyOnceConcurrent(t *testing.T) {
 	}
 }
 
-// TestClusterExactlyOnceTwentyNodes: on 20 nodes joined once each, K
+// TestClusterExactlyOnceTwentyNodes: on 20 nodes joined once each, 8
 // distinct one-point specs, each submitted concurrently at every node,
-// cost exactly what the K specs cost a standalone node, and every reply
+// cost exactly what the 8 specs cost a standalone node, and every reply
 // is standalone's bytes. A node that misnamed a spec's owner would
 // forward it to a node that computes it a second time.
 func TestClusterExactlyOnceTwentyNodes(t *testing.T) {
 	ctx := context.Background()
-	specs := make([]service.ScenarioRequest, cluster.DefaultK)
+	specs := make([]service.ScenarioRequest, 8)
 	want := make([][]byte, len(specs))
 	standaloneMgr, standalone := newService(t, 2)
 	for i := range specs {
@@ -460,19 +416,6 @@ func owning(t *testing.T, mgrs []*service.Manager, key string) int {
 	return -1
 }
 
-// remoteGroups groups a result's points by the owner node i's table
-// names for them, leaving out the points node i owns itself.
-func remoteGroups(mgrs []*service.Manager, i int, res *core.ScenarioResult) map[cluster.ID][]core.ScenarioPoint {
-	node := mgrs[i].Cluster()
-	groups := map[cluster.ID][]core.ScenarioPoint{}
-	for _, pt := range res.Points {
-		if o := node.Owner(pt.Digest); o.ID != node.Self().ID {
-			groups[o.ID] = append(groups[o.ID], pt)
-		}
-	}
-	return groups
-}
-
 // standaloneResult runs req on a standalone manager and returns its
 // bytes and decoded result.
 func standaloneResult(t *testing.T, req service.ScenarioRequest) ([]byte, *core.ScenarioResult) {
@@ -489,28 +432,30 @@ func standaloneResult(t *testing.T, req service.ScenarioRequest) ([]byte, *core.
 	return raw, &res
 }
 
-// TestClusterGridRunsOnItsSpecOwner: an 8-point grid, some of whose
-// points other members own, sent to the member that owns its spec digest
-// runs there whole: it sends no EXEC, only that member's engine starts
-// jobs, and batch and NDJSON replies are standalone's bytes.
+// TestClusterGridRunsOnItsSpecOwner: an 8-point grid sent to the member
+// that owns its spec digest runs there whole: the cluster sends no RPC,
+// only that member's engine starts jobs and only its point cache fills,
+// and batch and NDJSON replies are standalone's bytes.
 func TestClusterGridRunsOnItsSpecOwner(t *testing.T) {
 	testGridRoute(t, false)
 }
 
 // TestClusterGridOneExecPerOwner: a spec has one owner, the member that
 // owns its digest, and an 8-point grid sent to another member costs
-// exactly one EXEC, the forward to that owner, though other members own
-// some of its points. The owner computes the grid without asking anyone
-// else: only its engine starts jobs, and batch and NDJSON replies are
+// exactly one RPC, the EXEC that forwards it to that owner. The owner
+// computes the grid without asking anyone else: only its engine starts
+// jobs and only its point cache fills, and batch and NDJSON replies are
 // standalone's bytes.
 func TestClusterGridOneExecPerOwner(t *testing.T) {
 	testGridRoute(t, true)
 }
 
-// testGridRoute sends an 8-point grid, some of whose points other
-// members own, to its spec's owner on a fresh 3-node cluster — or, when
-// forwarded is set, to the next member — once as a batch request and
-// once as an NDJSON stream.
+// testGridRoute sends an 8-point grid to its spec's owner on a fresh
+// 3-node cluster — or, when forwarded is set, to the next member — once
+// as a batch request and once as an NDJSON stream. Once every member has
+// drained, the cluster has sent the forward's EXEC, if any, and nothing
+// else, and the owner's point cache holds the grid's points while every
+// other member's is empty.
 func testGridRoute(t *testing.T, forwarded bool) {
 	req := gridSpec()
 	req.Axes = []core.Axis{core.BandwidthAxis(125, 250, 500, 1000), core.MappingAxis("block", "rr")}
@@ -519,9 +464,6 @@ func testGridRoute(t *testing.T, forwarded bool) {
 		t.Run(reply, func(t *testing.T) {
 			mgrs, cls, net := newCountingCluster(t, 3)
 			home := owning(t, mgrs, res.SpecDigest)
-			if len(remoteGroups(mgrs, home, res)) == 0 {
-				t.Fatal("the spec's owner owns every point: no point lies elsewhere")
-			}
 			at, execs := home, 0
 			if forwarded {
 				at, execs = (home+1)%len(mgrs), 1
@@ -539,13 +481,21 @@ func testGridRoute(t *testing.T, forwarded bool) {
 			if !bytes.Equal(bytes.TrimSpace(want), bytes.TrimSpace(got)) {
 				t.Fatalf("grid differs from standalone:\n%s\n%s", want, got)
 			}
-			if sent := net.take(); sent[cluster.OpExec] != execs {
-				t.Fatalf("%d EXECs, want %d", sent[cluster.OpExec], execs)
+			drainAll(t, mgrs)
+			if sent := net.take(); sent[cluster.OpExec] != execs || total(sent) != execs {
+				t.Fatalf("the cluster sent %v, want %d EXECs and no other RPC", sent, execs)
 			}
 			after := startedPerNode(mgrs)
-			for n := range mgrs {
+			for n, m := range mgrs {
 				if ran := after[n] != before[n]; ran != (n == home) {
 					t.Fatalf("member %d started %d engine jobs; the spec's owner is member %d", n, after[n]-before[n], home)
+				}
+				held, points := m.MetricsSnapshot().PointCacheEntries, 0
+				if n == home {
+					points = len(res.Points)
+				}
+				if held != points {
+					t.Fatalf("member %d holds %d points, want %d; the spec's owner is member %d", n, held, points, home)
 				}
 			}
 		})
@@ -603,24 +553,14 @@ func TestClusterOwnerSpecsKeepGridBytes(t *testing.T) {
 
 // TestClusterPeerSpecNeverFansOut: a grid that arrives from a peer is
 // computed where it lands, with no further EXEC, even though that node
-// owns neither the spec's digest nor some of its points.
+// does not own the spec's digest.
 func TestClusterPeerSpecNeverFansOut(t *testing.T) {
 	ctx := context.Background()
 	req := gridSpec()
 	want, res := standaloneResult(t, req)
 
 	mgrs, _, net := newCountingCluster(t, 3)
-	home := owning(t, mgrs, res.SpecDigest)
-	recv := -1
-	for i := range mgrs {
-		if i != home && len(remoteGroups(mgrs, i, res)) > 0 {
-			recv = i
-			break
-		}
-	}
-	if recv < 0 {
-		t.Fatal("no member but the spec's owner has a table naming another owner for any point")
-	}
+	recv := (owning(t, mgrs, res.SpecDigest) + 1) % len(mgrs)
 	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -641,106 +581,6 @@ func TestClusterPeerSpecNeverFansOut(t *testing.T) {
 	for n := range mgrs {
 		if ran := after[n] != before[n]; ran != (n == recv) {
 			t.Fatalf("member %d started %d engine jobs; the peer sent the grid to member %d", n, after[n]-before[n], recv)
-		}
-	}
-}
-
-// TestClusterOwnerServesHeldPointBlob: a one-point spec sent to the
-// owner of a point it holds only as a replicated blob — never computed
-// there, so not in its point LRU — is served from the blob store with
-// zero engine jobs, and cluster_remote_point_hits_total counts the hit.
-func TestClusterOwnerServesHeldPointBlob(t *testing.T) {
-	ctx := context.Background()
-	req := gridSpec()
-	req.Axes = []core.Axis{core.BandwidthAxis(250)}
-	want, res := standaloneResult(t, req)
-	pt := res.Points[0]
-	if pt.Digest != res.SpecDigest {
-		t.Fatalf("a one-point spec's digest %s is not its point digest %s", res.SpecDigest, pt.Digest)
-	}
-	blob, err := json.Marshal(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mgrs, cls := newTestCluster(t, 3)
-	owner := owning(t, mgrs, pt.Digest)
-	if n := fileBlob(ctx, mgrs[(owner+1)%3].Cluster(), cluster.Blob{Key: pt.Digest, Kind: service.BlobPoint, Value: blob}); n != 3 {
-		t.Fatalf("point blob reached %d of 3 nodes", n)
-	}
-	hits := telemetry.Default().Counter("cluster_remote_point_hits_total", "")
-	before, hits0 := totalStarted(mgrs), hits.Value()
-	got, err := cls[owner].ScenarioRaw(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("held point served differently from standalone:\n%s\n%s", want, got)
-	}
-	if now := totalStarted(mgrs); now != before {
-		t.Fatalf("serving a held point blob started %d engine jobs, want 0", now-before)
-	}
-	if n := hits.Value() - hits0; n != 1 {
-		t.Fatalf("cluster_remote_point_hits_total moved by %d, want 1", n)
-	}
-}
-
-// TestClusterOwnPointHitsAreNotRemote: a grid point a member computed
-// itself and holds in its blob store is a point-cache hit but not a
-// remote point hit there; on another member, which holds it because the
-// computing member's STORE delivered it, the same point is both.
-func TestClusterOwnPointHitsAreNotRemote(t *testing.T) {
-	ctx := context.Background()
-	one := gridSpec()
-	one.Axes = []core.Axis{core.BandwidthAxis(250)}
-	_, res := standaloneResult(t, one)
-	pt := res.Points[0].Digest
-
-	mgrs, cls := newTestCluster(t, 3)
-	home := owning(t, mgrs, res.SpecDigest)
-	if _, err := cls[home].ScenarioRaw(ctx, one); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for _, m := range mgrs {
-		for {
-			if _, _, _, ok := m.Cluster().GetCached(pt); ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("the point never reached member %s", m.Cluster().Name())
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	// Two-point grids holding the point: one whose spec the computing
-	// member owns, one another member owns.
-	grids := map[bool]service.ScenarioRequest{}
-	for bw := 300.0; len(grids) < 2; bw += 10 {
-		if bw > 1000 {
-			t.Fatal("no two-point grid lands on both sides")
-		}
-		req := gridSpec()
-		req.Axes = []core.Axis{core.BandwidthAxis(250, bw)}
-		_, r := standaloneResult(t, req)
-		grids[owning(t, mgrs, r.SpecDigest) == home] = req
-	}
-	remote := telemetry.Default().Counter("cluster_remote_point_hits_total", "")
-	for _, computedHere := range []bool{true, false} {
-		req := grids[computedHere]
-		_, r := standaloneResult(t, req)
-		at := owning(t, mgrs, r.SpecDigest)
-		hits0, remote0 := mgrs[at].MetricsSnapshot().PointCacheHits, remote.Value()
-		if _, err := cls[at].ScenarioRaw(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-		hits, remoteHits := mgrs[at].MetricsSnapshot().PointCacheHits-hits0, remote.Value()-remote0
-		want := uint64(1)
-		if computedHere {
-			want = 0
-		}
-		if hits != 1 || remoteHits != want {
-			t.Fatalf("computed here %v: %d point-cache hits and %d remote point hits, want 1 and %d", computedHere, hits, remoteHits, want)
 		}
 	}
 }
@@ -818,9 +658,9 @@ func startedPerNode(mgrs []*service.Manager) []uint64 {
 
 // TestClusterTraceModeStaysOnItsNode: a trace uploaded to one member
 // belongs to that member. Trace-mode grids sent there, streamed and
-// batch, run there as on a standalone node: standalone's bytes, no EXEC
-// and no STORE for the upload or the runs, no point blob, and no engine
-// job on any other member. Another member does not know the digest.
+// batch, run there as on a standalone node: standalone's bytes, no RPC
+// for the upload or the runs, and no engine job on any other member.
+// Another member does not know the digest.
 func TestClusterTraceModeStaysOnItsNode(t *testing.T) {
 	ctx := context.Background()
 	entry, _ := apps.ByName("cg", 4)
@@ -884,18 +724,15 @@ func TestClusterTraceModeStaysOnItsNode(t *testing.T) {
 			t.Fatalf("member %d, without the trace, answered %v; want 400 unknown trace", j, err)
 		}
 	}
-	// Drain flushes the member's replication queue, so any STORE it
-	// queued is counted below.
+	// Drain waits out the member's in-flight jobs, so every RPC they send
+	// is counted below.
 	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	if _, err := mgrs[i].Drain(drainCtx); err != nil {
 		t.Fatal(err)
 	}
-	if sent := net.take(); sent[cluster.OpExec] != 0 || sent[cluster.OpStore] != 0 {
-		t.Fatalf("upload and trace-mode runs sent %d EXECs and %d STOREs, want none", sent[cluster.OpExec], sent[cluster.OpStore])
-	}
-	if held := mgrs[i].Cluster().Status().KeysByKind[service.BlobPoint]; held != 0 {
-		t.Fatalf("trace-mode points went to the blob store: %d held", held)
+	if sent := net.take(); total(sent) != 0 {
+		t.Fatalf("upload and trace-mode runs sent %v, want no RPC", sent)
 	}
 	after := startedPerNode(mgrs)
 	for n := range mgrs {
@@ -965,9 +802,10 @@ func TestClusterPlatformDigestTravelsInline(t *testing.T) {
 	}
 }
 
-// TestClusterCachedRerunsSendNoStores: on a cluster larger than K,
-// cached reruns at a member outside the platform digest's replica set
-// send no STORE: a resolved platform stays in the member's own store.
+// TestClusterCachedRerunsSendNoStores: 50 cached reruns at one member
+// of a 12-node cluster send no RPC of any op. The member does not own
+// the spec, so its first run is one EXEC; once every member has
+// drained, that EXEC is all the cluster has sent.
 func TestClusterCachedRerunsSendNoStores(t *testing.T) {
 	ctx := context.Background()
 	req := service.ScenarioRequest{
@@ -975,59 +813,16 @@ func TestClusterCachedRerunsSendNoStores(t *testing.T) {
 		Platform: &service.PlatformSpec{Preset: "marenostrum-4x"},
 		Output:   "traffic",
 	}
-	plat, err := network.PlatformPreset("marenostrum-4x", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest, err := plat.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := standaloneResult(t, req)
 	mgrs, cls, net := newCountingCluster(t, 12)
-	x := -1
-	for n, m := range mgrs {
-		in := false
-		for _, c := range m.Cluster().Owners(digest) {
-			in = in || c.ID == m.Cluster().Self().ID
-		}
-		if !in {
-			x = n
-			break
-		}
-	}
-	if x < 0 {
-		t.Fatal("every member is in the platform's replica set")
-	}
-	if _, err := cls[x].ScenarioRaw(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	// The fresh point replicates to its K replicas; let that settle first.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		held := 0
-		for _, m := range mgrs {
-			held += m.Cluster().Status().KeysByKind[service.BlobPoint]
-		}
-		if held >= cluster.DefaultK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the point reached %d of %d replicas", held, cluster.DefaultK)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	net.take()
-	for range 50 {
+	x := (owning(t, mgrs, res.SpecDigest) + 1) % len(mgrs)
+	for range 51 {
 		if _, err := cls[x].ScenarioRaw(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if _, err := mgrs[x].Drain(drainCtx); err != nil {
-		t.Fatal(err)
-	}
-	if n := net.take()[cluster.OpStore]; n != 0 {
-		t.Fatalf("50 cached reruns sent %d STOREs, want 0", n)
+	drainAll(t, mgrs)
+	if sent := net.take(); sent[cluster.OpExec] != 1 || total(sent) != 1 {
+		t.Fatalf("a run and 50 cached reruns sent %v, want the run's one EXEC", sent)
 	}
 }

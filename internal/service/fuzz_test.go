@@ -41,13 +41,13 @@ func FuzzScenarioRequestDecode(f *testing.F) {
 		if err := json.Unmarshal(data, &req); err != nil {
 			return // clean rejection at the decode layer
 		}
-		_, key1, _, err := req.spec(mgr)
+		_, key1, _, err := req.spec(mgr, nil, "")
 		if err != nil {
 			return // clean rejection at validation time
 		}
 		// An accepted spec must key deterministically: the cache and
 		// singleflight table hang off this digest.
-		_, key2, _, err := req.spec(mgr)
+		_, key2, _, err := req.spec(mgr, nil, "")
 		if err != nil {
 			t.Fatalf("spec accepted once then rejected: %v", err)
 		}

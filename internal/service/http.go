@@ -280,7 +280,7 @@ func NewHandler(m *Manager) http.Handler {
 	// status document:
 	//
 	//	POST /v1/cluster/rpc      the DHT RPC envelope (peers only)
-	//	GET  /v1/cluster/status   node identity, peers, stored keys
+	//	GET  /v1/cluster/status   node identity and peers
 	if n := m.Cluster(); n != nil {
 		mux.Handle("POST "+cluster.RPCPath, cluster.ServeRPC(n))
 		mux.HandleFunc("GET /v1/cluster/status", func(w http.ResponseWriter, r *http.Request) {

@@ -17,13 +17,13 @@ import (
 	"io"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lru"
+	"repro/internal/network"
 )
 
 // DefaultCacheEntries is the result-cache capacity when Options leaves it
@@ -36,9 +36,11 @@ const DefaultCacheEntries = 256
 const DefaultQueueDepth = 256
 
 // DefaultPointCacheEntries sizes the point-level scenario cache when
-// Options leaves it zero. Points are small (a coordinate plus a few
-// measurements), so the default keeps several full grids resident.
-const DefaultPointCacheEntries = 4096
+// Options leaves it zero. It is every run's point store, standalone or
+// in a cluster, where a member keeps the points it computed and no
+// others. Points are small (a coordinate plus a few measurements), so
+// the default keeps several full grids resident.
+const DefaultPointCacheEntries = 8192
 
 // ErrQueueFull rejects a submission when the admission queue is at
 // capacity — the backpressure signal the HTTP layer maps to 429 +
@@ -89,8 +91,9 @@ type Options struct {
 	Logger *slog.Logger
 	// Cluster, when set, makes the manager a member of a DHT-sharded
 	// simulation cluster: specs forward whole to the node that owns their
-	// digest, and computed points replicate as a cooperative cache (see
-	// cluster.go). The manager registers itself as the node's executor.
+	// digest, and the points a member computes stay in its point cache
+	// (see cluster.go). The manager registers itself as the node's
+	// executor.
 	Cluster *cluster.Node
 }
 
@@ -130,12 +133,8 @@ type Manager struct {
 	// spec the manager executes.
 	replayShards int
 
-	// node is the cluster membership (nil when standalone); repl is its
-	// replication queue, and clusterPointHits counts the point lookups
-	// the node's blob store answered (cluster.go).
-	node             *cluster.Node
-	repl             *replicator
-	clusterPointHits atomic.Uint64
+	// node is the cluster membership (nil when standalone).
+	node *cluster.Node
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -150,7 +149,7 @@ type Manager struct {
 }
 
 // scenarioPointStore adapts the point LRU to the planner's PointCache:
-// a standalone manager's point store (pointRun).
+// every run's point store (ScenarioRequest.spec).
 type scenarioPointStore struct {
 	c *lru.Cache[core.ScenarioPoint]
 }
@@ -158,15 +157,13 @@ type scenarioPointStore struct {
 func (s scenarioPointStore) GetPoint(d string) (core.ScenarioPoint, bool) { return s.c.Get(d) }
 func (s scenarioPointStore) PutPoint(d string, pt core.ScenarioPoint)     { s.c.Put(d, pt) }
 
-// pointCounters returns the point store's lifetime lookup hits and
-// misses: the LRU's, plus, in a cluster, the hits the node's blob store
-// answered.
+// pointCounters returns the point LRU's lifetime lookup hits and
+// misses, none when it is disabled.
 func (m *Manager) pointCounters() (hits, misses uint64) {
 	if m.points == nil {
 		return 0, 0
 	}
-	hits, misses = m.points.Counters()
-	return hits + m.clusterPointHits.Load(), misses
+	return m.points.Counters()
 }
 
 // admit reserves an admission-queue place for a fresh job; m.mu must be
@@ -256,11 +253,14 @@ func (m *Manager) Store() *Store { return m.store }
 // builds a per-kind reply from the scenario result (nil for a scenario
 // reply, the result itself). key is the result-cache and singleflight
 // key: the digest, with "#kind" appended for a per-kind reply — its own
-// cache entry, while its points are shared with the scenario's.
+// cache entry, while its points are shared with the scenario's. plat is
+// the platform when translate already resolved and registered it, so
+// that spec does not resolve it again.
 type task struct {
 	kind, key, digest, platform string
 	req                         ScenarioRequest
 	sc                          *core.Scenario
+	plat                        *network.Platform
 	render                      func(*core.ScenarioResult) any
 }
 
@@ -270,7 +270,7 @@ func (m *Manager) prepare(req Request) (*task, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.sc, t.digest, t.platform, err = t.req.spec(m); err != nil {
+	if t.sc, t.digest, t.platform, err = t.req.spec(m, t.plat, t.platform); err != nil {
 		return nil, err
 	}
 	t.key = t.digest
@@ -514,11 +514,7 @@ func (m *Manager) compute(j *Job, t *task, mode admission, run func(context.Cont
 	if run != nil {
 		return run(j.ctx)
 	}
-	// The run's point store: in a cluster, the node's blob store before
-	// the point LRU (cluster.go).
-	sc, release := m.pointRun(t)
-	defer release()
-	res, err := core.RunScenario(j.ctx, m.eng, sc)
+	res, err := core.RunScenario(j.ctx, m.eng, *t.sc)
 	if err != nil {
 		return reply{}, err
 	}
@@ -593,10 +589,8 @@ func (m *Manager) pruneLocked() {
 // waiters. If ctx expires first Drain returns its cause; the manager
 // stays draining either way, so a retried Drain only waits, never
 // re-admits.
-// In a cluster the node drains first — it stops accepting fresh keys
-// and marks every response and request Draining so peers drop it from
-// their member sets — and the replication queue is flushed after the
-// jobs, so a departing node strands no point results.
+// In a cluster the node drains first: it marks every response and
+// request Draining so peers drop it from their member sets.
 func (m *Manager) Drain(ctx context.Context) (int, error) {
 	if m.node != nil {
 		m.node.Drain()
@@ -612,7 +606,7 @@ func (m *Manager) Drain(ctx context.Context) (int, error) {
 		n := len(m.inflight)
 		m.mu.Unlock()
 		if n == 0 {
-			return flushing, m.repl.flush(ctx)
+			return flushing, nil
 		}
 		select {
 		case <-ctx.Done():

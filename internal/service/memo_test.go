@@ -423,6 +423,43 @@ func TestMemoHitReregistersEvictedPlatform(t *testing.T) {
 	}
 }
 
+// TestMappingSweepResolvesPlatformOnce: a fresh mapping sweep on an
+// inline platform resolves it once — translate expands the mappings
+// against it and spec takes it as is — so the store's platform tier sees
+// one lookup, and the body's memo entry names the platform the reply
+// reports.
+func TestMappingSweepResolvesPlatformOnce(t *testing.T) {
+	s := newMemoServer(t, engine.New(1))
+	plat, err := network.PlatformPreset("marenostrum-4x", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := plat.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(MappingSweepRequest{App: "cg", Ranks: 8, Platform: &PlatformSpec{Inline: doc.Bytes()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := func() uint64 { h, m := s.m.store.platforms.Counters(); return h + m }
+	before := lookups()
+	r := s.post(t, "/v1/sweep/mapping", body, false)
+	if r.status != http.StatusOK {
+		t.Fatalf("status %d: %s", r.status, r.body)
+	}
+	if n := lookups() - before; n != 1 {
+		t.Fatalf("a fresh mapping sweep made %d lookups in the platform tier, want 1", n)
+	}
+	var sweep core.WireMappingSweep
+	if err := json.Unmarshal(r.body, &sweep); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := s.m.memo.Get(memoKey("POST /v1/sweep/mapping", body)); !ok || e.platform != sweep.PlatformDigest {
+		t.Fatalf("memo entry %+v (present: %v) does not name the reply's platform %s", e, ok, sweep.PlatformDigest)
+	}
+}
+
 // TestTrailingDataRejected: a body is exactly one JSON value. Another
 // value or garbage after it is a 400 on the scenario route, batch and
 // NDJSON, and on a per-kind route, and an error in a scenario file and a

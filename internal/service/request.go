@@ -296,7 +296,9 @@ type MappingSweepRequest struct {
 // share one key. Points are labelled with the request's own spellings
 // (a cached reply keeps its first submitter's), and the scenario keeps
 // the client's platform selector, as every request does (a peer gets a
-// digest selector as the platform's document, task.peerRequest).
+// digest selector as the platform's document, task.peerRequest). The
+// platform resolved here is the scenario's: spec does not resolve it
+// again.
 func (r MappingSweepRequest) translate(m *Manager) (*task, error) {
 	if _, err := appEntry(r.App, r.Ranks); err != nil {
 		return nil, err
@@ -308,7 +310,7 @@ func (r MappingSweepRequest) translate(m *Manager) (*task, error) {
 	if len(specs) > maxSweepPoints {
 		return nil, fmt.Errorf("service: %d mappings, limit %d", len(specs), maxSweepPoints)
 	}
-	plat, _, err := m.resolvePlatform(r.Platform, nil, r.App, r.Ranks)
+	plat, platform, err := m.resolvePlatform(r.Platform, nil, r.App, r.Ranks)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +329,9 @@ func (r MappingSweepRequest) translate(m *Manager) (*task, error) {
 		tables[i] = network.ExplicitMapping(mapped.NodeTable()).String()
 	}
 	return &task{
-		kind: KindMappingSweep,
+		kind:     KindMappingSweep,
+		plat:     &plat,
+		platform: platform,
 		req: ScenarioRequest{
 			App: r.App, Ranks: r.Ranks, Chunks: r.Chunks, Platform: r.Platform,
 			Flavors: []string{string(core.FlavorBase), string(core.FlavorReal)},

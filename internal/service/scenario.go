@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/network"
 )
 
 // KindScenario labels generic scenario jobs (POST /v1/scenarios).
@@ -57,8 +58,10 @@ func (r ScenarioRequest) translate(*Manager) (*task, error) {
 // spec resolves the wire request into the planner's scenario plus its
 // canonical digest — the key every request is served under (prepare),
 // batch or streamed, scenario or per-kind — and the digest of the
-// platform it registered.
-func (r ScenarioRequest) spec(m *Manager) (sc *core.Scenario, key, platform string, err error) {
+// platform it registered. A non-nil plat is the request's platform,
+// already resolved and registered under the digest registered;
+// otherwise spec resolves and registers it.
+func (r ScenarioRequest) spec(m *Manager, plat *network.Platform, registered string) (sc *core.Scenario, key, platform string, err error) {
 	if (r.App == "") == (r.Trace == "") {
 		return nil, "", "", fmt.Errorf("service: scenario needs exactly one of app or trace")
 	}
@@ -110,7 +113,9 @@ func (r ScenarioRequest) spec(m *Manager) (sc *core.Scenario, key, platform stri
 			}
 		}
 	}
-	if sc.Platform, platform, err = m.resolvePlatform(r.Platform, r.Degradations, name, ranks); err != nil {
+	if plat != nil {
+		sc.Platform, platform = *plat, registered
+	} else if sc.Platform, platform, err = m.resolvePlatform(r.Platform, r.Degradations, name, ranks); err != nil {
 		return nil, "", "", err
 	}
 	sc.Traces = m.eng.Traces()
@@ -128,9 +133,11 @@ func (r ScenarioRequest) spec(m *Manager) (sc *core.Scenario, key, platform stri
 	}
 	// The replay-shards setting rides along as an execution hook: pure
 	// scheduling, byte-identical results, never in the digest. The
-	// point-level resume store is the other such hook; each run attaches
-	// its own (Manager.pointRun).
+	// point-level resume store, the manager's point LRU, is the other.
 	sc.ReplayShards = m.replayShards
+	if m.points != nil {
+		sc.PointCache = scenarioPointStore{m.points}
+	}
 	return sc, key, platform, nil
 }
 
@@ -172,7 +179,7 @@ func RunScenarioFile(ctx context.Context, path string, opts Options, asJSON bool
 		_, err = fmt.Fprintf(w, "%s\n", payload)
 		return err
 	}
-	sc, _, _, err := req.spec(mgr)
+	sc, _, _, err := req.spec(mgr, nil, "")
 	if err != nil {
 		return err
 	}

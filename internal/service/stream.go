@@ -192,11 +192,7 @@ func streamScenario(m *Manager, w http.ResponseWriter, r *http.Request, body []b
 			j.cancel()
 		}
 		asm = newPayloadAssembler(hdrJSON, 0)
-		// The run's point store: in a cluster, the node's blob store
-		// before the point LRU (cluster.go).
-		sc, release := m.pointRun(t)
-		defer release()
-		_, err = core.RunScenarioStream(ctx, m.eng, sc, func(pt core.ScenarioPoint) error {
+		_, err = core.RunScenarioStream(ctx, m.eng, *t.sc, func(pt core.ScenarioPoint) error {
 			ptJSON, err := json.Marshal(pt)
 			if err != nil {
 				return err

@@ -48,16 +48,13 @@ func publishMetrics(m *Manager) {
 			_, miss := m.cache.Counters()
 			return float64(miss)
 		}))
-		reg.CounterFunc("service_point_cache_hits_total", "point-level scenario cache hits (partial-grid resume), the node's blob store's included in a cluster", read(func(m *Manager) float64 {
+		reg.CounterFunc("service_point_cache_hits_total", "point-level scenario cache hits (partial-grid resume)", read(func(m *Manager) float64 {
 			h, _ := m.pointCounters()
 			return float64(h)
 		}))
 		reg.CounterFunc("service_point_cache_misses_total", "point-level scenario cache misses", read(func(m *Manager) float64 {
 			_, miss := m.pointCounters()
 			return float64(miss)
-		}))
-		reg.GaugeFunc("cluster_replication_queue_blobs", "blobs queued for replication to peers or being stored", read(func(m *Manager) float64 {
-			return float64(m.repl.queued())
 		}))
 		reg.CounterFunc("service_deduped_total", "submissions attached to an identical in-flight job (singleflight)", read(func(m *Manager) float64 {
 			m.mu.Lock()
