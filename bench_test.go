@@ -686,7 +686,7 @@ func BenchmarkTracerInstrumentation(b *testing.B) {
 			}
 			events = 0
 			for _, log := range run.Logs {
-				events += len(log.Events)
+				events += log.Len()
 			}
 		}
 		b.StopTimer()

@@ -32,7 +32,7 @@ func TestReductionsPerIteration(t *testing.T) {
 	cfg := DefaultConfig()
 	run := traceIt(t, 4, cfg)
 	var marks int
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		if e.Kind == tracer.EvCollSend {
 			marks++
 		}
@@ -81,7 +81,7 @@ func TestReductionValuesCorrect(t *testing.T) {
 	// symmetric).
 	run := traceIt(t, 4, DefaultConfig())
 	countTracked := func(rank int) (n int) {
-		for _, e := range run.Logs[rank].Events {
+		for _, e := range run.Logs[rank].Events() {
 			switch e.Kind {
 			case tracer.EvStore, tracer.EvLoad, tracer.EvCollSend, tracer.EvCollRecv:
 				n++

@@ -33,7 +33,7 @@ func TestTracesValidate(t *testing.T) {
 
 func TestSingleRankComputesOnly(t *testing.T) {
 	run := traceIt(t, 1, DefaultConfig())
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		switch e.Kind {
 		case tracer.EvSend, tracer.EvISend, tracer.EvRecv, tracer.EvIRecvPost:
 			t.Fatalf("single rank communicated: %+v", e)
@@ -70,7 +70,7 @@ func TestFourCopyPasses(t *testing.T) {
 		}
 	}
 	loads := map[int]int{}
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		if e.Kind == tracer.EvLoad && e.Arr() == inID {
 			loads[e.Idx()]++
 		}

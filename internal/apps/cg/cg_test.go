@@ -30,7 +30,7 @@ func TestTracesValidateAcrossWorldSizes(t *testing.T) {
 
 func TestOddWorldLeavesLastRankLocal(t *testing.T) {
 	run := traceIt(t, 3, DefaultConfig())
-	for _, e := range run.Logs[2].Events {
+	for _, e := range run.Logs[2].Events() {
 		switch e.Kind {
 		case tracer.EvSend, tracer.EvRecv, tracer.EvISend, tracer.EvIRecvPost:
 			t.Fatalf("lone rank communicated: %+v", e)
@@ -84,7 +84,7 @@ func TestDataFlowsBetweenPartners(t *testing.T) {
 	cfg.Iterations = 2
 	run := traceIt(t, 2, cfg)
 	loads := 0
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		if e.Kind == tracer.EvLoad {
 			loads++
 		}

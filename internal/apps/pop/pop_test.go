@@ -34,7 +34,7 @@ func TestDegenerateGridsSkipMissingDimensions(t *testing.T) {
 		t.Fatalf("unexpected grid %dx%d", cfg.Px, cfg.Py)
 	}
 	run := traceIt(t, 2, cfg)
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		if e.Kind == tracer.EvISend && run.Logs[0].Comm(e).Peer == 0 {
 			t.Fatalf("self send: %+v", e)
 		}
@@ -63,7 +63,7 @@ func TestHaloCountsAndReduction(t *testing.T) {
 	cfg := DefaultConfig(16)
 	run := traceIt(t, 16, cfg)
 	var isends, raws int
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		switch e.Kind {
 		case tracer.EvISend:
 			isends++

@@ -32,7 +32,7 @@ func TestNeighborsClampedToWorld(t *testing.T) {
 	cfg.Neighbors = 10
 	run := traceIt(t, 3, cfg) // clamps to 2 neighbours
 	var isends int
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		if e.Kind == tracer.EvISend {
 			isends++
 		}

@@ -60,7 +60,7 @@ func TestWavefrontCommunicationStructure(t *testing.T) {
 	run := traceIt(t, 4)
 	count := func(rank int, kind tracer.EvKind) int {
 		n := 0
-		for _, e := range run.Logs[rank].Events {
+		for _, e := range run.Logs[rank].Events() {
 			if e.Kind == kind {
 				n++
 			}
@@ -122,7 +122,7 @@ func TestBufferRevisits(t *testing.T) {
 	if eastID < 0 {
 		t.Fatal("outflow-east not found")
 	}
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		if e.Kind == tracer.EvStore && e.Arr() == eastID {
 			stores[e.Idx()]++
 		}

@@ -190,15 +190,18 @@ func (n *Node) Ping(ctx context.Context, addr string) (Contact, error) {
 // that member (FIND_NODE). A contact enters the set only when it
 // answers, and every request names this node, so each member asked
 // adds it in turn: while one FIND_NODE answer can list every member
-// (up to MaxContacts+1 nodes), one join makes a full mesh. At least
-// one bootstrap must answer; with no addresses Join asks the members
-// already known.
+// (up to MaxContacts+1 nodes), one join makes a full mesh. Empty
+// addresses and this node's own are skipped. When the rest name another
+// node, at least one of them must answer; when they name none, Join
+// founds the cluster (a uniform -join list may name every node, this one
+// included) and only asks the members already known.
 func (n *Node) Join(ctx context.Context, addrs ...string) error {
-	reached := 0
+	others, reached := 0, 0
 	for _, addr := range addrs {
 		if addr == "" || addr == n.self.Addr {
 			continue
 		}
+		others++
 		c, err := n.Ping(ctx, addr)
 		if err != nil {
 			n.log.Warn("cluster: bootstrap unreachable", slog.String("addr", addr), slog.String("error", err.Error()))
@@ -208,7 +211,7 @@ func (n *Node) Join(ctx context.Context, addrs ...string) error {
 		n.log.Info("cluster: joined via bootstrap",
 			slog.String("addr", addr), slog.String("peer", c.ID.String()))
 	}
-	if reached == 0 && len(addrs) > 0 {
+	if reached == 0 && others > 0 {
 		return fmt.Errorf("cluster: no bootstrap peer reachable (tried %v)", addrs)
 	}
 	asked := map[ID]bool{n.self.ID: true}

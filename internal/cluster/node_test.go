@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -232,5 +233,43 @@ func TestJoinNoBootstrapReachable(t *testing.T) {
 	// Joining with no addresses at all is fine: a single-node cluster.
 	if err := node.Join(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// callCounter is a Transport that counts the RPCs it carries.
+type callCounter struct {
+	next  Transport
+	calls atomic.Int64
+}
+
+func (c *callCounter) Call(ctx context.Context, addr string, req *Request) (*Response, error) {
+	c.calls.Add(1)
+	return c.next.Call(ctx, addr, req)
+}
+
+// TestJoinSelfFoundsCluster: a bootstrap list that names only this node
+// (as a uniform -join list does on the first node) founds the cluster:
+// Join returns nil and sends no RPC. A list that also names another node
+// still fails when no other node answers.
+func TestJoinSelfFoundsCluster(t *testing.T) {
+	net := NewMemNetwork()
+	counter := &callCounter{next: net}
+	node, err := NewNode(Config{Name: "self", Addr: "self", Transport: counter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Attach("self", node.HandleRPC)
+	ctx := context.Background()
+	if err := node.Join(ctx, "self"); err != nil {
+		t.Fatalf("join naming only itself: %v", err)
+	}
+	if err := node.Join(ctx, "", "self"); err != nil {
+		t.Fatalf("join naming itself and an empty address: %v", err)
+	}
+	if n := counter.calls.Load(); n != 0 {
+		t.Fatalf("a self-only join sent %d RPCs, want 0", n)
+	}
+	if err := node.Join(ctx, "self", "ghost-1"); err == nil {
+		t.Fatal("join with an unreachable other bootstrap succeeded")
 	}
 }

@@ -97,15 +97,30 @@ type bufferTrack struct {
 }
 
 // collectTracks extracts per-(rank, array) communication marks and access
-// lists from the run's logs.
+// lists from the run's logs. A first walk of each log counts the accesses
+// per array, so the lists are allocated once at their exact size.
 func collectTracks(run *tracer.Run) [][]*bufferTrack {
 	out := make([][]*bufferTrack, run.NumRanks)
 	for rank, log := range run.Logs {
+		stores := make([]int, len(log.ArrayLens))
+		loads := make([]int, len(log.ArrayLens))
+		for _, e := range log.Events() {
+			switch e.Kind {
+			case tracer.EvStore:
+				stores[e.Arr()]++
+			case tracer.EvLoad:
+				loads[e.Arr()]++
+			}
+		}
 		tracks := make([]*bufferTrack, len(log.ArrayLens))
 		for id := range tracks {
-			tracks[id] = &bufferTrack{name: log.ArrayNames[id], n: log.ArrayLens[id]}
+			tracks[id] = &bufferTrack{
+				name: log.ArrayNames[id], n: log.ArrayLens[id],
+				stores: make([]accessRec, 0, stores[id]),
+				loads:  make([]accessRec, 0, loads[id]),
+			}
 		}
-		for _, e := range log.Events {
+		for _, e := range log.Events() {
 			switch e.Kind {
 			case tracer.EvSend, tracer.EvISend, tracer.EvCollSend:
 				tracks[e.Arr()].sendMarks = append(tracks[e.Arr()].sendMarks, e.T)

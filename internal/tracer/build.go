@@ -39,16 +39,18 @@ import (
 // variant; logs and skeletons are immutable after Trace. Cost model per
 // rank: BaseTrace and OverlapIdeal walk only the skeleton, O(comm
 // events). OverlapReal (and OverlapSelective for its non-ideal
-// buffers) adds exactly one forward scan of the log, O(events) time, with
+// buffers) adds exactly one forward walk of the log, O(events) time, with
 // O(comm events × chunks) extra memory for the per-chunk schedule — no
-// per-access lists. That scan streams the log's 16-byte Events; comm
+// per-access lists. That walk streams the log's 8-byte words; comm
 // details come from the log's side table (Log.comms), read only at comm
 // events.
 
 // commSkeleton is the chunk-independent communication structure of one
 // rank log: its comm events in program order and, per tracked array, which
 // of them are the array's sends and receive instances. Its size grows with
-// comm events, not with load/store events.
+// comm events, not with load/store events, and it holds every comm
+// event's time, kind, array and side-table index, so no builder indexes
+// the log.
 type commSkeleton struct {
 	// slots holds every comm event (EvSend, EvISend, EvRecv, EvIRecvPost,
 	// EvRecvWait, EvSendRaw, EvRecvRaw) in program order.
@@ -69,9 +71,11 @@ type commSkeleton struct {
 	comm []bool
 }
 
-// commSlot is one comm event: its index in Log.Events and, for EvRecv /
-// EvIRecvPost, which receive instance of its array it posts (else -1).
+// commSlot is one comm event: the event itself, its index in the log and,
+// for EvRecv / EvIRecvPost, which receive instance of its array it posts
+// (else -1).
 type commSlot struct {
+	Event
 	ev, inst int
 }
 
@@ -98,7 +102,7 @@ func newCommSkeleton(l *Log) *commSkeleton {
 	s := &commSkeleton{sends: make([][]int, nArr), recvs: make([][]recvInst, nArr), comm: make([]bool, nArr)}
 	type posted struct{ arr, inst int }
 	unwaited := map[int]posted{} // tracked irecv handle -> its receive instance
-	for i, e := range l.Events {
+	for i, e := range l.Events() {
 		slot, inst := len(s.slots), -1
 		switch a := e.arr; e.Kind {
 		case EvSend, EvISend:
@@ -124,7 +128,7 @@ func newCommSkeleton(l *Log) *commSkeleton {
 		default:
 			continue
 		}
-		s.slots = append(s.slots, commSlot{ev: i, inst: inst})
+		s.slots = append(s.slots, commSlot{Event: e, ev: i, inst: inst})
 	}
 	for _, insts := range s.recvs {
 		from := -1
@@ -136,7 +140,7 @@ func newCommSkeleton(l *Log) *commSkeleton {
 	n := len(s.slots)
 	s.prevStrict = make([]int64, n)
 	s.nextStrict = make([]int64, n)
-	t := func(k int) int64 { return l.Events[s.slots[k].ev].T }
+	t := func(k int) int64 { return s.slots[k].T }
 	for k := 1; k < n; k++ {
 		if t(k-1) < t(k) {
 			s.prevStrict[k] = t(k - 1)
@@ -196,11 +200,10 @@ func (r *Run) BaseTrace() *trace.Trace {
 		var msgSeq int64
 		anyIRecv := false
 		for _, s := range log.skeleton().slots {
-			e := &log.Events[s.ev]
-			c := &log.comms[e.op]
-			w.compute(e.T)
+			c := &log.comms[s.op]
+			w.compute(s.T)
 			rec := trace.Record{Peer: c.Peer, Tag: c.Tag, Bytes: int64(c.Elems) * ElemBytes}
-			switch e.Kind {
+			switch s.Kind {
 			case EvSend, EvSendRaw:
 				rec.Kind = trace.KindSend
 			case EvISend:
@@ -322,7 +325,6 @@ func (r *Run) buildOverlap(flavor string, idealFor func(bufferName string) bool)
 // rank builds one rank's overlapped record stream.
 func (b *overlapBuilder) rank(rank int, log *Log) []trace.Record {
 	sk := log.skeleton()
-	events := log.Events
 	scan := b.plan(log, sk)
 
 	// Lay out the schedule in plan order: every chunk starts at its
@@ -336,12 +338,12 @@ func (b *overlapBuilder) rank(rank int, log *Log) []trace.Record {
 	for a := range b.plans {
 		p := &b.plans[a]
 		for j, slot := range sk.sends[a] {
-			e := &events[sk.slots[slot].ev]
+			e := &sk.slots[slot]
 			cm := &log.comms[e.op]
 			id := msgID(rank, p.seq+int64(j)+1) + 500_000 // offset avoids clashing with base ids
 			start := int64(0)
 			if j > 0 {
-				start = events[sk.slots[sk.sends[a][j-1]].ev].T
+				start = sk.slots[sk.sends[a][j-1]].T
 			}
 			if p.ideal {
 				start = sk.prevStrict[slot]
@@ -362,9 +364,9 @@ func (b *overlapBuilder) rank(rank int, log *Log) []trace.Record {
 			postEv := sk.slots[inst.post].ev
 			end := log.FinalClock
 			if j+1 < len(insts) {
-				end = events[sk.slots[insts[j+1].post].ev].T
+				end = sk.slots[insts[j+1].post].T
 			}
-			waitT := events[sk.slots[inst.wait].ev].T
+			waitT := sk.slots[inst.wait].T
 			if p.ideal {
 				end = sk.nextStrict[inst.wait]
 			}
@@ -455,7 +457,7 @@ func (m chunkMap) of(idx uint32) int {
 }
 
 // scanAccesses folds the measured access pattern into the schedule of the
-// non-ideal arrays in one forward pass over the log: chunk c of send j
+// non-ideal arrays in one forward walk of the log: chunk c of send j
 // leaves at its last store after send j-1, chunk c of receive instance j
 // is waited at its first load within the instance's consumption window.
 // Stores after an array's final send and loads before its first
@@ -469,42 +471,68 @@ func (b *overlapBuilder) scanAccesses(log *Log, sk *commSkeleton) {
 		}
 		b.win = append(b.win, w)
 	}
-	ops := b.ops
-	for i := range log.Events {
-		e := &log.Events[i]
-		switch e.Kind {
+	i, t := 0, int64(0)
+	for _, blk := range log.blocks {
+		i, t = b.scanBlock(blk, i, t, sk)
+	}
+}
+
+// scanBlock folds one block of the log into the schedule; i and t are the
+// index and time of the block's first event and of the event before it,
+// and it returns the same for the next block. It decodes the words itself
+// instead of ranging over Log.Events: this is the hottest walk, and in the
+// iterator's loop the compiler spills enough registers to make bt/32's
+// real build about 12% slower.
+func (b *overlapBuilder) scanBlock(blk []word, i int, t int64, sk *commSkeleton) (int, int64) {
+	win, ops := b.win, b.ops
+	for j := 0; j < len(blk); i++ {
+		x := blk[j]
+		j++
+		var a int
+		if x.kind() != escKind {
+			t += x.delta()
+			a = x.arr()
+		} else {
+			hi := x
+			x = blk[j]
+			j++
+			t += hi.escDelta() + x.delta()
+			a = hi.escArr() + x.arr()
+		}
+		switch x.kind() {
 		case EvLoad:
-			if w := &b.win[e.arr]; w.load >= 0 && i >= w.loadFrom {
-				t := &ops[w.load+w.chunk.of(e.op)].t
-				if e.T < *t {
-					*t = e.T
+			if w := &win[a]; w.load >= 0 && i >= w.loadFrom {
+				at := &ops[w.load+w.chunk.of(x.op())].t
+				if t < *at {
+					*at = t
 				}
 			}
 		case EvStore:
-			if w := &b.win[e.arr]; w.store >= 0 {
-				t := &ops[w.store+w.chunk.of(e.op)].t
-				if e.T > *t {
-					*t = e.T
+			if w := &win[a]; w.store >= 0 {
+				at := &ops[w.store+w.chunk.of(x.op())].t
+				if t > *at {
+					*at = t
 				}
 			}
 		case EvSend, EvISend:
-			w := &b.win[e.arr]
+			w := &win[a]
 			w.sends++
 			if w.store >= 0 {
 				w.store += int(w.chunk.k)
-				if w.sends == len(sk.sends[e.arr]) {
+				if w.sends == len(sk.sends[a]) {
 					w.store = -1
 				}
 			}
 		case EvRecv, EvIRecvPost:
-			w, p := &b.win[e.arr], &b.plans[e.arr]
-			if !p.ideal {
-				w.load = p.off + (len(sk.sends[e.arr])+w.recvs)*p.k
-				w.loadFrom = sk.recvs[e.arr][w.recvs].loadFrom
+			w := &win[a]
+			if p := &b.plans[a]; !p.ideal {
+				w.load = p.off + (len(sk.sends[a])+w.recvs)*p.k
+				w.loadFrom = sk.recvs[a][w.recvs].loadFrom
 			}
 			w.recvs++
 		}
 	}
+	return i, t
 }
 
 // merge walks the rank's comm events, interleaving the time-sorted
@@ -530,9 +558,9 @@ func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
 		}
 	}
 	var rawSeq int64
-	for _, s := range sk.slots {
-		i := s.ev
-		e := &log.Events[i]
+	for k := range sk.slots {
+		e := &sk.slots[k]
+		i := e.ev
 		cm := &log.comms[e.op]
 		switch e.Kind {
 		case EvSend, EvISend, EvRecvWait:
@@ -545,8 +573,8 @@ func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
 			flush(e.T, i-1)
 			w.compute(e.T)
 			p := &b.plans[e.arr]
-			id := msgID(rank, p.seq+int64(len(sk.sends[e.arr])+s.inst)+1) + 500_000
-			h := p.handle + s.inst*p.k
+			id := msgID(rank, p.seq+int64(len(sk.sends[e.arr])+e.inst)+1) + 500_000
+			h := p.handle + e.inst*p.k
 			for c := 0; c < p.k; c++ {
 				w.emit(trace.Record{
 					Kind: trace.KindIRecv, Peer: cm.Peer, Tag: cm.Tag, Chunk: c,
@@ -569,7 +597,7 @@ func (b *overlapBuilder) merge(rank int, log *Log, sk *commSkeleton) {
 			})
 		}
 	}
-	flush(log.FinalClock, len(log.Events))
+	flush(log.FinalClock, log.Len())
 	w.compute(log.FinalClock)
 	w.emit(trace.Record{Kind: trace.KindWaitAll})
 }

@@ -57,7 +57,9 @@ func logOf(rank int, final int64, lens []int, evs ...edgeEv) *Log {
 			enc.comm(e.t, e.kind, e.arr, e.c)
 		}
 	}
-	return &Log{Rank: rank, Events: enc.events(), comms: enc.comms, FinalClock: final, ArrayLens: lens, ArrayNames: names}
+	log := enc.log(rank, final)
+	log.ArrayLens, log.ArrayNames = lens, names
+	return log
 }
 
 // checkAgainstOracle compares every builder with the two-pass oracle at
@@ -213,8 +215,8 @@ func TestBuildersMatchOracleOnRandomLogs(t *testing.T) {
 func freshCopy(r *Run) *Run {
 	v := r.WithChunks(r.Cfg.Chunks)
 	for i, l := range r.Logs {
-		v.Logs[i] = &Log{Rank: l.Rank, Events: l.Events, comms: l.comms, FinalClock: l.FinalClock,
-			ArrayLens: l.ArrayLens, ArrayNames: l.ArrayNames}
+		v.Logs[i] = &Log{Rank: l.Rank, FinalClock: l.FinalClock, ArrayLens: l.ArrayLens, ArrayNames: l.ArrayNames,
+			blocks: l.blocks, n: l.n, comms: l.comms}
 	}
 	return v
 }

@@ -9,8 +9,10 @@ import (
 // This file keeps the previous two-pass trace builder as a test oracle:
 // the production builders in build.go must reproduce its output byte for
 // byte (build_equiv_test.go, build_edge_test.go). The bodies below are
-// the old builder and its ChunkOf verbatim, with only the names changed
-// and event fields read through the dense Event's accessors and Log.Comm.
+// the old builder and its ChunkOf verbatim, with only the names changed,
+// event fields read through the Event's accessors and Log.Comm, and
+// each log read through its walk (the overlap oracle collects the walk
+// into a slice it indexes).
 
 // refChunkOf is the oracle's ChunkOf.
 func refChunkOf(n, kTotal, idx int) int {
@@ -38,7 +40,7 @@ func (r *Run) RefBaseTrace() *trace.Trace {
 			}
 		}
 		anyIRecv := false
-		for _, e := range log.Events {
+		for _, e := range log.Events() {
 			switch e.Kind {
 			case EvSend, EvSendRaw:
 				emitCompute(e.T)
@@ -109,7 +111,7 @@ type refIrecvSpec struct {
 func (r *Run) RefBufferNames() []string {
 	seen := map[string]bool{}
 	for _, log := range r.Logs {
-		for _, e := range log.Events {
+		for _, e := range log.Events() {
 			switch e.Kind {
 			case EvSend, EvISend, EvRecv, EvIRecvPost, EvCollSend, EvCollRecv:
 				if a := e.Arr(); a >= 0 && a < len(log.ArrayNames) {
@@ -138,7 +140,7 @@ func (r *Run) RefOverlap(flavor string, idealFor func(bufferName string) bool) *
 }
 
 func (r *Run) refBuildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor func(string) bool) {
-	events := log.Events
+	events := eventsOf(log)
 
 	// Pass 0: index per-array send/receive event positions, per-array
 	// access lists, and the positions of all comm events (for the ideal

@@ -10,11 +10,31 @@ import (
 )
 
 // TestEventIsDense pins the packed layout: rank logs are almost all
-// loads and stores, and every byte of an Event is streamed by each scan.
+// loads and stores, and every byte of a log is kept as long as its run
+// and streamed by each walk, so an event takes one 8-byte word.
 func TestEventIsDense(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 16 {
-		t.Fatalf("sizeof(Event) = %d, want 16", got)
+	if got := unsafe.Sizeof(word(0)); got != 8 {
+		t.Fatalf("sizeof(word) = %d, want 8", got)
 	}
+}
+
+// eventsOf collects a log's events through its walk.
+func eventsOf(l *Log) []Event {
+	out := make([]Event, 0, l.Len())
+	for _, e := range l.Events() {
+		out = append(out, e)
+	}
+	return out
+}
+
+// PackedBytes returns the bytes a log's packed blocks hold, escape words
+// and unused capacity included.
+func (l *Log) PackedBytes() int {
+	n := 0
+	for _, b := range l.blocks {
+		n += cap(b) * int(unsafe.Sizeof(word(0)))
+	}
+	return n
 }
 
 // TestEncoderPacksFullRange: the largest array id and element index an
@@ -24,15 +44,86 @@ func TestEncoderPacksFullRange(t *testing.T) {
 	enc.access(1, EvLoad, maxArrays-1, maxElems-1)
 	enc.access(2, EvStore, 0, 0)
 	enc.comm(3, EvSendRaw, -1, Comm{Peer: 5, Tag: 6, Elems: 7})
-	log := &Log{Events: enc.events(), comms: enc.comms}
-	if e := log.Events[0]; e.Arr() != maxArrays-1 || e.Idx() != maxElems-1 || e.T != 1 {
+	log := enc.log(0, 3)
+	evs := eventsOf(log)
+	if e := evs[0]; e.Arr() != maxArrays-1 || e.Idx() != maxElems-1 || e.T != 1 {
 		t.Errorf("max load reads back as arr=%d idx=%d t=%d", e.Arr(), e.Idx(), e.T)
 	}
-	if e := log.Events[1]; e.Arr() != 0 || e.Idx() != 0 || log.Comm(e) != (Comm{}) {
+	if e := evs[1]; e.Arr() != 0 || e.Idx() != 0 || log.Comm(e) != (Comm{}) {
 		t.Errorf("zero store reads back as arr=%d idx=%d comm=%+v", e.Arr(), e.Idx(), log.Comm(e))
 	}
-	if e := log.Events[2]; e.Arr() != -1 || e.Idx() != 0 || log.Comm(e) != (Comm{Peer: 5, Tag: 6, Elems: 7}) {
+	if e := evs[2]; e.Arr() != -1 || e.Idx() != 0 || log.Comm(e) != (Comm{Peer: 5, Tag: 6, Elems: 7}) {
 		t.Errorf("raw send reads back as arr=%d idx=%d comm=%+v", e.Arr(), e.Idx(), log.Comm(e))
+	}
+}
+
+// TestPackedRoundTrip: every field of every event the encoder writes
+// reads back through the walk — time deltas of 0 and 1, the largest that
+// fits a word, the smallest that escapes and one past 2^40; array ids -1,
+// 0, the largest that fits a word, the smallest that escapes and
+// maxArrays-1; element index maxElems-1; comm events with their
+// side-table entries — including an escaped event that would straddle a
+// block boundary.
+func TestPackedRoundTrip(t *testing.T) {
+	type rec struct {
+		e Event
+		c Comm
+	}
+	var want []rec
+	var enc encoder
+	var clock int64
+	add := func(delta int64, kind EvKind, arr, op int, c Comm) {
+		clock += delta
+		e := Event{T: clock, Kind: kind, arr: int16(arr)}
+		if kind == EvLoad || kind == EvStore {
+			e.op = uint32(op)
+			enc.access(clock, kind, arr, op)
+		} else {
+			e.op = uint32(len(enc.comms))
+			enc.comm(clock, kind, arr, c)
+		}
+		want = append(want, rec{e, c})
+	}
+	for _, d := range []int64{0, 1, deltaMask, deltaMask + 1, 1<<40 + 12345} {
+		for _, arr := range []int{0, arrMask - 1, arrMask, maxArrays - 1} {
+			add(d, EvStore, arr, maxElems-1, Comm{})
+			add(d, EvLoad, arr, 0, Comm{})
+		}
+		add(d, EvSendRaw, -1, 0, Comm{Peer: 3, Tag: 4, Elems: 5})
+		add(d, EvIRecvPost, maxArrays-1, 0, Comm{Peer: 1, Tag: 2, Elems: 1 << 20, Handle: 9})
+		add(d, EvRecvWait, 2, 0, Comm{Handle: 9})
+		add(d, EvCollSend, arrMask, 0, Comm{Peer: -1, Elems: 7})
+	}
+	// Fill the first block up to its last word, then write an escaped
+	// event: its two words must move to the next block together.
+	for len(enc.full) == 0 && len(enc.block) < cap(enc.block)-1 {
+		add(1, EvLoad, 1, 2, Comm{})
+	}
+	add(deltaMask+1, EvStore, maxArrays-1, 7, Comm{})
+	add(0, EvSend, 0, 0, Comm{Peer: 2, Tag: 1, Elems: 3})
+
+	log := enc.log(0, clock)
+	if log.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", log.Len(), len(want))
+	}
+	n := 0
+	for i, e := range log.Events() {
+		if i != n {
+			t.Fatalf("walk yields index %d at event %d", i, n)
+		}
+		if e != want[i].e || log.Comm(e) != want[i].c {
+			t.Fatalf("event %d reads back as %+v %+v, want %+v %+v", i, e, log.Comm(e), want[i].e, want[i].c)
+		}
+		n++
+	}
+	if n != len(want) {
+		t.Fatalf("walk yields %d events, want %d", n, len(want))
+	}
+	if len(log.blocks) < 2 {
+		t.Fatalf("%d blocks, want the escaped event in a second block", len(log.blocks))
+	}
+	if last := log.blocks[len(log.blocks)-1]; len(last) != cap(last) {
+		t.Errorf("last block holds %d of %d words, want it trimmed", len(last), cap(last))
 	}
 }
 
@@ -49,7 +140,7 @@ func TestPackedRangeOverflowFailsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%d arrays: %v", maxArrays, err)
 	}
-	if e := run.Logs[0].Events[0]; e.Arr() != maxArrays-1 {
+	if e := eventsOf(run.Logs[0])[0]; e.Arr() != maxArrays-1 {
 		t.Fatalf("last array id reads back as %d, want %d", e.Arr(), maxArrays-1)
 	}
 	for name, app := range map[string]func(p *Proc){
@@ -130,7 +221,7 @@ func TestCommDetailsReadBack(t *testing.T) {
 	for rank, log := range run.Logs {
 		var got []recorded
 		accesses := 0
-		for _, e := range log.Events {
+		for _, e := range log.Events() {
 			switch e.Kind {
 			case EvLoad, EvStore:
 				accesses++

@@ -37,7 +37,7 @@ func TestNonblockingEventsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var posts, waits, isends int
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		switch e.Kind {
 		case EvIRecvPost:
 			posts++
@@ -98,7 +98,7 @@ func TestDoubleWaitIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	waits := 0
-	for _, e := range run.Logs[1].Events {
+	for _, e := range run.Logs[1].Events() {
 		if e.Kind == EvRecvWait {
 			waits++
 		}

@@ -25,6 +25,7 @@ package tracer
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sync"
 
@@ -86,12 +87,12 @@ const (
 	EvRecvWait
 )
 
-// Event is one instrumentation record, packed into 16 bytes: rank logs are
-// almost all loads and stores, so the log streams at memory bandwidth. T
-// is the rank's virtual time, in instructions, when the event occurred.
-// The array id and the 32-bit operand are read through Arr and Idx; a comm
-// event's or collective marker's operand indexes its Log's side table
-// instead, read through Log.Comm.
+// Event is one instrumentation record as a walk of its Log reads it (the
+// log stores it packed, see word). T is the rank's virtual time, in
+// instructions, when the event occurred. The array id and the 32-bit
+// operand are read through Arr and Idx; a comm event's or collective
+// marker's operand indexes its Log's side table instead, read through
+// Log.Comm.
 type Event struct {
 	T    int64
 	Kind EvKind
@@ -128,15 +129,48 @@ type Comm struct {
 	Handle int
 }
 
-// encoder is the one writer of the dense layout: every Proc records
-// through it, and nothing else packs an Event. It fills fixed-capacity
-// blocks (doubling up to encMaxBlock events) and joins them once into an
-// exact-size log, so recording N events allocates about 2N, not the ~5N
-// that growing one slice by append costs, and the kept log wastes no
-// capacity.
+// word is one 8-byte entry of a packed log. Rank logs are almost all
+// loads and stores and a traced run is kept as long as programs may be
+// built from it, so an event takes one word:
+//
+//	bits  0–3   kind
+//	bits  4–15  array id + 1
+//	bits 16–47  operand
+//	bits 48–63  time since the rank's previous event
+//
+// An event whose time delta or array id + 1 does not fit is preceded, in
+// the same block, by an escape word of kind escKind that carries their
+// high bits: array id + 1 >> 12 in bits 4–7, and the delta's bits 16–63
+// in its own bits 16–63. Since a word holds a delta, not a time, a log
+// is read in order (Log.Events).
+type word uint64
+
+const (
+	kindMask  = 1<<4 - 1
+	arrMask   = 1<<12 - 1
+	deltaMask = 1<<16 - 1
+	escKind   = kindMask // no EvKind uses it
+)
+
+// The fields of an event word, and the high bits of the array id and
+// the time delta that an escape word adds to the next word's.
+func (x word) kind() EvKind    { return EvKind(x & kindMask) }
+func (x word) arr() int        { return int(x>>4&arrMask) - 1 }
+func (x word) op() uint32      { return uint32(x >> 16) }
+func (x word) delta() int64    { return int64(x >> 48) }
+func (x word) escArr() int     { return int(x>>4&kindMask) << 12 }
+func (x word) escDelta() int64 { return int64(x &^ deltaMask) }
+
+// encoder is the one writer of the packed layout: every Proc records
+// through it, and nothing else packs a word. It fills fixed-capacity
+// blocks (doubling up to encMaxBlock words) that become the log's
+// storage, so recording N events allocates about 8N bytes and only the
+// last block is copied, to trim it.
 type encoder struct {
-	block []Event   // the block being filled
-	full  [][]Event // filled blocks, in order
+	block []word   // the block being filled
+	full  [][]word // filled blocks, in order
+	n     int      // events recorded
+	t     int64    // time of the last event
 	comms []Comm
 }
 
@@ -145,49 +179,69 @@ const (
 	encMaxBlock = 1 << 16
 )
 
-func (w *encoder) push(e Event) {
-	if len(w.block) == cap(w.block) {
-		w.spill()
+// push appends one event; op is its element index or side-table index.
+func (w *encoder) push(t int64, kind EvKind, arr int, op uint32) {
+	d, a := word(t-w.t), word(arr+1)
+	w.t = t
+	w.n++
+	x := d<<48 | word(op)<<16 | (a&arrMask)<<4 | word(kind)
+	if n := len(w.block); d <= deltaMask && a <= arrMask && n < cap(w.block) {
+		w.block = w.block[:n+1]
+		w.block[n] = x
+		return
 	}
-	w.block = append(w.block, e)
+	w.pushSlow(x, d&^deltaMask|a>>12<<4|escKind)
 }
 
-// spill retires the filled block and starts the next, twice as large.
+// pushSlow appends word x, preceded by escape word esc unless esc carries
+// no high bits, starting a new block when the pair would not fit.
+func (w *encoder) pushSlow(x, esc word) {
+	if esc == escKind {
+		if len(w.block) == cap(w.block) {
+			w.spill()
+		}
+		w.block = append(w.block, x)
+		return
+	}
+	if cap(w.block)-len(w.block) < 2 {
+		w.spill()
+	}
+	w.block = append(w.block, esc, x)
+}
+
+// spill retires the block being filled and starts the next, twice as
+// large.
 func (w *encoder) spill() {
 	n := encMinBlock
 	if c := cap(w.block); c > 0 {
 		w.full = append(w.full, w.block)
 		n = min(2*c, encMaxBlock)
 	}
-	w.block = make([]Event, 0, n)
+	w.block = make([]word, 0, n)
 }
 
 // access appends a load or store of element idx of array arr.
 func (w *encoder) access(t int64, kind EvKind, arr, idx int) {
-	w.push(Event{T: t, Kind: kind, arr: int16(arr), op: uint32(idx)})
+	w.push(t, kind, arr, uint32(idx))
 }
 
 // comm appends a comm event or collective marker of array arr (-1 for raw
 // transfers) with its side-table entry.
 func (w *encoder) comm(t int64, kind EvKind, arr int, c Comm) {
-	w.push(Event{T: t, Kind: kind, arr: int16(arr), op: uint32(len(w.comms))})
+	w.push(t, kind, arr, uint32(len(w.comms)))
 	w.comms = append(w.comms, c)
 }
 
-// events returns everything recorded, in order, as one exact-size slice.
-func (w *encoder) events() []Event {
-	n := len(w.block)
-	for _, b := range w.full {
-		n += len(b)
+// log returns everything recorded as a log of the given rank: the filled
+// blocks as they are and the last one copied to its exact length.
+func (w *encoder) log(rank int, final int64) *Log {
+	blocks := w.full
+	if len(w.block) > 0 {
+		last := make([]word, len(w.block))
+		copy(last, w.block)
+		blocks = append(blocks, last)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, n)
-	for _, b := range w.full {
-		out = append(out, b...)
-	}
-	return append(out, w.block...)
+	return &Log{Rank: rank, FinalClock: final, blocks: blocks, n: w.n, comms: w.comms}
 }
 
 // Log is the complete event stream of one rank. A Log and its comm
@@ -196,16 +250,47 @@ func (w *encoder) events() []Event {
 // WithChunks shares both.
 type Log struct {
 	Rank       int
-	Events     []Event
 	FinalClock int64
 	// ArrayLens maps array id to element count, for analysis.
 	ArrayLens []int
 	// ArrayNames maps array id to the name given at NewArray.
 	ArrayNames []string
 
-	comms    []Comm // side table of the comm events and collective markers
+	blocks   [][]word // the packed events in order; see word
+	n        int      // events
+	comms    []Comm   // side table of the comm events and collective markers
 	skelOnce sync.Once
 	skel     *commSkeleton
+}
+
+// Len returns the number of events in the log.
+func (l *Log) Len() int { return l.n }
+
+// Events walks the log in order, yielding each event with its index.
+func (l *Log) Events() iter.Seq2[int, Event] {
+	return func(yield func(int, Event) bool) {
+		i, t := 0, int64(0)
+		for _, b := range l.blocks {
+			for j := 0; j < len(b); i++ {
+				x := b[j]
+				j++
+				var a int
+				if x.kind() != escKind {
+					t += x.delta()
+					a = x.arr()
+				} else {
+					hi := x
+					x = b[j]
+					j++
+					t += hi.escDelta() + x.delta()
+					a = hi.escArr() + x.arr()
+				}
+				if !yield(i, Event{T: t, Kind: x.kind(), arr: int16(a), op: x.op()}) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Comm returns the peer, tag, element count and handle recorded with a
@@ -267,14 +352,9 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 	err := mpi.Run(ranks, func(mp *mpi.Proc) {
 		p := &Proc{mp: mp}
 		app(p)
-		log := &Log{
-			Rank:       mp.Rank(),
-			Events:     p.enc.events(),
-			FinalClock: p.clock,
-			ArrayLens:  make([]int, len(p.arrays)),
-			ArrayNames: make([]string, len(p.arrays)),
-			comms:      p.enc.comms,
-		}
+		log := p.enc.log(mp.Rank(), p.clock)
+		log.ArrayLens = make([]int, len(p.arrays))
+		log.ArrayNames = make([]string, len(p.arrays))
 		for i, a := range p.arrays {
 			log.ArrayLens[i] = len(a.data)
 			log.ArrayNames[i] = a.name

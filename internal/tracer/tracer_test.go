@@ -152,7 +152,7 @@ func TestEventLogRecordsAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := run.Logs[0].Events
+	evs := eventsOf(run.Logs[0])
 	if len(evs) != 2 {
 		t.Fatalf("events=%d, want 2", len(evs))
 	}
@@ -189,7 +189,7 @@ func TestTrackedSendRecvMovesData(t *testing.T) {
 	}
 	var sends, recvs int
 	for _, log := range run.Logs {
-		for _, e := range log.Events {
+		for _, e := range log.Events() {
 			switch e.Kind {
 			case EvSend:
 				sends++
@@ -219,7 +219,7 @@ func TestCollectivesTracedAsRawTransfers(t *testing.T) {
 	}
 	var raws int
 	for _, log := range run.Logs {
-		for _, e := range log.Events {
+		for _, e := range log.Events() {
 			if e.Kind == EvSendRaw || e.Kind == EvRecvRaw {
 				raws++
 			}
@@ -249,7 +249,7 @@ func TestAllreduceTrackedMarksArrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	var marks int
-	for _, e := range run.Logs[0].Events {
+	for _, e := range run.Logs[0].Events() {
 		if e.Kind == EvCollSend || e.Kind == EvCollRecv {
 			marks++
 		}
