@@ -14,8 +14,8 @@
 //	BenchmarkTableIIaProduction        pattern statistics (a)
 //	BenchmarkTableIIbConsumption       pattern statistics (b)
 //	BenchmarkFig6aSpeedup              speedups, real & ideal
-//	BenchmarkFig6bBandwidthRelaxation  bandwidth relaxation searches
-//	BenchmarkFig6cEquivalentBandwidth  equivalent-bandwidth searches
+//	BenchmarkFig6bBandwidthRelaxation  bandwidth relaxation, one grid per app
+//	BenchmarkFig6cEquivalentBandwidth  equivalent bandwidth, one grid per app
 //	BenchmarkEngineParallelSweep       serial vs engine-parallel chunk sweep
 //
 // Custom metrics carry the reproduced numbers (speedup_x, pct, MB/s), so a
@@ -191,53 +191,52 @@ func BenchmarkFig6aSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6bBandwidthRelaxation regenerates Figure 6b: the minimum
-// bandwidth at which the ideal-pattern overlapped execution still matches
-// the non-overlapped one at 250 MB/s.
-func BenchmarkFig6bBandwidthRelaxation(b *testing.B) {
+// benchNeeds runs each application's Fig. 6b/6c study (one bandwidth
+// grid, metrics.BandwidthGrid, around the 250 MB/s testbed) and reports
+// the answer pick reads from it: its first crossing and holding threshold
+// in MB/s (an answer no finite grid bandwidth gives reports as inf=1
+// instead), their factors over the reference, and the curve's largest
+// rise in percent.
+func benchNeeds(b *testing.B, pick func(*core.BandwidthNeeds) metrics.Crossing) {
 	for _, name := range apps.Names {
 		name := name
 		b.Run(name, func(b *testing.B) {
-			var bw float64
+			entry, _ := apps.ByName(name, benchRanks)
+			var needs *core.BandwidthNeeds
 			for i := 0; i < b.N; i++ {
-				rep := analyze(b, name, benchRanks)
 				var err error
-				bw, err = rep.RelaxedBandwidth(core.FlavorIdeal)
+				needs, err = core.RunBandwidthNeeds(context.Background(), nil, core.Scenario{
+					App: entry.App, Ranks: benchRanks, Platform: network.TestbedFor(name, benchRanks),
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			if !math.IsInf(bw, 1) {
-				b.ReportMetric(bw, "relaxed_MBps")
+			c := pick(needs)
+			if math.IsInf(c.First, 1) {
+				b.ReportMetric(1, "inf")
+			} else {
+				b.ReportMetric(c.First, "first_MBps")
+				b.ReportMetric(c.Holding, "holding_MBps")
+				b.ReportMetric(metrics.BandwidthFactor(c.Holding, needs.RefMBps), "holding_factor_x")
 			}
+			b.ReportMetric(100*c.Rise, "rise_pct")
 		})
 	}
 }
 
+// BenchmarkFig6bBandwidthRelaxation regenerates Figure 6b: the bandwidth
+// at which the ideal-pattern overlapped execution still matches the
+// non-overlapped one at 250 MB/s.
+func BenchmarkFig6bBandwidthRelaxation(b *testing.B) {
+	benchNeeds(b, func(n *core.BandwidthNeeds) metrics.Crossing { return n.Ideal.Relaxed })
+}
+
 // BenchmarkFig6cEquivalentBandwidth regenerates Figure 6c: the bandwidth
-// the non-overlapped execution needs to match the overlapped one; infinity
-// (the Sweep3D result) is reported as equivalent_inf=1.
+// the non-overlapped execution needs to match the ideal-pattern
+// overlapped one at 250 MB/s (inf=1 is the Sweep3D result).
 func BenchmarkFig6cEquivalentBandwidth(b *testing.B) {
-	for _, name := range apps.Names {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			var bw float64
-			for i := 0; i < b.N; i++ {
-				rep := analyze(b, name, benchRanks)
-				var err error
-				bw, err = rep.EquivalentBandwidth(core.FlavorIdeal)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if math.IsInf(bw, 1) {
-				b.ReportMetric(1, "equivalent_inf")
-			} else {
-				b.ReportMetric(bw, "equivalent_MBps")
-				b.ReportMetric(metrics.BandwidthFactor(bw, 250), "factor_x")
-			}
-		})
-	}
+	benchNeeds(b, func(n *core.BandwidthNeeds) metrics.Crossing { return n.Ideal.Equivalent })
 }
 
 // ---------------------------------------------------------------------------

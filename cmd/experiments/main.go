@@ -24,11 +24,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -110,31 +113,21 @@ func main() {
 	// across the engine pool, each app is traced exactly once through the
 	// shared cache, and the reports are reused across artifacts.
 	reports := map[string]*core.Report{}
-	runs := map[string]*tracer.Run{}
-	if sel("fig4") || sel("fig5") || sel("table2") || sel("fig6a") || sel("fig6b") || sel("fig6c") {
+	if sel("table2") || sel("fig6a") {
 		entries := apps.All(*ranks)
-		type appAnalysis struct {
-			rep *core.Report
-			run *tracer.Run
-		}
-		results, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) (appAnalysis, error) {
+		results, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) (*core.Report, error) {
 			name := entries[i].App.Name
-			run, err := eng.Traces().Trace(name, *ranks, tCfg, entries[i].App.Kernel)
-			if err != nil {
-				return appAnalysis{}, fmt.Errorf("tracing %s: %w", name, err)
-			}
 			rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), entries[i].App, *ranks, tCfg, platFor(name))
 			if err != nil {
-				return appAnalysis{}, fmt.Errorf("analyzing %s: %w", name, err)
+				return nil, fmt.Errorf("analyzing %s: %w", name, err)
 			}
-			return appAnalysis{rep: rep, run: run}, nil
+			return rep, nil
 		})
 		if err != nil {
 			fatal("%v", err)
 		}
 		for i, e := range entries {
-			reports[e.App.Name] = results[i].rep
-			runs[e.App.Name] = results[i].run
+			reports[e.App.Name] = results[i]
 		}
 	}
 
@@ -142,7 +135,7 @@ func main() {
 		fig4(ctx, eng, tCfg, *width)
 	}
 	if sel("fig5") {
-		fig5(runs, *csvdir, *svgdir, *width)
+		fig5(eng, *ranks, tCfg, *csvdir, *svgdir, *width)
 	}
 	if sel("table2") {
 		table2(reports)
@@ -150,11 +143,14 @@ func main() {
 	if sel("fig6a") {
 		fig6a(reports, *svgdir)
 	}
-	if sel("fig6b") {
-		fig6b(reports)
-	}
-	if sel("fig6c") {
-		fig6c(reports)
+	if sel("fig6b") || sel("fig6c") {
+		needs := bandwidthNeeds(ctx, eng, *ranks, tCfg, platFor)
+		if sel("fig6b") {
+			fig6b(needs)
+		}
+		if sel("fig6c") {
+			fig6c(needs)
+		}
 	}
 	if sel("mapping") {
 		mappingStudy(ctx, eng, *ranks, tCfg, platFor, *svgdir)
@@ -218,17 +214,10 @@ func mappingStudy(ctx context.Context, eng *engine.Engine, ranks int, tCfg trace
 		})
 	}
 	if svgdir != "" {
-		path := filepath.Join(svgdir, "mapping_block_vs_rr.svg")
-		f, err := os.Create(path)
-		if err != nil {
-			fatal("mapping svg: %v", err)
-		}
-		if err := plot.WriteBarsSVG(f, "Placement — non-overlapped finish by mapping", "finish (ms)",
-			[]string{"block", "round-robin"}, groups); err != nil {
-			fatal("mapping svg: %v", err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", path)
+		writeFile(filepath.Join(svgdir, "mapping_block_vs_rr.svg"), "mapping svg", "", func(w io.Writer) error {
+			return plot.WriteBarsSVG(w, "Placement — non-overlapped finish by mapping", "finish (ms)",
+				[]string{"block", "round-robin"}, groups)
+		})
 	}
 
 	fmt.Printf("\nCG node-count sweep (%d ranks packed onto N nodes):\n", ranks)
@@ -295,13 +284,13 @@ func extras(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Conf
 		if err != nil {
 			return extra{}, fmt.Errorf("extras %s: %w", name, err)
 		}
-		wi, err := core.WhatIfRun(ctx, eng, eng.Traces(), e.App, ranks, tCfg, plat)
+		wi, err := core.RunScenario(ctx, eng, core.Scenario{App: e.App, Ranks: ranks, Tracer: tCfg, Platform: plat, Output: core.OutputWhatIf, Traces: eng.Traces()})
 		if err != nil {
 			return extra{}, fmt.Errorf("extras %s what-if: %w", name, err)
 		}
 		return extra{
 			critPath: sim.CriticalPathOf(rep.Base).Format(4),
-			whatIf:   wi.Format(),
+			whatIf:   wi.Points[0].WhatIf.Format(),
 		}, nil
 	})
 	if err != nil {
@@ -317,6 +306,19 @@ func extras(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Conf
 func fatal(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// writeFile writes one artifact with write and prints "wrote <path>" and
+// note; a failure to create, write or close it is fatal, named by what.
+func writeFile(path, what, note string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = errors.Join(write(f), f.Close())
+	}
+	if err != nil {
+		fatal("%s: %v", what, err)
+	}
+	fmt.Printf("wrote %s%s\n", path, note)
 }
 
 func header(title string) {
@@ -360,10 +362,15 @@ var fig5Specs = []struct {
 	{"pop", "halo-in-e", pattern.Consumption, 0, "(c) POP consumption pattern"},
 }
 
-func fig5(runs map[string]*tracer.Run, csvdir, svgdir string, width int) {
+// fig5 takes each scatter's traced run from the engine's shared cache.
+func fig5(eng *engine.Engine, ranks int, tCfg tracer.Config, csvdir, svgdir string, width int) {
 	header("Figure 5 — production and consumption patterns")
 	for _, spec := range fig5Specs {
-		run := runs[spec.app]
+		e, _ := apps.ByName(spec.app, ranks)
+		run, err := eng.Traces().Trace(spec.app, ranks, tCfg, e.App.Kernel)
+		if err != nil {
+			fatal("fig5 %s: %v", spec.app, err)
+		}
 		sc := pattern.ScatterFor(run, spec.buffer, spec.rank, spec.side)
 		if sc == nil {
 			fmt.Printf("%s: no data (buffer %q rank %d)\n", spec.caption, spec.buffer, spec.rank)
@@ -373,32 +380,17 @@ func fig5(runs map[string]*tracer.Run, csvdir, svgdir string, width int) {
 		fmt.Print(sc.ASCII(width, 16))
 		fmt.Println()
 		if csvdir != "" {
-			path := filepath.Join(csvdir, fmt.Sprintf("fig5_%s_%s.csv", spec.app, sc.Side))
-			f, err := os.Create(path)
-			if err != nil {
-				fatal("fig5 csv: %v", err)
-			}
-			if err := sc.WriteCSV(f); err != nil {
-				fatal("fig5 csv: %v", err)
-			}
-			f.Close()
-			fmt.Printf("wrote %s (%d points)\n", path, len(sc.Points))
+			writeFile(filepath.Join(csvdir, fmt.Sprintf("fig5_%s_%s.csv", spec.app, sc.Side)), "fig5 csv",
+				fmt.Sprintf(" (%d points)", len(sc.Points)), sc.WriteCSV)
 		}
 		if svgdir != "" {
 			pts := make([]plot.ScatterPoint, len(sc.Points))
 			for i, p := range sc.Points {
 				pts[i] = plot.ScatterPoint{X: p.RelT, Y: float64(p.Elem)}
 			}
-			path := filepath.Join(svgdir, fmt.Sprintf("fig5_%s_%s.svg", spec.app, sc.Side))
-			f, err := os.Create(path)
-			if err != nil {
-				fatal("fig5 svg: %v", err)
-			}
-			if err := plot.WriteScatterSVG(f, spec.caption, "relative interval time", "element offset", pts); err != nil {
-				fatal("fig5 svg: %v", err)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", path)
+			writeFile(filepath.Join(svgdir, fmt.Sprintf("fig5_%s_%s.svg", spec.app, sc.Side)), "fig5 svg", "", func(w io.Writer) error {
+				return plot.WriteScatterSVG(w, spec.caption, "relative interval time", "element offset", pts)
+			})
 		}
 	}
 }
@@ -412,8 +404,20 @@ func table2(reports map[string]*core.Report) {
 	fmt.Print(pattern.FormatTableII(rows))
 }
 
+// refLabel spells the reference bandwidth the apps share, or says it differs.
+func refLabel(refs []float64) string {
+	if slices.Min(refs) != slices.Max(refs) {
+		return "each app's reference bandwidth"
+	}
+	return fmt.Sprintf("%g MB/s", refs[0])
+}
+
 func fig6a(reports map[string]*core.Report, svgdir string) {
-	header("Figure 6a — speedup of the overlapped execution (250 MB/s testbed)")
+	var refs []float64
+	for _, name := range apps.Names {
+		refs = append(refs, reports[name].Platform.Inter.BandwidthMBps)
+	}
+	header("Figure 6a — speedup of the overlapped execution (" + refLabel(refs) + " testbed)")
 	fmt.Printf("%-12s %14s %14s\n", "app", "real patterns", "ideal patterns")
 	var groups []plot.BarGroup
 	for _, name := range apps.Names {
@@ -422,59 +426,63 @@ func fig6a(reports map[string]*core.Report, svgdir string) {
 		groups = append(groups, plot.BarGroup{Label: name, Values: []float64{rep.SpeedupReal, rep.SpeedupIdeal}})
 	}
 	if svgdir != "" {
-		path := filepath.Join(svgdir, "fig6a_speedup.svg")
-		f, err := os.Create(path)
-		if err != nil {
-			fatal("fig6a svg: %v", err)
-		}
-		if err := plot.WriteBarsSVG(f, "Fig. 6a — overlap speedup", "speedup (x)",
-			[]string{"real patterns", "ideal patterns"}, groups); err != nil {
-			fatal("fig6a svg: %v", err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", path)
+		writeFile(filepath.Join(svgdir, "fig6a_speedup.svg"), "fig6a svg", "", func(w io.Writer) error {
+			return plot.WriteBarsSVG(w, "Fig. 6a — overlap speedup", "speedup (x)",
+				[]string{"real patterns", "ideal patterns"}, groups)
+		})
 	}
 }
 
-func fig6b(reports map[string]*core.Report) {
-	header("Figure 6b — bandwidth needed by the overlapped execution to match the non-overlapped at 250 MB/s")
-	fmt.Printf("%-12s %s\n", "app", "real | ideal")
-	for _, name := range apps.Names {
-		rep := reports[name]
-		re, err := rep.RelaxedBandwidth(core.FlavorReal)
+// bandwidthNeeds runs each application's Fig. 6b/6c study on its active
+// platform, fanned out across the engine on its shared trace cache.
+func bandwidthNeeds(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Config, platFor func(string) network.Platform) []*core.BandwidthNeeds {
+	entries := apps.All(ranks)
+	needs, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) (*core.BandwidthNeeds, error) {
+		e := entries[i]
+		n, err := core.RunBandwidthNeeds(ctx, eng, core.Scenario{App: e.App, Ranks: ranks, Tracer: tCfg, Platform: platFor(e.App.Name), Traces: eng.Traces()})
 		if err != nil {
-			fatal("fig6b %s: %v", name, err)
+			return nil, fmt.Errorf("fig6b/6c %s: %w", e.App.Name, err)
 		}
-		id, err := rep.RelaxedBandwidth(core.FlavorIdeal)
-		if err != nil {
-			fatal("fig6b %s: %v", name, err)
+		return n, nil
+	})
+	if err != nil {
+		fatal("%v", err)
+	}
+	return needs
+}
+
+// needsTable prints a Fig. 6b/6c table of the crossing pick reads, a row
+// per app and overlapped flavor: its first crossing and holding threshold,
+// each with its factor over the app's reference (one cell across both
+// when no finite grid bandwidth matches), then the curve's largest rise.
+func needsTable(title string, needs []*core.BandwidthNeeds, pick func(core.OverlapNeeds) metrics.Crossing) {
+	refs := make([]float64, len(needs))
+	for i, n := range needs {
+		refs[i] = n.RefMBps
+	}
+	header(title + " at " + refLabel(refs))
+	fmt.Printf("grid: %s\n", metrics.DescribeGrid())
+	fmt.Println("first = lowest grid bandwidth that matches; holding = lowest from which every faster one matches; rise = largest slowdown of one grid step up")
+	fmt.Printf("%-12s %-14s %26s %26s %8s\n", "app", "flavor", "first (x ref)", "holding (x ref)", "rise")
+	for i, name := range apps.Names {
+		cell := func(bw float64) string {
+			return metrics.FormatMBps(bw) + " (" + metrics.FormatFactor(metrics.BandwidthFactor(bw, refs[i])) + "x)"
 		}
-		fmt.Printf("%-12s %18s | %18s\n", name, metrics.FormatMBps(re), metrics.FormatMBps(id))
+		for _, o := range []core.OverlapNeeds{needs[i].Real, needs[i].Ideal} {
+			c := pick(o)
+			bws := fmt.Sprintf("%26s %26s", cell(c.First), cell(c.Holding))
+			if math.IsInf(c.First, 1) { // then Holding is too
+				bws = fmt.Sprintf("%53s", metrics.FormatMBps(c.First))
+			}
+			fmt.Printf("%-12s %-14s %s %7.1f%%\n", name, o.Flavor, bws, 100*c.Rise)
+		}
 	}
 }
 
-func fig6c(reports map[string]*core.Report) {
-	header("Figure 6c — bandwidth the non-overlapped execution needs to match the overlapped at 250 MB/s")
-	fmt.Printf("%-12s %s\n", "app", "real | ideal (x = factor over 250 MB/s)")
-	for _, name := range apps.Names {
-		rep := reports[name]
-		re, err := rep.EquivalentBandwidth(core.FlavorReal)
-		if err != nil {
-			fatal("fig6c %s: %v", name, err)
-		}
-		id, err := rep.EquivalentBandwidth(core.FlavorIdeal)
-		if err != nil {
-			fatal("fig6c %s: %v", name, err)
-		}
-		fmt.Printf("%-12s %18s (%.2fx) | %18s (%sx)\n", name,
-			metrics.FormatMBps(re), metrics.BandwidthFactor(re, 250),
-			metrics.FormatMBps(id), factorStr(metrics.BandwidthFactor(id, 250)))
-	}
+func fig6b(needs []*core.BandwidthNeeds) {
+	needsTable("Figure 6b — bandwidth needed by the overlapped execution to match the non-overlapped", needs, func(o core.OverlapNeeds) metrics.Crossing { return o.Relaxed })
 }
 
-func factorStr(f float64) string {
-	if math.IsInf(f, 1) {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2f", f)
+func fig6c(needs []*core.BandwidthNeeds) {
+	needsTable("Figure 6c — bandwidth the non-overlapped execution needs to match the overlapped", needs, func(o core.OverlapNeeds) metrics.Crossing { return o.Equivalent })
 }

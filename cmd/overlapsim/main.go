@@ -111,13 +111,13 @@ func main() {
 		}
 	}
 	if *whatif {
-		wi, err := core.WhatIfRun(ctx, eng, eng.Traces(), entry.App, *ranks, tCfg, plat)
+		wi, err := core.RunScenario(ctx, eng, core.Scenario{App: entry.App, Ranks: *ranks, Tracer: tCfg, Platform: plat, Output: core.OutputWhatIf, Traces: eng.Traces()})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "overlapsim: what-if: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Println()
-		fmt.Print(wi.Format())
+		fmt.Print(wi.Points[0].WhatIf.Format())
 	}
 	if *dump != "" {
 		for _, f := range []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal} {

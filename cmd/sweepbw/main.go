@@ -3,13 +3,18 @@
 //
 // Modes:
 //
-//	-mode relax   minimum bandwidth at which the overlapped execution
-//	              still matches the non-overlapped one at the reference
+//	-mode relax   bandwidth at which the overlapped execution still
+//	              matches the non-overlapped one at the reference
 //	              bandwidth (Fig. 6b)
 //	-mode equiv   bandwidth the non-overlapped execution needs to match
 //	              the overlapped one at the reference bandwidth (Fig. 6c)
 //	-mode series  finish times of all three flavours across a bandwidth
 //	              sweep (the raw curves)
+//
+// relax and equiv read all three flavours on one grid around a finite
+// reference (metrics.BandwidthGrid): each answer is the first grid
+// bandwidth that matches, the lowest from which every faster one does,
+// and the curve's largest rise between adjacent grid points.
 //
 // The platform flags (-preset, -platform, -nodes, -map, ...) select the
 // platform whose *interconnect* the sweeps stress; -ref pins the reference
@@ -20,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -30,7 +36,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/platformflag"
 	"repro/internal/service"
-	"repro/internal/tracer"
 )
 
 func main() {
@@ -52,23 +57,20 @@ func main() {
 		// incrementally: each grid point appears the moment it (and its
 		// predecessors) finish simulating.
 		if err := service.RunScenarioFile(context.Background(), *scenarioPath, service.Options{Engine: engine.New(*workers)}, *scenarioJSON, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		return
 	}
 
 	entry, ok := apps.ByName(*app, *ranks)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "sweepbw: unknown app %q (known: %v)\n", *app, apps.Names)
-		os.Exit(2)
+		fail(2, "unknown app %q (known: %v)", *app, apps.Names)
 	}
 	ctx := context.Background()
 	eng := engine.New(*workers)
 	plat, err := pf.Resolve(*app, *ranks)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	if *refBW > 0 {
 		plat = plat.WithInterBandwidth(*refBW)
@@ -76,53 +78,46 @@ func main() {
 	ref := plat.Inter.BandwidthMBps
 	if pf.DumpRequested() {
 		if err := pf.Dump(os.Stdout, plat); err != nil {
-			fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		return
 	}
-	analyze := func() *core.Report {
-		rep, err := core.Analyze(ctx, eng, entry.App, *ranks, plat, tracer.DefaultConfig())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-			os.Exit(1)
+	// cell renders a bandwidth with its factor over the reference, and
+	// crossing one answer: where the curve matches, and how jagged it is.
+	cell := func(bw float64) string {
+		return fmt.Sprintf("%s (%sx)", metrics.FormatMBps(bw), metrics.FormatFactor(metrics.BandwidthFactor(bw, ref)))
+	}
+	crossing := func(c metrics.Crossing) string {
+		if math.IsInf(c.First, 1) { // then Holding is too
+			return fmt.Sprintf("%s; largest rise %.1f%%", cell(c.First), 100*c.Rise)
 		}
-		return rep
+		return fmt.Sprintf("first %s, holding from %s; largest rise %.1f%%", cell(c.First), cell(c.Holding), 100*c.Rise)
 	}
 
 	switch *mode {
-	case "relax":
-		rep := analyze()
-		fmt.Printf("%s: non-overlapped finish at %.0f MB/s: %.6f s\n", *app, ref, rep.Base.FinishSec)
-		for _, f := range []core.Flavor{core.FlavorReal, core.FlavorIdeal} {
-			bw, err := rep.RelaxedBandwidth(f)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("  %-14s may relax bandwidth to %s (%.1f%% of reference)\n",
-				f, metrics.FormatMBps(bw), 100*bw/ref)
+	case "relax", "equiv":
+		n, err := core.RunBandwidthNeeds(ctx, eng, core.Scenario{App: entry.App, Ranks: *ranks, Platform: plat, Traces: eng.Traces()})
+		if err != nil {
+			fail(1, "%v", err)
 		}
-	case "equiv":
-		rep := analyze()
-		for _, f := range []core.Flavor{core.FlavorReal, core.FlavorIdeal} {
-			fmt.Printf("%s: overlapped (%s) finish at %.0f MB/s: %.6f s\n",
-				*app, f, ref, rep.ResultOf(f).FinishSec)
-			bw, err := rep.EquivalentBandwidth(f)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("  non-overlapped needs %s (%sx the reference)\n",
-				metrics.FormatMBps(bw), factor(metrics.BandwidthFactor(bw, ref)))
+		if *mode == "relax" {
+			fmt.Printf("%s: non-overlapped finish at %.0f MB/s: %.6f s\n", *app, ref, n.BaseFinishSec)
 		}
+		for _, o := range []core.OverlapNeeds{n.Real, n.Ideal} {
+			if *mode == "relax" {
+				fmt.Printf("  %-14s may relax bandwidth to: %s\n", o.Flavor, crossing(o.Relaxed))
+			} else {
+				fmt.Printf("%s: overlapped (%s) finish at %.0f MB/s: %.6f s\n", *app, o.Flavor, ref, o.FinishSec)
+				fmt.Printf("  non-overlapped needs: %s\n", crossing(o.Equivalent))
+			}
+		}
+		fmt.Printf("grid: %s\n", metrics.DescribeGrid())
 	case "series":
 		var list []float64
 		for _, s := range strings.Split(*bws, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil || !(v > 0) { // NaN fails every comparison
-				fmt.Fprintf(os.Stderr, "sweepbw: bad bandwidth %q\n", s)
-				os.Exit(2)
+				fail(2, "bad bandwidth %q", s)
 			}
 			list = append(list, v)
 		}
@@ -136,22 +131,19 @@ func main() {
 			Axes:    []core.Axis{core.BandwidthAxis(list...)},
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweepbw: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		for i, bw := range list {
 			fs := res.Points[i].Flavors
 			fmt.Printf("%-10.1f %14.6f %14.6f %14.6f\n", bw, fs[0].FinishSec, fs[1].FinishSec, fs[2].FinishSec)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "sweepbw: unknown mode %q\n", *mode)
-		os.Exit(2)
+		fail(2, "unknown mode %q", *mode)
 	}
 }
 
-func factor(f float64) string {
-	if f != f || f > 1e15 { // NaN or effectively infinite
-		return "inf"
-	}
-	return fmt.Sprintf("%.2f", f)
+// fail reports a sweepbw error on stderr and exits with code.
+func fail(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "sweepbw: "+format+"\n", args...)
+	os.Exit(code)
 }

@@ -3,13 +3,12 @@
 // The paper's motivation is economic: high-bandwidth interconnects dominate
 // system cost, and overlap "relaxes the application's network requirements,
 // and hence allows to deploy more cost-effective network designs". This
-// example sweeps the link bandwidth for every application of the pool and
-// prints, per application:
-//
-//   - the finish-time-vs-bandwidth curves of the non-overlapped and
-//     overlapped executions (the raw series behind Fig. 6), and
-//   - the two derived design numbers: the relaxed bandwidth (Fig. 6b) and
-//     the equivalent bandwidth (Fig. 6c).
+// example measures every application of the pool on one bandwidth grid
+// (metrics.BandwidthGrid, around the 250 MB/s testbed) and prints, per
+// application, the non-overlapped and ideal-overlapped curves at the
+// grid's doublings (the raw series behind Fig. 6), and the two design
+// numbers read off them: the relaxed bandwidth (Fig. 6b) and the
+// equivalent bandwidth (Fig. 6c).
 //
 // Run with:
 //
@@ -26,46 +25,29 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/tracer"
 )
 
 func main() {
 	const ranks = 16
 	ctx := context.Background()
-	bandwidths := []float64{8, 31, 62, 125, 250, 500, 1000}
-	// One trace cache for the whole study: each application is traced
-	// once, for its report and its bandwidth scenario alike.
-	traces := engine.NewTraceCache()
+	traces := engine.NewTraceCache() // each app is traced once for its whole grid
 
 	for _, entry := range apps.All(ranks) {
 		name := entry.App.Name
-		plat := network.TestbedFor(name, ranks)
-		report, err := core.AnalyzeRun(ctx, nil, traces, entry.App, ranks, tracer.DefaultConfig(), plat)
+		needs, err := core.RunBandwidthNeeds(ctx, nil, core.Scenario{
+			App: entry.App, Ranks: ranks, Platform: network.TestbedFor(name, ranks), Traces: traces,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("%-8s %12s %12s\n", "MB/s", "base (ms)", "ideal (ms)")
-		series, err := core.RunScenario(ctx, nil, core.Scenario{
-			App: entry.App, Ranks: ranks, Platform: plat, Traces: traces,
-			Flavors: []core.Flavor{core.FlavorBase, core.FlavorIdeal},
-			Axes:    []core.Axis{core.BandwidthAxis(bandwidths...)},
-		})
-		if err != nil {
-			log.Fatal(err)
+		// Every eighth grid point is a doubling: 7.81 to 1000 MB/s.
+		for i := metrics.GridRef - 40; i <= metrics.GridRef+16; i += 8 {
+			fmt.Printf("%-8.2f %12.3f %12.3f\n", needs.Base[i].BandwidthMBps, needs.Base[i].FinishSec*1e3, needs.Ideal.Curve[i].FinishSec*1e3)
 		}
-		for i, pt := range series.Points {
-			fmt.Printf("%-8.0f %12.3f %12.3f\n", bandwidths[i], pt.Flavors[0].FinishSec*1e3, pt.Flavors[1].FinishSec*1e3)
-		}
-		relax, err := report.RelaxedBandwidth(core.FlavorIdeal)
-		if err != nil {
-			log.Fatal(err)
-		}
-		equiv, err := report.EquivalentBandwidth(core.FlavorIdeal)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("overlap keeps 250 MB/s performance down to: %s\n", metrics.FormatMBps(relax))
-		fmt.Printf("bandwidth that buys the same benefit:       %s\n\n", metrics.FormatMBps(equiv))
+		// The holding thresholds: every faster grid bandwidth keeps the answer.
+		fmt.Printf("overlap keeps %g MB/s performance down to: %s\n", needs.RefMBps, metrics.FormatMBps(needs.Ideal.Relaxed.Holding))
+		fmt.Printf("bandwidth that buys the same benefit:       %s\n\n", metrics.FormatMBps(needs.Ideal.Equivalent.Holding))
 	}
 }

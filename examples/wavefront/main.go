@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/pattern"
@@ -32,19 +33,22 @@ import (
 func main() {
 	const ranks = 16
 	entry, _ := apps.ByName("sweep3d", ranks)
-	platform := network.TestbedFor("sweep3d", ranks)
-
-	report, err := core.Analyze(context.Background(), nil, entry.App, ranks, platform, tracer.DefaultConfig())
+	cfg := tracer.DefaultConfig()
+	// The bandwidth study, the scatter and the patterns share one run.
+	traces := engine.NewTraceCache()
+	needs, err := core.RunBandwidthNeeds(context.Background(), nil, core.Scenario{
+		App: entry.App, Ranks: ranks, Tracer: cfg, Platform: network.TestbedFor("sweep3d", ranks), Traces: traces,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("== Sweep3D wavefront study ==")
 	fmt.Printf("speedup: real patterns %.3fx, ideal patterns %.3fx\n",
-		report.SpeedupReal, report.SpeedupIdeal)
+		metrics.Speedup(needs.BaseFinishSec, needs.Real.FinishSec), metrics.Speedup(needs.BaseFinishSec, needs.Ideal.FinishSec))
 
 	// 1. Why the real patterns give so little: the Fig. 5a shape.
-	run, err := tracer.Trace("sweep3d", ranks, tracer.DefaultConfig(), entry.App.Kernel)
+	run, err := traces.Trace("sweep3d", ranks, cfg, entry.App.Kernel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,23 +57,18 @@ func main() {
 		fmt.Println("\nFig. 5a — production pattern of the east outflow buffer:")
 		fmt.Print(sc.ASCII(90, 14))
 	}
-	p := report.Patterns.AppProduction
+	pat, err := traces.Patterns("sweep3d", ranks, cfg, entry.App.Kernel)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("first element final at %.1f%% of the interval; the bulk only from %.1f%% on\n",
-		p.FirstElem, p.Quarter)
+		pat.AppProduction.FirstElem, pat.AppProduction.Quarter)
 
-	// 2/3. The network design consequences.
-	relax, err := report.RelaxedBandwidth(core.FlavorIdeal)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nFig. 6b — with ideal-pattern overlap the 250 MB/s network can shrink to %s\n",
-		metrics.FormatMBps(relax))
-	equiv, err := report.EquivalentBandwidth(core.FlavorIdeal)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 2/3. The network design consequences, read on the bandwidth grid.
+	fmt.Printf("\nFig. 6b — with ideal-pattern overlap the %g MB/s network can shrink to %s\n",
+		needs.RefMBps, metrics.FormatMBps(needs.Ideal.Relaxed.Holding))
 	fmt.Printf("Fig. 6c — bandwidth the non-overlapped run would need to keep up: %s\n",
-		metrics.FormatMBps(equiv))
+		metrics.FormatMBps(needs.Ideal.Equivalent.Holding))
 	fmt.Println("(the wavefront's finer-grain chunk dependencies add pipeline parallelism")
 	fmt.Println(" that no amount of raw bandwidth can reproduce)")
 }

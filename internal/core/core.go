@@ -47,8 +47,7 @@ type Report struct {
 	App   string
 	Ranks int
 	// Platform is the (possibly hierarchical) platform the report was
-	// computed on; the bandwidth searches re-replay on variants of it. For
-	// flat analyses it is the degenerate one-rank-per-node form.
+	// computed on; a flat one is the one-rank-per-node form.
 	Platform network.Platform
 
 	// Results are the three reconstructed time behaviours on Platform.
@@ -66,13 +65,9 @@ type Report struct {
 	// run is the traced run the flavours build from; TraceOf rebuilds a
 	// trace from it on demand.
 	run *tracer.Run
-	// progs and digests hold each flavour's compiled replay program and
-	// trace digest, the trace cache's own. AnalyzeRun replays each
-	// program once for the Results; the bandwidth searches, which
-	// replay one flavour dozens of times on platform variants, reuse it.
-	// Read-only after AnalyzeRun.
-	progs   map[Flavor]*sim.Program
-	digests map[Flavor]string
+	// digests holds each flavour's trace digest in report order, the
+	// trace cache's own, for Wire. Read-only after AnalyzeRun.
+	digests []string
 }
 
 // flavors lists the three execution flavours in report order.
@@ -110,22 +105,19 @@ func AnalyzeRun(ctx context.Context, eng *engine.Engine, traces *engine.TraceCac
 	if err != nil {
 		return nil, fmt.Errorf("core: tracing %q: %w", app.Name, err)
 	}
-	type flavorOut struct {
-		prog   *sim.Program
-		digest string
-		res    *sim.Result
-	}
-	outs, err := engine.Map(ctx, eng, len(flavors), func(ctx context.Context, i int) (flavorOut, error) {
+	digests := make([]string, len(flavors)) // job i writes only its own slot
+	outs, err := engine.Map(ctx, eng, len(flavors), func(ctx context.Context, i int) (*sim.Result, error) {
 		f := flavors[i]
 		prog, digest, err := traces.CompiledProgram(app.Name, ranks, tCfg, app.Kernel, string(f))
 		if err != nil {
-			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", f, err)
+			return nil, fmt.Errorf("core: replaying %s: %w", f, err)
 		}
+		digests[i] = digest
 		res, err := sim.ReplayInto(plat, prog, 1, new(sim.Result))
 		if err != nil {
-			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", f, err)
+			return nil, fmt.Errorf("core: replaying %s: %w", f, err)
 		}
-		return flavorOut{prog: prog, digest: digest, res: res}, nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -136,14 +128,10 @@ func AnalyzeRun(ctx context.Context, eng *engine.Engine, traces *engine.TraceCac
 	}
 	rep := &Report{
 		App: run.Name, Ranks: run.NumRanks, Platform: plat,
-		Base: outs[0].res, Real: outs[1].res, Ideal: outs[2].res,
+		Base: outs[0], Real: outs[1], Ideal: outs[2],
 		Patterns: pat,
 		run:      run,
-		progs:    make(map[Flavor]*sim.Program, len(flavors)),
-		digests:  make(map[Flavor]string, len(flavors)),
-	}
-	for i, f := range flavors {
-		rep.progs[f], rep.digests[f] = outs[i].prog, outs[i].digest
+		digests:  digests,
 	}
 	rep.SpeedupReal = metrics.Speedup(rep.Base.FinishSec, rep.Real.FinishSec)
 	rep.SpeedupIdeal = metrics.Speedup(rep.Base.FinishSec, rep.Ideal.FinishSec)
@@ -179,51 +167,4 @@ func (r *Report) ResultOf(f Flavor) *sim.Result {
 	default:
 		return nil
 	}
-}
-
-// FinishOn replays one flavour on a modified platform and returns its
-// makespan. It powers the bandwidth searches of Fig. 6b/6c. The replay reuses
-// the flavour's compiled program and runs on a pooled arena, so search
-// loops (metrics.MinBandwidth probes this dozens of times) allocate no
-// per-replay simulator state.
-func (r *Report) FinishOn(f Flavor, plat network.Platform) (float64, error) {
-	prog, ok := r.progs[f]
-	if !ok {
-		return 0, fmt.Errorf("core: unknown flavor %q", f)
-	}
-	s, err := sim.ReplaySummary(plat, prog, 1)
-	return s.FinishSec, err
-}
-
-// finishFunc adapts FinishOn to the metrics search interface, swapping
-// only the interconnect bandwidth of the report's platform: on a
-// hierarchical platform the searches stress the interconnect while the
-// intra-node links stay fixed, which is the knob a cluster buyer controls.
-func (r *Report) finishFunc(f Flavor) metrics.FinishFunc {
-	return func(bw float64) (float64, error) {
-		return r.FinishOn(f, r.Platform.WithInterBandwidth(bw))
-	}
-}
-
-// RelaxedBandwidth reproduces Fig. 6b for this application: the minimum
-// bandwidth at which the overlapped execution still matches the
-// performance of the non-overlapped execution on the report's reference
-// platform. Lower is better — it quantifies how much cheaper a network the
-// overlapped code tolerates.
-func (r *Report) RelaxedBandwidth(f Flavor) (float64, error) {
-	if f == FlavorBase {
-		return 0, fmt.Errorf("core: RelaxedBandwidth needs an overlapped flavor")
-	}
-	return metrics.MinBandwidth(r.finishFunc(f), r.Base.FinishSec)
-}
-
-// EquivalentBandwidth reproduces Fig. 6c: the bandwidth the non-overlapped
-// execution would need to match the overlapped execution on the reference
-// platform. +Inf means no bandwidth suffices (the Sweep3D result).
-func (r *Report) EquivalentBandwidth(f Flavor) (float64, error) {
-	if f == FlavorBase {
-		return 0, fmt.Errorf("core: EquivalentBandwidth needs an overlapped flavor")
-	}
-	target := r.ResultOf(f).FinishSec
-	return metrics.MinBandwidth(r.finishFunc(FlavorBase), target)
 }

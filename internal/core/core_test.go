@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/network"
@@ -85,18 +86,19 @@ func TestReportAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The bandwidth study's reference point replays the report's own
+		// platform: its finishes are the report's results.
+		needs, err := RunBandwidthNeeds(context.Background(), nil, Scenario{App: app, Ranks: 2, Platform: plat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		atRef := map[Flavor]float64{FlavorBase: needs.BaseFinishSec, FlavorReal: needs.Real.FinishSec, FlavorIdeal: needs.Ideal.FinishSec}
 		for _, f := range []Flavor{FlavorBase, FlavorReal, FlavorIdeal} {
 			if rep.TraceOf(f) == nil || rep.ResultOf(f) == nil {
 				t.Fatalf("missing artifacts for flavor %s", f)
 			}
-			// The report keeps the programs it replayed: replaying one
-			// again on the report's own platform reproduces its result.
-			fin, err := rep.FinishOn(f, rep.Platform)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := rep.ResultOf(f).FinishSec; fin != want {
-				t.Fatalf("%s on %s: FinishOn %g, result %g", f, plat.Describe(), fin, want)
+			if want := rep.ResultOf(f).FinishSec; atRef[f] != want {
+				t.Fatalf("%s on %s: finish at the reference bandwidth %g, report %g", f, plat.Describe(), atRef[f], want)
 			}
 		}
 		if rep.TraceOf("nope") != nil || rep.ResultOf("nope") != nil {
@@ -105,62 +107,69 @@ func TestReportAccessors(t *testing.T) {
 	}
 }
 
-func TestFinishAtHigherBandwidthIsFaster(t *testing.T) {
+// pipelineNeeds runs the bandwidth study of a 2-rank pipeline on the
+// 250 MB/s testbed.
+func pipelineNeeds(t *testing.T) *BandwidthNeeds {
+	t.Helper()
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
+	needs, err := RunBandwidthNeeds(context.Background(), nil, Scenario{App: app, Ranks: 2, Platform: testNet(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := rep.FinishOn(FlavorBase, rep.Platform.WithInterBandwidth(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := rep.FinishOn(FlavorBase, rep.Platform.WithInterBandwidth(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast >= slow {
-		t.Fatalf("bandwidth had no effect: slow=%g fast=%g", slow, fast)
+	return needs
+}
+
+func TestFinishAtHigherBandwidthIsFaster(t *testing.T) {
+	base := pipelineNeeds(t).Base
+	if slow, fast := base[0], base[len(base)-2]; fast.FinishSec >= slow.FinishSec {
+		t.Fatalf("bandwidth had no effect: %g s at %g MB/s, %g s at %g MB/s",
+			slow.FinishSec, slow.BandwidthMBps, fast.FinishSec, fast.BandwidthMBps)
 	}
 }
 
 func TestRelaxedBandwidthBelowReference(t *testing.T) {
-	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw, err := rep.RelaxedBandwidth(FlavorReal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	needs := pipelineNeeds(t)
 	// The overlapped run matches the base at most at the reference
 	// bandwidth; overlap-friendly pipelines tolerate much less.
-	if ref := rep.Platform.Inter.BandwidthMBps; bw > ref {
-		t.Fatalf("relaxed bandwidth %g above reference %g", bw, ref)
-	}
-	if _, err := rep.RelaxedBandwidth(FlavorBase); err == nil {
-		t.Fatal("base flavor must be rejected")
+	for _, o := range []OverlapNeeds{needs.Real, needs.Ideal} {
+		if r := o.Relaxed; r.First > needs.RefMBps || r.Holding > needs.RefMBps {
+			t.Fatalf("%s: relaxed bandwidth %+v above reference %g", o.Flavor, r, needs.RefMBps)
+		}
 	}
 }
 
 func TestEquivalentBandwidthAboveReference(t *testing.T) {
-	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw, err := rep.EquivalentBandwidth(FlavorReal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Matching the overlapped run requires at least the reference
+	needs := pipelineNeeds(t)
+	// Matching a faster overlapped run requires more than the reference
 	// bandwidth (possibly infinity).
-	if ref := rep.Platform.Inter.BandwidthMBps; !math.IsInf(bw, 1) && bw < ref*0.9 {
-		t.Fatalf("equivalent bandwidth %g below reference %g", bw, ref)
+	for _, o := range []OverlapNeeds{needs.Real, needs.Ideal} {
+		if e := o.Equivalent; e.First <= needs.RefMBps || e.Holding <= needs.RefMBps {
+			t.Fatalf("%s: equivalent bandwidth %+v not above reference %g", o.Flavor, e, needs.RefMBps)
+		}
 	}
-	if _, err := rep.EquivalentBandwidth(FlavorBase); err == nil {
-		t.Fatal("base flavor must be rejected")
+}
+
+// TestBandwidthNeedsRefusesBadInputs: a reference bandwidth that is not
+// finite and positive anchors no grid, and the study sets its own
+// flavors, axes and output.
+func TestBandwidthNeedsRefusesBadInputs(t *testing.T) {
+	app := App{Name: "pipe", Kernel: pipelineKernel(100, 1, 10)}
+	for _, bw := range []float64{math.Inf(1), math.NaN(), 0} {
+		plat := testNet(2).WithInterBandwidth(bw)
+		if _, err := RunBandwidthNeeds(context.Background(), nil, Scenario{App: app, Ranks: 2, Platform: plat}); err == nil ||
+			!strings.Contains(err.Error(), "finite and positive") {
+			t.Errorf("reference %g MB/s: err %v, want a refusal", bw, err)
+		}
+	}
+	for _, sc := range []Scenario{
+		{Flavors: []Flavor{FlavorBase}},
+		{Axes: []Axis{BandwidthAxis(125)}},
+		{Output: OutputFinish},
+	} {
+		sc.App, sc.Ranks, sc.Platform = app, 2, testNet(2)
+		if _, err := RunBandwidthNeeds(context.Background(), nil, sc); err == nil {
+			t.Errorf("spec with flavors %v, axes %v, output %q accepted", sc.Flavors, sc.Axes, sc.Output)
+		}
 	}
 }
 

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/tracer"
 )
 
 // What-if analysis: which buffer's production/consumption pattern limits
@@ -30,21 +27,6 @@ type BufferPotential struct {
 	// GainOverReal is the speedup relative to the all-real overlapped
 	// execution: the marginal value of restructuring just this buffer.
 	GainOverReal float64
-}
-
-// WhatIfRun is the what-if-output scenario with no sweep axes on traces,
-// for callers that reuse one traced run across several studies: the
-// traced run and the base, overlap-real and per-buffer selective
-// programs all come from traces (keyed as AnalyzeRun keys them), and
-// len(buffers)+2 programs replay across the engine.
-func WhatIfRun(ctx context.Context, eng *engine.Engine, traces *engine.TraceCache, app App, ranks int, tCfg tracer.Config, plat network.Platform) (*WireWhatIf, error) {
-	res, err := RunScenario(ctx, eng, Scenario{
-		App: app, Ranks: ranks, Tracer: tCfg, Platform: plat, Output: OutputWhatIf, Traces: traces,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Points[0].WhatIf, nil
 }
 
 // wireWhatIf ranks the buffers of one what-if point of app on ranks

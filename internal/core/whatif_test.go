@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/network"
 	"repro/internal/tracer"
 )
 
@@ -44,9 +45,22 @@ func twoBufferKernel(n, iters int, work int64) func(p *tracer.Proc) {
 	}
 }
 
+// whatIf runs the zero-axis what-if scenario of app on 2 ranks of plat
+// and returns its one point's ranking.
+func whatIf(app App, plat network.Platform) (*WireWhatIf, error) {
+	res, err := RunScenario(context.Background(), nil, Scenario{
+		App: app, Ranks: 2, Tracer: tracer.DefaultConfig(), Platform: plat,
+		Output: OutputWhatIf, Traces: engine.NewTraceCache(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Points[0].WhatIf, nil
+}
+
 func TestWhatIfRanksBuffers(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(2000, 3, 100)}
-	rep, err := WhatIfRun(context.Background(), nil, engine.NewTraceCache(), app, 2, tracer.DefaultConfig(), testNet(2))
+	rep, err := whatIf(app, testNet(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +92,7 @@ func TestWhatIfSelectiveBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := WhatIfRun(context.Background(), nil, engine.NewTraceCache(), app, 2, tracer.DefaultConfig(), testNet(2))
+	rep, err := whatIf(app, testNet(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +108,7 @@ func TestWhatIfSelectiveBounds(t *testing.T) {
 
 func TestWhatIfFormat(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(500, 2, 50)}
-	rep, err := WhatIfRun(context.Background(), nil, engine.NewTraceCache(), app, 2, tracer.DefaultConfig(), testNet(2))
+	rep, err := whatIf(app, testNet(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +124,7 @@ func TestWhatIfRejectsBadNetwork(t *testing.T) {
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(100, 1, 10)}
 	bad := testNet(2)
 	bad.MIPS = 0
-	if _, err := WhatIfRun(context.Background(), nil, engine.NewTraceCache(), app, 2, tracer.DefaultConfig(), bad); err == nil {
+	if _, err := whatIf(app, bad); err == nil {
 		t.Fatal("invalid network accepted")
 	}
 }

@@ -85,7 +85,7 @@ func (r *Report) Wire() (*WireReport, error) {
 	for i, f := range flavors {
 		res := r.ResultOf(f)
 		ib, eb, im, em := res.TrafficSplit()
-		ms[i] = replayed{digest: r.digests[f], sum: sim.Summary{
+		ms[i] = replayed{digest: r.digests[i], sum: sim.Summary{
 			FinishSec: res.FinishSec, TotalWaitSec: res.TotalWaitSec(), TotalComputeSec: res.TotalComputeSec(),
 			IntraBytes: ib, InterBytes: eb, IntraMsgs: im, InterMsgs: em,
 		}}

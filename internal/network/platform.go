@@ -404,7 +404,7 @@ func (p Platform) WithProcessors(n int) Platform {
 }
 
 // WithInterBandwidth returns a copy with the interconnect bandwidth
-// replaced — the hierarchical primitive behind the Fig. 6b/6c searches.
+// replaced — the hierarchical primitive behind bandwidth axes (Fig. 6).
 func (p Platform) WithInterBandwidth(mbps float64) Platform {
 	p.Inter.BandwidthMBps = mbps
 	return p

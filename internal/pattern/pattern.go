@@ -96,47 +96,52 @@ type bufferTrack struct {
 	loads     []accessRec
 }
 
-// collectTracks extracts per-(rank, array) communication marks and access
-// lists from the run's logs. A first walk of each log counts the accesses
-// per array, so the lists are allocated once at their exact size.
+// collectTracks extracts every rank's tracks (rankTracks) from the run.
 func collectTracks(run *tracer.Run) [][]*bufferTrack {
 	out := make([][]*bufferTrack, run.NumRanks)
 	for rank, log := range run.Logs {
-		stores := make([]int, len(log.ArrayLens))
-		loads := make([]int, len(log.ArrayLens))
-		for _, e := range log.Events() {
-			switch e.Kind {
-			case tracer.EvStore:
-				stores[e.Arr()]++
-			case tracer.EvLoad:
-				loads[e.Arr()]++
-			}
-		}
-		tracks := make([]*bufferTrack, len(log.ArrayLens))
-		for id := range tracks {
-			tracks[id] = &bufferTrack{
-				name: log.ArrayNames[id], n: log.ArrayLens[id],
-				stores: make([]accessRec, 0, stores[id]),
-				loads:  make([]accessRec, 0, loads[id]),
-			}
-		}
-		for _, e := range log.Events() {
-			switch e.Kind {
-			case tracer.EvSend, tracer.EvISend, tracer.EvCollSend:
-				tracks[e.Arr()].sendMarks = append(tracks[e.Arr()].sendMarks, e.T)
-			case tracer.EvRecv, tracer.EvRecvWait, tracer.EvCollRecv:
-				// For non-blocking receives the data becomes available
-				// at the completion wait, so that is the interval mark.
-				tracks[e.Arr()].recvMarks = append(tracks[e.Arr()].recvMarks, e.T)
-			case tracer.EvStore:
-				tracks[e.Arr()].stores = append(tracks[e.Arr()].stores, accessRec{t: e.T, idx: e.Idx()})
-			case tracer.EvLoad:
-				tracks[e.Arr()].loads = append(tracks[e.Arr()].loads, accessRec{t: e.T, idx: e.Idx()})
-			}
-		}
-		out[rank] = tracks
+		out[rank] = rankTracks(log)
 	}
 	return out
+}
+
+// rankTracks extracts one rank's per-array communication marks and access
+// lists from its log. A first walk of the log counts the accesses per
+// array, so the lists are allocated once at their exact size.
+func rankTracks(log *tracer.Log) []*bufferTrack {
+	stores := make([]int, len(log.ArrayLens))
+	loads := make([]int, len(log.ArrayLens))
+	for _, e := range log.Events() {
+		switch e.Kind {
+		case tracer.EvStore:
+			stores[e.Arr()]++
+		case tracer.EvLoad:
+			loads[e.Arr()]++
+		}
+	}
+	tracks := make([]*bufferTrack, len(log.ArrayLens))
+	for id := range tracks {
+		tracks[id] = &bufferTrack{
+			name: log.ArrayNames[id], n: log.ArrayLens[id],
+			stores: make([]accessRec, 0, stores[id]),
+			loads:  make([]accessRec, 0, loads[id]),
+		}
+	}
+	for _, e := range log.Events() {
+		switch e.Kind {
+		case tracer.EvSend, tracer.EvISend, tracer.EvCollSend:
+			tracks[e.Arr()].sendMarks = append(tracks[e.Arr()].sendMarks, e.T)
+		case tracer.EvRecv, tracer.EvRecvWait, tracer.EvCollRecv:
+			// For non-blocking receives the data becomes available
+			// at the completion wait, so that is the interval mark.
+			tracks[e.Arr()].recvMarks = append(tracks[e.Arr()].recvMarks, e.T)
+		case tracer.EvStore:
+			tracks[e.Arr()].stores = append(tracks[e.Arr()].stores, accessRec{t: e.T, idx: e.Idx()})
+		case tracer.EvLoad:
+			tracks[e.Arr()].loads = append(tracks[e.Arr()].loads, accessRec{t: e.T, idx: e.Idx()})
+		}
+	}
+	return tracks
 }
 
 // orderStat returns the k-th smallest value (k is 1-based) of a sorted
@@ -367,9 +372,8 @@ func ScatterFor(run *tracer.Run, bufferName string, rank int, side Side) *Scatte
 	if rank < 0 || rank >= run.NumRanks {
 		return nil
 	}
-	tracks := collectTracks(run)[rank]
 	var tk *bufferTrack
-	for _, cand := range tracks {
+	for _, cand := range rankTracks(run.Logs[rank]) {
 		if cand.name == bufferName {
 			tk = cand
 			break
@@ -379,21 +383,12 @@ func ScatterFor(run *tracer.Run, bufferName string, rank int, side Side) *Scatte
 		return nil
 	}
 	sc := &Scatter{App: run.Name, Buffer: bufferName, Side: side, BufferLen: tk.n}
-	var marks []int64
-	var accesses []accessRec
-	if side == Production {
-		marks, accesses = tk.sendMarks, tk.stores
-	} else {
+	marks, accesses := tk.sendMarks, tk.stores
+	if side == Consumption {
 		marks, accesses = tk.recvMarks, tk.loads
 	}
-	if side == Production {
-		for j := 1; j < len(marks); j++ {
-			sc.appendInterval(accesses, marks[j-1], marks[j])
-		}
-	} else {
-		for j := 0; j+1 < len(marks); j++ {
-			sc.appendInterval(accesses, marks[j], marks[j+1])
-		}
+	for j := 1; j < len(marks); j++ {
+		sc.appendInterval(accesses, marks[j-1], marks[j])
 	}
 	return sc
 }

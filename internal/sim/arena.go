@@ -6,8 +6,8 @@ import (
 	"repro/internal/network"
 )
 
-// Pooled replays: the sweep and search paths (bandwidth searches, what-if
-// studies, service sweeps) replay a compiled program many times and retain
+// Pooled replays: the sweep paths (scenario grids, what-if studies,
+// service sweeps) replay a compiled program many times and retain
 // only scalars. They borrow a warm arena from a process-wide pool, so a
 // saturated worker pool converges on one arena per worker and the
 // steady-state replay allocates nothing.

@@ -33,7 +33,7 @@
 // The entry point decides what a replay records. A full replay (Run,
 // RunProgram, RunProgramShards, ReplayInto) records every rank's interval
 // timeline and every transfer's comm record. A summary replay
-// (ReplaySummary), which the sweep and search paths use, runs the same
+// (ReplaySummary), which every scenario grid point uses, runs the same
 // events with both switched off and keeps the makespan plus a traffic
 // split summed from the per-stream totals Compile records.
 //
@@ -193,7 +193,7 @@ func (r *Result) TrafficSplit() (intraBytes, interBytes int64, intraMsgs, interM
 }
 
 // Summary is the scalar digest of one replay — everything the sweep,
-// search and report paths retain, cheap to copy and safe to keep after
+// what-if and report paths retain, cheap to copy and safe to keep after
 // the arena that produced it is reused.
 type Summary struct {
 	FinishSec float64
