@@ -542,7 +542,7 @@ func BenchmarkSimCompiledReplay(b *testing.B) {
 	}
 	for _, app := range []string{"sweep3d", "pop"} {
 		b.Run("fatnode256-"+app+"-shards2", func(b *testing.B) {
-			prog := fatnode256Program(b, app)
+			prog := overlapRealProgram(b, app, 256)
 			arena := sim.NewArena()
 			if _, err := arena.RunProgramShards(fat256, prog, 2); err != nil {
 				b.Fatal(err)
@@ -567,36 +567,67 @@ func BenchmarkSimCompiledReplay(b *testing.B) {
 				name += fmt.Sprintf("-shards%d", shards)
 			}
 			b.Run(name, func(b *testing.B) {
-				prog := fatnode256Program(b, app)
-				if _, err := sim.ReplaySummary(fat256, prog, shards); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := sim.ReplaySummary(fat256, prog, shards); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(prog.Records()), "records/replay")
+				benchSummary(b, fat256, overlapRealProgram(b, app, 256), shards)
 			})
 		}
 	}
+	// Serial summary replays of real 64-rank programs where scenario
+	// grids and Fig. 6 curves spend their replays: cg and specfem3d on
+	// marenostrum-4x (the sweep-grid workload's platform; its finite
+	// intra-node buses keep it serial) under both mappings, and pop and
+	// bt on their calibrated testbeds, where the unit calendars are
+	// hottest.
+	mn4, err := network.PlatformPreset("marenostrum-4x", 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, app := range []string{"cg", "specfem3d"} {
+		for _, m := range []struct {
+			name    string
+			mapping network.Mapping
+		}{{"block", network.BlockMapping()}, {"rr", network.RoundRobinMapping()}} {
+			b.Run("marenostrum64-"+app+"-"+m.name+"-summary", func(b *testing.B) {
+				benchSummary(b, mn4.WithMapping(m.mapping), overlapRealProgram(b, app, 64), 1)
+			})
+		}
+	}
+	for _, app := range []string{"pop", "bt"} {
+		b.Run("testbed64-"+app+"-summary", func(b *testing.B) {
+			benchSummary(b, network.TestbedFor(app, 64), overlapRealProgram(b, app, 64), 1)
+		})
+	}
 }
 
-// fatnode256Programs memoizes fatnode256Program across the -count
-// repetitions of a benchmark run.
-var fatnode256Programs = map[string]*sim.Program{}
+// benchSummary times sim.ReplaySummary of prog on plat at the given
+// shard count, after one untimed replay warms the pooled arena.
+func benchSummary(b *testing.B, plat network.Platform, prog *sim.Program, shards int) {
+	if _, err := sim.ReplaySummary(plat, prog, shards); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.ReplaySummary(plat, prog, shards); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(prog.Records()), "records/replay")
+}
 
-// fatnode256Program traces app at 256 ranks and compiles its overlap-real
-// trace, once per test binary.
-func fatnode256Program(b *testing.B, app string) *sim.Program {
+// overlapRealPrograms memoizes overlapRealProgram across the -count
+// repetitions of a benchmark run.
+var overlapRealPrograms = map[string]*sim.Program{}
+
+// overlapRealProgram traces app at the given rank count and compiles its
+// overlap-real trace, once per test binary.
+func overlapRealProgram(b *testing.B, app string, ranks int) *sim.Program {
 	b.Helper()
-	if prog, ok := fatnode256Programs[app]; ok {
+	key := fmt.Sprintf("%s/%d", app, ranks)
+	if prog, ok := overlapRealPrograms[key]; ok {
 		return prog
 	}
-	entry, _ := apps.ByName(app, 256)
-	run, err := tracer.Trace(app, 256, tracer.DefaultConfig(), entry.App.Kernel)
+	entry, _ := apps.ByName(app, ranks)
+	run, err := tracer.Trace(app, ranks, tracer.DefaultConfig(), entry.App.Kernel)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -604,7 +635,7 @@ func fatnode256Program(b *testing.B, app string) *sim.Program {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fatnode256Programs[app] = prog
+	overlapRealPrograms[key] = prog
 	return prog
 }
 

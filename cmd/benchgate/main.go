@@ -11,8 +11,9 @@
 // Each benchmark's ns/op is the minimum across -count repetitions (the
 // least-noisy estimator for a gate: the min is the run least disturbed
 // by the machine). Benchmarks are matched by name with any trailing
-// -<procs> suffix stripped, filtered by -match, and a benchmark present
-// on only one side is ignored (new benchmarks don't fail the gate).
+// -<procs> suffix stripped and filtered by -match. A benchmark present on
+// only one side is listed as "new, no baseline" or "gone" and never
+// fails the gate.
 package main
 
 import (
@@ -58,29 +59,44 @@ func run(oldPath, newPath, match string, threshold float64, w io.Writer) error {
 		return err
 	}
 
-	names := make([]string, 0, len(old))
+	var names []string
+	both := 0
 	for name := range old {
 		if re.MatchString(name) {
+			names = append(names, name)
 			if _, ok := cur[name]; ok {
-				names = append(names, name)
+				both++
 			}
 		}
 	}
-	if len(names) == 0 {
+	for name := range cur {
+		if _, ok := old[name]; !ok && re.MatchString(name) {
+			names = append(names, name)
+		}
+	}
+	if both == 0 {
 		return fmt.Errorf("no gated benchmarks matched %q on both sides — gate misconfigured?", match)
 	}
 	sort.Strings(names)
 
 	failed := false
 	for _, name := range names {
-		delta := (cur[name] - old[name]) / old[name] * 100
-		verdict := "ok"
-		if delta > threshold {
-			verdict = "FAIL"
-			failed = true
+		o, inOld := old[name]
+		c, inCur := cur[name]
+		switch {
+		case !inOld:
+			fmt.Fprintf(w, "%-55s %12s -> %12.0f ns/op  %7s  new, no baseline\n", name, "-", c, "")
+		case !inCur:
+			fmt.Fprintf(w, "%-55s %12.0f -> %12s ns/op  %7s  gone\n", name, o, "-", "")
+		default:
+			delta := (c - o) / o * 100
+			verdict := "ok"
+			if delta > threshold {
+				verdict = "FAIL"
+				failed = true
+			}
+			fmt.Fprintf(w, "%-55s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n", name, o, c, delta, verdict)
 		}
-		fmt.Fprintf(w, "%-55s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
-			name, old[name], cur[name], delta, verdict)
 	}
 	if failed {
 		return fmt.Errorf("ns/op regression above %.0f%% threshold", threshold)

@@ -68,3 +68,33 @@ func TestGateRejectsEmptyMatch(t *testing.T) {
 		t.Fatal("gate passed with zero matched benchmarks")
 	}
 }
+
+// TestGateListsOneSidedRows: a gated row on only one side is listed as
+// new or gone, and neither fails the gate.
+func TestGateListsOneSidedRows(t *testing.T) {
+	old := writeFile(t, "old.txt", sampleOld+
+		"BenchmarkSimCompiledReplay/retired   \t     100\t    300000 ns/op\n")
+	cur := writeFile(t, "new.txt", sampleOld+
+		"BenchmarkSimCompiledReplay/added-2   \t     100\t    900000 ns/op\n")
+	var out strings.Builder
+	if err := run(old, cur, "BenchmarkSimCompiledReplay|BenchmarkScenarioStream", 10, &out); err != nil {
+		t.Fatalf("gate failed on one-sided rows: %v\n%s", err, out.String())
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		lines[strings.Fields(line)[0]] = line
+	}
+	for name, verdict := range map[string]string{
+		"BenchmarkSimCompiledReplay/added":           "900000 ns/op           new, no baseline",
+		"BenchmarkSimCompiledReplay/retired":         "300000 ->            - ns/op           gone",
+		"BenchmarkSimCompiledReplay/flat-degenerate": "ok",
+		"BenchmarkScenarioStream/batch":              "ok",
+	} {
+		if line, ok := lines[name]; !ok || !strings.HasSuffix(line, verdict) {
+			t.Errorf("%s: line %q, want it to end in %q", name, line, verdict)
+		}
+	}
+	if len(lines) != 4 {
+		t.Errorf("listed %d rows, want 4:\n%s", len(lines), out.String())
+	}
+}

@@ -17,8 +17,8 @@
 // and the curve's largest rise between adjacent grid points.
 //
 // The platform flags (-preset, -platform, -nodes, -map, ...) select the
-// platform whose *interconnect* the sweeps stress; -ref pins the reference
-// inter-node bandwidth.
+// platform whose *interconnect* the sweeps stress; its inter-node
+// bandwidth (-bw) is the reference.
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 	ranks := flag.Int("ranks", 16, "number of ranks")
 	mode := flag.String("mode", "relax", "relax|equiv|series")
 	pf := platformflag.Register(flag.CommandLine)
-	refBW := flag.Float64("ref", 0, "reference inter-node bandwidth in MB/s (0 = the resolved platform's; overrides -bw)")
 	bws := flag.String("bws", "2,8,31,125,250,500,2000,8000", "comma-separated bandwidths for -mode series")
 	workers := flag.Int("workers", 0, "experiment-engine worker pool size (0 = GOMAXPROCS)")
 	scenarioPath := flag.String("scenario", "", "run a declarative scenario spec (JSON, the POST /v1/scenarios schema) instead of -mode")
@@ -71,9 +70,6 @@ func main() {
 	plat, err := pf.Resolve(*app, *ranks)
 	if err != nil {
 		fail(2, "%v", err)
-	}
-	if *refBW > 0 {
-		plat = plat.WithInterBandwidth(*refBW)
 	}
 	ref := plat.Inter.BandwidthMBps
 	if pf.DumpRequested() {

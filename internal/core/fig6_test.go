@@ -14,6 +14,12 @@ import (
 	"repro/internal/tracer"
 )
 
+// raceEnabled is set under the race detector (race_test.go), which slows
+// the 64-rank half of TestFig6AnswersAgreeWithSpeedup fifteenfold without
+// checking anything the plain run does not. CI runs that half in a plain
+// step.
+var raceEnabled bool
+
 // fig6 analyzes every application on ranks processes of its calibrated
 // testbed (Fig. 6a) and runs its bandwidth study (Fig. 6b/6c), both on
 // one trace cache.
@@ -48,7 +54,7 @@ func fig6(t *testing.T, ranks int) ([]*core.Report, []*core.BandwidthNeeds) {
 // other way round.
 func TestFig6AnswersAgreeWithSpeedup(t *testing.T) {
 	for _, ranks := range []int{16, 64} {
-		if ranks == 64 && testing.Short() {
+		if ranks == 64 && (testing.Short() || raceEnabled) {
 			continue
 		}
 		reps, needs := fig6(t, ranks)

@@ -56,7 +56,9 @@ func (c *Client) ScenarioStream(ctx context.Context, req service.ScenarioRequest
 		return nil, err
 	}
 	s := &ScenarioStream{body: resp.Body, sc: bufio.NewScanner(resp.Body)}
-	s.sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	// Frames are a few hundred bytes: start the line buffer small, and
+	// let the scanner grow it for a longer frame up to the 16 MiB cap.
+	s.sc.Buffer(make([]byte, 0, 4<<10), 16<<20)
 	frame, err := s.frame()
 	if err != nil {
 		s.Close()

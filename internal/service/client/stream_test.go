@@ -75,3 +75,46 @@ func TestScenarioStreamDecodesPointFramesOnce(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// TestScenarioStreamDecodesLongFrames: the line buffer starts at 4 KiB and
+// grows, so a header and a point far longer than that still decode whole.
+func TestScenarioStreamDecodesLongFrames(t *testing.T) {
+	var want core.ScenarioPoint
+	for i := 0; i < 3000; i++ {
+		want.Coords = append(want.Coords, core.Coord{Axis: core.AxisBandwidth, Value: strings.Repeat("9", 20)})
+	}
+	point, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	axes := strings.Repeat(`"bandwidth",`, 1000)
+	header := `{"header":{"app":"cg","spec_digest":"sha256:00","platform_digest":"sha256:11","output":"finish","axes":[` + axes[:len(axes)-1] + `],"grid_points":1}}`
+	if len(point) < 64<<10 || len(header) < 8<<10 {
+		t.Fatalf("frames of %d and %d bytes are too short to grow the buffer", len(point), len(header))
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", service.NDJSONContentType)
+		io.WriteString(w, header+"\n")
+		io.WriteString(w, `{"point":`+string(point)+"}\n")
+		io.WriteString(w, `{"done":{"points":1}}`+"\n")
+	}))
+	defer srv.Close()
+	s, err := New(srv.URL, srv.Client()).ScenarioStream(context.Background(), service.ScenarioRequest{App: "cg", Ranks: 4})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	if got := len(s.Header().Axes); got != 1000 {
+		t.Fatalf("header lists %d axes, want 1000", got)
+	}
+	pt, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pt, want) {
+		t.Fatalf("point has %d coords, want %d", len(pt.Coords), len(want.Coords))
+	}
+	if _, err := s.Next(); err != io.EOF {
+		t.Fatalf("after the point: %v, want io.EOF", err)
+	}
+}

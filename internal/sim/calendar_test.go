@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -61,6 +62,7 @@ func (u *refUnit) commit(start, hold float64) {
 // earlier-committed reservations, as a coordinator-resumed rank makes them
 // during sharded replay. The run must exercise empty units, requests after
 // a unit's last reservation, backfills into a gap and zero-length holds.
+// A second pass (prunedCalendarPass) replays as a serial replay probes.
 func TestUnitCalendarAgainstReference(t *testing.T) {
 	var outOfOrder, idleAfter, backfills, zeroHolds, emptyUnits int
 	for seed := int64(1); seed <= 40; seed++ {
@@ -100,7 +102,7 @@ func TestUnitCalendarAgainstReference(t *testing.T) {
 			bestU, bestT := -1, 0.0
 			for i := range ref {
 				want := ref[i].fit(tq, hold)
-				if got := r.units[i].earliestFit(tq, hold); got != want {
+				if got := r.units[i].earliestFit(tq, hold, noFloor); got != want {
 					t.Fatalf("seed %d op %d unit %d: earliestFit(%v, %v) = %v, reference %v over %v",
 						seed, op, i, tq, hold, got, want, ref[i])
 				}
@@ -113,7 +115,7 @@ func TestUnitCalendarAgainstReference(t *testing.T) {
 					bestU, bestT = i, want
 				}
 			}
-			u, start := r.earliestFit(tq, hold)
+			u, start := r.earliestFit(tq, hold, noFloor)
 			if u != bestU || start != bestT {
 				t.Fatalf("seed %d op %d: pool earliestFit(%v, %v) = unit %d at %v, reference unit %d at %v",
 					seed, op, tq, hold, u, start, bestU, bestT)
@@ -134,5 +136,92 @@ func TestUnitCalendarAgainstReference(t *testing.T) {
 	if outOfOrder == 0 || idleAfter == 0 || backfills == 0 || zeroHolds == 0 || emptyUnits == 0 {
 		t.Fatalf("coverage: %d out-of-order commits, %d requests after a unit's last end, %d backfills, %d zero holds, %d empty-unit probes",
 			outOfOrder, idleAfter, backfills, zeroHolds, emptyUnits)
+	}
+	prunedCalendarPass(t)
+}
+
+// prunedCalendarPass is TestUnitCalendarAgainstReference's second pass, a
+// serial replay's: request times never go down, and each probe passes the
+// clock it asks from as the floor, so the calendar drops the reservations
+// that ended at or before it. A second pool takes the same probes with no
+// floor, and every answer, unit and start, must equal the unpruned
+// pool's (which the first pass holds to the brute-force search). After
+// each commit, the pruned calendar's live reservations must be a suffix
+// of the unpruned one's, and every reservation missing from it must have
+// ended at or before the clock. The run must drop reservations, empty an
+// idle unit's calendar and commit behind a dead prefix.
+func prunedCalendarPass(t *testing.T) {
+	var dropped, emptied, behindDead int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		units := 1 + rng.Intn(4)
+		pruned := resource{units: make([]unitCalendar, units)}
+		full := resource{units: make([]unitCalendar, units)}
+		clock := 0.0
+		for op := 0; op < 600; op++ {
+			switch rng.Intn(4) {
+			case 0: // a same-time burst: the clock stays
+			case 1: // onto the coarse grid reservations start on
+				clock = float64(int(2*clock)+1) * 0.5
+			default:
+				clock += rng.ExpFloat64() * 0.3
+			}
+			// A probe asks from the clock, or later, as launch's fixpoint
+			// does once another pool moved the start.
+			tq := clock
+			if rng.Intn(4) == 0 {
+				tq += rng.Float64()
+			}
+			var hold float64
+			switch rng.Intn(6) {
+			case 0:
+				hold = 0
+			case 1:
+				hold = float64(1+rng.Intn(4)) * 0.5
+			default:
+				hold = rng.Float64() * 2
+			}
+			for i := range pruned.units {
+				u := &pruned.units[i]
+				head, n := u.head, len(u.busy)
+				want := full.units[i].earliestFit(tq, hold, noFloor)
+				if got := u.earliestFit(tq, hold, clock); got != want {
+					t.Fatalf("pruned pass: seed %d op %d unit %d: earliestFit(%v, %v, floor %v) = %v, unpruned %v",
+						seed, op, i, tq, hold, clock, got, want)
+				}
+				if n > 0 && len(u.busy) == 0 {
+					emptied++
+				} else {
+					dropped += u.head - head
+				}
+			}
+			wu, ws := full.earliestFit(tq, hold, noFloor)
+			u, start := pruned.earliestFit(tq, hold, clock)
+			if u != wu || start != ws {
+				t.Fatalf("pruned pass: seed %d op %d: pool earliestFit(%v, %v, floor %v) = unit %d at %v, unpruned unit %d at %v",
+					seed, op, tq, hold, clock, u, start, wu, ws)
+			}
+			if hold > 0 && pruned.units[u].head > 0 {
+				behindDead++
+			}
+			pruned.commit(u, start, hold)
+			full.commit(u, start, hold)
+			live := pruned.units[u].busy[pruned.units[u].head:]
+			all := full.units[u].busy
+			cut := len(all) - len(live)
+			if cut < 0 || !slices.Equal(live, all[cut:]) {
+				t.Fatalf("pruned pass: seed %d op %d unit %d: live reservations %v are not a suffix of the unpruned %v",
+					seed, op, u, live, all)
+			}
+			for _, iv := range all[:cut] {
+				if iv.end > clock {
+					t.Fatalf("pruned pass: seed %d op %d unit %d: dropped %v, which ends after the clock %v",
+						seed, op, u, iv, clock)
+				}
+			}
+		}
+	}
+	if dropped == 0 || emptied == 0 || behindDead == 0 {
+		t.Fatalf("pruned pass coverage: %d reservations dropped, %d calendars emptied, %d commits behind a dead prefix; want all > 0", dropped, emptied, behindDead)
 	}
 }

@@ -13,35 +13,49 @@ package sim
 // the left side moving into the dead gap before the head.
 //
 // The queue is EXACT: pops follow the static eventBefore order bit-for-bit
-// no matter how the buckets are sized. Each event records its placement
-// year at push time — year = int(t/width), clamped up to the cursor (PDES
-// shards legally receive events "from the past", see pdes.go; they land in
-// the cursor's own year and are seen by the very next scan). Three
-// invariants follow:
+// no matter how the buckets are sized. An event's year is int(t/width),
+// computed from its time at push and again at scan; the queue stores
+// nothing beside the 16-byte event. Push files an event under its
+// placement year: its year clamped up to the cursor (PDES shards legally
+// receive events "from the past", see pdes.go; they land in the cursor's
+// own year and are seen by the very next scan). The invariants speak of
+// placement years; a scan reads computed years only. Three invariants
+// follow:
 //
-//  1. Placement and qualification agree by construction: a scan at cursor
-//     c considers exactly the events whose recorded year is <= c, so float
-//     rounding can never disagree about a bucket boundary.
+//  1. Qualification agrees with placement: a scan at cursor c takes a
+//     bucket's head when its computed year is <= c, which holds exactly
+//     when its placement year is <= c. An unclamped event's two years are
+//     one value, computed by the same float operations from the same time
+//     and width, so float rounding can never disagree about a bucket
+//     boundary. A clamped event's placement year is the cursor at its
+//     push. The cursor never decreases between rebuilds and (invariant 2)
+//     never passes a resident's placement year, so that year is still the
+//     cursor; its computed year lies below it, and it qualifies at once.
 //
-//  2. Resident events always have year >= cursor, and the cursor only
-//     advances past a year once no event of that year remains. Push keeps
-//     it true (clamp), pops preserve it.
+//  2. Resident events always have placement year >= cursor, and the
+//     cursor only advances past a year once no event of that year
+//     remains. Push keeps it true (clamp), pops preserve it, and a
+//     rebuild places every event afresh from the population's first year.
 //
-//  3. Years never invert the event order: for resident events a and b
-//     with eventBefore(a, b), year(a) <= year(b). (If year(a) > year(b),
-//     a was clamped to a cursor beyond b's year while b was resident —
-//     contradicting invariant 2.) Hence popping by increasing year, and
-//     by eventBefore within a year, is the global eventBefore order — and
-//     a bucket's eventBefore-minimum (its sorted head) is also its
-//     minimum year, so qualification checks the head alone.
+//  3. Placement years never invert the event order: for resident events a
+//     and b with eventBefore(a, b), place(a) <= place(b). (a's own year is
+//     at most b's, since the year is monotone in t. If place(a) >
+//     place(b), a was clamped to a cursor beyond b's placement year:
+//     while b was resident, contradicting invariant 2, or before b's
+//     push, whose cursor was no lower and would have lifted b as far.)
+//     Hence popping by increasing placement year, and by eventBefore
+//     within a year, is the global eventBefore order — and a bucket's
+//     eventBefore-minimum (its sorted head) also has its minimum
+//     placement year, so qualification checks the head alone.
 //
 // When the cursor's year is empty the scan walks forward; if a full cycle
 // over the buckets finds nothing (the replay jumped a time gap larger
 // than the calendar), the scan jumps the cursor straight to the smallest
-// resident year — tracked during that same walk, so a gap costs one
-// bucket cycle, not a rebuild. Rebuilds (redistribute + re-derive the
-// width from the observed event-time span) happen only when the
-// population outgrows the bucket array.
+// resident year — tracked during that same walk from heads that did not
+// qualify, which are unclamped, so a gap costs one bucket cycle, not a
+// rebuild. Rebuilds (redistribute + re-derive the width from the observed
+// event-time span) happen only when the population outgrows the bucket
+// array.
 //
 // Buckets and their capacities persist across replays (reset only
 // truncates), so a warm arena's replay stays allocation-free.
@@ -163,13 +177,13 @@ func (b *bucket) popHead() event {
 	return e
 }
 
-// push enqueues an event, recording its placement year.
+// push enqueues an event in the bucket of its placement year: its own
+// year, clamped up to the cursor.
 func (q *eventQueue) push(e event) {
 	y := q.yearOf(e.t)
 	if y < q.cur {
 		y = q.cur
 	}
-	e.year = y
 	q.buckets[int(y)&q.mask].insert(e)
 	q.n++
 	if q.n > cqGrowFactor*len(q.buckets) && len(q.buckets) < cqMaxBuckets {
@@ -187,8 +201,8 @@ func (q *eventQueue) scan() int {
 			s := int(q.cur) & q.mask
 			if b := &q.buckets[s]; len(b.ev) > 0 {
 				// The head is the bucket's minimum event and (invariant 3)
-				// its minimum year.
-				if y := b.ev[b.head].year; y <= q.cur {
+				// its minimum placement year.
+				if y := q.yearOf(b.ev[b.head].t); y <= q.cur {
 					return s
 				} else if y < minYear {
 					minYear = y
@@ -289,12 +303,9 @@ func (q *eventQueue) rebuild(nb int) {
 	if q.n > 0 {
 		q.cur = q.yearOf(minT)
 	}
+	// The cursor sits at the population's first year, so no placement
+	// clamps: every event lands in its own year.
 	for _, e := range q.scratch {
-		y := q.yearOf(e.t)
-		if y < q.cur {
-			y = q.cur
-		}
-		e.year = y
-		q.buckets[int(y)&q.mask].insert(e)
+		q.buckets[int(q.yearOf(e.t))&q.mask].insert(e)
 	}
 }

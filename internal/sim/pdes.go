@@ -121,12 +121,13 @@ func (sh *shard) route(a *ReplayArena, e event) {
 // its one continuation runs.
 func (a *ReplayArena) eventOwner(e *event) int32 {
 	pd := &a.pdes
-	if e.kind == evArrive {
-		return pd.streamShard[e.a]
+	kind := e.kind()
+	if kind == evArrive {
+		return pd.streamShard[e.a()]
 	}
-	rank := e.a
+	rank := e.a()
 	pc := int(a.ranks[rank].pc)
-	if e.kind == evSendResume {
+	if kind == evSendResume {
 		pc++ // the resume advances past the parked send record first
 	}
 	code := a.prog.code[rank]
@@ -275,7 +276,7 @@ func (a *ReplayArena) replayShards(n int) {
 	a.stats.Shards = n
 
 	for r := 0; r < a.prog.numRanks; r++ {
-		pd.coord.route(a, event{t: 0, kind: evAdvance, a: int32(r)})
+		pd.coord.route(a, mkEvent(0, evAdvance, int32(r), 0))
 	}
 	// Phase clock: one running mark on the replay's monotonic clock,
 	// advanced at each phase end, so a phase costs a single clock read.

@@ -274,9 +274,9 @@ func TestShardedFallbacks(t *testing.T) {
 // execute: time first, then rank continuations before arrivals, then the
 // id pair — never heap or map insertion order.
 func TestEventOrderAudit(t *testing.T) {
-	adv := func(t float64, r int32) event { return event{t: t, kind: evAdvance, a: r} }
-	res := func(t float64, r int32) event { return event{t: t, kind: evSendResume, a: r} }
-	arr := func(t float64, s, q int32) event { return event{t: t, kind: evArrive, a: s, b: q} }
+	adv := func(t float64, r int32) event { return mkEvent(t, evAdvance, r, 0) }
+	res := func(t float64, r int32) event { return mkEvent(t, evSendResume, r, 0) }
+	arr := func(t float64, s, q int32) event { return mkEvent(t, evArrive, s, q) }
 
 	ordered := []event{
 		adv(1, 9), // earlier time wins regardless of kind or ids

@@ -23,12 +23,15 @@
 // Program (dense instructions, stream IDs and handle tables resolved ahead
 // of time — see program.go) and executes on a ReplayArena, which owns every
 // piece of mutable replay state and reuses it across replays. The event
-// queue is a calendar queue of small typed events (see calqueue.go), all
-// matching state is slice-backed, and the steady-state replay of a warm
-// arena performs no heap allocation. The arena takes the platform's cost
-// model (network.Costs) once per replay, so the per-record path reads
-// arena fields and never copies the Platform; each bus or port unit keeps
-// its latest reservation end inline, so probing an idle unit is O(1).
+// queue is a calendar queue of 16-byte events, a time and one packed key
+// word (see event and calqueue.go), all matching state is slice-backed,
+// and the steady-state replay of a warm arena performs no heap
+// allocation. The arena takes the platform's cost model (network.Costs)
+// once per replay, so the per-record path reads arena fields and never
+// copies the Platform; each bus or port unit keeps its latest reservation
+// end inline, so probing an idle unit is O(1), and a serial replay drops
+// the reservations that ended at or before its clock from the unit's
+// calendar for good (see unitCalendar).
 //
 // The entry point decides what a replay records. A full replay (Run,
 // RunProgram, RunProgramShards, ReplayInto) records every rank's interval
@@ -256,28 +259,54 @@ const (
 	evSendResume
 )
 
+// event is one queued event in 16 bytes: its time and a key word that
+// packs the rest of the order. Bit 63 marks an arrival, bits 32–62 hold a
+// (a continuation's rank, an arrival's stream), and bits 0–31 hold an
+// arrival's b (its send seq) or a continuation's kind. Ranks, streams and
+// seqs are non-negative int32s, so every field fits its bits. Build
+// events with mkEvent.
 type event struct {
-	t    float64
-	year int64 // calendar-queue placement year, owned by eventQueue.push
-	a, b int32
-	kind uint8
+	t   float64
+	key uint64
+}
+
+const evArriveBit = 1 << 63
+
+// mkEvent packs an event. A continuation's b is always 0 and is not
+// stored: its low bits hold the kind instead.
+func mkEvent(t float64, kind uint8, a, b int32) event {
+	k := uint64(uint32(a)) << 32
+	if kind == evArrive {
+		k |= evArriveBit | uint64(uint32(b))
+	} else {
+		k |= uint64(kind)
+	}
+	return event{t: t, key: k}
+}
+
+func (e *event) kind() uint8 {
+	if e.key&evArriveBit != 0 {
+		return evArrive
+	}
+	return uint8(e.key)
+}
+
+func (e *event) a() int32 { return int32(e.key >> 32 & (1<<31 - 1)) }
+
+func (e *event) b() int32 {
+	if e.key&evArriveBit == 0 {
+		return 0
+	}
+	return int32(uint32(e.key))
 }
 
 // eventBefore is the static total order: time, then rank continuations
 // before arrivals, then the id pair. Same-time continuations of distinct
-// ranks order by rank; same-time arrivals by (stream, seq).
+// ranks order by rank; same-time arrivals by (stream, seq). The key word
+// packs exactly that order below the time: the arrival bit, then a, then
+// b or the kind, which only a rank's single live continuation carries.
 func eventBefore(x, y *event) bool {
-	if x.t != y.t {
-		return x.t < y.t
-	}
-	xa, ya := x.kind == evArrive, y.kind == evArrive
-	if xa != ya {
-		return ya
-	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
+	return x.t < y.t || x.t == y.t && x.key < y.key
 }
 
 // ---------------------------------------------------------------------------
@@ -298,8 +327,22 @@ type busyInterval struct {
 	start, end float64
 }
 
+// noFloor is the floor of a probe that may drop nothing: a sharded
+// replay's, whose coordinator-resumed ranks commit out of time order.
+const noFloor = -math.MaxFloat64
+
+// unitCalendar is one unit's reservations. busy[head:] are live, sorted
+// by start and non-overlapping, hence sorted by end too. busy[:head]
+// ended at or before a floor, a time below which no later probe asks:
+// a serial replay's clock, since every launch asks from the time of the
+// event being dispatched. They are dead for good: searches skip them,
+// and the slice empties when a probe finds the unit idle at its floor.
+// Every commit starts at or after the floor, hence after every dead
+// reservation, so commit's back-to-front insert stops above head
+// without reading it.
 type unitCalendar struct {
-	busy []busyInterval // sorted by start, non-overlapping
+	busy []busyInterval
+	head int
 	// end is the latest end of any busy interval (0 when there is none).
 	// It is a max, not the end of the last-started interval, so it stays
 	// exact when a reservation is committed before earlier-starting ones,
@@ -308,13 +351,22 @@ type unitCalendar struct {
 }
 
 // earliestFit returns the earliest start >= t at which the unit can host a
-// reservation of the given duration.
-func (u *unitCalendar) earliestFit(t, hold float64) float64 {
+// reservation of the given duration. floor <= t is the probe's floor
+// (noFloor for none): reservations that ended at or before it are
+// dropped first. They end before t, so the answer is the same.
+func (u *unitCalendar) earliestFit(t, hold, floor float64) float64 {
 	if t >= u.end {
+		if floor >= u.end {
+			u.busy, u.head = u.busy[:0], 0 // every reservation is dead
+		}
 		return t // idle from t on: no busy interval ends after t
 	}
+	lo, hi := u.head, len(u.busy)
+	for lo < hi && u.busy[lo].end <= floor {
+		lo++
+	}
+	u.head = lo
 	// Binary search for the first busy interval ending after t.
-	lo, hi := 0, len(u.busy)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if u.busy[mid].end <= t {
@@ -336,11 +388,11 @@ func (u *unitCalendar) earliestFit(t, hold float64) float64 {
 }
 
 // earliestFit returns the unit index and earliest start >= t across the
-// pool.
-func (r *resource) earliestFit(t, hold float64) (int, float64) {
-	best, bt := 0, r.units[0].earliestFit(t, hold)
+// pool; floor is passed to every unit probed.
+func (r *resource) earliestFit(t, hold, floor float64) (int, float64) {
+	best, bt := 0, r.units[0].earliestFit(t, hold, floor)
 	for i := 1; i < len(r.units); i++ {
-		if s := r.units[i].earliestFit(t, hold); s < bt {
+		if s := r.units[i].earliestFit(t, hold, floor); s < bt {
 			best, bt = i, s
 		}
 		if bt == t {
@@ -652,23 +704,24 @@ func (a *ReplayArena) finishReplay() error {
 // recorded alongside the match — so dispatch is valid from the serial loop
 // and from a PDES shard alike.
 func (a *ReplayArena) dispatch(e event, rt *shard) {
-	switch e.kind {
+	switch e.kind() {
 	case evAdvance:
-		a.advance(&a.ranks[e.a], e.t, rt)
+		a.advance(&a.ranks[e.a()], e.t, rt)
 	case evSendResume:
-		rs := &a.ranks[e.a]
+		rs := &a.ranks[e.a()]
 		rs.blocked = blockNone
 		rs.pc++
 		a.advance(rs, e.t, rt)
 	case evArrive:
-		st := &a.streams[e.a]
-		si := &a.prog.streams[e.a]
+		id, seq := e.a(), e.b()
+		st := &a.streams[id]
+		si := &a.prog.streams[id]
 		if a.nodeOf[si.src] != a.nodeOf[si.dst] {
 			a.inFlight--
 		}
-		st.arrivals[e.b] = e.t
-		if int(e.b) < len(st.posts) {
-			a.completePair(e.a, int(e.b), rt)
+		st.arrivals[seq] = e.t
+		if int(seq) < len(st.posts) {
+			a.completePair(id, int(seq), rt)
 		}
 	}
 }
@@ -1011,7 +1064,7 @@ func grow[T any](s []T, n int) []T {
 // sharded replay, which routes the event to the right queue (see pdes.go);
 // the serial loop passes nil and targets the arena's own queue.
 func (a *ReplayArena) sched(rt *shard, t float64, kind uint8, x, y int32) {
-	e := event{t: t, kind: kind, a: x, b: y}
+	e := mkEvent(t, kind, x, y)
 	if rt == nil {
 		a.evq.push(e)
 		return
@@ -1312,6 +1365,14 @@ func (a *ReplayArena) launch(streamID int32, seq int, bytes int64, t float64, co
 	if !intra {
 		pools = [3]*resource{a.interBuses, a.nodeOut[a.nodeOf[src]], a.nodeIn[a.nodeOf[dst]]}
 	}
+	// A serial launch asks from the time of the event being dispatched,
+	// which never goes down, so that clock is a floor below which no
+	// later probe asks. A sharded replay's coordinator resumes ranks out
+	// of time order: it passes no floor.
+	floor := float64(noFloor)
+	if rt == nil {
+		floor = a.now
+	}
 	var units [3]int
 	start := t
 	for iter := 0; iter < 64; iter++ {
@@ -1320,7 +1381,7 @@ func (a *ReplayArena) launch(streamID int32, seq int, bytes int64, t float64, co
 			if pool == nil {
 				continue
 			}
-			u, ft := pool.earliestFit(start, ser)
+			u, ft := pool.earliestFit(start, ser, floor)
 			units[i] = u
 			if ft > start {
 				start = ft
