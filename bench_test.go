@@ -52,7 +52,7 @@ func analyze(b *testing.B, name string, ranks int) *core.Report {
 	if !ok {
 		b.Fatalf("unknown app %q", name)
 	}
-	rep, err := core.Analyze(context.Background(), nil, entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+	rep, err := core.Analyze(context.Background(), nil, nil, entry.App, ranks, tracer.DefaultConfig(), network.TestbedFor(name, ranks))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func BenchmarkAblationChunkCount(b *testing.B) {
 			cfg.Chunks = chunks
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks), cfg)
+				rep, err := core.Analyze(context.Background(), nil, nil, entry.App, benchRanks, cfg, network.TestbedFor("cg", benchRanks))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -274,7 +274,7 @@ func BenchmarkAblationBuses(b *testing.B) {
 			plat := network.TestbedFor("sweep3d", benchRanks).WithBuses(buses)
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, plat, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, nil, entry.App, benchRanks, tracer.DefaultConfig(), plat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -297,7 +297,7 @@ func BenchmarkAblationPorts(b *testing.B) {
 			plat.OutPorts = ports
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, plat, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, nil, entry.App, benchRanks, tracer.DefaultConfig(), plat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -319,7 +319,7 @@ func BenchmarkAblationCongestion(b *testing.B) {
 			plat.CongestionFactor = cf
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, plat, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, nil, entry.App, benchRanks, tracer.DefaultConfig(), plat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -341,7 +341,7 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 			plat.EagerThresholdBytes = thr
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, plat, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, nil, entry.App, benchRanks, tracer.DefaultConfig(), plat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -363,7 +363,7 @@ func BenchmarkAblationMessageScale(b *testing.B) {
 			entry, _ := apps.ByNameScaled("cg", benchRanks, apps.Scale{SizeScale: scale, IterScale: 1})
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks), tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, nil, entry.App, benchRanks, tracer.DefaultConfig(), network.TestbedFor("cg", benchRanks))
 				if err != nil {
 					b.Fatal(err)
 				}

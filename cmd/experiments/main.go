@@ -17,8 +17,9 @@
 // Output goes to stdout; -csvdir writes the Fig. 5 scatter data as CSV.
 //
 // The platform flags (-preset, -platform, -nodes, -map, ...) swap the
-// platform under every per-app analysis (Fig. 4 stays pinned to the
-// paper's testbed); "-only mapping" adds the hierarchical placement study:
+// platform under every per-app replay (Fig. 4 and the extras stay pinned
+// to the paper's testbed; Table II and Fig. 5 read the traced run and
+// replay nothing); "-only mapping" adds the hierarchical placement study:
 // block vs round-robin per application plus a CG node-count sweep.
 package main
 
@@ -44,7 +45,6 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/platformflag"
 	"repro/internal/plot"
-	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/tracer"
 )
@@ -58,21 +58,9 @@ func main() {
 	svgdir := flag.String("svgdir", "", "directory for SVG figures (optional)")
 	width := flag.Int("width", 100, "timeline/scatter width in characters")
 	workers := flag.Int("workers", 0, "experiment-engine worker pool size (0 = GOMAXPROCS)")
-	scenarioPath := flag.String("scenario", "", "run a declarative scenario spec (JSON, the POST /v1/scenarios schema) instead of the paper artifacts")
-	scenarioJSON := flag.Bool("scenario-json", false, "with -scenario, print the raw result JSON instead of the point table")
 	tm := platformflag.RegisterTimings(flag.CommandLine)
 	flag.Parse()
 	defer tm.MaybeDump(os.Stderr)
-
-	if *scenarioPath != "" {
-		// Unless -scenario-json asks for the batch JSON, the table prints
-		// incrementally: each grid point appears the moment it (and its
-		// predecessors) finish simulating.
-		if err := service.RunScenarioFile(context.Background(), *scenarioPath, service.Options{Engine: engine.New(*workers)}, *scenarioJSON, os.Stdout); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	for _, k := range strings.Split(*only, ",") {
@@ -109,28 +97,6 @@ func main() {
 		table1()
 	}
 
-	// Analyze every app once on its active platform; the apps fan out
-	// across the engine pool, each app is traced exactly once through the
-	// shared cache, and the reports are reused across artifacts.
-	reports := map[string]*core.Report{}
-	if sel("table2") || sel("fig6a") {
-		entries := apps.All(*ranks)
-		results, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) (*core.Report, error) {
-			name := entries[i].App.Name
-			rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), entries[i].App, *ranks, tCfg, platFor(name))
-			if err != nil {
-				return nil, fmt.Errorf("analyzing %s: %w", name, err)
-			}
-			return rep, nil
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		for i, e := range entries {
-			reports[e.App.Name] = results[i]
-		}
-	}
-
 	if sel("fig4") {
 		fig4(ctx, eng, tCfg, *width)
 	}
@@ -138,10 +104,10 @@ func main() {
 		fig5(eng, *ranks, tCfg, *csvdir, *svgdir, *width)
 	}
 	if sel("table2") {
-		table2(reports)
+		table2(ctx, eng, *ranks, tCfg)
 	}
 	if sel("fig6a") {
-		fig6a(reports, *svgdir)
+		fig6a(ctx, eng, *ranks, tCfg, platFor, *svgdir)
 	}
 	if sel("fig6b") || sel("fig6c") {
 		needs := bandwidthNeeds(ctx, eng, *ranks, tCfg, platFor)
@@ -277,10 +243,10 @@ func extras(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Conf
 		e := entries[i]
 		name := e.App.Name
 		plat := network.TestbedFor(name, ranks)
-		// The shared cache makes the run, its programs and its patterns
-		// hits when the main analysis loop already analyzed the app (the
-		// default -only=all run).
-		rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), e.App, ranks, tCfg, plat)
+		// The shared cache makes the run and its programs hits when
+		// Table II and Fig. 6a already traced the app and compiled its
+		// flavours (the default -only=all run).
+		rep, err := core.Analyze(ctx, eng, eng.Traces(), e.App, ranks, tCfg, plat)
 		if err != nil {
 			return extra{}, fmt.Errorf("extras %s: %w", name, err)
 		}
@@ -338,7 +304,7 @@ func table1() {
 func fig4(ctx context.Context, eng *engine.Engine, tCfg tracer.Config, width int) {
 	header("Figure 4 — Paraver view of NAS-CG (4 ranks): non-overlapped vs overlapped")
 	e, _ := apps.ByName("cg", 4)
-	rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), e.App, 4, tCfg, network.TestbedFor("cg", 4))
+	rep, err := core.Analyze(ctx, eng, eng.Traces(), e.App, 4, tCfg, network.TestbedFor("cg", 4))
 	if err != nil {
 		fatal("fig4: %v", err)
 	}
@@ -395,12 +361,23 @@ func fig5(eng *engine.Engine, ranks int, tCfg tracer.Config, csvdir, svgdir stri
 	}
 }
 
-func table2(reports map[string]*core.Report) {
-	header("Table II — production and consumption average patterns")
-	var rows []*pattern.Analysis
-	for _, name := range apps.Names {
-		rows = append(rows, reports[name].Patterns)
+// table2 reads each app's Table II row from the engine's shared trace
+// cache: the patterns are measured on the traced run, so no platform
+// enters and nothing is replayed.
+func table2(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Config) {
+	entries := apps.All(ranks)
+	rows, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) (*pattern.Analysis, error) {
+		e := entries[i]
+		an, err := eng.Traces().Patterns(e.App.Name, ranks, tCfg, e.App.Kernel)
+		if err != nil {
+			return nil, fmt.Errorf("table2 %s: %w", e.App.Name, err)
+		}
+		return an, nil
+	})
+	if err != nil {
+		fatal("%v", err)
 	}
+	header("Table II — production and consumption average patterns")
 	fmt.Print(pattern.FormatTableII(rows))
 }
 
@@ -412,18 +389,44 @@ func refLabel(refs []float64) string {
 	return fmt.Sprintf("%g MB/s", refs[0])
 }
 
-func fig6a(reports map[string]*core.Report, svgdir string) {
-	var refs []float64
-	for _, name := range apps.Names {
-		refs = append(refs, reports[name].Platform.Inter.BandwidthMBps)
+// fig6a reads each app's three makespans on its active platform from one
+// single-point scenario, fanned out across the engine on its shared trace
+// cache. A flavor whose replay stalled on injected faults has no finish,
+// so it fails the figure, named by app and flavor.
+func fig6a(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Config, platFor func(string) network.Platform, svgdir string) {
+	entries := apps.All(ranks)
+	refs := make([]float64, len(entries))
+	finishes, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) ([]core.FlavorMeasure, error) {
+		e := entries[i]
+		plat := platFor(e.App.Name)
+		refs[i] = plat.Inter.BandwidthMBps
+		res, err := core.RunScenario(ctx, eng, core.Scenario{
+			App: e.App, Ranks: ranks, Tracer: tCfg, Platform: plat,
+			Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal},
+			Traces:  eng.Traces(),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fig6a %s: %w", e.App.Name, err)
+		}
+		for _, m := range res.Points[0].Flavors {
+			if m.Fault != "" {
+				return nil, fmt.Errorf("fig6a %s: %s: %s", e.App.Name, m.Flavor, m.Fault)
+			}
+		}
+		return res.Points[0].Flavors, nil
+	})
+	if err != nil {
+		fatal("%v", err)
 	}
 	header("Figure 6a — speedup of the overlapped execution (" + refLabel(refs) + " testbed)")
 	fmt.Printf("%-12s %14s %14s\n", "app", "real patterns", "ideal patterns")
 	var groups []plot.BarGroup
-	for _, name := range apps.Names {
-		rep := reports[name]
-		fmt.Printf("%-12s %14.3f %14.3f\n", name, rep.SpeedupReal, rep.SpeedupIdeal)
-		groups = append(groups, plot.BarGroup{Label: name, Values: []float64{rep.SpeedupReal, rep.SpeedupIdeal}})
+	for i, e := range entries {
+		fs := finishes[i]
+		real := metrics.Speedup(fs[0].FinishSec, fs[1].FinishSec)
+		ideal := metrics.Speedup(fs[0].FinishSec, fs[2].FinishSec)
+		fmt.Printf("%-12s %14.3f %14.3f\n", e.App.Name, real, ideal)
+		groups = append(groups, plot.BarGroup{Label: e.App.Name, Values: []float64{real, ideal}})
 	}
 	if svgdir != "" {
 		writeFile(filepath.Join(svgdir, "fig6a_speedup.svg"), "fig6a svg", "", func(w io.Writer) error {

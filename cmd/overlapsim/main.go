@@ -1,12 +1,16 @@
 // Command overlapsim is the end-to-end CLI of the framework: it traces one
 // application of the pool, replays the non-overlapped and both overlapped
 // executions on a configurable platform, and reports timings, state
-// profiles, pattern statistics, and optional timeline/trace dumps.
+// profiles, pattern statistics, and optional timeline/trace dumps. Its
+// -timeline is the paper's Figure 4 view: Paraver-style timelines of the
+// three flavours, their state profiles, the overlapped transfers, the comm
+// matrix, wait distributions and efficiency slices.
 //
 // Examples:
 //
 //	overlapsim -app cg -ranks 4
 //	overlapsim -app sweep3d -ranks 16 -bw 125 -buses 12 -timeline
+//	overlapsim -app cg -ranks 4 -width 120 -timeline -prv /tmp/cg
 //	overlapsim -app pop -ranks 16 -dump-traces /tmp/pop
 //	overlapsim -app cg -ranks 16 -preset marenostrum-4x -map rr
 //	overlapsim -app cg -ranks 16 -platform cluster.json -dump-platform
@@ -35,7 +39,7 @@ func main() {
 	ranks := flag.Int("ranks", 16, "number of ranks")
 	chunks := flag.Int("chunks", 4, "chunks per message in the overlapped traces")
 	pf := platformflag.Register(flag.CommandLine)
-	timeline := flag.Bool("timeline", false, "render ASCII timelines")
+	timeline := flag.Bool("timeline", false, "render ASCII timelines, state profiles, transfers and Paraver views")
 	width := flag.Int("width", 100, "timeline width")
 	dump := flag.String("dump-traces", "", "directory to write the three .dim traces")
 	prv := flag.String("prv", "", "directory to write .prv files for the three runs")
@@ -71,7 +75,7 @@ func main() {
 	// The report and the what-if study share one traced run, and the
 	// what-if references reuse the report's programs, through the
 	// engine's trace cache.
-	rep, err := core.AnalyzeRun(ctx, eng, eng.Traces(), entry.App, *ranks, tCfg, plat)
+	rep, err := core.Analyze(ctx, eng, eng.Traces(), entry.App, *ranks, tCfg, plat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
 		os.Exit(1)
@@ -100,9 +104,7 @@ func main() {
 	fmt.Print(pattern.FormatTableII([]*pattern.Analysis{rep.Patterns}))
 
 	if *timeline {
-		fmt.Println()
-		fmt.Print(paraver.RenderComparison(rep.Base, rep.Real, *app+"/base", *app+"/overlap-real", *width))
-		fmt.Print(paraver.Render(rep.Ideal, *app+"/overlap-ideal", *width))
+		printTimeline(rep, *app, *width)
 	}
 	if *critpath {
 		for _, f := range []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal} {
@@ -138,6 +140,34 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
+	}
+}
+
+// printTimeline prints the Figure 4 view of the report: the three
+// timelines on the base/overlap-real scale, the state profiles, the first
+// overlap-real transfers, the comm matrix, the wait distributions and the
+// parallel efficiency over time (width/2 slices).
+func printTimeline(rep *core.Report, app string, width int) {
+	fmt.Println()
+	fmt.Print(paraver.RenderComparison(rep.Base, rep.Real, app+"/base", app+"/overlap-real", width))
+	fmt.Print(paraver.Render(rep.Ideal, app+"/overlap-ideal", width))
+	fmt.Println()
+	compared := []core.Flavor{core.FlavorBase, core.FlavorReal}
+	for _, f := range compared {
+		fmt.Printf("%s profile:\n", f)
+		fmt.Print(paraver.ProfileOf(rep.ResultOf(f)).Format())
+	}
+	fmt.Println("overlap-real transfers (send -> match lines):")
+	fmt.Print(paraver.CommLines(rep.Real, 12))
+	fmt.Println()
+	fmt.Print(paraver.CommMatrixOf(rep.Base).Format())
+	fmt.Println()
+	for _, f := range compared {
+		fmt.Printf("%s wait distribution:\n", f)
+		fmt.Print(paraver.WaitHistogram(rep.ResultOf(f), 8).Format())
+	}
+	for _, f := range compared {
+		fmt.Printf("%-16s%s", f, paraver.FormatEfficiency(paraver.EfficiencySlices(rep.ResultOf(f), width/2)))
 	}
 }
 

@@ -1,33 +1,25 @@
 // Command patterns reproduces the Figure 5 scatter plots and the Table II
 // statistics for one application of the pool: it traces the application and
 // renders the production/consumption access patterns of its communicated
-// buffers, then quantifies what those patterns buy as overlap speedup on
-// the active platform.
-//
-// The platform flags (-preset, -platform, -nodes, -map, ...) are the
-// uniform set shared by every CLI (internal/platformflag); -workers sizes
-// the engine pool the three flavour replays fan out on.
+// buffers, with the Eq. 1 overlap bound they allow. Patterns are measured
+// on the traced run alone, so no platform enters and nothing is replayed;
+// overlapsim prints what the patterns buy as speedup on a platform.
 //
 // Examples:
 //
 //	patterns -app sweep3d -side prod -buffer outflow-east
 //	patterns -app bt -side cons -rank 1 -csv /tmp/bt.csv
-//	patterns -app cg               (Table II row + overlap summary)
-//	patterns -app cg -preset fatnode-smp -map rr
+//	patterns -app cg               (Table II row + per-buffer statistics)
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
 	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/pattern"
-	"repro/internal/platformflag"
 	"repro/internal/tracer"
 )
 
@@ -40,8 +32,6 @@ func main() {
 	width := flag.Int("width", 100, "scatter width in characters")
 	height := flag.Int("height", 18, "scatter height in characters")
 	csv := flag.String("csv", "", "write the scatter as CSV to this file")
-	workers := flag.Int("workers", 0, "experiment-engine worker pool size (0 = GOMAXPROCS)")
-	pf := platformflag.Register(flag.CommandLine)
 	flag.Parse()
 
 	entry, ok := apps.ByName(*app, *ranks)
@@ -49,35 +39,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "patterns: unknown app %q (known: %v)\n", *app, apps.Names)
 		os.Exit(2)
 	}
-	plat, err := pf.Resolve(*app, *ranks)
+	run, err := tracer.Trace(*app, *ranks, tracer.DefaultConfig(), entry.App.Kernel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "patterns: %v\n", err)
 		os.Exit(1)
 	}
-	if pf.DumpRequested() {
-		if err := pf.Dump(os.Stdout, plat); err != nil {
-			fmt.Fprintf(os.Stderr, "patterns: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	// One analysis yields both halves: the Table II statistics of the
-	// traced run, and what the measured patterns are worth on the active
-	// platform (the three flavour replays run concurrently on the engine
-	// pool).
-	eng := engine.New(*workers)
-	tCfg := tracer.DefaultConfig()
-	rep, err := core.AnalyzeRun(context.Background(), eng, eng.Traces(), entry.App, *ranks, tCfg, plat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "patterns: %v\n", err)
-		os.Exit(1)
-	}
-	an := rep.Patterns
+	an := pattern.Analyze(run)
 	fmt.Print(pattern.FormatTableII([]*pattern.Analysis{an}))
-
-	fmt.Printf("\noverlap on %s:\n", plat.Describe())
-	fmt.Printf("  speedup %.3fx with measured patterns, %.3fx with ideal patterns\n",
-		rep.SpeedupReal, rep.SpeedupIdeal)
 
 	fmt.Println("\nper-buffer statistics:")
 	names := make([]string, 0, len(an.Production))
@@ -144,11 +112,6 @@ func main() {
 				break
 			}
 		}
-	}
-	run, err := eng.Traces().Trace(*app, *ranks, tCfg, entry.App.Kernel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "patterns: %v\n", err)
-		os.Exit(1)
 	}
 	sc := pattern.ScatterFor(run, buf, *rank, sd)
 	if sc == nil || len(sc.Points) == 0 {

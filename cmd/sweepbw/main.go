@@ -35,7 +35,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/platformflag"
-	"repro/internal/service"
 )
 
 func main() {
@@ -45,21 +44,9 @@ func main() {
 	pf := platformflag.Register(flag.CommandLine)
 	bws := flag.String("bws", "2,8,31,125,250,500,2000,8000", "comma-separated bandwidths for -mode series")
 	workers := flag.Int("workers", 0, "experiment-engine worker pool size (0 = GOMAXPROCS)")
-	scenarioPath := flag.String("scenario", "", "run a declarative scenario spec (JSON, the POST /v1/scenarios schema) instead of -mode")
-	scenarioJSON := flag.Bool("scenario-json", false, "with -scenario, print the raw result JSON instead of the point table")
 	tm := platformflag.RegisterTimings(flag.CommandLine)
 	flag.Parse()
 	defer tm.MaybeDump(os.Stderr)
-
-	if *scenarioPath != "" {
-		// Unless -scenario-json asks for the batch JSON, the table prints
-		// incrementally: each grid point appears the moment it (and its
-		// predecessors) finish simulating.
-		if err := service.RunScenarioFile(context.Background(), *scenarioPath, service.Options{Engine: engine.New(*workers)}, *scenarioJSON, os.Stdout); err != nil {
-			fail(1, "%v", err)
-		}
-		return
-	}
 
 	entry, ok := apps.ByName(*app, *ranks)
 	if !ok {

@@ -108,7 +108,7 @@ func jacobi(p *tracer.Proc) {
 
 func main() {
 	app := core.App{Name: "jacobi1d", Kernel: jacobi}
-	report, err := core.Analyze(context.Background(), nil, app, ranks, network.Testbed(ranks), tracer.DefaultConfig())
+	report, err := core.Analyze(context.Background(), nil, nil, app, ranks, tracer.DefaultConfig(), network.Testbed(ranks))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 	// One call runs the whole framework: Valgrind-equivalent tracing,
 	// trace transformation, and Dimemas-equivalent replay of all three
 	// execution flavours.
-	report, err := core.Analyze(context.Background(), nil, entry.App, ranks, platform, tracer.DefaultConfig())
+	report, err := core.Analyze(context.Background(), nil, nil, entry.App, ranks, tracer.DefaultConfig(), platform)
 	if err != nil {
 		log.Fatal(err)
 	}

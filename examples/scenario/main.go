@@ -13,9 +13,9 @@
 //	simd -addr :8080 &
 //	curl -X POST localhost:8080/v1/scenarios -d @examples/scenario/scenario.json
 //
-// or locally through any CLI's -scenario flag:
+// or locally through simd's one-shot -scenario flag:
 //
-//	go run ./cmd/experiments -scenario examples/scenario/scenario.json
+//	go run ./cmd/simd -scenario examples/scenario/scenario.json
 //
 // Expected shape of the output: under block placement the CG exchange
 // stays on shared memory, so the interconnect bandwidth column doesn't

@@ -93,7 +93,7 @@ func analyzeApp(t *testing.T, name string, ranks int) *core.Report {
 	if !ok {
 		t.Fatalf("unknown app %q", name)
 	}
-	rep, err := core.Analyze(context.Background(), nil, e.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+	rep, err := core.Analyze(context.Background(), nil, nil, e.App, ranks, tracer.DefaultConfig(), network.TestbedFor(name, ranks))
 	if err != nil {
 		t.Fatalf("analyze %s: %v", name, err)
 	}

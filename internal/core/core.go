@@ -1,13 +1,19 @@
 // Package core is the public face of the framework: it chains the tracer
 // (Valgrind equivalent), the replay simulator (Dimemas equivalent), the
-// pattern analyzer, and the visualization layer into the one-call pipeline
-// the paper describes in Section III.
+// pattern analyzer, and the visualization layer into the pipeline the
+// paper describes in Section III.
 //
 // One Analyze call performs what the paper's Figure 3 shows: the
 // application executes once under instrumentation, the tracer emits the
 // non-overlapped trace plus the two overlapped traces, Dimemas-style replay
 // reconstructs all three time behaviours on the configured platform, and
 // the results are bundled with the production/consumption pattern analysis.
+// It is the one path that replays the three flavours in full, for readers
+// of a timeline: Paraver views, critical paths and per-rank accounting.
+// A study that reads only makespans, traffic or what-if rankings is a
+// Scenario (RunScenario, RunScenarioStream, RunBandwidthNeeds), whose
+// points replay summaries, and Table II reads the trace cache's patterns
+// without replaying at all.
 package core
 
 import (
@@ -66,40 +72,38 @@ type Report struct {
 	// trace from it on demand.
 	run *tracer.Run
 	// digests holds each flavour's trace digest in report order, the
-	// trace cache's own, for Wire. Read-only after AnalyzeRun.
+	// trace cache's own, for Wire. Read-only after Analyze.
 	digests []string
 }
 
 // flavors lists the three execution flavours in report order.
 var flavors = []Flavor{FlavorBase, FlavorReal, FlavorIdeal}
 
-// Analyze traces the application once on ranks processes and reconstructs
-// the three execution flavours on the given platform: AnalyzeRun on a
-// trace cache of its own, so a caller's kernel never enters a shared
-// cache. The three replay jobs run concurrently on eng (nil selects the
-// default engine).
-func Analyze(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*Report, error) {
-	return AnalyzeRun(ctx, eng, engine.NewTraceCache(), app, ranks, tCfg, plat)
-}
-
-// AnalyzeRun reconstructs the three execution flavours of app on ranks
-// processes on the given platform, taking everything that does not
-// depend on the platform from traces: the traced run, each flavour's
-// compiled program and trace digest, and the Table II analysis. Callers
-// that trace through the engine's shared cache (Engine.Traces) analyze
-// one traced execution under many platforms and chunk counts without
-// re-tracing, rebuilding or re-hashing a trace. Each flavour's replay is
-// one engine job.
+// Analyze reconstructs the three execution flavours of app on ranks
+// processes on the given platform, each replayed in full: the timelines,
+// comm logs and per-rank accounting a Paraver view, a critical path or a
+// per-flavour table reads. Studies that read only makespans or traffic
+// are scenarios (RunScenario), and Table II reads TraceCache.Patterns.
 //
-// traces identifies kernels by app name (see engine.TraceCache), so an
-// app whose kernel is not the registry's belongs in a cache of its own,
-// as Analyze gives it.
-func AnalyzeRun(ctx context.Context, eng *engine.Engine, traces *engine.TraceCache, app App, ranks int, tCfg tracer.Config, plat network.Platform) (*Report, error) {
+// Everything that does not depend on the platform comes from traces: the
+// traced run, each flavour's compiled program and trace digest, and the
+// Table II analysis. Callers that trace through the engine's shared cache
+// (Engine.Traces) analyze one traced execution under many platforms and
+// chunk counts without re-tracing, rebuilding or re-hashing a trace. A nil
+// traces uses a cache of the call's own, as Scenario.Traces does; traces
+// identifies kernels by app name (see engine.TraceCache), so an app whose
+// kernel is not the registry's belongs in a cache of its own. Each
+// flavour's replay is one engine job on eng (nil selects the default
+// engine).
+func Analyze(ctx context.Context, eng *engine.Engine, traces *engine.TraceCache, app App, ranks int, tCfg tracer.Config, plat network.Platform) (*Report, error) {
 	if app.Kernel == nil {
 		return nil, fmt.Errorf("core: app %q has no kernel", app.Name)
 	}
 	if err := plat.Validate(); err != nil {
 		return nil, err
+	}
+	if traces == nil {
+		traces = engine.NewTraceCache()
 	}
 	run, err := traces.Trace(app.Name, ranks, tCfg, app.Kernel)
 	if err != nil {

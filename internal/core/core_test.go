@@ -38,19 +38,19 @@ func testNet(procs int) network.Platform {
 }
 
 func TestAnalyzeRejectsBadInputs(t *testing.T) {
-	if _, err := Analyze(context.Background(), nil, App{Name: "x"}, 2, testNet(2), tracer.DefaultConfig()); err == nil {
+	if _, err := Analyze(context.Background(), nil, nil, App{Name: "x"}, 2, tracer.DefaultConfig(), testNet(2)); err == nil {
 		t.Fatal("nil kernel accepted")
 	}
 	bad := testNet(2)
 	bad.MIPS = 0
-	if _, err := Analyze(context.Background(), nil, App{Name: "x", Kernel: pipelineKernel(8, 1, 1)}, 2, bad, tracer.DefaultConfig()); err == nil {
+	if _, err := Analyze(context.Background(), nil, nil, App{Name: "x", Kernel: pipelineKernel(8, 1, 1)}, 2, tracer.DefaultConfig(), bad); err == nil {
 		t.Fatal("invalid network accepted")
 	}
 }
 
 func TestAnalyzePipeline(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 4, 200)}
-	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, nil, app, 2, tracer.DefaultConfig(), testNet(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestReportAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, plat := range []network.Platform{testNet(2), multi} {
-		rep, err := Analyze(context.Background(), nil, app, 2, plat, tracer.DefaultConfig())
+		rep, err := Analyze(context.Background(), nil, nil, app, 2, tracer.DefaultConfig(), plat)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func fig6(t *testing.T, ranks int) ([]*core.Report, []*core.BandwidthNeeds) {
 	var needs []*core.BandwidthNeeds
 	for _, e := range apps.All(ranks) {
 		plat := network.TestbedFor(e.App.Name, ranks)
-		rep, err := core.AnalyzeRun(ctx, nil, traces, e.App, ranks, tracer.DefaultConfig(), plat)
+		rep, err := core.Analyze(ctx, nil, traces, e.App, ranks, tracer.DefaultConfig(), plat)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ import (
 // oracleReport builds the wire report of one analysis from inputs the
 // test owns: a privately traced run, privately built traces, trace.Digest,
 // sim.Run and pattern.Analyze. None of it goes through a trace cache,
-// AnalyzeRun or Report.Wire.
+// Analyze or Report.Wire.
 func oracleReport(t *testing.T, run *tracer.Run, chunks int, plat network.Platform) *WireReport {
 	t.Helper()
 	kRun := run.WithChunks(chunks)
@@ -299,7 +299,7 @@ func TestReportPointsShareTraceCache(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reps[i], errs[i] = AnalyzeRun(ctx, eng, traces, app, ranks, cfgAt(chunks[i/len(plats)]), plats[i%len(plats)])
+			reps[i], errs[i] = Analyze(ctx, eng, traces, app, ranks, cfgAt(chunks[i/len(plats)]), plats[i%len(plats)])
 		}(i)
 	}
 	wg.Wait()

@@ -88,7 +88,7 @@ func TestWhatIfSelectiveBounds(t *testing.T) {
 	// all-ideal makespans (allowing a little slack for chunk scheduling
 	// noise).
 	app := App{Name: "twobuf", Kernel: twoBufferKernel(1500, 3, 80)}
-	full, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
+	full, err := Analyze(context.Background(), nil, nil, app, 2, tracer.DefaultConfig(), testNet(2))
 	if err != nil {
 		t.Fatal(err)
 	}

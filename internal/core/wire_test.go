@@ -31,7 +31,7 @@ func reportFor(t *testing.T) *Report {
 			}
 		}
 	}}
-	rep, err := Analyze(context.Background(), nil, app, 2, network.Testbed(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, nil, app, 2, tracer.DefaultConfig(), network.Testbed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestWireReportNaNSafe(t *testing.T) {
 			b.Load(0)
 		}
 	}}
-	rep, err := Analyze(context.Background(), nil, app, 2, network.Testbed(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, nil, app, 2, tracer.DefaultConfig(), network.Testbed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

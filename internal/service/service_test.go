@@ -77,7 +77,7 @@ func TestEndToEndCachedByteIdentical(t *testing.T) {
 	// and flavours, down to the marshalled bytes.
 	entry, _ := apps.ByName("cg", 4)
 	plat := network.TestbedFor("cg", 4)
-	rep, err := core.Analyze(ctx, mgr.Engine(), entry.App, 4, plat, tracer.DefaultConfig())
+	rep, err := core.Analyze(ctx, mgr.Engine(), nil, entry.App, 4, tracer.DefaultConfig(), plat)
 	if err != nil {
 		t.Fatal(err)
 	}

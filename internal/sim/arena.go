@@ -37,11 +37,12 @@ func (a *ReplayArena) replaySummary(p network.Platform, prog *Program, shards in
 
 // ReplayInto replays prog on p using a pooled arena — sharded when shards
 // > 1 and the platform allows it (see EffectiveShards) — and deep-copies
-// the result into dst, which must be non-nil and is returned. Reusing dst
-// across calls makes the full-result replay allocation-free once dst has
-// grown to the program's high-water mark; this is what the engine's batch
-// replays use instead of a fresh arena per point. Safe for concurrent use
-// (with distinct dst).
+// the full result, timeline and comm log included, into dst, which must
+// be non-nil and is returned. Reusing dst across calls makes the replay
+// allocation-free once dst has grown to the program's high-water mark.
+// core.Analyze replays each flavour through it into a fresh Result; grid
+// points, which read no timeline, use ReplaySummary. Safe for concurrent
+// use (with distinct dst).
 func ReplayInto(p network.Platform, prog *Program, shards int, dst *Result) (*Result, error) {
 	a := arenaPool.Get().(*ReplayArena)
 	defer arenaPool.Put(a)

@@ -272,15 +272,6 @@ func (t *Trace) TotalInstructions(rank int) int64 {
 	return n
 }
 
-// Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	c := New(t.Name, t.Flavor, t.NumRanks)
-	for r := range t.Ranks {
-		c.Ranks[r].Records = append([]Record(nil), t.Ranks[r].Records...)
-	}
-	return c
-}
-
 // PairVolumes returns the per-(src,dst) byte volumes of send-side records,
 // sorted by source then destination. Useful for communication-matrix views.
 func (t *Trace) PairVolumes() []PairVolume {

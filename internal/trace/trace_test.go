@@ -150,18 +150,6 @@ func TestTotalInstructions(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	tr := tinyTrace()
-	c := tr.Clone()
-	c.Ranks[0].Records[0].Instr = 42
-	if tr.Ranks[0].Records[0].Instr != 1000 {
-		t.Fatal("Clone shares record storage with original")
-	}
-	if c.Name != tr.Name || c.NumRanks != tr.NumRanks {
-		t.Fatal("Clone lost metadata")
-	}
-}
-
 func TestPairVolumes(t *testing.T) {
 	tr := New("n", "f", 3)
 	tr.Append(0, Record{Kind: KindSend, Peer: 1, Bytes: 10})

@@ -347,6 +347,9 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if ranks <= 0 {
+		return nil, fmt.Errorf("tracer: ranks=%d, must be positive", ranks)
+	}
 	run := &Run{Name: name, NumRanks: ranks, Cfg: cfg, Logs: make([]*Log, ranks)}
 	var mu sync.Mutex
 	err := mpi.Run(ranks, func(mp *mpi.Proc) {

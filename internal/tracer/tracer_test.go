@@ -23,6 +23,16 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestTraceRejectsNonPositiveRanks: a world of no ranks, or of a negative
+// count that would size the run's logs, is an error, not a panic.
+func TestTraceRejectsNonPositiveRanks(t *testing.T) {
+	for _, ranks := range []int{0, -1} {
+		if _, err := Trace("x", ranks, DefaultConfig(), func(p *Proc) {}); err == nil {
+			t.Errorf("ranks=%d accepted", ranks)
+		}
+	}
+}
+
 func TestChunkCount(t *testing.T) {
 	c := DefaultConfig()
 	cases := []struct{ n, want int }{
