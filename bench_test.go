@@ -4,7 +4,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// Artifact benchmarks (matching DESIGN.md §5):
+// Artifact benchmarks:
 //
 //	BenchmarkTableI                    bus-count configuration
 //	BenchmarkFig4CGTimeline            CG timelines + improvement
@@ -240,7 +240,8 @@ func BenchmarkFig6cEquivalentBandwidth(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations: the design choices DESIGN.md calls out.
+// Ablations: each varies one parameter of the overlapped traces or the
+// platform model.
 
 // BenchmarkAblationChunkCount varies the number of chunks per message (the
 // paper fixes 4) on NAS-CG and reports the real-pattern speedup per count.

@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -98,7 +97,7 @@ func main() {
 	}
 
 	if sel("fig4") {
-		fig4(ctx, eng, tCfg, *width)
+		fig4(eng, tCfg, *width)
 	}
 	if sel("fig5") {
 		fig5(eng, *ranks, tCfg, *csvdir, *svgdir, *width)
@@ -246,7 +245,7 @@ func extras(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Conf
 		// The shared cache makes the run and its programs hits when
 		// Table II and Fig. 6a already traced the app and compiled its
 		// flavours (the default -only=all run).
-		rep, err := core.Analyze(ctx, eng, eng.Traces(), e.App, ranks, tCfg, plat)
+		base, err := replay(eng, e.App, ranks, tCfg, plat, core.FlavorBase)
 		if err != nil {
 			return extra{}, fmt.Errorf("extras %s: %w", name, err)
 		}
@@ -255,7 +254,7 @@ func extras(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Conf
 			return extra{}, fmt.Errorf("extras %s what-if: %w", name, err)
 		}
 		return extra{
-			critPath: sim.CriticalPathOf(rep.Base).Format(4),
+			critPath: sim.CriticalPathOf(base).Format(4),
 			whatIf:   wi.Points[0].WhatIf.Format(),
 		}, nil
 	})
@@ -301,20 +300,35 @@ func table1() {
 
 // fig4 reproduces the Figure 4 view: NAS-CG on 4 processes, first
 // iterations, non-overlapped vs overlapped timeline.
-func fig4(ctx context.Context, eng *engine.Engine, tCfg tracer.Config, width int) {
+func fig4(eng *engine.Engine, tCfg tracer.Config, width int) {
 	header("Figure 4 — Paraver view of NAS-CG (4 ranks): non-overlapped vs overlapped")
 	e, _ := apps.ByName("cg", 4)
-	rep, err := core.Analyze(ctx, eng, eng.Traces(), e.App, 4, tCfg, network.TestbedFor("cg", 4))
+	plat := network.TestbedFor("cg", 4)
+	base, err := replay(eng, e.App, 4, tCfg, plat, core.FlavorBase)
 	if err != nil {
 		fatal("fig4: %v", err)
 	}
-	fmt.Print(paraver.RenderComparison(rep.Base, rep.Real, "cg/non-overlapped", "cg/overlapped(real)", width))
+	real, err := replay(eng, e.App, 4, tCfg, plat, core.FlavorReal)
+	if err != nil {
+		fatal("fig4: %v", err)
+	}
+	fmt.Print(paraver.RenderComparison(base, real, "cg/non-overlapped", "cg/overlapped(real)", width))
 	fmt.Println("\nnon-overlapped profile:")
-	fmt.Print(paraver.ProfileOf(rep.Base).Format())
+	fmt.Print(paraver.ProfileOf(base).Format())
 	fmt.Println("overlapped profile:")
-	fmt.Print(paraver.ProfileOf(rep.Real).Format())
+	fmt.Print(paraver.ProfileOf(real).Format())
 	fmt.Println("first transfers (watch the send->match lines lengthen under overlap):")
-	fmt.Print(paraver.CommLines(rep.Real, 8))
+	fmt.Print(paraver.CommLines(real, 8))
+}
+
+// replay replays one flavour of app in full on plat (timeline, comm log
+// and per-rank accounting), its program from the engine's trace cache.
+func replay(eng *engine.Engine, app core.App, ranks int, tCfg tracer.Config, plat network.Platform, f core.Flavor) (*sim.Result, error) {
+	prog, _, err := eng.Traces().CompiledProgram(app.Name, ranks, tCfg, app.Kernel, string(f))
+	if err != nil {
+		return nil, err
+	}
+	return sim.ReplayInto(plat, prog, 1, new(sim.Result))
 }
 
 var fig5Specs = []struct {
@@ -454,32 +468,15 @@ func bandwidthNeeds(ctx context.Context, eng *engine.Engine, ranks int, tCfg tra
 	return needs
 }
 
-// needsTable prints a Fig. 6b/6c table of the crossing pick reads, a row
-// per app and overlapped flavor: its first crossing and holding threshold,
-// each with its factor over the app's reference (one cell across both
-// when no finite grid bandwidth matches), then the curve's largest rise.
+// needsTable prints a Fig. 6b/6c table of the crossing pick reads under
+// its title, a row per app and overlapped flavor.
 func needsTable(title string, needs []*core.BandwidthNeeds, pick func(core.OverlapNeeds) metrics.Crossing) {
 	refs := make([]float64, len(needs))
 	for i, n := range needs {
 		refs[i] = n.RefMBps
 	}
 	header(title + " at " + refLabel(refs))
-	fmt.Printf("grid: %s\n", metrics.DescribeGrid())
-	fmt.Println("first = lowest grid bandwidth that matches; holding = lowest from which every faster one matches; rise = largest slowdown of one grid step up")
-	fmt.Printf("%-12s %-14s %26s %26s %8s\n", "app", "flavor", "first (x ref)", "holding (x ref)", "rise")
-	for i, name := range apps.Names {
-		cell := func(bw float64) string {
-			return metrics.FormatMBps(bw) + " (" + metrics.FormatFactor(metrics.BandwidthFactor(bw, refs[i])) + "x)"
-		}
-		for _, o := range []core.OverlapNeeds{needs[i].Real, needs[i].Ideal} {
-			c := pick(o)
-			bws := fmt.Sprintf("%26s %26s", cell(c.First), cell(c.Holding))
-			if math.IsInf(c.First, 1) { // then Holding is too
-				bws = fmt.Sprintf("%53s", metrics.FormatMBps(c.First))
-			}
-			fmt.Printf("%-12s %-14s %s %7.1f%%\n", name, o.Flavor, bws, 100*c.Rise)
-		}
-	}
+	fmt.Print(core.FormatNeedsTable(apps.Names, needs, pick))
 }
 
 func fig6b(needs []*core.BandwidthNeeds) {

@@ -6,6 +6,11 @@
 // three flavours, their state profiles, the overlapped transfers, the comm
 // matrix, wait distributions and efficiency slices.
 //
+// Two bandwidth studies stress the interconnect: -needs prints the app's
+// Figure 6b and 6c rows, read on metrics.BandwidthGrid around a finite
+// inter-node bandwidth (-bw), and -bws the three flavours' finish at each
+// listed bandwidth (the raw curves).
+//
 // Examples:
 //
 //	overlapsim -app cg -ranks 4
@@ -14,6 +19,8 @@
 //	overlapsim -app pop -ranks 16 -dump-traces /tmp/pop
 //	overlapsim -app cg -ranks 16 -preset marenostrum-4x -map rr
 //	overlapsim -app cg -ranks 16 -platform cluster.json -dump-platform
+//	overlapsim -app sweep3d -ranks 8 -needs
+//	overlapsim -app bt -ranks 8 -bws 2,8,31,125,250,500,2000,8000
 package main
 
 import (
@@ -22,10 +29,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/paraver"
 	"repro/internal/pattern"
 	"repro/internal/platformflag"
@@ -33,6 +43,9 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tracer"
 )
+
+// flavors lists the three executions in report order.
+var flavors = []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal}
 
 func main() {
 	app := flag.String("app", "cg", "application: sweep3d|pop|alya|specfem3d|bt|cg")
@@ -45,25 +58,36 @@ func main() {
 	prv := flag.String("prv", "", "directory to write .prv files for the three runs")
 	critpath := flag.Bool("critpath", false, "print the critical-path attribution of each flavour")
 	whatif := flag.Bool("whatif", false, "rank buffers by what idealizing each one alone would gain")
+	needs := flag.Bool("needs", false, "print the Fig. 6b/6c rows: the bandwidth each overlapped flavour may relax to, and the one the non-overlapped run needs to match it")
+	bws := flag.String("bws", "", "comma-separated bandwidths (MB/s) at which to print the three flavours' finish")
 	sizeScale := flag.Float64("size-scale", 1, "multiply communicated-buffer sizes")
 	iterScale := flag.Float64("iter-scale", 1, "multiply iteration counts")
 	workers := flag.Int("workers", 0, "experiment-engine worker pool size (0 = GOMAXPROCS)")
+	tm := platformflag.RegisterTimings(flag.CommandLine)
 	flag.Parse()
+	defer tm.MaybeDump(os.Stderr)
 
 	entry, ok := apps.ByNameScaled(*app, *ranks, apps.Scale{SizeScale: *sizeScale, IterScale: *iterScale})
 	if !ok {
-		fmt.Fprintf(os.Stderr, "overlapsim: unknown app %q (known: %v)\n", *app, apps.Names)
-		os.Exit(2)
+		fail(2, "unknown app %q (known: %v)", *app, apps.Names)
+	}
+	var bwList []float64
+	if *bws != "" {
+		for _, s := range strings.Split(*bws, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+			if err != nil || !(v > 0) { // NaN fails every comparison
+				fail(2, "bad bandwidth %q", s)
+			}
+			bwList = append(bwList, v)
+		}
 	}
 	plat, err := pf.Resolve(*app, *ranks)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	if pf.DumpRequested() {
 		if err := pf.Dump(os.Stdout, plat); err != nil {
-			fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		return
 	}
@@ -72,27 +96,30 @@ func main() {
 
 	ctx := context.Background()
 	eng := engine.New(*workers)
-	// The report and the what-if study share one traced run, and the
-	// what-if references reuse the report's programs, through the
-	// engine's trace cache.
+	// The report and every study share one traced run, and the studies
+	// reuse the report's programs, through the engine's trace cache.
 	rep, err := core.Analyze(ctx, eng, eng.Traces(), entry.App, *ranks, tCfg, plat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 
 	fmt.Printf("app %s (%s)\n", *app, entry.Description)
 	fmt.Printf("platform: %s\n", plat.Describe())
 	fmt.Printf("\n%-16s %12s %12s %12s %10s %12s\n", "flavor", "finish (s)", "wait (s)", "send-blk (s)", "messages", "bytes")
-	for _, f := range []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal} {
+	for _, f := range flavors {
+		// A completed replay counts every send of the trace, so its
+		// per-rank sums are the trace's message and byte totals.
 		r := rep.ResultOf(f)
-		st := rep.TraceOf(f).Stats()
 		var sendBlk float64
+		var msgs int
+		var sent int64
 		for i := range r.Ranks {
 			sendBlk += r.Ranks[i].SendBlockedSec
+			msgs += r.Ranks[i].MsgsSent
+			sent += r.Ranks[i].BytesSent
 		}
 		fmt.Printf("%-16s %12.6f %12.6f %12.6f %10d %12d\n",
-			string(f), r.FinishSec, r.TotalWaitSec(), sendBlk, st.Messages, st.BytesSent)
+			string(f), r.FinishSec, r.TotalWaitSec(), sendBlk, msgs, sent)
 	}
 	fmt.Printf("\nspeedup real=%.3f ideal=%.3f\n", rep.SpeedupReal, rep.SpeedupIdeal)
 	if plat.MultiNode() {
@@ -107,7 +134,7 @@ func main() {
 		printTimeline(rep, *app, *width)
 	}
 	if *critpath {
-		for _, f := range []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal} {
+		for _, f := range flavors {
 			fmt.Printf("\n[%s] ", f)
 			fmt.Print(sim.CriticalPathOf(rep.ResultOf(f)).Format(8))
 		}
@@ -115,32 +142,62 @@ func main() {
 	if *whatif {
 		wi, err := core.RunScenario(ctx, eng, core.Scenario{App: entry.App, Ranks: *ranks, Tracer: tCfg, Platform: plat, Output: core.OutputWhatIf, Traces: eng.Traces()})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "overlapsim: what-if: %v\n", err)
-			os.Exit(1)
+			fail(1, "what-if: %v", err)
 		}
 		fmt.Println()
 		fmt.Print(wi.Points[0].WhatIf.Format())
 	}
+	if *needs {
+		n, err := core.RunBandwidthNeeds(ctx, eng, core.Scenario{App: entry.App, Ranks: *ranks, Tracer: tCfg, Platform: plat, Traces: eng.Traces()})
+		if err != nil {
+			fail(1, "fig6b/6c: %v", err)
+		}
+		names, ns := []string{*app}, []*core.BandwidthNeeds{n}
+		fmt.Printf("\nFigure 6b — bandwidth needed by the overlapped execution to match the non-overlapped at %g MB/s\n", n.RefMBps)
+		fmt.Print(core.FormatNeedsTable(names, ns, func(o core.OverlapNeeds) metrics.Crossing { return o.Relaxed }))
+		fmt.Printf("\nFigure 6c — bandwidth the non-overlapped execution needs to match the overlapped at %g MB/s\n", n.RefMBps)
+		fmt.Print(core.FormatNeedsTable(names, ns, func(o core.OverlapNeeds) metrics.Crossing { return o.Equivalent }))
+	}
+	if len(bwList) > 0 {
+		res, err := core.RunScenario(ctx, eng, core.Scenario{
+			App: entry.App, Ranks: *ranks, Tracer: tCfg, Platform: plat,
+			Flavors: flavors,
+			Axes:    []core.Axis{core.BandwidthAxis(bwList...)},
+			Traces:  eng.Traces(),
+		})
+		if err != nil {
+			fail(1, "bandwidth sweep: %v", err)
+		}
+		fmt.Printf("\n%-10s %14s %14s %14s\n", "MB/s", "base (s)", "overlap-real", "overlap-ideal")
+		for i, bw := range bwList {
+			fs := res.Points[i].Flavors
+			fmt.Printf("%-10.1f %14.6f %14.6f %14.6f\n", bw, fs[0].FinishSec, fs[1].FinishSec, fs[2].FinishSec)
+		}
+	}
 	if *dump != "" {
-		for _, f := range []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal} {
+		for _, f := range flavors {
 			path := filepath.Join(*dump, fmt.Sprintf("%s-%s.dim", *app, f))
 			if err := writeTrace(path, rep.TraceOf(f)); err != nil {
-				fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
-				os.Exit(1)
+				fail(1, "%v", err)
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
 	}
 	if *prv != "" {
-		for _, f := range []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal} {
+		for _, f := range flavors {
 			path := filepath.Join(*prv, fmt.Sprintf("%s-%s.prv", *app, f))
 			if err := writePRV(path, rep.ResultOf(f), *app+"/"+string(f)); err != nil {
-				fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
-				os.Exit(1)
+				fail(1, "%v", err)
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
 	}
+}
+
+// fail reports an overlapsim error on stderr and exits with code.
+func fail(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "overlapsim: "+format+"\n", args...)
+	os.Exit(code)
 }
 
 // printTimeline prints the Figure 4 view of the report: the three

@@ -21,23 +21,33 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/tracer"
 )
 
 func main() {
-	sizes := []int{4, 8, 16, 32}
 	for _, name := range []string{"sweep3d", "cg"} {
+		// One ranks-axis scenario per app: each point re-traces the app
+		// at its world size and resizes the flat testbed to match.
+		res, err := core.RunScenario(context.Background(), nil, core.Scenario{
+			Factory: func(ranks int) (core.App, error) {
+				entry, _ := apps.ByName(name, ranks)
+				return entry.App, nil
+			},
+			Ranks:    4,
+			Platform: network.TestbedFor(name, 4),
+			Flavors:  []core.Flavor{core.FlavorBase, core.FlavorReal, core.FlavorIdeal},
+			Axes:     []core.Axis{core.RanksAxis(4, 8, 16, 32)},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("%-8s %12s %14s %14s\n", "ranks", "base (ms)", "speedup real", "speedup ideal")
-		for _, ranks := range sizes {
-			entry, _ := apps.ByName(name, ranks)
-			rep, err := core.Analyze(context.Background(), nil, nil, entry.App, ranks, tracer.DefaultConfig(), network.TestbedFor(name, ranks))
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%-8d %12.3f %14.3f %14.3f\n",
-				ranks, rep.Base.FinishSec*1e3, rep.SpeedupReal, rep.SpeedupIdeal)
+		for _, pt := range res.Points {
+			fs := pt.Flavors
+			fmt.Printf("%-8s %12.3f %14.3f %14.3f\n", pt.Coords[0].Value, fs[0].FinishSec*1e3,
+				metrics.Speedup(fs[0].FinishSec, fs[1].FinishSec), metrics.Speedup(fs[0].FinishSec, fs[2].FinishSec))
 		}
 		fmt.Println()
 	}

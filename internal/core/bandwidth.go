@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -71,4 +73,32 @@ func RunBandwidthNeeds(ctx context.Context, eng *engine.Engine, sc Scenario) (*B
 		}
 	}
 	return n, nil
+}
+
+// FormatNeedsTable renders a Fig. 6b/6c table of the crossing pick reads
+// (OverlapNeeds.Relaxed for 6b, Equivalent for 6c): the grid legend, the
+// column header, then a row per study and overlapped flavor, labelled
+// with names[i]. A row gives the first crossing and the holding
+// threshold, each with its factor over the study's reference (one cell
+// across both when no finite grid bandwidth matches), then the curve's
+// largest rise.
+func FormatNeedsTable(names []string, needs []*BandwidthNeeds, pick func(OverlapNeeds) metrics.Crossing) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "grid: %s\n", metrics.DescribeGrid())
+	b.WriteString("first = lowest grid bandwidth that matches; holding = lowest from which every faster one matches; rise = largest slowdown of one grid step up\n")
+	fmt.Fprintf(&b, "%-12s %-14s %26s %26s %8s\n", "app", "flavor", "first (x ref)", "holding (x ref)", "rise")
+	for i, n := range needs {
+		cell := func(bw float64) string {
+			return metrics.FormatMBps(bw) + " (" + metrics.FormatFactor(metrics.BandwidthFactor(bw, n.RefMBps)) + "x)"
+		}
+		for _, o := range []OverlapNeeds{n.Real, n.Ideal} {
+			c := pick(o)
+			bws := fmt.Sprintf("%26s %26s", cell(c.First), cell(c.Holding))
+			if math.IsInf(c.First, 1) { // then Holding is too
+				bws = fmt.Sprintf("%53s", metrics.FormatMBps(c.First))
+			}
+			fmt.Fprintf(&b, "%-12s %-14s %s %7.1f%%\n", names[i], o.Flavor, bws, 100*c.Rise)
+		}
+	}
+	return b.String()
 }

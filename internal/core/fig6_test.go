@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/tracer"
 )
@@ -113,5 +114,28 @@ func TestFig6GoldenTable16(t *testing.T) {
 	}
 	if got := b.String(); got != fig6Golden {
 		t.Fatalf("Fig. 6b/6c answers at 16 ranks changed:\n got:%s\nwant:%s", got, fig6Golden)
+	}
+}
+
+// TestFormatNeedsTable pins the Fig. 6b/6c rows both CLIs print on a
+// hand-built one-app study read through its Relaxed crossings: a flavor
+// that matches at finite grid bandwidths gets a first and a holding cell,
+// each with its factor over the reference, and one that matches at none
+// gets a single unreachable cell across both columns, with no factor.
+func TestFormatNeedsTable(t *testing.T) {
+	inf := math.Inf(1)
+	n := &core.BandwidthNeeds{
+		RefMBps: 250,
+		Real:    core.OverlapNeeds{Flavor: core.FlavorReal, Relaxed: metrics.Crossing{First: 125, Holding: 162.1, Rise: 0.0048}},
+		Ideal:   core.OverlapNeeds{Flavor: core.FlavorIdeal, Relaxed: metrics.Crossing{First: inf, Holding: inf, Rise: 0.0299}},
+	}
+	got := core.FormatNeedsTable([]string{"sweep3d"}, []*core.BandwidthNeeds{n}, func(o core.OverlapNeeds) metrics.Crossing { return o.Relaxed })
+	want := "grid: reference x 2^(k/8) for k = -48..48, and inf (98 bandwidths)\n" +
+		"first = lowest grid bandwidth that matches; holding = lowest from which every faster one matches; rise = largest slowdown of one grid step up\n" +
+		"app          flavor                      first (x ref)            holding (x ref)     rise\n" +
+		"sweep3d      overlap-real          125.00 MB/s (0.50x)        162.10 MB/s (0.65x)     0.5%\n" +
+		"sweep3d      overlap-ideal                   inf (not reachable at any bandwidth)     3.0%\n"
+	if got != want {
+		t.Fatalf("Fig. 6b/6c rows changed:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
